@@ -12,7 +12,6 @@ package nasd_test
 
 import (
 	"context"
-	"fmt"
 	"testing"
 	"time"
 
@@ -157,11 +156,11 @@ func BenchmarkObjectRead64K(b *testing.B) {
 // measured delta against its ≤15 % acceptance bound.
 func benchSeqWrite(b *testing.B, journaled bool) {
 	dev := blockdev.NewMemDisk(4096, 32768)
-	opts := []object.Option{object.WithCacheBlocks(4096)}
+	cfg := object.Config{CacheBlocks: 4096}
 	if !journaled {
-		opts = append(opts, object.WithJournalBlocks(-1))
+		cfg.JournalBlocks = -1
 	}
-	st, err := object.FormatStore(dev, opts...)
+	st, err := object.Format(dev, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -386,26 +385,5 @@ func BenchmarkMiningPass1(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		mining.CountItems(data, counts)
-	}
-}
-
-// Ablation: DCE-class vs lean RPC instruction costs across request
-// sizes — the paper's "workstation-class implementations of
-// communications certainly are [too expensive]" argument in numbers.
-func BenchmarkRPCCostModels(b *testing.B) {
-	for _, size := range []int{1, 8 << 10, 64 << 10, 512 << 10} {
-		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
-			var sink uint64
-			for i := 0; i < b.N; i++ {
-				c := drive.CostModel(drive.OpReadObject, size, false)
-				sink += c.Total()
-			}
-			c := drive.CostModel(drive.OpReadObject, size, false)
-			b.ReportMetric(float64(c.Total()), "DCE-instr")
-			// The lean stack the paper anticipates for commodity drives.
-			lean := 5000 + 0.4*float64(size)
-			b.ReportMetric(lean, "lean-instr")
-			_ = sink
-		})
 	}
 }

@@ -31,7 +31,7 @@ type benchResult struct {
 	// regression here shows up before it costs bandwidth.
 	AllocsPerOp map[string]float64 `json:"allocs_per_op,omitempty"`
 	BytesPerOp  map[string]float64 `json:"bytes_per_op,omitempty"`
-	// Counters carries resilience counters for runs (like -chaos) whose
+	// Counters carries resilience counters for runs (like chaos) whose
 	// point is fault handling rather than bandwidth. Omitted otherwise.
 	Counters map[string]uint64 `json:"counters,omitempty"`
 	// Tenants splits the drive-side op totals by the capability's

@@ -9,16 +9,15 @@
 // by this repository's models and simulations.
 //
 // With -workload, nasdbench instead runs a live workload against
-// in-process drives (the older -stats, -parallel N, and -chaos flags
-// remain as aliases):
+// in-process drives:
 //
 //   - stats: a write+read workload against one secure drive, printing
 //     the measured per-op telemetry — service time per NASD operation
 //     split into digest verification, object system, and media;
 //     Table 1's decomposition, measured rather than modelled.
-//   - parallel: N concurrent client workers over distinct objects on
-//     one drive, printing aggregate throughput plus the per-layer
-//     lock-contention telemetry (DESIGN.md §4).
+//   - parallel: -parallel N concurrent client workers over distinct
+//     objects on one drive, printing aggregate throughput plus the
+//     per-layer lock-contention telemetry (DESIGN.md §4).
 //   - chaos: the kill/restart soak from DESIGN.md §6-§7 over four
 //     drives with verified RAID-5/mirrored traffic — the victim drive
 //     is killed mid-run (volatile cache dropped), restarted through
@@ -53,10 +52,8 @@ func main() {
 	quick := flag.Bool("quick", false, "run shorter simulations with fewer points")
 	which := flag.String("experiment", "all", "comma-separated experiment IDs, or 'all'")
 	workload := flag.String("workload", "", "live workload selector: stats, parallel, chaos, smallobj, or qos (empty = run experiments)")
-	stats := flag.Bool("stats", false, "alias for -workload stats")
 	statsMB := flag.Int("stats-mb", 8, "workload size in MB for the stats workload and per worker for parallel")
-	parallel := flag.Int("parallel", 0, "worker count for the parallel workload; a nonzero value is also an alias for -workload parallel")
-	chaos := flag.Bool("chaos", false, "alias for -workload chaos")
+	parallel := flag.Int("parallel", 4, "worker count for the parallel workload")
 	chaosDur := flag.Duration("chaos-duration", 3*time.Second, "total soak length for the chaos workload (split across healthy/degraded/recovered phases)")
 	chaosSeed := flag.Int64("seed", 1, "deterministic seed for the chaos fault schedule and workload")
 	smallObjects := flag.Int("smallobj-objects", 20000, "object population for the smallobj workload (scaled stand-in for the Haystack million-object store)")
@@ -65,29 +62,13 @@ func main() {
 	jsonOut := flag.String("json", "", "also write a machine-readable BENCH_<name>.json result: a .json path names the file, anything else the directory (live workloads only)")
 	flag.Parse()
 
-	// The boolean/count flags predate -workload and remain as aliases.
-	wl := *workload
-	switch {
-	case wl != "":
-	case *chaos:
-		wl = "chaos"
-	case *parallel > 0:
-		wl = "parallel"
-	case *stats:
-		wl = "stats"
-	}
-
-	if wl != "" {
+	if *workload != "" {
 		var err error
-		switch wl {
+		switch *workload {
 		case "stats":
 			err = runStats(os.Stdout, *statsMB, *jsonOut)
 		case "parallel":
-			workers := *parallel
-			if workers <= 0 {
-				workers = 4
-			}
-			err = runParallel(os.Stdout, workers, *statsMB, *jsonOut)
+			err = runParallel(os.Stdout, *parallel, *statsMB, *jsonOut)
 		case "chaos":
 			err = runChaos(os.Stdout, *chaosDur, *chaosSeed, *jsonOut)
 		case "smallobj":
@@ -95,7 +76,7 @@ func main() {
 		case "qos":
 			err = runQoS(os.Stdout, *qosDur, *qosClients, *chaosSeed, *jsonOut)
 		default:
-			err = fmt.Errorf("unknown -workload %q (want stats, parallel, chaos, smallobj, or qos)", wl)
+			err = fmt.Errorf("unknown -workload %q (want stats, parallel, chaos, smallobj, or qos)", *workload)
 		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "nasdbench: %v\n", err)

@@ -153,7 +153,7 @@ func runParallel(w io.Writer, workers, sizeMB int, jsonOut string) error {
 	}
 
 	total := float64(workers * sizeMB)
-	fmt.Fprintf(w, "nasdbench -parallel: %d workers x %d MB, distinct objects, one drive\n", workers, sizeMB)
+	fmt.Fprintf(w, "nasdbench -workload parallel: %d workers x %d MB, distinct objects, one drive\n", workers, sizeMB)
 	fmt.Fprintf(w, "  write: %8.1f MB/s aggregate (%v)\n", total/writeDur.Seconds(), writeDur.Round(time.Millisecond))
 	fmt.Fprintf(w, "  read:  %8.1f MB/s aggregate (%v)\n", total/readDur.Seconds(), readDur.Round(time.Millisecond))
 	fmt.Fprintln(w)

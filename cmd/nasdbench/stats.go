@@ -126,11 +126,11 @@ func runStats(w io.Writer, sizeMB int, jsonOut string) error {
 		return fmt.Errorf("stats workload: read-back mismatch")
 	}
 
-	sr, err := cli.ServerMetrics(ctx, 8)
+	sr, err := cli.ServerMetrics(ctx, 0)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "nasdbench -stats: %d MB written (pipelined) + %d MB read (serial %d KB requests)\n",
+	fmt.Fprintf(w, "nasdbench -workload stats: %d MB written (pipelined) + %d MB read (serial %d KB requests)\n",
 		sizeMB, sizeMB, frag>>10)
 	fmt.Fprintf(w, "allocation cost: %.0f allocs/%.0f B per read, %.0f allocs/%.0f B per write fragment\n",
 		readAllocs, readBytes, writeAllocs, writeBytes)
@@ -138,13 +138,6 @@ func runStats(w io.Writer, sizeMB int, jsonOut string) error {
 	telemetry.WriteOpTable(w, sr.Metrics, "drive.op")
 	fmt.Fprintln(w)
 	telemetry.WriteText(w, sr.Metrics)
-	if len(sr.Trace) > 0 {
-		fmt.Fprintf(w, "\nlast %d requests:\n", len(sr.Trace))
-		for _, ev := range sr.Trace {
-			fmt.Fprintf(w, "  req=%d %-10s %-12s %10s %8dB\n",
-				ev.RequestID, ev.Op, ev.Status, time.Duration(ev.DurNanos).Round(time.Microsecond), ev.Bytes)
-		}
-	}
 	if jsonOut != "" {
 		return writeBenchJSON(jsonOut, benchResult{
 			Name:   "stats",

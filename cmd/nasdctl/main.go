@@ -364,11 +364,18 @@ func (c *ctl) run(args []string) error {
 		telemetry.WriteExemplars(os.Stdout, sr.Metrics, "drive.op")
 		fmt.Println()
 		telemetry.WriteText(os.Stdout, sr.Metrics)
-		if len(sr.Trace) > 0 {
-			fmt.Printf("\nlast %d requests:\n", len(sr.Trace))
-			for _, ev := range sr.Trace {
+		if len(sr.Spans) > 0 {
+			fmt.Printf("\nlast %d requests:\n", len(sr.Spans))
+			for _, r := range sr.Spans {
+				note := make(map[string]string, len(r.Annotations))
+				for _, a := range r.Annotations {
+					note[a.Key] = a.Value
+				}
+				in, _ := strconv.Atoi(note["bytes_in"])
+				out, _ := strconv.Atoi(note["bytes_out"])
 				fmt.Printf("  req=%d %-10s %-12s %10s %8dB\n",
-					ev.RequestID, ev.Op, ev.Status, time.Duration(ev.DurNanos).Round(time.Microsecond), ev.Bytes)
+					r.TraceID, strings.TrimPrefix(r.Name, telemetry.RequestSpanPrefix), note["status"],
+					r.Dur().Round(time.Microsecond), in+out)
 			}
 		}
 		return nil

@@ -246,7 +246,7 @@ func main() {
 		rpc.WithProcNames(func(p uint16) string { return drive.Op(p).String() }))
 
 	if *metricsAddr != "" {
-		mux := telemetry.NewMux(reg.Snapshot, drv.Trace(), drv.Spans(), drv.Events())
+		mux := telemetry.NewMux(reg.Snapshot, drv.Spans(), drv.Events())
 		if *pprofOn {
 			mux.HandleFunc("/debug/pprof/", pprof.Index)
 			mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

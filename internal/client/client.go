@@ -230,35 +230,20 @@ func (d *Drive) DriveID() uint64 { return d.driveID }
 // Metrics returns the connection's telemetry registry.
 func (d *Drive) Metrics() *telemetry.Registry { return d.reg }
 
-// Stats is a snapshot of this connection's observability counters.
-//
-// Deprecated: the fields are now views over the telemetry registry;
-// use Metrics().Snapshot() for the full set.
-type Stats struct {
-	RPC     rpc.ClientStats
-	Retries uint64 // pipelined fragments re-issued after transient failures
-}
-
-// Stats returns the connection counters.
-func (d *Drive) Stats() Stats {
-	cli, _ := d.client()
-	return Stats{RPC: cli.Stats(), Retries: d.retries.Load()}
-}
-
 // ServerMetrics fetches the drive's own telemetry snapshot over the
 // stats RPC: per-op service times split into digest/object/media
 // components (the paper's Table 1 decomposition, measured), cache and
-// media counters, and — when traceN > 0 — the tail of the drive's
-// request trace log.
+// media counters, and — when traceN > 0 — the last traceN requests
+// the drive served, as handler spans in the reply's Spans.
 func (d *Drive) ServerMetrics(ctx context.Context, traceN int) (drive.StatsReply, error) {
 	return d.ServerStats(ctx, drive.StatsArgs{TraceN: uint32(traceN)})
 }
 
 // ServerStats is the general form of the stats RPC: the caller picks
-// exactly which optional sections (trace tail, span lookup, event-log
-// tail) the drive should attach to its metrics snapshot. nasdctl's
-// fleet commands use it to pull metrics and events in one round trip
-// per drive.
+// exactly which optional sections (request tail, span lookup,
+// event-log tail) the drive should attach to its metrics snapshot.
+// nasdctl's fleet commands use it to pull metrics and events in one
+// round trip per drive.
 func (d *Drive) ServerStats(ctx context.Context, args drive.StatsArgs) (drive.StatsReply, error) {
 	rep, err := d.call(ctx, drive.OpGetStats, nil, args.Encode(), nil)
 	if err != nil {

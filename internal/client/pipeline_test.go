@@ -137,8 +137,8 @@ func TestPipelinedMixedStress(t *testing.T) {
 			t.Errorf("worker %d: %v", w, err)
 		}
 	}
-	if st := d.Stats(); st.RPC.InFlight != 0 {
-		t.Fatalf("in-flight after stress = %d", st.RPC.InFlight)
+	if n := d.Metrics().Snapshot().Gauges["rpc.client.inflight"]; n != 0 {
+		t.Fatalf("in-flight after stress = %d", n)
 	}
 }
 
@@ -177,9 +177,9 @@ func TestCancellationMidStream(t *testing.T) {
 	// Drive-side cleanup: every abandoned fragment drains and the mux
 	// forgets it.
 	deadline := time.Now().Add(2 * time.Second)
-	for d.Stats().RPC.InFlight != 0 {
+	for d.Metrics().Snapshot().Gauges["rpc.client.inflight"] != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("in-flight stuck at %d after cancellation", d.Stats().RPC.InFlight)
+			t.Fatalf("in-flight stuck at %d after cancellation", d.Metrics().Snapshot().Gauges["rpc.client.inflight"])
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -191,8 +191,8 @@ func TestCancellationMidStream(t *testing.T) {
 	}
 }
 
-// TestPipelinedRetriesSurfaceInStats: fragment retries show up in the
-// Retries counter (none expected on a healthy drive).
+// TestPipelinedStatsExposed: fragment retries show up in the
+// client.retries counter (none expected on a healthy drive).
 func TestPipelinedStatsExposed(t *testing.T) {
 	r := newRig(t, true)
 	r.mkpart(t, 1, 0)
@@ -203,11 +203,11 @@ func TestPipelinedStatsExposed(t *testing.T) {
 	if err := d.WritePipelined(testCtx, &rw, 1, id, 0, make([]byte, 64<<10)); err != nil {
 		t.Fatal(err)
 	}
-	st := d.Stats()
-	if st.RPC.Calls == 0 {
+	st := d.Metrics().Snapshot()
+	if st.Counters["rpc.client.calls"] == 0 {
 		t.Fatal("no calls recorded")
 	}
-	if st.Retries != 0 {
-		t.Fatalf("unexpected retries on healthy drive: %d", st.Retries)
+	if n := st.Counters["client.retries"]; n != 0 {
+		t.Fatalf("unexpected retries on healthy drive: %d", n)
 	}
 }

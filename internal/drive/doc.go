@@ -2,16 +2,15 @@
 // capability enforcement plus the RPC interface of Section 4.1 — fewer
 // than 20 requests covering object data and attributes, object and
 // partition lifecycle, copy-on-write versioning, and key management.
-// The package also carries the drive-side instruction-accounting model
-// calibrated against Table 1 of the paper.
 //
-// Alongside that modelled cost breakdown the drive measures the real
-// one: every request's service time is split into the same three
-// components as Table 1 — digest (capability/MAC work, timed inside
-// authorize), media (the instrumented block device's busy-time delta),
-// and object system (the remainder) — and published into a
-// telemetry.Registry as the drive.op.<op>.* family, next to cache
-// hit/miss counters and a bounded trace ring of recent requests keyed
-// by the client's request ID. The stats op returns the whole snapshot
-// over the NASD interface itself; see DESIGN.md §5.
+// The drive measures what each request costs: its service time is
+// split into the same three components as Table 1 — digest
+// (capability/MAC work, timed inside authorize), media (the
+// instrumented block device's busy-time delta), and object system (the
+// remainder). Each request is recorded in two places and no others: the
+// telemetry.Registry (the drive.op.<op>.* aggregates, next to cache
+// hit/miss counters) and the span log (one drive.<op> handler span per
+// request under the client's trace ID, with the split as its children).
+// The stats op returns both over the NASD interface itself; see
+// DESIGN.md §5.
 package drive

@@ -70,7 +70,6 @@ type Drive struct {
 	nonces   *crypt.NonceWindow
 	secure   bool
 	clock    func() time.Time
-	acct     *Accounting
 	tel      *driveTel
 
 	mu      sync.Mutex
@@ -150,7 +149,6 @@ func fromStore(st *object.Store, cfg Config) *Drive {
 		nonces:   crypt.NewNonceWindow(256, 4096),
 		secure:   cfg.Secure,
 		clock:    clock,
-		acct:     NewAccounting(),
 		tel:      newDriveTel(reg, cfg.Media, spans, events),
 		kernels:  make(map[string]Kernel),
 	}
@@ -179,9 +177,6 @@ func (d *Drive) Store() *object.Store { return d.store }
 // Keys exposes the key hierarchy (for co-located file managers in
 // tests; a real file manager derives its own from the shared master).
 func (d *Drive) Keys() *crypt.Hierarchy { return d.keys }
-
-// Accounting returns the drive's instruction accounting.
-func (d *Drive) Accounting() *Accounting { return d.acct }
 
 // RegisterKernel installs an Active Disk kernel under a name.
 func (d *Drive) RegisterKernel(name string, k Kernel) {
@@ -274,16 +269,16 @@ func (d *Drive) objVersion(part uint16, obj uint64) (uint64, error) {
 	return a.Version, nil
 }
 
-// Handle implements rpc.Handler: it decodes, authorizes, executes, and
-// charges both the modelled instruction accounting and the measured
-// telemetry (service time split into digest / object-system / media)
-// for one request.
+// Handle implements rpc.Handler: it decodes, authorizes and executes one
+// request, then records it once in each observation sink: the registry
+// (the drive.op.* aggregates, service time split into digest /
+// object-system / media) and the span log (the per-request record).
 func (d *Drive) Handle(req *rpc.Request) *rpc.Reply {
 	op := Op(req.Proc)
 	ph := &phases{}
 	// Resume the caller's trace: the drive-side handler span becomes a
 	// child of the client span whose context rode in the request header.
-	sp := d.tel.spans.StartRemote(req.Trace.TraceID, req.Trace.Parent, "drive."+op.String())
+	sp := d.tel.spans.StartRemote(req.Trace.TraceID, req.Trace.Parent, d.tel.spanName(op))
 	if mt, ok := d.tel.media.(mediaTracer); ok && sp != nil {
 		// Ambient trace context for per-I/O media spans; approximate
 		// under concurrent requests, exact when serialized (the same
@@ -305,16 +300,6 @@ func (d *Drive) Handle(req *rpc.Request) *rpc.Reply {
 		}
 	}
 	d.tel.record(op, req, rep, total, ph, d.tel.mediaNanos()-mediaBefore, sp, d.tel.lockWaitNanos()-lockBefore)
-	nIn, nOut := len(req.Data), 0
-	if rep != nil {
-		nOut = len(rep.Data)
-	}
-	cold := false // refined by the caller-visible cache stats when needed
-	n := nIn
-	if nOut > n {
-		n = nOut
-	}
-	d.acct.Charge(op, CostModel(op, n, cold), nIn, nOut)
 	return rep
 }
 

@@ -1,105 +1,15 @@
 package drive
 
 import (
-	"math"
+	"encoding/json"
 	"testing"
 	"time"
 
 	"nasd/internal/blockdev"
 	"nasd/internal/crypt"
 	"nasd/internal/rpc"
+	"nasd/internal/telemetry"
 )
-
-// Table 1 of the paper: total instructions and communications share for
-// read/write x cold/warm x four request sizes, plus the estimated
-// operation times at 200 MHz / CPI 2.2.
-type table1Row struct {
-	op       Op
-	cold     bool
-	size     int
-	instr    float64 // paper's total instruction count
-	commsPct float64 // paper's communications percentage
-	msec     float64 // paper's estimated operation time
-}
-
-var table1 = []table1Row{
-	{OpReadObject, true, 1, 46e3, 70, 0.51},
-	{OpReadObject, true, 8 << 10, 67e3, 79, 0.74},
-	{OpReadObject, true, 64 << 10, 247e3, 90, 2.7},
-	{OpReadObject, true, 512 << 10, 1488e3, 92, 16.4},
-	{OpReadObject, false, 1, 38e3, 92, 0.42},
-	{OpReadObject, false, 8 << 10, 57e3, 94, 0.63},
-	{OpReadObject, false, 64 << 10, 224e3, 97, 2.5},
-	{OpReadObject, false, 512 << 10, 1410e3, 97, 15.6},
-	{OpWriteObject, true, 1, 43e3, 73, 0.47},
-	{OpWriteObject, true, 8 << 10, 71e3, 82, 0.78},
-	{OpWriteObject, true, 64 << 10, 269e3, 92, 3.0},
-	{OpWriteObject, true, 512 << 10, 1947e3, 96, 21.3},
-	{OpWriteObject, false, 1, 37e3, 92, 0.41},
-	{OpWriteObject, false, 8 << 10, 57e3, 94, 0.64},
-	{OpWriteObject, false, 64 << 10, 253e3, 97, 2.8},
-	{OpWriteObject, false, 512 << 10, 1871e3, 97, 20.4},
-}
-
-// TestCostModelMatchesTable1 checks the instruction model lands within
-// 20% of every Table 1 cell (EXPERIMENTS.md reports the exact
-// deviations). The paper's warm-cache small-request comms share is the
-// loosest fit; totals are much tighter.
-func TestCostModelMatchesTable1(t *testing.T) {
-	for _, row := range table1 {
-		c := CostModel(row.op, row.size, row.cold)
-		relErr := math.Abs(float64(c.Total())-row.instr) / row.instr
-		if relErr > 0.20 {
-			t.Errorf("%v cold=%v size=%d: model %d instr, paper %.0f (%.1f%% off)",
-				row.op, row.cold, row.size, c.Total(), row.instr, 100*relErr)
-		}
-		// Communications dominates everywhere in the paper (70-97%);
-		// the model must reproduce that domination.
-		if pct := c.CommsPercent(); pct < row.commsPct-15 || pct > row.commsPct+10 {
-			t.Errorf("%v cold=%v size=%d: comms%% = %.1f, paper %.0f",
-				row.op, row.cold, row.size, pct, row.commsPct)
-		}
-		// Estimated op time at 200 MHz / CPI 2.2 within 20%.
-		gotMs := c.Time(TargetMHz, TargetCPI).Seconds() * 1e3
-		if math.Abs(gotMs-row.msec)/row.msec > 0.20 {
-			t.Errorf("%v cold=%v size=%d: time %.2f ms, paper %.2f ms",
-				row.op, row.cold, row.size, gotMs, row.msec)
-		}
-	}
-}
-
-func TestCostModelMonotonicInSize(t *testing.T) {
-	for _, op := range []Op{OpReadObject, OpWriteObject} {
-		prev := uint64(0)
-		for _, size := range []int{1, 1024, 8192, 65536, 524288} {
-			c := CostModel(op, size, false).Total()
-			if c <= prev {
-				t.Errorf("%v: cost not increasing at size %d", op, size)
-			}
-			prev = c
-		}
-	}
-}
-
-func TestCostModelColdCostsMore(t *testing.T) {
-	for _, size := range []int{1, 8192, 65536, 524288} {
-		warm := CostModel(OpReadObject, size, false).Total()
-		cold := CostModel(OpReadObject, size, true).Total()
-		if cold <= warm {
-			t.Errorf("size %d: cold (%d) not above warm (%d)", size, cold, warm)
-		}
-	}
-}
-
-func TestOpCostTime(t *testing.T) {
-	c := OpCost{Comms: 100_000, Object: 100_000}
-	// 200k instructions at CPI 2.2 on 200 MHz = 2.2 ms.
-	got := c.Time(200, 2.2)
-	want := 2200 * time.Microsecond
-	if got < want-time.Microsecond || got > want+time.Microsecond {
-		t.Fatalf("time = %v, want %v", got, want)
-	}
-}
 
 func TestOpString(t *testing.T) {
 	if OpReadObject.String() != "read" || OpSetKey.String() != "setkey" {
@@ -239,5 +149,46 @@ func TestKernelExecution(t *testing.T) {
 	args = (&ExecuteArgs{Partition: 1, Object: id, Kernel: "nope"}).Encode()
 	if rep := d.Handle(&rpc.Request{Proc: uint16(OpExecute), Args: args}); rep.Status != rpc.StatusBadRequest {
 		t.Fatalf("unknown kernel status = %v", rep.Status)
+	}
+}
+
+// TestStatsReplyBounded: the stats op needs no capability, so whatever
+// count it is asked for it attaches at most telemetry.MaxTraceResponse
+// records of any kind, the cap /trace and /events apply.
+func TestStatsReplyBounded(t *testing.T) {
+	d, err := NewFormat(blockdev.NewMemDisk(4096, 1024), Config{
+		ID: 1, Master: crypt.NewRandomKey(), Events: telemetry.NewEventLog(4096),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const trace = 77
+	for i := 0; i < 3000; i++ {
+		d.Spans().Emit(telemetry.SpanRecord{TraceID: trace, SpanID: telemetry.NextSpanID(), Name: d.tel.spanName(OpReadObject)})
+		d.Events().Emit(telemetry.SevInfo, "test", "fill", "")
+	}
+	for _, tc := range []struct {
+		name string
+		args StatsArgs
+	}{
+		{"TraceN", StatsArgs{TraceN: 1 << 31}},
+		{"SpanN", StatsArgs{SpanN: 1 << 31}},
+		{"SpanTrace", StatsArgs{SpanTrace: trace}},
+		{"EventN", StatsArgs{EventN: 1 << 31}},
+	} {
+		rep := d.Handle(&rpc.Request{Proc: uint16(OpGetStats), Args: tc.args.Encode()})
+		if rep.Status != rpc.StatusOK {
+			t.Fatalf("%s: status %v", tc.name, rep.Status)
+		}
+		var sr StatsReply
+		if err := json.Unmarshal(rep.Data, &sr); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		// One section is filled to the cap (3000 were on offer), the
+		// other is empty.
+		if n := len(sr.Spans) + len(sr.Events); n != telemetry.MaxTraceResponse {
+			t.Errorf("%s: reply carries %d spans + %d events, want exactly the cap %d",
+				tc.name, len(sr.Spans), len(sr.Events), telemetry.MaxTraceResponse)
+		}
 	}
 }

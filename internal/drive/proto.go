@@ -345,11 +345,16 @@ func DecodeExecuteArgs(b []byte) (ExecuteArgs, error) {
 	return a, d.Err()
 }
 
-// StatsArgs requests a telemetry snapshot. TraceN bounds how many
-// recent trace events ride along (0 = none). SpanTrace, when non-zero,
-// asks for every span of that trace ID; otherwise SpanN bounds how many
-// recent spans ride along. EventN bounds how many structured events of
-// at least EventMin severity ride along (0 = none).
+// StatsArgs requests a telemetry snapshot, and picks which spans ride
+// along in StatsReply.Spans: every span of trace SpanTrace when that is
+// non-zero, else the last SpanN spans of any kind, else the last TraceN
+// requests this drive served — their handler spans, named drive.<op>
+// and annotated with status, bytes_in and bytes_out, oldest first. A
+// request sent with a zero trace ID (only a hand-built rpc.Request can
+// do that) opens no span and so is not in that tail. EventN bounds how
+// many structured events of at least EventMin severity ride along.
+// Zero counts attach nothing; every count and the SpanTrace result are
+// capped at telemetry.MaxTraceResponse.
 type StatsArgs struct {
 	TraceN    uint32
 	SpanTrace uint64

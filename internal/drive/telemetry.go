@@ -14,10 +14,10 @@ import (
 // This file carries the drive's measured telemetry: real service-time
 // observations per NASD operation, split into the same components the
 // paper's Table 1 reports — security (digest verification), object
-// system, and media. It complements acct.go, which *models* instruction
-// counts on 1998 hardware; telemetry measures what this implementation
-// actually does, which is what `nasdbench -stats` and `nasdctl stats`
-// print.
+// system, and media — which is what `nasdbench -workload stats` and
+// `nasdctl stats` print. Every request is recorded in exactly two
+// places: the registry (aggregates) and the span log (one handler span
+// per request, plus its phase children).
 //
 // The split is measured as follows for each request: digest time is
 // timed directly inside authorize/authorizeAdmin; media time is the
@@ -46,8 +46,10 @@ type mediaTracer interface {
 // constants).
 const opMax = 32
 
-// opTel is the measured per-operation metric set.
+// opTel is the measured per-operation metric set, plus the name of the
+// op's handler span.
 type opTel struct {
+	span     string // telemetry.RequestSpanPrefix + op name
 	calls    *telemetry.Counter
 	errors   *telemetry.Counter
 	bytesIn  *telemetry.Counter
@@ -86,7 +88,6 @@ type tenantTel struct {
 type driveTel struct {
 	reg      *telemetry.Registry
 	ops      [opMax]*opTel
-	trace    *telemetry.TraceLog
 	media    MediaClock
 	spans    *telemetry.SpanLog
 	events   *telemetry.EventLog
@@ -102,7 +103,7 @@ type driveTel struct {
 // newDriveTel builds the per-op metric table inside reg.
 func newDriveTel(reg *telemetry.Registry, media MediaClock, spans *telemetry.SpanLog, events *telemetry.EventLog) *driveTel {
 	t := &driveTel{
-		reg: reg, trace: telemetry.NewTraceLog(512), media: media,
+		reg: reg, media: media,
 		spans: spans, events: events, tenants: make(map[uint32]*tenantTel),
 	}
 	for _, name := range lockWaitFamilies {
@@ -115,6 +116,7 @@ func newDriveTel(reg *telemetry.Registry, media MediaClock, spans *telemetry.Spa
 		}
 		prefix := "drive.op." + name
 		t.ops[op] = &opTel{
+			span:     telemetry.RequestSpanPrefix + name,
 			calls:    reg.Counter(prefix + ".calls"),
 			errors:   reg.Counter(prefix + ".errors"),
 			bytesIn:  reg.Counter(prefix + ".bytes_in"),
@@ -156,6 +158,15 @@ func (t *driveTel) tenant(part uint16, op Op) *tenantTel {
 	}
 	t.tenants[key] = cell
 	return cell
+}
+
+// spanName returns the name of op's handler span, built once per
+// defined op; an undefined op number is named on the spot.
+func (t *driveTel) spanName(op Op) string {
+	if int(op) < opMax && t.ops[op] != nil {
+		return t.ops[op].span
+	}
+	return telemetry.RequestSpanPrefix + op.String()
 }
 
 // mediaNanos reads the media clock (0 when the drive has none).
@@ -200,10 +211,10 @@ func (ph *phases) setTenant(part uint16) {
 	}
 }
 
-// record publishes one completed request into the per-op metrics, the
-// trace log, and — when the request carried a trace context — the span
-// log. sp is the drive-side handler span (nil when untraced); lockWait
-// is the request's lock-wait delta in nanoseconds.
+// record publishes one completed request into the per-op metrics and —
+// when the request carried a trace context — the span log. sp is the
+// drive-side handler span (nil when untraced); lockWait is the
+// request's lock-wait delta in nanoseconds.
 func (t *driveTel) record(op Op, req *rpc.Request, rep *rpc.Reply, total time.Duration, ph *phases, mediaDelta int64, sp *telemetry.Span, lockWait int64) {
 	if int(op) >= opMax || t.ops[op] == nil {
 		sp.End()
@@ -245,14 +256,6 @@ func (t *driveTel) record(op Op, req *rpc.Request, rep *rpc.Reply, total time.Du
 		obj = 0
 	}
 	m.object.Add(uint64(obj))
-	t.trace.Add(telemetry.TraceEvent{
-		RequestID: req.Trace.TraceID,
-		Op:        op.String(),
-		Status:    status.String(),
-		DurNanos:  int64(total),
-		Bytes:     nIn + nOut,
-		UnixNano:  time.Now().UnixNano(),
-	})
 	if sp != nil {
 		sp.Annotate("status", status.String())
 		sp.Annotate("bytes_in", strconv.Itoa(nIn))
@@ -296,9 +299,6 @@ func (t *driveTel) emitPhases(sp *telemetry.Span, digest time.Duration, media, o
 // "drive.cache.*").
 func (d *Drive) Metrics() *telemetry.Registry { return d.tel.reg }
 
-// Trace returns the drive's bounded log of recently served requests.
-func (d *Drive) Trace() *telemetry.TraceLog { return d.tel.trace }
-
 // Spans returns the drive's span log (per-request hierarchical
 // timelines; DESIGN.md §5 "Tracing").
 func (d *Drive) Spans() *telemetry.SpanLog { return d.tel.spans }
@@ -308,14 +308,22 @@ func (d *Drive) Spans() *telemetry.SpanLog { return d.tel.spans }
 func (d *Drive) Events() *telemetry.EventLog { return d.tel.events }
 
 // StatsReply is the payload of the OpStats request: the drive's full
-// metric snapshot plus, on request, the tail of its trace log, spans
-// from its span log, and the tail of its structured event ring.
+// metric snapshot plus, on request, spans from its span log (the last
+// requests served, one trace, or the raw tail; see StatsArgs) and the
+// tail of its structured event ring.
 type StatsReply struct {
 	DriveID uint64                 `json:"drive_id"`
 	Metrics telemetry.Snapshot     `json:"metrics"`
-	Trace   []telemetry.TraceEvent `json:"trace,omitempty"`
 	Spans   []telemetry.SpanRecord `json:"spans,omitempty"`
 	Events  []telemetry.Event      `json:"events,omitempty"`
+}
+
+// statsN bounds a record count from the wire at
+// telemetry.MaxTraceResponse, the cap /trace and /events apply: the
+// stats op needs no capability, so it may not be asked to marshal a
+// whole ring.
+func statsN(n uint32) int {
+	return int(min(n, telemetry.MaxTraceResponse))
 }
 
 // handleStats serves the drive's telemetry snapshot. Like OpFlush it
@@ -328,16 +336,19 @@ func (d *Drive) handleStats(req *rpc.Request) *rpc.Reply {
 		return rpc.Errorf(req.MsgID, rpc.StatusBadRequest, "%v", err)
 	}
 	sr := StatsReply{DriveID: d.id, Metrics: d.tel.reg.Snapshot()}
-	if a.TraceN > 0 {
-		sr.Trace = d.tel.trace.Recent(int(a.TraceN))
-	}
-	if a.SpanTrace != 0 {
+	switch {
+	case a.SpanTrace != 0:
 		sr.Spans = d.tel.spans.ByTrace(a.SpanTrace)
-	} else if a.SpanN > 0 {
-		sr.Spans = d.tel.spans.Recent(int(a.SpanN))
+		if len(sr.Spans) > telemetry.MaxTraceResponse {
+			sr.Spans = sr.Spans[:telemetry.MaxTraceResponse]
+		}
+	case a.SpanN > 0:
+		sr.Spans = d.tel.spans.Recent(statsN(a.SpanN), "")
+	case a.TraceN > 0:
+		sr.Spans = d.tel.spans.Recent(statsN(a.TraceN), telemetry.RequestSpanPrefix)
 	}
 	if a.EventN > 0 {
-		sr.Events = d.tel.events.Recent(int(a.EventN), telemetry.Severity(a.EventMin))
+		sr.Events = d.tel.events.Recent(statsN(a.EventN), telemetry.Severity(a.EventMin))
 	}
 	body, err := json.Marshal(&sr)
 	if err != nil {

@@ -114,7 +114,7 @@ func runAblationSecurity(quick bool) (*Result, error) {
 		// Hardware MAC: capability recompute + setup only.
 		hwMACFixed = 4000.0
 	)
-	base := drive.CostModel(drive.OpReadObject, size, false)
+	base := CostModel(drive.OpReadObject, size, false)
 	modes := []struct {
 		name  string
 		extra float64 // added instructions
@@ -125,7 +125,7 @@ func runAblationSecurity(quick bool) (*Result, error) {
 	}
 	for _, m := range modes {
 		total := float64(base.Total()) + m.extra
-		ms := total * drive.TargetCPI / (drive.TargetMHz * 1e6) * 1e3
+		ms := total * TargetCPI / (TargetMHz * 1e6) * 1e3
 		res.Rows = append(res.Rows, Row{
 			Series: "512 KB warm read",
 			X:      m.name,

@@ -1,16 +1,20 @@
-package drive
+package experiments
 
 import (
-	"sync"
 	"time"
+
+	"nasd/internal/drive"
 )
 
-// This file carries the drive's instruction-accounting model, the
-// substitute for the paper's ATOM instrumentation and Alpha on-chip
-// counters (Table 1). The paper measured, for each request, the total
-// instructions to service it and the fraction spent in communications
-// (DCE RPC + UDP/IP), then estimated request service time on a 200 MHz
-// embedded core at the measured CPI of 2.2.
+// This file carries the instruction model behind the table1 and
+// ablation-security experiments, the substitute for the paper's ATOM
+// instrumentation and Alpha on-chip counters (Table 1). The paper
+// measured, for each request, the total instructions to service it and
+// the fraction spent in communications (DCE RPC + UDP/IP), then
+// estimated request service time on a 200 MHz embedded core at the
+// measured CPI of 2.2. The model is a pure function of the request; a
+// live drive measures its own cost split instead
+// (drive.op.<op>.{digest,object,media}_ns).
 //
 // We reproduce the same quantities from a parametric model: a fixed
 // per-request communications cost plus per-byte costs (the prototype's
@@ -85,14 +89,14 @@ const (
 
 // CostModel returns the modelled instruction cost for op moving n bytes
 // with a warm or cold drive cache.
-func CostModel(op Op, n int, cold bool) OpCost {
+func CostModel(op drive.Op, n int, cold bool) OpCost {
 	b := float64(n)
 	frags := uint64((n + fragSize - 1) / fragSize)
 	if frags == 0 {
 		frags = 1
 	}
 	switch op {
-	case OpReadObject:
+	case drive.OpReadObject:
 		c := OpCost{
 			Comms:  uint64(readCommsFixed + readCommsPerByte*b + float64(readCommsPerFrag*frags)),
 			Object: uint64(readObjFixed + readObjPerByte*b),
@@ -101,7 +105,7 @@ func CostModel(op Op, n int, cold bool) OpCost {
 			c.Object += uint64(readColdFixed + readColdPerByte*b)
 		}
 		return c
-	case OpWriteObject:
+	case drive.OpWriteObject:
 		first := b
 		if first > fragSize {
 			first = fragSize
@@ -118,54 +122,4 @@ func CostModel(op Op, n int, cold bool) OpCost {
 	default:
 		return OpCost{Comms: ctrlComms, Object: ctrlObj}
 	}
-}
-
-// Accounting accumulates modelled instruction costs per operation as a
-// drive serves requests, so experiments can report Table 1 quantities
-// from live traffic.
-type Accounting struct {
-	mu       sync.Mutex
-	ops      map[Op]int64
-	comms    map[Op]int64
-	object   map[Op]int64
-	bytesIn  int64
-	bytesOut int64
-}
-
-// NewAccounting returns empty counters.
-func NewAccounting() *Accounting {
-	return &Accounting{
-		ops:    make(map[Op]int64),
-		comms:  make(map[Op]int64),
-		object: make(map[Op]int64),
-	}
-}
-
-// Charge records one request's modelled cost.
-func (a *Accounting) Charge(op Op, cost OpCost, bytesIn, bytesOut int) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.ops[op]++
-	a.comms[op] += int64(cost.Comms)
-	a.object[op] += int64(cost.Object)
-	a.bytesIn += int64(bytesIn)
-	a.bytesOut += int64(bytesOut)
-}
-
-// OpStats summarizes accounting for one operation type.
-type OpStats struct {
-	Count       int64
-	CommsInstr  int64
-	ObjectInstr int64
-}
-
-// Stats returns per-op summaries and total bytes moved.
-func (a *Accounting) Stats() (map[Op]OpStats, int64, int64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make(map[Op]OpStats, len(a.ops))
-	for op, n := range a.ops {
-		out[op] = OpStats{Count: n, CommsInstr: a.comms[op], ObjectInstr: a.object[op]}
-	}
-	return out, a.bytesIn, a.bytesOut
 }

@@ -39,7 +39,7 @@ var paperTable1 = []struct {
 	{drive.OpWriteObject, false, 512 << 10, "write warm 512KB", 1871, 97, 20.4},
 }
 
-// runTable1 reproduces Table 1: the instruction-accounting model's
+// runTable1 reproduces Table 1: the instruction model's
 // totals, communications percentages, and estimated 200 MHz service
 // times, plus the Barracuda microbenchmark comparison from the caption.
 func runTable1(quick bool) (*Result, error) {
@@ -48,7 +48,7 @@ func runTable1(quick bool) (*Result, error) {
 		Title: "Measured cost and estimated performance of read and write requests",
 	}
 	for _, row := range paperTable1 {
-		c := drive.CostModel(row.op, row.size, row.cold)
+		c := CostModel(row.op, row.size, row.cold)
 		res.Rows = append(res.Rows,
 			Row{
 				Series: "total instructions (thousands)",
@@ -63,7 +63,7 @@ func runTable1(quick bool) (*Result, error) {
 			Row{
 				Series: "operation time @200MHz CPI 2.2",
 				X:      row.label, Paper: row.msec,
-				Got: c.Time(drive.TargetMHz, drive.TargetCPI).Seconds() * 1e3, Unit: "ms",
+				Got: c.Time(TargetMHz, TargetCPI).Seconds() * 1e3, Unit: "ms",
 			},
 		)
 	}

@@ -13,19 +13,17 @@ import (
 // object (ControlObject, partition 0), so a reopened drive recovers its
 // partitions, quotas, and usage accounting without rescanning.
 //
-// Two encodings exist. The legacy (v1) table is a bare u32 count
-// followed by 26-byte records and knows nothing of backends; it is
-// still decoded so pre-backend volumes open cleanly, and every such
-// partition is classic by construction. The current (v2) table starts
-// with a sentinel count no v1 writer can produce, then carries the
-// backend kind and the needle metadata object IDs per record.
+// The table starts with a sentinel word and a version, then carries
+// per record the usage accounting, the backend kind and the needle
+// metadata object IDs. The pre-backend (v1) table began with a bare
+// u32 partition count instead; such volumes are rejected by name, not
+// decoded.
 
 const (
-	partitionRecordSizeV1 = 2 + 8 + 8 + 8
 	partitionRecordSizeV2 = 2 + 8 + 8 + 8 + 1 + 8 + 8
 
-	// partTableSentinel marks a versioned table; a v1 count of ~4
-	// billion partitions is impossible (the ID space is 16-bit).
+	// partTableSentinel marks a versioned table; it cannot be a v1
+	// count (the partition ID space is 16-bit).
 	partTableSentinel = 0xFFFFFFFF
 	partTableVersion  = 2
 )
@@ -55,8 +53,8 @@ func decodePartitions(b []byte) (map[uint16]*Partition, error) {
 		return nil, fmt.Errorf("object: control object too short (%d bytes)", len(b))
 	}
 	le := binary.LittleEndian
-	if le.Uint32(b) != partTableSentinel {
-		return decodePartitionsV1(b)
+	if w := le.Uint32(b); w != partTableSentinel {
+		return nil, fmt.Errorf("object: partition table starts with %#x, not the version sentinel: a pre-backend (v1) volume, which this build no longer reads", w)
 	}
 	if len(b) < 12 {
 		return nil, fmt.Errorf("object: control object too short (%d bytes)", len(b))
@@ -82,27 +80,6 @@ func decodePartitions(b []byte) (map[uint16]*Partition, error) {
 		}
 		parts[p.ID] = p
 		off += partitionRecordSizeV2
-	}
-	return parts, nil
-}
-
-func decodePartitionsV1(b []byte) (map[uint16]*Partition, error) {
-	le := binary.LittleEndian
-	n := int(le.Uint32(b))
-	if len(b) < 4+n*partitionRecordSizeV1 {
-		return nil, fmt.Errorf("object: control object truncated (%d partitions, %d bytes)", n, len(b))
-	}
-	parts := make(map[uint16]*Partition, n)
-	off := 4
-	for i := 0; i < n; i++ {
-		p := &Partition{
-			ID:          le.Uint16(b[off:]),
-			QuotaBlocks: int64(le.Uint64(b[off+2:])),
-			UsedBlocks:  int64(le.Uint64(b[off+10:])),
-			ObjectCount: int64(le.Uint64(b[off+18:])),
-		}
-		parts[p.ID] = p
-		off += partitionRecordSizeV1
 	}
 	return parts, nil
 }

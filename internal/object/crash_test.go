@@ -74,7 +74,7 @@ func setupCrashStore(t *testing.T, seed int64) (*blockdev.MemDisk, *blockdev.Cra
 	// Sync compaction keeps the sweep deterministic: a background
 	// compactor would hit the crash disk's persist-step schedule at
 	// goroutine-timing-dependent points.
-	s, err := FormatStore(disk, WithSyncCompaction(true))
+	s, err := Format(disk, Config{SyncCompact: true})
 	if err != nil {
 		t.Fatalf("seed %d: format: %v", seed, err)
 	}
@@ -199,7 +199,7 @@ func runCrashWorkload(s *Store, disk *blockdev.CrashDisk, rng *rand.Rand, m *cra
 // durability contract against the model.
 func verifyCrashContract(t *testing.T, tag string, inner *blockdev.MemDisk, m *crashModel) {
 	t.Helper()
-	s, err := OpenStore(inner, WithSyncCompaction(true))
+	s, err := Open(inner, Config{SyncCompact: true})
 	if err != nil {
 		t.Fatalf("%s: reopen after crash: %v", tag, err)
 	}
@@ -356,7 +356,7 @@ func TestFlushDurableAcrossCrash(t *testing.T) {
 	// Power cut: everything still in the volatile cache is gone.
 	disk.Crash()
 
-	s2, err := OpenStore(inner, WithSyncCompaction(true))
+	s2, err := Open(inner, Config{SyncCompact: true})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -376,7 +376,7 @@ func TestFlushDurableAcrossCrash(t *testing.T) {
 // flush.
 func TestJournalOffVolume(t *testing.T) {
 	dev := blockdev.NewMemDisk(512, 4096)
-	s, err := FormatStore(dev, WithJournalBlocks(-1), WithSyncCompaction(true))
+	s, err := Format(dev, Config{JournalBlocks: -1, SyncCompact: true})
 	if err != nil {
 		t.Fatalf("format: %v", err)
 	}
@@ -394,7 +394,7 @@ func TestJournalOffVolume(t *testing.T) {
 	if err := s.Flush(); err != nil {
 		t.Fatalf("flush: %v", err)
 	}
-	s2, err := OpenStore(dev, WithSyncCompaction(true))
+	s2, err := Open(dev, Config{SyncCompact: true})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}

@@ -155,8 +155,8 @@ type Partition struct {
 	metaIdx  uint64
 }
 
-// Config controls store creation. Prefer building it through the
-// functional options accepted by FormatStore/OpenStore.
+// Config controls store creation; the zero value of every field picks
+// a maintained default.
 type Config struct {
 	// CacheBlocks is the buffer cache capacity in blocks (default 1024).
 	CacheBlocks int
@@ -164,7 +164,7 @@ type Config struct {
 	// cache uses (default cache.DefaultShards).
 	CacheShards int
 	// ReadaheadBlocks is how many blocks are prefetched past a detected
-	// sequential read (default 16; 0 disables readahead).
+	// sequential read (0 = default 16; negative disables readahead).
 	ReadaheadBlocks int
 	// Clock supplies timestamps (default time.Now). Experiments inject
 	// simulated clocks.
@@ -259,8 +259,6 @@ type Store struct {
 }
 
 // Format initializes dev as an empty object store.
-//
-// Deprecated: use FormatStore with functional options.
 func Format(dev blockdev.Device, cfg Config) (*Store, error) {
 	cfg.fill()
 	lay, err := layout.Format(dev, layout.FormatOptions{
@@ -292,8 +290,6 @@ func Format(dev blockdev.Device, cfg Config) (*Store, error) {
 // replayed, torn journal tails discarded, and the block reference
 // counts re-derived from reachability before the store accepts traffic
 // (see recover.go).
-//
-// Deprecated: use OpenStore with functional options.
 func Open(dev blockdev.Device, cfg Config) (*Store, error) {
 	cfg.fill()
 	start := time.Now()

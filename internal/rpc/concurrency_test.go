@@ -137,7 +137,7 @@ func TestCallCancellation(t *testing.T) {
 		t.Fatal("canceled call never returned")
 	}
 	// The mux forgot the abandoned call and the connection still works.
-	if n := cli.Stats().InFlight; n != 0 {
+	if n := cli.Metrics().Snapshot().Gauges["rpc.client.inflight"]; n != 0 {
 		t.Fatalf("in-flight after cancellation = %d", n)
 	}
 	if _, err := cli.Call(context.Background(), &Request{Proc: 1}); err != nil {
@@ -193,18 +193,18 @@ func TestStatsCounters(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cs := cli.Stats()
-	if cs.Calls != calls || cs.InFlight != 0 {
-		t.Fatalf("client stats = %+v", cs)
+	cs := cli.Metrics().Snapshot()
+	if cs.Counters["rpc.client.calls"] != calls || cs.Gauges["rpc.client.inflight"] != 0 {
+		t.Fatalf("client metrics = %+v", cs)
 	}
-	if cs.BytesSent == 0 || cs.BytesRecv == 0 {
+	if cs.Counters["rpc.client.bytes_sent"] == 0 || cs.Counters["rpc.client.bytes_recv"] == 0 {
 		t.Fatalf("client byte counters never moved: %+v", cs)
 	}
-	ss := srv.Stats()
-	if ss.Requests != calls || ss.InFlight != 0 || ss.Conns != 1 {
-		t.Fatalf("server stats = %+v", ss)
+	ss := srv.Metrics().Snapshot()
+	if ss.Counters["rpc.server.requests"] != calls || ss.Gauges["rpc.server.inflight"] != 0 || ss.Gauges["rpc.server.conns"] != 1 {
+		t.Fatalf("server metrics = %+v", ss)
 	}
-	if ss.BytesIn < calls*1024 {
-		t.Fatalf("server BytesIn = %d", ss.BytesIn)
+	if n := ss.Counters["rpc.server.bytes_in"]; n < calls*1024 {
+		t.Fatalf("server bytes_in = %d", n)
 	}
 }

@@ -90,20 +90,6 @@ func WithProcNames(name func(proc uint16) string) ServerOption {
 	return func(s *Server) { s.procName = name }
 }
 
-// ServerStats is a snapshot of a server's counters, aggregated over all
-// connections.
-//
-// Deprecated: the same counters (and per-opcode latency histograms)
-// live in the telemetry registry returned by Metrics; Stats remains as
-// a convenience view over it.
-type ServerStats struct {
-	Conns    int64  // currently open connections
-	InFlight int64  // requests currently executing in handlers
-	Requests uint64 // total requests dispatched
-	BytesIn  uint64 // wire bytes received
-	BytesOut uint64 // wire bytes sent
-}
-
 // procMetrics are the per-opcode server metrics.
 type procMetrics struct {
 	calls    *telemetry.Counter
@@ -195,20 +181,6 @@ func (s *Server) proc(p uint16) *procMetrics {
 	}
 	s.procs[p] = pm
 	return pm
-}
-
-// Stats returns a snapshot of the server's counters.
-//
-// Deprecated: use Metrics().Snapshot() for the full picture; Stats
-// remains as a cheap aggregate view.
-func (s *Server) Stats() ServerStats {
-	return ServerStats{
-		Conns:    s.statConns.Load(),
-		InFlight: s.statInFlight.Load(),
-		Requests: s.statRequests.Load(),
-		BytesIn:  s.statBytesIn.Load(),
-		BytesOut: s.statBytesOut.Load(),
-	}
 }
 
 // Serve accepts connections from l until the listener is closed. It
@@ -421,20 +393,6 @@ func (s *Server) Close() {
 	s.wg.Wait()
 }
 
-// ClientStats is a snapshot of one client connection's counters.
-//
-// Deprecated: the same counters (plus a call-latency histogram) live in
-// the telemetry registry returned by Metrics; Stats remains as a
-// convenience view over it.
-type ClientStats struct {
-	InFlight  int64  // calls awaiting replies
-	Calls     uint64 // calls issued
-	Canceled  uint64 // calls abandoned by context cancellation/deadline
-	Failures  uint64 // calls failed by transport or decode errors
-	BytesSent uint64 // wire bytes sent
-	BytesRecv uint64 // wire bytes received
-}
-
 // ClientOption configures a Client.
 type ClientOption func(*Client)
 
@@ -485,21 +443,6 @@ func NewClient(conn Conn, opts ...ClientOption) *Client {
 
 // Metrics returns the client's telemetry registry.
 func (c *Client) Metrics() *telemetry.Registry { return c.reg }
-
-// Stats returns a snapshot of the connection's counters.
-//
-// Deprecated: use Metrics().Snapshot() for the full picture; Stats
-// remains as a cheap aggregate view.
-func (c *Client) Stats() ClientStats {
-	return ClientStats{
-		InFlight:  c.statInFlight.Load(),
-		Calls:     c.statCalls.Load(),
-		Canceled:  c.statCanceled.Load(),
-		Failures:  c.statFailures.Load(),
-		BytesSent: c.statBytesSent.Load(),
-		BytesRecv: c.statBytesRecv.Load(),
-	}
-}
 
 func (c *Client) recvLoop() {
 	for {

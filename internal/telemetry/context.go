@@ -9,8 +9,8 @@ import (
 
 // Request IDs give every client-initiated operation an identity that
 // survives the trip across the RPC plane: the client stamps the ID into
-// the wire request (rpc.Request.Trace), the drive records it in its
-// trace log, and a multi-drive operation (a cheops striped read) shares
+// the wire request (rpc.Request.Trace), the drive records it as the
+// trace ID of its handler span, and a multi-drive operation (a cheops striped read) shares
 // one ID across every component request it fans out. Like span IDs,
 // they are a counter salted with a random per-process high word: a
 // drive outlives many short-lived clients (think repeated nasdctl

@@ -1,8 +1,9 @@
 // Package telemetry is the repository's observability core: a
 // dependency-free metrics library (atomic counters, gauges, and
 // fixed-bucket latency histograms with snapshot and merge), request-ID
-// propagation through context.Context, a bounded in-memory trace log,
-// and HTTP handlers that expose a registry as expvar-style JSON.
+// propagation through context.Context, a bounded in-memory span log
+// holding one record per request, and HTTP handlers that expose both
+// as JSON.
 //
 // The paper's evaluation is built on exactly this kind of per-operation
 // accounting: Table 1 decomposes each NASD request into marshaling,
@@ -13,8 +14,8 @@
 // counters and service-time histograms into telemetry registries so the
 // same quantities can be observed from a live system: `nasdd` serves a
 // registry at /metrics, `nasdctl stats` fetches a drive's snapshot over
-// RPC, and `nasdbench -stats` reproduces the Table 1 cost split from a
-// live workload.
+// RPC, and `nasdbench -workload stats` reproduces the Table 1 cost
+// split from a live workload.
 //
 // Beyond aggregates, the package carries a span plane for per-request
 // timelines: a Span is a timed interval with a trace ID, span ID,

@@ -74,39 +74,38 @@ func HealthHandler(started time.Time) http.Handler {
 // one curl pin the daemon serializing the entire ring.
 const MaxTraceResponse = 1024
 
-// TraceHandler serves request tracing as JSON. Two modes:
+// RequestSpanPrefix marks the spans that stand for one served request
+// each: the drive names its handler span RequestSpanPrefix+op and
+// annotates it with status, bytes_in and bytes_out, and "the last N
+// requests" (/trace?n=N, the stats RPC's TraceN) is the last N spans
+// so named.
+const RequestSpanPrefix = "drive."
+
+// TraceHandler serves the span log as JSON. Three modes:
 //
-//	/trace?n=N          the last N flat trace events (default 64)
-//	/trace?trace=ID     every span recorded for trace ID (hierarchical)
-//	/trace?spans=N      the last N raw spans
+//	/trace?n=N          the last N requests served: their handler spans (default 64)
+//	/trace?trace=ID     every span recorded for trace ID
+//	/trace?spans=N      the last N spans of any kind
 //
-// Responses are capped at MaxTraceResponse entries. spans may be nil
-// (span modes then return an empty list).
-func TraceHandler(log *TraceLog, spans *SpanLog) http.Handler {
+// Responses are capped at MaxTraceResponse entries.
+func TraceHandler(spans *SpanLog) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		if s := r.URL.Query().Get("trace"); s != "" {
-			var recs []SpanRecord
-			if id, err := strconv.ParseUint(s, 10, 64); err == nil && spans != nil {
+		q := r.URL.Query()
+		var recs []SpanRecord
+		if s := q.Get("trace"); s != "" {
+			if id, err := strconv.ParseUint(s, 10, 64); err == nil {
 				recs = spans.ByTrace(id)
 			}
 			if len(recs) > MaxTraceResponse {
 				recs = recs[:MaxTraceResponse]
 			}
-			_ = json.NewEncoder(w).Encode(recs)
-			return
+		} else if s := q.Get("spans"); s != "" {
+			recs = spans.Recent(clampTraceN(s, 64), "")
+		} else {
+			recs = spans.Recent(clampTraceN(q.Get("n"), 64), RequestSpanPrefix)
 		}
-		if s := r.URL.Query().Get("spans"); s != "" {
-			n := clampTraceN(s, 64)
-			var recs []SpanRecord
-			if spans != nil {
-				recs = spans.Recent(n)
-			}
-			_ = json.NewEncoder(w).Encode(recs)
-			return
-		}
-		n := clampTraceN(r.URL.Query().Get("n"), 64)
-		_ = json.NewEncoder(w).Encode(log.Recent(n))
+		_ = json.NewEncoder(w).Encode(recs)
 	})
 }
 
@@ -126,14 +125,14 @@ func clampTraceN(s string, def int) int {
 }
 
 // NewMux builds the daemon observability mux: /metrics, /healthz,
-// (when log is non-nil) /trace serving both flat events and spans, and
-// (when events is non-nil) the /events ring.
-func NewMux(snap func() Snapshot, log *TraceLog, spans *SpanLog, events *EventLog) *http.ServeMux {
+// (when spans is non-nil) /trace, and (when events is non-nil) the
+// /events ring.
+func NewMux(snap func() Snapshot, spans *SpanLog, events *EventLog) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", MetricsHandler(snap))
 	mux.Handle("/healthz", HealthHandler(time.Now()))
-	if log != nil {
-		mux.Handle("/trace", TraceHandler(log, spans))
+	if spans != nil {
+		mux.Handle("/trace", TraceHandler(spans))
 	}
 	if events != nil {
 		mux.Handle("/events", EventsHandler(events))

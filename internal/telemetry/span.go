@@ -1,19 +1,22 @@
 package telemetry
 
 import (
+	"cmp"
 	"context"
 	"crypto/rand"
 	"encoding/binary"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Spans are the hierarchical successor to the flat TraceEvent path: one
-// logical operation (a striped read, say) is a *trace*, identified by a
-// trace ID, and every timed step inside it — the client call, each
-// cheops fan-out leg, the drive-side handler with its Table 1 phase
-// split, each media I/O — is a *span* carrying its parent's span ID.
+// Spans are the per-request record: one logical operation (a striped
+// read, say) is a *trace*, identified by a trace ID, and every timed
+// step inside it — the client call, each cheops fan-out leg, the
+// drive-side handler with its Table 1 phase split, each media I/O — is
+// a *span* carrying its parent's span ID.
 // Merging the span logs of every process that served a trace
 // reconstructs the whole causal timeline (the Dapper/X-Trace model),
 // which is what `nasdctl trace <id>` prints.
@@ -218,10 +221,11 @@ func (l *SpanLog) retainLocked(traceID uint64) {
 	l.retained[traceID] = tree
 }
 
-// Recent returns up to n most recent spans, oldest first.
-func (l *SpanLog) Recent(n int) []SpanRecord {
+// Recent returns up to n most recent spans whose name starts with
+// prefix ("" matches every span; n <= 0 means no limit), oldest first
+// by end time.
+func (l *SpanLog) Recent(n int, prefix string) []SpanRecord {
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	size := l.next
 	if l.filled {
 		size = len(l.spans)
@@ -230,13 +234,17 @@ func (l *SpanLog) Recent(n int) []SpanRecord {
 		n = size
 	}
 	out := make([]SpanRecord, 0, n)
-	start := l.next - n
-	if start < 0 {
-		start += len(l.spans)
+	for i := 1; i <= size && len(out) < n; i++ {
+		r := &l.spans[(l.next-i+len(l.spans))%len(l.spans)]
+		if strings.HasPrefix(r.Name, prefix) {
+			out = append(out, *r)
+		}
 	}
-	for i := 0; i < n; i++ {
-		out = append(out, l.spans[(start+i)%len(l.spans)])
-	}
+	l.mu.Unlock()
+	slices.Reverse(out)
+	// The ring is in Emit order, which trails end time when concurrent
+	// spans race from End to the lock and for synthesized children.
+	slices.SortStableFunc(out, func(a, b SpanRecord) int { return cmp.Compare(a.EndNS, b.EndNS) })
 	return out
 }
 
@@ -259,9 +267,9 @@ func (l *SpanLog) ByTrace(traceID uint64) []SpanRecord {
 
 // StartSpan opens a span named name as a child of ctx's active span.
 // Without an active span the new span is a root: it reuses ctx's
-// request ID as the trace ID when one is present (so the span plane and
-// the older request-ID plane agree on identity), and allocates a fresh
-// trace otherwise. The returned context carries the new span, so nested
+// request ID as the trace ID when one is present (so a caller can find
+// its operation by the ID it chose), and allocates a fresh trace
+// otherwise. The returned context carries the new span, so nested
 // calls become children. A nil log returns ctx unchanged and a nil
 // (no-op) span.
 func (l *SpanLog) StartSpan(ctx context.Context, name string) (context.Context, *Span) {

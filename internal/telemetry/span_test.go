@@ -93,7 +93,7 @@ func TestSpanLogRingBounds(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		l.Emit(SpanRecord{TraceID: uint64(i + 1), SpanID: NextSpanID(), Name: "s"})
 	}
-	recent := l.Recent(100)
+	recent := l.Recent(100, "")
 	if len(recent) != 4 {
 		t.Fatalf("ring kept %d spans, want 4", len(recent))
 	}
@@ -102,6 +102,38 @@ func TestSpanLogRingBounds(t *testing.T) {
 		if want := uint64(7 + i); r.TraceID != want {
 			t.Fatalf("recent[%d].TraceID = %d, want %d", i, r.TraceID, want)
 		}
+	}
+	if n := len(l.Recent(2, "")); n != 2 {
+		t.Fatalf("Recent(2) returned %d", n)
+	}
+}
+
+// TestSpanLogRecentPrefix: the prefix selects which spans count toward
+// n, and the result is ordered by end time even when a span that ended
+// earlier was emitted later (a synthesized child, or a lost race from
+// End to the lock).
+func TestSpanLogRecentPrefix(t *testing.T) {
+	l := NewSpanLog(16)
+	for i, r := range []SpanRecord{
+		{TraceID: 1, Name: "drive.read", EndNS: 10},
+		{TraceID: 1, Name: "digest", EndNS: 5},
+		{TraceID: 2, Name: "drive.write", EndNS: 30},
+		{TraceID: 2, Name: "media", EndNS: 29},
+		{TraceID: 3, Name: "drive.getattr", EndNS: 20},
+		{TraceID: 4, Name: "client.read", EndNS: 40},
+	} {
+		r.SpanID = uint64(i + 1)
+		l.Emit(r)
+	}
+	got := l.Recent(2, "drive.")
+	if len(got) != 2 || got[0].Name != "drive.getattr" || got[1].Name != "drive.write" {
+		t.Fatalf("Recent(2, drive.) = %+v, want getattr then write", got)
+	}
+	if n := len(l.Recent(0, "drive.")); n != 3 {
+		t.Fatalf("Recent(0, drive.) returned %d spans, want 3", n)
+	}
+	if got := l.Recent(8, "nomatch"); len(got) != 0 {
+		t.Fatalf("unmatched prefix returned %+v", got)
 	}
 }
 
@@ -172,7 +204,7 @@ func TestSpanLogConcurrency(t *testing.T) {
 				_, c := l.StartSpan(ctx, "child")
 				c.End()
 				sp.End()
-				l.Recent(16)
+				l.Recent(16, "op")
 				l.ByTrace(sp.Context().TraceID)
 			}
 		}(g)
@@ -241,52 +273,54 @@ func TestWriteTimelineOrphanPromotion(t *testing.T) {
 	}
 }
 
-func TestTraceLogConcurrentAddRecent(t *testing.T) {
-	log := NewTraceLog(32)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				log.Add(TraceEvent{RequestID: uint64(g*1000 + i), Op: "read"})
-				log.Recent(8)
-			}
-		}(g)
-	}
-	wg.Wait()
-}
-
+// TestTraceHandlerBoundsResponse: neither tail mode returns more than
+// MaxTraceResponse records however many the caller asks for, and the
+// bare ?n= mode returns request (handler) spans only.
 func TestTraceHandlerBoundsResponse(t *testing.T) {
-	log := NewTraceLog(4096)
+	spans := NewSpanLog(4096)
 	for i := 0; i < 4096; i++ {
-		log.Add(TraceEvent{RequestID: uint64(i)})
+		name := RequestSpanPrefix + "read"
+		if i%4 == 3 {
+			name = "digest"
+		}
+		spans.Emit(SpanRecord{TraceID: uint64(i + 1), SpanID: NextSpanID(), Name: name})
 	}
-	spans := NewSpanLog(8)
-	srv := httptest.NewServer(TraceHandler(log, spans))
+	srv := httptest.NewServer(TraceHandler(spans))
 	defer srv.Close()
 
-	resp, err := http.Get(srv.URL + "/trace?n=1000000")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var evs []TraceEvent
-	if err := json.NewDecoder(resp.Body).Decode(&evs); err != nil {
-		t.Fatal(err)
-	}
-	if len(evs) > MaxTraceResponse {
-		t.Fatalf("handler returned %d events, cap is %d", len(evs), MaxTraceResponse)
+	// The newest span of all is a digest (i = 4095); the newest request
+	// is the one before it.
+	for q, newest := range map[string]uint64{"n": 4095, "spans": 4096} {
+		resp, err := http.Get(srv.URL + "/trace?" + q + "=1000000")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var recs []SpanRecord
+		err = json.NewDecoder(resp.Body).Decode(&recs)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) != MaxTraceResponse {
+			t.Fatalf("?%s= returned %d records, want the cap %d", q, len(recs), MaxTraceResponse)
+		}
+		if got := recs[len(recs)-1].TraceID; got != newest {
+			t.Fatalf("?%s= tail ends at trace %d, want the newest, %d", q, got, newest)
+		}
+		for _, r := range recs {
+			if q == "n" && r.Name != RequestSpanPrefix+"read" {
+				t.Fatalf("?n= returned non-request span %q", r.Name)
+			}
+		}
 	}
 }
 
 func TestTraceHandlerSpanMode(t *testing.T) {
-	log := NewTraceLog(4)
 	spans := NewSpanLog(8)
 	_, sp := spans.StartSpan(context.Background(), "op")
 	tid := sp.Context().TraceID
 	sp.End()
-	srv := httptest.NewServer(TraceHandler(log, spans))
+	srv := httptest.NewServer(TraceHandler(spans))
 	defer srv.Close()
 
 	resp, err := http.Get(fmt.Sprintf("%s/trace?trace=%d", srv.URL, tid))

@@ -140,7 +140,7 @@ func TestMetricsHandlerRoundTrip(t *testing.T) {
 	r.Counter("rpc.server.requests").Add(17)
 	r.Histogram("drive.op.read.svc_ns").Observe(1234)
 
-	srv := httptest.NewServer(NewMux(r.Snapshot, NewTraceLog(4), NewSpanLog(4), NewEventLog(4)))
+	srv := httptest.NewServer(NewMux(r.Snapshot, NewSpanLog(4), NewEventLog(4)))
 	defer srv.Close()
 
 	res, err := srv.Client().Get(srv.URL + "/metrics")
@@ -225,25 +225,5 @@ func TestRequestIDContext(t *testing.T) {
 	ctx3 := WithExplicitRequestID(ctx2, 99)
 	if got, _ := RequestIDFrom(ctx3); got != 99 {
 		t.Fatalf("explicit ID not honored: %d", got)
-	}
-}
-
-func TestTraceLogRing(t *testing.T) {
-	log := NewTraceLog(4)
-	for i := 1; i <= 6; i++ {
-		log.Add(TraceEvent{RequestID: uint64(i)})
-	}
-	got := log.Recent(10)
-	if len(got) != 4 {
-		t.Fatalf("ring kept %d events, want 4", len(got))
-	}
-	// Oldest first, bounded by capacity: 3,4,5,6.
-	for i, ev := range got {
-		if want := uint64(i + 3); ev.RequestID != want {
-			t.Fatalf("event %d has ID %d, want %d", i, ev.RequestID, want)
-		}
-	}
-	if n := len(log.Recent(2)); n != 2 {
-		t.Fatalf("Recent(2) returned %d", n)
 	}
 }

@@ -17,6 +17,14 @@ fi
 echo "==> go vet ./..."
 go vet ./...
 
+# A superseded mechanism is deleted in the PR that supersedes it, not
+# parked behind a deprecation note.
+echo "==> no '// Deprecated:' in non-test Go under internal/ and cmd/"
+if grep -rn --include='*.go' --exclude='*_test.go' '^[[:space:]]*// Deprecated:' internal cmd; then
+    echo "delete the deprecated code above instead of marking it" >&2
+    exit 1
+fi
+
 echo "==> go build ./..."
 go build ./...
 
@@ -46,8 +54,8 @@ go test -race -short \
 # cache dropped), restarted through journal recovery, marked stale, and
 # rebuilt; every op still verifies, and the run asserts the
 # retry/failover/breaker counters AND journal.replays advanced.
-echo "==> go run ./cmd/nasdbench -chaos -chaos-duration 2s -json ."
-go run ./cmd/nasdbench -chaos -chaos-duration 2s -json . > /dev/null
+echo "==> go run ./cmd/nasdbench -workload chaos -chaos-duration 2s -json ."
+go run ./cmd/nasdbench -workload chaos -chaos-duration 2s -json . > /dev/null
 test -s BENCH_chaos.json
 
 # Benchmark smoke: every benchmark must still run (one iteration each);
@@ -58,11 +66,11 @@ test -s BENCH_chaos.json
 echo "==> go test -run '^$' -bench . -benchtime 1x -benchmem ./..."
 go test -run '^$' -bench . -benchtime 1x -benchmem ./...
 
-# End-to-end bench smoke: a small live -stats run must complete and
+# End-to-end bench smoke: a small live stats run must complete and
 # emit a machine-readable result (schema in EXPERIMENTS.md). CI uploads
 # the BENCH_*.json as an artifact for run-over-run comparison.
-echo "==> go run ./cmd/nasdbench -stats -stats-mb 2 -json ."
-go run ./cmd/nasdbench -stats -stats-mb 2 -json . > /dev/null
+echo "==> go run ./cmd/nasdbench -workload stats -stats-mb 2 -json ."
+go run ./cmd/nasdbench -workload stats -stats-mb 2 -json . > /dev/null
 test -s BENCH_stats.json
 
 # QoS smoke: the multi-tenant overload scenario must hold its
