@@ -335,18 +335,15 @@ func runChaos(w io.Writer, dur time.Duration, seed int64, jsonOut string) error 
 		return fmt.Errorf("chaos: journal.replays did not advance — restart recovery went unexercised")
 	}
 
-	if jsonOut != "" {
-		return writeBenchJSON(jsonOut, benchResult{
-			Name:       "chaos",
-			Config:     benchConfig{SizeMB: int(moved >> 20), Workers: len(workers), Secure: true},
-			Throughput: map[string]float64{"soak": mbps},
-			Latency:    latencyFromSnapshot(snap),
-			Counters:   chaosCounters(snap),
-			Tenants:    tenants,
-			Events:     evSummary,
-		})
-	}
-	return nil
+	return writeBenchJSON(jsonOut, benchResult{
+		Name:       "chaos",
+		Config:     benchConfig{SizeMB: int(moved >> 20), Workers: len(workers), Secure: true},
+		Throughput: map[string]float64{"soak": mbps},
+		Latency:    latencyFromSnapshot(snap),
+		Counters:   chaosCounters(snap),
+		Tenants:    tenants,
+		Events:     evSummary,
+	})
 }
 
 // chaosCounterNames are the resilience counters the chaos run reports.

@@ -122,10 +122,13 @@ func latencyFromSnapshot(snap telemetry.Snapshot) map[string]latencySummary {
 	return out
 }
 
-// writeBenchJSON writes res to path. A path ending in .json names the
-// exact output file; anything else is treated as a directory receiving
-// BENCH_<name>.json.
+// writeBenchJSON writes res to path; an empty path (-json unset) writes
+// nothing. A path ending in .json names the exact output file; anything
+// else is treated as a directory receiving BENCH_<name>.json.
 func writeBenchJSON(path string, res benchResult) error {
+	if path == "" {
+		return nil
+	}
 	res.UnixNS = time.Now().UnixNano()
 	if !strings.HasSuffix(path, ".json") {
 		path = filepath.Join(path, "BENCH_"+res.Name+".json")

@@ -13,8 +13,6 @@ import (
 	"nasd/internal/blockdev"
 	"nasd/internal/capability"
 	"nasd/internal/client"
-	"nasd/internal/crypt"
-	"nasd/internal/drive"
 	"nasd/internal/rpc"
 	"nasd/internal/telemetry"
 )
@@ -29,61 +27,26 @@ func runParallel(w io.Writer, workers, sizeMB int, jsonOut string) error {
 	if workers < 1 {
 		return fmt.Errorf("-parallel needs at least 1 worker")
 	}
-	master := crypt.NewRandomKey()
-	reg := telemetry.NewRegistry()
-	blocks := int64(workers*sizeMB)*1024 + 8192 // 4 KiB blocks, headroom for metadata
-	media := blockdev.Instrument(blockdev.NewMemDisk(4096, blocks), reg)
-	drv, err := drive.NewFormat(media, drive.Config{
-		ID: 1, Master: master, Secure: true, Metrics: reg, Media: media,
+	r, err := newSingleDriveRig(rigConfig{
+		dev:    blockdev.NewMemDisk(4096, int64(workers*sizeMB)*1024+8192), // 4 KiB blocks, headroom for metadata
+		secure: true, serve: []rpc.ServerOption{rpc.WithWorkers(workers)},
 	})
 	if err != nil {
 		return err
 	}
-	l := rpc.NewInProcListener("nasdbench-parallel")
-	srv := drv.Serve(l, rpc.WithWorkers(workers))
-	defer srv.Close()
-
-	ctx, _ := telemetry.WithRequestID(context.Background())
-	const part = 1
-	setup, err := l.Dial()
-	if err != nil {
-		return err
-	}
-	adminCli := client.New(setup, 1, 1)
-	defer adminCli.Close()
-	if err := adminCli.CreatePartition(ctx, crypt.KeyID{Type: crypt.MasterKey}, master, part, 0); err != nil {
-		return err
-	}
-	keys := crypt.NewHierarchy(master)
-	if err := keys.AddPartition(part); err != nil {
-		return err
-	}
-	mint := func(obj, ver uint64, rights capability.Rights) (capability.Capability, error) {
-		kid, key, err := keys.CurrentWorkingKey(part)
-		if err != nil {
-			return capability.Capability{}, err
-		}
-		return capability.Mint(capability.Public{
-			DriveID: 1, Partition: part, Object: obj, ObjVer: ver,
-			Rights: rights, Expiry: time.Now().Add(time.Hour).UnixNano(), Key: kid,
-		}, key), nil
-	}
+	defer r.close()
+	ctx, reg := r.ctx, r.reg
 
 	// Each worker gets its own connection, object, and data pattern.
 	clis := make([]*client.Drive, workers)
 	objs := make([]uint64, workers)
 	for i := 0; i < workers; i++ {
-		conn, err := l.Dial()
-		if err != nil {
+		if clis[i], err = r.dial(uint64(100 + i)); err != nil {
 			return err
 		}
-		clis[i] = client.New(conn, 1, uint64(100+i))
 		defer clis[i].Close()
-		cc, err := mint(0, 0, capability.CreateObj)
-		if err != nil {
-			return err
-		}
-		objs[i], err = clis[i].Create(ctx, &cc, part)
+		cc := r.mint(0, 0, capability.CreateObj)
+		objs[i], err = clis[i].Create(ctx, &cc, rigPart)
 		if err != nil {
 			return err
 		}
@@ -116,26 +79,20 @@ func runParallel(w io.Writer, workers, sizeMB int, jsonOut string) error {
 		for j := range data {
 			data[j] = byte(j*31 + i)
 		}
-		wc, err := mint(objs[i], 1, capability.Write)
-		if err != nil {
-			return err
-		}
+		wc := r.mint(objs[i], 1, capability.Write)
 		wctx, _ := telemetry.WithRequestID(context.Background())
-		return clis[i].WritePipelined(wctx, &wc, part, objs[i], 0, data)
+		return clis[i].WritePipelined(wctx, &wc, rigPart, objs[i], 0, data)
 	})
 	if err != nil {
 		return err
 	}
-	if err := adminCli.Flush(ctx); err != nil {
+	if err := r.admin.Flush(ctx); err != nil {
 		return err
 	}
 	readDur, err := run("read", func(i int) error {
-		rc, err := mint(objs[i], 1, capability.Read)
-		if err != nil {
-			return err
-		}
+		rc := r.mint(objs[i], 1, capability.Read)
 		rctx, _ := telemetry.WithRequestID(context.Background())
-		got, err := clis[i].ReadPipelined(rctx, &rc, part, objs[i], 0, perWorker)
+		got, err := clis[i].ReadPipelined(rctx, &rc, rigPart, objs[i], 0, perWorker)
 		if err != nil {
 			return err
 		}
@@ -158,18 +115,15 @@ func runParallel(w io.Writer, workers, sizeMB int, jsonOut string) error {
 	fmt.Fprintf(w, "  read:  %8.1f MB/s aggregate (%v)\n", total/readDur.Seconds(), readDur.Round(time.Millisecond))
 	fmt.Fprintln(w)
 	writeLockTable(w, reg.Snapshot())
-	if jsonOut != "" {
-		return writeBenchJSON(jsonOut, benchResult{
-			Name:   "parallel",
-			Config: benchConfig{SizeMB: sizeMB, Workers: workers, Secure: true},
-			Throughput: map[string]float64{
-				"write": total / writeDur.Seconds(),
-				"read":  total / readDur.Seconds(),
-			},
-			Latency: latencyFromSnapshot(reg.Snapshot()),
-		})
-	}
-	return nil
+	return writeBenchJSON(jsonOut, benchResult{
+		Name:   "parallel",
+		Config: benchConfig{SizeMB: sizeMB, Workers: workers, Secure: true},
+		Throughput: map[string]float64{
+			"write": total / writeDur.Seconds(),
+			"read":  total / readDur.Seconds(),
+		},
+		Latency: latencyFromSnapshot(reg.Snapshot()),
+	})
 }
 
 // writeLockTable prints the per-layer lock contention counters the

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"io"
 	"math/rand/v2"
@@ -10,12 +9,7 @@ import (
 
 	"nasd/internal/blockdev"
 	"nasd/internal/capability"
-	"nasd/internal/client"
-	"nasd/internal/crypt"
-	"nasd/internal/drive"
 	"nasd/internal/object"
-	"nasd/internal/rpc"
-	"nasd/internal/telemetry"
 )
 
 // The smallobj workload is the Haystack scenario scaled to bench time:
@@ -57,25 +51,22 @@ func runSmallObj(w io.Writer, objects int, jsonOut string) error {
 	}
 	fmt.Fprintf(w, "\nneedle/classic write speedup: %.1fx\n", needle.writeMBps/classic.writeMBps)
 
-	if jsonOut != "" {
-		return writeBenchJSON(jsonOut, benchResult{
-			Name:   "smallobj",
-			Config: benchConfig{SizeMB: objects * smallObjSize >> 20, Workers: 1, Secure: false},
-			Throughput: map[string]float64{
-				"classic_write": classic.writeMBps,
-				"classic_read":  classic.readMBps,
-				"needle_write":  needle.writeMBps,
-				"needle_read":   needle.readMBps,
-			},
-			Counters: map[string]uint64{
-				"objects":                      uint64(objects),
-				"classic_media_per_read_milli": uint64(classic.mediaPerRead * 1000),
-				"needle_media_per_read_milli":  uint64(needle.mediaPerRead * 1000),
-				"write_speedup_milli":          uint64(needle.writeMBps / classic.writeMBps * 1000),
-			},
-		})
-	}
-	return nil
+	return writeBenchJSON(jsonOut, benchResult{
+		Name:   "smallobj",
+		Config: benchConfig{SizeMB: objects * smallObjSize >> 20, Workers: 1, Secure: false},
+		Throughput: map[string]float64{
+			"classic_write": classic.writeMBps,
+			"classic_read":  classic.readMBps,
+			"needle_write":  needle.writeMBps,
+			"needle_read":   needle.readMBps,
+		},
+		Counters: map[string]uint64{
+			"objects":                      uint64(objects),
+			"classic_media_per_read_milli": uint64(classic.mediaPerRead * 1000),
+			"needle_media_per_read_milli":  uint64(needle.mediaPerRead * 1000),
+			"write_speedup_milli":          uint64(needle.writeMBps / classic.writeMBps * 1000),
+		},
+	})
 }
 
 type smallObjResult struct {
@@ -90,39 +81,22 @@ type smallObjResult struct {
 // device.
 func smallObjRun(backend object.BackendKind, objects int) (smallObjResult, error) {
 	var res smallObjResult
-	master := crypt.NewRandomKey()
-	reg := telemetry.NewRegistry()
 	// Sized for the population in either layout (classic: data block +
 	// onode per object; needle: ~1.1 packed log blocks per object), with
 	// a deliberately small cache so the data set does not fit — the
 	// regime the backends are meant to be compared in. ~200 MB/s media
 	// with a 10 us per-op cost makes per-op media I/O counts dominate,
 	// the way seeks dominate a spinning photo store.
-	blocks := int64(objects)*2 + 16384
-	media := blockdev.Instrument(blockdev.NewThrottle(blockdev.NewMemDisk(4096, blocks), 200<<20, 10*time.Microsecond), reg)
-	cfg := drive.Config{ID: 1, Master: master, Secure: false, Metrics: reg, Media: media}
-	cfg.Store.CacheBlocks = 256
-	cfg.Store.OnodeCount = int64(objects) + 1024
-	drv, err := drive.NewFormat(media, cfg)
+	r, err := newSingleDriveRig(rigConfig{
+		dev:     blockdev.NewThrottle(blockdev.NewMemDisk(4096, int64(objects)*2+16384), 200<<20, 10*time.Microsecond),
+		store:   object.Config{CacheBlocks: 256, OnodeCount: int64(objects) + 1024},
+		backend: backend,
+	})
 	if err != nil {
 		return res, err
 	}
-	l := rpc.NewInProcListener("nasdbench-smallobj-" + backend.String())
-	srv := drv.Serve(l)
-	defer srv.Close()
-	conn, err := l.Dial()
-	if err != nil {
-		return res, err
-	}
-	cli := client.New(conn, 1, 7)
-	defer cli.Close()
-
-	ctx, _ := telemetry.WithRequestID(context.Background())
-	const part = 1
-	err = cli.CreatePartitionBackend(ctx, crypt.KeyID{Type: crypt.MasterKey}, master, part, 0, backend)
-	if err != nil {
-		return res, err
-	}
+	defer r.close()
+	cli, ctx, reg := r.admin, r.ctx, r.reg
 	// The drive is insecure (the paper's measurement mode), so a zero
 	// capability satisfies the wire format without minting.
 	nocap := &capability.Capability{}
@@ -140,11 +114,11 @@ func smallObjRun(backend object.BackendKind, objects int) (smallObjResult, error
 	ids := make([]uint64, objects)
 	writeStart := time.Now()
 	for i := 0; i < objects; i++ {
-		id, err := cli.Create(ctx, nocap, part)
+		id, err := cli.Create(ctx, nocap, rigPart)
 		if err != nil {
 			return res, err
 		}
-		if err := cli.Write(ctx, nocap, part, id, 0, payload(i)); err != nil {
+		if err := cli.Write(ctx, nocap, rigPart, id, 0, payload(i)); err != nil {
 			return res, err
 		}
 		ids[i] = id
@@ -163,10 +137,10 @@ func smallObjRun(backend object.BackendKind, objects int) (smallObjResult, error
 	readStart := time.Now()
 	for i := 0; i < nReads; i++ {
 		idx := int(zipf.Uint64())
-		if _, err := cli.GetAttr(ctx, nocap, part, ids[idx]); err != nil {
+		if _, err := cli.GetAttr(ctx, nocap, rigPart, ids[idx]); err != nil {
 			return res, err
 		}
-		got, err := cli.Read(ctx, nocap, part, ids[idx], 0, smallObjSize)
+		got, err := cli.Read(ctx, nocap, rigPart, ids[idx], 0, smallObjSize)
 		if err != nil {
 			return res, err
 		}

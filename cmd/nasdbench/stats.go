@@ -5,15 +5,11 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
 	"time"
 
 	"nasd/internal/blockdev"
 	"nasd/internal/capability"
 	"nasd/internal/client"
-	"nasd/internal/crypt"
-	"nasd/internal/drive"
-	"nasd/internal/rpc"
 	"nasd/internal/telemetry"
 )
 
@@ -24,54 +20,22 @@ import (
 // rather than modelled. The reads are issued serially so the media
 // busy-time delta attributes exactly to each request.
 func runStats(w io.Writer, sizeMB int, jsonOut string) error {
-	master := crypt.NewRandomKey()
-	reg := telemetry.NewRegistry()
 	// ~200 MB/s media with a 5 us per-op overhead: fast enough to
 	// finish promptly, slow enough that media time dominates large
-	// transfers the way Table 1 shows.
-	// Device sized at 4x the workload so allocation never thrashes.
-	media := blockdev.Instrument(blockdev.NewThrottle(blockdev.NewMemDisk(4096, int64(sizeMB)*1024+4096), 200<<20, 5*time.Microsecond), reg)
-	drv, err := drive.NewFormat(media, drive.Config{
-		ID: 1, Master: master, Secure: true, Metrics: reg, Media: media,
+	// transfers the way Table 1 shows. The device is sized at 4x the
+	// workload so allocation never thrashes.
+	r, err := newSingleDriveRig(rigConfig{
+		dev:    blockdev.NewThrottle(blockdev.NewMemDisk(4096, int64(sizeMB)*1024+4096), 200<<20, 5*time.Microsecond),
+		secure: true,
 	})
 	if err != nil {
 		return err
 	}
-	l := rpc.NewInProcListener("nasdbench-stats")
-	srv := drv.Serve(l)
-	defer srv.Close()
-	conn, err := l.Dial()
-	if err != nil {
-		return err
-	}
-	cli := client.New(conn, 1, 42, client.WithMetrics(reg))
-	defer cli.Close()
+	defer r.close()
+	cli, ctx := r.admin, r.ctx
 
-	ctx, _ := telemetry.WithRequestID(context.Background())
-	const part = 1
-	if err := cli.CreatePartition(ctx, crypt.KeyID{Type: crypt.MasterKey}, master, part, 0); err != nil {
-		return err
-	}
-	keys := crypt.NewHierarchy(master)
-	if err := keys.AddPartition(part); err != nil {
-		return err
-	}
-	mint := func(obj, ver uint64, rights capability.Rights) (capability.Capability, error) {
-		kid, key, err := keys.CurrentWorkingKey(part)
-		if err != nil {
-			return capability.Capability{}, err
-		}
-		return capability.Mint(capability.Public{
-			DriveID: 1, Partition: part, Object: obj, ObjVer: ver,
-			Rights: rights, Expiry: time.Now().Add(time.Hour).UnixNano(), Key: kid,
-		}, key), nil
-	}
-
-	cc, err := mint(0, 0, capability.CreateObj)
-	if err != nil {
-		return err
-	}
-	obj, err := cli.Create(ctx, &cc, part)
+	cc := r.mint(0, 0, capability.CreateObj)
+	obj, err := cli.Create(ctx, &cc, rigPart)
 	if err != nil {
 		return err
 	}
@@ -82,46 +46,33 @@ func runStats(w io.Writer, sizeMB int, jsonOut string) error {
 	for i := range data {
 		data[i] = byte(i * 31)
 	}
-	wc, err := mint(obj, 1, capability.Write)
+	wc := r.mint(obj, 1, capability.Write)
+	writeFrags := float64((len(data) + client.DefaultFragmentSize - 1) / client.DefaultFragmentSize)
+	wctx, _ := telemetry.WithRequestID(context.Background())
+	writeAllocs, writeBytes, writeDur, err := allocDelta(writeFrags, func() error {
+		return cli.WritePipelined(wctx, &wc, rigPart, obj, 0, data)
+	})
 	if err != nil {
 		return err
 	}
-	wctx, _ := telemetry.WithRequestID(context.Background())
-	var msBefore, msAfter runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&msBefore)
-	writeStart := time.Now()
-	if err := cli.WritePipelined(wctx, &wc, part, obj, 0, data); err != nil {
-		return err
-	}
-	writeDur := time.Since(writeStart)
-	runtime.ReadMemStats(&msAfter)
-	writeFrags := float64((len(data) + client.DefaultFragmentSize - 1) / client.DefaultFragmentSize)
-	writeAllocs := float64(msAfter.Mallocs-msBefore.Mallocs) / writeFrags
-	writeBytes := float64(msAfter.TotalAlloc-msBefore.TotalAlloc) / writeFrags
 	if err := cli.Flush(ctx); err != nil {
 		return err
 	}
-	rc, err := mint(obj, 1, capability.Read)
+	rc := r.mint(obj, 1, capability.Read)
+	const frag = 64 << 10
+	got := make([]byte, len(data))
+	readAllocs, readBytes, readDur, err := allocDelta(float64(len(data)/frag), func() error {
+		for off := 0; off < len(data); off += frag {
+			rctx, _ := telemetry.WithRequestID(context.Background())
+			if _, err := cli.ReadInto(rctx, &rc, rigPart, obj, uint64(off), got[off:off+frag]); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		return err
 	}
-	const frag = 64 << 10
-	got := make([]byte, len(data))
-	runtime.GC()
-	runtime.ReadMemStats(&msBefore)
-	readStart := time.Now()
-	for off := 0; off < len(data); off += frag {
-		rctx, _ := telemetry.WithRequestID(context.Background())
-		if _, err := cli.ReadInto(rctx, &rc, part, obj, uint64(off), got[off:off+frag]); err != nil {
-			return err
-		}
-	}
-	readDur := time.Since(readStart)
-	runtime.ReadMemStats(&msAfter)
-	readOps := float64(len(data) / frag)
-	readAllocs := float64(msAfter.Mallocs-msBefore.Mallocs) / readOps
-	readBytes := float64(msAfter.TotalAlloc-msBefore.TotalAlloc) / readOps
 	if !bytes.Equal(got, data) {
 		return fmt.Errorf("stats workload: read-back mismatch")
 	}
@@ -138,24 +89,21 @@ func runStats(w io.Writer, sizeMB int, jsonOut string) error {
 	telemetry.WriteOpTable(w, sr.Metrics, "drive.op")
 	fmt.Fprintln(w)
 	telemetry.WriteText(w, sr.Metrics)
-	if jsonOut != "" {
-		return writeBenchJSON(jsonOut, benchResult{
-			Name:   "stats",
-			Config: benchConfig{SizeMB: sizeMB, Workers: 1, Secure: true},
-			Throughput: map[string]float64{
-				"write": float64(sizeMB) / writeDur.Seconds(),
-				"read":  float64(sizeMB) / readDur.Seconds(),
-			},
-			Latency: latencyFromSnapshot(sr.Metrics),
-			AllocsPerOp: map[string]float64{
-				"write_frag": writeAllocs,
-				"read":       readAllocs,
-			},
-			BytesPerOp: map[string]float64{
-				"write_frag": writeBytes,
-				"read":       readBytes,
-			},
-		})
-	}
-	return nil
+	return writeBenchJSON(jsonOut, benchResult{
+		Name:   "stats",
+		Config: benchConfig{SizeMB: sizeMB, Workers: 1, Secure: true},
+		Throughput: map[string]float64{
+			"write": float64(sizeMB) / writeDur.Seconds(),
+			"read":  float64(sizeMB) / readDur.Seconds(),
+		},
+		Latency: latencyFromSnapshot(sr.Metrics),
+		AllocsPerOp: map[string]float64{
+			"write_frag": writeAllocs,
+			"read":       readAllocs,
+		},
+		BytesPerOp: map[string]float64{
+			"write_frag": writeBytes,
+			"read":       readBytes,
+		},
+	})
 }

@@ -252,12 +252,29 @@ func eachDrive(n int, fn func(i int) error) error {
 		}(i)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+	return firstError(errs)
+}
+
+// xorSurvivors rebuilds n bytes of component skip of a RAID-5 stripe as
+// the xor of the same range of every other component, read concurrently
+// through read (a short read counts as trailing zeros).
+func xorSurvivors(width, skip, n int, read func(i int) ([]byte, error)) ([]byte, error) {
+	parts := make([][]byte, width)
+	if err := eachDrive(width, func(i int) (err error) {
+		if i != skip {
+			parts[i], err = read(i)
+		}
+		return err
+	}); err != nil {
+		return nil, err
+	}
+	acc := make([]byte, n)
+	for _, p := range parts {
+		for j := range p {
+			acc[j] ^= p[j]
 		}
 	}
-	return nil
+	return acc, nil
 }
 
 // Partition returns the partition Cheops uses on each drive.
@@ -316,16 +333,10 @@ func (m *Manager) Create(ctx context.Context, pattern Pattern, stripeUnit int64,
 // control message but once equipped with these capabilities, clients
 // again access storage objects directly").
 func (m *Manager) Open(logical uint64, rights capability.Rights) (Descriptor, []capability.Capability, error) {
-	m.mu.Lock()
-	desc, ok := m.objects[logical]
-	if !ok {
-		m.mu.Unlock()
-		return Descriptor{}, nil, ErrNoObject
+	d, err := m.Stat(logical)
+	if err != nil {
+		return Descriptor{}, nil, err
 	}
-	d := *desc
-	d.Components = append([]Component(nil), desc.Components...)
-	m.mu.Unlock()
-
 	caps := make([]capability.Capability, len(d.Components))
 	for i, comp := range d.Components {
 		kid, key, err := m.keys[comp.Drive].CurrentWorkingKey(m.part)
@@ -393,7 +404,7 @@ func (m *Manager) UpdateSize(ctx context.Context, logical uint64, size uint64) e
 	return nil
 }
 
-// Stat returns the descriptor.
+// Stat returns a copy of the descriptor.
 func (m *Manager) Stat(logical uint64) (Descriptor, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -451,15 +462,10 @@ func (m *Manager) mintWildcard(driveIdx int, rights capability.Rights) capabilit
 // Survivor reads within each reconstruction chunk fan out to all
 // drives concurrently.
 func (m *Manager) ReplaceComponent(ctx context.Context, logical uint64, failedIdx int, newDrive int) error {
-	m.mu.Lock()
-	desc, ok := m.objects[logical]
-	if !ok {
-		m.mu.Unlock()
-		return ErrNoObject
+	d, err := m.Stat(logical)
+	if err != nil {
+		return err
 	}
-	d := *desc
-	d.Components = append([]Component(nil), desc.Components...)
-	m.mu.Unlock()
 	if failedIdx < 0 || failedIdx >= len(d.Components) {
 		return ErrBadLayout
 	}
@@ -509,33 +515,18 @@ func (m *Manager) ReplaceComponent(ctx context.Context, logical uint64, failedId
 				return err
 			}
 		case RAID5:
-			acc := make([]byte, n)
-			parts := make([][]byte, len(d.Components))
-			if err := eachDrive(len(d.Components), func(i int) error {
-				if i == failedIdx {
-					return nil
-				}
+			data, err = xorSurvivors(len(d.Components), failedIdx, n, func(i int) ([]byte, error) {
 				if m.componentSuspect(logical, i) {
 					// Two stale lanes cannot be disentangled by xor.
-					return fmt.Errorf("%w: survivor %d also awaits repair", ErrDegraded, i)
+					return nil, fmt.Errorf("%w: survivor %d also awaits repair", ErrDegraded, i)
 				}
 				comp := d.Components[i]
 				rc := m.mintWildcard(comp.Drive, capability.Read)
-				p, err := m.drives[comp.Drive].Client.Read(ctx, &rc, m.part, comp.Object, off, n)
-				if err != nil {
-					return err
-				}
-				parts[i] = p
-				return nil
-			}); err != nil {
+				return m.drives[comp.Drive].Client.Read(ctx, &rc, m.part, comp.Object, off, n)
+			})
+			if err != nil {
 				return err
 			}
-			for _, p := range parts {
-				for j := range p {
-					acc[j] ^= p[j]
-				}
-			}
-			data = acc
 		}
 		if len(data) == 0 {
 			break
@@ -546,7 +537,7 @@ func (m *Manager) ReplaceComponent(ctx context.Context, logical uint64, failedId
 	}
 
 	m.mu.Lock()
-	desc, ok = m.objects[logical]
+	desc, ok := m.objects[logical]
 	if !ok {
 		m.mu.Unlock()
 		return ErrNoObject

@@ -13,41 +13,13 @@ import (
 	"nasd/internal/telemetry"
 )
 
-// maxBackpressureWaits bounds how many hinted waits one leg absorbs
-// before the overload is surfaced to the caller. Each wait is the
-// drive's own retry-after estimate, so a handful of rounds rides out a
-// burst; a drive still shedding after that is saturated, and the
-// caller's deadline — not more pacing — should decide what happens.
-const maxBackpressureWaits = 8
-
-// pacedLeg runs one fan-out leg with backpressure pacing: when the
-// drive sheds the request (client.ErrOverloaded, i.e. StatusRetryLater
-// — demonstrably never executed), the leg waits the drive's
-// retry-after hint and reissues, slowing this stripe lane instead of
-// erroring it. Any other outcome returns immediately. The wait is
-// scoped to the caller's ctx, so deadlines cut pacing short.
-func (o *Object) pacedLeg(ctx context.Context, attempt func() error) error {
-	for waits := 0; ; waits++ {
-		err := attempt()
-		if err == nil || !errors.Is(err, client.ErrOverloaded) ||
-			waits >= maxBackpressureWaits || ctx.Err() != nil {
-			return err
-		}
-		wait := 5 * time.Millisecond
-		var re *client.RemoteError
-		if errors.As(err, &re) && re.RetryAfter > 0 {
-			wait = re.RetryAfter
-		}
-		o.mgr.tel.backpressureWaits.Inc()
-		t := time.NewTimer(wait)
-		select {
-		case <-ctx.Done():
-			t.Stop()
-			return err
-		case <-t.C:
-		}
-	}
-}
+// legPacing bounds how one leg rides out backpressure: at most nine
+// sends with eight waits between them, each wait the drive's own
+// retry-after hint (a jittered 5 ms when the reply carried none). A
+// handful of rounds rides out a burst; a drive still shedding after
+// that is saturated, and the caller's deadline — not more pacing —
+// should decide what happens.
+var legPacing = client.RetryPolicy{MaxAttempts: 9, BaseBackoff: 5 * time.Millisecond, MaxBackoff: 5 * time.Millisecond}
 
 // Object is a client-side handle on an open Cheops logical object: the
 // descriptor plus the component capability set. All data movement
@@ -118,7 +90,9 @@ func (o *Object) withCap(i int, fn func(cp *capability.Capability) error) error 
 	return err
 }
 
-// readDirect reads one component byte range on its own drive.
+// readDirect reads one component byte range on its own drive, with no
+// health check and no pacing (RAID 5 reconstruction tries survivors
+// even when their breakers are open).
 func (o *Object) readDirect(ctx context.Context, comp int, off uint64, n int) ([]byte, error) {
 	c := o.desc.Components[comp]
 	var data []byte
@@ -130,11 +104,16 @@ func (o *Object) readDirect(ctx context.Context, comp int, off uint64, n int) ([
 	return data, err
 }
 
-// writeLeg writes one component range, honoring the lane's health
-// state: a lane awaiting repair (or a stale handle's repaired lane) is
-// refused locally, a drive with an open breaker is refused without
-// traffic, and the outcome of a real attempt feeds the breaker.
-func (o *Object) writeLeg(ctx context.Context, comp int, off uint64, data []byte) error {
+// runLeg is the one way a request reaches a component in normal
+// service. It honors the lane's health state: a lane awaiting repair
+// (or a stale handle's repaired lane) is refused locally, a drive with
+// an open breaker is refused without traffic, and the outcome of every
+// real attempt feeds the breaker. A shed attempt (demonstrably never
+// executed) is paced: the leg waits the drive's hint and reissues,
+// slowing this stripe lane instead of erroring it, within legPacing and
+// the caller's ctx. Each attempt gets a fresh per-leg timeout; the
+// waits between attempts run on the caller's budget, not the leg's.
+func (o *Object) runLeg(ctx context.Context, comp int, send func(ctx context.Context) error) error {
 	c := o.desc.Components[comp]
 	if o.mgr.laneUnserviceable(o.desc.Logical, comp, c.Object) {
 		return errPendingRepair
@@ -142,18 +121,41 @@ func (o *Object) writeLeg(ctx context.Context, comp int, off uint64, data []byte
 	if !o.mgr.allowDrive(c.Drive) {
 		return errBreakerOpen
 	}
-	// Each paced attempt gets a fresh per-leg timeout: the hinted waits
-	// between attempts run on the caller's budget, not the leg's.
-	err := o.pacedLeg(ctx, func() error {
+	for waits := 0; ; waits++ {
 		lctx, cancel := o.mgr.legCtx(ctx)
-		defer cancel()
-		aerr := o.withCap(comp, func(cp *capability.Capability) error {
+		err := send(lctx)
+		cancel()
+		o.mgr.reportDrive(c.Drive, err)
+		out, hint := client.Classify(err)
+		if out != client.Shed || waits+1 >= legPacing.MaxAttempts || ctx.Err() != nil {
+			return err
+		}
+		o.mgr.tel.backpressureWaits.Inc()
+		if legPacing.Pause(ctx, waits, hint) != nil {
+			return err
+		}
+	}
+}
+
+// readLeg reads one component byte range through runLeg.
+func (o *Object) readLeg(ctx context.Context, comp int, off uint64, n int) ([]byte, error) {
+	var data []byte
+	err := o.runLeg(ctx, comp, func(lctx context.Context) error {
+		var e error
+		data, e = o.readDirect(lctx, comp, off, n)
+		return e
+	})
+	return data, err
+}
+
+// writeLeg writes one component byte range through runLeg.
+func (o *Object) writeLeg(ctx context.Context, comp int, off uint64, data []byte) error {
+	c := o.desc.Components[comp]
+	return o.runLeg(ctx, comp, func(lctx context.Context) error {
+		return o.withCap(comp, func(cp *capability.Capability) error {
 			return o.drives[c.Drive].WritePipelined(lctx, cp, o.mgr.part, c.Object, off, data)
 		})
-		o.mgr.reportDrive(c.Drive, aerr)
-		return aerr
 	})
-	return err
 }
 
 // Desc returns the layout descriptor.
@@ -199,8 +201,63 @@ func (o *Object) parityIndex(stripe int64) int {
 	return int(stripe % int64(o.desc.Width()))
 }
 
-type ioResult struct {
-	err error
+// span is one contiguous run of a logical byte range on one component.
+type span struct {
+	comp    int
+	compOff uint64
+	bufOff  int // where the run starts in the caller's buffer
+	n       int
+	stripe  int64
+}
+
+// plan splits the logical range [off, off+n) into per-lane spans.
+func (o *Object) plan(off uint64, n int) []span {
+	var spans []span
+	for done := 0; done < n; {
+		comp, compOff, run, stripe := o.locate(int64(off) + int64(done))
+		chunk := n - done
+		if int64(chunk) > run {
+			chunk = int(run)
+		}
+		spans = append(spans, span{comp, uint64(compOff), done, chunk, stripe})
+		done += chunk
+	}
+	return spans
+}
+
+// eachLeg runs leg for every span concurrently and returns the legs'
+// errors, indexed like spans. Each leg gets its own child span: parallel
+// legs render as overlapping bars, making the stripe's straggler
+// visible.
+func (o *Object) eachLeg(ctx context.Context, name string, spans []span, leg func(ctx context.Context, sp span) error) []error {
+	errs := make([]error, len(spans))
+	var wg sync.WaitGroup
+	for i, sp := range spans {
+		wg.Add(1)
+		go func(i int, sp span) {
+			defer wg.Done()
+			lctx, lsp := o.mgr.spans.StartSpan(ctx, name)
+			lsp.Annotate("drive", strconv.Itoa(o.desc.Components[sp.comp].Drive))
+			lsp.Annotate("off", strconv.FormatUint(sp.compOff, 10))
+			lsp.Annotate("len", strconv.Itoa(sp.n))
+			defer lsp.End()
+			if errs[i] = leg(lctx, sp); errs[i] != nil {
+				lsp.Annotate("error", errs[i].Error())
+			}
+		}(i, sp)
+	}
+	wg.Wait()
+	return errs
+}
+
+// firstError returns the first non-nil error of a fan-out.
+func firstError(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ReadAt reads n bytes at logical offset off, fanning the per-lane
@@ -212,55 +269,19 @@ func (o *Object) ReadAt(ctx context.Context, off uint64, n int) ([]byte, error) 
 		return nil, nil
 	}
 	out := make([]byte, n)
-	type span struct {
-		comp    int
-		compOff int64
-		outOff  int
-		n       int
-		stripe  int64
-	}
-	var spans []span
-	for done := 0; done < n; {
-		comp, compOff, run, stripe := o.locate(int64(off) + int64(done))
-		chunk := n - done
-		if int64(chunk) > run {
-			chunk = int(run)
-		}
-		spans = append(spans, span{comp, compOff, done, chunk, stripe})
-		done += chunk
-	}
+	spans := o.plan(off, n)
 	o.mgr.tel.readFanout.Observe(int64(len(spans)))
 	ctx, rsp := o.mgr.spans.StartSpan(ctx, "cheops.read")
 	rsp.Annotate("fanout", strconv.Itoa(len(spans)))
 	rsp.Annotate("bytes", strconv.Itoa(n))
 	defer rsp.End()
-	var wg sync.WaitGroup
-	errs := make([]error, len(spans))
-	for i, sp := range spans {
-		wg.Add(1)
-		go func(i int, sp span) {
-			defer wg.Done()
-			// One child span per fan-out leg: parallel legs render as
-			// overlapping bars, making the stripe's straggler visible.
-			lctx, lsp := o.mgr.spans.StartSpan(ctx, "cheops.read.leg")
-			lsp.Annotate("drive", strconv.Itoa(o.desc.Components[sp.comp].Drive))
-			lsp.Annotate("off", strconv.FormatInt(sp.compOff, 10))
-			lsp.Annotate("len", strconv.Itoa(sp.n))
-			defer lsp.End()
-			data, err := o.readComponent(lctx, sp.comp, uint64(sp.compOff), sp.n, sp.stripe)
-			if err != nil {
-				lsp.Annotate("error", err.Error())
-				errs[i] = err
-				return
-			}
-			copy(out[sp.outOff:sp.outOff+sp.n], data)
-		}(i, sp)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	errs := o.eachLeg(ctx, "cheops.read.leg", spans, func(lctx context.Context, sp span) error {
+		data, err := o.readComponent(lctx, sp.comp, sp.compOff, sp.n, sp.stripe)
+		copy(out[sp.bufOff:sp.bufOff+sp.n], data)
+		return err
+	})
+	if err := firstError(errs); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -272,31 +293,11 @@ func (o *Object) ReadAt(ctx context.Context, off uint64, n int) ([]byte, error) 
 // repair) is served from the surviving redundancy without failing the
 // caller's read.
 func (o *Object) readComponent(ctx context.Context, comp int, off uint64, n int, stripe int64) ([]byte, error) {
-	c := o.desc.Components[comp]
-	var err error
-	switch {
-	case o.mgr.laneUnserviceable(o.desc.Logical, comp, c.Object):
-		// A degraded write skipped this lane (or the manager already
-		// rebuilt it elsewhere): its contents are stale even if the
-		// drive answers, so the read must come from reconstruction.
-		err = errPendingRepair
-	case !o.mgr.allowDrive(c.Drive):
-		err = errBreakerOpen
-	default:
-		var data []byte
-		err = o.pacedLeg(ctx, func() error {
-			lctx, cancel := o.mgr.legCtx(ctx)
-			defer cancel()
-			var aerr error
-			data, aerr = o.readDirect(lctx, comp, off, n)
-			o.mgr.reportDrive(c.Drive, aerr)
-			return aerr
-		})
-		if err == nil {
-			return pad(data, n), nil
-		}
+	data, err := o.readLeg(ctx, comp, off, n)
+	if err == nil {
+		return pad(data, n), nil
 	}
-	if errors.Is(err, client.ErrOverloaded) {
+	if out, _ := client.Classify(err); out == client.Shed {
 		// Backpressure outlasting the pacing loop is saturation, not
 		// component failure: the data on the lane is intact and the
 		// drive is alive. Reconstructing around it would fan a single
@@ -327,13 +328,7 @@ func (o *Object) readComponent(ctx context.Context, comp int, off uint64, n int,
 			if alt == comp {
 				continue
 			}
-			ac := o.desc.Components[alt]
-			if o.mgr.laneUnserviceable(o.desc.Logical, alt, ac.Object) || !o.mgr.allowDrive(ac.Drive) {
-				continue
-			}
-			data, aerr := o.readDirect(ctx, alt, off, n)
-			o.mgr.reportDrive(ac.Drive, aerr)
-			if aerr == nil {
+			if data, aerr := o.readLeg(ctx, alt, off, n); aerr == nil {
 				return pad(data, n), nil
 			}
 		}
@@ -344,30 +339,17 @@ func (o *Object) readComponent(ctx context.Context, comp int, off uint64, n int,
 		// breaker — reconstruction is the last resort, so the drives
 		// are tried even when suspect — but a stale lane is a hard
 		// stop: xor cannot disentangle two inconsistent lanes.
-		parts := make([][]byte, len(o.desc.Components))
-		if rerr := eachDrive(len(o.desc.Components), func(i int) error {
-			if i == comp {
-				return nil
-			}
+		acc, rerr := xorSurvivors(len(o.desc.Components), comp, n, func(i int) ([]byte, error) {
 			ci := o.desc.Components[i]
 			if o.mgr.laneUnserviceable(o.desc.Logical, i, ci.Object) {
-				return fmt.Errorf("%w: survivor %d also awaits repair", ErrDegraded, i)
+				return nil, fmt.Errorf("%w: survivor %d also awaits repair", ErrDegraded, i)
 			}
 			p, e := o.readDirect(ctx, i, off, n)
 			o.mgr.reportDrive(ci.Drive, e)
-			if e != nil {
-				return e
-			}
-			parts[i] = pad(p, n)
-			return nil
-		}); rerr != nil {
+			return p, e
+		})
+		if rerr != nil {
 			return nil, fmt.Errorf("%w: second failure during reconstruction: %v (first: %v)", ErrDegraded, rerr, err)
-		}
-		acc := make([]byte, n)
-		for _, p := range parts {
-			for j := range p {
-				acc[j] ^= p[j]
-			}
 		}
 		return acc, nil
 	default:
@@ -415,143 +397,92 @@ func (o *Object) WriteAt(ctx context.Context, off uint64, data []byte) error {
 	return nil
 }
 
-// writeMirror writes all replicas in parallel. A replica that fails
-// (or is refused by its breaker) degrades the write rather than
-// failing it: the data is durable on the surviving replicas and the
-// skipped one enters the repair ledger so ReplaceComponent can rebuild
-// it later.
-func (o *Object) writeMirror(ctx context.Context, off uint64, data []byte) error {
-	o.mgr.tel.writeFanout.Observe(int64(len(o.desc.Components)))
-	var wg sync.WaitGroup
-	errs := make([]error, len(o.desc.Components))
-	for i, c := range o.desc.Components {
-		wg.Add(1)
-		go func(i int, c Component) {
-			defer wg.Done()
-			lctx, lsp := o.mgr.spans.StartSpan(ctx, "cheops.write.leg")
-			lsp.Annotate("drive", strconv.Itoa(c.Drive))
-			defer lsp.End()
-			errs[i] = o.writeLeg(lctx, i, off, data)
-			if errs[i] != nil {
-				lsp.Annotate("error", errs[i].Error())
-			}
-		}(i, c)
-	}
-	wg.Wait()
+// writeSpans sends each span's slice of data to its component, all
+// legs concurrently, and returns the legs' errors indexed like spans.
+func (o *Object) writeSpans(ctx context.Context, spans []span, data []byte) []error {
+	o.mgr.tel.writeFanout.Observe(int64(len(spans)))
+	return o.eachLeg(ctx, "cheops.write.leg", spans, func(lctx context.Context, sp span) error {
+		return o.writeLeg(lctx, sp.comp, sp.compOff, data[sp.bufOff:sp.bufOff+sp.n])
+	})
+}
+
+// settle turns the leg errors of one redundant write into its result;
+// errs[i] is the leg that wrote component legs[i].comp. A leg that fails
+// (or is refused by its breaker) while another lands degrades the write
+// rather than failing it: the data is durable on the surviving lanes
+// and the skipped one enters the repair ledger so ReplaceComponent can
+// rebuild it later. That holds whatever the cause, residual overload
+// included: a lane skipped while its siblings committed is stale, and
+// out of the ledger it would serve old bytes later. When every leg was
+// shed nothing was written and the lanes are still mutually
+// consistent, so the typed retryable error surfaces with no ledger
+// entry; any other total failure loses the update.
+func (o *Object) settle(ctx context.Context, legs []span, errs []error) error {
 	if err := ctx.Err(); err != nil {
 		return err // the caller's cancellation, not drive failures
 	}
-	ok := 0
-	var firstErr error
-	allOverload := true
+	failed, shed := 0, 0
 	for _, e := range errs {
 		if e == nil {
-			ok++
-			allOverload = false
-		} else {
-			if firstErr == nil {
-				firstErr = e
+			continue
+		}
+		failed++
+		if out, _ := client.Classify(e); out == client.Shed {
+			shed++
+		}
+	}
+	switch {
+	case failed < len(errs):
+		for i, e := range errs {
+			if e != nil {
+				o.mgr.noteDegradedWrite(o.desc.Logical, legs[i].comp, e)
 			}
-			if !errors.Is(e, client.ErrOverloaded) {
-				allOverload = false
-			}
 		}
+		return nil
+	case shed == failed:
+		return firstError(errs)
 	}
-	if ok == 0 {
-		if allOverload {
-			// Every replica shed after pacing: nothing was written, the
-			// mirrors are still mutually consistent, and the rejection
-			// is typed retryable. Surfacing it (instead of ErrDegraded)
-			// keeps shed traffic out of the repair ledger entirely.
-			return firstErr
-		}
-		return fmt.Errorf("%w: every mirror write failed: %v", ErrDegraded, firstErr)
-	}
-	for i, e := range errs {
-		if e != nil {
-			// A lane skipped while its siblings committed is stale no
-			// matter why it was skipped — even residual overload after
-			// the pacing loop must enter the ledger, or the replica
-			// would serve old bytes later. The breaker still never sees
-			// it (reportDrive classified the reply as alive).
-			o.mgr.noteDegradedWrite(o.desc.Logical, i, e)
-		}
-	}
-	return nil
+	return fmt.Errorf("%w: every leg of the write failed: %v", ErrDegraded, firstError(errs))
 }
 
+// writeMirror writes all replicas in parallel.
+func (o *Object) writeMirror(ctx context.Context, off uint64, data []byte) error {
+	legs := make([]span, len(o.desc.Components))
+	for i := range legs {
+		legs[i] = span{comp: i, compOff: off, n: len(data)}
+	}
+	return o.settle(ctx, legs, o.writeSpans(ctx, legs, data))
+}
+
+// writeStripe0 has no redundancy to degrade into: a failed leg fails
+// the write, but still feeds the drive's breaker.
 func (o *Object) writeStripe0(ctx context.Context, off uint64, data []byte) error {
-	type span struct {
-		comp    int
-		compOff int64
-		start   int
-		n       int
-	}
-	var spans []span
-	for done := 0; done < len(data); {
-		comp, compOff, run, _ := o.locate(int64(off) + int64(done))
-		chunk := len(data) - done
-		if int64(chunk) > run {
-			chunk = int(run)
-		}
-		spans = append(spans, span{comp, compOff, done, chunk})
-		done += chunk
-	}
-	o.mgr.tel.writeFanout.Observe(int64(len(spans)))
-	var wg sync.WaitGroup
-	errs := make([]error, len(spans))
-	for i, sp := range spans {
-		wg.Add(1)
-		go func(i int, sp span) {
-			defer wg.Done()
-			c := o.desc.Components[sp.comp]
-			lctx, lsp := o.mgr.spans.StartSpan(ctx, "cheops.write.leg")
-			lsp.Annotate("drive", strconv.Itoa(c.Drive))
-			lsp.Annotate("off", strconv.FormatInt(sp.compOff, 10))
-			lsp.Annotate("len", strconv.Itoa(sp.n))
-			defer lsp.End()
-			// Stripe0 has no redundancy to degrade into: a failed leg
-			// fails the write, but still feeds the drive's breaker.
-			errs[i] = o.writeLeg(lctx, sp.comp, uint64(sp.compOff), data[sp.start:sp.start+sp.n])
-		}(i, sp)
-	}
-	wg.Wait()
-	for _, e := range errs {
-		if e != nil {
-			return e
-		}
-	}
-	return nil
+	return firstError(o.writeSpans(ctx, o.plan(off, len(data)), data))
 }
 
 // writeRAID5 performs parity-consistent writes one stripe unit at a
 // time using read-modify-write (small-write) updates, serialized per
 // stripe through the manager's lock service.
 func (o *Object) writeRAID5(ctx context.Context, off uint64, data []byte) error {
-	for done := 0; done < len(data); {
-		comp, compOff, run, stripe := o.locate(int64(off) + int64(done))
-		chunk := len(data) - done
-		if int64(chunk) > run {
-			chunk = int(run)
-		}
-		if err := o.rmwRAID5(ctx, comp, uint64(compOff), stripe, data[done:done+chunk]); err != nil {
+	for _, sp := range o.plan(off, len(data)) {
+		if err := o.rmwRAID5(ctx, sp, data[sp.bufOff:sp.bufOff+sp.n]); err != nil {
 			return err
 		}
-		done += chunk
 	}
 	return nil
 }
 
-func (o *Object) rmwRAID5(ctx context.Context, comp int, compOff uint64, stripe int64, chunk []byte) error {
+func (o *Object) rmwRAID5(ctx context.Context, sp span, chunk []byte) error {
 	o.mgr.tel.rmwWrites.Inc()
 	ctx, rsp := o.mgr.spans.StartSpan(ctx, "cheops.rmw")
-	rsp.Annotate("stripe", strconv.FormatInt(stripe, 10))
+	rsp.Annotate("stripe", strconv.FormatInt(sp.stripe, 10))
 	defer rsp.End()
-	o.mgr.LockStripe(o.desc.Logical, stripe)
-	defer o.mgr.UnlockStripe(o.desc.Logical, stripe)
+	o.mgr.LockStripe(o.desc.Logical, sp.stripe)
+	defer o.mgr.UnlockStripe(o.desc.Logical, sp.stripe)
 
-	parity := o.parityIndex(stripe)
-	n := len(chunk)
+	// Leg 0 is the data component, leg 1 the stripe's parity.
+	legs := []span{sp, sp}
+	legs[1].comp = o.parityIndex(sp.stripe)
 
 	// Read old data and old parity in parallel (missing regions read as
 	// zeros) — the two drives seek concurrently, halving the small-write
@@ -559,29 +490,17 @@ func (o *Object) rmwRAID5(ctx context.Context, comp int, compOff uint64, stripe 
 	// failed or stale lane is served by reconstruction: xor of the
 	// other lanes recovers a data lane and parity alike, which is what
 	// keeps RMW possible with one bad component.
-	var oldData, oldPar []byte
-	if err := eachDrive(2, func(i int) error {
-		if i == 0 {
-			d, err := o.readComponent(ctx, comp, compOff, n, stripe)
-			if err != nil {
-				return err
-			}
-			oldData = d
-			return nil
-		}
-		p, err := o.readComponent(ctx, parity, compOff, n, stripe)
-		if err != nil {
-			return err
-		}
-		oldPar = p
-		return nil
+	var old [2][]byte
+	if err := eachDrive(2, func(i int) (err error) {
+		old[i], err = o.readComponent(ctx, legs[i].comp, sp.compOff, sp.n, sp.stripe)
+		return err
 	}); err != nil {
 		return err
 	}
 
-	newPar := make([]byte, n)
-	for i := 0; i < n; i++ {
-		newPar[i] = oldPar[i] ^ oldData[i] ^ chunk[i]
+	newPar := make([]byte, sp.n)
+	for i := range newPar {
+		newPar[i] = old[1][i] ^ old[0][i] ^ chunk[i]
 	}
 	// Data and parity land in parallel too; the stripe lock keeps the
 	// pair atomic with respect to other writers of this stripe. One
@@ -589,37 +508,12 @@ func (o *Object) rmwRAID5(ctx context.Context, comp int, compOff uint64, stripe 
 	// newPar = oldPar ^ oldData ^ chunk, reconstruction of a skipped
 	// data lane from the surviving lanes yields exactly chunk, so the
 	// stripe stays logically consistent while the skipped component
-	// waits in the repair ledger. Both legs failing loses the update.
+	// waits in the repair ledger.
+	bufs := [2][]byte{chunk, newPar}
 	werrs := make([]error, 2)
 	_ = eachDrive(2, func(i int) error {
-		if i == 0 {
-			werrs[0] = o.writeLeg(ctx, comp, compOff, chunk)
-		} else {
-			werrs[1] = o.writeLeg(ctx, parity, compOff, newPar)
-		}
+		werrs[i] = o.writeLeg(ctx, legs[i].comp, sp.compOff, bufs[i])
 		return nil
 	})
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if werrs[0] != nil && werrs[1] != nil {
-		if errors.Is(werrs[0], client.ErrOverloaded) && errors.Is(werrs[1], client.ErrOverloaded) {
-			// Both legs shed after pacing: neither data nor parity was
-			// touched, so the stripe still holds its old, consistent
-			// contents. Surface the typed retryable error — no ledger
-			// entry, no lost-update ErrDegraded.
-			return werrs[0]
-		}
-		return fmt.Errorf("%w: stripe %d data and parity writes both failed: %v", ErrDegraded, stripe, werrs[0])
-	}
-	for i, e := range werrs {
-		if e != nil {
-			idx := comp
-			if i == 1 {
-				idx = parity
-			}
-			o.mgr.noteDegradedWrite(o.desc.Logical, idx, e)
-		}
-	}
-	return nil
+	return o.settle(ctx, legs, werrs)
 }

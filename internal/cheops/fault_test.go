@@ -89,7 +89,7 @@ func TestChaosSeverReviveRepair(t *testing.T) {
 	// Threshold 1: with a single object, the victim's lane enters the
 	// repair ledger on its first failed write and all later traffic
 	// skips the lane, so the breaker sees few failures. A fleet of
-	// objects (the nasdbench -chaos soak) trips the default threshold.
+	// objects (the nasdbench -workload chaos soak) trips the default threshold.
 	r := newFaultRig(t, 4, ManagerConfig{FailThreshold: 1})
 	id, err := r.mgr.Create(testCtx, RAID5, 16<<10, 4, 0)
 	if err != nil {

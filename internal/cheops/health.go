@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"nasd/internal/client"
-	"nasd/internal/rpc"
 	"nasd/internal/telemetry"
 )
 
@@ -161,35 +160,30 @@ func (m *Manager) allowDrive(i int) bool {
 	return m.health[i].Allow()
 }
 
-// reportDrive feeds one leg outcome into drive i's breaker. A reply
-// from the drive — even a rejection — proves it alive; only transport
-// failures and timeouts count against it. Cancellation by the caller
-// says nothing about the drive and records nothing.
+// reportDrive feeds one leg's result into drive i's breaker, by its
+// client.Outcome. A reply from the drive — even a rejection — proves it
+// alive; only transport failures and timeouts count against it.
+// Cancellation by the caller says nothing about the drive and records
+// nothing.
 func (m *Manager) reportDrive(i int, err error) {
 	if i < 0 || i >= len(m.health) {
 		return
 	}
-	if err == nil {
+	switch out, _ := client.Classify(err); out {
+	case client.Shed:
+		// A shed reply is the drive's overload plane working as
+		// designed, and counting it toward failure would open breakers
+		// under exactly the load spikes shedding exists to ride out —
+		// turning a busy drive into a "failed" one and dogpiling its
+		// stripe-mates.
+		m.tel.backpressure.Inc()
 		m.health[i].Success()
-		return
-	}
-	var re *client.RemoteError
-	if errors.As(err, &re) {
-		// Backpressure gets its own classification: a StatusRetryLater
-		// reply is the drive's overload plane working as designed, and
-		// counting it toward failure would open breakers under exactly
-		// the load spikes shedding exists to ride out — turning a busy
-		// drive into a "failed" one and dogpiling its stripe-mates.
-		if re.Status == rpc.StatusRetryLater {
-			m.tel.backpressure.Inc()
-		}
+	case client.Answered:
 		m.health[i].Success()
-		return
+	case client.Canceled:
+	default:
+		m.health[i].Failure()
 	}
-	if errors.Is(err, context.Canceled) {
-		return
-	}
-	m.health[i].Failure()
 }
 
 // noteRepair logs that component comp of logical is stale, reporting

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"nasd/internal/bufpool"
 	"nasd/internal/capability"
 	"nasd/internal/crypt"
 	"nasd/internal/object"
@@ -72,5 +73,57 @@ func TestNeedlePartitionOverWire(t *testing.T) {
 	}
 	if _, err := r.cli.Read(testCtx, &rwCap, 1, id, 0, 4); !errors.Is(err, ErrAuth) {
 		t.Fatalf("read with revoked capability on needle partition: %v", err)
+	}
+}
+
+// TestNeedleWholeObjectReadRecyclesBuffer: a whole-object needle read
+// verifies the record checksum and returns the payload out of the
+// pooled record buffer. The drive recycles that buffer once the reply
+// is sent, which bufpool accepts only if the slice still spans a whole
+// size class, so the pool's outstanding count must not climb with the
+// number of reads.
+func TestNeedleWholeObjectReadRecyclesBuffer(t *testing.T) {
+	r := newRig(t, false)
+	err := r.cli.CreatePartitionBackend(testCtx, crypt.KeyID{Type: crypt.MasterKey},
+		r.master, 1, 0, object.BackendNeedle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nocap := &capability.Capability{}
+	id, err := r.cli.Create(testCtx, nocap, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([]byte, 4096)
+	for i := range data {
+		data[i] = byte(i*31 + 7)
+	}
+	if err := r.cli.Write(testCtx, nocap, 1, id, 0, data); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.cli.Flush(testCtx); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(data))
+	read := func() {
+		t.Helper()
+		n, err := r.cli.ReadInto(testCtx, nocap, 1, id, 0, got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != len(data) || !bytes.Equal(got, data) {
+			t.Fatal("whole-object needle read returned different bytes")
+		}
+	}
+	read() // warm the pool's size classes
+	const reads = 1000
+	before := bufpool.Outstanding()
+	for i := 0; i < reads; i++ {
+		read()
+	}
+	// The pool is process-wide and the server recycles a reply's buffer
+	// just after the client sees the reply, so allow a few in flight.
+	if grew := bufpool.Outstanding() - before; grew > 16 {
+		t.Fatalf("bufpool.Outstanding grew by %d over %d whole-object needle reads", grew, reads)
 	}
 }

@@ -17,7 +17,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -174,13 +173,11 @@ type Drive struct {
 	window   int
 	retry    RetryPolicy
 	budget   *retryBudget
-	rngMu    sync.Mutex
-	rng      *rand.Rand // backoff jitter; seeded per handle for determinism
 	reg      *telemetry.Registry
 	spans    *telemetry.SpanLog
 	signers  *crypt.DigestCache[crypt.Key, *crypt.Signer]
 
-	retries       *telemetry.Counter // requests or fragments re-issued after transient failures
+	retries       *telemetry.Counter // requests re-issued by do()
 	reconnects    *telemetry.Counter // replacement connections dialed
 	exhausted     *telemetry.Counter // retries abandoned: budget empty
 	backpressured *telemetry.Counter // hinted waits after StatusRetryLater
@@ -209,7 +206,6 @@ func New(conn rpc.Conn, driveID, clientID uint64, opts ...Option) *Drive {
 		d.spans = telemetry.ProcessSpans
 	}
 	d.budget = newRetryBudget(d.retry.Budget)
-	d.rng = seedRNG(driveID, clientID)
 	d.retries = d.reg.Counter("client.retries")
 	d.reconnects = d.reg.Counter("client.reconnects")
 	d.exhausted = d.reg.Counter("client.retries_exhausted")
@@ -270,7 +266,6 @@ func (d *Drive) do(ctx context.Context, op drive.Op, sign func(*rpc.Request), ar
 	var lastGen uint64
 	for attempt := 0; ; attempt++ {
 		rep, gen, err := d.attempt(ctx, op, sign, args, data)
-		lastGen = gen
 		if err == nil {
 			d.budget.refund()
 			if attempt > 0 {
@@ -278,26 +273,24 @@ func (d *Drive) do(ctx context.Context, op drive.Op, sign func(*rpc.Request), ar
 			}
 			return rep, nil
 		}
-		lastErr = err
-		mode := d.retryMode(ctx, op, err)
-		if mode == retryNo || attempt+1 >= d.retry.MaxAttempts {
+		lastErr, lastGen = err, gen
+		out, hint := Classify(err)
+		if !d.reissuable(ctx, op, out, err) || attempt+1 >= d.retry.MaxAttempts {
 			break
 		}
-		// Backpressure (StatusRetryLater) is pacing, not failure: the
-		// drive told this client when to come back, so honoring the
-		// hint does not spend retry-budget tokens — the budget guards
-		// against retry amplification toward a *failing* drive, and an
-		// overloaded drive sheds precisely so that retries stay cheap.
-		// MaxAttempts and the caller's deadline still bound the loop.
-		var hint time.Duration
-		if re := (*RemoteError)(nil); errors.As(err, &re) && re.Status == rpc.StatusRetryLater {
-			hint = re.RetryAfter
+		// A shed request is pacing, not failure: the drive told this
+		// client when to come back, so honoring the hint does not spend
+		// retry-budget tokens — the budget guards against retry
+		// amplification toward a *failing* drive, and an overloaded
+		// drive sheds precisely so that retries stay cheap. MaxAttempts
+		// and the caller's deadline still bound the loop.
+		if out == Shed {
 			d.backpressured.Inc()
 		} else if !d.budget.take() {
 			d.exhausted.Inc()
 			break
 		}
-		if mode == retryReconnect {
+		if out == NeverSent || out == Lost {
 			if rerr := d.reconnect(gen); rerr != nil {
 				// Unreachable right now; keep the dial error, back
 				// off, and let the next attempt trigger another dial.
@@ -306,7 +299,7 @@ func (d *Drive) do(ctx context.Context, op drive.Op, sign func(*rpc.Request), ar
 		}
 		d.retries.Inc()
 		sp.Annotate("retry", fmt.Sprintf("%d: %v", attempt+1, err))
-		if serr := d.backoff(ctx, attempt, hint); serr != nil {
+		if serr := d.retry.Pause(ctx, attempt, hint); serr != nil {
 			lastErr = fmt.Errorf("%w; last error: %v", serr, lastErr)
 			break
 		}
@@ -314,18 +307,17 @@ func (d *Drive) do(ctx context.Context, op drive.Op, sign func(*rpc.Request), ar
 	var re *RemoteError
 	if errors.As(lastErr, &re) {
 		sp.Annotate("status", re.Status.String())
-	} else {
-		sp.Annotate("error", lastErr.Error())
-		// A transport failure leaves the handle holding a dead
-		// connection. Even when this request cannot be reissued (the op
-		// is non-idempotent, or attempts ran out), repair the
-		// connection now so later requests don't inherit the corpse —
-		// without this, a severed connection would poison every
-		// subsequent create/remove on the handle forever.
-		if d.dial != nil && !errors.Is(lastErr, context.Canceled) &&
-			!errors.Is(lastErr, context.DeadlineExceeded) {
-			_ = d.reconnect(lastGen)
-		}
+		return nil, lastErr
+	}
+	sp.Annotate("error", lastErr.Error())
+	// A transport failure leaves the handle holding a dead connection.
+	// Even when this request cannot be reissued (the op is
+	// non-idempotent, or attempts ran out), repair the connection now
+	// so later requests don't inherit the corpse — without this, a
+	// severed connection would poison every subsequent create/remove
+	// on the handle forever.
+	if out, _ := Classify(lastErr); d.dial != nil && (out == Lost || out == NeverSent) {
+		_ = d.reconnect(lastGen)
 	}
 	return nil, lastErr
 }

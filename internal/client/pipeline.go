@@ -2,12 +2,10 @@ package client
 
 import (
 	"context"
-	"errors"
 	"strconv"
 	"sync"
 
 	"nasd/internal/capability"
-	"nasd/internal/rpc"
 )
 
 // This file implements striped-transfer pipelining over the multiplexed
@@ -15,27 +13,9 @@ import (
 // to window fragments are kept in flight at once, so the drive's media
 // transfer overlaps the SAN transfer of neighbouring fragments (the
 // Zebra-style pipelined stripe access the paper's Figure 9 workload
-// depends on). Fragments that fail with a transient drive error are
-// re-issued once; re-issues are visible in Stats().Retries.
-
-// transient reports whether a fragment failure is worth one retry:
-// generic drive errors may be momentary (cache pressure, write-behind
-// stalls), while auth failures, replays, missing objects, and quota
-// rejections name permanent conditions. Transport errors are
-// retryable when the handle has a dialer: fragments are idempotent
-// byte-range ops, and do() reconnects before reissuing — so a link
-// severed mid-window resumes from the unacked fragments instead of
-// killing the whole transfer.
-func (d *Drive) transient(err error) bool {
-	var re *RemoteError
-	if errors.As(err, &re) {
-		return re.Status == rpc.StatusError
-	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return false // the caller's context, not the link
-	}
-	return d.dial != nil
-}
+// depends on). A fragment is one Read or Write, so it is reissued by
+// do() under the handle's retry policy and budget and nowhere else;
+// reissues count in the client.retries counter.
 
 // fragPlan describes one fragment of a pipelined transfer.
 type fragPlan struct {
@@ -58,14 +38,22 @@ func planFragments(off uint64, n, fragSize int) []fragPlan {
 	return frags
 }
 
-// runWindowed executes op over frags with at most window in flight,
+// runWindowed executes op over frags with at most d.window in flight,
 // canceling the remainder after the first failure. It returns the first
 // real (non-cancellation) error, or ctx's error if the caller canceled.
-func (d *Drive) runWindowed(ctx context.Context, frags []fragPlan, window int, op func(ctx context.Context, f fragPlan) error) error {
+// The window gets a parent span called name; each fragment's request
+// opens a child via ctx, so the timeline shows the fragments
+// overlapping in flight.
+func (d *Drive) runWindowed(ctx context.Context, name string, frags []fragPlan, bytes int, op func(ctx context.Context, f fragPlan) error) error {
+	ctx, sp := d.spans.StartSpan(ctx, name)
+	sp.Annotate("frags", strconv.Itoa(len(frags)))
+	sp.Annotate("window", strconv.Itoa(d.window))
+	sp.Annotate("bytes", strconv.Itoa(bytes))
+	defer sp.End()
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	errs := make([]error, len(frags))
-	sem := make(chan struct{}, window)
+	sem := make(chan struct{}, d.window)
 	var wg sync.WaitGroup
 	for _, f := range frags {
 		if cctx.Err() != nil {
@@ -76,12 +64,7 @@ func (d *Drive) runWindowed(ctx context.Context, frags []fragPlan, window int, o
 		go func(f fragPlan) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			err := op(cctx, f)
-			if err != nil && d.transient(err) && cctx.Err() == nil {
-				d.retries.Inc()
-				err = op(cctx, f)
-			}
-			if err != nil {
+			if err := op(cctx, f); err != nil {
 				errs[f.index] = err
 				cancel()
 			}
@@ -93,7 +76,7 @@ func (d *Drive) runWindowed(ctx context.Context, frags []fragPlan, window int, o
 		if err == nil {
 			continue
 		}
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		if out, _ := Classify(err); out == Canceled || out == TimedOut {
 			if firstCancel == nil {
 				firstCancel = err
 			}
@@ -117,15 +100,8 @@ func (d *Drive) ReadPipelined(ctx context.Context, cap *capability.Capability, p
 	}
 	out := make([]byte, n)
 	frags := planFragments(off, n, d.fragSize)
-	// The window gets a parent span; each fragment's Read opens a child
-	// via ctx, so the timeline shows the fragments overlapping in flight.
-	ctx, sp := d.spans.StartSpan(ctx, "client.read_pipelined")
-	sp.Annotate("frags", strconv.Itoa(len(frags)))
-	sp.Annotate("window", strconv.Itoa(d.window))
-	sp.Annotate("bytes", strconv.Itoa(n))
-	defer sp.End()
 	got := make([]int, len(frags))
-	err := d.runWindowed(ctx, frags, d.window, func(cctx context.Context, f fragPlan) error {
+	err := d.runWindowed(ctx, "client.read_pipelined", frags, n, func(cctx context.Context, f fragPlan) error {
 		// ReadInto recycles each fragment's reply frame as soon as its
 		// bytes are copied out, so a deep window cycles a fixed set of
 		// pooled buffers instead of allocating one frame per fragment.
@@ -158,12 +134,7 @@ func (d *Drive) WritePipelined(ctx context.Context, cap *capability.Capability, 
 		return d.Write(ctx, cap, part, obj, off, data)
 	}
 	frags := planFragments(off, len(data), d.fragSize)
-	ctx, sp := d.spans.StartSpan(ctx, "client.write_pipelined")
-	sp.Annotate("frags", strconv.Itoa(len(frags)))
-	sp.Annotate("window", strconv.Itoa(d.window))
-	sp.Annotate("bytes", strconv.Itoa(len(data)))
-	defer sp.End()
-	return d.runWindowed(ctx, frags, d.window, func(cctx context.Context, f fragPlan) error {
+	return d.runWindowed(ctx, "client.write_pipelined", frags, len(data), func(cctx context.Context, f fragPlan) error {
 		return d.Write(cctx, cap, part, obj, f.off, data[f.start:f.start+f.n])
 	})
 }

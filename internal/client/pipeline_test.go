@@ -10,6 +10,8 @@ import (
 	"time"
 
 	"nasd/internal/capability"
+	"nasd/internal/drive"
+	"nasd/internal/rpc"
 )
 
 // pipeDrive dials a fresh connection on the rig's listener with small
@@ -209,5 +211,57 @@ func TestPipelinedStatsExposed(t *testing.T) {
 	}
 	if n := st.Counters["client.retries"]; n != 0 {
 		t.Fatalf("unexpected retries on healthy drive: %d", n)
+	}
+}
+
+// countingFailHandler answers every request StatusError and counts
+// the requests it saw per object offset, i.e. per fragment.
+type countingFailHandler struct {
+	mu    sync.Mutex
+	sends map[uint64]int
+}
+
+func (h *countingFailHandler) Handle(req *rpc.Request) *rpc.Reply {
+	if a, err := drive.DecodeReadArgs(req.Args); err == nil {
+		h.mu.Lock()
+		h.sends[a.Offset]++
+		h.mu.Unlock()
+	}
+	return &rpc.Reply{MsgID: req.MsgID, Status: rpc.StatusError, Msg: "always failing"}
+}
+
+// TestPipelinedFragmentSendsBoundedByMaxAttempts: a fragment is
+// reissued by do() alone, so a handle with MaxAttempts N sends a
+// failing fragment at most N times (a second, blind reissue in the
+// window runner used to make that 2N).
+func TestPipelinedFragmentSendsBoundedByMaxAttempts(t *testing.T) {
+	const attempts = 3
+	h := &countingFailHandler{sends: make(map[uint64]int)}
+	srv := rpc.NewServer(h)
+	defer srv.Close()
+	l := rpc.NewInProcListener("always-failing")
+	go srv.Serve(l)
+	conn, err := l.Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli := New(conn, 7, 1, WithSecurity(false), WithFragmentSize(4<<10), WithWindow(4),
+		WithRetry(RetryPolicy{MaxAttempts: attempts, BaseBackoff: time.Millisecond}))
+	defer cli.Close()
+
+	_, err = cli.ReadPipelined(testCtx, nil, 1, 1, 0, 32<<10)
+	var re *RemoteError
+	if !errors.As(err, &re) || re.Status != rpc.StatusError {
+		t.Fatalf("err = %v, want the remote StatusError", err)
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if len(h.sends) == 0 {
+		t.Fatal("handler saw no fragment")
+	}
+	for off, n := range h.sends {
+		if n > attempts {
+			t.Errorf("fragment at offset %d sent %d times, want at most MaxAttempts = %d", off, n, attempts)
+		}
 	}
 }

@@ -53,9 +53,18 @@ func DefaultRetryPolicy() RetryPolicy {
 }
 
 // WithRetry arms the handle with a retry policy. Zero-valued fields
-// take DefaultRetryPolicy values. Without this option a Drive never
-// retries at the request level (fragment-level pipelining retries
-// still apply).
+// take DefaultRetryPolicy values. do() then reissues a failed request
+// by its Outcome, at most MaxAttempts sends in total, pipelined
+// fragments included:
+//
+//	Answered   only StatusError, same connection; spends a budget token
+//	Shed       any op, after the drive's hint; free of the budget
+//	NeverSent  any op, over a fresh connection (needs WithDialer); token
+//	Lost       idempotent ops, over a fresh connection (WithDialer); token
+//	TimedOut   idempotent ops, same connection; token
+//	Canceled   never
+//
+// Without this option a Drive sends every request exactly once.
 func WithRetry(p RetryPolicy) Option {
 	return func(d *Drive) {
 		def := DefaultRetryPolicy()
@@ -118,18 +127,58 @@ func (b *retryBudget) refund() {
 	b.mu.Unlock()
 }
 
-// retryMode classifies one failure.
-type retryMode int
+// Outcome is what a request's error proves about the drive and about
+// whether the request ran. Classify is the one place the client plane
+// (this package and cheops) reads an error for that purpose: the retry
+// loop, the Cheops breakers, leg pacing, degraded reads and write
+// settlement all act on the Outcome. DESIGN.md §6 has the full table.
+type Outcome int
 
 const (
-	retryNo        retryMode = iota // surface the error
-	retrySame                       // reissue on the current connection
-	retryReconnect                  // dial a fresh connection, then reissue
+	// Answered: the drive replied (no error, or a RemoteError other
+	// than retry-later). It is alive and the request ran exactly once.
+	Answered Outcome = iota
+	// Shed: the drive replied StatusRetryLater before executing. It is
+	// alive and the request never ran.
+	Shed
+	// NeverSent: the transport failed before the request left the
+	// client, so the drive never saw it.
+	NeverSent
+	// Lost: the transport failed with the request or its reply in
+	// flight. Whether the request ran is unknown.
+	Lost
+	// TimedOut: a deadline passed with the request outstanding. Fate
+	// unknown like Lost, but the connection is not known to be dead.
+	TimedOut
+	// Canceled: the caller gave up. It says nothing about the drive.
+	Canceled
 )
 
+// Classify maps err, wrapped or not, to its Outcome. The duration is
+// the drive's retry-after hint, nonzero only for Shed.
+func Classify(err error) (Outcome, time.Duration) {
+	if err == nil {
+		return Answered, 0 // before re, which errors.As moves to the heap
+	}
+	var re *RemoteError
+	switch {
+	case errors.As(err, &re):
+		if re.Status == rpc.StatusRetryLater {
+			return Shed, re.RetryAfter
+		}
+		return Answered, 0
+	case errors.Is(err, context.DeadlineExceeded):
+		return TimedOut, 0
+	case errors.Is(err, context.Canceled):
+		return Canceled, 0
+	case errors.Is(err, rpc.ErrNotSent):
+		return NeverSent, 0
+	}
+	return Lost, 0
+}
+
 // idempotent reports whether op may be safely re-executed when the
-// first attempt's fate is unknown (transport died or the attempt timed
-// out after the request may have reached the drive). NASD reads and
+// first attempt's fate is unknown (Lost or TimedOut). NASD reads and
 // writes address absolute byte ranges under a capability, so repeating
 // one is a no-op; allocation ops (create, version, bump) and removes
 // change outcome on re-execution and must not be blind-retried.
@@ -143,79 +192,53 @@ func idempotent(op drive.Op) bool {
 	return false
 }
 
-// retryMode classifies err from an attempt of op. ctx is the caller's
-// context (not the per-attempt one).
-func (d *Drive) retryMode(ctx context.Context, op drive.Op, err error) retryMode {
-	if d.retry.MaxAttempts <= 1 {
-		return retryNo
+// reissuable reports whether op may be sent again after an attempt
+// that ended in out (the classification of err): the WithRetry table.
+// ctx is the caller's context, not the per-attempt one: nothing is
+// retried past it. After NeverSent or Lost the connection is dead, so
+// the reissue goes over a fresh one.
+func (d *Drive) reissuable(ctx context.Context, op drive.Op, out Outcome, err error) bool {
+	if d.retry.MaxAttempts <= 1 || ctx.Err() != nil {
+		return false
 	}
-	if ctx.Err() != nil {
-		// The caller's deadline or cancellation: never retry past it.
-		return retryNo
+	switch out {
+	case Answered:
+		// Only generic drive errors (momentary media or resource
+		// conditions) are worth retrying; auth, replay, expiry,
+		// not-found and quota rejections are deterministic.
+		var re *RemoteError
+		return errors.As(err, &re) && re.Status == rpc.StatusError
+	case Shed:
+		return true
+	case TimedOut:
+		return idempotent(op)
+	case NeverSent:
+		return d.dial != nil
+	case Lost:
+		return d.dial != nil && idempotent(op)
 	}
-	var re *RemoteError
-	if errors.As(err, &re) {
-		// The drive answered, so the connection is healthy and the
-		// request demonstrably executed exactly once. Only generic
-		// drive errors (momentary media or resource conditions) are
-		// worth retrying; auth, replay, expiry, not-found, and quota
-		// rejections are deterministic.
-		if re.Status == rpc.StatusError {
-			return retrySame
-		}
-		// Backpressure: the drive shed the request before executing
-		// it, so even non-idempotent ops (create, remove, version)
-		// reissue safely — there is no first execution to collide
-		// with. do() paces the reissue by the reply's hint.
-		if re.Status == rpc.StatusRetryLater {
-			return retrySame
-		}
-		return retryNo
-	}
-	if errors.Is(err, context.DeadlineExceeded) {
-		// The per-attempt timeout fired (the caller's context is
-		// still live, checked above): the request or its reply was
-		// lost. Reissuing is safe only for idempotent ops.
-		if idempotent(op) {
-			return retrySame
-		}
-		return retryNo
-	}
-	if errors.Is(err, context.Canceled) {
-		return retryNo
-	}
-	// Transport failure. When the failure happened before the request
-	// left the client (rpc.ErrNotSent), the drive demonstrably never
-	// saw it and any op may be reissued; otherwise the attempt's fate
-	// is unknown and only idempotent ops are safe.
-	if d.dial != nil && (idempotent(op) || errors.Is(err, rpc.ErrNotSent)) {
-		return retryReconnect
-	}
-	return retryNo
+	return false
 }
 
-// backoff sleeps before the given retry attempt, scoped to ctx: it
-// returns ctx.Err() instead of sleeping past the caller's deadline.
-// With hint > 0 (a drive retry-after hint) the sleep is the hint plus
-// up to 25% jitter — the drive knows when it will have room, and
-// synchronized client herds re-arriving exactly at the hint would
-// recreate the overload it shed to escape. With no hint the delay is
-// the jittered exponential schedule.
-func (d *Drive) backoff(ctx context.Context, attempt int, hint time.Duration) error {
+// Pause sleeps before retry number attempt (0 = the first), scoped to
+// ctx: it returns ctx's error instead of sleeping past the caller's
+// deadline. It is the one timer of the client plane; do() and the
+// Cheops leg runner both wait here. With hint > 0 (a drive retry-after
+// hint) the sleep is the hint plus up to 25% jitter — the drive knows
+// when it will have room, and synchronized client herds re-arriving
+// exactly at the hint would recreate the overload it shed to escape.
+// With no hint the delay is the jittered exponential schedule.
+func (p RetryPolicy) Pause(ctx context.Context, attempt int, hint time.Duration) error {
 	var delay time.Duration
 	if hint > 0 {
-		d.rngMu.Lock()
-		delay = hint + time.Duration(d.rng.Int63n(int64(hint/4)+1))
-		d.rngMu.Unlock()
+		delay = hint + time.Duration(rand.Int63n(int64(hint/4)+1))
 	} else {
-		delay = d.retry.BaseBackoff << uint(attempt)
-		if delay <= 0 || delay > d.retry.MaxBackoff {
-			delay = d.retry.MaxBackoff
+		delay = p.BaseBackoff << uint(attempt)
+		if delay <= 0 || delay > p.MaxBackoff {
+			delay = p.MaxBackoff
 		}
 		// Full jitter over the upper half: [delay/2, delay).
-		d.rngMu.Lock()
-		delay = delay/2 + time.Duration(d.rng.Int63n(int64(delay/2)+1))
-		d.rngMu.Unlock()
+		delay = delay/2 + time.Duration(rand.Int63n(int64(delay/2)+1))
 	}
 	if dl, ok := ctx.Deadline(); ok {
 		if remain := time.Until(dl); remain < delay {
@@ -229,13 +252,9 @@ func (d *Drive) backoff(ctx context.Context, attempt int, hint time.Duration) er
 	defer t.Stop()
 	select {
 	case <-ctx.Done():
-		return ctx.Err()
 	case <-t.C:
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		return nil
 	}
+	return ctx.Err()
 }
 
 // client returns the current RPC client and its generation. The
@@ -269,9 +288,4 @@ func (d *Drive) reconnect(gen uint64) error {
 	d.gen++
 	d.reconnects.Inc()
 	return nil
-}
-
-// seedRNG builds the deterministic jitter source for a handle.
-func seedRNG(driveID, clientID uint64) *rand.Rand {
-	return rand.New(rand.NewSource(int64(clientID*0x9E3779B9 ^ driveID)))
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"io"
 	"math/rand"
 	"sync/atomic"
 	"testing"
@@ -43,8 +45,8 @@ func newFaultRig(t *testing.T, p RetryPolicy, seed int64) (*testRig, *rpc.Faults
 }
 
 // flakyHandler fails its first n requests with StatusError, then
-// succeeds — the momentary-resource-condition shape retrySame exists
-// for.
+// succeeds — the momentary-resource-condition shape the retry of an
+// Answered request exists for.
 type flakyHandler struct{ remaining atomic.Int32 }
 
 func (h *flakyHandler) Handle(req *rpc.Request) *rpc.Reply {
@@ -315,5 +317,41 @@ func TestExpiredCapabilityTyped(t *testing.T) {
 	var re *RemoteError
 	if !errors.As(err, &re) || re.Status != rpc.StatusCapExpired {
 		t.Fatalf("err = %v, want StatusCapExpired on the wire", err)
+	}
+}
+
+// TestClassify pins the one outcome table: every error shape a request
+// can end in, bare and wrapped, maps to the Outcome the retry loop and
+// the Cheops health plane act on.
+func TestClassify(t *testing.T) {
+	shed := &RemoteError{Status: rpc.StatusRetryLater, RetryAfter: 7 * time.Millisecond}
+	cases := []struct {
+		name string
+		err  error
+		want Outcome
+		hint time.Duration
+	}{
+		{"nil", nil, Answered, 0},
+		{"status error", &RemoteError{Status: rpc.StatusError}, Answered, 0},
+		{"auth failure", &RemoteError{Status: rpc.StatusAuthFailure}, Answered, 0},
+		{"cap expired wrapped", fmt.Errorf("leg 2: %w", &RemoteError{Status: rpc.StatusCapExpired}), Answered, 0},
+		{"shed", shed, Shed, 7 * time.Millisecond},
+		{"shed wrapped", fmt.Errorf("leg 1: %w", shed), Shed, 7 * time.Millisecond},
+		{"shed without hint", &RemoteError{Status: rpc.StatusRetryLater}, Shed, 0},
+		{"never sent", fmt.Errorf("%w: %w", rpc.ErrNotSent, rpc.ErrClosed), NeverSent, 0},
+		{"never sent wrapped", fmt.Errorf("client: reconnect: %w", fmt.Errorf("%w: %w", rpc.ErrNotSent, io.EOF)), NeverSent, 0},
+		{"connection closed", rpc.ErrClosed, Lost, 0},
+		{"read error", io.ErrUnexpectedEOF, Lost, 0},
+		{"no dialer", ErrNoDialer, Lost, 0},
+		{"attempt timeout", context.DeadlineExceeded, TimedOut, 0},
+		{"pause cut short", fmt.Errorf("%w; last error: %v", context.DeadlineExceeded, shed), TimedOut, 0},
+		{"canceled", context.Canceled, Canceled, 0},
+		{"canceled wrapped", fmt.Errorf("%w; last error: %v", context.Canceled, rpc.ErrClosed), Canceled, 0},
+	}
+	for _, c := range cases {
+		got, hint := Classify(c.err)
+		if got != c.want || hint != c.hint {
+			t.Errorf("%s: Classify = (%v, %v), want (%v, %v)", c.name, got, hint, c.want, c.hint)
+		}
 	}
 }

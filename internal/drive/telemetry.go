@@ -24,9 +24,9 @@ import (
 // busy-time delta of the instrumented block device (Config.Media)
 // across the request; object-system time is the remainder of the
 // handler's wall time. Digest time is exact. The media delta is exact
-// when requests are served one at a time (how `nasdbench -stats` runs)
-// and an approximation under concurrency, where overlapping requests
-// share the device's busy time.
+// when requests are served one at a time (how `nasdbench -workload
+// stats` runs) and an approximation under concurrency, where
+// overlapping requests share the device's busy time.
 
 // MediaClock reports cumulative nanoseconds a storage medium has spent
 // busy. *blockdev.Instrumented implements it.

@@ -488,9 +488,14 @@ func (e *Engine) Read(part uint16, obj, off uint64, n int) ([]byte, error) {
 		}
 		r, _, derr := decodeRecord(raw, l.epoch, ent.seg.seq)
 		if derr != nil {
+			bufpool.Put(raw)
 			return nil, corruptErr(part, obj)
 		}
-		data = r.payload
+		// Slide the payload to the front of the pooled buffer: a
+		// subslice past the header has a capacity that is no size
+		// class, and bufpool.Put would refuse it when the drive
+		// recycles the result after sending it.
+		data = raw[:copy(raw, r.payload)]
 	} else {
 		raw, c, rerr := l.readRangeLocked(ent.seg, ent.off+int64(headerSize)+int64(off), int64(n))
 		ios = c

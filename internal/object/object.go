@@ -38,7 +38,7 @@
 // mid-update never leaves them torn. Open scans the journal, replays
 // the committed tail over the on-media state, verifies and repairs
 // block reference counts, and reports what it did through
-// RecoveryInfo. WithJournalBlocks(-1) formats a volume without a
+// RecoveryInfo. Config.JournalBlocks < 0 formats a volume without a
 // journal; such volumes keep the pre-journal semantics — metadata is
 // written in place and is crash-safe only up to the last Flush.
 // DESIGN.md §7 specifies the commit protocol and the recovery
@@ -160,9 +160,6 @@ type Partition struct {
 type Config struct {
 	// CacheBlocks is the buffer cache capacity in blocks (default 1024).
 	CacheBlocks int
-	// CacheShards is how many independently locked shards the buffer
-	// cache uses (default cache.DefaultShards).
-	CacheShards int
 	// ReadaheadBlocks is how many blocks are prefetched past a detected
 	// sequential read (0 = default 16; negative disables readahead).
 	ReadaheadBlocks int
@@ -203,9 +200,6 @@ type Config struct {
 func (c *Config) fill() {
 	if c.CacheBlocks <= 0 {
 		c.CacheBlocks = 1024
-	}
-	if c.CacheShards <= 0 {
-		c.CacheShards = cache.DefaultShards
 	}
 	if c.ReadaheadBlocks < 0 {
 		c.ReadaheadBlocks = 0
@@ -333,7 +327,7 @@ func Open(dev blockdev.Device, cfg Config) (*Store, error) {
 }
 
 func newStore(lay *layout.Store, dev blockdev.Device, cfg Config) *Store {
-	c := cache.NewSharded(dev, cfg.CacheBlocks, cfg.CacheShards)
+	c := cache.New(dev, cfg.CacheBlocks)
 	c.SetWriteThrough(cfg.WriteThrough)
 	c.SetLockMeter(telemetry.NewLockMeter(cfg.Metrics, "cache.lock"))
 	lay.SetDataIO(c)

@@ -25,6 +25,16 @@ if grep -rn --include='*.go' --exclude='*_test.go' '^[[:space:]]*// Deprecated:'
     exit 1
 fi
 
+# Nor does a removed name linger in comments and docs: these were
+# deleted in PR 14, and only the history files may still say them.
+echo "==> no deleted names in *.go and *.md"
+if grep -rnE --include='*.go' --include='*.md' \
+    --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md --exclude-dir=.git --exclude-dir=.bench_build \
+    'WithJournalBlocks|FormatStore|OpenStore|Stats\(\)\.Retries|nasdbench -(stats|chaos)([^-]|$)' .; then
+    echo "the names above no longer exist; describe what replaced them" >&2
+    exit 1
+fi
+
 echo "==> go build ./..."
 go build ./...
 
