@@ -43,11 +43,13 @@ const DefaultShards = 16
 // BlockCache is an LRU cache over a block device, sharded by block
 // number so lookups of blocks on different shards never serialize:
 // each shard has its own mutex, LRU list, and slice of the capacity.
-// Within a shard, a miss releases the shard lock while it fills from
-// the device, so a slow media read stalls only requests for the same
-// block's shard map — not the whole cache — and hits proceed while
-// other shards fill. Consecutive physical blocks land on consecutive
-// shards, which spreads a sequential scan across every lock.
+// A miss is filled in extents: the absent blocks of a read are claimed
+// under their shard locks, fetched by one device call per consecutive
+// run with every shard unlocked, and installed block by block (read).
+// A slow media read therefore stalls only readers of the blocks it
+// claimed; hits proceed, on the same shard too. Consecutive physical
+// blocks land on consecutive shards, which spreads a sequential scan
+// across every lock.
 //
 // In the store's lock hierarchy the cache sits below the object and
 // partition locks and above the layout allocator (DESIGN.md §4): a
@@ -64,7 +66,13 @@ type cacheShard struct {
 	capacity int
 	entries  map[int64]*entry
 	lru      *list.List // front = most recent
-	stats    Stats
+	// filling holds the blocks a fill has claimed and is reading from
+	// the device. A claimed block stays absent until that fill installs
+	// it: readers wait for or skip it, writers wait (awaitFill). filled
+	// is broadcast as each claim is released.
+	filling map[int64]struct{}
+	filled  sync.Cond
+	stats   Stats
 }
 
 // New returns a cache holding up to capacity blocks of dev, sharded
@@ -95,11 +103,14 @@ func NewSharded(dev blockdev.Device, capacity, shards int) *BlockCache {
 		if i < capacity%shards {
 			per++
 		}
-		c.shards[i] = &cacheShard{
+		sh := &cacheShard{
 			capacity: per,
 			entries:  make(map[int64]*entry),
 			lru:      list.New(),
+			filling:  make(map[int64]struct{}),
 		}
+		sh.filled.L = &sh.mu
+		c.shards[i] = sh
 	}
 	return c
 }
@@ -168,6 +179,18 @@ func (c *BlockCache) Contains(block int64) bool {
 // touch must be called with the shard mutex held.
 func (sh *cacheShard) touch(e *entry) { sh.lru.MoveToFront(e.elem) }
 
+// awaitFill returns once no fill holds a claim on block. Caller holds
+// the shard mutex (released while waiting) and no claim of its own, so
+// waits cannot cycle.
+func (sh *cacheShard) awaitFill(block int64) {
+	for {
+		if _, ok := sh.filling[block]; !ok {
+			return
+		}
+		sh.filled.Wait()
+	}
+}
+
 // insert adds a block, evicting as needed. Caller holds the shard
 // mutex.
 func (sh *cacheShard) insert(dev blockdev.Device, block int64, data []byte, dirty bool) (*entry, error) {
@@ -206,62 +229,187 @@ func (sh *cacheShard) evictOldest(dev blockdev.Device) error {
 	return nil
 }
 
-// ReadBlock reads block through the cache into buf. A miss fills from
-// the device with the shard unlocked; if a concurrent writer installed
-// the block meanwhile, the cached (newer) contents win.
+// ReadBlock reads block through the cache into buf: the one-block case
+// of ReadRange.
 func (c *BlockCache) ReadBlock(block int64, buf []byte) error {
 	return c.ReadRange(block, 0, buf)
 }
 
 // ReadRange reads len(dst) bytes starting at byte offset off within
-// block, copying directly from the cached block to dst under the shard
-// lock — the single copy on the cached-read path. A miss fills a
-// pooled block from the device with the shard unlocked, exactly like
-// ReadBlock.
+// block and running on into the device blocks that follow it: an extent
+// read. Resident blocks are copied to dst under their shard lock, the
+// single copy on the cached-read path; each maximal run of absent
+// blocks costs one device call (see read).
 func (c *BlockCache) ReadRange(block int64, off int, dst []byte) error {
+	bs := c.dev.BlockSize()
+	_, err := c.read(block, (off+len(dst)+bs-1)/bs, off, dst)
+	return err
+}
+
+// Prefetch loads blocks into the cache if absent, each run of
+// consecutive block numbers through the same fill as a demand read. It
+// is the mechanism the object layer uses for sequential readahead.
+// Prefetch is advisory: errors are ignored, a block another fill is
+// already fetching is left to it, and the count of blocks actually
+// installed is returned.
+func (c *BlockCache) Prefetch(blocks []int64) int {
+	installed := 0
+	for i := 0; i < len(blocks); {
+		j := i + 1
+		for j < len(blocks) && blocks[j] == blocks[j-1]+1 {
+			j++
+		}
+		k, _ := c.read(blocks[i], j-i, 0, nil)
+		installed += k
+		i = j
+	}
+	return installed
+}
+
+// What probe found a block to be.
+const (
+	blockResident = iota
+	blockClaimed  // absent; the caller now owns its fill
+	blockBusy     // absent, and another fill owns it
+)
+
+// read is the cache's one read path. It walks the n blocks from first:
+// a resident block is copied out, an absent one is claimed in its
+// shard's filling set, and each maximal run of blocks claimed here is
+// fetched by one fill. The claim is what keeps a block from being read
+// from the device twice at once, and from being written while the
+// bytes read for it are older than the write. A demand read (dst !=
+// nil; dst takes bytes [off, off+len(dst)) of the extent) that meets
+// another fill's claim waits for its release and looks again, but only
+// after completing its own pending run. A prefetch (dst == nil) skips
+// such a block, and when a run fails retries it block by block so a bad
+// block does not cost its good neighbours their place in the cache. It
+// returns the number of blocks installed.
+func (c *BlockCache) read(first int64, n, off int, dst []byte) (int, error) {
+	installed, run := 0, 0
+	for i := 0; ; {
+		state := blockBusy // past the end: like a busy block, it ends the run
+		if i < n {
+			state = c.probe(first+int64(i), i, off, dst)
+		}
+		if state == blockClaimed {
+			run++
+			i++
+			continue
+		}
+		if run > 0 {
+			k, err := c.fill(first+int64(i-run), run, i-run, off, dst)
+			installed += k
+			if err != nil && dst != nil {
+				return installed, err
+			}
+			if err != nil && run > 1 {
+				for j := i - run; j < i; j++ {
+					k, _ = c.read(first+int64(j), 1, 0, nil)
+					installed += k
+				}
+			}
+			run = 0
+		}
+		switch {
+		case i == n:
+			return installed, nil
+		case state == blockBusy && dst != nil:
+			sh := c.shardOf(first + int64(i))
+			c.meter.Lock(&sh.mu)
+			sh.awaitFill(first + int64(i))
+			sh.mu.Unlock() // then probe it again
+		default:
+			i++
+		}
+	}
+}
+
+// probe classifies block under its shard lock. A resident block is
+// copied out and counted as a hit (demand reads only: a prefetch leaves
+// recency alone); an unclaimed absent one is claimed for the caller,
+// and counted as a miss on demand, so Misses stays a count of blocks.
+func (c *BlockCache) probe(block int64, i, off int, dst []byte) int {
 	sh := c.shardOf(block)
-	c.meter.Lock(&sh.mu)
-	if e, ok := sh.entries[block]; ok {
-		sh.touch(e)
-		sh.stats.Hits++
-		copy(dst, e.data[off:])
-		sh.mu.Unlock()
-		return nil
-	}
-	sh.stats.Misses++
-	sh.mu.Unlock()
-	data := bufpool.Get(c.dev.BlockSize())
-	if err := c.dev.ReadBlock(block, data); err != nil {
-		bufpool.Put(data)
-		return err
-	}
 	c.meter.Lock(&sh.mu)
 	defer sh.mu.Unlock()
 	if e, ok := sh.entries[block]; ok {
-		// Raced with another fill or a write; the resident entry is at
-		// least as new as what we read.
-		sh.touch(e)
-		copy(dst, e.data[off:])
-		bufpool.Put(data)
-		return nil
+		if dst != nil {
+			sh.touch(e)
+			sh.stats.Hits++
+			copyOut(dst, off, i, e.data)
+		}
+		return blockResident
 	}
-	if _, err := sh.insert(c.dev, block, data, false); err != nil {
-		bufpool.Put(data)
-		return err
+	if _, ok := sh.filling[block]; ok {
+		return blockBusy
 	}
-	copy(dst, data[off:])
-	return nil
+	sh.filling[block] = struct{}{}
+	if dst != nil {
+		sh.stats.Misses++
+	}
+	return blockClaimed
+}
+
+// fill fetches the run of n blocks at start, every one claimed by the
+// caller, with a single blockdev.ReadBlocks into a pooled staging
+// buffer (a device without BlockRanger gets the helper's per-block
+// loop). No shard lock is held across the device call. Each block is
+// then installed and its claim released under its own shard lock. i is
+// the run's index within the extent dst describes. On error every
+// claim is still released.
+func (c *BlockCache) fill(start int64, n, i, off int, dst []byte) (installed int, err error) {
+	bs := c.dev.BlockSize()
+	stage := bufpool.Get(n * bs)
+	defer bufpool.Put(stage)
+	err = blockdev.ReadBlocks(c.dev, start, stage)
+	for j := 0; j < n; j++ {
+		block := start + int64(j)
+		sh := c.shardOf(block)
+		c.meter.Lock(&sh.mu)
+		delete(sh.filling, block)
+		if err == nil {
+			data := bufpool.Get(bs)
+			copy(data, stage[j*bs:])
+			if _, err = sh.insert(c.dev, block, data, false); err != nil {
+				bufpool.Put(data)
+			} else {
+				installed++
+				if dst != nil {
+					copyOut(dst, off, i+j, data)
+				} else {
+					sh.stats.Prefetches++
+				}
+			}
+		}
+		sh.mu.Unlock()
+		sh.filled.Broadcast()
+	}
+	return installed, err
+}
+
+// copyOut copies to dst what it wants of src, block i of an extent of
+// which dst holds bytes [off, off+len(dst)).
+func copyOut(dst []byte, off, i int, src []byte) {
+	lo := i*len(src) - off
+	if lo < 0 {
+		src = src[-lo:]
+		lo = 0
+	}
+	copy(dst[lo:], src)
 }
 
 // WriteBlock writes buf to block through the cache. In write-behind
 // mode the device is updated lazily; in write-through mode immediately.
 // The cached copy lives in pooled memory owned by the cache; buf is
-// never retained.
+// never retained. A write to a block that is being filled waits for the
+// fill, so what the fill installs is never older than the device.
 func (c *BlockCache) WriteBlock(block int64, buf []byte) error {
 	wthrough := c.wthrough.Load()
 	sh := c.shardOf(block)
 	c.meter.Lock(&sh.mu)
 	defer sh.mu.Unlock()
+	sh.awaitFill(block)
 	if e, ok := sh.entries[block]; ok {
 		if len(e.data) == len(buf) {
 			copy(e.data, buf)
@@ -286,49 +434,13 @@ func (c *BlockCache) WriteBlock(block int64, buf []byte) error {
 	return nil
 }
 
-// Prefetch loads blocks into the cache if absent. It is the mechanism
-// the object layer uses for sequential readahead. Errors on individual
-// blocks are ignored (prefetch is advisory); the count of blocks
-// actually fetched is returned. Like ReadBlock, fills happen with the
-// shard unlocked.
-func (c *BlockCache) Prefetch(blocks []int64) int {
-	n := 0
-	for _, b := range blocks {
-		sh := c.shardOf(b)
-		c.meter.Lock(&sh.mu)
-		_, ok := sh.entries[b]
-		sh.mu.Unlock()
-		if ok {
-			continue
-		}
-		data := bufpool.Get(c.dev.BlockSize())
-		if err := c.dev.ReadBlock(b, data); err != nil {
-			bufpool.Put(data)
-			continue
-		}
-		c.meter.Lock(&sh.mu)
-		if _, ok := sh.entries[b]; !ok {
-			if _, err := sh.insert(c.dev, b, data, false); err != nil {
-				sh.mu.Unlock()
-				bufpool.Put(data)
-				break
-			}
-			sh.stats.Prefetches++
-			n++
-		} else {
-			bufpool.Put(data)
-		}
-		sh.mu.Unlock()
-	}
-	return n
-}
-
 // Invalidate drops a block from the cache without writing it back.
 // Use when the block has been freed.
 func (c *BlockCache) Invalidate(block int64) {
 	sh := c.shardOf(block)
 	c.meter.Lock(&sh.mu)
 	defer sh.mu.Unlock()
+	sh.awaitFill(block)
 	if e, ok := sh.entries[block]; ok {
 		sh.lru.Remove(e.elem)
 		delete(sh.entries, block)

@@ -5,7 +5,8 @@
 // the cache module.
 //
 // The cache stores copies of device blocks keyed by physical block
-// number. Reads hit the cache; misses fetch from the backing device.
+// number. Reads hit the cache; misses fetch from the backing device, one
+// device call per run of consecutive absent blocks.
 // Writes are write-behind by default (dirty blocks are flushed on
 // eviction or Flush), matching the prototype's "NASD has write-behind
 // (fully) enabled" configuration; write-through can be selected for

@@ -49,11 +49,13 @@ func (d *rendezvousDev) ReadBlock(b int64, buf []byte) error {
 	return nil
 }
 
-// TestConcurrentReadsOfOneObjectOverlap drives two readers at the same
-// object through a rendezvous device. Both must be inside the media
-// read at the same time, which requires (a) the per-object lock to be
-// shared between readers and (b) the cache to fill misses without
-// holding its shard lock.
+// TestConcurrentReadsOfOneObjectOverlap drives two readers at two
+// blocks of the same object, on the same (only) cache shard, through a
+// rendezvous device. Both must be inside the media read at the same
+// time, which requires (a) the per-object lock to be shared between
+// readers and (b) the cache to fill misses without holding its shard
+// lock. (Two readers of the same block no longer both reach the
+// device: the second waits on the first's claim.)
 func TestConcurrentReadsOfOneObjectOverlap(t *testing.T) {
 	mem := blockdev.NewMemDisk(512, 1024)
 	dev := &rendezvousDev{Device: mem}
@@ -72,7 +74,7 @@ func TestConcurrentReadsOfOneObjectOverlap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Write(1, id, 0, fillBytes(markerByte, 512)); err != nil {
+	if err := s.Write(1, id, 0, fillBytes(markerByte, 1024)); err != nil {
 		t.Fatal(err)
 	}
 	// Evict the marker block from the one-block cache.
@@ -91,9 +93,10 @@ func TestConcurrentReadsOfOneObjectOverlap(t *testing.T) {
 	errs := make(chan error, 2)
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
+		off := uint64(i) * 512
 		go func() {
 			defer wg.Done()
-			got, err := s.Read(1, id, 0, 512)
+			got, err := s.Read(1, id, off, 512)
 			if err != nil {
 				errs <- err
 				return
