@@ -66,6 +66,29 @@ func WriteBlocks(d Device, start int64, data []byte) error {
 	return nil
 }
 
+// RunLimit is the longest run, in blocks, that callers which stage a
+// run in memory (cache write-back, the refcount region) hand to one
+// ranged call: at 4 KiB blocks the staging buffer is a 1 MiB pool class.
+const RunLimit = 256
+
+// EachRun calls fn once for every maximal run of consecutive block
+// numbers in blocks, cut at limit blocks, in the order given: the unit
+// a caller hands to ReadBlocks or WriteBlocks. It stops at fn's first
+// error.
+func EachRun(blocks []int64, limit int, fn func(start int64, n int) error) error {
+	for i := 0; i < len(blocks); {
+		j := i + 1
+		for j < len(blocks) && j-i < limit && blocks[j] == blocks[j-1]+1 {
+			j++
+		}
+		if err := fn(blocks[i], j-i); err != nil {
+			return err
+		}
+		i = j
+	}
+	return nil
+}
+
 // --- MemDisk: one gate + one lock for the whole extent --------------------
 
 // ReadBlocks implements BlockRanger.

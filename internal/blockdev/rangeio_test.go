@@ -2,6 +2,8 @@ package blockdev
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -173,4 +175,29 @@ func TestFileDiskRangePersists(t *testing.T) {
 		t.Fatal("range write not durable across reopen")
 	}
 	_ = os.Remove(path)
+}
+
+func TestEachRun(t *testing.T) {
+	var got [][2]int64
+	collect := func(start int64, n int) error {
+		got = append(got, [2]int64{start, int64(n)})
+		return nil
+	}
+	if err := EachRun([]int64{3, 4, 5, 9, 10, 12, 11, 20, 21, 22, 23, 24}, 3, collect); err != nil {
+		t.Fatal(err)
+	}
+	// Order is the caller's; a run ends at a gap, a step back, or the limit.
+	want := [][2]int64{{3, 3}, {9, 2}, {12, 1}, {11, 1}, {20, 3}, {23, 2}}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("runs = %v, want %v", got, want)
+	}
+	boom := errors.New("stop")
+	calls := 0
+	err := EachRun([]int64{1, 5, 9}, RunLimit, func(int64, int) error { calls++; return boom })
+	if err != boom || calls != 1 {
+		t.Fatalf("EachRun after an error: %v after %d calls, want the error after 1", err, calls)
+	}
+	if err := EachRun(nil, RunLimit, collect); err != nil || len(got) != len(want) {
+		t.Fatalf("EachRun(nil) called fn or failed: %v", err)
+	}
 }

@@ -2,7 +2,7 @@ package cache
 
 import (
 	"container/list"
-	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -32,7 +32,10 @@ type entry struct {
 	block int64
 	data  []byte
 	dirty bool
-	elem  *list.Element
+	// writing: a write-back is handing a copy of data to the device.
+	// The entry stays resident meanwhile; a write sets dirty again.
+	writing bool
+	elem    *list.Element
 }
 
 // DefaultShards is how many independently locked shards New creates
@@ -47,9 +50,10 @@ const DefaultShards = 16
 // under their shard locks, fetched by one device call per consecutive
 // run with every shard unlocked, and installed block by block (read).
 // A slow media read therefore stalls only readers of the blocks it
-// claimed; hits proceed, on the same shard too. Consecutive physical
-// blocks land on consecutive shards, which spreads a sequential scan
-// across every lock.
+// claimed; hits proceed, on the same shard too. Dirty blocks leave the
+// same way, a run per device call with every shard unlocked (writeBack).
+// Consecutive physical blocks land on consecutive shards, which spreads
+// a sequential scan across every lock.
 //
 // In the store's lock hierarchy the cache sits below the object and
 // partition locks and above the layout allocator (DESIGN.md §4): a
@@ -67,9 +71,10 @@ type cacheShard struct {
 	entries  map[int64]*entry
 	lru      *list.List // front = most recent
 	// filling holds the blocks a fill has claimed and is reading from
-	// the device. A claimed block stays absent until that fill installs
-	// it: readers wait for or skip it, writers wait (awaitFill). filled
-	// is broadcast as each claim is released.
+	// the device, and the absent block a write is making room for. A
+	// claimed block stays absent until it is installed: readers wait for
+	// or skip it, writers wait (await). filled is broadcast as each
+	// claim, and each entry's writing mark, is released.
 	filling map[int64]struct{}
 	filled  sync.Cond
 	stats   Stats
@@ -132,7 +137,7 @@ func (c *BlockCache) shardOf(block int64) *cacheShard {
 func (c *BlockCache) Shards() int { return len(c.shards) }
 
 // SetWriteThrough switches the cache between write-behind (default) and
-// write-through.
+// write-through. Call before concurrent use.
 func (c *BlockCache) SetWriteThrough(on bool) { c.wthrough.Store(on) }
 
 // Capacity returns the capacity in blocks.
@@ -179,51 +184,66 @@ func (c *BlockCache) Contains(block int64) bool {
 // touch must be called with the shard mutex held.
 func (sh *cacheShard) touch(e *entry) { sh.lru.MoveToFront(e.elem) }
 
-// awaitFill returns once no fill holds a claim on block. Caller holds
-// the shard mutex (released while waiting) and no claim of its own, so
+// await returns once no fill holds a claim on block and, with writeBack
+// set, no write-back of it is in flight. Caller holds the shard mutex
+// (released while waiting) and no claim or writing mark of its own, so
 // waits cannot cycle.
-func (sh *cacheShard) awaitFill(block int64) {
+func (sh *cacheShard) await(block int64, writeBack bool) {
 	for {
-		if _, ok := sh.filling[block]; !ok {
+		_, filling := sh.filling[block]
+		if e := sh.entries[block]; !filling && !(writeBack && e != nil && e.writing) {
 			return
 		}
 		sh.filled.Wait()
 	}
 }
 
-// insert adds a block, evicting as needed. Caller holds the shard
-// mutex.
-func (sh *cacheShard) insert(dev blockdev.Device, block int64, data []byte, dirty bool) (*entry, error) {
+// insert adds a pooled copy of src as block, which the caller holds the
+// fill claim of, evicting as needed. Caller holds the shard mutex; it is
+// released while a dirty victim is written back, hence the claim.
+func (c *BlockCache) insert(sh *cacheShard, block int64, src []byte, dirty bool) error {
 	for len(sh.entries) >= sh.capacity {
-		if err := sh.evictOldest(dev); err != nil {
-			return nil, err
+		if err := c.evictOldest(sh); err != nil {
+			return err
 		}
 	}
-	e := &entry{block: block, data: data, dirty: dirty}
+	e := &entry{block: block, data: bufpool.Get(len(src)), dirty: dirty}
+	copy(e.data, src)
 	e.elem = sh.lru.PushFront(e)
 	sh.entries[block] = e
-	return e, nil
+	return nil
 }
 
-// evictOldest removes the shard's LRU entry, writing it back if dirty,
-// and returns its pooled buffer. Caller holds the shard mutex.
-func (sh *cacheShard) evictOldest(dev blockdev.Device) error {
+// evictOldest removes the shard's least recently used entry that is in
+// no write-back. A dirty victim is not removed: the run of dirty blocks
+// around it is written back, shard unlocked, and the caller looks again.
+func (c *BlockCache) evictOldest(sh *cacheShard) error {
 	back := sh.lru.Back()
+	for back != nil && back.Value.(*entry).writing {
+		back = back.Prev()
+	}
 	if back == nil {
-		return fmt.Errorf("cache: eviction with empty LRU")
+		sh.filled.Wait() // every entry is in flight: one will land
+		return nil
 	}
 	e := back.Value.(*entry)
 	if e.dirty {
-		if err := dev.WriteBlock(e.block, e.data); err != nil {
-			return err
+		lo, hi := e.block, e.block+1
+		sh.mu.Unlock()
+		for hi-lo < blockdev.RunLimit && c.claimDirty(lo-1, nil) == blockClaimed {
+			lo--
 		}
-		sh.stats.WriteBacks++
+		for hi-lo < blockdev.RunLimit && c.claimDirty(hi, nil) == blockClaimed {
+			hi++
+		}
+		err := c.writeBack(lo, int(hi-lo), false)
+		c.meter.Lock(&sh.mu)
+		return err
 	}
 	sh.lru.Remove(back)
 	delete(sh.entries, e.block)
 	sh.stats.Evictions++
-	// The device has its own copy (write-back above, or the block was
-	// clean); nothing references entry memory outside the shard lock.
+	// Clean, and nothing references its memory outside the shard lock.
 	bufpool.Put(e.data)
 	e.data = nil
 	return nil
@@ -254,23 +274,19 @@ func (c *BlockCache) ReadRange(block int64, off int, dst []byte) error {
 // installed is returned.
 func (c *BlockCache) Prefetch(blocks []int64) int {
 	installed := 0
-	for i := 0; i < len(blocks); {
-		j := i + 1
-		for j < len(blocks) && blocks[j] == blocks[j-1]+1 {
-			j++
-		}
-		k, _ := c.read(blocks[i], j-i, 0, nil)
+	_ = blockdev.EachRun(blocks, blockdev.RunLimit, func(start int64, n int) error {
+		k, _ := c.read(start, n, 0, nil)
 		installed += k
-		i = j
-	}
+		return nil
+	})
 	return installed
 }
 
-// What probe found a block to be.
+// What probe (fill) and claimDirty (write-back) found a block to be.
 const (
-	blockResident = iota
-	blockClaimed  // absent; the caller now owns its fill
-	blockBusy     // absent, and another fill owns it
+	blockIdle    = iota // resident, or clean: nothing to move
+	blockClaimed        // the caller now owns its fill or write-back
+	blockBusy           // another fill or write-back owns it
 )
 
 // read is the cache's one read path. It walks the n blocks from first:
@@ -317,7 +333,7 @@ func (c *BlockCache) read(first int64, n, off int, dst []byte) (int, error) {
 		case state == blockBusy && dst != nil:
 			sh := c.shardOf(first + int64(i))
 			c.meter.Lock(&sh.mu)
-			sh.awaitFill(first + int64(i))
+			sh.await(first+int64(i), false)
 			sh.mu.Unlock() // then probe it again
 		default:
 			i++
@@ -339,7 +355,7 @@ func (c *BlockCache) probe(block int64, i, off int, dst []byte) int {
 			sh.stats.Hits++
 			copyOut(dst, off, i, e.data)
 		}
-		return blockResident
+		return blockIdle
 	}
 	if _, ok := sh.filling[block]; ok {
 		return blockBusy
@@ -367,13 +383,8 @@ func (c *BlockCache) fill(start int64, n, i, off int, dst []byte) (installed int
 		block := start + int64(j)
 		sh := c.shardOf(block)
 		c.meter.Lock(&sh.mu)
-		delete(sh.filling, block)
-		if err == nil {
-			data := bufpool.Get(bs)
-			copy(data, stage[j*bs:])
-			if _, err = sh.insert(c.dev, block, data, false); err != nil {
-				bufpool.Put(data)
-			} else {
+		if data := stage[j*bs : (j+1)*bs]; err == nil {
+			if err = c.insert(sh, block, data, false); err == nil {
 				installed++
 				if dst != nil {
 					copyOut(dst, off, i+j, data)
@@ -382,6 +393,7 @@ func (c *BlockCache) fill(start int64, n, i, off int, dst []byte) (installed int
 				}
 			}
 		}
+		delete(sh.filling, block)
 		sh.mu.Unlock()
 		sh.filled.Broadcast()
 	}
@@ -399,32 +411,31 @@ func copyOut(dst []byte, off, i int, src []byte) {
 	copy(dst[lo:], src)
 }
 
-// WriteBlock writes buf to block through the cache. In write-behind
-// mode the device is updated lazily; in write-through mode immediately.
-// The cached copy lives in pooled memory owned by the cache; buf is
-// never retained. A write to a block that is being filled waits for the
-// fill, so what the fill installs is never older than the device.
+// WriteBlock writes buf, one device block, to block through the cache.
+// In write-behind mode the device is updated lazily; in write-through
+// mode immediately. The cached copy lives in pooled memory owned by the
+// cache; buf is never retained. A write to a block that is being filled
+// waits for the fill, so what the fill installs is never older than the
+// device; a write to an absent block holds the claim while it makes room.
 func (c *BlockCache) WriteBlock(block int64, buf []byte) error {
+	if len(buf) != c.dev.BlockSize() {
+		return blockdev.ErrBadSize
+	}
 	wthrough := c.wthrough.Load()
 	sh := c.shardOf(block)
 	c.meter.Lock(&sh.mu)
 	defer sh.mu.Unlock()
-	sh.awaitFill(block)
+	sh.await(block, wthrough)
 	if e, ok := sh.entries[block]; ok {
-		if len(e.data) == len(buf) {
-			copy(e.data, buf)
-		} else {
-			bufpool.Put(e.data)
-			e.data = bufpool.Get(len(buf))
-			copy(e.data, buf)
-		}
+		copy(e.data, buf)
 		e.dirty = !wthrough
 		sh.touch(e)
 	} else {
-		data := bufpool.Get(len(buf))
-		copy(data, buf)
-		if _, err := sh.insert(c.dev, block, data, !wthrough); err != nil {
-			bufpool.Put(data)
+		sh.filling[block] = struct{}{}
+		err := c.insert(sh, block, buf, !wthrough)
+		delete(sh.filling, block)
+		sh.filled.Broadcast()
+		if err != nil {
 			return err
 		}
 	}
@@ -435,12 +446,13 @@ func (c *BlockCache) WriteBlock(block int64, buf []byte) error {
 }
 
 // Invalidate drops a block from the cache without writing it back.
-// Use when the block has been freed.
+// Use when the block has been freed. A write-back in flight is waited
+// for: the next owner's bytes must not reach the device before these.
 func (c *BlockCache) Invalidate(block int64) {
 	sh := c.shardOf(block)
 	c.meter.Lock(&sh.mu)
 	defer sh.mu.Unlock()
-	sh.awaitFill(block)
+	sh.await(block, true)
 	if e, ok := sh.entries[block]; ok {
 		sh.lru.Remove(e.elem)
 		delete(sh.entries, block)
@@ -449,23 +461,104 @@ func (c *BlockCache) Invalidate(block int64) {
 	}
 }
 
-// Flush writes every dirty block back to the device and flushes it.
+// Flush writes every dirty block back to the device, in ascending order
+// and in runs, waits for the write-backs others have in flight, and
+// flushes the device.
 func (c *BlockCache) Flush() error {
+	var dirty []int64
 	for _, sh := range c.shards {
 		c.meter.Lock(&sh.mu)
 		for _, e := range sh.entries {
-			if e.dirty {
-				if err := c.dev.WriteBlock(e.block, e.data); err != nil {
-					sh.mu.Unlock()
-					return err
-				}
-				e.dirty = false
-				sh.stats.WriteBacks++
+			if e.dirty || e.writing {
+				dirty = append(dirty, e.block)
 			}
 		}
 		sh.mu.Unlock()
 	}
+	slices.Sort(dirty)
+	if err := blockdev.EachRun(dirty, blockdev.RunLimit, func(start int64, n int) error {
+		return c.writeBack(start, n, true)
+	}); err != nil {
+		return err
+	}
 	return c.dev.Flush()
+}
+
+// writeBack is the cache's one write-back path, the mirror of read. It
+// walks the n blocks from first; a dirty block is marked writing and
+// clean and copied to a pooled staging buffer under its shard lock
+// (claimDirty), and each maximal run of blocks claimed here goes to the
+// device in one blockdev.WriteBlocks, no shard lock held. The mark keeps
+// a block in one device write at a time (the device never gets an older
+// image after a newer one) and resident (no refill from the device
+// meanwhile). With wait set (Flush) a block in another write-back is
+// waited for and looked at again, once the caller's own pending run has
+// gone out; an eviction skips it. A failed run is dirty again, all of it.
+func (c *BlockCache) writeBack(first int64, n int, wait bool) error {
+	bs := c.dev.BlockSize()
+	stage := bufpool.Get(n * bs)
+	defer bufpool.Put(stage)
+	for i, run := 0, 0; ; {
+		state := blockIdle // past the end: it ends the run
+		if i < n {
+			state = c.claimDirty(first+int64(i), stage[run*bs:(run+1)*bs])
+		}
+		if state == blockClaimed {
+			run++
+			i++
+			continue
+		}
+		if run > 0 {
+			start := first + int64(i-run)
+			err := blockdev.WriteBlocks(c.dev, start, stage[:run*bs])
+			for b := start; b < start+int64(run); b++ {
+				sh := c.shardOf(b)
+				c.meter.Lock(&sh.mu)
+				e := sh.entries[b] // resident: nothing removes a writing entry
+				e.writing = false
+				if e.dirty = e.dirty || err != nil; err == nil {
+					sh.stats.WriteBacks++
+				}
+				sh.mu.Unlock()
+				sh.filled.Broadcast()
+			}
+			if err != nil {
+				return err
+			}
+			run = 0
+		}
+		switch {
+		case i == n:
+			return nil
+		case state == blockBusy && wait:
+			sh := c.shardOf(first + int64(i))
+			c.meter.Lock(&sh.mu)
+			sh.await(first+int64(i), true)
+			sh.mu.Unlock() // then look at it again
+		default:
+			i++
+		}
+	}
+}
+
+// claimDirty classifies block under its shard lock: dirty and in no
+// write-back is blockClaimed, and unless dst is nil (the caller only
+// asks) the block is then marked writing and clean and copied to dst.
+func (c *BlockCache) claimDirty(block int64, dst []byte) int {
+	sh := c.shardOf(block)
+	c.meter.Lock(&sh.mu)
+	defer sh.mu.Unlock()
+	e := sh.entries[block]
+	switch {
+	case e == nil || !e.dirty && !e.writing:
+		return blockIdle
+	case e.writing:
+		return blockBusy
+	case dst != nil:
+		e.dirty, e.writing = false, true
+		copy(dst, e.data)
+	}
+	return blockClaimed
 }
 
 // DirtyCount returns the number of dirty cached blocks.

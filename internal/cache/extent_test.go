@@ -4,46 +4,147 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"nasd/internal/blockdev"
 	"nasd/internal/bufpool"
 )
 
-// countingDev counts device read calls (MemDisk.Stats counts the
-// blocks they move) and can park the first ranged read until the test
-// releases it.
+// countingDev counts device read and write calls (MemDisk.Stats counts
+// the blocks they move) and can park the first ranged read, or the
+// first write, until the test releases it. With check set it also holds
+// every call to the cache's locking and write-ordering rules.
 type countingDev struct {
 	*blockdev.MemDisk
-	calls    atomic.Int64
-	parkOnce sync.Once
-	parked   chan struct{} // closed when the first ranged read is inside the device
-	release  chan struct{} // nil: never park
+	calls      atomic.Int64
+	parkOnce   sync.Once
+	parked     chan struct{} // closed when the parked call is inside the device
+	release    chan struct{} // nil: never park
+	parkWrites bool
+
+	writeCalls atomic.Int64
+	mu         sync.Mutex
+	writeRuns  [][2]int64 // {start, blocks} of every write call, in order
+
+	// check, when set, is the cache under test; t receives violations.
+	check    *BlockCache
+	t        *testing.T
+	heldSeen atomic.Bool
+	inFlight [256]atomic.Int32 // writes of the block inside the device now
+	last     [256]atomic.Int32 // version (byte 0) of the block's latest write
 }
 
-func (d *countingDev) ReadBlock(b int64, buf []byte) error {
-	d.calls.Add(1)
-	return d.MemDisk.ReadBlock(b, buf)
-}
-
-func (d *countingDev) ReadBlocks(start int64, buf []byte) error {
-	d.calls.Add(1)
+func (d *countingDev) park() {
 	if d.release != nil {
 		d.parkOnce.Do(func() {
 			close(d.parked)
 			<-d.release
 		})
 	}
+}
+
+func (d *countingDev) ReadBlock(b int64, buf []byte) error {
+	d.calls.Add(1)
+	d.locksFree("read")
+	return d.MemDisk.ReadBlock(b, buf)
+}
+
+func (d *countingDev) ReadBlocks(start int64, buf []byte) error {
+	d.calls.Add(1)
+	d.locksFree("ranged read")
+	if !d.parkWrites {
+		d.park()
+	}
 	return d.MemDisk.ReadBlocks(start, buf)
+}
+
+func (d *countingDev) WriteBlock(b int64, data []byte) error {
+	return d.WriteBlocks(b, data)
+}
+
+func (d *countingDev) WriteBlocks(start int64, data []byte) error {
+	bs := d.BlockSize()
+	d.writeCalls.Add(1)
+	d.mu.Lock()
+	d.writeRuns = append(d.writeRuns, [2]int64{start, int64(len(data) / bs)})
+	d.mu.Unlock()
+	if d.parkWrites {
+		d.park()
+	}
+	if d.check == nil {
+		return d.MemDisk.WriteBlocks(start, data)
+	}
+	d.locksFree("write")
+	for i := 0; i < len(data)/bs; i++ {
+		b := start + int64(i)
+		if n := d.inFlight[b].Add(1); n != 1 {
+			d.t.Errorf("block %d is in %d device writes at once", b, n)
+		}
+		if v, old := int32(data[i*bs]), d.last[b].Load(); v < old {
+			d.t.Errorf("block %d received version %d after version %d", b, v, old)
+		} else {
+			d.last[b].Store(v)
+		}
+	}
+	time.Sleep(20 * time.Microsecond) // a slow medium: keep write-backs in flight
+	err := d.MemDisk.WriteBlocks(start, data)
+	for i := 0; i < len(data)/bs; i++ {
+		d.inFlight[start+int64(i)].Add(-1)
+	}
+	return err
+}
+
+func (d *countingDev) resetWrites() {
+	d.writeCalls.Store(0)
+	d.mu.Lock()
+	d.writeRuns = nil
+	d.mu.Unlock()
+}
+
+// locksFree fails the test if a shard lock of the checked cache cannot
+// be taken while this device call is in progress: the caller held it
+// across the call. Other goroutines hold a shard lock only for a few
+// instructions, never while blocked.
+func (d *countingDev) locksFree(call string) {
+	if d.check == nil || d.heldSeen.Load() { // one report is enough, each costs a second
+		return
+	}
+	if k := heldShard(d.check, -1); k >= 0 {
+		d.heldSeen.Store(true)
+		d.t.Errorf("shard %d was locked for the whole of a device %s", k, call)
+	}
+}
+
+// heldShard tries to take every shard lock of c but skip, in turn, and
+// returns the first it cannot get within a second, or -1.
+func heldShard(c *BlockCache, skip int) int {
+	for k, sh := range c.shards {
+		if k == skip {
+			continue
+		}
+		deadline := time.Now().Add(time.Second)
+		for !sh.mu.TryLock() {
+			if time.Now().After(deadline) {
+				return k
+			}
+			runtime.Gosched()
+		}
+		sh.mu.Unlock()
+	}
+	return -1
 }
 
 // TestExtentReadModel drives random writes, extent reads, prefetches
 // and flushes through caches of several shapes (one smaller than the
 // longest run) and compares every byte an extent read returns with a
-// per-block model of what the device or a newer cached write holds.
+// per-block model of what the device or a newer cached write holds, and
+// after every Flush the device itself with that model.
 func TestExtentReadModel(t *testing.T) {
 	const bs, nblocks = 64, 96
 	shapes := []struct{ capacity, shards int }{{4, 1}, {4, 4}, {16, 4}, {64, 16}, {256, 16}}
@@ -79,6 +180,18 @@ func TestExtentReadModel(t *testing.T) {
 				if err := c.Flush(); err != nil {
 					t.Fatal(err)
 				}
+				onDev := make([]byte, bs)
+				for b := range model {
+					if err := dev.ReadBlock(int64(b), onDev); err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(onDev, model[b]) {
+						t.Fatalf("cache %d/%d op %d: block %d on the device after Flush is not its last write", shape.capacity, shape.shards, op, b)
+					}
+				}
+				if c.DirtyCount() != 0 {
+					t.Fatalf("%d blocks dirty after Flush", c.DirtyCount())
+				}
 			default: // an extent of up to 16 blocks with unaligned ends
 				start := rng.Intn(nblocks - 16)
 				off := rng.Intn(bs)
@@ -109,10 +222,16 @@ func TestExtentReadModel(t *testing.T) {
 }
 
 // TestExtentReadConcurrentWriters runs extent readers and prefetchers
-// against block writers. Block b always holds its own number in odd
-// bytes and one version in every even byte; a writer publishes the
-// version it is about to write and the one it has written, so a reader
-// can bound what each block of its extent may legally contain.
+// against block writers, a flusher and, in the small cache, constant
+// dirty evictions, on a slow device. Block b always holds its own number
+// in odd bytes and one version in every even byte; a writer publishes
+// the version it is about to write and the one it has written, so a
+// reader can bound what each block of its extent may legally contain: a
+// block evicted and refilled while its write-back was in flight would
+// read below that bound. The device checks that a block is in one write
+// at a time, that its versions never go backwards, and that no shard
+// lock is held across a device call; a goroutine that sits on one shard
+// lock checks that nobody holding another is blocked behind it.
 func TestExtentReadConcurrentWriters(t *testing.T) {
 	const bs, nblocks, writers, versions = 64, 48, 3, 200
 	block := func(b int, v byte) []byte {
@@ -127,15 +246,46 @@ func TestExtentReadConcurrentWriters(t *testing.T) {
 		return p
 	}
 	for _, shape := range []struct{ capacity, shards int }{{4, 2}, {32, 8}} {
-		dev := blockdev.NewMemDisk(bs, nblocks)
+		dev := &countingDev{MemDisk: blockdev.NewMemDisk(bs, nblocks), t: t}
 		for b := 0; b < nblocks; b++ {
 			if err := dev.WriteBlock(int64(b), block(b, 0)); err != nil {
 				t.Fatal(err)
 			}
 		}
 		c := NewSharded(dev, shape.capacity, shape.shards)
+		dev.check = c
 		var begun, done [nblocks]atomic.Int32
-		var wg sync.WaitGroup
+		var wg, background sync.WaitGroup
+		stop := make(chan struct{})
+		running := func() bool {
+			select {
+			case <-stop:
+				return false
+			default:
+				return true
+			}
+		}
+		background.Add(2)
+		go func() { // the flusher
+			defer background.Done()
+			for running() {
+				if err := c.Flush(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+		go func() { // sits on one shard lock at a time
+			defer background.Done()
+			for k := 0; running(); k = (k + 1) % len(c.shards) {
+				c.shards[k].mu.Lock()
+				if j := heldShard(c, k); j >= 0 {
+					t.Errorf("a goroutine holding shard %d is blocked on shard %d", j, k)
+				}
+				c.shards[k].mu.Unlock()
+				time.Sleep(100 * time.Microsecond)
+			}
+		}()
 		for w := 0; w < writers; w++ {
 			wg.Add(1)
 			go func(w int) {
@@ -202,8 +352,13 @@ func TestExtentReadConcurrentWriters(t *testing.T) {
 			}(r)
 		}
 		wg.Wait()
+		close(stop)
+		background.Wait()
 		if err := c.Flush(); err != nil {
 			t.Fatal(err)
+		}
+		if st := c.Stats(); shape.capacity < nblocks/4 && st.Evictions == 0 {
+			t.Fatalf("no evictions in a cache of %d blocks: %+v", shape.capacity, st)
 		}
 		buf := make([]byte, bs)
 		for b := 0; b < nblocks; b++ {
@@ -335,5 +490,194 @@ func TestDemandExtentReadKeepsDeviceError(t *testing.T) {
 	// The same run as a prefetch keeps every good block.
 	if n := c.Prefetch([]int64{2, 3, 4, 5, 6, 7}); n != 2 || !c.Contains(6) || !c.Contains(7) || c.Contains(5) {
 		t.Fatalf("prefetch over a corrupt block installed %d new blocks, want 6 and 7", n)
+	}
+}
+
+// dirtyBlocks writes blocks [lo, hi) through c, block b filled with
+// base+b.
+func dirtyBlocks(t *testing.T, c *BlockCache, lo, hi int64, base byte) {
+	t.Helper()
+	for b := lo; b < hi; b++ {
+		if err := c.WriteBlock(b, fill(base+byte(b), c.dev.BlockSize())); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestWriteBackFlushIsOneCallPerDirtyRun pins the unit of Flush: dirty
+// blocks go out in ascending order, one device call per run of
+// consecutive block numbers, at most blockdev.RunLimit blocks each.
+func TestWriteBackFlushIsOneCallPerDirtyRun(t *testing.T) {
+	const bs = 512
+	dev := &countingDev{MemDisk: blockdev.NewMemDisk(bs, 1024)}
+	c := New(dev, 512)
+	flush := func(want ...[2]int64) {
+		t.Helper()
+		dev.resetWrites()
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(dev.writeRuns, want) {
+			t.Fatalf("Flush issued write calls {start, blocks} %v, want %v", dev.writeRuns, want)
+		}
+		if c.DirtyCount() != 0 {
+			t.Fatalf("%d blocks dirty after Flush", c.DirtyCount())
+		}
+	}
+	dirtyBlocks(t, c, 100, 116, 0)
+	flush([2]int64{100, 16})
+	flush() // nothing dirty, nothing written
+
+	// Written in descending order, with a clean resident block between.
+	dirtyBlocks(t, c, 40, 44, 1)
+	if err := c.ReadBlock(39, make([]byte, bs)); err != nil {
+		t.Fatal(err)
+	}
+	dirtyBlocks(t, c, 30, 39, 1)
+	dirtyBlocks(t, c, 7, 8, 1)
+	flush([2]int64{7, 1}, [2]int64{30, 9}, [2]int64{40, 4})
+
+	dirtyBlocks(t, c, 200, 200+blockdev.RunLimit+44, 2)
+	flush([2]int64{200, blockdev.RunLimit}, [2]int64{200 + blockdev.RunLimit, 44})
+	buf := make([]byte, bs)
+	for b, base := range map[int64]byte{7: 1, 38: 1, 43: 1, 115: 0, 200: 2, 499: 2} {
+		if err := dev.ReadBlock(b, buf); err != nil {
+			t.Fatal(err)
+		}
+		if want := base + byte(b); buf[0] != want || buf[bs-1] != want {
+			t.Fatalf("block %d on the device holds %#x, want %#x", b, buf[0], want)
+		}
+	}
+	if st := c.Stats(); st.WriteBacks != 16+14+blockdev.RunLimit+44 {
+		t.Fatalf("WriteBacks = %d, want one per block written", st.WriteBacks)
+	}
+}
+
+// TestWriteBackDirtyEvictionWritesItsRun: evicting a dirty block writes
+// the whole run of consecutive dirty blocks around it, across shards, in
+// one device call, and leaves the others resident and clean.
+func TestWriteBackDirtyEvictionWritesItsRun(t *testing.T) {
+	const bs = 512
+	dev := &countingDev{MemDisk: blockdev.NewMemDisk(bs, 64)}
+	c := NewSharded(dev, 8, 4)
+	dirtyBlocks(t, c, 10, 18, 0) // fills the cache, two blocks a shard
+	before := bufpool.Outstanding()
+	// Block 40 needs room in shard 0, whose oldest entry is block 12.
+	if err := c.ReadBlock(40, make([]byte, bs)); err != nil {
+		t.Fatal(err)
+	}
+	if want := [][2]int64{{10, 8}}; !slices.Equal(dev.writeRuns, want) {
+		t.Fatalf("dirty eviction issued write calls {start, blocks} %v, want %v", dev.writeRuns, want)
+	}
+	if c.Contains(12) || c.DirtyCount() != 0 || c.Len() != 8 {
+		t.Fatalf("after the eviction: block 12 resident %v, %d dirty, %d cached", c.Contains(12), c.DirtyCount(), c.Len())
+	}
+	if st := c.Stats(); st.WriteBacks != 8 || st.Evictions != 1 {
+		t.Fatalf("stats = %+v, want 8 blocks written back for 1 eviction", st)
+	}
+	if grew := bufpool.Outstanding() - before; grew != 0 {
+		t.Fatalf("pool outstanding moved by %d over an eviction that replaced one block", grew)
+	}
+}
+
+// TestWriteBackFailureKeepsTheRunDirty: a failed ranged write-back
+// returns the device's error, leaves every block of the run dirty and
+// resident, and returns the staging buffer; the next Flush writes them.
+func TestWriteBackFailureKeepsTheRunDirty(t *testing.T) {
+	const bs = 512
+	dev := &countingDev{MemDisk: blockdev.NewMemDisk(bs, 64)}
+	c := NewSharded(dev, 8, 4)
+	dirtyBlocks(t, c, 10, 18, 0)
+	before := bufpool.Outstanding()
+	boom := errors.New("medium error")
+	dev.FailNext(13, boom)
+	if err := c.Flush(); !errors.Is(err, boom) {
+		t.Fatalf("Flush over a failing block: %v, want the device's error", err)
+	}
+	dev.FailNext(13, boom)
+	if err := c.WriteBlock(40, fill(1, bs)); !errors.Is(err, boom) { // evicts 12
+		t.Fatalf("write needing a failing write-back: %v, want the device's error", err)
+	}
+	if c.DirtyCount() != 8 || c.Len() != 8 || c.Contains(40) {
+		t.Fatalf("after failed write-backs: %d dirty, %d cached", c.DirtyCount(), c.Len())
+	}
+	if grew := bufpool.Outstanding() - before; grew != 0 {
+		t.Fatalf("failed write-backs left %d pooled buffers checked out", grew)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, bs)
+	for b := int64(10); b < 18; b++ {
+		if err := dev.ReadBlock(b, buf); err != nil || buf[0] != byte(b) {
+			t.Fatalf("block %d after the retried Flush: %#x (%v)", b, buf[0], err)
+		}
+	}
+}
+
+// TestWriteBackInFlight parks a Flush inside its device write and
+// checks what the rest of the cache may do meanwhile: a write to a block
+// of the run does not wait and leaves it dirty; the entries of the run
+// are not evicted (a refill would read the device before the write
+// lands), so a reader needing their room waits; a second Flush waits for
+// the first instead of writing the block again.
+func TestWriteBackInFlight(t *testing.T) {
+	const bs = 512
+	dev := &countingDev{MemDisk: blockdev.NewMemDisk(bs, 64), parkWrites: true,
+		parked: make(chan struct{}), release: make(chan struct{})}
+	c := NewSharded(dev, 2, 1)
+	dirtyBlocks(t, c, 5, 7, 0x10)
+	flushed := make(chan error, 2)
+	go func() { flushed <- c.Flush() }()
+	<-dev.parked
+
+	wrote := make(chan error, 1)
+	go func() { wrote <- c.WriteBlock(5, fill(0x77, bs)) }()
+	select {
+	case err := <-wrote:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a write waited for the write-back of its block")
+	}
+	if c.DirtyCount() != 1 {
+		t.Fatalf("%d blocks dirty after rewriting one in flight, want 1", c.DirtyCount())
+	}
+
+	read := make(chan error, 1)
+	go func() { read <- c.ReadBlock(9, make([]byte, bs)) }() // needs an entry's room
+	go func() { flushed <- c.Flush() }()
+	select {
+	case <-read:
+		t.Fatal("a block was evicted while its write-back was in flight")
+	case <-flushed:
+		t.Fatal("a second Flush returned before the in-flight write-back landed")
+	case <-time.After(50 * time.Millisecond):
+	}
+	if !c.Contains(5) || !c.Contains(6) {
+		t.Fatal("a block in flight left the cache")
+	}
+
+	close(dev.release)
+	for i := 0; i < 2; i++ {
+		if err := <-flushed; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := <-read; err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// {5,6} by the first Flush; 5 again, once, by whichever came next.
+	want := [][2]int64{{5, 2}, {5, 1}}
+	if !slices.Equal(dev.writeRuns, want) {
+		t.Fatalf("write calls {start, blocks} %v, want %v", dev.writeRuns, want)
+	}
+	buf := make([]byte, bs)
+	if err := dev.ReadBlock(5, buf); err != nil || buf[0] != 0x77 {
+		t.Fatalf("block 5 on the device holds %#x (%v), want the rewrite", buf[0], err)
 	}
 }

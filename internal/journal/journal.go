@@ -199,15 +199,13 @@ func (j *Journal) activeBase(gen uint64) int64 {
 // generation. It stops cleanly at stale (prior-generation) data or
 // zeroed padding, and counts a torn tail when it finds a current-
 // generation record that fails its CRC or framing — the signature of a
-// commit batch caught mid-flush. The half is read whole (it is a few
-// MB at most), which keeps the parser a flat byte walk.
+// commit batch caught mid-flush. The half is read whole, in one ranged
+// call (it is a few MB at most), which keeps the parser a flat byte walk.
 func (j *Journal) scan() ([]*Record, int, error) {
 	base := j.activeBase(j.gen)
 	raw := make([]byte, j.half*int64(j.bs))
-	for blk := int64(0); blk < j.half; blk++ {
-		if err := j.dev.ReadBlock(j.start+base+blk, raw[blk*int64(j.bs):(blk+1)*int64(j.bs)]); err != nil {
-			return nil, 0, err
-		}
+	if err := blockdev.ReadBlocks(j.dev, j.start+base, raw); err != nil {
+		return nil, 0, err
 	}
 
 	var recs []*Record
@@ -318,7 +316,8 @@ func (j *Journal) Commit(upTo uint64) error {
 }
 
 // writeBatchLocked serialises recs with the given generation into the
-// active half at writeOff and advances writeOff. It does not flush.
+// active half at writeOff, as one ranged write, and advances writeOff.
+// It does not flush.
 func (j *Journal) writeBatchLocked(gen uint64, recs []*Record) error {
 	total := 0
 	for _, r := range recs {
@@ -341,11 +340,8 @@ func (j *Journal) writeBatchLocked(gen uint64, recs []*Record) error {
 		binary.LittleEndian.PutUint32(raw[off+4:], crc32.Checksum(raw[off+8:end], crcTable))
 		off = end
 	}
-	base := j.activeBase(gen)
-	for i := int64(0); i < nb; i++ {
-		if err := j.dev.WriteBlock(j.start+base+j.writeOff+i, raw[i*int64(j.bs):(i+1)*int64(j.bs)]); err != nil {
-			return err
-		}
+	if err := blockdev.WriteBlocks(j.dev, j.start+j.activeBase(gen)+j.writeOff, raw); err != nil {
+		return err
 	}
 	j.writeOff += nb
 	return nil

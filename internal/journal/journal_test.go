@@ -284,3 +284,64 @@ func TestConcurrentAppendCommit(t *testing.T) {
 		t.Fatalf("outstanding = %d after all applied", j.Outstanding())
 	}
 }
+
+// callCounter counts device calls, ranged or not.
+type callCounter struct {
+	*blockdev.MemDisk
+	reads, writes int
+}
+
+func (d *callCounter) ReadBlock(b int64, buf []byte) error {
+	d.reads++
+	return d.MemDisk.ReadBlock(b, buf)
+}
+
+func (d *callCounter) ReadBlocks(start int64, buf []byte) error {
+	d.reads++
+	return d.MemDisk.ReadBlocks(start, buf)
+}
+
+func (d *callCounter) WriteBlock(b int64, data []byte) error {
+	d.writes++
+	return d.MemDisk.WriteBlock(b, data)
+}
+
+func (d *callCounter) WriteBlocks(start int64, data []byte) error {
+	d.writes++
+	return d.MemDisk.WriteBlocks(start, data)
+}
+
+// TestCommitAndScanAreRangedCalls: a commit batch goes out as one device
+// write however many blocks it spans, and mounting reads the header and
+// then the active half in one call.
+func TestCommitAndScanAreRangedCalls(t *testing.T) {
+	dev := &callCounter{MemDisk: blockdev.NewMemDisk(512, 80)}
+	if err := Format(dev, 3, 64); err != nil {
+		t.Fatal(err)
+	}
+	j, _, _, err := Open(dev, 3, 64, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lsn uint64
+	for i := 0; i < 3; i++ { // one batch of three records over five blocks
+		if lsn, err = j.Append(KindPartTable, bytes.Repeat([]byte{byte(i + 1)}, 700)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dev.writes = 0
+	if err := j.Commit(lsn); err != nil {
+		t.Fatal(err)
+	}
+	if dev.writes != 1 {
+		t.Fatalf("commit of a five-block batch cost %d device writes, want 1", dev.writes)
+	}
+	dev.reads = 0
+	_, recs, _, err := Open(dev, 3, 64, nil)
+	if err != nil || len(recs) != 3 {
+		t.Fatalf("reopen recovered %d records (%v), want 3", len(recs), err)
+	}
+	if dev.reads != 2 {
+		t.Fatalf("mount cost %d device reads, want the header and one for the active half", dev.reads)
+	}
+}

@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -845,12 +846,36 @@ func (s *Store) BMap(o *Onode, fileBlock int64) (int64, error) {
 	}
 }
 
-// BMapAlloc resolves like BMap but allocates missing blocks and breaks
-// copy-on-write sharing along the path: any block (data or indirect)
-// with a reference count above one is replaced by a private copy before
-// it can be written. The onode is updated in memory; callers persist it
-// with WriteOnode. The returned physical block is safe to overwrite.
+// BMapAlloc is the one-block case of BMapAllocRange.
 func (s *Store) BMapAlloc(o *Onode, fileBlock int64, hint int64) (int64, error) {
+	var pb ptrBatch
+	blk, err := s.mapAlloc(&pb, o, fileBlock, hint)
+	return blk, s.flushPtrs(pb, err)
+}
+
+// BMapAllocRange resolves the n object-relative blocks from fileBlock
+// like BMap but allocates missing blocks and breaks copy-on-write
+// sharing along the path: any block (data or indirect) with a reference
+// count above one is replaced by a private copy before it can be
+// written. The first block is allocated near hint, each later one after
+// its predecessor. The onode is updated in memory; callers persist it
+// with WriteOnode, by when each pointer block the range touched has been
+// written, once (ptrBatch). The returned physical blocks are safe to
+// overwrite; with an error they are the prefix that was mapped.
+func (s *Store) BMapAllocRange(o *Onode, fileBlock int64, n int, hint int64) ([]int64, error) {
+	var pb ptrBatch
+	out := make([]int64, n)
+	for i := range out {
+		blk, err := s.mapAlloc(&pb, o, fileBlock+int64(i), hint)
+		if err != nil {
+			return out[:i], s.flushPtrs(pb, err)
+		}
+		out[i], hint = blk, blk+1
+	}
+	return out, s.flushPtrs(pb, nil)
+}
+
+func (s *Store) mapAlloc(pb *ptrBatch, o *Onode, fileBlock int64, hint int64) (int64, error) {
 	p := s.ptrsPerBlock
 	switch {
 	case fileBlock < 0:
@@ -867,22 +892,22 @@ func (s *Store) BMapAlloc(o *Onode, fileBlock int64, hint int64) (int64, error) 
 		if err != nil {
 			return 0, err
 		}
-		return s.allocThroughPtr(ind, fileBlock-NumDirect, hint)
+		return s.allocThroughPtr(pb, ind, fileBlock-NumDirect, hint)
 	case fileBlock < NumDirect+p+p*p:
 		rel := fileBlock - NumDirect - p
 		ind2, err := s.ensurePtrBlock(&o.Indirect2, hint)
 		if err != nil {
 			return 0, err
 		}
-		l1, err := s.readPtr(ind2, rel/p)
+		l1, err := s.getPtr(pb, ind2, rel/p)
 		if err != nil {
 			return 0, err
 		}
-		newL1, err := s.ensurePtrBlockAt(ind2, rel/p, l1, hint)
+		newL1, err := s.ensurePtrBlockAt(pb, ind2, rel/p, l1, hint)
 		if err != nil {
 			return 0, err
 		}
-		return s.allocThroughPtr(newL1, rel%p, hint)
+		return s.allocThroughPtr(pb, newL1, rel%p, hint)
 	default:
 		return 0, ErrTooBig
 	}
@@ -946,14 +971,14 @@ func (s *Store) ensurePtrBlock(slot *int64, hint int64) (int64, error) {
 
 // ensurePtrBlockAt is ensurePtrBlock for a slot stored inside pointer
 // block parent at index idx.
-func (s *Store) ensurePtrBlockAt(parent int64, idx int64, cur int64, hint int64) (int64, error) {
+func (s *Store) ensurePtrBlockAt(pb *ptrBatch, parent int64, idx int64, cur int64, hint int64) (int64, error) {
 	slot := cur
 	nb, err := s.ensurePtrBlock(&slot, hint)
 	if err != nil {
 		return 0, err
 	}
 	if nb != cur {
-		if err := s.writePtr(parent, idx, nb); err != nil {
+		if err := s.setPtr(pb, parent, idx, nb); err != nil {
 			return 0, err
 		}
 	}
@@ -962,8 +987,8 @@ func (s *Store) ensurePtrBlockAt(parent int64, idx int64, cur int64, hint int64)
 
 // allocThroughPtr ensures the data block at index idx of pointer block
 // ptrBlk exists and is exclusively owned.
-func (s *Store) allocThroughPtr(ptrBlk int64, idx int64, hint int64) (int64, error) {
-	cur, err := s.readPtr(ptrBlk, idx)
+func (s *Store) allocThroughPtr(pb *ptrBatch, ptrBlk int64, idx int64, hint int64) (int64, error) {
+	cur, err := s.getPtr(pb, ptrBlk, idx)
 	if err != nil {
 		return 0, err
 	}
@@ -972,7 +997,7 @@ func (s *Store) allocThroughPtr(ptrBlk int64, idx int64, hint int64) (int64, err
 		return 0, err
 	}
 	if nb != cur {
-		if err := s.writePtr(ptrBlk, idx, nb); err != nil {
+		if err := s.setPtr(pb, ptrBlk, idx, nb); err != nil {
 			return 0, err
 		}
 	}
@@ -984,7 +1009,9 @@ func (s *Store) allocThroughPtr(ptrBlk int64, idx int64, hint int64) (int64, err
 // pointer blocks along the path are unshared first so a copy-on-write
 // sibling's mapping is untouched. It reports the physical block that
 // was unmapped (0 if the block was a hole). Truncation uses this.
-func (s *Store) UnmapBlock(o *Onode, fileBlock int64) (int64, error) {
+func (s *Store) UnmapBlock(o *Onode, fileBlock int64) (phys int64, err error) {
+	var pb ptrBatch
+	defer func() { err = s.flushPtrs(pb, err) }()
 	p := s.ptrsPerBlock
 	switch {
 	case fileBlock < 0:
@@ -1015,7 +1042,7 @@ func (s *Store) UnmapBlock(o *Onode, fileBlock int64) (int64, error) {
 		if err := s.Free(cur); err != nil {
 			return 0, err
 		}
-		if err := s.writePtr(ind, idx, 0); err != nil {
+		if err := s.setPtr(&pb, ind, idx, 0); err != nil {
 			return 0, err
 		}
 		return cur, nil
@@ -1036,14 +1063,14 @@ func (s *Store) UnmapBlock(o *Onode, fileBlock int64) (int64, error) {
 		if err != nil {
 			return 0, err
 		}
-		newL1, err := s.ensurePtrBlockAt(ind2, rel/p, l1, 0)
+		newL1, err := s.ensurePtrBlockAt(&pb, ind2, rel/p, l1, 0)
 		if err != nil {
 			return 0, err
 		}
 		if err := s.Free(cur); err != nil {
 			return 0, err
 		}
-		if err := s.writePtr(newL1, rel%p, 0); err != nil {
+		if err := s.setPtr(&pb, newL1, rel%p, 0); err != nil {
 			return 0, err
 		}
 		return cur, nil
@@ -1055,10 +1082,7 @@ func (s *Store) UnmapBlock(o *Onode, fileBlock int64) (int64, error) {
 func (s *Store) readPtr(blk int64, idx int64) (int64, error) {
 	var v int64
 	if s.meta.view(blk, func(b []byte) { v = int64(binary.LittleEndian.Uint64(b[idx*8:])) }) {
-		if v != 0 && (v < s.sb.DataStart || v >= s.sb.TotalBlocks) {
-			return 0, nil
-		}
-		return v, nil
+		return s.clampPtr(v), nil
 	}
 	buf := bufpool.Get(int(s.sb.BlockSize))
 	defer bufpool.Put(buf)
@@ -1067,40 +1091,91 @@ func (s *Store) readPtr(blk int64, idx int64) (int64, error) {
 		return 0, err
 	}
 	s.meta.fill(blk, buf)
-	v = int64(binary.LittleEndian.Uint64(buf[idx*8:]))
-	// A legitimate pointer is zero (hole) or a data-region block. Pointer
-	// blocks are not write-ahead journaled, so after a crash one can hold
-	// stale or torn content; clamping wild values to holes here keeps
-	// every traversal (BMap, ForEachBlock, recovery verification) from
-	// wandering out of the volume. Affected objects were dirty at the
-	// crash and read zeros, which the durability contract allows.
-	if v != 0 && (v < s.sb.DataStart || v >= s.sb.TotalBlocks) {
-		return 0, nil
+	return s.clampPtr(int64(binary.LittleEndian.Uint64(buf[idx*8:]))), nil
+}
+
+// clampPtr turns a wild pointer into a hole: a legitimate one is zero
+// (hole) or a data-region block. Pointer blocks are not write-ahead
+// journaled, so after a crash one can hold stale or torn content;
+// clamping keeps every traversal (BMap, ForEachBlock, recovery) from
+// wandering out of the volume. Affected objects were dirty at the crash
+// and read zeros, which the durability contract allows.
+func (s *Store) clampPtr(v int64) int64 {
+	if v < s.sb.DataStart || v >= s.sb.TotalBlocks {
+		return 0
 	}
-	return v, nil
+	return v
 }
 
 // DevReads returns the number of device reads issued for layout
 // metadata (onode and pointer blocks) since the store was opened.
 func (s *Store) DevReads() int64 { return s.devReads.Load() }
 
-func (s *Store) writePtr(blk int64, idx int64, v int64) error {
-	buf := bufpool.Get(int(s.sb.BlockSize))
-	defer bufpool.Put(buf)
-	if !s.meta.view(blk, func(b []byte) { copy(buf, b) }) {
-		s.devReads.Add(1)
-		if err := s.dev.ReadBlock(blk, buf); err != nil {
-			return err
+// ptrBatch holds the pointer blocks one block-map update (the range of
+// a write, an unmap) has changed. Each is read once, updated in memory
+// and written to the device once, by flushPtrs: after its last update
+// and, as callers persist the onode afterwards, before the onode record
+// that makes the new mapping reachable is committed. The blocks belong
+// to one object, locked exclusively above: nobody reads them in between.
+type ptrBatch []ptrBlock
+
+type ptrBlock struct {
+	blk int64
+	buf []byte // pooled
+}
+
+func (pb ptrBatch) find(blk int64) []byte {
+	for _, e := range pb {
+		if e.blk == blk {
+			return e.buf
 		}
 	}
-	binary.LittleEndian.PutUint64(buf[idx*8:], uint64(v))
-	if err := s.dev.WriteBlock(blk, buf); err != nil {
-		// The write may have partially applied; drop any cached copy.
-		s.meta.invalidate(blk)
-		return err
-	}
-	s.meta.fill(blk, buf)
 	return nil
+}
+
+// getPtr is readPtr during an update: a block changed in pb is read there.
+func (s *Store) getPtr(pb *ptrBatch, blk int64, idx int64) (int64, error) {
+	if buf := pb.find(blk); buf != nil {
+		return s.clampPtr(int64(binary.LittleEndian.Uint64(buf[idx*8:]))), nil
+	}
+	return s.readPtr(blk, idx)
+}
+
+// setPtr sets slot idx of pointer block blk in pb, loading the block on
+// its first change.
+func (s *Store) setPtr(pb *ptrBatch, blk int64, idx int64, v int64) error {
+	buf := pb.find(blk)
+	if buf == nil {
+		buf = bufpool.Get(int(s.sb.BlockSize))
+		if !s.meta.view(blk, func(b []byte) { copy(buf, b) }) {
+			s.devReads.Add(1)
+			if err := s.dev.ReadBlock(blk, buf); err != nil {
+				bufpool.Put(buf)
+				return err
+			}
+		}
+		*pb = append(*pb, ptrBlock{blk, buf})
+	}
+	binary.LittleEndian.PutUint64(buf[idx*8:], uint64(v))
+	return nil
+}
+
+// flushPtrs writes every block of pb to the device, in the order they
+// were first changed. It returns err, or else its own first error, but
+// issues every block: mappings made before a failure must reach the
+// device with the onode that points at them.
+func (s *Store) flushPtrs(pb ptrBatch, err error) error {
+	for _, e := range pb {
+		s.meta.fill(e.blk, e.buf)
+		if werr := s.dev.WriteBlock(e.blk, e.buf); werr != nil {
+			s.meta.invalidate(e.blk) // the write may have partially applied
+			if err == nil {
+				err = werr
+			}
+		}
+		bufpool.Put(e.buf)
+	}
+	return err
 }
 
 // ForEachBlock calls fn for every physical block reachable from o,
@@ -1212,13 +1287,18 @@ func (s *Store) Sync() error {
 	bs := int64(s.sb.BlockSize)
 	refPerBlock := bs / 2
 
+	// Sorted: the journal payload and the device's write order must not
+	// depend on map iteration.
 	var refLSN uint64
 	if s.jnl != nil && len(s.refPending) > 0 {
 		blocks := make([]int64, 0, len(s.refPending))
-		refs := make([]uint16, 0, len(s.refPending))
-		for b, v := range s.refPending {
+		for b := range s.refPending {
 			blocks = append(blocks, b)
-			refs = append(refs, v)
+		}
+		slices.Sort(blocks)
+		refs := make([]uint16, len(blocks))
+		for i, b := range blocks {
+			refs[i] = s.refPending[b]
 		}
 		lsn, err := s.journalAppend(journal.KindRefUpdate, journal.EncodeRefUpdate(blocks, refs))
 		switch {
@@ -1238,19 +1318,19 @@ func (s *Store) Sync() error {
 		s.refPending = make(map[int64]uint16)
 	}
 
-	buf := make([]byte, bs)
+	dirty := make([]int64, 0, len(s.refDirty))
 	for rb := range s.refDirty {
-		base := rb * refPerBlock
-		for j := int64(0); j < refPerBlock; j++ {
-			var v uint16
-			if base+j < s.sb.TotalBlocks {
-				v = s.ref[base+j]
-			}
-			binary.LittleEndian.PutUint16(buf[j*2:], v)
+		dirty = append(dirty, rb)
+	}
+	slices.Sort(dirty)
+	if err := blockdev.EachRun(dirty, blockdev.RunLimit, func(rb int64, n int) error {
+		buf := make([]byte, int64(n)*bs)
+		for j := int64(0); j < int64(n)*refPerBlock && rb*refPerBlock+j < s.sb.TotalBlocks; j++ {
+			binary.LittleEndian.PutUint16(buf[j*2:], s.ref[rb*refPerBlock+j])
 		}
-		if err := s.dev.WriteBlock(s.sb.RefStart+rb, buf); err != nil {
-			return err
-		}
+		return blockdev.WriteBlocks(s.dev, s.sb.RefStart+rb, buf)
+	}); err != nil {
+		return err
 	}
 	s.refDirty = make(map[int64]bool)
 	if s.sbDirty {

@@ -803,9 +803,9 @@ func (e *Engine) compactLoop(l *Log) {
 
 // compactSegmentLocked copies src's live records and tombstones to the
 // log tail (preserving their LSNs, so recovery ordering is unchanged),
-// syncs the tail, then frees src. A crash mid-way leaves duplicate
-// records, which LSN-merge recovery resolves; quota is only settled
-// once src's blocks are actually returned.
+// syncs the tail and flushes the device, then frees src. A crash
+// mid-way leaves duplicate records, which LSN-merge recovery resolves;
+// quota is only settled once src's blocks are actually returned.
 func (l *Log) compactSegmentLocked(src *segment) error {
 	raw, err := l.readSegDeviceLocked(src, src.written)
 	if err != nil {
@@ -837,6 +837,12 @@ func (l *Log) compactSegmentLocked(src *segment) error {
 		return cerr
 	}
 	if err := l.syncTailLocked(); err != nil {
+		return err
+	}
+	// The copies must be on the medium before the table that drops src
+	// can be: the table's commit flushes both in no particular order, and
+	// a crash that kept the table and lost a copy would lose the object.
+	if err := l.e.cfg.Dev.Flush(); err != nil {
 		return err
 	}
 	for _, b := range src.blocks {

@@ -472,69 +472,58 @@ func (c *classicBackend) Write(part uint16, obj uint64, off uint64, data []byte)
 	return werr
 }
 
-// writeRange maps and writes the block range of one write. Caller holds
-// the object's exclusive lock and persists the onode.
+// writeRange maps the block range of one write in a single pass
+// (layout.BMapAllocRange: each pointer block it touches is written
+// once) and hands the blocks to the cache. Caller holds the object's
+// exclusive lock and persists the onode.
 func (c *classicBackend) writeRange(o *layout.Onode, off uint64, data []byte) error {
+	if len(data) == 0 {
+		return nil
+	}
 	bs := uint64(c.lay.BlockSize())
-	// Clustering: when this object has no blocks yet and is linked to
-	// another object, allocate near it.
-	clusterHint := int64(0)
-	if o.Cluster != 0 {
-		clusterHint = c.clusterHint(o)
+	end := off + uint64(len(data))
+	first, last := int64(off/bs), int64((end-1)/bs)
+	// Allocate after the preceding file block (there is none before
+	// block 0, which BMap refuses), else near the object this one is
+	// linked to (clustering).
+	hint := int64(0)
+	if prev, err := c.lay.BMap(o, first-1); err == nil && prev != 0 {
+		hint = prev + 1
+	} else if o.Cluster != 0 {
+		hint = c.clusterHint(o)
 	}
-	var buf []byte // pooled RMW bounce buffer for partial blocks only
-	defer func() { bufpool.Put(buf) }()
-	for done := 0; done < len(data); {
-		cur := off + uint64(done)
-		fb := int64(cur / bs)
-		within := cur % bs
-		chunk := int(bs - within)
-		if chunk > len(data)-done {
-			chunk = len(data) - done
-		}
-		hint := clusterHint
-		if fb > 0 {
-			if prev, err := c.lay.BMap(o, fb-1); err == nil && prev != 0 {
-				hint = prev + 1
+	// Only the two ends can be partial blocks: read-modify-write, unless
+	// the block was a hole before this write. Then it holds whatever a
+	// previous owner left there and is zero-filled instead of read.
+	wasHole := func(fb int64) bool { prev, err := c.lay.BMap(o, fb); return err == nil && prev == 0 }
+	headHole, tailHole := wasHole(first), wasHole(last)
+	phys, err := c.lay.BMapAllocRange(o, first, int(last-first+1), hint)
+	buf := bufpool.Get(int(bs)) // bounce buffer for the partial blocks
+	defer bufpool.Put(buf)
+	for i, p := range phys {
+		lo, hi := uint64(first+int64(i))*bs, uint64(first+int64(i)+1)*bs
+		src := data[max(lo, off)-off : min(hi, end)-off]
+		var werr error
+		if len(src) < int(bs) {
+			if i == 0 && headHole || i > 0 && tailHole {
+				clear(buf)
+			} else {
+				werr = c.cache.ReadBlock(p, buf)
 			}
+			copy(buf[max(lo, off)-lo:], src)
+			src = buf
 		}
-		prevPhys, err := c.lay.BMap(o, fb)
-		if err != nil {
-			return err
+		// A full block goes to the cache straight from the caller's
+		// bytes. After a failure the remaining blocks are still written:
+		// they are mapped, and must not keep a previous owner's bytes.
+		if werr == nil {
+			werr = c.cache.WriteBlock(p, src)
 		}
-		phys, err := c.lay.BMapAlloc(o, fb, hint)
-		if err != nil {
-			return err
+		if err == nil {
+			err = werr
 		}
-		if within == 0 && chunk == int(bs) {
-			// Full block: hand the caller's bytes straight to the cache
-			// (which copies into its own pooled entry) — no bounce copy.
-			if err := c.cache.WriteBlock(phys, data[done:done+chunk]); err != nil {
-				return err
-			}
-			done += chunk
-			continue
-		}
-		// Partial block: read-modify-write. A block that was a hole
-		// before this write contains whatever a previous owner left
-		// there, so zero-fill it instead of reading.
-		if buf == nil {
-			buf = bufpool.Get(int(bs))
-		}
-		if prevPhys == 0 {
-			for i := range buf {
-				buf[i] = 0
-			}
-		} else if err := c.cache.ReadBlock(phys, buf); err != nil {
-			return err
-		}
-		copy(buf[within:], data[done:done+chunk])
-		if err := c.cache.WriteBlock(phys, buf); err != nil {
-			return err
-		}
-		done += chunk
 	}
-	return nil
+	return err
 }
 
 // VersionObject implements StoreBackend: it creates a copy-on-write
@@ -581,20 +570,8 @@ func (c *classicBackend) Flush() error {
 // writeRaw replaces an onode's data with data.
 func (c *classicBackend) writeRaw(o *layout.Onode, data []byte) error {
 	bs := int(c.lay.BlockSize())
-	buf := make([]byte, bs)
-	for done := 0; done < len(data); done += bs {
-		fb := int64(done / bs)
-		phys, err := c.lay.BMapAlloc(o, fb, 0)
-		if err != nil {
-			return err
-		}
-		n := copy(buf, data[done:])
-		for i := n; i < bs; i++ {
-			buf[i] = 0
-		}
-		if err := c.cache.WriteBlock(phys, buf); err != nil {
-			return err
-		}
+	if err := c.writeRange(o, 0, data); err != nil {
+		return err
 	}
 	// Drop blocks past the new end so raw objects can shrink.
 	if o.Size > uint64(len(data)) {

@@ -1,6 +1,7 @@
 package object
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -314,5 +315,61 @@ func TestQuotaUnderConcurrentWriters(t *testing.T) {
 	}
 	if p.UsedBlocks != want {
 		t.Fatalf("used blocks = %d, recomputed charge = %d", p.UsedBlocks, want)
+	}
+}
+
+// TestLockEntriesLiveOnlyForReadaheadState: an entry outlives its last
+// holder only while its tracker remembers a read. Objects that are only
+// written, and every object of a needle partition, leave nothing in the
+// table; a classic object being read keeps its entry and its streak.
+func TestLockEntriesLiveOnlyForReadaheadState(t *testing.T) {
+	s, _ := newExtentStore(t, Config{})
+	if err := s.CreatePartitionBackend(2, 0, BackendNeedle); err != nil {
+		t.Fatal(err)
+	}
+	data := pattern(3, 8*4096)
+	for i := 0; i < 50; i++ {
+		for _, part := range []uint16{1, 2} {
+			id, err := s.Create(part)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Write(part, id, 0, data); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.GetAttr(part, id); err != nil {
+				t.Fatal(err)
+			}
+			if part == 2 {
+				got, err := s.Read(part, id, 0, len(data))
+				if err != nil || !bytes.Equal(got, data) {
+					t.Fatalf("needle read: %v", err)
+				}
+			}
+		}
+	}
+	if n := s.LockEntries(); n != 0 {
+		t.Fatalf("lock table holds %d entries for 100 objects nobody is reading, want 0", n)
+	}
+	id, _ := s.Create(1)
+	if err := s.Write(1, id, 0, data); err != nil {
+		t.Fatal(err)
+	}
+	mustRead(t, s, id, 0, data[:4096])
+	mustRead(t, s, id, 4096, data[4096:8192])
+	if n := s.LockEntries(); n != 1 {
+		t.Fatalf("lock table holds %d entries with one object mid-scan, want 1", n)
+	}
+	l := s.locks.acquire(objKey{1, id}, false)
+	streak := l.seq.streak
+	s.locks.release(objKey{1, id}, l, false, false)
+	if streak != 1 {
+		t.Fatalf("the scan's streak is %d after two sequential reads, want 1: the entry was dropped between them", streak)
+	}
+	if err := s.Remove(1, id); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.LockEntries(); n != 0 {
+		t.Fatalf("lock table holds %d entries after the remove, want 0", n)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"nasd/internal/blockdev"
+	"nasd/internal/layout"
 )
 
 // The crash harness: format a store on a CrashDisk (volatile write
@@ -62,6 +63,8 @@ func (m *crashModel) markFlushed() {
 const (
 	crashDiskBlocks  = 8192 // 4 MB of 512 B blocks
 	crashWorkloadOps = 90
+	// crashIndirectAppend is longer than the direct slots map.
+	crashIndirectAppend = (layout.NumDirect + 4) * 512
 )
 
 // setupCrashStore formats a store (classic partition 1, needle
@@ -125,11 +128,16 @@ func runCrashWorkload(s *Store, disk *blockdev.CrashDisk, rng *rand.Rand, m *cra
 			if ref.part == 2 && rng.Intn(4) == 0 {
 				size = 16384 + rng.Intn(49152) // push needle segment rolls
 			}
-			data := payload(size)
 			off := 0
-			if cur := len(m.live[ref]); cur > 0 && rng.Intn(2) == 0 {
+			if cur := len(m.live[ref]); ref.part == 1 && rng.Intn(4) == 0 {
+				// A multi-block classic append that runs past the direct
+				// slots (10 KiB at this block size), so the sweep crashes
+				// around indirect-block writes too.
+				size, off = crashIndirectAppend+rng.Intn(4096), cur
+			} else if cur > 0 && rng.Intn(2) == 0 {
 				off = rng.Intn(cur)
 			}
+			data := payload(size)
 			m.dirty[ref] = true
 			err = s.Write(ref.part, ref.obj, uint64(off), data)
 			if err == nil {
@@ -326,6 +334,65 @@ func TestCrashSweep(t *testing.T) {
 		t.Fatalf("swept only %d crash points, want >= %d", points, target)
 	}
 	t.Logf("swept %d crash points", points)
+}
+
+// TestCrashSweepIndirectAppend crashes the disk around one classic
+// append that crosses from the direct slots into the indirect block:
+// right after the write returns (no Flush), and at every persist step
+// inside it (the flush of its onode commit, which is what carries its
+// pointer block to the medium). The store must mount, the object must
+// read without error at its old or its new size, and a second
+// verification pass must find nothing left to repair.
+func TestCrashSweepIndirectAppend(t *testing.T) {
+	old := bytes.Repeat([]byte{0xA1}, 4096)
+	added := bytes.Repeat([]byte{0xB2}, crashIndirectAppend)
+	for _, tear := range []bool{false, true} {
+		for n := int64(0); ; n++ { // 0: crash after the write returns
+			inner, disk, s := setupCrashStore(t, 7)
+			disk.SetTearWrites(tear)
+			id, err := s.Create(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Write(1, id, 0, old); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			base := disk.Steps()
+			disk.SetCrashAfter(n)
+			err = s.Write(1, id, uint64(len(old)), added)
+			if n == 0 && err != nil || err != nil && !disk.Crashed() {
+				t.Fatalf("crash@%d: append failed without a crash: %v", n, err)
+			}
+			if err == nil && n > 0 {
+				if steps := disk.Steps() - base; steps < 3 {
+					t.Fatalf("the append persisted only %d blocks: no pointer block reached the medium", steps)
+				}
+				t.Logf("tear=%v: %d crash points in and after the append", tear, n)
+				break // every step of the write has been a crash point
+			}
+			disk.Crash()
+
+			tag := fmt.Sprintf("crash@%d tear=%v", n, tear)
+			s2, err := Open(inner, Config{SyncCompact: true})
+			if err != nil {
+				t.Fatalf("%s: reopen: %v", tag, err)
+			}
+			a, err := s2.GetAttr(1, id)
+			if err != nil || a.Size != uint64(len(old)) && a.Size != uint64(len(old)+len(added)) {
+				t.Fatalf("%s: size %d (%v), want the old %d or the new %d", tag, a.Size, err, len(old), len(old)+len(added))
+			}
+			got, err := s2.Read(1, id, 0, int(a.Size))
+			if err != nil || len(got) != int(a.Size) || !bytes.Equal(got[:len(old)], old) {
+				t.Fatalf("%s: read %d bytes (%v), want %d with the flushed prefix intact", tag, len(got), err, a.Size)
+			}
+			if repairs, err := s2.verifyRefs(); err != nil || repairs != 0 {
+				t.Fatalf("%s: second verification pass repaired %d refcounts (%v)", tag, repairs, err)
+			}
+		}
+	}
 }
 
 // TestFlushDurableAcrossCrash is the regression test for the needle

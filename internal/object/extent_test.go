@@ -9,15 +9,18 @@ import (
 
 	"nasd/internal/blockdev"
 	"nasd/internal/bufpool"
+	"nasd/internal/layout"
 )
 
 // countingRanger counts read calls on a ranged device and how often
-// each block was read.
+// each block was read, and the same for writes.
 type countingRanger struct {
 	*blockdev.MemDisk
-	mu       sync.Mutex
-	calls    int
-	perBlock map[int64]int
+	mu         sync.Mutex
+	calls      int
+	perBlock   map[int64]int
+	writeCalls int
+	written    map[int64]int
 }
 
 func (d *countingRanger) count(start int64, n int) {
@@ -39,15 +42,30 @@ func (d *countingRanger) ReadBlocks(start int64, buf []byte) error {
 	return d.MemDisk.ReadBlocks(start, buf)
 }
 
+func (d *countingRanger) WriteBlock(b int64, data []byte) error {
+	return d.WriteBlocks(b, data)
+}
+
+func (d *countingRanger) WriteBlocks(start int64, data []byte) error {
+	d.mu.Lock()
+	d.writeCalls++
+	for b := start; b < start+int64(len(data)/d.BlockSize()); b++ {
+		d.written[b]++
+	}
+	d.mu.Unlock()
+	return d.MemDisk.WriteBlocks(start, data)
+}
+
 func (d *countingRanger) reset() {
 	d.mu.Lock()
 	d.calls, d.perBlock = 0, map[int64]int{}
+	d.writeCalls, d.written = 0, map[int64]int{}
 	d.mu.Unlock()
 }
 
 func newExtentStore(t *testing.T, cfg Config) (*Store, *countingRanger) {
 	t.Helper()
-	dev := &countingRanger{MemDisk: blockdev.NewMemDisk(4096, 4096), perBlock: map[int64]int{}}
+	dev := &countingRanger{MemDisk: blockdev.NewMemDisk(4096, 4096), perBlock: map[int64]int{}, written: map[int64]int{}}
 	s, err := Format(dev, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -258,4 +276,188 @@ func TestExtentReadsRecyclePooledBuffers(t *testing.T) {
 	if grew := bufpool.Outstanding() - before - (int64(s.classic.cache.Len()) - held); grew != 0 {
 		t.Fatalf("failed extent read left %d pooled buffers checked out", grew)
 	}
+}
+
+// TestExtentWriteDeviceCalls pins the unit of the classic write path. A
+// fresh object written in 16 appends of 64 KiB touches its indirect
+// block in 15 of them: the block is written once per append, after its
+// last update in that append, plus the zeroing write when it is born.
+// The Flush that follows writes the object's 256 contiguous data blocks
+// in one call.
+func TestExtentWriteDeviceCalls(t *testing.T) {
+	const k64 = 64 << 10
+	s, dev := newExtentStore(t, Config{ReadaheadBlocks: -1})
+	id, _ := s.Create(1)
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	dev.reset()
+	data := pattern(11, 16*k64)
+	for i := 0; i < 16; i++ {
+		if err := s.Write(1, id, uint64(i*k64), data[i*k64:(i+1)*k64]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, o, err := s.classic.lookup(1, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.Indirect == 0 {
+		t.Fatal("a 1 MiB object has no indirect block")
+	}
+	if n := dev.written[o.Indirect]; n > 15+1 {
+		t.Fatalf("indirect block written %d times over 15 appends that touch it, want at most 16", n)
+	}
+	// Nothing but metadata has reached the device yet: per append the
+	// pointer block, the journal record and the onode block.
+	if dev.writeCalls > 16*3+1 {
+		t.Fatalf("%d device write calls for 16 appends, want at most 3 each and the zeroing write", dev.writeCalls)
+	}
+	first, err := s.classic.lay.BMap(&o, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for fb := int64(1); fb < 256; fb++ {
+		want := first + fb
+		if fb >= layout.NumDirect {
+			want++ // the indirect block was allocated in between
+		}
+		if phys, _ := s.classic.lay.BMap(&o, fb); phys != want {
+			t.Fatalf("file block %d is at %d, want %d: the object is not contiguous around its indirect block", fb, phys, want)
+		}
+	}
+	dev.reset()
+	if err := s.classic.cache.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// Two runs, split by the indirect block allocated after block 19.
+	if dev.writeCalls != 2 || len(dev.written) != 256 {
+		t.Fatalf("cache flush of 256 dirty blocks in two runs cost %d write calls for %d blocks, want 2 for 256", dev.writeCalls, len(dev.written))
+	}
+	chill(t, s, dev, id)
+	mustRead(t, s, id, 0, data)
+}
+
+// TestExtentWritesRecyclePooledBuffers: write/flush rounds, and a
+// failed write-back, return every pooled buffer they take (pointer-block
+// images, the partial-block bounce buffer, the staging buffer); only the
+// cache's own entries stay out.
+func TestExtentWritesRecyclePooledBuffers(t *testing.T) {
+	const k64 = 64 << 10
+	s, dev := newExtentStore(t, Config{ReadaheadBlocks: -1})
+	id, _ := s.Create(1)
+	data := pattern(13, 4*k64)
+	if err := s.Write(1, id, 0, data); err != nil {
+		t.Fatal(err)
+	}
+	round := func(i int) {
+		t.Helper()
+		// Unaligned ends, and a tail that grows the object through its
+		// indirect block.
+		off := uint64(100 + i%3*k64)
+		if err := s.Write(1, id, off, data[:k64+i%7]); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 8; i++ { // warm the pool's classes
+		round(i)
+	}
+	held := int64(s.classic.cache.Len())
+	before := bufpool.Outstanding()
+	const rounds = 1000
+	for i := 0; i < rounds; i++ {
+		round(i)
+	}
+	if grew := bufpool.Outstanding() - before - (int64(s.classic.cache.Len()) - held); grew != 0 {
+		t.Fatalf("bufpool.Outstanding moved by %d over %d write/flush rounds", grew, rounds)
+	}
+
+	_, o, err := s.classic.lookup(1, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad, err := s.classic.lay.BMap(&o, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Write(1, id, 0, data[:k64]); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("medium error")
+	dev.FailNext(bad, boom)
+	before = bufpool.Outstanding()
+	if err := s.Flush(); !errors.Is(err, boom) {
+		t.Fatalf("flush over a failing block: %v, want the device's error", err)
+	}
+	if grew := bufpool.Outstanding() - before; grew != 0 {
+		t.Fatalf("failed write-back left %d pooled buffers checked out", grew)
+	}
+	if n := s.classic.cache.DirtyCount(); n < 16 {
+		t.Fatalf("%d blocks dirty after the failed write-back of a 16-block run, want all 16 still", n)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	chill(t, s, dev, id)
+	mustRead(t, s, id, 0, data[:k64])
+}
+
+// TestExtentWritePartialFailure keeps classic.Write's partial-failure
+// rule under the ranged mapping: when the allocator runs dry in the
+// middle of a write that has crossed into the indirect block, the
+// pointer block for the file blocks already mapped is written before the
+// onode is persisted. After a remount nothing is orphaned (no refcount
+// repair) and the onode points at a pointer block that was issued.
+func TestExtentWritePartialFailure(t *testing.T) {
+	s, dev := newExtentStore(t, Config{ReadaheadBlocks: -1})
+	lay := s.classic.lay
+	filler, _ := s.Create(1)
+	for off := uint64(0); lay.FreeBlocks() > 30; {
+		n := min(int(lay.FreeBlocks())-30, 16) * 4096
+		if lay.FreeBlocks() < 64 {
+			n = 4096 // the filler's own pointer blocks come out of the same space
+		}
+		if err := s.Write(1, filler, off, pattern(1, n)); err != nil {
+			t.Fatal(err)
+		}
+		off += uint64(n)
+	}
+	free := lay.FreeBlocks()
+	id, _ := s.Create(1)
+	data := pattern(17, 40*4096)
+	if err := s.Write(1, id, 0, data); !errors.Is(err, layout.ErrNoSpace) {
+		t.Fatalf("write of 40 blocks with %d free: %v, want ErrNoSpace", free, err)
+	}
+	if lay.FreeBlocks() != 0 {
+		t.Fatalf("%d blocks still free after the write ran out of space", lay.FreeBlocks())
+	}
+	if a, err := s.GetAttr(1, id); err != nil || a.Size != 0 {
+		t.Fatalf("size after the failed write = %d (%v), want 0", a.Size, err)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(dev, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if repairs, err := s2.verifyRefs(); err != nil || repairs != 0 {
+		t.Fatalf("remount repaired %d refcounts (%v): the failed write orphaned blocks", repairs, err)
+	}
+	_, o, err := s2.classic.lookup(1, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s2.classic.footprint(&o); got != free || o.Indirect == 0 {
+		t.Fatalf("object holds %d blocks after remount (indirect %d), want the %d the write mapped", got, o.Indirect, free)
+	}
+	// The mapped prefix carries this write's bytes.
+	if err := s2.SetAttr(1, id, Attributes{Size: uint64(free-1) * 4096}, SetSize); err != nil {
+		t.Fatal(err)
+	}
+	mustRead(t, s2, id, 0, data[:(free-1)*4096])
 }

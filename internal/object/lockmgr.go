@@ -19,6 +19,9 @@ import (
 // entry also carries the object's sequential-read tracker: readahead
 // state is inherently per-object, and housing it here means it is
 // created, found, and discarded together with the lock that guards it.
+// That state is all an entry is kept for once nobody holds it: an
+// object that has none (never read through a backend with readahead,
+// which is every object of a needle partition) costs no memory here.
 
 // lockShardCount shards the lock table. Must be a power of two.
 const lockShardCount = 64
@@ -33,7 +36,7 @@ type objLock struct {
 	mu sync.RWMutex
 
 	// refs counts in-flight acquisitions; guarded by the owning shard's
-	// mutex. An entry is only deleted when refs is zero.
+	// mutex. An entry is only deleted, and recycled, when refs is zero.
 	refs int
 
 	// seq is the object's sequential-read tracker, passed down to the
@@ -47,6 +50,10 @@ type lockShard struct {
 	mu sync.Mutex
 	m  map[objKey]*objLock
 }
+
+// lockPool recycles entries, so an object that keeps none between
+// operations does not cost an allocation per operation instead.
+var lockPool = sync.Pool{New: func() any { return new(objLock) }}
 
 type lockManager struct {
 	shards [lockShardCount]lockShard
@@ -73,7 +80,7 @@ func (lm *lockManager) acquire(k objKey, write bool) *objLock {
 	sh.mu.Lock()
 	l := sh.m[k]
 	if l == nil {
-		l = &objLock{}
+		l = lockPool.Get().(*objLock)
 		sh.m[k] = l
 	}
 	l.refs++
@@ -86,9 +93,10 @@ func (lm *lockManager) acquire(k objKey, write bool) *objLock {
 	return l
 }
 
-// release drops the lock and unpins the entry. With purge set the entry
-// is deleted once no other acquisition holds it — used when the object
-// was removed or never existed, so the table tracks only live objects.
+// release drops the lock and unpins the entry. Once no other
+// acquisition holds it the entry is deleted if its tracker has nothing
+// to remember, or if purge is set: used when the object was removed or
+// never existed, so the table tracks only live objects.
 func (lm *lockManager) release(k objKey, l *objLock, write, purge bool) {
 	if write {
 		l.mu.Unlock()
@@ -98,10 +106,17 @@ func (lm *lockManager) release(k objKey, l *objLock, write, purge bool) {
 	sh := lm.shardOf(k)
 	sh.mu.Lock()
 	l.refs--
-	if purge && l.refs == 0 {
+	// The last holder's writes to seq are ordered before this by its own
+	// pass through the shard mutex.
+	drop := l.refs == 0 && (purge || l.seq.nextOff == 0 && l.seq.streak == 0)
+	if drop {
 		delete(sh.m, k)
 	}
 	sh.mu.Unlock()
+	if drop {
+		l.seq.nextOff, l.seq.streak = 0, 0
+		lockPool.Put(l)
+	}
 }
 
 // entries returns the number of live lock entries (tests and

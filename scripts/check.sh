@@ -50,14 +50,16 @@ go test -race \
     ./internal/rpc ./internal/client ./internal/cheops ./internal/blockdev
 
 # Crash-consistency focus: re-run the DESIGN.md §7 durability tests by
-# name — journal framing/commit/replay, CrashDisk semantics, and a
-# short-mode crash sweep — so a recovery regression is called out
+# name — journal framing/commit/replay, CrashDisk semantics, a
+# short-mode crash sweep, and the extent tests that pin what the write
+# path sends to the device and in what order (pointer blocks once per
+# write, write-back in runs) — so a recovery regression is called out
 # explicitly. The full 1000+-point sweep runs in the suite above and,
 # with -v, in CI's dedicated crash-sweep job.
-echo "==> go test -race -short -run 'Crash|Journal|Torn|Recover|Checkpoint|Commit' (crash-consistency focus)"
+echo "==> go test -race -short -run 'Crash|Journal|Torn|Recover|Checkpoint|Commit|WriteBack|Extent' (crash-consistency focus)"
 go test -race -short \
-    -run 'Crash|Journal|Torn|Recover|Checkpoint|Commit' \
-    ./internal/journal ./internal/blockdev ./internal/object
+    -run 'Crash|Journal|Torn|Recover|Checkpoint|Commit|WriteBack|Extent' \
+    ./internal/journal ./internal/blockdev ./internal/object ./internal/cache ./internal/layout
 
 # Chaos smoke: the kill/restart soak from DESIGN.md §6-§7 must pass end
 # to end — the victim drive is killed mid-run (server down, volatile
