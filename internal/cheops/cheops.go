@@ -2,11 +2,13 @@ package cheops
 
 import (
 	"context"
+	"crypto/subtle"
 	"errors"
 	"fmt"
 	"sync"
 	"time"
 
+	"nasd/internal/bufpool"
 	"nasd/internal/capability"
 	"nasd/internal/client"
 	"nasd/internal/crypt"
@@ -255,26 +257,31 @@ func eachDrive(n int, fn func(i int) error) error {
 	return firstError(errs)
 }
 
-// xorSurvivors rebuilds n bytes of component skip of a RAID-5 stripe as
-// the xor of the same range of every other component, read concurrently
-// through read (a short read counts as trailing zeros).
-func xorSurvivors(width, skip, n int, read func(i int) ([]byte, error)) ([]byte, error) {
+// xorSurvivors rebuilds a range of component skip of a RAID-5 stripe
+// into dst as the xor of the same range of every other component, each
+// read concurrently through read, which fills the pooled buffer it is
+// handed (zeros where its component ends short).
+func xorSurvivors(width, skip int, dst []byte, read func(i int, buf []byte) error) error {
 	parts := make([][]byte, width)
-	if err := eachDrive(width, func(i int) (err error) {
+	for i := range parts {
 		if i != skip {
-			parts[i], err = read(i)
+			parts[i] = bufpool.Get(len(dst))
+			defer bufpool.Put(parts[i])
 		}
-		return err
+	}
+	if err := eachDrive(width, func(i int) error {
+		if i == skip {
+			return nil
+		}
+		return read(i, parts[i])
 	}); err != nil {
-		return nil, err
+		return err
 	}
-	acc := make([]byte, n)
+	clear(dst)
 	for _, p := range parts {
-		for j := range p {
-			acc[j] ^= p[j]
-		}
+		subtle.XORBytes(dst, dst, p)
 	}
-	return acc, nil
+	return nil
 }
 
 // Partition returns the partition Cheops uses on each drive.
@@ -489,12 +496,10 @@ func (m *Manager) ReplaceComponent(ctx context.Context, logical uint64, failedId
 	}
 	const chunk = 1 << 16
 	wc := m.mintWildcard(newDrive, capability.Write)
+	buf := bufpool.Get(chunk) // every chunk is rebuilt here, then written out
+	defer bufpool.Put(buf)
 	for off := uint64(0); off < length; off += chunk {
-		n := int(length - off)
-		if n > chunk {
-			n = chunk
-		}
-		var data []byte
+		data := buf[:min(chunk, length-off)]
 		switch d.Pattern {
 		case Mirror1:
 			// Source from a clean replica: a suspect mirror holds
@@ -510,21 +515,23 @@ func (m *Manager) ReplaceComponent(ctx context.Context, logical uint64, failedId
 				return fmt.Errorf("%w: no clean mirror to rebuild from", ErrDegraded)
 			}
 			rc := m.mintWildcard(d.Components[src].Drive, capability.Read)
-			data, err = m.drives[d.Components[src].Drive].Client.ReadPipelined(ctx, &rc, m.part, d.Components[src].Object, off, n)
+			n, err := m.drives[d.Components[src].Drive].Client.ReadPipelinedInto(ctx, &rc, m.part, d.Components[src].Object, off, data)
 			if err != nil {
 				return err
 			}
+			data = data[:n]
 		case RAID5:
-			data, err = xorSurvivors(len(d.Components), failedIdx, n, func(i int) ([]byte, error) {
+			if err := xorSurvivors(len(d.Components), failedIdx, data, func(i int, part []byte) error {
 				if m.componentSuspect(logical, i) {
 					// Two stale lanes cannot be disentangled by xor.
-					return nil, fmt.Errorf("%w: survivor %d also awaits repair", ErrDegraded, i)
+					return fmt.Errorf("%w: survivor %d also awaits repair", ErrDegraded, i)
 				}
 				comp := d.Components[i]
 				rc := m.mintWildcard(comp.Drive, capability.Read)
-				return m.drives[comp.Drive].Client.Read(ctx, &rc, m.part, comp.Object, off, n)
-			})
-			if err != nil {
+				n, err := m.drives[comp.Drive].Client.ReadPipelinedInto(ctx, &rc, m.part, comp.Object, off, part)
+				clear(part[n:])
+				return err
+			}); err != nil {
 				return err
 			}
 		}

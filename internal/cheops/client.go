@@ -2,12 +2,14 @@ package cheops
 
 import (
 	"context"
+	"crypto/subtle"
 	"errors"
 	"fmt"
 	"strconv"
 	"sync"
 	"time"
 
+	"nasd/internal/bufpool"
 	"nasd/internal/capability"
 	"nasd/internal/client"
 	"nasd/internal/telemetry"
@@ -90,18 +92,17 @@ func (o *Object) withCap(i int, fn func(cp *capability.Capability) error) error 
 	return err
 }
 
-// readDirect reads one component byte range on its own drive, with no
-// health check and no pacing (RAID 5 reconstruction tries survivors
-// even when their breakers are open).
-func (o *Object) readDirect(ctx context.Context, comp int, off uint64, n int) ([]byte, error) {
+// readDirect fills dst from one component byte range on its own drive,
+// with no health check and no pacing (RAID 5 reconstruction tries
+// survivors even when their breakers are open). Where the component
+// object ends short of the range, the rest of dst reads as zeros.
+func (o *Object) readDirect(ctx context.Context, comp int, off uint64, dst []byte) error {
 	c := o.desc.Components[comp]
-	var data []byte
-	err := o.withCap(comp, func(cp *capability.Capability) error {
-		var e error
-		data, e = o.drives[c.Drive].ReadPipelined(ctx, cp, o.mgr.part, c.Object, off, n)
-		return e
+	return o.withCap(comp, func(cp *capability.Capability) error {
+		n, err := o.drives[c.Drive].ReadPipelinedInto(ctx, cp, o.mgr.part, c.Object, off, dst)
+		clear(dst[n:])
+		return err
 	})
-	return data, err
 }
 
 // runLeg is the one way a request reaches a component in normal
@@ -137,15 +138,11 @@ func (o *Object) runLeg(ctx context.Context, comp int, send func(ctx context.Con
 	}
 }
 
-// readLeg reads one component byte range through runLeg.
-func (o *Object) readLeg(ctx context.Context, comp int, off uint64, n int) ([]byte, error) {
-	var data []byte
-	err := o.runLeg(ctx, comp, func(lctx context.Context) error {
-		var e error
-		data, e = o.readDirect(lctx, comp, off, n)
-		return e
+// readLeg fills dst from one component byte range through runLeg.
+func (o *Object) readLeg(ctx context.Context, comp int, off uint64, dst []byte) error {
+	return o.runLeg(ctx, comp, func(lctx context.Context) error {
+		return o.readDirect(lctx, comp, off, dst)
 	})
-	return data, err
 }
 
 // writeLeg writes one component byte range through runLeg.
@@ -262,8 +259,9 @@ func firstError(errs []error) error {
 
 // ReadAt reads n bytes at logical offset off, fanning the per-lane
 // spans out to all component drives concurrently (each span is itself
-// pipelined when large). For redundant layouts it reconstructs around a
-// single failed component (degraded read).
+// pipelined when large); every leg lands in its own slice of the result,
+// the one buffer the read allocates. For redundant layouts it
+// reconstructs around a single failed component (degraded read).
 func (o *Object) ReadAt(ctx context.Context, off uint64, n int) ([]byte, error) {
 	if n <= 0 {
 		return nil, nil
@@ -276,9 +274,7 @@ func (o *Object) ReadAt(ctx context.Context, off uint64, n int) ([]byte, error) 
 	rsp.Annotate("bytes", strconv.Itoa(n))
 	defer rsp.End()
 	errs := o.eachLeg(ctx, "cheops.read.leg", spans, func(lctx context.Context, sp span) error {
-		data, err := o.readComponent(lctx, sp.comp, sp.compOff, sp.n, sp.stripe)
-		copy(out[sp.bufOff:sp.bufOff+sp.n], data)
-		return err
+		return o.readComponent(lctx, sp.comp, sp.compOff, out[sp.bufOff:sp.bufOff+sp.n], sp.stripe)
 	})
 	if err := firstError(errs); err != nil {
 		return nil, err
@@ -286,16 +282,16 @@ func (o *Object) ReadAt(ctx context.Context, off uint64, n int) ([]byte, error) 
 	return out, nil
 }
 
-// readComponent reads from one component, falling back to
+// readComponent fills dst from one component, falling back to
 // reconstruction when the component fails and the layout is redundant.
 // The fall-over happens mid-operation: a lane that times out, errors,
 // is refused by its drive's breaker, or holds stale data (awaiting
 // repair) is served from the surviving redundancy without failing the
 // caller's read.
-func (o *Object) readComponent(ctx context.Context, comp int, off uint64, n int, stripe int64) ([]byte, error) {
-	data, err := o.readLeg(ctx, comp, off, n)
+func (o *Object) readComponent(ctx context.Context, comp int, off uint64, dst []byte, stripe int64) error {
+	err := o.readLeg(ctx, comp, off, dst)
 	if err == nil {
-		return pad(data, n), nil
+		return nil
 	}
 	if out, _ := client.Classify(err); out == client.Shed {
 		// Backpressure outlasting the pacing loop is saturation, not
@@ -304,10 +300,10 @@ func (o *Object) readComponent(ctx context.Context, comp int, off uint64, n int,
 		// overloaded drive's load out to its healthy stripe-mates —
 		// overload begets more traffic — so surface the retryable
 		// error instead of going degraded.
-		return nil, err
+		return err
 	}
 	if ctx.Err() != nil {
-		return nil, err // don't mask a canceled read as a drive failure
+		return err // don't mask a canceled read as a drive failure
 	}
 	if o.desc.Pattern == Mirror1 || o.desc.Pattern == RAID5 {
 		o.mgr.tel.degradedReads.Inc()
@@ -328,42 +324,33 @@ func (o *Object) readComponent(ctx context.Context, comp int, off uint64, n int,
 			if alt == comp {
 				continue
 			}
-			if data, aerr := o.readLeg(ctx, alt, off, n); aerr == nil {
-				return pad(data, n), nil
+			if o.readLeg(ctx, alt, off, dst) == nil {
+				return nil
 			}
 		}
-		return nil, fmt.Errorf("%w: all mirrors failed: %v", ErrDegraded, err)
+		return fmt.Errorf("%w: all mirrors failed: %v", ErrDegraded, err)
 	case RAID5:
 		// Reconstruct: xor of every other component at the same offsets,
 		// reading all survivors in parallel. Survivors bypass the
 		// breaker — reconstruction is the last resort, so the drives
 		// are tried even when suspect — but a stale lane is a hard
 		// stop: xor cannot disentangle two inconsistent lanes.
-		acc, rerr := xorSurvivors(len(o.desc.Components), comp, n, func(i int) ([]byte, error) {
+		rerr := xorSurvivors(len(o.desc.Components), comp, dst, func(i int, buf []byte) error {
 			ci := o.desc.Components[i]
 			if o.mgr.laneUnserviceable(o.desc.Logical, i, ci.Object) {
-				return nil, fmt.Errorf("%w: survivor %d also awaits repair", ErrDegraded, i)
+				return fmt.Errorf("%w: survivor %d also awaits repair", ErrDegraded, i)
 			}
-			p, e := o.readDirect(ctx, i, off, n)
+			e := o.readDirect(ctx, i, off, buf)
 			o.mgr.reportDrive(ci.Drive, e)
-			return p, e
+			return e
 		})
 		if rerr != nil {
-			return nil, fmt.Errorf("%w: second failure during reconstruction: %v (first: %v)", ErrDegraded, rerr, err)
+			return fmt.Errorf("%w: second failure during reconstruction: %v (first: %v)", ErrDegraded, rerr, err)
 		}
-		return acc, nil
+		return nil
 	default:
-		return nil, err
+		return err
 	}
-}
-
-func pad(b []byte, n int) []byte {
-	if len(b) >= n {
-		return b[:n]
-	}
-	out := make([]byte, n)
-	copy(out, b)
-	return out
 }
 
 // WriteAt writes data at logical offset off and reports the new size to
@@ -490,18 +477,21 @@ func (o *Object) rmwRAID5(ctx context.Context, sp span, chunk []byte) error {
 	// failed or stale lane is served by reconstruction: xor of the
 	// other lanes recovers a data lane and parity alike, which is what
 	// keeps RMW possible with one bad component.
-	var old [2][]byte
-	if err := eachDrive(2, func(i int) (err error) {
-		old[i], err = o.readComponent(ctx, legs[i].comp, sp.compOff, sp.n, sp.stripe)
-		return err
+	// Both land in pooled buffers: a leg has stopped touching its buffer
+	// by the time it returns, timed out or not, so they go back at return.
+	old := [2][]byte{bufpool.Get(sp.n), bufpool.Get(sp.n)}
+	defer bufpool.Put(old[0])
+	defer bufpool.Put(old[1])
+	if err := eachDrive(2, func(i int) error {
+		return o.readComponent(ctx, legs[i].comp, sp.compOff, old[i], sp.stripe)
 	}); err != nil {
 		return err
 	}
 
-	newPar := make([]byte, sp.n)
-	for i := range newPar {
-		newPar[i] = old[1][i] ^ old[0][i] ^ chunk[i]
-	}
+	// The new parity, old parity ^ old data ^ chunk, in place of the old.
+	newPar := old[1]
+	subtle.XORBytes(newPar, newPar, old[0])
+	subtle.XORBytes(newPar, newPar, chunk)
 	// Data and parity land in parallel too; the stripe lock keeps the
 	// pair atomic with respect to other writers of this stripe. One
 	// failed leg degrades the write instead of failing it: with

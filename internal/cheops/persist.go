@@ -124,12 +124,11 @@ func (m *Manager) loadDirectory(ctx context.Context) error {
 		if attrs.Size < 4 {
 			continue
 		}
-		head, err := cli.Read(ctx, &rc, m.part, id, 0, 4)
-		if err != nil || len(head) < 4 {
+		var head [4]byte
+		if n, err := cli.ReadInto(ctx, &rc, m.part, id, 0, head[:]); err != nil || n < 4 {
 			continue
 		}
-		d := rpc.NewDecoder(head)
-		if d.U32() != dirMagic {
+		if rpc.NewDecoder(head[:]).U32() != dirMagic {
 			continue
 		}
 		data, err := cli.ReadPipelined(ctx, &rc, m.part, id, 0, int(attrs.Size))

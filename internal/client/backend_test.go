@@ -127,3 +127,88 @@ func TestNeedleWholeObjectReadRecyclesBuffer(t *testing.T) {
 		t.Fatalf("bufpool.Outstanding grew by %d over %d whole-object needle reads", grew, reads)
 	}
 }
+
+// TestStatusOnlyRepliesRecycleTheirFrame: the stubs whose reply carries
+// nothing but its status (SetAttr, Remove, Flush, and Write with them)
+// return the reply's pooled frame, so the pool's outstanding count does
+// not climb with the number of calls. The management stubs share the
+// helper; ResizePartition stands in for them.
+func TestStatusOnlyRepliesRecycleTheirFrame(t *testing.T) {
+	r := newRig(t, false)
+	r.mkpart(t, 1, 0)
+	nocap := &capability.Capability{}
+	round := func() {
+		t.Helper()
+		id, err := r.cli.Create(testCtx, nocap, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.cli.Write(testCtx, nocap, 1, id, 0, []byte("frame")); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.cli.SetAttr(testCtx, nocap, 1, id, object.Attributes{Size: 3}, object.SetSize); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.cli.Flush(testCtx); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.cli.Remove(testCtx, nocap, 1, id); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.cli.ResizePartition(testCtx, crypt.KeyID{Type: crypt.MasterKey}, r.master, 1, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	round() // warm the pool's size classes
+	const rounds = 1000
+	before := bufpool.Outstanding()
+	for i := 0; i < rounds; i++ {
+		round()
+	}
+	// As above: the pool is process-wide, allow a few buffers in flight.
+	if grew := bufpool.Outstanding() - before; grew > 16 {
+		t.Fatalf("bufpool.Outstanding grew by %d over %d rounds of create, write, setattr, flush, remove, resize", grew, rounds)
+	}
+}
+
+// TestReadPipelinedIntoShortAndSingleFragment: below one fragment the
+// pipelined read is one ReadInto (no frame left to the collector), and a
+// range that runs past the end of the object reports how far it got,
+// whichever path served it.
+func TestReadPipelinedIntoShortAndSingleFragment(t *testing.T) {
+	r := newRig(t, false)
+	r.mkpart(t, 1, 0)
+	nocap := &capability.Capability{}
+	id, err := r.cli.Create(testCtx, nocap, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([]byte, 3*DefaultFragmentSize/2)
+	for i := range data {
+		data[i] = byte(i*13 + 5)
+	}
+	if err := r.cli.WritePipelined(testCtx, nocap, 1, id, 0, data); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{4096, DefaultFragmentSize, 2 * DefaultFragmentSize, 4 * DefaultFragmentSize} {
+		dst := bytes.Repeat([]byte{0xAA}, n)
+		got, err := r.cli.ReadPipelinedInto(testCtx, nocap, 1, id, 100, dst)
+		want := data[100:min(100+n, len(data))]
+		if err != nil || got != len(want) || !bytes.Equal(dst[:got], want) {
+			t.Fatalf("ReadPipelinedInto of %d bytes: %d read (%v), want %d matching bytes", n, got, err, len(want))
+		}
+		out, err := r.cli.ReadPipelined(testCtx, nocap, 1, id, 100, n)
+		if err != nil || !bytes.Equal(out, want) {
+			t.Fatalf("ReadPipelined of %d bytes: %d read (%v), want %d matching bytes", n, len(out), err, len(want))
+		}
+	}
+	before := bufpool.Outstanding()
+	for i := 0; i < 1000; i++ {
+		if _, err := r.cli.ReadPipelined(testCtx, nocap, 1, id, 0, 8192); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if grew := bufpool.Outstanding() - before; grew > 16 {
+		t.Fatalf("bufpool.Outstanding grew by %d over 1000 single-fragment pipelined reads", grew)
+	}
+}

@@ -404,6 +404,15 @@ func (d *Drive) callAdmin(ctx context.Context, op drive.Op, key crypt.Key, args,
 	}, args, data)
 }
 
+// status is the result of a call whose reply carries nothing beyond it:
+// the reply's pooled frame goes back at once, not to the collector.
+func status(rep *rpc.Reply, err error) error {
+	if err == nil {
+		rep.Release()
+	}
+	return err
+}
+
 // Read fetches object bytes [off, off+n).
 func (d *Drive) Read(ctx context.Context, cap *capability.Capability, part uint16, obj, off uint64, n int) ([]byte, error) {
 	args := (&drive.ReadArgs{Partition: part, Object: obj, Offset: off, Length: uint64(n)}).Encode()
@@ -434,12 +443,7 @@ func (d *Drive) ReadInto(ctx context.Context, cap *capability.Capability, part u
 // Write stores data at off.
 func (d *Drive) Write(ctx context.Context, cap *capability.Capability, part uint16, obj, off uint64, data []byte) error {
 	args := (&drive.WriteArgs{Partition: part, Object: obj, Offset: off}).Encode()
-	rep, err := d.call(ctx, drive.OpWriteObject, cap, args, data)
-	if err != nil {
-		return err
-	}
-	rep.Release()
-	return nil
+	return status(d.call(ctx, drive.OpWriteObject, cap, args, data))
 }
 
 // GetAttr fetches object attributes.
@@ -457,8 +461,7 @@ func (d *Drive) GetAttr(ctx context.Context, cap *capability.Capability, part ui
 // SetAttr updates attributes selected by mask.
 func (d *Drive) SetAttr(ctx context.Context, cap *capability.Capability, part uint16, obj uint64, attrs object.Attributes, mask object.SetAttrMask) error {
 	args := (&drive.SetAttrArgs{Partition: part, Object: obj, Mask: uint32(mask), Attrs: attrs}).Encode()
-	_, err := d.call(ctx, drive.OpSetAttr, cap, args, nil)
-	return err
+	return status(d.call(ctx, drive.OpSetAttr, cap, args, nil))
 }
 
 // Create makes a new object in part, returning its ID. The capability
@@ -477,8 +480,7 @@ func (d *Drive) Create(ctx context.Context, cap *capability.Capability, part uin
 // Remove deletes an object.
 func (d *Drive) Remove(ctx context.Context, cap *capability.Capability, part uint16, obj uint64) error {
 	args := (&drive.ObjArgs{Partition: part, Object: obj}).Encode()
-	_, err := d.call(ctx, drive.OpRemoveObject, cap, args, nil)
-	return err
+	return status(d.call(ctx, drive.OpRemoveObject, cap, args, nil))
 }
 
 // VersionObject snapshots an object copy-on-write, returning the new ID.
@@ -531,8 +533,7 @@ func (d *Drive) Execute(ctx context.Context, cap *capability.Capability, part ui
 
 // Flush forces drive write-behind data to stable storage.
 func (d *Drive) Flush(ctx context.Context) error {
-	_, err := d.call(ctx, drive.OpFlush, nil, nil, nil)
-	return err
+	return status(d.call(ctx, drive.OpFlush, nil, nil, nil))
 }
 
 // --- Management operations (signed under drive keys) ---------------------
@@ -545,8 +546,7 @@ func keyRef(id crypt.KeyID) drive.KeyRef {
 // engine; authKey must be the master or drive key named by authID.
 func (d *Drive) CreatePartition(ctx context.Context, authID crypt.KeyID, authKey crypt.Key, part uint16, quota int64) error {
 	args := (&drive.PartArgs{Partition: part, Quota: quota, AuthKey: keyRef(authID)}).Encode()
-	_, err := d.callAdmin(ctx, drive.OpCreatePartition, authKey, args, nil)
-	return err
+	return status(d.callAdmin(ctx, drive.OpCreatePartition, authKey, args, nil))
 }
 
 // CreatePartitionBackend creates a partition served by the named
@@ -559,22 +559,19 @@ func (d *Drive) CreatePartitionBackend(ctx context.Context, authID crypt.KeyID, 
 		Backend: drive.WireBackend(backend),
 		AuthKey: keyRef(authID),
 	}).Encode()
-	_, err := d.callAdmin(ctx, drive.OpCreatePartition, authKey, args, nil)
-	return err
+	return status(d.callAdmin(ctx, drive.OpCreatePartition, authKey, args, nil))
 }
 
 // ResizePartition changes a partition quota.
 func (d *Drive) ResizePartition(ctx context.Context, authID crypt.KeyID, authKey crypt.Key, part uint16, quota int64) error {
 	args := (&drive.PartArgs{Partition: part, Quota: quota, AuthKey: keyRef(authID)}).Encode()
-	_, err := d.callAdmin(ctx, drive.OpResizePartition, authKey, args, nil)
-	return err
+	return status(d.callAdmin(ctx, drive.OpResizePartition, authKey, args, nil))
 }
 
 // RemovePartition deletes an empty partition.
 func (d *Drive) RemovePartition(ctx context.Context, authID crypt.KeyID, authKey crypt.Key, part uint16) error {
 	args := (&drive.PartArgs{Partition: part, AuthKey: keyRef(authID)}).Encode()
-	_, err := d.callAdmin(ctx, drive.OpRemovePartition, authKey, args, nil)
-	return err
+	return status(d.callAdmin(ctx, drive.OpRemovePartition, authKey, args, nil))
 }
 
 // GetPartition fetches partition metadata.
@@ -596,6 +593,5 @@ func (d *Drive) SetKey(ctx context.Context, authID crypt.KeyID, authKey crypt.Ke
 		Key:     key[:],
 		AuthKey: keyRef(authID),
 	}).Encode()
-	_, err := d.callAdmin(ctx, drive.OpSetKey, authKey, args, nil)
-	return err
+	return status(d.callAdmin(ctx, drive.OpSetKey, authKey, args, nil))
 }

@@ -90,22 +90,34 @@ func (d *Drive) runWindowed(ctx context.Context, name string, frags []fragPlan, 
 	return firstCancel
 }
 
-// ReadPipelined fetches object bytes [off, off+n) as a window of
-// concurrent fragment reads. Short reads at end-of-object truncate the
-// result exactly as a single Read would: data is returned up to the
-// first fragment that came back short.
+// ReadPipelined is ReadPipelinedInto a buffer of its own: n bytes, cut
+// to what the object held.
 func (d *Drive) ReadPipelined(ctx context.Context, cap *capability.Capability, part uint16, obj, off uint64, n int) ([]byte, error) {
-	if n <= d.fragSize {
-		return d.Read(ctx, cap, part, obj, off, n)
-	}
 	out := make([]byte, n)
-	frags := planFragments(off, n, d.fragSize)
+	got, err := d.ReadPipelinedInto(ctx, cap, part, obj, off, out)
+	if err != nil {
+		return nil, err
+	}
+	return out[:got], nil
+}
+
+// ReadPipelinedInto fetches object bytes [off, off+len(dst)) into dst as
+// a window of concurrent fragment reads (one ReadInto when dst is a
+// single fragment) and returns how many bytes were read. Short reads at
+// end-of-object cut the count exactly as a single ReadInto would: it
+// runs up to the first fragment that came back short. Once it returns,
+// error or not, nothing writes dst any more.
+func (d *Drive) ReadPipelinedInto(ctx context.Context, cap *capability.Capability, part uint16, obj, off uint64, dst []byte) (int, error) {
+	if len(dst) <= d.fragSize {
+		return d.ReadInto(ctx, cap, part, obj, off, dst)
+	}
+	frags := planFragments(off, len(dst), d.fragSize)
 	got := make([]int, len(frags))
-	err := d.runWindowed(ctx, "client.read_pipelined", frags, n, func(cctx context.Context, f fragPlan) error {
+	err := d.runWindowed(ctx, "client.read_pipelined", frags, len(dst), func(cctx context.Context, f fragPlan) error {
 		// ReadInto recycles each fragment's reply frame as soon as its
 		// bytes are copied out, so a deep window cycles a fixed set of
 		// pooled buffers instead of allocating one frame per fragment.
-		n, err := d.ReadInto(cctx, cap, part, obj, f.off, out[f.start:f.start+f.n])
+		n, err := d.ReadInto(cctx, cap, part, obj, f.off, dst[f.start:f.start+f.n])
 		if err != nil {
 			return err
 		}
@@ -113,7 +125,7 @@ func (d *Drive) ReadPipelined(ctx context.Context, cap *capability.Capability, p
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	total := 0
 	for i, f := range frags {
@@ -122,7 +134,7 @@ func (d *Drive) ReadPipelined(ctx context.Context, cap *capability.Capability, p
 			break
 		}
 	}
-	return out[:total], nil
+	return total, nil
 }
 
 // WritePipelined stores data at off as a window of concurrent fragment

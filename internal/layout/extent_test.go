@@ -71,9 +71,12 @@ func TestExtentBMapAllocRange(t *testing.T) {
 	first, n := int64(NumDirect-4), int(4+p+p+8)
 	before := bufpool.Outstanding()
 	dev.reset()
-	blks, err := s.BMapAllocRange(&o, first, n, 0)
+	blks, gained, err := s.BMapAllocRange(&o, first, n, 0)
 	if err != nil || len(blks) != n {
 		t.Fatalf("BMapAllocRange mapped %d of %d blocks: %v", len(blks), n, err)
+	}
+	if want := walked(t, s, &o); gained != want || want != int64(n)+4 {
+		t.Fatalf("gained %d references, a walk of the object counts %d, want %d holes filled and 4 pointer blocks born", gained, want, n)
 	}
 	if grew := bufpool.Outstanding() - before; grew != 4 { // the metadata cache's copies
 		t.Fatalf("pool outstanding grew by %d over a range with 4 pointer blocks: their images were not returned", grew)
@@ -107,6 +110,30 @@ func TestExtentBMapAllocRange(t *testing.T) {
 	if len(dev.written) != 1 || dev.written[l1b] != 1 {
 		t.Fatalf("one-block BMapAlloc wrote %v, want its pointer block once", dev.written)
 	}
+
+	// A copy-on-write version mapping the same range unshares every data
+	// and pointer block and gains nothing; one block more gains one.
+	clone := o
+	if err := s.CloneOnodeBlocks(&o); err != nil {
+		t.Fatal(err)
+	}
+	size := walked(t, s, &clone)
+	cblks, gained, err := s.BMapAllocRange(&clone, first, n+2, 0)
+	if err != nil || cblks[0] == blks[0] || clone.Indirect2 == o.Indirect2 {
+		t.Fatalf("range over a shared map: %v, first block %d (was %d), double-indirect %d (was %d)", err, cblks[0], blks[0], clone.Indirect2, o.Indirect2)
+	}
+	if now := walked(t, s, &clone); gained != 1 || now != size+1 {
+		t.Fatalf("unsharing %d blocks and filling 1 hole gained %d references, the walk went from %d to %d", n+1, gained, size, now)
+	}
+}
+
+// walked counts the block references of o the slow way.
+func walked(t *testing.T, s *Store, o *Onode) (n int64) {
+	t.Helper()
+	if err := s.ForEachBlock(o, func(int64, bool) error { n++; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	return n
 }
 
 // TestExtentBMapAllocRangeOutOfSpace: when the allocator runs dry in the
@@ -123,9 +150,12 @@ func TestExtentBMapAllocRangeOutOfSpace(t *testing.T) {
 		t.Fatal(err)
 	}
 	var o Onode
-	blks, err := s.BMapAllocRange(&o, 0, 40, 0)
+	blks, gained, err := s.BMapAllocRange(&o, 0, 40, 0)
 	if !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("range of 40 blocks on 30 free: %v, want ErrNoSpace", err)
+	}
+	if gained != 30 || walked(t, s, &o) != 30 {
+		t.Fatalf("failed range gained %d references, a walk counts %d, want 30 both", gained, walked(t, s, &o))
 	}
 	if len(blks) != 29 || s.FreeBlocks() != 0 { // 29 data blocks and the indirect block
 		t.Fatalf("mapped %d blocks with %d left free, want 29 and 0", len(blks), s.FreeBlocks())
@@ -182,5 +212,49 @@ func TestExtentSyncWriteOrder(t *testing.T) {
 	}
 	if len(ref) != 2 || ref[0][1] < 4 || ref[0][0] > ref[1][0] || ref[1][1] != 1 {
 		t.Fatalf("refcount region written as {start, blocks} %v, want one run over the low blocks, then the high one", ref)
+	}
+}
+
+// TestForEachBlockReadsEachPointerBlockOnce: a walk takes one image per
+// pointer block (here cold: one device read each), visits a pointer
+// block before what it maps, and still turns a wild slot, which a torn
+// pointer block can hold after a crash, into a hole.
+func TestForEachBlockReadsEachPointerBlockOnce(t *testing.T) {
+	dev := blockdev.NewMemDisk(512, 2048)
+	s, err := Format(dev, FormatOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := s.ptrsPerBlock
+	var o Onode
+	n := int(NumDirect + p + p + 3) // the indirect block, the double-indirect one, two below it
+	if _, _, err := s.BMapAllocRange(&o, 0, n, 0); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 512)
+	if err := dev.ReadBlock(o.Indirect, buf); err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint64(buf[8*5:], uint64(s.sb.TotalBlocks+99))
+	if err := dev.WriteBlock(o.Indirect, buf); err != nil {
+		t.Fatal(err)
+	}
+	s.meta = newMetaCache()
+	before := s.DevReads()
+	var order []bool
+	if err := s.ForEachBlock(&o, func(phys int64, isPtr bool) error {
+		if phys < s.sb.DataStart || phys >= s.sb.TotalBlocks {
+			t.Errorf("walk visited block %d outside the data region", phys)
+		}
+		order = append(order, isPtr)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.DevReads() - before; got != 4 {
+		t.Fatalf("walk over 4 pointer blocks cost %d metadata reads", got)
+	}
+	if len(order) != n+4-1 || !order[NumDirect] || order[NumDirect+1] {
+		t.Fatalf("walk visited %d blocks, want %d; pointer block first: %v", len(order), n+4-1, order[NumDirect])
 	}
 }

@@ -93,6 +93,22 @@ type Onode struct {
 // Allocated reports whether the onode holds a live object.
 func (o *Onode) Allocated() bool { return o.ObjectID != 0 }
 
+// held counts the block references stored in the onode itself.
+func (o *Onode) held() (n int64) {
+	for _, b := range o.Direct {
+		if b != 0 {
+			n++
+		}
+	}
+	if o.Indirect != 0 {
+		n++
+	}
+	if o.Indirect2 != 0 {
+		n++
+	}
+	return n
+}
+
 // BlockIO is the interface layout uses to move data-block contents
 // during copy-on-write copies. By default it is the device itself; the
 // object layer points it at its buffer cache so COW copies observe
@@ -738,12 +754,9 @@ func (s *Store) WriteOnode(idx int64, o *Onode) error {
 	buf := make([]byte, bs)
 	l := s.onodeLock(idx)
 	l.Lock()
-	if !s.meta.view(blk, func(b []byte) { copy(buf, b) }) {
-		s.devReads.Add(1)
-		if err := s.dev.ReadBlock(blk, buf); err != nil {
-			l.Unlock()
-			return err
-		}
+	if err := s.loadMeta(blk, buf); err != nil {
+		l.Unlock()
+		return err
 	}
 	off := (idx % per) * OnodeSize
 	prev := decodeOnode(buf[off : off+OnodeSize])
@@ -861,18 +874,22 @@ func (s *Store) BMapAlloc(o *Onode, fileBlock int64, hint int64) (int64, error) 
 // its predecessor. The onode is updated in memory; callers persist it
 // with WriteOnode, by when each pointer block the range touched has been
 // written, once (ptrBatch). The returned physical blocks are safe to
-// overwrite; with an error they are the prefix that was mapped.
-func (s *Store) BMapAllocRange(o *Onode, fileBlock int64, n int, hint int64) ([]int64, error) {
-	var pb ptrBatch
+// overwrite; with an error they are the prefix that was mapped. gained
+// is how many block references the object gained, error or not: a hole
+// filled or a pointer block born counts one, a block unshared replaces
+// one reference with another and counts none. It is what ForEachBlock
+// visits more than before the call, without the walk.
+func (s *Store) BMapAllocRange(o *Onode, fileBlock int64, n int, hint int64) (phys []int64, gained int64, err error) {
+	pb := ptrBatch{gained: -o.held()}
 	out := make([]int64, n)
 	for i := range out {
 		blk, err := s.mapAlloc(&pb, o, fileBlock+int64(i), hint)
 		if err != nil {
-			return out[:i], s.flushPtrs(pb, err)
+			return out[:i], pb.gained + o.held(), s.flushPtrs(pb, err)
 		}
 		out[i], hint = blk, blk+1
 	}
-	return out, s.flushPtrs(pb, nil)
+	return out, pb.gained + o.held(), s.flushPtrs(pb, nil)
 }
 
 func (s *Store) mapAlloc(pb *ptrBatch, o *Onode, fileBlock int64, hint int64) (int64, error) {
@@ -1117,7 +1134,10 @@ func (s *Store) DevReads() int64 { return s.devReads.Load() }
 // and, as callers persist the onode afterwards, before the onode record
 // that makes the new mapping reachable is committed. The blocks belong
 // to one object, locked exclusively above: nobody reads them in between.
-type ptrBatch []ptrBlock
+type ptrBatch struct {
+	blocks []ptrBlock
+	gained int64 // references stored into pointer-block slots that held none
+}
 
 type ptrBlock struct {
 	blk int64
@@ -1125,7 +1145,7 @@ type ptrBlock struct {
 }
 
 func (pb ptrBatch) find(blk int64) []byte {
-	for _, e := range pb {
+	for _, e := range pb.blocks {
 		if e.blk == blk {
 			return e.buf
 		}
@@ -1147,16 +1167,31 @@ func (s *Store) setPtr(pb *ptrBatch, blk int64, idx int64, v int64) error {
 	buf := pb.find(blk)
 	if buf == nil {
 		buf = bufpool.Get(int(s.sb.BlockSize))
-		if !s.meta.view(blk, func(b []byte) { copy(buf, b) }) {
-			s.devReads.Add(1)
-			if err := s.dev.ReadBlock(blk, buf); err != nil {
-				bufpool.Put(buf)
-				return err
-			}
+		if err := s.loadMeta(blk, buf); err != nil {
+			bufpool.Put(buf)
+			return err
 		}
-		*pb = append(*pb, ptrBlock{blk, buf})
+		pb.blocks = append(pb.blocks, ptrBlock{blk, buf})
+	}
+	if v != 0 && s.clampPtr(int64(binary.LittleEndian.Uint64(buf[idx*8:]))) == 0 {
+		pb.gained++
 	}
 	binary.LittleEndian.PutUint64(buf[idx*8:], uint64(v))
+	return nil
+}
+
+// loadMeta copies metadata block blk's image (a pointer block, an onode
+// block under its stripe lock) into buf, from the metadata cache or else
+// the device.
+func (s *Store) loadMeta(blk int64, buf []byte) error {
+	if s.meta.view(blk, func(b []byte) { copy(buf, b) }) {
+		return nil
+	}
+	s.devReads.Add(1)
+	if err := s.dev.ReadBlock(blk, buf); err != nil {
+		return err
+	}
+	s.meta.fill(blk, buf)
 	return nil
 }
 
@@ -1165,7 +1200,7 @@ func (s *Store) setPtr(pb *ptrBatch, blk int64, idx int64, v int64) error {
 // issues every block: mappings made before a failure must reach the
 // device with the onode that points at them.
 func (s *Store) flushPtrs(pb ptrBatch, err error) error {
-	for _, e := range pb {
+	for _, e := range pb.blocks {
 		s.meta.fill(e.blk, e.buf)
 		if werr := s.dev.WriteBlock(e.blk, e.buf); werr != nil {
 			s.meta.invalidate(e.blk) // the write may have partially applied
@@ -1180,7 +1215,7 @@ func (s *Store) flushPtrs(pb ptrBatch, err error) error {
 
 // ForEachBlock calls fn for every physical block reachable from o,
 // including indirect blocks themselves (kind "data" or "ptr"). It is
-// the traversal used to free or clone an object.
+// the traversal used to free, clone or count an object.
 func (s *Store) ForEachBlock(o *Onode, fn func(phys int64, isPtr bool) error) error {
 	for _, b := range o.Direct {
 		if b != 0 {
@@ -1189,49 +1224,38 @@ func (s *Store) ForEachBlock(o *Onode, fn func(phys int64, isPtr bool) error) er
 			}
 		}
 	}
-	p := s.ptrsPerBlock
-	if o.Indirect != 0 {
-		if err := fn(o.Indirect, true); err != nil {
-			return err
-		}
-		for i := int64(0); i < p; i++ {
-			b, err := s.readPtr(o.Indirect, i)
-			if err != nil {
-				return err
-			}
-			if b != 0 {
-				if err := fn(b, false); err != nil {
-					return err
-				}
-			}
-		}
+	if err := s.eachThrough(o.Indirect, 1, fn); err != nil {
+		return err
 	}
-	if o.Indirect2 != 0 {
-		if err := fn(o.Indirect2, true); err != nil {
-			return err
+	return s.eachThrough(o.Indirect2, 2, fn)
+}
+
+// eachThrough visits pointer block blk (0: none) and then what its slots
+// reach: data blocks at depth 1, pointer blocks of depth 1 at depth 2.
+// It takes the block's image once, into a buffer of its own, so the walk
+// costs one look-up per pointer block and fn may free blk.
+func (s *Store) eachThrough(blk int64, depth int, fn func(phys int64, isPtr bool) error) error {
+	if blk == 0 {
+		return nil
+	}
+	img := bufpool.Get(int(s.sb.BlockSize))
+	defer bufpool.Put(img)
+	if err := s.loadMeta(blk, img); err != nil {
+		return err
+	}
+	if err := fn(blk, true); err != nil {
+		return err
+	}
+	for i := 0; i < len(img); i += 8 {
+		b := s.clampPtr(int64(binary.LittleEndian.Uint64(img[i:])))
+		var err error
+		if depth > 1 {
+			err = s.eachThrough(b, depth-1, fn)
+		} else if b != 0 {
+			err = fn(b, false)
 		}
-		for i := int64(0); i < p; i++ {
-			l1, err := s.readPtr(o.Indirect2, i)
-			if err != nil {
-				return err
-			}
-			if l1 == 0 {
-				continue
-			}
-			if err := fn(l1, true); err != nil {
-				return err
-			}
-			for j := int64(0); j < p; j++ {
-				b, err := s.readPtr(l1, j)
-				if err != nil {
-					return err
-				}
-				if b != 0 {
-					if err := fn(b, false); err != nil {
-						return err
-					}
-				}
-			}
+		if err != nil {
+			return err
 		}
 	}
 	return nil

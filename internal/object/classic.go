@@ -83,13 +83,33 @@ func (c *classicBackend) footprint(o *layout.Onode) int64 {
 // capacity reservation (Prealloc), whichever is larger. Reserved space
 // is charged up front so preallocated writes can never fail on quota.
 func (c *classicBackend) chargeOf(o *layout.Onode) int64 {
-	fp := c.footprint(o)
+	return max(c.footprint(o), c.reserved(o.Prealloc))
+}
+
+// reserved is a capacity reservation of prealloc bytes in blocks.
+func (c *classicBackend) reserved(prealloc uint64) int64 {
 	bs := uint64(c.lay.BlockSize())
-	res := int64((o.Prealloc + bs - 1) / bs)
-	if res > fp {
-		return res
+	return int64((prealloc + bs - 1) / bs)
+}
+
+// charging is taken before an operation that changes o's footprint: its
+// reservation in blocks and, only under one, its footprint. Without a
+// reservation the charge moves by exactly the block references the
+// operation gained or dropped, so the object is not walked.
+func (c *classicBackend) charging(o *layout.Onode) (res, fp int64) {
+	if res = c.reserved(o.Prealloc); res != 0 {
+		fp = c.footprint(o)
 	}
-	return fp
+	return res, fp
+}
+
+// chargeDelta is the change of an object's charge when its footprint
+// moves by d from fp, under a reservation of res blocks (see charging).
+func chargeDelta(res, fp, d int64) int64 {
+	if res == 0 {
+		return d
+	}
+	return max(fp+d, res) - max(fp, res)
 }
 
 // Charge implements StoreBackend.
@@ -105,14 +125,12 @@ func (c *classicBackend) Charge(part uint16, obj uint64) (int64, error) {
 // refunding the partition. Caller holds the object's exclusive lock and
 // persists the onode.
 func (c *classicBackend) reserve(o *layout.Onode, prealloc uint64) error {
-	before := c.chargeOf(o)
-	old := o.Prealloc
-	o.Prealloc = prealloc
-	delta := c.chargeOf(o) - before
+	fp := c.footprint(o)
+	delta := max(fp, c.reserved(prealloc)) - max(fp, c.reserved(o.Prealloc))
 	if err := c.quota.chargeBlocks(o.Partition, delta); err != nil {
-		o.Prealloc = old
 		return err
 	}
+	o.Prealloc = prealloc
 	return nil
 }
 
@@ -170,24 +188,23 @@ func (c *classicBackend) Remove(part uint16, obj uint64) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	charge := c.chargeOf(&o)
-	// Invalidate cache entries for blocks about to become free so a
-	// later reallocation cannot observe stale contents.
+	// One walk counts the footprint and drops each block's reference. A
+	// block about to become free leaves the cache first, so that a later
+	// reallocation cannot observe stale contents.
+	var fp int64
 	if err := c.lay.ForEachBlock(&o, func(phys int64, isPtr bool) error {
+		fp++
 		if !isPtr && c.lay.RefCount(phys) == 1 {
 			c.cache.Invalidate(phys)
 		}
-		return nil
+		return c.lay.Free(phys)
 	}); err != nil {
-		return 0, err
-	}
-	if err := c.lay.FreeObjectBlocks(&o); err != nil {
 		return 0, err
 	}
 	if err := c.lay.WriteOnode(idx, &layout.Onode{}); err != nil {
 		return 0, err
 	}
-	return charge, nil
+	return max(fp, c.reserved(o.Prealloc)), nil
 }
 
 // List implements StoreBackend.
@@ -263,8 +280,9 @@ func (c *classicBackend) truncate(o *layout.Onode, newSize uint64) error {
 	if newSize > c.lay.MaxObjectSize() {
 		return layout.ErrTooBig
 	}
-	before := c.chargeOf(o)
+	var res, fp, dropped int64
 	if newSize < o.Size {
+		res, fp = c.charging(o)
 		first := (newSize + bs - 1) / bs // first block to drop
 		last := (o.Size + bs - 1) / bs
 		for fb := first; fb < last; fb++ {
@@ -275,8 +293,10 @@ func (c *classicBackend) truncate(o *layout.Onode, newSize uint64) error {
 			if phys != 0 && c.lay.RefCount(phys) == 1 {
 				c.cache.Invalidate(phys)
 			}
-			if _, err := c.lay.UnmapBlock(o, int64(fb)); err != nil {
+			if phys, err = c.lay.UnmapBlock(o, int64(fb)); err != nil {
 				return err
+			} else if phys != 0 {
+				dropped++
 			}
 		}
 		// Zero the tail of the new last block so growth re-reads zeros.
@@ -305,7 +325,7 @@ func (c *classicBackend) truncate(o *layout.Onode, newSize uint64) error {
 		}
 	}
 	o.Size = newSize
-	c.quota.settleBlocks(o.Partition, c.chargeOf(o)-before)
+	c.quota.settleBlocks(o.Partition, chargeDelta(res, fp, -dropped))
 	return nil
 }
 
@@ -423,13 +443,13 @@ func (c *classicBackend) Write(part uint16, obj uint64, off uint64, data []byte)
 		return ErrBadRange
 	}
 	bs := uint64(c.lay.BlockSize())
-	chargeBefore := c.chargeOf(&o)
+	res, fp := c.charging(&o)
 
 	// Quota admission: estimate the worst-case new blocks (holes in the
 	// written range plus up to three indirect blocks), net of the
 	// object's capacity reservation, and reserve them against the
-	// partition before writing. The reservation is settled against the
-	// actual footprint afterwards.
+	// partition before writing. The reservation is settled against what
+	// the write allocated afterwards.
 	var reserved int64
 	if c.quota.quotaed(part) {
 		var holes int64 = 3 // worst-case new indirect blocks
@@ -442,11 +462,7 @@ func (c *classicBackend) Write(part uint16, obj uint64, off uint64, data []byte)
 				holes++
 			}
 		}
-		estChargeAfter := c.footprint(&o) + holes
-		if res := int64((o.Prealloc + bs - 1) / bs); res > estChargeAfter {
-			estChargeAfter = res
-		}
-		if need := estChargeAfter - chargeBefore; need > 0 {
+		if need := chargeDelta(res, fp, holes); need > 0 {
 			if err := c.quota.chargeBlocks(part, need); err != nil {
 				return err
 			}
@@ -454,7 +470,7 @@ func (c *classicBackend) Write(part uint16, obj uint64, off uint64, data []byte)
 		}
 	}
 
-	werr := c.writeRange(&o, off, data)
+	gained, werr := c.writeRange(&o, off, data)
 	if werr == nil {
 		if end > o.Size {
 			o.Size = end
@@ -463,7 +479,7 @@ func (c *classicBackend) Write(part uint16, obj uint64, off uint64, data []byte)
 	}
 	// Settle the reservation against what the object actually grew by —
 	// also on error, since partially written blocks stay allocated.
-	c.quota.settleBlocks(part, c.chargeOf(&o)-chargeBefore-reserved)
+	c.quota.settleBlocks(part, chargeDelta(res, fp, gained)-reserved)
 	// Persist the onode even after a partial failure so blocks mapped
 	// before the error are not orphaned.
 	if perr := c.lay.WriteOnode(idx, &o); werr == nil {
@@ -474,11 +490,12 @@ func (c *classicBackend) Write(part uint16, obj uint64, off uint64, data []byte)
 
 // writeRange maps the block range of one write in a single pass
 // (layout.BMapAllocRange: each pointer block it touches is written
-// once) and hands the blocks to the cache. Caller holds the object's
+// once) and hands the blocks to the cache. It reports the block
+// references the object gained, error or not. Caller holds the object's
 // exclusive lock and persists the onode.
-func (c *classicBackend) writeRange(o *layout.Onode, off uint64, data []byte) error {
+func (c *classicBackend) writeRange(o *layout.Onode, off uint64, data []byte) (gained int64, err error) {
 	if len(data) == 0 {
-		return nil
+		return 0, nil
 	}
 	bs := uint64(c.lay.BlockSize())
 	end := off + uint64(len(data))
@@ -497,7 +514,7 @@ func (c *classicBackend) writeRange(o *layout.Onode, off uint64, data []byte) er
 	// previous owner left there and is zero-filled instead of read.
 	wasHole := func(fb int64) bool { prev, err := c.lay.BMap(o, fb); return err == nil && prev == 0 }
 	headHole, tailHole := wasHole(first), wasHole(last)
-	phys, err := c.lay.BMapAllocRange(o, first, int(last-first+1), hint)
+	phys, gained, err := c.lay.BMapAllocRange(o, first, int(last-first+1), hint)
 	buf := bufpool.Get(int(bs)) // bounce buffer for the partial blocks
 	defer bufpool.Put(buf)
 	for i, p := range phys {
@@ -523,7 +540,7 @@ func (c *classicBackend) writeRange(o *layout.Onode, off uint64, data []byte) er
 			err = werr
 		}
 	}
-	return err
+	return gained, err
 }
 
 // VersionObject implements StoreBackend: it creates a copy-on-write
@@ -570,7 +587,7 @@ func (c *classicBackend) Flush() error {
 // writeRaw replaces an onode's data with data.
 func (c *classicBackend) writeRaw(o *layout.Onode, data []byte) error {
 	bs := int(c.lay.BlockSize())
-	if err := c.writeRange(o, 0, data); err != nil {
+	if _, err := c.writeRange(o, 0, data); err != nil {
 		return err
 	}
 	// Drop blocks past the new end so raw objects can shrink.

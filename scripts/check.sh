@@ -35,6 +35,13 @@ if grep -rnE --include='*.go' --include='*.md' \
     exit 1
 fi
 
+# A client stub that discards its reply drops the reply's pooled frame.
+echo "==> no discarded reply in internal/client/client.go"
+if grep -nE '_, err :?= d\.call(Admin)?\(' internal/client/client.go; then
+    echo "release the reply (status(d.call(...))) instead of dropping it" >&2
+    exit 1
+fi
+
 echo "==> go build ./..."
 go build ./...
 
@@ -44,21 +51,22 @@ go test -race ./...
 # Fault-tolerance focus: rerun the fault/retry/failover tests by name so
 # a resilience regression is called out explicitly instead of hiding in
 # the full-suite output above.
-echo "==> go test -race -run 'Faults|Retry|Reconnect|NeverSent|FateUnknown|Breaker|Chaos|Rollback|Hang|CapabilityRenewal' (fault-tolerance focus)"
+echo "==> go test -race -run 'Faults|Retry|Reconnect|NeverSent|FateUnknown|Breaker|Chaos|Rollback|Hang|CapabilityRenewal|TimedOutLeg|ShortComponent|Recycle' (fault-tolerance focus)"
 go test -race \
-    -run 'Faults|Retry|Reconnect|NeverSent|FateUnknown|Breaker|Chaos|Rollback|Hang|CapabilityRenewal' \
+    -run 'Faults|Retry|Reconnect|NeverSent|FateUnknown|Breaker|Chaos|Rollback|Hang|CapabilityRenewal|TimedOutLeg|ShortComponent|Recycle' \
     ./internal/rpc ./internal/client ./internal/cheops ./internal/blockdev
 
 # Crash-consistency focus: re-run the DESIGN.md §7 durability tests by
 # name — journal framing/commit/replay, CrashDisk semantics, a
 # short-mode crash sweep, and the extent tests that pin what the write
 # path sends to the device and in what order (pointer blocks once per
-# write, write-back in runs) — so a recovery regression is called out
-# explicitly. The full 1000+-point sweep runs in the suite above and,
-# with -v, in CI's dedicated crash-sweep job.
-echo "==> go test -race -short -run 'Crash|Journal|Torn|Recover|Checkpoint|Commit|WriteBack|Extent' (crash-consistency focus)"
+# write, write-back in runs) and that the quota charged by delta is the
+# charge recovery's census walks — so a recovery regression is called
+# out explicitly. The full 1000+-point sweep runs in the suite above
+# and, with -v, in CI's dedicated crash-sweep job.
+echo "==> go test -race -short -run 'Crash|Journal|Torn|Recover|Checkpoint|Commit|WriteBack|Extent|Accounting|ChargeCosts|ForEachBlock' (crash-consistency focus)"
 go test -race -short \
-    -run 'Crash|Journal|Torn|Recover|Checkpoint|Commit|WriteBack|Extent' \
+    -run 'Crash|Journal|Torn|Recover|Checkpoint|Commit|WriteBack|Extent|Accounting|ChargeCosts|ForEachBlock' \
     ./internal/journal ./internal/blockdev ./internal/object ./internal/cache ./internal/layout
 
 # Chaos smoke: the kill/restart soak from DESIGN.md §6-§7 must pass end
