@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sync"
 
 	"nasd/internal/blockdev"
+	"nasd/internal/bufpool"
 	"nasd/internal/telemetry"
 )
 
@@ -327,7 +329,8 @@ func (j *Journal) writeBatchLocked(gen uint64, recs []*Record) error {
 	if j.writeOff+nb > j.half {
 		return ErrFull
 	}
-	raw := make([]byte, nb*int64(j.bs))
+	raw := bufpool.Get(int(nb) * j.bs)
+	defer bufpool.Put(raw)
 	off := 0
 	for _, r := range recs {
 		binary.LittleEndian.PutUint32(raw[off:], recMagic)
@@ -340,6 +343,7 @@ func (j *Journal) writeBatchLocked(gen uint64, recs []*Record) error {
 		binary.LittleEndian.PutUint32(raw[off+4:], crc32.Checksum(raw[off+8:end], crcTable))
 		off = end
 	}
+	clear(raw[off:]) // scan must find padding after the batch, not a stale record of the pooled buffer
 	if err := blockdev.WriteBlocks(j.dev, j.start+j.activeBase(gen)+j.writeOff, raw); err != nil {
 		return err
 	}
@@ -347,18 +351,17 @@ func (j *Journal) writeBatchLocked(gen uint64, recs []*Record) error {
 	return nil
 }
 
-// Applied marks a committed record's in-place effect as issued to the
-// device. The record stays durable in the journal until the next
+// Applied marks committed records' in-place effects as issued to the
+// device. The records stay durable in the journal until the next
 // Checkpoint, which must only run once issued effects have been made
 // durable by a device flush.
-func (j *Journal) Applied(lsn uint64) {
+func (j *Journal) Applied(lsns ...uint64) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	for i, r := range j.outstanding {
-		if r != nil && r.LSN == lsn {
+		if r != nil && slices.Contains(lsns, r.LSN) {
 			j.outBytes -= recHeaderSize + len(r.Payload)
 			j.outstanding[i] = nil
-			break
 		}
 	}
 }
@@ -375,14 +378,39 @@ func (j *Journal) Checkpoint() error {
 	return j.checkpointLocked()
 }
 
-func (j *Journal) checkpointLocked() error {
+// CheckpointWith is Checkpoint and the Append and Commit of one more
+// record (and of any still pending) in one step: the record is written
+// into the new generation with the ones carried forward. It is how a
+// caller retries after ErrFull: were the retry a Commit of its own, a
+// crash between the two would find the journal empty, which a mount
+// takes for a volume with nothing to verify.
+func (j *Journal) CheckpointWith(kind Kind, payload []byte) (uint64, error) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	r := &Record{Kind: kind, LSN: j.nextLSN, Payload: append([]byte(nil), payload...)}
+	if err := j.checkpointLocked(append(j.pending, r)...); err != nil {
+		return 0, err
+	}
+	j.nextLSN, j.committedLSN = r.LSN+1, r.LSN
+	j.cBytes.Add(uint64(j.pendingBytes + recHeaderSize + len(payload)))
+	j.pending, j.pendingBytes = j.pending[:0], 0
+	j.cAppends.Inc()
+	j.cCommits.Inc()
+	return r.LSN, nil
+}
+
+// checkpointLocked carries the unapplied records and add forward.
+func (j *Journal) checkpointLocked(add ...*Record) error {
 	live := j.outstanding[:0:0]
-	bytes := 0
 	for _, r := range j.outstanding {
 		if r != nil {
 			live = append(live, r)
-			bytes += recHeaderSize + len(r.Payload)
 		}
+	}
+	live = append(live, add...)
+	bytes := 0
+	for _, r := range live {
+		bytes += recHeaderSize + len(r.Payload)
 	}
 	newGen := j.gen + 1
 	oldOff := j.writeOff
@@ -443,9 +471,6 @@ func (j *Journal) Outstanding() int {
 	}
 	return n
 }
-
-// Capacity returns the usable byte capacity of one journal half.
-func (j *Journal) Capacity() int64 { return j.half * int64(j.bs) }
 
 // EncodeRefUpdate packs {block, ref} pairs into a KindRefUpdate
 // payload.

@@ -345,3 +345,82 @@ func TestCommitAndScanAreRangedCalls(t *testing.T) {
 		t.Fatalf("mount cost %d device reads, want the header and one for the active half", dev.reads)
 	}
 }
+
+// TestCheckpointWithLeavesNoEmptyJournal: the retry after ErrFull is one
+// step. The new generation holds the retried record (and one another
+// caller had appended but not committed) the moment it becomes the
+// active one, so a mount at any point finds the journal empty only if
+// nothing is in flight; the Commit the caller issues next is a no-op.
+func TestCheckpointWithLeavesNoEmptyJournal(t *testing.T) {
+	inner := blockdev.NewMemDisk(512, 32)
+	dev := &callCounter{MemDisk: inner}
+	if err := Format(dev, 3, 16); err != nil {
+		t.Fatal(err)
+	}
+	j, _, _, err := Open(dev, 3, 16, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := bytes.Repeat([]byte{0xAA}, 400)
+	var applied []uint64
+	for {
+		lsn, err := j.Append(KindOnode, payload)
+		if err == ErrFull {
+			break
+		}
+		if err != nil || j.Commit(lsn) != nil {
+			t.Fatalf("filling the journal: %v", err)
+		}
+		applied = append(applied, lsn)
+	}
+	j.Applied(applied...)
+	waiting, err := j.Append(KindPartTable, []byte("pending")) // fits: small
+	if err != nil {
+		t.Fatal(err)
+	}
+	lsn, err := j.CheckpointWith(KindOnode, payload)
+	if err != nil || lsn != waiting+1 {
+		t.Fatalf("CheckpointWith = lsn %d (%v), want %d", lsn, err, waiting+1)
+	}
+	dev.writes = 0
+	if err := j.Commit(lsn); err != nil || j.Commit(waiting) != nil || dev.writes != 0 {
+		t.Fatalf("Commit after CheckpointWith: %v, %d device writes, want none", err, dev.writes)
+	}
+	if j.Outstanding() != 2 {
+		t.Fatalf("%d records outstanding, want the pending one and the retried one", j.Outstanding())
+	}
+	_, recs, st, err := Open(inner, 3, 16, nil)
+	if err != nil || st.TornTails != 0 || len(recs) != 2 || recs[0].LSN != waiting || recs[1].LSN != lsn || !bytes.Equal(recs[1].Payload, payload) {
+		t.Fatalf("mount after CheckpointWith: %d records, %+v (%v), want lsns %d and %d", len(recs), st, err, waiting, lsn)
+	}
+	if next, err := j.Append(KindOnode, payload); err != nil || next != lsn+1 {
+		t.Fatalf("Append after CheckpointWith = lsn %d (%v), want %d", next, err, lsn+1)
+	}
+}
+
+// TestBatchPaddingIsZeroed: a batch is staged in a pooled buffer, which
+// may hold an older batch. What follows the records in the last block
+// must still read as padding: a stale record header there would end the
+// scan early and lose every later batch.
+func TestBatchPaddingIsZeroed(t *testing.T) {
+	dev, j := newJournal(t, 64)
+	big, small := bytes.Repeat([]byte{1}, 500), []byte("0123456789")
+	for round := 0; round < 4; round++ {
+		// {big, small} leaves a record header where {big} alone ends.
+		if _, err := j.Append(KindOnode, big); err != nil {
+			t.Fatal(err)
+		}
+		lsn, err := j.Append(KindOnode, small)
+		if err != nil || j.Commit(lsn) != nil {
+			t.Fatal(err)
+		}
+		lsn, err = j.Append(KindOnode, big)
+		if err != nil || j.Commit(lsn) != nil {
+			t.Fatal(err)
+		}
+	}
+	_, recs, st, err := Open(dev, 3, 64, nil)
+	if err != nil || len(recs) != 12 || st.TornTails != 0 {
+		t.Fatalf("mount found %d records and %d torn tails (%v), want 12 and 0", len(recs), st.TornTails, err)
+	}
+}

@@ -14,13 +14,15 @@ import (
 )
 
 // writeLog records every device write: how often each block was
-// written, and per call where, how many blocks, and the bytes.
+// written, and per call where, how many blocks, and the bytes. onWrite,
+// when set, runs before a write is passed on.
 type writeLog struct {
 	*blockdev.MemDisk
 	mu      sync.Mutex
 	written map[int64]int
 	calls   []string
 	runs    [][2]int64
+	onWrite func(start int64)
 }
 
 func newWriteLog(bs int, blocks int64) *writeLog {
@@ -38,6 +40,9 @@ func (d *writeLog) WriteBlocks(start int64, data []byte) error {
 	d.runs = append(d.runs, [2]int64{start, n})
 	d.calls = append(d.calls, fmt.Sprintf("%d:%x", start, data))
 	d.mu.Unlock()
+	if d.onWrite != nil {
+		d.onWrite(start)
+	}
 	return d.MemDisk.WriteBlocks(start, data)
 }
 
@@ -239,7 +244,7 @@ func TestForEachBlockReadsEachPointerBlockOnce(t *testing.T) {
 	if err := dev.WriteBlock(o.Indirect, buf); err != nil {
 		t.Fatal(err)
 	}
-	s.meta = newMetaCache()
+	s.meta = newMetaCache(&s.sb)
 	before := s.DevReads()
 	var order []bool
 	if err := s.ForEachBlock(&o, func(phys int64, isPtr bool) error {

@@ -169,10 +169,17 @@ type Store struct {
 	// object layer folds it into its media-I/O-per-read gauge.
 	devReads atomic.Int64
 
-	// meta caches recently read onode and pointer blocks so the
-	// block-map walk does not pay one media read per data block
-	// (metacache.go documents the coherence rules).
+	// meta caches onode and pointer blocks so the block-map walk does
+	// not pay one media read per data block, and holds the onode blocks
+	// awaiting write-back (metacache.go documents the coherence rules).
+	// wbmu makes flushDevice one at a time.
 	meta *metaCache
+	wbmu sync.Mutex
+
+	// ptrWritten is set by an in-place pointer-block write and cleared
+	// by the next onode commit, whose flush carries the block to the
+	// medium. While it is set an unchanged onode is committed too.
+	ptrWritten atomic.Bool
 }
 
 // FormatOptions controls Format.
@@ -270,7 +277,7 @@ func Format(dev blockdev.Device, opts FormatOptions) (*Store, error) {
 		onodeIndex:   make(map[uint64]int64),
 		ptrsPerBlock: bs / 8,
 		allocHint:    dataStart,
-		meta:         newMetaCache(),
+		meta:         newMetaCache(&sb),
 	}
 	if jb > 0 {
 		if err := journal.Format(dev, journalStart, jb); err != nil {
@@ -339,7 +346,7 @@ func OpenWith(dev blockdev.Device, opts OpenOptions) (*Store, error) {
 		onodeIndex:   make(map[uint64]int64),
 		ptrsPerBlock: bs / 8,
 		allocHint:    sb.DataStart,
-		meta:         newMetaCache(),
+		meta:         newMetaCache(&sb),
 	}
 	var refRecs []journal.Record
 	if sb.JournalBlocks > 0 {
@@ -453,19 +460,16 @@ func (s *Store) replayOnode(r journal.Record) error {
 // JournalEnabled reports whether the volume has a write-ahead journal.
 func (s *Store) JournalEnabled() bool { return s.jnl != nil }
 
-// journalAppend appends an intent record, recovering from a full
-// journal by flushing the device (which makes every issued in-place
-// effect durable) and compacting applied records away, then retrying.
+// journalAppend appends an intent record. A full journal is made room
+// in: the dirty onode blocks are written back and the device flushed
+// (which makes every issued in-place effect durable), then the applied
+// records are compacted away and the record committed in one step.
 func (s *Store) journalAppend(kind journal.Kind, payload []byte) (uint64, error) {
 	lsn, err := s.jnl.Append(kind, payload)
 	if errors.Is(err, journal.ErrFull) {
-		if ferr := s.dev.Flush(); ferr != nil {
-			return 0, ferr
+		if err = s.flushDevice(); err == nil {
+			lsn, err = s.jnl.CheckpointWith(kind, payload)
 		}
-		if cerr := s.jnl.Checkpoint(); cerr != nil {
-			return 0, cerr
-		}
-		lsn, err = s.jnl.Append(kind, payload)
 	}
 	return lsn, err
 }
@@ -529,9 +533,6 @@ func (s *Store) onodeLock(idx int64) *sync.Mutex {
 
 // BlockSize returns the volume block size in bytes.
 func (s *Store) BlockSize() int64 { return int64(s.sb.BlockSize) }
-
-// DataBlocks returns the number of blocks available for data.
-func (s *Store) DataBlocks() int64 { return s.sb.TotalBlocks - s.sb.DataStart }
 
 // FreeBlocks returns the number of currently unreferenced data blocks.
 func (s *Store) FreeBlocks() int64 {
@@ -709,41 +710,28 @@ func (s *Store) AllocOnode() (int64, error) {
 
 // ReadOnode loads the onode at idx. The stripe lock excludes a
 // concurrent writer of the same onode block, so the read is never
-// torn.
-func (s *Store) ReadOnode(idx int64) (Onode, error) {
+// torn and a fill cannot install an image a writer has replaced.
+func (s *Store) ReadOnode(idx int64) (o Onode, err error) {
 	if idx < 0 || idx >= s.sb.OnodeCount {
 		return Onode{}, ErrBadOnode
 	}
-	bs := int64(s.sb.BlockSize)
-	per := bs / OnodeSize
-	blk := s.sb.OnodeStart + idx/per
-	off := (idx % per) * OnodeSize
+	per := int64(s.sb.BlockSize) / OnodeSize
 	l := s.onodeLock(idx)
 	l.Lock()
 	defer l.Unlock()
-	var o Onode
-	if s.meta.view(blk, func(b []byte) { o = decodeOnode(b[off : off+OnodeSize]) }) {
-		return o, nil
-	}
-	buf := bufpool.Get(int(bs))
-	defer bufpool.Put(buf)
-	s.devReads.Add(1)
-	if err := s.dev.ReadBlock(blk, buf); err != nil {
-		return Onode{}, err
-	}
-	// Fill under the stripe lock: a concurrent WriteOnode of this block
-	// serializes behind us, so the entry cannot go stale mid-install.
-	s.meta.fill(blk, buf)
-	return decodeOnode(buf[off : off+OnodeSize]), nil
+	err = s.viewMeta(s.sb.OnodeStart+idx/per, func(b []byte) { o = decodeOnode(b[(idx%per)*OnodeSize:][:OnodeSize]) })
+	return o, err
 }
 
-// WriteOnode stores o at idx (write-through) and maintains the object ID
-// index. Writing a zero ObjectID releases the slot. The stripe lock
-// makes the read-modify-write of the shared onode block atomic against
-// writers of neighboring onodes. On a journaled volume the new onode
-// image is committed to the write-ahead journal before the in-place
-// write is issued, so a crash that loses or tears the onode block is
-// repaired by replay at the next mount.
+// WriteOnode stores o at idx and maintains the object ID index. Writing
+// a zero ObjectID releases the slot, writing the image the slot already
+// holds does nothing. The stripe lock makes the read-modify-write of the
+// shared onode block atomic against writers of neighboring onodes. On a
+// journaled volume the new image is committed to the write-ahead journal
+// (one journal write, one device flush) and the block turns dirty in the
+// metadata cache; flushDevice writes it in place, and a crash before
+// then is repaired by replay at the next mount. Without a journal the
+// block is written through.
 func (s *Store) WriteOnode(idx int64, o *Onode) error {
 	if idx < 0 || idx >= s.sb.OnodeCount {
 		return ErrBadOnode
@@ -751,37 +739,40 @@ func (s *Store) WriteOnode(idx int64, o *Onode) error {
 	bs := int64(s.sb.BlockSize)
 	per := bs / OnodeSize
 	blk := s.sb.OnodeStart + idx/per
-	buf := make([]byte, bs)
+	buf := bufpool.Get(int(bs))
+	defer bufpool.Put(buf)
 	l := s.onodeLock(idx)
 	l.Lock()
-	if err := s.loadMeta(blk, buf); err != nil {
+	if err := s.viewMeta(blk, func(b []byte) { copy(buf, b) }); err != nil {
 		l.Unlock()
 		return err
 	}
-	off := (idx % per) * OnodeSize
-	prev := decodeOnode(buf[off : off+OnodeSize])
-	encodeOnode(buf[off:off+OnodeSize], o)
+	slot := buf[(idx%per)*OnodeSize:][:OnodeSize]
+	prev := decodeOnode(slot)
+	// The codec is one to one: equal onodes are equal images. One whose
+	// write changed a pointer block is committed all the same (a
+	// pipelined fragment filling a hole below the size a later one set).
+	if prev == *o && !s.ptrWritten.Load() {
+		l.Unlock()
+		return nil
+	}
+	encodeOnode(slot, o)
 	var lsn uint64
+	var err error
 	if s.jnl != nil {
-		var err error
-		lsn, err = s.journalAppend(journal.KindOnode, journal.EncodeOnode(uint32(idx), buf[off:off+OnodeSize]))
-		if err == nil {
+		if lsn, err = s.journalAppend(journal.KindOnode, journal.EncodeOnode(uint32(idx), slot)); err == nil {
 			err = s.jnl.Commit(lsn)
 		}
-		if err != nil {
-			l.Unlock()
-			return err
-		}
-	}
-	if err := s.dev.WriteBlock(blk, buf); err != nil {
+	} else if err = s.dev.WriteBlock(blk, buf); err != nil {
 		s.meta.invalidate(blk)
-		l.Unlock()
-		return err
 	}
-	s.meta.fill(blk, buf)
+	if err == nil {
+		s.meta.fill(blk, buf, lsn)
+		s.ptrWritten.Store(false)
+	}
 	l.Unlock()
-	if s.jnl != nil {
-		s.jnl.Applied(lsn)
+	if err != nil {
+		return err
 	}
 	s.lockAlloc()
 	defer s.mu.Unlock()
@@ -794,6 +785,30 @@ func (s *Store) WriteOnode(idx int64, o *Onode) error {
 		s.freeOnodes = append(s.freeOnodes, idx)
 	}
 	return nil
+}
+
+// flushDevice writes the dirty onode-table blocks in place (ascending,
+// consecutive blocks in one ranged call), flushes the device, and only
+// then marks the records they carried applied, so that a Checkpoint may
+// drop them. On an error they stay dirty and unapplied.
+func (s *Store) flushDevice() error {
+	s.wbmu.Lock()
+	defer s.wbmu.Unlock()
+	bs := int(s.sb.BlockSize)
+	blks, recs, img := s.meta.snapshot(bs)
+	defer bufpool.Put(img)
+	done := 0
+	err := blockdev.EachRun(blks, blockdev.RunLimit, func(start int64, n int) error {
+		done += n
+		return blockdev.WriteBlocks(s.dev, start, img[(done-n)*bs:done*bs])
+	})
+	if err == nil {
+		err = s.dev.Flush()
+	}
+	if err == nil && len(blks) > 0 { // only a journaled volume has dirty blocks
+		s.jnl.Applied(s.meta.retire(blks, recs)...)
+	}
+	return err
 }
 
 // FindOnode returns the onode slot holding objectID.
@@ -1096,19 +1111,9 @@ func (s *Store) UnmapBlock(o *Onode, fileBlock int64) (phys int64, err error) {
 	}
 }
 
-func (s *Store) readPtr(blk int64, idx int64) (int64, error) {
-	var v int64
-	if s.meta.view(blk, func(b []byte) { v = int64(binary.LittleEndian.Uint64(b[idx*8:])) }) {
-		return s.clampPtr(v), nil
-	}
-	buf := bufpool.Get(int(s.sb.BlockSize))
-	defer bufpool.Put(buf)
-	s.devReads.Add(1)
-	if err := s.dev.ReadBlock(blk, buf); err != nil {
-		return 0, err
-	}
-	s.meta.fill(blk, buf)
-	return s.clampPtr(int64(binary.LittleEndian.Uint64(buf[idx*8:]))), nil
+func (s *Store) readPtr(blk int64, idx int64) (v int64, err error) {
+	err = s.viewMeta(blk, func(b []byte) { v = s.clampPtr(int64(binary.LittleEndian.Uint64(b[idx*8:]))) })
+	return v, err
 }
 
 // clampPtr turns a wild pointer into a hole: a legitimate one is zero
@@ -1167,7 +1172,7 @@ func (s *Store) setPtr(pb *ptrBatch, blk int64, idx int64, v int64) error {
 	buf := pb.find(blk)
 	if buf == nil {
 		buf = bufpool.Get(int(s.sb.BlockSize))
-		if err := s.loadMeta(blk, buf); err != nil {
+		if err := s.viewMeta(blk, func(b []byte) { copy(buf, b) }); err != nil {
 			bufpool.Put(buf)
 			return err
 		}
@@ -1180,18 +1185,21 @@ func (s *Store) setPtr(pb *ptrBatch, blk int64, idx int64, v int64) error {
 	return nil
 }
 
-// loadMeta copies metadata block blk's image (a pointer block, an onode
-// block under its stripe lock) into buf, from the metadata cache or else
-// the device.
-func (s *Store) loadMeta(blk int64, buf []byte) error {
-	if s.meta.view(blk, func(b []byte) { copy(buf, b) }) {
+// viewMeta runs fn on the image of metadata block blk (a pointer block,
+// an onode block under its stripe lock), in the metadata cache or else
+// read from the device and cached. fn must not retain the slice.
+func (s *Store) viewMeta(blk int64, fn func(b []byte)) error {
+	if s.meta.view(blk, fn) {
 		return nil
 	}
+	buf := bufpool.Get(int(s.sb.BlockSize))
+	defer bufpool.Put(buf)
 	s.devReads.Add(1)
 	if err := s.dev.ReadBlock(blk, buf); err != nil {
 		return err
 	}
-	s.meta.fill(blk, buf)
+	s.meta.fill(blk, buf, 0)
+	fn(buf)
 	return nil
 }
 
@@ -1201,7 +1209,8 @@ func (s *Store) loadMeta(blk int64, buf []byte) error {
 // device with the onode that points at them.
 func (s *Store) flushPtrs(pb ptrBatch, err error) error {
 	for _, e := range pb.blocks {
-		s.meta.fill(e.blk, e.buf)
+		s.ptrWritten.Store(true)
+		s.meta.fill(e.blk, e.buf, 0)
 		if werr := s.dev.WriteBlock(e.blk, e.buf); werr != nil {
 			s.meta.invalidate(e.blk) // the write may have partially applied
 			if err == nil {
@@ -1240,7 +1249,7 @@ func (s *Store) eachThrough(blk int64, depth int, fn func(phys int64, isPtr bool
 	}
 	img := bufpool.Get(int(s.sb.BlockSize))
 	defer bufpool.Put(img)
-	if err := s.loadMeta(blk, img); err != nil {
+	if err := s.viewMeta(blk, func(b []byte) { copy(img, b) }); err != nil {
 		return err
 	}
 	if err := fn(blk, true); err != nil {
@@ -1299,12 +1308,12 @@ func (s *Store) WriteDataBlock(blk int64, buf []byte) error {
 
 // --- Persistence ------------------------------------------------------
 
-// Sync flushes dirty refcount regions and the superblock to the
-// device. On a journaled volume the accumulated refcount changes are
-// first committed as one KindRefUpdate intent record — write-ahead of
-// the in-place region rewrite — and after the flush the journal is
-// compacted (applied records discarded, unapplied ones carried
-// forward).
+// Sync flushes dirty refcount regions, the superblock and the dirty
+// onode-table blocks to the device. On a journaled volume the
+// accumulated refcount changes are first committed as one KindRefUpdate
+// intent record — write-ahead of the in-place region rewrite — and
+// after the flush the journal is compacted (applied records discarded,
+// unapplied ones carried forward).
 func (s *Store) Sync() error {
 	s.lockAlloc()
 	defer s.mu.Unlock()
@@ -1365,7 +1374,7 @@ func (s *Store) Sync() error {
 		}
 		s.sbDirty = false
 	}
-	if err := s.dev.Flush(); err != nil {
+	if err := s.flushDevice(); err != nil {
 		return err
 	}
 	if s.jnl != nil {
@@ -1389,11 +1398,4 @@ func (s *Store) RepairRef(blk int64, v uint16) {
 		return
 	}
 	s.setRef(blk, v)
-}
-
-// MarkSuperblockDirty schedules the superblock for rewrite on next Sync.
-func (s *Store) MarkSuperblockDirty() {
-	s.lockAlloc()
-	defer s.mu.Unlock()
-	s.sbDirty = true
 }

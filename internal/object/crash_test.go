@@ -9,6 +9,7 @@ import (
 
 	"nasd/internal/blockdev"
 	"nasd/internal/layout"
+	"nasd/internal/telemetry"
 )
 
 // The crash harness: format a store on a CrashDisk (volatile write
@@ -395,6 +396,191 @@ func TestCrashSweepIndirectAppend(t *testing.T) {
 	}
 }
 
+// The deferred-onode sweep. On a journaled volume an append commits its
+// onode record and returns; the onode table is written at the next Flush,
+// or when the journal runs full. deferredAppends appends with no Flush
+// in between to objects whose onodes are neighbours in the table, enough
+// times to run the journal full once, then Flushes, so a crash point can
+// fall between a commit and its deferred in-place write, inside the
+// ranged onode-table write of the journal-full write-back or of the
+// Flush, and inside the checkpoint after either.
+
+const (
+	deferredObjects = 6
+	deferredAppends = 48
+)
+
+// deferredGeometries both give the journal a half that holds about 30
+// one-onode commits. With 512-byte blocks an onode is a block of its
+// own; with 4096-byte blocks the six onodes share one, which a torn
+// write (a prefix of 512-byte sectors) leaves part old and part new.
+var deferredGeometries = []struct {
+	bs     int
+	blocks int64
+}{{512, 4096}, {4096, 2048}}
+
+type deferredModel struct {
+	ids   []uint64
+	live  map[uint64][]byte // contents once every append so far is in
+	acked map[uint64]int    // size the last acknowledged append left
+	tried map[uint64]int    // size the append in flight would leave
+}
+
+// setupDeferredStore formats a classic partition on a fresh CrashDisk,
+// creates the objects one block short of their direct slots, so that the
+// first append reaches the indirect block, and flushes.
+func setupDeferredStore(t *testing.T, seed int64, bs int, blocks int64) (*blockdev.MemDisk, *blockdev.CrashDisk, *Store, *deferredModel) {
+	t.Helper()
+	inner := blockdev.NewMemDisk(bs, blocks)
+	disk := blockdev.NewCrashDisk(inner, seed)
+	s, err := Format(disk, Config{SyncCompact: true, Metrics: telemetry.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CreatePartition(1, 0); err != nil {
+		t.Fatal(err)
+	}
+	m := &deferredModel{live: map[uint64][]byte{}, acked: map[uint64]int{}, tried: map[uint64]int{}}
+	for i := 0; i < deferredObjects; i++ {
+		id, err := s.Create(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := bytes.Repeat([]byte{0xA0 + byte(i)}, (layout.NumDirect-1)*bs)
+		if err := s.Write(1, id, 0, base); err != nil {
+			t.Fatal(err)
+		}
+		m.ids = append(m.ids, id)
+		m.live[id], m.acked[id], m.tried[id] = base, len(base), len(base)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return inner, disk, s, m
+}
+
+// runDeferredAppends returns nil when the appends and the Flush after
+// them completed, blockdev.ErrCrashed when the disk crashed first.
+func runDeferredAppends(s *Store, disk *blockdev.CrashDisk, rng *rand.Rand, bs int, m *deferredModel) error {
+	crashedOr := func(err error) error {
+		if disk.Crashed() {
+			return blockdev.ErrCrashed
+		}
+		return fmt.Errorf("failed without a crash: %w", err)
+	}
+	for i := 0; i < deferredAppends; i++ {
+		id := m.ids[rng.Intn(len(m.ids))]
+		data := make([]byte, 1+rng.Intn(3*bs))
+		rng.Read(data)
+		m.tried[id] = m.acked[id] + len(data)
+		if err := s.Write(1, id, uint64(m.acked[id]), data); err != nil {
+			return crashedOr(err)
+		}
+		m.live[id] = append(m.live[id], data...)
+		m.acked[id] = m.tried[id]
+	}
+	if err := s.Flush(); err != nil {
+		return crashedOr(err)
+	}
+	return nil
+}
+
+// verifyDeferredContract mounts what the crash left and checks: the
+// store opens; every object has the size its last acknowledged append
+// left (the record was committed before the append returned) or the one
+// the append in flight would have; it reads without error with its
+// flushed prefix intact, and exactly when the final Flush returned; no
+// reference count is left to repair; the quota charge is the census; and
+// recovery is idempotent: a second mount replays and repairs nothing and
+// finds the same onodes.
+func verifyDeferredContract(t *testing.T, tag string, inner *blockdev.MemDisk, bs int, m *deferredModel, flushed bool) {
+	t.Helper()
+	s, err := Open(inner, Config{SyncCompact: true})
+	if err != nil {
+		t.Fatalf("%s: reopen after crash: %v", tag, err)
+	}
+	sizes := map[uint64]uint64{}
+	for _, id := range m.ids {
+		a, err := s.GetAttr(1, id)
+		if err != nil || a.Size != uint64(m.acked[id]) && a.Size != uint64(m.tried[id]) {
+			t.Fatalf("%s: object %d has size %d (%v), acknowledged %d, in flight %d", tag, id, a.Size, err, m.acked[id], m.tried[id])
+		}
+		sizes[id] = a.Size
+		got, err := s.Read(1, id, 0, int(a.Size)+1)
+		if err != nil || len(got) != int(a.Size) {
+			t.Fatalf("%s: object %d read %d of %d bytes: %v", tag, id, len(got), a.Size, err)
+		}
+		want := m.live[id]
+		if !flushed {
+			want = want[:(layout.NumDirect-1)*bs]
+		}
+		if !bytes.Equal(got[:len(want)], want) {
+			t.Fatalf("%s: object %d lost flushed bytes (flush after the appends returned: %v)", tag, id, flushed)
+		}
+	}
+	if repairs, err := s.verifyRefs(); err != nil || repairs != 0 {
+		t.Fatalf("%s: %d refcount repairs left after recovery (%v)", tag, repairs, err)
+	}
+	checkAccounting(t, s, tag)
+
+	s2, err := Open(inner, Config{SyncCompact: true})
+	if err != nil {
+		t.Fatalf("%s: second mount: %v", tag, err)
+	}
+	if r := s2.RecoveryInfo(); r.Replayed != 0 || r.TornTails != 0 || r.RefRepairs != 0 {
+		t.Fatalf("%s: second mount of the recovered image did recovery work: %+v", tag, r)
+	}
+	for _, id := range m.ids {
+		if a, err := s2.GetAttr(1, id); err != nil || a.Size != sizes[id] {
+			t.Fatalf("%s: object %d has size %d (%v) at the second mount, %d at the first", tag, id, a.Size, err, sizes[id])
+		}
+	}
+	if repairs, err := s2.verifyRefs(); err != nil || repairs != 0 {
+		t.Fatalf("%s: second mount left %d refcount repairs (%v)", tag, repairs, err)
+	}
+}
+
+// TestCrashSweepDeferredOnodes crashes "48 appends, no flush, then
+// Flush" at every persist step, on the seeds TestCrashSweep runs, even
+// seeds tearing the block the crash interrupts. Short mode samples two
+// seeds.
+func TestCrashSweepDeferredOnodes(t *testing.T) {
+	seeds, maxPoints := int64(5), 1<<30
+	if testing.Short() {
+		seeds, maxPoints = 2, 24
+	}
+	points := 0
+	for _, g := range deferredGeometries {
+		for seed := int64(1); seed <= seeds; seed++ {
+			tear := seed%2 == 0
+			_, disk, s, m := setupDeferredStore(t, seed, g.bs, g.blocks)
+			disk.SetTearWrites(tear)
+			checkpoints := s.cfg.Metrics.Counter("journal.checkpoints")
+			base, before := disk.Steps(), checkpoints.Load()
+			if err := runDeferredAppends(s, disk, rand.New(rand.NewSource(seed)), g.bs, m); err != nil {
+				t.Fatalf("bs %d seed %d: dry run: %v", g.bs, seed, err)
+			}
+			total := disk.Steps() - base
+			if n := checkpoints.Load() - before; n < 2 { // one is the final Flush's
+				t.Fatalf("bs %d seed %d: %d checkpoints: the appends never ran the journal full", g.bs, seed, n)
+			}
+			stride := max(1, total/int64(maxPoints))
+			for n := int64(1); n <= total+1; n += stride { // total+1: no crash
+				inner, disk, s, m := setupDeferredStore(t, seed, g.bs, g.blocks)
+				disk.SetTearWrites(tear)
+				disk.SetCrashAfter(n)
+				err := runDeferredAppends(s, disk, rand.New(rand.NewSource(seed)), g.bs, m)
+				if err != nil && !errors.Is(err, blockdev.ErrCrashed) || err == nil && n <= total {
+					t.Fatalf("bs %d seed %d crash@%d of %d: %v", g.bs, seed, n, total, err)
+				}
+				verifyDeferredContract(t, fmt.Sprintf("bs %d seed %d crash@%d tear=%v", g.bs, seed, n, tear), inner, g.bs, m, err == nil)
+				points++
+			}
+		}
+	}
+	t.Logf("swept %d crash points", points)
+}
+
 // TestFlushDurableAcrossCrash is the regression test for the needle
 // flush-propagation bug: Store.Flush on a needle partition used to
 // snapshot the index and write log tails without ever flushing the
@@ -442,7 +628,7 @@ func TestFlushDurableAcrossCrash(t *testing.T) {
 // with journaling disabled, and still round-trips data through a clean
 // flush.
 func TestJournalOffVolume(t *testing.T) {
-	dev := blockdev.NewMemDisk(512, 4096)
+	dev := newCountingRanger(512, 4096)
 	s, err := Format(dev, Config{JournalBlocks: -1, SyncCompact: true})
 	if err != nil {
 		t.Fatalf("format: %v", err)
@@ -455,8 +641,14 @@ func TestJournalOffVolume(t *testing.T) {
 		t.Fatalf("create: %v", err)
 	}
 	data := bytes.Repeat([]byte{7}, 1234)
+	dev.reset()
 	if err := s.Write(1, id, 0, data); err != nil {
 		t.Fatalf("write: %v", err)
+	}
+	// With no journal to replay from, the onode is written through.
+	sb := s.classic.lay.Superblock()
+	if n := dev.wrote(sb.OnodeStart, sb.OnodeBlocks); n != 1 {
+		t.Fatalf("write on a journal-off volume wrote %d onode blocks before any flush, want 1", n)
 	}
 	if err := s.Flush(); err != nil {
 		t.Fatalf("flush: %v", err)

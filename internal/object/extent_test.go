@@ -6,10 +6,12 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"nasd/internal/blockdev"
 	"nasd/internal/bufpool"
 	"nasd/internal/layout"
+	"nasd/internal/telemetry"
 )
 
 // countingRanger counts read calls on a ranged device and how often
@@ -56,6 +58,18 @@ func (d *countingRanger) WriteBlocks(start int64, data []byte) error {
 	return d.MemDisk.WriteBlocks(start, data)
 }
 
+// wrote returns how many block writes landed in [start, start+n).
+func (d *countingRanger) wrote(start, n int64) (blocks int) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for b, k := range d.written {
+		if b >= start && b < start+n {
+			blocks += k
+		}
+	}
+	return blocks
+}
+
 func (d *countingRanger) reset() {
 	d.mu.Lock()
 	d.calls, d.perBlock = 0, map[int64]int{}
@@ -63,9 +77,13 @@ func (d *countingRanger) reset() {
 	d.mu.Unlock()
 }
 
+func newCountingRanger(bs int, blocks int64) *countingRanger {
+	return &countingRanger{MemDisk: blockdev.NewMemDisk(bs, blocks), perBlock: map[int64]int{}, written: map[int64]int{}}
+}
+
 func newExtentStore(t *testing.T, cfg Config) (*Store, *countingRanger) {
 	t.Helper()
-	dev := &countingRanger{MemDisk: blockdev.NewMemDisk(4096, 4096), perBlock: map[int64]int{}, written: map[int64]int{}}
+	dev := newCountingRanger(4096, 4096)
 	s, err := Format(dev, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -336,6 +354,89 @@ func TestExtentWriteDeviceCalls(t *testing.T) {
 	}
 	chill(t, s, dev, id)
 	mustRead(t, s, id, 0, data)
+}
+
+// TestExtentAppendWritesOnodeAtFlush pins what a classic append sends to
+// a journaled device: one journal write (the onode record, committed
+// before the write returns), one pointer-block write, and nothing to the
+// onode table, which the next Flush writes once for every object that
+// shares the block. An overwrite that changes nothing in the onode (same
+// size, same second) commits nothing, and Create and Remove commit the
+// object's onode and the partition table, not the control object's
+// unchanged onode as well.
+func TestExtentAppendWritesOnodeAtFlush(t *testing.T) {
+	const k64 = 64 << 10
+	reg := telemetry.NewRegistry()
+	s, dev := newExtentStore(t, Config{ReadaheadBlocks: -1, Metrics: reg, Clock: func() time.Time { return time.Unix(1000, 0) }})
+	commits := reg.Counter("journal.commits")
+	sb := s.classic.lay.Superblock()
+	var ids [3]uint64
+	data := pattern(21, 2*k64)
+	for i := range ids { // 128 KiB each: past the 20 direct slots
+		ids[i], _ = s.Create(1)
+		if err := s.Write(1, ids[i], 0, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	_, o, err := s.classic.lookup(1, ids[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dev.reset()
+	before := commits.Load()
+	if err := s.Write(1, ids[0], 2*k64, data[:k64]); err != nil {
+		t.Fatal(err)
+	}
+	jw, ow := dev.wrote(sb.JournalStart, sb.JournalBlocks), dev.wrote(sb.OnodeStart, sb.OnodeBlocks)
+	if dev.writeCalls != 2 || jw != 1 || dev.written[o.Indirect] != 1 || ow != 0 || commits.Load()-before != 1 {
+		t.Fatalf("a 64 KiB append cost %d device writes (%d journal blocks, %d of its pointer block, %d onode blocks) and %d commits, want 2 (1, 1, 0) and 1",
+			dev.writeCalls, jw, dev.written[o.Indirect], ow, commits.Load()-before)
+	}
+	for i := 3; i < 8; i++ {
+		for _, id := range ids {
+			if err := s.Write(1, id, uint64(i*k64), data[:k64]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if ow := dev.wrote(sb.OnodeStart, sb.OnodeBlocks); ow != 0 {
+		t.Fatalf("%d onode blocks written before the Flush", ow)
+	}
+	dev.reset()
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if ow := dev.wrote(sb.OnodeStart, sb.OnodeBlocks); ow != 1 {
+		t.Fatalf("Flush after 16 appends to 3 objects of one onode block wrote %d onode blocks, want 1", ow)
+	}
+
+	dev.reset()
+	before = commits.Load()
+	if err := s.Write(1, ids[1], 0, data); err != nil {
+		t.Fatal(err)
+	}
+	if dev.writeCalls != 0 || commits.Load() != before {
+		t.Fatalf("an overwrite that leaves the onode as it was cost %d device writes and %d commits", dev.writeCalls, commits.Load()-before)
+	}
+	id, err := s.Create(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	created := commits.Load() - before
+	if err := s.Remove(1, id); err != nil {
+		t.Fatal(err)
+	}
+	if removed := commits.Load() - before - created; created != 2 || removed != 2 {
+		t.Fatalf("Create cost %d commits and Remove %d, want 2 each: the object's onode and the partition table", created, removed)
+	}
+	for _, id := range ids {
+		chill(t, s, dev, id)
+		mustRead(t, s, id, 0, data)
+	}
 }
 
 // TestExtentWritesRecyclePooledBuffers: write/flush rounds, and a

@@ -244,8 +244,9 @@ func (b *needleBackend) SetAttr(part uint16, obj uint64, a Attributes, mask SetA
 	})
 	if err == nil && mask&SetVersion != 0 {
 		// A version bump revokes capabilities; losing it to a crash
-		// would re-arm them. Classic onode writes are write-through, so
-		// match that durability by syncing the log tail here.
+		// would re-arm them. A classic onode write is committed to the
+		// journal before it returns, so match that durability by syncing
+		// the log tail here.
 		err = b.eng.Sync(part)
 	}
 	return mapNeedleErr(err)

@@ -57,16 +57,18 @@ go test -race \
     ./internal/rpc ./internal/client ./internal/cheops ./internal/blockdev
 
 # Crash-consistency focus: re-run the DESIGN.md §7 durability tests by
-# name — journal framing/commit/replay, CrashDisk semantics, a
-# short-mode crash sweep, and the extent tests that pin what the write
-# path sends to the device and in what order (pointer blocks once per
-# write, write-back in runs) and that the quota charged by delta is the
-# charge recovery's census walks — so a recovery regression is called
-# out explicitly. The full 1000+-point sweep runs in the suite above
-# and, with -v, in CI's dedicated crash-sweep job.
-echo "==> go test -race -short -run 'Crash|Journal|Torn|Recover|Checkpoint|Commit|WriteBack|Extent|Accounting|ChargeCosts|ForEachBlock' (crash-consistency focus)"
+# name — journal framing/commit/replay, CrashDisk semantics, the
+# short-mode crash sweeps (mixed workload, deferred onode writes), and
+# the extent and write-back tests that pin what the write path sends to
+# the device and in what order (pointer blocks once per write, onode
+# blocks at the flush, write-back in runs) and that the quota charged
+# by delta is the charge recovery's census walks — so a recovery
+# regression is called out explicitly. The full sweeps (1000+ points
+# each) run in the suite above and, with -v, in CI's dedicated
+# crash-sweep job.
+echo "==> go test -race -short -run 'Crash|Journal|Torn|Recover|Checkpoint|Commit|Padding|WriteBack|WriteThrough|MetaCache|Extent|Accounting|ChargeCosts|ForEachBlock' (crash-consistency focus)"
 go test -race -short \
-    -run 'Crash|Journal|Torn|Recover|Checkpoint|Commit|WriteBack|Extent|Accounting|ChargeCosts|ForEachBlock' \
+    -run 'Crash|Journal|Torn|Recover|Checkpoint|Commit|Padding|WriteBack|WriteThrough|MetaCache|Extent|Accounting|ChargeCosts|ForEachBlock' \
     ./internal/journal ./internal/blockdev ./internal/object ./internal/cache ./internal/layout
 
 # Chaos smoke: the kill/restart soak from DESIGN.md §6-§7 must pass end
