@@ -287,19 +287,7 @@ func runChaos(w io.Writer, dur time.Duration, seed int64, jsonOut string) error 
 	if len(tenants) == 0 {
 		return fmt.Errorf("chaos: no per-tenant counters on any drive — partition attribution went unexercised")
 	}
-	var tenantKeys []string
-	for k := range tenants {
-		tenantKeys = append(tenantKeys, k)
-	}
-	sort.Strings(tenantKeys)
-	fmt.Fprintf(w, "\nper-tenant op split (merged from %d drives):\n", len(drives))
-	for _, k := range tenantKeys {
-		ts := tenants[k]
-		fmt.Fprintf(w, "  %-10s %8d ops %6d errors %8.1f MiB in %8.1f MiB out  p99 %v\n",
-			k, ts.Calls, ts.Errors,
-			float64(ts.BytesIn)/(1<<20), float64(ts.BytesOut)/(1<<20),
-			time.Duration(ts.P99NS).Round(time.Microsecond))
-	}
+	telemetry.WriteTenantTable(w, driveMerged, fmt.Sprintf("merged from %d drives", len(drives)))
 
 	// Every subsystem in this process (manager, stores, reborn drive)
 	// defaults its event log to the shared telemetry.Events ring; the
@@ -337,7 +325,7 @@ func runChaos(w io.Writer, dur time.Duration, seed int64, jsonOut string) error 
 
 	return writeBenchJSON(jsonOut, benchResult{
 		Name:       "chaos",
-		Config:     benchConfig{SizeMB: int(moved >> 20), Workers: len(workers), Secure: true},
+		Config:     benchConfig{Workers: len(workers), Secure: true},
 		Throughput: map[string]float64{"soak": mbps},
 		Latency:    latencyFromSnapshot(snap),
 		Counters:   chaosCounters(snap),

@@ -13,26 +13,18 @@ import (
 )
 
 // This file implements -json: a machine-readable BENCH_<name>.json
-// result per bench run, so successive runs (and CI artifacts) form a
-// comparable performance trajectory. The schema is documented in
-// EXPERIMENTS.md ("Machine-readable bench results").
+// record of what a drill observed, kept as a CI artifact. The schema is
+// documented in EXPERIMENTS.md ("Drill records").
 
-// benchResult is the serialized outcome of one bench run.
+// benchResult is the serialized outcome of one drill.
 type benchResult struct {
 	Name       string                    `json:"name"`
 	UnixNS     int64                     `json:"unix_ns"`
 	Config     benchConfig               `json:"config"`
 	Throughput map[string]float64        `json:"throughput_mbps"`
 	Latency    map[string]latencySummary `json:"latency_ns"`
-	// AllocsPerOp / BytesPerOp record heap-allocation cost per logical
-	// operation (runtime.MemStats deltas across a measured phase divided
-	// by its operation count, covering both halves of an in-process
-	// client+drive pair). They track the zero-copy data path: a
-	// regression here shows up before it costs bandwidth.
-	AllocsPerOp map[string]float64 `json:"allocs_per_op,omitempty"`
-	BytesPerOp  map[string]float64 `json:"bytes_per_op,omitempty"`
-	// Counters carries resilience counters for runs (like chaos) whose
-	// point is fault handling rather than bandwidth. Omitted otherwise.
+	// Counters carries what the drill asserts on: resilience counters
+	// (chaos), per-tenant outcomes and qos verdicts (qos).
 	Counters map[string]uint64 `json:"counters,omitempty"`
 	// Tenants splits the drive-side op totals by the capability's
 	// partition identity ("part.<P>"), merged across every drive in the
@@ -83,7 +75,6 @@ func eventSummary(events []telemetry.Event) map[string]int {
 
 // benchConfig records the knobs that shaped the run.
 type benchConfig struct {
-	SizeMB  int  `json:"size_mb"`
 	Workers int  `json:"workers"`
 	Secure  bool `json:"secure"`
 }

@@ -6,30 +6,27 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
 
-// TestWorkloadsEmitResults runs every live workload at its smallest
-// size and checks the machine-readable result it writes. The chaos and
-// qos workloads assert their own invariants (every op verified through
-// the kill, the victim's latency bound under the flood) and return an
-// error on a breach, so a nil error covers those too.
+// TestWorkloadsEmitResults runs both drills at their smallest size and
+// checks the machine-readable record each writes. The drills assert
+// their own invariants (every op verified through the kill, the
+// victim's latency bound under the flood) and return an error on a
+// breach, so a nil error covers those too.
 func TestWorkloadsEmitResults(t *testing.T) {
 	workloads := []struct {
 		name string
-		slow bool
 		run  func(w io.Writer, jsonOut string) error
 	}{
-		{"stats", false, func(w io.Writer, out string) error { return runStats(w, 1, out) }},
-		{"parallel", false, func(w io.Writer, out string) error { return runParallel(w, 2, 1, out) }},
-		{"smallobj", false, func(w io.Writer, out string) error { return runSmallObj(w, 16, out) }},
-		{"chaos", true, func(w io.Writer, out string) error { return runChaos(w, 300*time.Millisecond, 1, out) }},
-		{"qos", true, func(w io.Writer, out string) error { return runQoS(w, time.Second, 100, 1, out) }},
+		{"chaos", func(w io.Writer, out string) error { return runChaos(w, 300*time.Millisecond, 1, out) }},
+		{"qos", func(w io.Writer, out string) error { return runQoS(w, time.Second, 100, 1, out) }},
 	}
 	for _, wl := range workloads {
 		t.Run(wl.name, func(t *testing.T) {
-			if wl.slow && testing.Short() {
+			if testing.Short() {
 				t.Skip("multi-second soak; skipped under -short")
 			}
 			if wl.name == "qos" && raceEnabled {
@@ -52,5 +49,19 @@ func TestWorkloadsEmitResults(t *testing.T) {
 				t.Fatalf("result name = %q, want %q", res.Name, wl.name)
 			}
 		})
+	}
+}
+
+// TestRetiredWorkloadsNameTheirReplacement: the three workloads bench/
+// replaced fail, and the error says what to run instead.
+func TestRetiredWorkloadsNameTheirReplacement(t *testing.T) {
+	for _, name := range []string{"stats", "parallel", "smallobj"} {
+		err := unknownWorkload(name)
+		if err == nil || !strings.Contains(err.Error(), "bash bench/run.sh --workload ") {
+			t.Errorf("-workload %s: error %v does not name its bench/ replacement", name, err)
+		}
+	}
+	if err := unknownWorkload("nosuch"); err == nil || strings.Contains(err.Error(), "bench/run.sh") {
+		t.Errorf("an unknown workload should be rejected without a replacement, got %v", err)
 	}
 }

@@ -21,20 +21,21 @@ import (
 	"nasd/internal/telemetry"
 )
 
-// This file is the QoS heavy-traffic workload: one qos-armed drive, a
-// well-behaved victim tenant (partition 1, closed-loop 4 KiB reads
-// with think time), and a hot aggressor tenant (partition 2, ~10x the
-// victim's offered load from many open-loop Poisson "clients" with
+// This file is the QoS drill: one qos-armed drive, a well-behaved
+// victim tenant (partition 1, closed-loop 4 KiB reads with think
+// time), and a hot aggressor tenant (partition 2, ~10x the victim's
+// offered load from many open-loop Poisson "clients" with
 // Zipf-distributed hot spots, 16 KiB reads — large enough to hold the
 // simulated spindle a few hundred microseconds per op, small enough
 // that no single admitted op wrecks a bystander's tail). Phase 1
-// measures the victim alone; phase 2 turns the aggressor loose. The run FAILS —
-// exits nonzero, so check.sh can gate on it — unless:
+// measures the victim alone; phase 2 turns the aggressor loose. The
+// run FAILS — exits nonzero, so check.sh can gate on it — unless:
 //
 //   - every victim request eventually succeeded (zero failures);
-//   - the victim's contended p99 stays within ratioBound (3x) of its
-//     solo baseline (with a small absolute floor so a sub-millisecond
-//     solo p99 cannot make the bound meaninglessly tight);
+//   - the victim's contended p99 is at most qosRatioBound (3) times
+//     max(solo p99, qosSoloFloor): against a sub-millisecond solo p99
+//     the bound is 9 ms absolute, not 3x of what was measured, and the
+//     report prints the raw ratio beside the floored one;
 //   - overload surfaced only as typed retry-later replies: neither
 //     tenant saw a transport error or any other failure shape.
 //
@@ -299,17 +300,14 @@ func runQoS(w io.Writer, phaseDur time.Duration, aggressors int, seed int64, jso
 
 	// ---- Report ------------------------------------------------------
 	snap := reg.Snapshot()
-	base := p99Solo
-	if base < qosSoloFloor {
-		base = qosSoloFloor
-	}
-	ratio := float64(p99Cont) / float64(base)
+	base := max(p99Solo, qosSoloFloor)
+	ratio, rawRatio := float64(p99Cont)/float64(base), float64(p99Cont)/float64(p99Solo)
 	fmt.Fprintf(w, "nasdbench -workload qos: %d aggressor clients at ~%.0f arrivals/s vs %d victim readers\n",
 		aggressors, aggRate, victims)
 	fmt.Fprintf(w, "  victim solo:      %6d ops  p50 %8s  p99 %8s\n",
 		len(soloLat), pct(soloLat, 0.50).Round(time.Microsecond), p99Solo.Round(time.Microsecond))
-	fmt.Fprintf(w, "  victim contended: %6d ops  p50 %8s  p99 %8s  (%.2fx of solo baseline, bound %.1fx)\n",
-		len(contLat), pct(contLat, 0.50).Round(time.Microsecond), p99Cont.Round(time.Microsecond), ratio, qosRatioBound)
+	fmt.Fprintf(w, "  victim contended: %6d ops  p50 %8s  p99 %8s  (%.2fx of solo p99; %.2fx of max(solo p99, %v), bound %.1fx)\n",
+		len(contLat), pct(contLat, 0.50).Round(time.Microsecond), p99Cont.Round(time.Microsecond), rawRatio, ratio, qosSoloFloor, qosRatioBound)
 	fmt.Fprintf(w, "  victim outcomes:    ok=%d shed=%d deadline=%d failed=%d\n",
 		vt.ok.Load(), vt.shed.Load(), vt.deadline.Load(), vt.failed.Load())
 	fmt.Fprintf(w, "  aggressor outcomes: issued=%d ok=%d shed=%d deadline=%d failed=%d\n",
@@ -333,7 +331,7 @@ func runQoS(w io.Writer, phaseDur time.Duration, aggressors int, seed int64, jso
 	}
 	if float64(p99Cont) > qosRatioBound*float64(base) {
 		fails = append(fails, fmt.Sprintf(
-			"victim p99 %v breached %gx of its solo baseline %v (floor %v): hot tenant starved the victim",
+			"victim p99 %v breached %gx of max(solo p99 %v, %v): hot tenant starved the victim",
 			p99Cont, qosRatioBound, p99Solo, qosSoloFloor))
 	}
 	if snap.Counters["drive.part.2.qos.throttled"]+snap.Counters["drive.part.2.qos.rejected"]+snap.Counters["drive.part.2.qos.shed"] == 0 {
@@ -368,7 +366,7 @@ func runQoS(w io.Writer, phaseDur time.Duration, aggressors int, seed int64, jso
 				"qos_rejected":          snap.Counters["qos.rejected"],
 				"rpc_server_rejected":   snap.Counters["rpc.server.rejected"],
 				"p99_ratio_x100":        uint64(ratio * 100),
-				"starvation_assert_ok":  boolCounter(len(fails) == 0),
+				"p99_ratio_raw_x100":    uint64(rawRatio * 100),
 				"victim_p99_solo_ns":    uint64(p99Solo),
 				"victim_p99_contend_ns": uint64(p99Cont),
 			},
@@ -384,9 +382,9 @@ func runQoS(w io.Writer, phaseDur time.Duration, aggressors int, seed int64, jso
 		for _, f := range fails {
 			fmt.Fprintf(w, "FAIL: %s\n", f)
 		}
-		return fmt.Errorf("qos workload failed %d assertion(s)", len(fails))
+		return fmt.Errorf("qos drill failed %d assertion(s)", len(fails))
 	}
-	fmt.Fprintf(w, "PASS: victim p99 held within %.1fx of solo under a ~10x flood with zero victim failures\n", qosRatioBound)
+	fmt.Fprintf(w, "PASS: victim p99 held within %.1fx of max(solo p99, %v) under a ~10x flood with zero victim failures\n", qosRatioBound, qosSoloFloor)
 	return nil
 }
 
@@ -420,11 +418,4 @@ func summarize(sorted []time.Duration) latencySummary {
 		P99:   int64(pct(sorted, 0.99)),
 		Max:   int64(pct(sorted, 1.0)),
 	}
-}
-
-func boolCounter(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
 }

@@ -46,7 +46,7 @@ func driveCreate(t testing.TB, d *Drive) uint64 {
 }
 
 // TestConcurrentDriveMixedOps drives one drive's Handle entry point —
-// what every rpc.WithWorkers worker calls — from many goroutines with a
+// what every rpc worker-pool goroutine calls — from many goroutines with a
 // mix of create/write/read/resize/remove plus shared-object reads.
 // Run under -race by scripts/check.sh; correctness checks catch lost
 // updates and torn reads.

@@ -14,19 +14,18 @@ import (
 // This file carries the drive's measured telemetry: real service-time
 // observations per NASD operation, split into the same components the
 // paper's Table 1 reports — security (digest verification), object
-// system, and media — which is what `nasdbench -workload stats` and
-// `nasdctl stats` print. Every request is recorded in exactly two
-// places: the registry (aggregates) and the span log (one handler span
-// per request, plus its phase children).
+// system, and media — which is what `nasdctl stats` prints. Every
+// request is recorded in exactly two places: the registry (aggregates)
+// and the span log (one handler span per request, plus its phase
+// children).
 //
 // The split is measured as follows for each request: digest time is
 // timed directly inside authorize/authorizeAdmin; media time is the
 // busy-time delta of the instrumented block device (Config.Media)
 // across the request; object-system time is the remainder of the
 // handler's wall time. Digest time is exact. The media delta is exact
-// when requests are served one at a time (how `nasdbench -workload
-// stats` runs) and an approximation under concurrency, where
-// overlapping requests share the device's busy time.
+// when requests are served one at a time and an approximation under
+// concurrency, where overlapping requests share the device's busy time.
 
 // MediaClock reports cumulative nanoseconds a storage medium has spent
 // busy. *blockdev.Instrumented implements it.

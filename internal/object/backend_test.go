@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"testing"
+	"time"
 
 	"nasd/internal/blockdev"
+	"nasd/internal/telemetry"
 )
 
 // backend_test.go covers the StoreBackend split: per-partition engine
@@ -389,5 +392,67 @@ func TestBackendKindParse(t *testing.T) {
 	}
 	if s := fmt.Sprint(BackendKind(99)); s == "" {
 		t.Fatal("unknown kind must still print")
+	}
+}
+
+// BenchmarkSmallObjectGet is the one comparison bench/ cannot make (its
+// smallobj_needle workload runs a single engine): the Haystack scenario
+// on both engines. 2000 4 KiB objects are written once, under a 1 MiB
+// cache the 8 MB population does not fit, and then fetched with a
+// Zipf(1.1) mix in which every GET is a GetAttr plus a full-object
+// Read. One iteration is one GET; the device is a MemDisk with no
+// medium model, so what separates the engines is the reported count of
+// blocks read from the device per GET, not ns/op. Ingest (create +
+// write per object, one flush at the end) is timed once per engine.
+// Numbers in EXPERIMENTS.md, "Small-object backends".
+func BenchmarkSmallObjectGet(b *testing.B) {
+	const objects, size = 2000, 4 << 10
+	for _, kind := range []BackendKind{BackendClassic, BackendNeedle} {
+		b.Run(kind.String(), func(b *testing.B) {
+			reg := telemetry.NewRegistry()
+			dev := blockdev.Instrument(blockdev.NewMemDisk(4096, objects*2+16384), reg)
+			s, err := Format(dev, Config{CacheBlocks: 256, OnodeCount: objects + 1024})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := s.CreatePartitionBackend(1, 0, kind); err != nil {
+				b.Fatal(err)
+			}
+			ids := make([]uint64, objects)
+			start := time.Now()
+			for i := range ids {
+				if ids[i], err = s.Create(1); err != nil {
+					b.Fatal(err)
+				}
+				if err := s.Write(1, ids[i], 0, payN(ids[i], size)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := s.Flush(); err != nil {
+				b.Fatal(err)
+			}
+			ingest := float64(objects*size) / (1 << 20) / time.Since(start).Seconds()
+
+			reads := reg.Counter("blockdev.reads")
+			zipf := rand.NewZipf(rand.New(rand.NewPCG(42, 7)), 1.1, 1, objects-1)
+			before := reads.Load()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				id := ids[zipf.Uint64()]
+				if _, err := s.GetAttr(1, id); err != nil {
+					b.Fatal(err)
+				}
+				got, err := s.Read(1, id, 0, size)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if i%1024 == 0 && !bytes.Equal(got, payN(id, size)) {
+					b.Fatalf("object %d: read-back mismatch", id)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(reads.Load()-before)/float64(b.N), "media-reads/GET")
+			b.ReportMetric(ingest, "ingest-MB/s")
+		})
 	}
 }

@@ -28,7 +28,8 @@ func TestWorkerPoolDispatchesConcurrently(t *testing.T) {
 			return &Reply{Status: StatusError, Msg: "never reached concurrency"}
 		}
 		return &Reply{Status: StatusOK}
-	}), WithWorkers(want))
+	}))
+	srv.workers = want
 	l := NewInProcListener("s")
 	go srv.Serve(l)
 	defer srv.Close()
@@ -77,7 +78,8 @@ func TestWorkerPoolBounded(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 		return &Reply{Status: StatusOK}
-	}), WithWorkers(1))
+	}))
+	srv.workers = 1
 	l := NewInProcListener("s")
 	go srv.Serve(l)
 	defer srv.Close()

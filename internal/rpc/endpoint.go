@@ -35,26 +35,15 @@ type HandlerFunc func(req *Request) *Reply
 // Handle calls f(req).
 func (f HandlerFunc) Handle(req *Request) *Reply { return f(req) }
 
-// DefaultWorkers is the per-connection worker pool size when
-// WithWorkers is not given: enough that a large read in flight does not
-// head-of-line-block small control operations on the same connection,
-// small enough that one connection cannot monopolize the drive.
+// DefaultWorkers is the per-connection worker pool size: enough that a
+// large read in flight does not head-of-line-block small control
+// operations on the same connection, small enough that one connection
+// cannot monopolize the drive. Requests on one connection execute
+// concurrently, with replies matched by message ID.
 const DefaultWorkers = 4
 
 // ServerOption configures a Server.
 type ServerOption func(*Server)
-
-// WithWorkers sets the per-connection worker pool size. n = 1 restores
-// strictly serial per-connection dispatch (replies in request order);
-// larger n lets requests on one connection execute concurrently, with
-// replies matched by message ID.
-func WithWorkers(n int) ServerOption {
-	return func(s *Server) {
-		if n > 0 {
-			s.workers = n
-		}
-	}
-}
 
 // WithQueue bounds the per-connection pending-request buffer: at most n
 // decoded requests may wait for a worker; a request arriving with the

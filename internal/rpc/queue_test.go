@@ -25,7 +25,8 @@ func TestQueueRejectOnFull(t *testing.T) {
 		<-release
 		return &Reply{MsgID: req.MsgID, Status: StatusOK}
 	})
-	srv := NewServer(h, WithWorkers(workers), WithQueue(queue))
+	srv := NewServer(h, WithQueue(queue))
+	srv.workers = workers
 	defer srv.Close()
 	l := NewInProcListener("queue-test")
 	go srv.Serve(l)
@@ -118,7 +119,8 @@ func TestQueueDefaultBlocks(t *testing.T) {
 		<-release
 		return &Reply{MsgID: req.MsgID, Status: StatusOK}
 	})
-	srv := NewServer(h, WithWorkers(2))
+	srv := NewServer(h)
+	srv.workers = 2
 	defer srv.Close()
 	l := NewInProcListener("queue-default-test")
 	go srv.Serve(l)

@@ -13,9 +13,9 @@
 // internal/blockdev, internal/cache, internal/cheops) all publish their
 // counters and service-time histograms into telemetry registries so the
 // same quantities can be observed from a live system: `nasdd` serves a
-// registry at /metrics, `nasdctl stats` fetches a drive's snapshot over
-// RPC, and `nasdbench -workload stats` reproduces the Table 1 cost
-// split from a live workload.
+// registry at /metrics, and `nasdctl stats` fetches a drive's snapshot
+// over RPC and prints the Table 1 cost split of whatever traffic the
+// drive has served.
 //
 // Beyond aggregates, the package carries a span plane for per-request
 // timelines: a Span is a timed interval with a trace ID, span ID,
