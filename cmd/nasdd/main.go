@@ -110,7 +110,7 @@ func main() {
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof handlers on the -metrics server")
 	traceSlow := flag.Duration("trace-slow", 0, "retain full span trees for requests at least this slow (0 = disabled)")
 	qosOn := flag.Bool("qos", false, "enable the per-tenant QoS plane: admission, fair queueing, deadline shedding")
-	qosConc := flag.Int("qos-concurrency", 0, "QoS executor width pulling from the fair queues (0 = default 4)")
+	qosConc := flag.Int("qos-concurrency", 0, fmt.Sprintf("QoS admission width: admitted requests running at once on the rpc workers (0 = default %d)", rpc.DefaultWorkers))
 	qosQueue := flag.Int("qos-queue", 0, "QoS global admission queue bound (0 = default 256)")
 	qosTenantQueue := flag.Int("qos-tenant-queue", 0, "QoS per-tenant queue bound (0 = global/4)")
 	qosRate := flag.Float64("qos-rate", 0, "QoS per-tenant token refill rate, cost units/sec (0 = no rate limit)")
@@ -213,9 +213,9 @@ func main() {
 	}
 	log.Printf("nasdd: drive %d serving %d x 4KB blocks on %s (%s)", *id, *blocks, l.Addr(), mode)
 
-	// The QoS plane wraps the drive handler: rpc workers feed the
-	// admission queue, executors feed the drive. Shed traffic leaves as
-	// StatusRetryLater, never as transport errors.
+	// The QoS plane wraps the drive handler: an rpc worker runs its
+	// request once the fair queues grant it a slot. Shed traffic leaves
+	// as StatusRetryLater, never as transport errors.
 	var handler rpc.Handler = drv
 	if *qosOn {
 		weights, err := parseWeights(*qosWeights)

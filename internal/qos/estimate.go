@@ -99,7 +99,7 @@ func (e *estimator) svc(op string) time.Duration {
 }
 
 // queueWait forecasts how long a request admitted now would sit in
-// queue: depth items ahead, drained by workers executors, at the mean
+// queue: depth items ahead, drained through workers slots, at the mean
 // observed per-item service time.
 func (e *estimator) queueWait(depth, workers int) time.Duration {
 	if depth <= 0 || workers <= 0 {

@@ -52,9 +52,9 @@ type Classifier func(req *rpc.Request) (cls Class, ok bool)
 type Config struct {
 	// Classify assigns requests to tenants. Required.
 	Classify Classifier
-	// Concurrency is the number of executor goroutines pulling from
-	// the fair queues into the inner handler — the drive's admission
-	// width. Default 4 (matches rpc.DefaultWorkers).
+	// Concurrency is the number of slots admitted requests run in, each
+	// on its own rpc worker — the drive's admission width. Default
+	// rpc.DefaultWorkers.
 	Concurrency int
 	// Queue bounds the total requests queued across all tenants.
 	// Beyond it the drive answers StatusRetryLater instead of
@@ -88,7 +88,7 @@ type Config struct {
 
 func (c *Config) fill() {
 	if c.Concurrency <= 0 {
-		c.Concurrency = 4
+		c.Concurrency = rpc.DefaultWorkers
 	}
 	if c.Queue <= 0 {
 		c.Queue = 256
@@ -114,11 +114,10 @@ func (c *Config) fill() {
 }
 
 // item is one queued request and the channel its blocked rpc worker
-// waits on.
+// waits on: nil hands it a slot, a reply answers it without running.
 type item struct {
 	req  *rpc.Request
 	cls  Class
-	enq  time.Time
 	done chan *rpc.Reply
 }
 
@@ -151,7 +150,8 @@ const recoverAfter = 2 * time.Second
 
 // Controller implements rpc.Handler by scheduling requests through
 // admission → token bucket → WDRR fair queue → deadline shed → inner
-// handler. It is safe for concurrent use by any number of rpc workers.
+// handler. It owns no goroutines: a finishing request hands its slot
+// to WDRR's next pick. It is safe for concurrent use by rpc workers.
 type Controller struct {
 	inner    rpc.Handler
 	classify Classifier
@@ -160,11 +160,11 @@ type Controller struct {
 	events   *telemetry.EventLog
 
 	mu      sync.Mutex
-	cond    *sync.Cond
 	tenants map[string]*tenant
 	ring    []*tenant // active WDRR ring
 	ringIdx int
 	queued  int
+	running int // slots held, at most cfg.Concurrency
 	closed  bool
 
 	statAdmitted  *telemetry.Counter
@@ -183,8 +183,8 @@ type Controller struct {
 // round.
 const quantum = 1
 
-// New builds a Controller around inner. Call Close to release its
-// executor goroutines.
+// New builds a Controller around inner. It starts no goroutines; Close
+// answers whatever is still queued.
 func New(inner rpc.Handler, cfg Config) *Controller {
 	cfg.fill()
 	reg := cfg.Metrics
@@ -205,14 +205,10 @@ func New(inner rpc.Handler, cfg Config) *Controller {
 		statInflight:  reg.Gauge("qos.inflight"),
 		statWait:      reg.Histogram("qos.wait_ns"),
 	}
-	c.cond = sync.NewCond(&c.mu)
-	for i := 0; i < cfg.Concurrency; i++ {
-		go c.run()
-	}
 	return c
 }
 
-// Close stops the executors. Requests still queued are answered
+// Close stops scheduling. Requests still queued are answered
 // StatusRetryLater (the drive is going away; the client should redial
 // and reissue); requests arriving after Close bypass straight to the
 // inner handler.
@@ -232,7 +228,6 @@ func (c *Controller) Close() {
 	c.ring = nil
 	c.queued = 0
 	c.statDepth.Set(0)
-	c.cond.Broadcast()
 	c.mu.Unlock()
 	for _, it := range drained {
 		it.done <- rpc.RetryLater(it.req.MsgID, 10*time.Millisecond, "qos: shutting down")
@@ -289,10 +284,10 @@ func (c *Controller) noteAdmitted(t *tenant, now time.Time) {
 
 // Handle implements rpc.Handler. Unclassified (control-plane) requests
 // bypass admission; everything else is rate-checked, deadline-checked,
-// and fair-queued, blocking the calling rpc worker until an executor
-// runs it — which is exactly the backpressure that fills the rpc
-// pending queue and turns into wire-level StatusRetryLater when the
-// drive is saturated end to end.
+// and run on the calling rpc worker in a slot, fair-queueing until a
+// finishing request hands it one — which is exactly the backpressure
+// that fills the rpc pending queue and turns into wire-level
+// StatusRetryLater when the drive is saturated end to end.
 func (c *Controller) Handle(req *rpc.Request) *rpc.Reply {
 	cls, ok := c.classify(req)
 	if !ok || cls.Tenant == "" {
@@ -354,7 +349,13 @@ func (c *Controller) Handle(req *rpc.Request) *rpc.Reply {
 	t.admitted.Inc()
 	c.statAdmitted.Inc()
 	c.noteAdmitted(t, now)
-	it := &item{req: req, cls: cls, enq: now, done: make(chan *rpc.Reply, 1)}
+	// A slot is free only while nothing is queued (release hands it on).
+	if c.running < c.cfg.Concurrency {
+		c.running++
+		c.mu.Unlock()
+		return c.execute(req, cls, now)
+	}
+	it := &item{req: req, cls: cls, done: make(chan *rpc.Reply, 1)}
 	t.q = append(t.q, it)
 	t.depth.Set(int64(len(t.q)))
 	c.queued++
@@ -363,10 +364,12 @@ func (c *Controller) Handle(req *rpc.Request) *rpc.Reply {
 		t.active = true
 		c.ring = append(c.ring, t)
 	}
-	c.cond.Signal()
 	c.mu.Unlock()
 
-	return <-it.done
+	if rep := <-it.done; rep != nil {
+		return rep
+	}
+	return c.execute(req, cls, now)
 }
 
 // next pops the next item under WDRR; c.mu must be held. Returns nil
@@ -406,56 +409,48 @@ func (c *Controller) next() *item {
 	return nil
 }
 
-// run is one executor: WDRR-pop, late-shed, execute, reply.
-func (c *Controller) run() {
+// release gives up the caller's slot: to WDRR's next pick if anything
+// is queued, otherwise back to the pool.
+func (c *Controller) release() {
 	c.mu.Lock()
-	for {
-		if c.closed {
-			c.mu.Unlock()
-			return
-		}
-		it := c.next()
-		if it == nil {
-			c.cond.Wait()
-			continue
-		}
+	defer c.mu.Unlock()
+	if it := c.next(); it != nil {
 		c.queued--
 		c.statDepth.Set(int64(c.queued))
-		c.mu.Unlock()
-
-		it.done <- c.execute(it)
-
-		c.mu.Lock()
+		it.done <- nil // buffered: never blocks
+		return
 	}
+	c.running--
 }
 
-// execute runs one dequeued item through the late deadline check and
-// the inner handler, feeding the service-time estimator.
-func (c *Controller) execute(it *item) *rpc.Reply {
-	wait := time.Since(it.enq)
+// execute runs a slot holder through the late deadline check and the
+// inner handler, feeding the service-time estimator, then releases.
+func (c *Controller) execute(req *rpc.Request, cls Class, enq time.Time) *rpc.Reply {
+	defer c.release()
+	wait := time.Since(enq)
 	c.statWait.ObserveDuration(wait)
 
 	// Late shed: the request aged in queue past the point where its
 	// remaining budget covers the estimated service time. Dropping
 	// here — after queueing, before the inner handler — is the "before
 	// they consume media time" guarantee.
-	if c.cfg.Shed && it.req.DeadlineNS > 0 {
-		if svc := c.est.svc(it.cls.Op); wait+svc > time.Duration(it.req.DeadlineNS) {
+	if c.cfg.Shed && req.DeadlineNS > 0 {
+		if svc := c.est.svc(cls.Op); wait+svc > time.Duration(req.DeadlineNS) {
 			c.mu.Lock()
-			t := c.tenantLocked(it.cls.Tenant)
+			t := c.tenantLocked(cls.Tenant)
 			t.shed.Inc()
 			c.statShed.Inc()
 			c.noteLimited(t, "aged out in queue", time.Now())
 			c.mu.Unlock()
-			return rpc.RetryLater(it.req.MsgID, clampHint(svc),
-				"qos: queued %s, deadline %s unmeetable", wait, time.Duration(it.req.DeadlineNS))
+			return rpc.RetryLater(req.MsgID, clampHint(svc),
+				"qos: queued %s, deadline %s unmeetable", wait, time.Duration(req.DeadlineNS))
 		}
 	}
 
 	c.statInflight.Add(1)
 	start := time.Now()
-	rep := c.inner.Handle(it.req)
-	c.est.observe(it.cls.Op, time.Since(start))
+	rep := c.inner.Handle(req)
+	c.est.observe(cls.Op, time.Since(start))
 	c.statInflight.Add(-1)
 	return rep
 }

@@ -2,8 +2,10 @@ package qos_test
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,7 +17,7 @@ import (
 // The test protocol: Args[0] is the tenant id, Args[1] (optional) the
 // cost; empty Args means control-plane (bypass). blockProc requests
 // park inside the inner handler until the gate opens, which is how
-// tests wedge the executors and build queue depth deterministically.
+// tests hold the slots and build queue depth deterministically.
 const blockProc = 99
 
 type fakeInner struct {
@@ -76,8 +78,8 @@ func waitGauge(t *testing.T, g *telemetry.Gauge, want int64) {
 	}
 }
 
-// wedge submits one blockProc request and waits until an executor is
-// parked inside the inner handler, leaving the queue itself empty.
+// wedge submits one blockProc request and waits until its slot holder
+// is parked inside the inner handler, leaving the queue itself empty.
 func wedge(t *testing.T, c *qos.Controller, inner *fakeInner, reg *telemetry.Registry) chan *rpc.Reply {
 	t.Helper()
 	done := make(chan *rpc.Reply, 1)
@@ -411,7 +413,7 @@ func TestControlPlaneBypass(t *testing.T) {
 	go func() { defer wg.Done(); c.Handle(req(1, 1)) }()
 	waitGauge(t, reg.Gauge("qos.queue_depth"), 1)
 
-	// Queue is full, executors wedged — the control-plane request
+	// Queue is full, the slot wedged — the control-plane request
 	// (empty Args → unclassified) still goes straight through.
 	ctl := make(chan *rpc.Reply, 1)
 	go func() { ctl <- c.Handle(&rpc.Request{Proc: 1}) }()
@@ -453,7 +455,23 @@ func TestCloseDrainsQueued(t *testing.T) {
 		t.Fatal("queued request leaked across Close")
 	}
 	close(inner.gate)
-	<-gate
+	// The slot holder finishes after Close: its release finds nothing to
+	// hand on and must neither block nor panic.
+	select {
+	case rep := <-gate:
+		if rep.Status != rpc.StatusOK {
+			t.Fatalf("slot holder across Close: %v, want OK", rep.Status)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("slot holder stuck releasing after Close")
+	}
+	// After Close new requests bypass straight to the inner handler.
+	if rep := c.Handle(req(1, 1)); rep.Status != rpc.StatusOK {
+		t.Fatalf("request after Close: %v, want OK", rep.Status)
+	}
+	if _, served := inner.snapshot(); served != 2 {
+		t.Fatalf("inner served %d, want the wedge and the post-Close request", served)
+	}
 }
 
 func TestOversizedRequestClampsToBurst(t *testing.T) {
@@ -491,4 +509,103 @@ func TestOversizedRequestClampsToBurst(t *testing.T) {
 	if !ok || hint > 2*(4*time.Second/50) {
 		t.Fatalf("oversized hint %v ok=%v, want <= full-bucket refill (~%v)", hint, ok, 4*time.Second/50)
 	}
+}
+
+// slotInner answers every request with one preallocated reply, counts
+// each MsgID's runs, and tracks how many requests are inside it at once.
+type slotInner struct {
+	rep       rpc.Reply
+	runs      []atomic.Int32
+	cur, peak atomic.Int32
+}
+
+func (f *slotInner) Handle(req *rpc.Request) *rpc.Reply {
+	if f.runs != nil {
+		n := f.cur.Add(1)
+		for p := f.peak.Load(); n > p && !f.peak.CompareAndSwap(p, n); p = f.peak.Load() {
+		}
+		f.runs[req.MsgID].Add(1)
+		runtime.Gosched() // hold the slot long enough for others to queue
+		f.cur.Add(-1)
+	}
+	return &f.rep
+}
+
+// TestSlotsRunOnCaller pins the scheduling model: the Controller owns no
+// goroutines, an admitted request on an idle controller runs inline on
+// its caller without allocating, and a finishing request hands its slot
+// to a queued one without ever exceeding Concurrency.
+func TestSlotsRunOnCaller(t *testing.T) {
+	t.Run("no-goroutines", func(t *testing.T) {
+		before := runtime.NumGoroutine()
+		c := qos.New(&slotInner{}, qos.Config{
+			Classify: classify, Concurrency: 8, Events: telemetry.NewEventLog(16),
+		})
+		defer c.Close()
+		if after := runtime.NumGoroutine(); after > before {
+			t.Fatalf("qos.New started %d goroutines", after-before)
+		}
+	})
+
+	t.Run("idle-path-allocs", func(t *testing.T) {
+		inner := &slotInner{rep: rpc.Reply{Status: rpc.StatusOK}}
+		c := qos.New(inner, qos.Config{
+			Classify: func(*rpc.Request) (qos.Class, bool) {
+				return qos.Class{Tenant: "part.1", Op: "read", Cost: 1}, true
+			},
+			Shed: true, Events: telemetry.NewEventLog(16),
+		})
+		defer c.Close()
+		r := &rpc.Request{Proc: 1}
+		c.Handle(r) // creates the tenant and the estimator entry
+		if avg := testing.AllocsPerRun(200, func() {
+			if rep := c.Handle(r); rep.Status != rpc.StatusOK {
+				t.Fatalf("status %v", rep.Status)
+			}
+		}); avg != 0 {
+			t.Fatalf("idle admitted Handle allocates %.1f times, want 0", avg)
+		}
+	})
+
+	t.Run("hand-off", func(t *testing.T) {
+		const tenants, callers, per = 3, 4, 100
+		inner := &slotInner{
+			rep:  rpc.Reply{Status: rpc.StatusOK},
+			runs: make([]atomic.Int32, tenants*callers*per),
+		}
+		reg := telemetry.NewRegistry()
+		c := qos.New(inner, qos.Config{
+			Classify: classify, Concurrency: 2, Queue: 64, TenantQueue: 32, Metrics: reg,
+			Events: telemetry.NewEventLog(16),
+		})
+		defer c.Close()
+		var wg sync.WaitGroup
+		for g := 0; g < tenants*callers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < per; i++ {
+					r := req(byte(g%tenants), 1)
+					r.MsgID = uint64(g*per + i)
+					if rep := c.Handle(r); rep.Status != rpc.StatusOK {
+						t.Errorf("request %d: %v", r.MsgID, rep.Status)
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		if peak := inner.peak.Load(); peak > 2 {
+			t.Fatalf("%d requests ran at once, want at most Concurrency 2", peak)
+		}
+		for id := range inner.runs {
+			if n := inner.runs[id].Load(); n != 1 {
+				t.Fatalf("request %d ran %d times, want 1", id, n)
+			}
+		}
+		for _, g := range []string{"qos.queue_depth", "qos.inflight"} {
+			if v := reg.Gauge(g).Load(); v != 0 {
+				t.Fatalf("%s = %d at rest, want 0", g, v)
+			}
+		}
+	})
 }

@@ -22,7 +22,6 @@ func aliasRequest() *Request {
 		Data:   bytes.Repeat([]byte{0xAB}, 1024),
 		Nonce:  crypt.Nonce{Client: 42, Counter: 9},
 		ReqDig: crypt.Digest{1, 2, 3},
-		AllDig: crypt.Digest{4, 5, 6},
 	}
 }
 

@@ -112,7 +112,6 @@ type Request struct {
 	Data       []byte // bulk payload (write data)
 	Nonce      crypt.Nonce
 	ReqDig     crypt.Digest // keyed by the capability's private portion
-	AllDig     crypt.Digest // covers the bulk data too
 }
 
 // SigningBody returns the byte string the request digest covers: the
@@ -242,7 +241,6 @@ func AppendRequestHeader(buf []byte, r *Request) []byte {
 	e.U64(r.Nonce.Client)
 	e.U64(r.Nonce.Counter)
 	e.Raw(r.ReqDig[:])
-	e.Raw(r.AllDig[:])
 	e.U32(uint32(len(r.Data)))
 	return e.Bytes()
 }
@@ -303,7 +301,6 @@ func DecodeMessage(b []byte) (any, error) {
 		r.Nonce.Client = d.U64()
 		r.Nonce.Counter = d.U64()
 		copy(r.ReqDig[:], d.Raw(crypt.DigestSize))
-		copy(r.AllDig[:], d.Raw(crypt.DigestSize))
 		r.Data = d.Bytes32()
 		if err := d.Err(); err != nil {
 			return nil, err

@@ -69,7 +69,7 @@ func TestRequestEncodeDecodeRoundTrip(t *testing.T) {
 		Nonce:   crypt.Nonce{Client: 7, Counter: 99},
 	}
 	req.ReqDig[0] = 1
-	req.AllDig[31] = 2
+	req.ReqDig[31] = 2
 	msg, err := DecodeMessage(EncodeRequest(req))
 	if err != nil {
 		t.Fatal(err)

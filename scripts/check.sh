@@ -26,11 +26,11 @@ if grep -rn --include='*.go' --exclude='*_test.go' '^[[:space:]]*// Deprecated:'
 fi
 
 # Nor does a removed name linger in comments and docs: these were
-# deleted in PRs 14 and 23, and only the history files may still say them.
+# deleted in PRs 14, 23 and 27, and only the history files may still say them.
 echo "==> no deleted names in *.go, *.md, *.sh and *.yml"
 if grep -rnE --include='*.go' --include='*.md' --include='*.sh' --include='*.yml' \
     --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md --exclude=check.sh --exclude-dir=.git --exclude-dir=.bench_build \
-    'WithJournalBlocks|FormatStore|OpenStore|Stats\(\)\.Retries|nasdbench -(stats|chaos)([^-]|$)|nasdbench -workload (stats|parallel|smallobj)|BENCH_(stats|parallel|smallobj)|-stats-mb|-smallobj-objects|WithWorkers' .; then
+    'WithJournalBlocks|FormatStore|OpenStore|Stats\(\)\.Retries|nasdbench -(stats|chaos)([^-]|$)|nasdbench -workload (stats|parallel|smallobj)|BENCH_(stats|parallel|smallobj)|-stats-mb|-smallobj-objects|WithWorkers|AllDig' .; then
     echo "the names above no longer exist; describe what replaced them" >&2
     exit 1
 fi
@@ -55,6 +55,12 @@ echo "==> go test -race -run 'Faults|Retry|Reconnect|NeverSent|FateUnknown|Break
 go test -race \
     -run 'Faults|Retry|Reconnect|NeverSent|FateUnknown|Breaker|Chaos|Rollback|Hang|CapabilityRenewal|TimedOutLeg|ShortComponent|Recycle' \
     ./internal/rpc ./internal/client ./internal/cheops ./internal/blockdev
+
+# QoS focus: the Controller hands slots between rpc workers under its
+# mutex; repeat the package under the race detector so an ordering bug
+# in the hand-off shows up here rather than as a rare flake.
+echo "==> go test -race -count=5 ./internal/qos (QoS focus)"
+go test -race -count=5 ./internal/qos
 
 # Crash-consistency focus: re-run the DESIGN.md §7 durability tests by
 # name — journal framing/commit/replay, CrashDisk semantics, the
