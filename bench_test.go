@@ -148,19 +148,14 @@ func BenchmarkObjectRead64K(b *testing.B) {
 	}
 }
 
-// benchSeqWrite streams 64 KB writes into one object, wrapping every
-// 4 MB with a Flush — the metadata journal's worst sequential-write
-// case, since every write journals (and group-commits) an onode image
-// and every flush journals the refcount batch. The On/Off pair prices
-// the write-ahead journal (DESIGN.md §7); EXPERIMENTS.md records the
-// measured delta against its ≤15 % acceptance bound.
-func benchSeqWrite(b *testing.B, journaled bool) {
+// BenchmarkSeqWriteJournalOn streams 64 KB writes into one object,
+// wrapping every 4 MB with a Flush — the metadata journal's worst
+// sequential-write case, since every write journals (and group-commits)
+// an onode image and every flush journals the refcount batch (DESIGN.md
+// §7).
+func BenchmarkSeqWriteJournalOn(b *testing.B) {
 	dev := blockdev.NewMemDisk(4096, 32768)
-	cfg := object.Config{CacheBlocks: 4096}
-	if !journaled {
-		cfg.JournalBlocks = -1
-	}
-	st, err := object.Format(dev, cfg)
+	st, err := object.Format(dev, object.Config{CacheBlocks: 4096})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -189,9 +184,6 @@ func benchSeqWrite(b *testing.B, journaled bool) {
 		}
 	}
 }
-
-func BenchmarkSeqWriteJournalOn(b *testing.B)  { benchSeqWrite(b, true) }
-func BenchmarkSeqWriteJournalOff(b *testing.B) { benchSeqWrite(b, false) }
 
 func BenchmarkObjectSnapshot(b *testing.B) {
 	st := newBenchStore(b)

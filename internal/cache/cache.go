@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"nasd/internal/blockdev"
 	"nasd/internal/bufpool"
@@ -59,10 +58,9 @@ const DefaultShards = 16
 // partition locks and above the layout allocator (DESIGN.md §4): a
 // shard mutex may be taken while holding those, and never the reverse.
 type BlockCache struct {
-	dev      blockdev.Device
-	shards   []*cacheShard
-	wthrough atomic.Bool
-	meter    *telemetry.LockMeter
+	dev    blockdev.Device
+	shards []*cacheShard
+	meter  *telemetry.LockMeter
 }
 
 type cacheShard struct {
@@ -135,10 +133,6 @@ func (c *BlockCache) shardOf(block int64) *cacheShard {
 
 // Shards returns the shard count.
 func (c *BlockCache) Shards() int { return len(c.shards) }
-
-// SetWriteThrough switches the cache between write-behind (default) and
-// write-through. Call before concurrent use.
-func (c *BlockCache) SetWriteThrough(on bool) { c.wthrough.Store(on) }
 
 // Capacity returns the capacity in blocks.
 func (c *BlockCache) Capacity() int {
@@ -411,38 +405,31 @@ func copyOut(dst []byte, off, i int, src []byte) {
 	copy(dst[lo:], src)
 }
 
-// WriteBlock writes buf, one device block, to block through the cache.
-// In write-behind mode the device is updated lazily; in write-through
-// mode immediately. The cached copy lives in pooled memory owned by the
-// cache; buf is never retained. A write to a block that is being filled
-// waits for the fill, so what the fill installs is never older than the
-// device; a write to an absent block holds the claim while it makes room.
+// WriteBlock writes buf, one device block, to block through the cache,
+// write-behind: the device gets it at eviction or Flush. The cached copy
+// lives in pooled memory owned by the cache; buf is never retained. A
+// write to a block that is being filled waits for the fill, so what the
+// fill installs is never older than the device; a write to an absent
+// block holds the claim while it makes room.
 func (c *BlockCache) WriteBlock(block int64, buf []byte) error {
 	if len(buf) != c.dev.BlockSize() {
 		return blockdev.ErrBadSize
 	}
-	wthrough := c.wthrough.Load()
 	sh := c.shardOf(block)
 	c.meter.Lock(&sh.mu)
 	defer sh.mu.Unlock()
-	sh.await(block, wthrough)
+	sh.await(block, false)
 	if e, ok := sh.entries[block]; ok {
 		copy(e.data, buf)
-		e.dirty = !wthrough
+		e.dirty = true
 		sh.touch(e)
-	} else {
-		sh.filling[block] = struct{}{}
-		err := c.insert(sh, block, buf, !wthrough)
-		delete(sh.filling, block)
-		sh.filled.Broadcast()
-		if err != nil {
-			return err
-		}
+		return nil
 	}
-	if wthrough {
-		return c.dev.WriteBlock(block, buf)
-	}
-	return nil
+	sh.filling[block] = struct{}{}
+	err := c.insert(sh, block, buf, true)
+	delete(sh.filling, block)
+	sh.filled.Broadcast()
+	return err
 }
 
 // Invalidate drops a block from the cache without writing it back.

@@ -71,22 +71,6 @@ func TestWriteBehindDefersDeviceWrite(t *testing.T) {
 	}
 }
 
-func TestWriteThrough(t *testing.T) {
-	dev := blockdev.NewMemDisk(512, 64)
-	c := New(dev, 8)
-	c.SetWriteThrough(true)
-	if err := c.WriteBlock(3, fill(9, 512)); err != nil {
-		t.Fatal(err)
-	}
-	_, w := dev.Stats()
-	if w != 1 {
-		t.Fatal("write-through did not reach device")
-	}
-	if c.DirtyCount() != 0 {
-		t.Fatal("write-through left dirty block")
-	}
-}
-
 func TestLRUEvictionOrder(t *testing.T) {
 	dev := blockdev.NewMemDisk(512, 64)
 	// One shard: the test asserts exact global LRU order.

@@ -7,10 +7,9 @@
 // The cache stores copies of device blocks keyed by physical block
 // number. Reads hit the cache; misses fetch from the backing device, one
 // device call per run of consecutive absent blocks.
-// Writes are write-behind by default (dirty blocks go out on eviction or
-// Flush, one device call per run of consecutive blocks), matching the
-// prototype's "NASD has write-behind (fully) enabled" configuration;
-// write-through can be selected for metadata.
+// Writes are write-behind (dirty blocks go out on eviction or Flush, one
+// device call per run of consecutive blocks), matching the prototype's
+// "NASD has write-behind (fully) enabled" configuration.
 //
 // Stats() exposes hit/miss/prefetch/eviction/writeback counters; the
 // drive republishes them as the drive.cache.* pull gauges of DESIGN.md

@@ -101,7 +101,6 @@ type Manager struct {
 	keys    []*crypt.Hierarchy
 	part    uint16
 	expiry  time.Duration
-	clock   func() time.Time
 	objects map[uint64]*Descriptor
 	next    uint64
 	dirObj  uint64 // directory object on drive 0 (persistence)
@@ -133,7 +132,6 @@ type ManagerConfig struct {
 	Partition uint16
 	// CapExpiry bounds component capability lifetime.
 	CapExpiry time.Duration
-	Clock     func() time.Time
 	// Metrics is the registry the manager (and objects opened through
 	// it) publish "cheops.*" telemetry into; nil gets a private one.
 	Metrics *telemetry.Registry
@@ -173,9 +171,6 @@ func NewManager(ctx context.Context, cfg ManagerConfig, format bool) (*Manager, 
 	if cfg.CapExpiry == 0 {
 		cfg.CapExpiry = 10 * time.Minute
 	}
-	if cfg.Clock == nil {
-		cfg.Clock = time.Now
-	}
 	if cfg.FailThreshold <= 0 {
 		cfg.FailThreshold = 3
 	}
@@ -186,7 +181,6 @@ func NewManager(ctx context.Context, cfg ManagerConfig, format bool) (*Manager, 
 		drives:       cfg.Drives,
 		part:         cfg.Partition,
 		expiry:       cfg.CapExpiry,
-		clock:        cfg.Clock,
 		objects:      make(map[uint64]*Descriptor),
 		next:         1,
 		locks:        make(map[stripeKey]bool),
@@ -201,7 +195,7 @@ func NewManager(ctx context.Context, cfg ManagerConfig, format bool) (*Manager, 
 	}
 	m.lockC = sync.NewCond(&m.mu)
 	for i := range cfg.Drives {
-		m.health = append(m.health, newBreaker(i, cfg.FailThreshold, cfg.BreakerCooldown, m.clock, m.tel))
+		m.health = append(m.health, newBreaker(i, cfg.FailThreshold, cfg.BreakerCooldown, time.Now, m.tel))
 		i := i
 		m.tel.reg.Func(fmt.Sprintf("cheops.drive.%d.breaker", i), func() int64 {
 			return int64(m.health[i].State())
@@ -356,7 +350,7 @@ func (m *Manager) Open(logical uint64, rights capability.Rights) (Descriptor, []
 			Object:    comp.Object,
 			ObjVer:    1,
 			Rights:    rights | capability.GetAttr,
-			Expiry:    m.clock().Add(m.expiry).UnixNano(),
+			Expiry:    time.Now().Add(m.expiry).UnixNano(),
 			Key:       kid,
 		}
 		caps[i] = capability.Mint(pub, key)
@@ -457,7 +451,7 @@ func (m *Manager) mintWildcard(driveIdx int, rights capability.Rights) capabilit
 		DriveID:   m.drives[driveIdx].DriveID,
 		Partition: m.part,
 		Rights:    rights,
-		Expiry:    m.clock().Add(m.expiry).UnixNano(),
+		Expiry:    time.Now().Add(m.expiry).UnixNano(),
 		Key:       kid,
 	}
 	return capability.Mint(pub, key)

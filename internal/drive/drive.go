@@ -35,8 +35,6 @@ type Config struct {
 	// security protocols because our prototype does not currently
 	// support such hardware"); functional deployments enable it.
 	Secure bool
-	// Clock supplies the drive's notion of time for expiry checks.
-	Clock func() time.Time
 	// Store carries object-system tuning.
 	Store object.Config
 	// Metrics is the registry the drive publishes telemetry into; nil
@@ -69,7 +67,6 @@ type Drive struct {
 	verifier *capability.Verifier
 	nonces   *crypt.NonceWindow
 	secure   bool
-	clock    func() time.Time
 	tel      *driveTel
 
 	mu      sync.Mutex
@@ -124,10 +121,6 @@ func Open(dev blockdev.Device, cfg Config) (*Drive, error) {
 }
 
 func fromStore(st *object.Store, cfg Config) *Drive {
-	clock := cfg.Clock
-	if clock == nil {
-		clock = time.Now
-	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = telemetry.NewRegistry()
@@ -148,7 +141,6 @@ func fromStore(st *object.Store, cfg Config) *Drive {
 		verifier: capability.NewVerifier(keys, 0),
 		nonces:   crypt.NewNonceWindow(256, 4096),
 		secure:   cfg.Secure,
-		clock:    clock,
 		tel:      newDriveTel(reg, cfg.Media, spans, events),
 		kernels:  make(map[string]Kernel),
 	}
@@ -214,7 +206,7 @@ func (d *Drive) authorize(req *rpc.Request, ph *phases, part uint16, obj uint64,
 	ph.setTenant(pub.Partition)
 	chk := capability.Check{
 		DriveID: d.id, Part: part, Object: obj, ObjVer: curVer,
-		Op: op, Offset: off, Length: length, Now: d.clock(),
+		Op: op, Offset: off, Length: length, Now: time.Now(),
 	}
 	body := req.AppendSigningBody(bufpool.Get(96 + len(req.Cap) + len(req.Args)))
 	err = d.verifier.Validate(pub, body, req.ReqDig, chk)

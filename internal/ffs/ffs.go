@@ -78,7 +78,7 @@ func Format(dev blockdev.Device) (*FS, error) {
 
 // Open mounts an existing filesystem.
 func Open(dev blockdev.Device) (*FS, error) {
-	lay, err := layout.Open(dev)
+	lay, err := layout.Open(dev, layout.OpenOptions{})
 	if err != nil {
 		return nil, err
 	}

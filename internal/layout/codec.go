@@ -22,10 +22,13 @@ func encodeSuperblock(b []byte, sb *Superblock) {
 	le.PutUint64(b[84:], uint64(sb.JournalBlocks))
 }
 
+// superblockSize is the encoded size of a Superblock.
+const superblockSize = 92
+
 func decodeSuperblock(b []byte) (Superblock, error) {
 	le := binary.LittleEndian
 	var sb Superblock
-	if len(b) < 76 {
+	if len(b) < superblockSize {
 		return sb, ErrNotFormatted
 	}
 	sb.Magic = le.Uint32(b[0:])
@@ -33,9 +36,10 @@ func decodeSuperblock(b []byte) (Superblock, error) {
 		return sb, ErrNotFormatted
 	}
 	sb.Version = le.Uint32(b[4:])
-	// Version 1 volumes predate the metadata journal: they open fine,
-	// with journaling disabled (JournalStart/JournalBlocks stay zero).
-	if sb.Version != 1 && sb.Version != FormatVersion {
+	if sb.Version == 1 { // predates the journal region
+		return sb, fmt.Errorf("%w: format version 1", ErrNoJournal)
+	}
+	if sb.Version != FormatVersion {
 		return sb, fmt.Errorf("layout: unsupported format version %d", sb.Version)
 	}
 	sb.BlockSize = le.Uint32(b[8:])
@@ -47,11 +51,32 @@ func decodeSuperblock(b []byte) (Superblock, error) {
 	sb.DataStart = int64(le.Uint64(b[52:]))
 	sb.OnodeCount = int64(le.Uint64(b[60:]))
 	sb.NextObjectID = le.Uint64(b[68:])
-	if sb.Version >= 2 && len(b) >= 92 {
-		sb.JournalStart = int64(le.Uint64(b[76:]))
-		sb.JournalBlocks = int64(le.Uint64(b[84:]))
-	}
+	sb.JournalStart = int64(le.Uint64(b[76:]))
+	sb.JournalBlocks = int64(le.Uint64(b[84:]))
 	return sb, nil
+}
+
+// validate checks a decoded superblock against the device it was read
+// from, devBlocks blocks of bs bytes, before Open sizes anything by it:
+// the journal, refcount, onode and data regions lie in that order after
+// block 0 and inside TotalBlocks, which the device holds; the refcount
+// region counts every block; the onode table holds OnodeCount onodes.
+// Each value is bounded by the device before it is added to or
+// multiplied, so nothing overflows.
+func (sb *Superblock) validate(bs, devBlocks int64) error {
+	if sb.JournalBlocks == 0 {
+		return ErrNoJournal
+	}
+	ok := bs >= OnodeSize && bs%OnodeSize == 0 && int64(sb.BlockSize) == bs && sb.TotalBlocks > 0 && sb.TotalBlocks <= devBlocks
+	next := int64(1) // block 0 is the superblock
+	for _, r := range [][2]int64{{sb.JournalStart, sb.JournalBlocks}, {sb.RefStart, sb.RefBlocks}, {sb.OnodeStart, sb.OnodeBlocks}, {sb.DataStart, 1}} {
+		ok = ok && r[0] >= next && r[1] >= 0 && r[1] <= sb.TotalBlocks-r[0]
+		next = r[0] + r[1]
+	}
+	if !ok || sb.RefBlocks*(bs/2) < sb.TotalBlocks || sb.OnodeCount < 0 || sb.OnodeCount > sb.OnodeBlocks*(bs/OnodeSize) {
+		return fmt.Errorf("%w: %+v on a device of %d blocks of %d bytes", ErrBadSuperblock, *sb, devBlocks, bs)
+	}
+	return nil
 }
 
 func encodeOnode(b []byte, o *Onode) {

@@ -205,7 +205,7 @@ func TestExtentSyncWriteOrder(t *testing.T) {
 	}
 	var ref [][2]int64
 	sb := Superblock{}
-	if s, err := Open(a.MemDisk); err != nil {
+	if s, err := Open(a.MemDisk, OpenOptions{}); err != nil {
 		t.Fatal(err)
 	} else {
 		sb = s.Superblock()

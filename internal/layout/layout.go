@@ -28,9 +28,9 @@ import (
 const (
 	// Magic identifies a formatted NASD volume.
 	Magic = 0x4E415344 // "NASD"
-	// FormatVersion is the layout version written by this package.
-	// Version 2 added the reserved metadata-journal region; version 1
-	// volumes still open, with journaling disabled.
+	// FormatVersion is the layout version written and read by this
+	// package. Version 2 added the reserved metadata-journal region;
+	// version 1 volumes, which have none, are refused (ErrNoJournal).
 	FormatVersion = 2
 	// OnodeSize is the on-disk size of one onode.
 	OnodeSize = 512
@@ -51,6 +51,12 @@ var (
 	ErrNoOnodes     = errors.New("layout: onode table full")
 	ErrBadOnode     = errors.New("layout: onode index out of range")
 	ErrTooBig       = errors.New("layout: offset beyond maximum object size")
+	// ErrNoJournal refuses a volume without a write-ahead journal region:
+	// its metadata would be crash-safe only up to the last Sync.
+	ErrNoJournal = errors.New("layout: volume has no metadata journal region")
+	// ErrBadSuperblock refuses a superblock whose geometry does not fit
+	// the device it was read from.
+	ErrBadSuperblock = errors.New("layout: corrupt superblock")
 )
 
 // Superblock describes the volume.
@@ -67,7 +73,7 @@ type Superblock struct {
 	OnodeCount   int64
 	NextObjectID uint64
 	// JournalStart/JournalBlocks locate the reserved write-ahead
-	// journal region (version 2; zero on version-1 volumes).
+	// journal region, between the superblock and the refcount region.
 	JournalStart  int64
 	JournalBlocks int64
 }
@@ -153,12 +159,11 @@ type Store struct {
 
 	ptrsPerBlock int64
 
-	// jnl is the write-ahead metadata journal (nil on version-1
-	// volumes or when formatted with journaling disabled). refPending
-	// accumulates refcount changes since the last Sync for the next
-	// KindRefUpdate intent record; recovered holds the non-layout
-	// records (partition table, needle segment tables) replayed at
-	// Open for the object layer to apply.
+	// jnl is the write-ahead metadata journal. refPending accumulates
+	// refcount changes since the last Sync for the next KindRefUpdate
+	// intent record; recovered holds the non-layout records (partition
+	// table, needle segment tables) replayed at Open for the object
+	// layer to apply.
 	jnl        *journal.Journal
 	refPending map[int64]uint16
 	recovered  []journal.Record
@@ -189,15 +194,14 @@ type FormatOptions struct {
 	OnodeCount int64
 	// JournalBlocks sizes the reserved write-ahead journal region.
 	// Zero picks a default (1/32 of the device, clamped to [16, 1024]
-	// blocks); a negative value disables journaling, which trades
-	// crash consistency for one less flush per metadata write (the
-	// journal-off benchmark configuration).
+	// blocks); a positive value is raised to at least 16. Every volume
+	// has a journal, so a negative value is an error.
 	JournalBlocks int64
 	// Metrics receives the journal.* counters (optional).
 	Metrics *telemetry.Registry
 }
 
-// OpenOptions controls OpenWith.
+// OpenOptions controls Open.
 type OpenOptions struct {
 	// Metrics receives the journal.* counters (optional).
 	Metrics *telemetry.Registry
@@ -218,7 +222,7 @@ func defaultJournalBlocks(total int64) int64 {
 // Format writes a fresh, empty layout to dev and returns the open store.
 func Format(dev blockdev.Device, opts FormatOptions) (*Store, error) {
 	bs := int64(dev.BlockSize())
-	if bs < 512 || bs%512 != 0 {
+	if bs < OnodeSize || bs%OnodeSize != 0 {
 		return nil, fmt.Errorf("layout: unsupported block size %d", bs)
 	}
 	total := dev.Blocks()
@@ -236,18 +240,14 @@ func Format(dev blockdev.Device, opts FormatOptions) (*Store, error) {
 	jb := opts.JournalBlocks
 	switch {
 	case jb < 0:
-		jb = 0
+		return nil, fmt.Errorf("layout: negative journal size %d: every volume is journaled", jb)
 	case jb == 0:
 		jb = defaultJournalBlocks(total)
 	case jb < 16:
 		jb = 16
 	}
-	journalStart := int64(0)
-	refStart := int64(1)
-	if jb > 0 {
-		journalStart = 1
-		refStart = 1 + jb
-	}
+	const journalStart = 1
+	refStart := journalStart + jb
 	dataStart := refStart + refBlocks + onodeBlocks
 	if dataStart >= total {
 		return nil, fmt.Errorf("layout: device too small (%d blocks, %d needed for metadata)", total, dataStart)
@@ -278,17 +278,14 @@ func Format(dev blockdev.Device, opts FormatOptions) (*Store, error) {
 		ptrsPerBlock: bs / 8,
 		allocHint:    dataStart,
 		meta:         newMetaCache(&sb),
+		refPending:   make(map[int64]uint16),
 	}
-	if jb > 0 {
-		if err := journal.Format(dev, journalStart, jb); err != nil {
-			return nil, err
-		}
-		j, _, _, err := journal.Open(dev, journalStart, jb, opts.Metrics)
-		if err != nil {
-			return nil, err
-		}
-		s.jnl = j
-		s.refPending = make(map[int64]uint16)
+	err := journal.Format(dev, journalStart, jb)
+	if err == nil {
+		s.jnl, _, _, err = journal.Open(dev, journalStart, jb, opts.Metrics)
+	}
+	if err != nil {
+		return nil, err
 	}
 	// Metadata blocks are permanently referenced.
 	for i := int64(0); i < dataStart; i++ {
@@ -312,19 +309,15 @@ func Format(dev blockdev.Device, opts FormatOptions) (*Store, error) {
 	return s, nil
 }
 
-// Open reads an existing layout from dev.
-func Open(dev blockdev.Device) (*Store, error) {
-	return OpenWith(dev, OpenOptions{})
-}
-
-// OpenWith reads an existing layout from dev. On a journaled (version
-// 2) volume it first recovers the write-ahead journal: committed onode
-// records are patched onto the device before the onode scan, committed
-// refcount updates are replayed over the loaded allocator state, and
-// object-layer records (partition table, needle segment tables) are
-// retained for RecoveredRecords. The caller finishes recovery by
-// making the replayed state durable (Sync) and calling JournalReset.
-func OpenWith(dev blockdev.Device, opts OpenOptions) (*Store, error) {
+// Open reads an existing layout from dev, whose superblock must
+// describe a journaled volume that fits the device. It first recovers
+// the write-ahead journal: committed onode records are patched onto the
+// device before the onode scan, committed refcount updates are replayed
+// over the loaded allocator state, and object-layer records (partition
+// table, needle segment tables) are retained for RecoveredRecords. The
+// caller finishes recovery by making the replayed state durable (Sync)
+// and calling JournalReset.
+func Open(dev blockdev.Device, opts OpenOptions) (*Store, error) {
 	bs := int64(dev.BlockSize())
 	buf := make([]byte, bs)
 	if err := dev.ReadBlock(0, buf); err != nil {
@@ -334,8 +327,8 @@ func OpenWith(dev blockdev.Device, opts OpenOptions) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	if int64(sb.BlockSize) != bs {
-		return nil, fmt.Errorf("layout: superblock block size %d != device %d", sb.BlockSize, bs)
+	if err := sb.validate(bs, dev.Blocks()); err != nil {
+		return nil, err
 	}
 	s := &Store{
 		dev:          dev,
@@ -347,30 +340,27 @@ func OpenWith(dev blockdev.Device, opts OpenOptions) (*Store, error) {
 		ptrsPerBlock: bs / 8,
 		allocHint:    sb.DataStart,
 		meta:         newMetaCache(&sb),
+		refPending:   make(map[int64]uint16),
 	}
+	j, recs, st, err := journal.Open(dev, sb.JournalStart, sb.JournalBlocks, opts.Metrics)
+	if err != nil {
+		return nil, err
+	}
+	s.jnl, s.recStats = j, st
 	var refRecs []journal.Record
-	if sb.JournalBlocks > 0 {
-		j, recs, st, jerr := journal.Open(dev, sb.JournalStart, sb.JournalBlocks, opts.Metrics)
-		if jerr != nil {
-			return nil, jerr
-		}
-		s.jnl = j
-		s.refPending = make(map[int64]uint16)
-		s.recStats = st
-		for _, r := range recs {
-			switch r.Kind {
-			case journal.KindOnode:
-				// Patch the image onto the device now, before the
-				// onode scan below builds the index from it.
-				if err := s.replayOnode(r); err != nil {
-					return nil, err
-				}
-				j.Applied(r.LSN)
-			case journal.KindRefUpdate:
-				refRecs = append(refRecs, r)
-			default:
-				s.recovered = append(s.recovered, r)
+	for _, r := range recs {
+		switch r.Kind {
+		case journal.KindOnode:
+			// Patch the image onto the device now, before the onode
+			// scan below builds the index from it.
+			if err := s.replayOnode(r); err != nil {
+				return nil, err
 			}
+			j.Applied(r.LSN)
+		case journal.KindRefUpdate:
+			refRecs = append(refRecs, r)
+		default:
+			s.recovered = append(s.recovered, r)
 		}
 	}
 	// Load refcounts.
@@ -457,9 +447,6 @@ func (s *Store) replayOnode(r journal.Record) error {
 
 // --- Journal ----------------------------------------------------------
 
-// JournalEnabled reports whether the volume has a write-ahead journal.
-func (s *Store) JournalEnabled() bool { return s.jnl != nil }
-
 // journalAppend appends an intent record. A full journal is made room
 // in: the dirty onode blocks are written back and the device flushed
 // (which makes every issued in-place effect durable), then the applied
@@ -480,9 +467,6 @@ func (s *Store) journalAppend(kind journal.Kind, payload []byte) (uint64, error)
 // record cannot fit even after compaction; the caller should fall back
 // to its direct durable write path.
 func (s *Store) JournalAppend(kind journal.Kind, payload []byte) (uint64, error) {
-	if s.jnl == nil {
-		return 0, errors.New("layout: journaling disabled")
-	}
 	lsn, err := s.journalAppend(kind, payload)
 	if err != nil {
 		return 0, err
@@ -495,20 +479,11 @@ func (s *Store) JournalAppend(kind journal.Kind, payload []byte) (uint64, error)
 
 // JournalApplied marks an object-layer record's in-place effect as
 // issued (see journal.Journal.Applied).
-func (s *Store) JournalApplied(lsn uint64) {
-	if s.jnl != nil {
-		s.jnl.Applied(lsn)
-	}
-}
+func (s *Store) JournalApplied(lsn uint64) { s.jnl.Applied(lsn) }
 
 // JournalReset discards the journal at the end of mount-time recovery.
 // Every replayed effect must already be durable (Sync first).
-func (s *Store) JournalReset() error {
-	if s.jnl == nil {
-		return nil
-	}
-	return s.jnl.Reset()
-}
+func (s *Store) JournalReset() error { return s.jnl.Reset() }
 
 // RecoveredRecords returns the object-layer journal records (partition
 // table, needle segment tables) replayed at Open, plus the scan stats.
@@ -687,11 +662,9 @@ func (s *Store) setRef(blk int64, v uint16) {
 	s.ref[blk] = v
 	refPerBlock := int64(s.sb.BlockSize) / 2
 	s.refDirty[blk/refPerBlock] = true
-	if s.jnl != nil {
-		// Accumulate for the KindRefUpdate intent record that Sync
-		// commits before rewriting the refcount region in place.
-		s.refPending[blk] = v
-	}
+	// Accumulate for the KindRefUpdate intent record that Sync commits
+	// before rewriting the refcount region in place.
+	s.refPending[blk] = v
 }
 
 // --- Onode management -------------------------------------------------
@@ -726,12 +699,11 @@ func (s *Store) ReadOnode(idx int64) (o Onode, err error) {
 // WriteOnode stores o at idx and maintains the object ID index. Writing
 // a zero ObjectID releases the slot, writing the image the slot already
 // holds does nothing. The stripe lock makes the read-modify-write of the
-// shared onode block atomic against writers of neighboring onodes. On a
-// journaled volume the new image is committed to the write-ahead journal
-// (one journal write, one device flush) and the block turns dirty in the
-// metadata cache; flushDevice writes it in place, and a crash before
-// then is repaired by replay at the next mount. Without a journal the
-// block is written through.
+// shared onode block atomic against writers of neighboring onodes. The
+// new image is committed to the write-ahead journal (one journal write,
+// one device flush) and the block turns dirty in the metadata cache;
+// flushDevice writes it in place, and a crash before then is repaired by
+// replay at the next mount.
 func (s *Store) WriteOnode(idx int64, o *Onode) error {
 	if idx < 0 || idx >= s.sb.OnodeCount {
 		return ErrBadOnode
@@ -757,14 +729,9 @@ func (s *Store) WriteOnode(idx int64, o *Onode) error {
 		return nil
 	}
 	encodeOnode(slot, o)
-	var lsn uint64
-	var err error
-	if s.jnl != nil {
-		if lsn, err = s.journalAppend(journal.KindOnode, journal.EncodeOnode(uint32(idx), slot)); err == nil {
-			err = s.jnl.Commit(lsn)
-		}
-	} else if err = s.dev.WriteBlock(blk, buf); err != nil {
-		s.meta.invalidate(blk)
+	lsn, err := s.journalAppend(journal.KindOnode, journal.EncodeOnode(uint32(idx), slot))
+	if err == nil {
+		err = s.jnl.Commit(lsn)
 	}
 	if err == nil {
 		s.meta.fill(blk, buf, lsn)
@@ -805,7 +772,7 @@ func (s *Store) flushDevice() error {
 	if err == nil {
 		err = s.dev.Flush()
 	}
-	if err == nil && len(blks) > 0 { // only a journaled volume has dirty blocks
+	if err == nil && len(blks) > 0 {
 		s.jnl.Applied(s.meta.retire(blks, recs)...)
 	}
 	return err
@@ -1309,11 +1276,10 @@ func (s *Store) WriteDataBlock(blk int64, buf []byte) error {
 // --- Persistence ------------------------------------------------------
 
 // Sync flushes dirty refcount regions, the superblock and the dirty
-// onode-table blocks to the device. On a journaled volume the
-// accumulated refcount changes are first committed as one KindRefUpdate
-// intent record — write-ahead of the in-place region rewrite — and
-// after the flush the journal is compacted (applied records discarded,
-// unapplied ones carried forward).
+// onode-table blocks to the device. The accumulated refcount changes
+// are first committed as one KindRefUpdate intent record — write-ahead
+// of the in-place region rewrite — and after the flush the journal is
+// compacted (applied records discarded, unapplied ones carried forward).
 func (s *Store) Sync() error {
 	s.lockAlloc()
 	defer s.mu.Unlock()
@@ -1323,7 +1289,7 @@ func (s *Store) Sync() error {
 	// Sorted: the journal payload and the device's write order must not
 	// depend on map iteration.
 	var refLSN uint64
-	if s.jnl != nil && len(s.refPending) > 0 {
+	if len(s.refPending) > 0 {
 		blocks := make([]int64, 0, len(s.refPending))
 		for b := range s.refPending {
 			blocks = append(blocks, b)
@@ -1377,15 +1343,12 @@ func (s *Store) Sync() error {
 	if err := s.flushDevice(); err != nil {
 		return err
 	}
-	if s.jnl != nil {
-		// Every effect issued before the flush above is now durable,
-		// so applied records can be compacted away.
-		if refLSN != 0 {
-			s.jnl.Applied(refLSN)
-		}
-		return s.jnl.Checkpoint()
+	// Every effect issued before the flush above is now durable, so
+	// applied records can be compacted away.
+	if refLSN != 0 {
+		s.jnl.Applied(refLSN)
 	}
-	return nil
+	return s.jnl.Checkpoint()
 }
 
 // RepairRef forces a block's reference count to v. Mount-time

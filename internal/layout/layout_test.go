@@ -28,7 +28,7 @@ func TestFormatAndOpen(t *testing.T) {
 	if sb.DataStart <= 0 || sb.DataStart >= 1024 {
 		t.Fatalf("data start = %d", sb.DataStart)
 	}
-	s2, err := Open(dev)
+	s2, err := Open(dev, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestFormatAndOpen(t *testing.T) {
 
 func TestOpenUnformatted(t *testing.T) {
 	dev := blockdev.NewMemDisk(4096, 64)
-	if _, err := Open(dev); !errors.Is(err, ErrNotFormatted) {
+	if _, err := Open(dev, OpenOptions{}); !errors.Is(err, ErrNotFormatted) {
 		t.Fatalf("open unformatted: %v", err)
 	}
 }
@@ -397,7 +397,7 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := Open(dev)
+	s2, err := Open(dev, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,9 +22,8 @@ const metaCacheMaxBytes = 2 << 20
 // writer releases the lock that serializes it against readers (the
 // onode stripe lock for onode blocks; the exclusive object lock above
 // for pointer blocks — in-place pointer writes only ever target
-// refcount-1 blocks, which belong to exactly one object). On a
-// journaled volume an onode block is not written in place when it
-// changes: its entry is dirty, the only image outside the journal, and
+// refcount-1 blocks, which belong to exactly one object). An onode
+// block is not written in place when it changes: its entry is dirty, the only image outside the journal, and
 // stays resident until Store.flushDevice has written it back. Freed
 // blocks are invalidated so a later reallocation can never surface
 // stale bytes. The cache is private to one Store and dies with it, so

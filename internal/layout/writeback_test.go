@@ -125,7 +125,7 @@ func TestWriteBackOnJournalFull(t *testing.T) {
 	if cp, runs := reg.Counter("journal.checkpoints").Load()-formatted, onodeRuns(s, dev); cp < n/7 || len(runs) != int(cp) {
 		t.Fatalf("%d checkpoints and %d onode-table writes over %d commits, want one write-back of the block per checkpoint", cp, len(runs), n)
 	}
-	s2, err := Open(dev.MemDisk)
+	s2, err := Open(dev.MemDisk, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,26 +213,6 @@ func mustReadOnode(t *testing.T, s *Store, idx int64) Onode {
 		t.Fatal(err)
 	}
 	return o
-}
-
-// TestWriteThroughWithoutJournal: with no journal there is nothing to
-// replay from, so an onode write goes to the table at once, except the
-// identical one.
-func TestWriteThroughWithoutJournal(t *testing.T) {
-	dev := newWriteLog(4096, 8192)
-	s, err := Format(dev, FormatOptions{JournalBlocks: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dev.reset()
-	mustWriteOnode(t, s, 3, &Onode{ObjectID: 7, Size: 1})
-	mustWriteOnode(t, s, 3, &Onode{ObjectID: 7, Size: 1})
-	if runs := onodeRuns(s, dev); len(runs) != 1 || len(dev.runs) != 1 || len(s.meta.dirty) != 0 {
-		t.Fatalf("two identical onode writes without a journal: device writes %v, want one, of the onode block", dev.runs)
-	}
-	if o := onodeOnDevice(t, s, 3); o.Size != 1 {
-		t.Fatalf("device holds size %d, want 1", o.Size)
-	}
 }
 
 // TestMetaCacheKeepsDirtyEntries: eviction passes over dirty entries,

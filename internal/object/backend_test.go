@@ -299,8 +299,8 @@ func TestNeedleKillRestart(t *testing.T) {
 
 // TestNeedleVersionBumpDurable: a version bump revokes capabilities, so
 // it must survive a crash with NO flush at all — the needle backend
-// syncs the log tail on SetVersion to match classic's write-through
-// onodes.
+// syncs the log tail on SetVersion to match classic's onodes, which
+// are committed to the journal before return.
 func TestNeedleVersionBumpDurable(t *testing.T) {
 	dev := blockdev.NewMemDisk(4096, 8192)
 	s, err := Format(dev, Config{})

@@ -429,8 +429,8 @@ func (c *classicBackend) readahead(seq *SeqTracker, o *layout.Onode, off, n uint
 	c.cache.Prefetch(blocks)
 }
 
-// Write implements StoreBackend. Writes are write-behind unless the
-// store was configured write-through. Quota admission reserves
+// Write implements StoreBackend. Data is written behind; the onode is
+// committed to the journal before return. Quota admission reserves
 // worst-case blocks up front so concurrent writers cannot jointly
 // overshoot a partition quota.
 func (c *classicBackend) Write(part uint16, obj uint64, off uint64, data []byte) error {

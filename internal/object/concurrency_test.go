@@ -63,7 +63,6 @@ func TestConcurrentReadsOfOneObjectOverlap(t *testing.T) {
 	s, err := Format(dev, Config{
 		CacheBlocks:     1,  // evictable: the marker block must miss
 		ReadaheadBlocks: -1, // no prefetch: exactly one read per caller
-		WriteThrough:    true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -86,29 +86,27 @@ func decodePartitions(b []byte) (map[uint16]*Partition, error) {
 
 // savePartitionsLocked persists the partition table to the control
 // object. Caller holds pmu (which also covers the control object's
-// onode and blocks — no user object maps onto them). On a journaled
-// volume the encoded table is committed to the write-ahead journal
-// first, so a crash that loses the buffered control-object write
-// replays the table at the next mount; each new record supersedes the
-// previous one, which is retired immediately.
+// onode and blocks — no user object maps onto them). The encoded table
+// is committed to the write-ahead journal first, so a crash that loses
+// the buffered control-object write replays the table at the next
+// mount; each new record supersedes the previous one, which is retired
+// immediately.
 func (s *Store) savePartitionsLocked() error {
 	data := encodePartitions(s.parts)
 	lay := s.classic.lay
-	if lay.JournalEnabled() {
-		lsn, err := lay.JournalAppend(journal.KindPartTable, data)
-		switch {
-		case errors.Is(err, journal.ErrFull):
-			// The table cannot fit even after compaction. Proceed with
-			// the buffered write alone — pre-journal durability: the
-			// table is safe at the next Flush.
-		case err != nil:
-			return err
-		default:
-			if s.partsLSN != 0 {
-				lay.JournalApplied(s.partsLSN)
-			}
-			s.partsLSN = lsn
+	lsn, err := lay.JournalAppend(journal.KindPartTable, data)
+	switch {
+	case errors.Is(err, journal.ErrFull):
+		// The table cannot fit in a journal half even after compaction.
+		// Proceed with the buffered write alone: the table is safe at
+		// the next Flush.
+	case err != nil:
+		return err
+	default:
+		if s.partsLSN != 0 {
+			lay.JournalApplied(s.partsLSN)
 		}
+		s.partsLSN = lsn
 	}
 	idx, ok := lay.FindOnode(ControlObject)
 	var o layout.Onode

@@ -622,46 +622,3 @@ func TestFlushDurableAcrossCrash(t *testing.T) {
 		t.Fatalf("needle object lost after flush+crash: %v (%d bytes)", err, len(got))
 	}
 }
-
-// TestJournalOffVolume checks the benchmarking escape hatch: a volume
-// formatted with a negative journal size has no journal region, opens
-// with journaling disabled, and still round-trips data through a clean
-// flush.
-func TestJournalOffVolume(t *testing.T) {
-	dev := newCountingRanger(512, 4096)
-	s, err := Format(dev, Config{JournalBlocks: -1, SyncCompact: true})
-	if err != nil {
-		t.Fatalf("format: %v", err)
-	}
-	if err := s.CreatePartition(1, 0); err != nil {
-		t.Fatalf("create partition: %v", err)
-	}
-	id, err := s.Create(1)
-	if err != nil {
-		t.Fatalf("create: %v", err)
-	}
-	data := bytes.Repeat([]byte{7}, 1234)
-	dev.reset()
-	if err := s.Write(1, id, 0, data); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	// With no journal to replay from, the onode is written through.
-	sb := s.classic.lay.Superblock()
-	if n := dev.wrote(sb.OnodeStart, sb.OnodeBlocks); n != 1 {
-		t.Fatalf("write on a journal-off volume wrote %d onode blocks before any flush, want 1", n)
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatalf("flush: %v", err)
-	}
-	s2, err := Open(dev, Config{SyncCompact: true})
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	if s2.RecoveryInfo() != (RecoveryInfo{}) {
-		t.Fatalf("journal-off volume reported recovery: %+v", s2.RecoveryInfo())
-	}
-	got, err := s2.Read(1, id, 0, len(data))
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("read after reopen: %v", err)
-	}
-}

@@ -60,14 +60,14 @@ func (m needleMeta) LoadSegments(part uint16) ([]byte, error) {
 }
 
 // SaveSegments is durable on return: the segment table is the log's
-// root metadata, so losing it strands the log's blocks. On a journaled
-// volume the encoded table is committed as one intent record and the
-// in-place object write stays buffered — a crash replays the record at
-// mount, and recovery pins the blocks it names before any replay
-// allocation. Each new record supersedes the partition's previous one.
-// Without a journal (or when the record cannot fit), the table is
-// pushed through the cache and the allocator state synced with it — the
-// pre-journal full-sync path. Either way this runs only at segment
+// root metadata, so losing it strands the log's blocks. The encoded
+// table is committed as one intent record and the in-place object write
+// stays buffered — a crash replays the record at mount, and recovery
+// pins the blocks it names before any replay allocation. Each new
+// record supersedes the partition's previous one. A record too big for
+// a journal half even after compaction is made durable the direct way
+// instead: the table is pushed through the cache and the allocator
+// state synced with it. Either way this runs only at segment
 // granularity (roll, compaction), not per object write.
 func (m needleMeta) SaveSegments(part uint16, data []byte) error {
 	segs, _, err := m.s.metaIDs(part)
@@ -75,23 +75,21 @@ func (m needleMeta) SaveSegments(part uint16, data []byte) error {
 		return err
 	}
 	lay := m.s.classic.lay
-	if lay.JournalEnabled() {
-		lsn, jerr := lay.JournalAppend(journal.KindNeedleSeg, journal.EncodeNeedleSeg(part, data))
-		if jerr == nil {
-			if err := m.s.classic.saveRaw(segs, data); err != nil {
-				return err
-			}
-			m.s.lockParts()
-			if prev := m.s.segLSNs[part]; prev != 0 {
-				lay.JournalApplied(prev)
-			}
-			m.s.segLSNs[part] = lsn
-			m.s.pmu.Unlock()
-			return nil
+	lsn, jerr := lay.JournalAppend(journal.KindNeedleSeg, journal.EncodeNeedleSeg(part, data))
+	if jerr == nil {
+		if err := m.s.classic.saveRaw(segs, data); err != nil {
+			return err
 		}
-		if !errors.Is(jerr, journal.ErrFull) {
-			return jerr
+		m.s.lockParts()
+		if prev := m.s.segLSNs[part]; prev != 0 {
+			lay.JournalApplied(prev)
 		}
+		m.s.segLSNs[part] = lsn
+		m.s.pmu.Unlock()
+		return nil
+	}
+	if !errors.Is(jerr, journal.ErrFull) {
+		return jerr
 	}
 	if err := m.s.classic.saveRaw(segs, data); err != nil {
 		return err

@@ -38,10 +38,9 @@
 // mid-update never leaves them torn. Open scans the journal, replays
 // the committed tail over the on-media state, verifies and repairs
 // block reference counts, and reports what it did through
-// RecoveryInfo. Config.JournalBlocks < 0 formats a volume without a
-// journal; such volumes keep the pre-journal semantics — metadata is
-// written in place and is crash-safe only up to the last Flush.
-// DESIGN.md §7 specifies the commit protocol and the recovery
+// RecoveryInfo. Every volume is journaled, and data blocks are written
+// behind: a write is acknowledged once its metadata record is committed,
+// and its data is durable at the next Flush. DESIGN.md §7 specifies the commit protocol and the recovery
 // invariants; crash_test.go's TestCrashSweep asserts those invariants
 // at every scheduled persist step under blockdev.CrashDisk.
 //
@@ -166,8 +165,6 @@ type Config struct {
 	// Clock supplies timestamps (default time.Now). Experiments inject
 	// simulated clocks.
 	Clock func() time.Time
-	// WriteThrough disables write-behind in the data cache.
-	WriteThrough bool
 	// Metrics receives lock-contention telemetry for every layer of the
 	// store (object.lock.*, object.partlock.*, cache.lock.*,
 	// layout.lock.*) plus per-backend counters (object.classic.*,
@@ -181,10 +178,6 @@ type Config struct {
 	// only a handful of classic onodes, while classic million-object
 	// workloads need it raised.
 	OnodeCount int64
-	// JournalBlocks sizes the format-time metadata journal region (0 =
-	// layout default: 1/32 of the volume, clamped; negative disables
-	// journaling — benchmark baselines only, crash consistency is lost).
-	JournalBlocks int64
 	// Events is the structured event ring the store emits state
 	// transitions into (journal recovery, needle compactions). Nil uses
 	// the process-wide telemetry.Events ring.
@@ -248,7 +241,7 @@ type Store struct {
 	segLSNs  map[uint16]uint64
 
 	// recovery summarizes the last mount-time recovery (zero value when
-	// the volume opened clean or journaling is disabled).
+	// the volume opened clean).
 	recovery RecoveryInfo
 }
 
@@ -256,9 +249,8 @@ type Store struct {
 func Format(dev blockdev.Device, cfg Config) (*Store, error) {
 	cfg.fill()
 	lay, err := layout.Format(dev, layout.FormatOptions{
-		OnodeCount:    cfg.OnodeCount,
-		JournalBlocks: cfg.JournalBlocks,
-		Metrics:       cfg.Metrics,
+		OnodeCount: cfg.OnodeCount,
+		Metrics:    cfg.Metrics,
 	})
 	if err != nil {
 		return nil, err
@@ -279,15 +271,15 @@ func Format(dev blockdev.Device, cfg Config) (*Store, error) {
 	return s, nil
 }
 
-// Open loads an existing object store from dev. On journaled volumes
-// this is also mount-time recovery: committed intent records are
+// Open loads an existing object store from dev. This is also
+// mount-time recovery: committed intent records are
 // replayed, torn journal tails discarded, and the block reference
 // counts re-derived from reachability before the store accepts traffic
 // (see recover.go).
 func Open(dev blockdev.Device, cfg Config) (*Store, error) {
 	cfg.fill()
 	start := time.Now()
-	lay, err := layout.OpenWith(dev, layout.OpenOptions{Metrics: cfg.Metrics})
+	lay, err := layout.Open(dev, layout.OpenOptions{Metrics: cfg.Metrics})
 	if err != nil {
 		return nil, err
 	}
@@ -328,7 +320,6 @@ func Open(dev blockdev.Device, cfg Config) (*Store, error) {
 
 func newStore(lay *layout.Store, dev blockdev.Device, cfg Config) *Store {
 	c := cache.New(dev, cfg.CacheBlocks)
-	c.SetWriteThrough(cfg.WriteThrough)
 	c.SetLockMeter(telemetry.NewLockMeter(cfg.Metrics, "cache.lock"))
 	lay.SetDataIO(c)
 	lay.SetLockMeter(telemetry.NewLockMeter(cfg.Metrics, "layout.lock"))

@@ -9,9 +9,9 @@ import (
 	"nasd/internal/telemetry"
 )
 
-// Mount-time recovery (journaled volumes only).
+// Mount-time recovery.
 //
-// layout.OpenWith has already replayed the layout-level intent records
+// layout.Open has already replayed the layout-level intent records
 // (onode images, refcount updates) and handed the object-layer records
 // back through RecoveredRecords. This file finishes the job:
 //
@@ -32,7 +32,7 @@ import (
 // it, and every unreachable data block is free.
 
 // RecoveryInfo summarizes what mount-time recovery did. The zero value
-// means the volume opened clean (or journaling is disabled).
+// means the volume opened clean.
 type RecoveryInfo struct {
 	// Replayed is the number of committed journal records replayed
 	// (layout-level and object-level combined).
@@ -59,9 +59,6 @@ func (s *Store) RecoveryInfo() RecoveryInfo { return s.recovery }
 func (s *Store) recoverObjectRecords() error {
 	lay := s.classic.lay
 	recs, stats := lay.RecoveredRecords()
-	if !lay.JournalEnabled() {
-		return s.loadPartitions()
-	}
 	s.recovery.Replayed = stats.Replayed
 	s.recovery.TornTails = stats.TornTails
 
@@ -282,9 +279,6 @@ func (s *Store) verifyRefs() (int, error) {
 // back empty is known consistent and skips all of it.
 func (s *Store) finishRecovery(start time.Time) error {
 	lay := s.classic.lay
-	if !lay.JournalEnabled() {
-		return nil
-	}
 	if s.recovery.Replayed == 0 && s.recovery.TornTails == 0 {
 		return nil
 	}

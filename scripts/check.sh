@@ -26,11 +26,11 @@ if grep -rn --include='*.go' --exclude='*_test.go' '^[[:space:]]*// Deprecated:'
 fi
 
 # Nor does a removed name linger in comments and docs: these were
-# deleted in PRs 14, 23 and 27, and only the history files may still say them.
+# deleted by earlier changes, and only the history files may still say them.
 echo "==> no deleted names in *.go, *.md, *.sh and *.yml"
 if grep -rnE --include='*.go' --include='*.md' --include='*.sh' --include='*.yml' \
     --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md --exclude=check.sh --exclude-dir=.git --exclude-dir=.bench_build \
-    'WithJournalBlocks|FormatStore|OpenStore|Stats\(\)\.Retries|nasdbench -(stats|chaos)([^-]|$)|nasdbench -workload (stats|parallel|smallobj)|BENCH_(stats|parallel|smallobj)|-stats-mb|-smallobj-objects|WithWorkers|AllDig' .; then
+    'WithJournalBlocks|FormatStore|OpenStore|Stats\(\)\.Retries|nasdbench -(stats|chaos)([^-]|$)|nasdbench -workload (stats|parallel|smallobj)|BENCH_(stats|parallel|smallobj)|-stats-mb|-smallobj-objects|WithWorkers|AllDig|JournalEnabled|SetWriteThrough|SeqWriteJournalOff|JournalBlocks: -1|OpenWith' .; then
     echo "the names above no longer exist; describe what replaced them" >&2
     exit 1
 fi
@@ -67,15 +67,21 @@ go test -race -count=5 ./internal/qos
 # short-mode crash sweeps (mixed workload, deferred onode writes), and
 # the extent and write-back tests that pin what the write path sends to
 # the device and in what order (pointer blocks once per write, onode
-# blocks at the flush, write-back in runs) and that the quota charged
-# by delta is the charge recovery's census walks — so a recovery
-# regression is called out explicitly. The full sweeps (1000+ points
+# blocks at the flush, write-back in runs), that the quota charged by
+# delta is the charge recovery's census walks, and that a mount refuses
+# a corrupt or journal-less superblock — so a recovery regression is
+# called out explicitly. The full sweeps (1000+ points
 # each) run in the suite above and, with -v, in CI's dedicated
 # crash-sweep job.
-echo "==> go test -race -short -run 'Crash|Journal|Torn|Recover|Checkpoint|Commit|Padding|WriteBack|WriteThrough|MetaCache|Extent|Accounting|ChargeCosts|ForEachBlock' (crash-consistency focus)"
+echo "==> go test -race -short -run 'Crash|Journal|Torn|Recover|Checkpoint|Commit|Padding|WriteBack|Superblock|MetaCache|Extent|Accounting|ChargeCosts|ForEachBlock' (crash-consistency focus)"
 go test -race -short \
-    -run 'Crash|Journal|Torn|Recover|Checkpoint|Commit|Padding|WriteBack|WriteThrough|MetaCache|Extent|Accounting|ChargeCosts|ForEachBlock' \
+    -run 'Crash|Journal|Torn|Recover|Checkpoint|Commit|Padding|WriteBack|Superblock|MetaCache|Extent|Accounting|ChargeCosts|ForEachBlock' \
     ./internal/journal ./internal/blockdev ./internal/object ./internal/cache ./internal/layout
+
+# The superblock is the first thing a mount trusts from the disk: fuzz
+# its decode and validation briefly on every run.
+echo "==> go test -run '^\$' -fuzz '^FuzzSuperblock\$' -fuzztime 10s ./internal/layout"
+go test -run '^$' -fuzz '^FuzzSuperblock$' -fuzztime 10s ./internal/layout
 
 # Chaos drill (DESIGN.md §6-§7): the victim drive is killed mid-run
 # (server down, volatile cache dropped), restarted through journal
