@@ -278,7 +278,7 @@ func BenchmarkDriveReadInsecure512K(b *testing.B) { benchDriveRead(b, false, 512
 // has the latency structure of real storage instead of loopback's
 // memory-speed transfers. Both the serial and pipelined benchmarks run
 // over this same stack.
-func tcpDriveRig(b *testing.B, opts ...client.Option) (*client.Drive, capability.Capability, uint64) {
+func tcpDriveRig(b *testing.B) (*client.Drive, capability.Capability, uint64) {
 	b.Helper()
 	// The store re-reads extent metadata under cache pressure (~4x
 	// device reads per payload byte at this cache size), so 128 MB/s of
@@ -322,7 +322,7 @@ func tcpDriveRig(b *testing.B, opts ...client.Option) (*client.Drive, capability
 	if err != nil {
 		b.Fatal(err)
 	}
-	cli := client.New(rpc.NewThrottledConn(conn, linkBps), 1, 99, opts...)
+	cli := client.New(rpc.NewThrottledConn(conn, linkBps), 1, 99)
 	b.Cleanup(func() { cli.Close() })
 	kid, key, _ := drv.Keys().CurrentWorkingKey(1)
 	cap := capability.Mint(capability.Public{
@@ -341,7 +341,7 @@ func tcpDriveRig(b *testing.B, opts ...client.Option) (*client.Drive, capability
 // and wire time overlap (paper §5.3, Figure 9's access-pattern argument
 // applied to the RPC plane).
 func benchPipelinedRead(b *testing.B, size int, pipelined bool) {
-	cli, cap, obj := tcpDriveRig(b, client.WithFragmentSize(64<<10), client.WithWindow(8))
+	cli, cap, obj := tcpDriveRig(b)
 	ctx := context.Background()
 	slots := (4 << 20) / size // rotate so iterations don't reread cached data
 	b.SetBytes(int64(size))

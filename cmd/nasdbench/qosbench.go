@@ -139,7 +139,6 @@ func runQoS(w io.Writer, phaseDur time.Duration, aggressors int, seed int64, jso
 	l := rpc.NewInProcListener("nasdbench-qos")
 	srv := rpc.NewServer(ctl,
 		rpc.WithMetrics(reg),
-		rpc.WithQueue(2048),
 		rpc.WithProcNames(func(p uint16) string { return drive.Op(p).String() }))
 	defer srv.Close()
 	go srv.Serve(l)
@@ -312,10 +311,9 @@ func runQoS(w io.Writer, phaseDur time.Duration, aggressors int, seed int64, jso
 		vt.ok.Load(), vt.shed.Load(), vt.deadline.Load(), vt.failed.Load())
 	fmt.Fprintf(w, "  aggressor outcomes: issued=%d ok=%d shed=%d deadline=%d failed=%d\n",
 		at.issuedAgg.Load(), at.ok.Load(), at.shed.Load(), at.deadline.Load(), at.failed.Load())
-	fmt.Fprintf(w, "  drive qos verdicts: admitted=%d throttled=%d shed=%d rejected=%d rpc-rejected=%d\n",
+	fmt.Fprintf(w, "  drive qos verdicts: admitted=%d throttled=%d shed=%d rejected=%d\n",
 		snap.Counters["qos.admitted"], snap.Counters["qos.throttled"],
-		snap.Counters["qos.shed"], snap.Counters["qos.rejected"],
-		snap.Counters["rpc.server.rejected"])
+		snap.Counters["qos.shed"], snap.Counters["qos.rejected"])
 	telemetry.WriteTenantTable(w, snap, "bench cumulative")
 
 	// ---- Assertions (the run's exit status IS the regression gate) ---
@@ -364,7 +362,6 @@ func runQoS(w io.Writer, phaseDur time.Duration, aggressors int, seed int64, jso
 				"qos_throttled":         snap.Counters["qos.throttled"],
 				"qos_shed":              snap.Counters["qos.shed"],
 				"qos_rejected":          snap.Counters["qos.rejected"],
-				"rpc_server_rejected":   snap.Counters["rpc.server.rejected"],
 				"p99_ratio_x100":        uint64(ratio * 100),
 				"p99_ratio_raw_x100":    uint64(rawRatio * 100),
 				"victim_p99_solo_ns":    uint64(p99Solo),

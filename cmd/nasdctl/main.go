@@ -67,6 +67,7 @@ import (
 	"nasd/internal/capability"
 	"nasd/internal/client"
 	"nasd/internal/crypt"
+	"nasd/internal/drive"
 	"nasd/internal/object"
 	"nasd/internal/rpc"
 	"nasd/internal/telemetry"
@@ -350,11 +351,11 @@ func (c *ctl) run(args []string) error {
 	case "flush":
 		return c.cli.Flush(c.ctx)
 	case "stats":
-		traceN := 0
+		var args drive.StatsArgs
 		if len(rest) > 0 {
-			traceN = int(parseU(rest[0]))
+			args.TraceN = uint32(parseU(rest[0]))
 		}
-		sr, err := c.cli.ServerMetrics(c.ctx, traceN)
+		sr, err := c.cli.ServerStats(c.ctx, args)
 		if err != nil {
 			return err
 		}
@@ -413,11 +414,11 @@ func (c *ctl) trace(traceID uint64) error {
 				client.WithDialer(func() (rpc.Conn, error) { return rpc.DialTCP(addr) }))
 			defer cli.Close()
 		}
-		spans, err := cli.ServerSpans(c.ctx, traceID)
+		sr, err := cli.ServerStats(c.ctx, drive.StatsArgs{SpanTrace: traceID})
 		if err != nil {
 			return fmt.Errorf("spans from %s: %v", addr, err)
 		}
-		sets = append(sets, spans)
+		sets = append(sets, sr.Spans)
 	}
 	telemetry.WriteTimeline(os.Stdout, traceID, telemetry.MergeSpans(sets...))
 	return nil

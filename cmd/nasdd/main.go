@@ -38,11 +38,12 @@
 // data requests pass a bounded admission queue, per-tenant token
 // buckets, and WDRR fair scheduling keyed by the capability's
 // partition before reaching media; -qos-queue, -qos-tenant-queue,
-// -qos-rate, -qos-burst, -qos-weights, and -qos-shed tune it, and
-// -rpc-queue bounds each connection's pending requests. Rejected work
+// -qos-rate, -qos-burst, -qos-weights, and -qos-shed tune it. The qos
+// plane is the only place the drive turns work away: rejected work
 // leaves as a typed retry-later reply with a retry-after hint that
-// well-behaved clients pace against. See the OPERATIONS.md overload
-// runbook for tuning under incident.
+// well-behaved clients pace against, while the rpc layer below it only
+// backpressures a connection whose workers are all busy. See the
+// OPERATIONS.md overload runbook for tuning under incident.
 package main
 
 import (
@@ -117,7 +118,6 @@ func main() {
 	qosBurst := flag.Float64("qos-burst", 0, "QoS per-tenant token bucket depth (0 = 2x rate)")
 	qosWeights := flag.String("qos-weights", "", "QoS WDRR weights as PART=W pairs, e.g. 1=3,2=1 or part.1=3,part.2=1 (unlisted tenants weigh 1)")
 	qosShed := flag.Bool("qos-shed", true, "QoS deadline-aware shedding: drop requests whose deadline cannot be met before media time")
-	rpcQueue := flag.Int("rpc-queue", 0, "per-connection pending-request cap; beyond it requests are rejected with retry-later (0 = block)")
 	faultDrop := flag.Float64("fault-drop", 0, "fault injection: drop each sent message with this probability (0 = off)")
 	faultDup := flag.Float64("fault-dup", 0, "fault injection: duplicate each sent message with this probability (0 = off)")
 	faultDelay := flag.Duration("fault-delay", 0, "fault injection: delay every sent message by this much (0 = off)")
@@ -242,7 +242,6 @@ func main() {
 	}
 	srv := rpc.NewServer(handler,
 		rpc.WithMetrics(reg),
-		rpc.WithQueue(*rpcQueue),
 		rpc.WithProcNames(func(p uint16) string { return drive.Op(p).String() }))
 
 	if *metricsAddr != "" {

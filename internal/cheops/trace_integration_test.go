@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"nasd/internal/capability"
+	"nasd/internal/drive"
 	"nasd/internal/telemetry"
 )
 
@@ -91,12 +92,12 @@ func TestStripedReadTrace(t *testing.T) {
 				t.Fatalf("drive %d span %d phase durations sum %d outside (0, %d]", i, id, sum, int64(h.Dur()))
 			}
 		}
-		remote, err := r.drives[i].ServerSpans(testCtx, tid)
+		remote, err := r.drives[i].ServerStats(testCtx, drive.StatsArgs{SpanTrace: tid})
 		if err != nil {
-			t.Fatalf("drive %d ServerSpans: %v", i, err)
+			t.Fatalf("drive %d ServerStats: %v", i, err)
 		}
-		if len(remote) != len(ds) {
-			t.Fatalf("drive %d stats RPC returned %d spans, direct read %d", i, len(remote), len(ds))
+		if len(remote.Spans) != len(ds) {
+			t.Fatalf("drive %d stats RPC returned %d spans, direct read %d", i, len(remote.Spans), len(ds))
 		}
 		all = append(all, ds)
 	}

@@ -102,7 +102,7 @@ func TestConcurrentReadsAliasSafety(t *testing.T) {
 				errs <- err
 				return
 			}
-			cli := New(conn, 11, uint64(100+id), WithSecurity(true), WithWindow(8))
+			cli := New(conn, 11, uint64(100+id), WithSecurity(true))
 			defer cli.Close()
 			rc := mint(objs[id], 1, capability.Read)
 			want := pattern(id)

@@ -114,26 +114,6 @@ func WithSecurity(secure bool) Option {
 	return func(d *Drive) { d.secure = secure }
 }
 
-// WithFragmentSize sets the transfer fragment size used by
-// ReadPipelined and WritePipelined.
-func WithFragmentSize(n int) Option {
-	return func(d *Drive) {
-		if n > 0 {
-			d.fragSize = n
-		}
-	}
-}
-
-// WithWindow sets how many fragments may be in flight at once in
-// pipelined transfers.
-func WithWindow(n int) Option {
-	return func(d *Drive) {
-		if n > 0 {
-			d.window = n
-		}
-	}
-}
-
 // WithMetrics publishes this connection's telemetry ("client.retries"
 // plus the RPC client's "rpc.client.*" family) into reg instead of a
 // private registry. Share one registry across the connections of a
@@ -184,9 +164,9 @@ type Drive struct {
 }
 
 // New wraps an RPC connection to a drive. clientID identifies this
-// client in nonces. Connections default to secure with the default
-// pipelining parameters; see WithSecurity, WithFragmentSize,
-// WithWindow, and WithMetrics.
+// client in nonces. Connections default to secure and pipeline
+// transfers in DefaultFragmentSize fragments, DefaultWindow in flight;
+// see WithSecurity and WithMetrics.
 func New(conn rpc.Conn, driveID, clientID uint64, opts ...Option) *Drive {
 	d := &Drive{
 		driveID:  driveID,
@@ -226,20 +206,13 @@ func (d *Drive) DriveID() uint64 { return d.driveID }
 // Metrics returns the connection's telemetry registry.
 func (d *Drive) Metrics() *telemetry.Registry { return d.reg }
 
-// ServerMetrics fetches the drive's own telemetry snapshot over the
+// ServerStats fetches the drive's own telemetry snapshot over the
 // stats RPC: per-op service times split into digest/object/media
 // components (the paper's Table 1 decomposition, measured), cache and
-// media counters, and — when traceN > 0 — the last traceN requests
-// the drive served, as handler spans in the reply's Spans.
-func (d *Drive) ServerMetrics(ctx context.Context, traceN int) (drive.StatsReply, error) {
-	return d.ServerStats(ctx, drive.StatsArgs{TraceN: uint32(traceN)})
-}
-
-// ServerStats is the general form of the stats RPC: the caller picks
-// exactly which optional sections (request tail, span lookup,
-// event-log tail) the drive should attach to its metrics snapshot.
-// nasdctl's fleet commands use it to pull metrics and events in one
-// round trip per drive.
+// media counters. args picks which optional sections the drive
+// attaches: the last TraceN requests it served, every span of
+// SpanTrace, or the tail of its event log. nasdctl's fleet commands
+// use it to pull metrics and events in one round trip per drive.
 func (d *Drive) ServerStats(ctx context.Context, args drive.StatsArgs) (drive.StatsReply, error) {
 	rep, err := d.call(ctx, drive.OpGetStats, nil, args.Encode(), nil)
 	if err != nil {
@@ -357,17 +330,6 @@ func (d *Drive) attempt(ctx context.Context, op drive.Op, sign func(*rpc.Request
 		return nil, gen, rerr
 	}
 	return rep, gen, nil
-}
-
-// ServerSpans fetches every span the drive recorded for traceID over
-// the stats RPC. nasdctl merges these from several drives (plus the
-// local process's own spans) into one timeline.
-func (d *Drive) ServerSpans(ctx context.Context, traceID uint64) ([]telemetry.SpanRecord, error) {
-	sr, err := d.ServerStats(ctx, drive.StatsArgs{SpanTrace: traceID})
-	if err != nil {
-		return nil, err
-	}
-	return sr.Spans, nil
 }
 
 // signer returns the reusable HMAC state for key, creating and caching

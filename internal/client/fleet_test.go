@@ -176,11 +176,11 @@ func TestFleetAggregationRoundTrip(t *testing.T) {
 	}
 	var spans []telemetry.SpanRecord
 	for _, n := range nodes {
-		got, err := n.cli.ServerSpans(testCtx, ex.TraceID)
+		sr, err := n.cli.ServerStats(testCtx, drive.StatsArgs{SpanTrace: ex.TraceID})
 		if err != nil {
 			t.Fatal(err)
 		}
-		spans = append(spans, got...)
+		spans = append(spans, sr.Spans...)
 	}
 	if len(spans) == 0 {
 		t.Fatalf("exemplar trace %d resolved to no drive-side spans", ex.TraceID)

@@ -17,13 +17,14 @@ import (
 // pipeDrive dials a fresh connection on the rig's listener with small
 // pipelining fragments so tests exercise multi-fragment windows without
 // multi-megabyte payloads.
-func pipeDrive(t *testing.T, r *testRig, clientID uint64, opts ...Option) *Drive {
+func pipeDrive(t *testing.T, r *testRig, clientID uint64) *Drive {
 	t.Helper()
 	conn, err := r.listener.Dial()
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := New(conn, 7, clientID, append([]Option{WithFragmentSize(4 << 10), WithWindow(4)}, opts...)...)
+	d := New(conn, 7, clientID)
+	d.fragSize, d.window = 4<<10, 4
 	t.Cleanup(func() { d.Close() })
 	return d
 }
@@ -152,7 +153,8 @@ func TestPipelinedMixedStress(t *testing.T) {
 func TestCancellationMidStream(t *testing.T) {
 	r := newRig(t, true)
 	r.mkpart(t, 1, 0)
-	d := pipeDrive(t, r, 4004, WithWindow(2))
+	d := pipeDrive(t, r, 4004)
+	d.window = 2
 
 	createCap := r.mint(t, 1, 0, 0, capability.CreateObj)
 	id, _ := d.Create(testCtx, &createCap, 1)
@@ -245,8 +247,9 @@ func TestPipelinedFragmentSendsBoundedByMaxAttempts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli := New(conn, 7, 1, WithSecurity(false), WithFragmentSize(4<<10), WithWindow(4),
+	cli := New(conn, 7, 1, WithSecurity(false),
 		WithRetry(RetryPolicy{MaxAttempts: attempts, BaseBackoff: time.Millisecond}))
+	cli.fragSize, cli.window = 4<<10, 4
 	defer cli.Close()
 
 	_, err = cli.ReadPipelined(testCtx, nil, 1, 1, 0, 32<<10)

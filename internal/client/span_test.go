@@ -98,10 +98,11 @@ func TestSpanContextRoundTrip(t *testing.T) {
 
 	// Drive side: the handler span's parent is the client span ID that
 	// crossed the wire, and the phase children hang off the handler.
-	serverSpans, err := cli.ServerSpans(testCtx, tid)
+	sr, err := cli.ServerStats(testCtx, drive.StatsArgs{SpanTrace: tid})
 	if err != nil {
 		t.Fatal(err)
 	}
+	serverSpans := sr.Spans
 	var driveSpan telemetry.SpanRecord
 	for _, r := range serverSpans {
 		if r.Name == "drive.read" {

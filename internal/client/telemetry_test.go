@@ -36,7 +36,7 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	}
 
 	rc := r.mint(t, 1, obj, 1, capability.Read)
-	before, err := r.cli.ServerMetrics(testCtx, 0)
+	before, err := r.cli.ServerStats(testCtx, drive.StatsArgs{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		}
 	}
 
-	sr, err := r.cli.ServerMetrics(testCtx, 0)
+	sr, err := r.cli.ServerStats(testCtx, drive.StatsArgs{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -634,15 +634,13 @@ func (d *Drive) handleExecute(req *rpc.Request, ph *phases) *rpc.Reply {
 
 // Serve is a convenience that wraps the drive in an RPC server on l.
 // It blocks; run on its own goroutine and close the returned server to
-// stop. Options (e.g. rpc.WithQueue) tune per-connection dispatch.
-// The server shares the drive's telemetry registry, so one snapshot
-// covers both RPC-plane and drive-plane metrics with NASD op names.
-func (d *Drive) Serve(l rpc.Listener, opts ...rpc.ServerOption) *rpc.Server {
-	opts = append([]rpc.ServerOption{
+// stop. The server shares the drive's telemetry registry, so one
+// snapshot covers both RPC-plane and drive-plane metrics with NASD op
+// names.
+func (d *Drive) Serve(l rpc.Listener) *rpc.Server {
+	srv := rpc.NewServer(d,
 		rpc.WithMetrics(d.tel.reg),
-		rpc.WithProcNames(func(p uint16) string { return Op(p).String() }),
-	}, opts...)
-	srv := rpc.NewServer(d, opts...)
+		rpc.WithProcNames(func(p uint16) string { return Op(p).String() }))
 	go srv.Serve(l)
 	return srv
 }

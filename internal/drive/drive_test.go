@@ -154,7 +154,8 @@ func TestKernelExecution(t *testing.T) {
 
 // TestStatsReplyBounded: the stats op needs no capability, so whatever
 // count it is asked for it attaches at most telemetry.MaxTraceResponse
-// records of any kind, the cap /trace and /events apply.
+// records of any kind, the cap /trace and /events apply, and a
+// truncated argument record is refused.
 func TestStatsReplyBounded(t *testing.T) {
 	d, err := NewFormat(blockdev.NewMemDisk(4096, 1024), Config{
 		ID: 1, Master: crypt.NewRandomKey(), Events: telemetry.NewEventLog(4096),
@@ -169,16 +170,20 @@ func TestStatsReplyBounded(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name string
-		args StatsArgs
+		args []byte
+		want rpc.Status
 	}{
-		{"TraceN", StatsArgs{TraceN: 1 << 31}},
-		{"SpanN", StatsArgs{SpanN: 1 << 31}},
-		{"SpanTrace", StatsArgs{SpanTrace: trace}},
-		{"EventN", StatsArgs{EventN: 1 << 31}},
+		{"TraceN", (&StatsArgs{TraceN: 1 << 31}).Encode(), rpc.StatusOK},
+		{"SpanTrace", (&StatsArgs{SpanTrace: trace}).Encode(), rpc.StatusOK},
+		{"EventN", (&StatsArgs{EventN: 1 << 31}).Encode(), rpc.StatusOK},
+		{"Truncated", (&StatsArgs{}).Encode()[:16], rpc.StatusBadRequest},
 	} {
-		rep := d.Handle(&rpc.Request{Proc: uint16(OpGetStats), Args: tc.args.Encode()})
-		if rep.Status != rpc.StatusOK {
-			t.Fatalf("%s: status %v", tc.name, rep.Status)
+		rep := d.Handle(&rpc.Request{Proc: uint16(OpGetStats), Args: tc.args})
+		if rep.Status != tc.want {
+			t.Fatalf("%s: status %v, want %v", tc.name, rep.Status, tc.want)
+		}
+		if tc.want != rpc.StatusOK {
+			continue
 		}
 		var sr StatsReply
 		if err := json.Unmarshal(rep.Data, &sr); err != nil {

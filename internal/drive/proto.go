@@ -347,9 +347,9 @@ func DecodeExecuteArgs(b []byte) (ExecuteArgs, error) {
 
 // StatsArgs requests a telemetry snapshot, and picks which spans ride
 // along in StatsReply.Spans: every span of trace SpanTrace when that is
-// non-zero, else the last SpanN spans of any kind, else the last TraceN
-// requests this drive served — their handler spans, named drive.<op>
-// and annotated with status, bytes_in and bytes_out, oldest first. A
+// non-zero, else the last TraceN requests this drive served — their
+// handler spans, named drive.<op> and annotated with status, bytes_in
+// and bytes_out, oldest first. A
 // request sent with a zero trace ID (only a hand-built rpc.Request can
 // do that) opens no span and so is not in that tail. EventN bounds how
 // many structured events of at least EventMin severity ride along.
@@ -358,7 +358,6 @@ func DecodeExecuteArgs(b []byte) (ExecuteArgs, error) {
 type StatsArgs struct {
 	TraceN    uint32
 	SpanTrace uint64
-	SpanN     uint32
 	EventN    uint32
 	EventMin  uint8 // telemetry.Severity
 }
@@ -368,24 +367,15 @@ func (a *StatsArgs) Encode() []byte {
 	var e rpc.Encoder
 	e.U32(a.TraceN)
 	e.U64(a.SpanTrace)
-	e.U32(a.SpanN)
 	e.U32(a.EventN)
 	e.U8(a.EventMin)
 	return e.Bytes()
 }
 
-// DecodeStatsArgs parses StatsArgs. The event fields are optional on
-// the wire so a pre-events client's shorter record still decodes.
+// DecodeStatsArgs parses StatsArgs.
 func DecodeStatsArgs(b []byte) (StatsArgs, error) {
 	d := rpc.NewDecoder(b)
-	a := StatsArgs{TraceN: d.U32(), SpanTrace: d.U64(), SpanN: d.U32()}
-	if err := d.Err(); err != nil {
-		return a, err
-	}
-	if len(b) > 16 {
-		a.EventN = d.U32()
-		a.EventMin = d.U8()
-	}
+	a := StatsArgs{TraceN: d.U32(), SpanTrace: d.U64(), EventN: d.U32(), EventMin: d.U8()}
 	return a, d.Err()
 }
 

@@ -341,8 +341,6 @@ func (d *Drive) handleStats(req *rpc.Request) *rpc.Reply {
 		if len(sr.Spans) > telemetry.MaxTraceResponse {
 			sr.Spans = sr.Spans[:telemetry.MaxTraceResponse]
 		}
-	case a.SpanN > 0:
-		sr.Spans = d.tel.spans.Recent(statsN(a.SpanN), "")
 	case a.TraceN > 0:
 		sr.Spans = d.tel.spans.Recent(statsN(a.TraceN), telemetry.RequestSpanPrefix)
 	}

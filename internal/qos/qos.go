@@ -285,9 +285,11 @@ func (c *Controller) noteAdmitted(t *tenant, now time.Time) {
 // Handle implements rpc.Handler. Unclassified (control-plane) requests
 // bypass admission; everything else is rate-checked, deadline-checked,
 // and run on the calling rpc worker in a slot, fair-queueing until a
-// finishing request hands it one — which is exactly the backpressure
-// that fills the rpc pending queue and turns into wire-level
-// StatusRetryLater when the drive is saturated end to end.
+// finishing request hands it one. It is the only place the drive
+// answers StatusRetryLater: over-rate bucket, queue bound, deadline
+// shed and Close. A waiting request holds its rpc worker, so a
+// connection whose workers all wait backpressures through the
+// transport instead.
 func (c *Controller) Handle(req *rpc.Request) *rpc.Reply {
 	cls, ok := c.classify(req)
 	if !ok || cls.Tenant == "" {

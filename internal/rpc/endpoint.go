@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"nasd/internal/bufpool"
@@ -45,25 +44,6 @@ const DefaultWorkers = 4
 // ServerOption configures a Server.
 type ServerOption func(*Server)
 
-// WithQueue bounds the per-connection pending-request buffer: at most n
-// decoded requests may wait for a worker; a request arriving with the
-// buffer full is answered immediately with StatusRetryLater (and a
-// retry-after hint sized from the live service-time estimate) instead
-// of being buffered. n = 0 (the default) keeps the legacy behavior: the
-// pending buffer is as deep as the worker pool and a full buffer blocks
-// the connection's read loop, backpressuring through the transport.
-// Reject-on-full is the right edge behavior for a drive admitting
-// thousands of clients — a flooding tenant learns to back off from the
-// typed rejection instead of stalling frame decode for everyone
-// multiplexed on the connection.
-func WithQueue(n int) ServerOption {
-	return func(s *Server) {
-		if n > 0 {
-			s.queue = n
-		}
-	}
-}
-
 // WithMetrics makes the server publish its counters into reg instead of
 // a private registry, so a daemon can expose one merged registry for
 // the RPC plane and the drive behind it.
@@ -94,7 +74,6 @@ type procMetrics struct {
 type Server struct {
 	handler  Handler
 	workers  int
-	queue    int // pending-request cap per connection (0 = block at workers)
 	reg      *telemetry.Registry
 	procName func(uint16) string
 	wg       sync.WaitGroup
@@ -103,19 +82,11 @@ type Server struct {
 	conns    map[Conn]bool
 	closed   bool
 
-	// svcEWMA is a rough exponentially-weighted moving average of
-	// handler service time in nanoseconds, feeding the retry-after hint
-	// on queue-full rejections. Plain atomic load/store: concurrent
-	// updates may drop an observation, which a smoothing estimate
-	// tolerates by construction.
-	svcEWMA atomic.Int64
-
 	statConns    *telemetry.Gauge
 	statInFlight *telemetry.Gauge
 	statRequests *telemetry.Counter
 	statBytesIn  *telemetry.Counter
 	statBytesOut *telemetry.Counter
-	statRejected *telemetry.Counter
 
 	procMu sync.RWMutex
 	procs  map[uint16]*procMetrics
@@ -138,7 +109,6 @@ func NewServer(handler Handler, opts ...ServerOption) *Server {
 	s.statRequests = s.reg.Counter("rpc.server.requests")
 	s.statBytesIn = s.reg.Counter("rpc.server.bytes_in")
 	s.statBytesOut = s.reg.Counter("rpc.server.bytes_out")
-	s.statRejected = s.reg.Counter("rpc.server.rejected")
 	s.procs = make(map[uint16]*procMetrics)
 	return s
 }
@@ -217,6 +187,8 @@ type inbound struct {
 // serveConn decodes requests and feeds them to a bounded worker pool.
 // The queue is as deep as the pool, so a flooding client is
 // backpressured by the transport rather than buffering unboundedly.
+// The server never turns a request away: admission, shedding and
+// retry-after hints belong to the handler (the drive's qos plane).
 //
 // Frame lifecycle: the request's Cap/Args/Data alias the pooled
 // receive frame, which stays valid until the handler returns and its
@@ -225,11 +197,7 @@ type inbound struct {
 // want to keep past Handle's return — see the Handler contract.
 func (s *Server) serveConn(conn Conn) {
 	s.statConns.Add(1)
-	depth := s.workers
-	if s.queue > 0 {
-		depth = s.queue
-	}
-	reqs := make(chan inbound, depth)
+	reqs := make(chan inbound, s.workers)
 	var workers sync.WaitGroup
 	for i := 0; i < s.workers; i++ {
 		workers.Add(1)
@@ -246,9 +214,7 @@ func (s *Server) serveConn(conn Conn) {
 				// Traced requests leave an exemplar in their service-time
 				// bucket, so rpc.server.op.*.svc_ns tails link back to a
 				// resolvable trace just like the drive-level histograms.
-				svcNS := int64(time.Since(start))
-				pm.svc.ObserveTrace(svcNS, req.Trace.TraceID)
-				s.svcEWMA.Store(s.svcEWMA.Load() + (svcNS-s.svcEWMA.Load())/8)
+				pm.svc.ObserveTrace(int64(time.Since(start)), req.Trace.TraceID)
 				if reply == nil {
 					reply = Errorf(req.MsgID, StatusError, "handler returned no reply")
 				}
@@ -311,54 +277,8 @@ func (s *Server) serveConn(conn Conn) {
 		}
 		s.statRequests.Inc()
 		s.proc(req.Proc).bytesIn.Add(uint64(len(raw)))
-		in := inbound{req: req, frame: raw}
-		if s.queue <= 0 {
-			// Legacy flow control: a full pool stalls frame decode, and
-			// the transport backpressures the sender.
-			reqs <- in
-			continue
-		}
-		select {
-		case reqs <- in:
-		default:
-			// Pending cap hit: shed at the edge with a typed rejection
-			// instead of buffering without bound. The request never
-			// reached a handler, so any op can be safely reissued; the
-			// hint estimates when the backlog will have drained.
-			s.statRejected.Inc()
-			if err := s.sendReject(conn, req.MsgID, depth); err != nil {
-				bufpool.Put(raw)
-				return
-			}
-			bufpool.Put(raw)
-		}
+		reqs <- inbound{req: req, frame: raw}
 	}
-}
-
-// sendReject answers one over-cap request with StatusRetryLater. The
-// hint is the time a full pending buffer takes to drain through the
-// worker pool at the live service-time estimate, clamped to keep
-// pathological estimates from parking clients forever.
-func (s *Server) sendReject(conn Conn, msgID uint64, depth int) error {
-	svc := s.svcEWMA.Load()
-	hint := time.Duration(svc) * time.Duration(depth) / time.Duration(s.workers)
-	if hint < 500*time.Microsecond {
-		hint = 500 * time.Microsecond
-	}
-	if hint > 250*time.Millisecond {
-		hint = 250 * time.Millisecond
-	}
-	rep := RetryLater(msgID, hint, "server busy: %d requests pending on this connection", depth)
-	hdr := AppendReplyHeader(bufpool.Get(64+len(rep.Msg)+len(rep.Args)), rep)
-	err := conn.Send(hdr)
-	wireLen := uint64(len(hdr))
-	bufpool.Put(hdr)
-	if err != nil {
-		conn.Close()
-		return err
-	}
-	s.statBytesOut.Add(wireLen)
-	return nil
 }
 
 // Close closes all listeners and open connections, then waits for

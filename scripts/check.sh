@@ -30,7 +30,7 @@ fi
 echo "==> no deleted names in *.go, *.md, *.sh and *.yml"
 if grep -rnE --include='*.go' --include='*.md' --include='*.sh' --include='*.yml' \
     --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md --exclude=check.sh --exclude-dir=.git --exclude-dir=.bench_build \
-    'WithJournalBlocks|FormatStore|OpenStore|Stats\(\)\.Retries|nasdbench -(stats|chaos)([^-]|$)|nasdbench -workload (stats|parallel|smallobj)|BENCH_(stats|parallel|smallobj)|-stats-mb|-smallobj-objects|WithWorkers|AllDig|JournalEnabled|SetWriteThrough|SeqWriteJournalOff|JournalBlocks: -1|OpenWith' .; then
+    'WithJournalBlocks|FormatStore|OpenStore|Stats\(\)\.Retries|nasdbench -(stats|chaos)([^-]|$)|nasdbench -workload (stats|parallel|smallobj)|BENCH_(stats|parallel|smallobj)|-stats-mb|-smallobj-objects|WithWorkers|AllDig|JournalEnabled|SetWriteThrough|SeqWriteJournalOff|JournalBlocks: -1|OpenWith|WithQueue|rpc-queue|sendReject|svcEWMA|ServerMetrics|ServerSpans|WithWindow|WithFragmentSize' .; then
     echo "the names above no longer exist; describe what replaced them" >&2
     exit 1
 fi
