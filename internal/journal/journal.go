@@ -23,7 +23,8 @@ const (
 	// layout allocator (alloc, free, incref).
 	KindRefUpdate Kind = 1
 	// KindOnode carries an onode index plus the full encoded onode
-	// image about to be written in place.
+	// image about to be written in place, followed by the slot changes
+	// of the object's pointer blocks that the same commit makes.
 	KindOnode Kind = 2
 	// KindPartTable carries the full encoded partition table about to
 	// be written into the control object.
@@ -509,16 +510,15 @@ func DecodeRefUpdate(p []byte) (blocks []int64, refs []uint16, err error) {
 	return blocks, refs, nil
 }
 
-// EncodeOnode packs an onode index plus its encoded image into a
-// KindOnode payload.
-func EncodeOnode(idx uint32, image []byte) []byte {
-	buf := make([]byte, 4+len(image))
-	binary.LittleEndian.PutUint32(buf[0:], idx)
-	copy(buf[4:], image)
-	return buf
+// EncodeOnode appends to dst a KindOnode payload: an onode index plus
+// its encoded image. The layout appends the pointer-slot changes the
+// same commit carries after the image.
+func EncodeOnode(dst []byte, idx uint32, image []byte) []byte {
+	return append(binary.LittleEndian.AppendUint32(dst, idx), image...)
 }
 
-// DecodeOnode unpacks a KindOnode payload.
+// DecodeOnode unpacks a KindOnode payload: the index, and the image
+// with whatever followed it.
 func DecodeOnode(p []byte) (idx uint32, image []byte, err error) {
 	if len(p) < 4 {
 		return 0, nil, fmt.Errorf("journal: short onode payload")

@@ -28,7 +28,7 @@ func TestAppendCommitRecover(t *testing.T) {
 	dev, j := newJournal(t, 64)
 	var lsns []uint64
 	for i := 0; i < 5; i++ {
-		lsn, err := j.Append(KindOnode, EncodeOnode(uint32(i), bytes.Repeat([]byte{byte(i)}, 100)))
+		lsn, err := j.Append(KindOnode, EncodeOnode(nil, uint32(i), bytes.Repeat([]byte{byte(i)}, 100)))
 		if err != nil {
 			t.Fatalf("Append: %v", err)
 		}

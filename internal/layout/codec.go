@@ -124,3 +124,116 @@ func decodeOnode(b []byte) Onode {
 	o.Indirect2 = int64(le.Uint64(b[off+8:]))
 	return o
 }
+
+// Pointer-slot changes ride in the KindOnode record that commits them,
+// after the onode image: one section per pointer block the commit
+// changes,
+//
+//	blk   u64  the pointer block
+//	fresh u8   1: the block was born in this commit and starts zeroed
+//	runs  u32  how many runs follow
+//	run   first u32 | n u32 | val u64: slots first..first+n-1 take val,
+//	      val+1, ... (all zero when val is 0)
+//
+// Runs are what a write's allocation produces (consecutive slots naming
+// consecutive blocks) and what a truncate produces (a run of zeros), so
+// a section is a few dozen bytes whatever the write's length.
+const (
+	ptrSectionHeader = 8 + 1 + 4
+	ptrRunSize       = 4 + 4 + 8
+)
+
+// appendPtrSection appends the section that turns base into img, the
+// old and new images of pointer block blk (base nil: a fresh block,
+// zero before img). A block that did not change appends nothing.
+func appendPtrSection(p []byte, blk int64, base, img []byte) []byte {
+	le := binary.LittleEndian
+	slots := len(img) / 8
+	old := func(i int) uint64 {
+		if base == nil {
+			return 0
+		}
+		return le.Uint64(base[i*8:])
+	}
+	start := len(p)
+	p = le.AppendUint64(p, uint64(blk))
+	if base == nil {
+		p = append(p, 1)
+	} else {
+		p = append(p, 0)
+	}
+	p = le.AppendUint32(p, 0)
+	var runs uint32
+	for i := 0; i < slots; {
+		val := le.Uint64(img[i*8:])
+		if val == old(i) {
+			i++
+			continue
+		}
+		n := 1
+		for ; i+n < slots; n++ {
+			next, want := le.Uint64(img[(i+n)*8:]), uint64(0)
+			if val != 0 {
+				want = val + uint64(n)
+			}
+			if next != want {
+				break
+			}
+		}
+		p = le.AppendUint32(p, uint32(i))
+		p = le.AppendUint32(p, uint32(n))
+		p = le.AppendUint64(p, val)
+		runs++
+		i += n
+	}
+	if runs == 0 && base != nil {
+		return p[:start]
+	}
+	le.PutUint32(p[start+9:], runs)
+	return p
+}
+
+// eachPtrSection calls fn with each section of p, the pointer-slot part
+// of a KindOnode payload.
+func eachPtrSection(p []byte, fn func(blk int64, fresh bool, runs []byte) error) error {
+	le := binary.LittleEndian
+	for len(p) > 0 {
+		if len(p) < ptrSectionHeader {
+			return fmt.Errorf("layout: short pointer-slot section")
+		}
+		blk, fresh, n := int64(le.Uint64(p)), p[8] == 1, int(le.Uint32(p[9:]))
+		p = p[ptrSectionHeader:]
+		if n < 0 || n > len(p)/ptrRunSize {
+			return fmt.Errorf("layout: truncated pointer-slot section of block %d", blk)
+		}
+		if err := fn(blk, fresh, p[:n*ptrRunSize]); err != nil {
+			return err
+		}
+		p = p[n*ptrRunSize:]
+	}
+	return nil
+}
+
+// applyPtrRuns patches a section's runs onto img, zeroing it first for
+// a fresh block.
+func applyPtrRuns(img []byte, fresh bool, runs []byte) error {
+	le := binary.LittleEndian
+	if fresh {
+		clear(img)
+	}
+	slots := uint64(len(img) / 8)
+	for ; len(runs) >= ptrRunSize; runs = runs[ptrRunSize:] {
+		first, n, val := uint64(le.Uint32(runs)), uint64(le.Uint32(runs[4:])), le.Uint64(runs[8:])
+		if first+n > slots {
+			return fmt.Errorf("layout: pointer-slot run [%d,%d) past %d slots", first, first+n, slots)
+		}
+		for i := uint64(0); i < n; i++ {
+			v := uint64(0)
+			if val != 0 {
+				v = val + i
+			}
+			le.PutUint64(img[(first+i)*8:], v)
+		}
+	}
+	return nil
+}

@@ -60,11 +60,27 @@ func slotOnDevice(t *testing.T, dev blockdev.Device, blk, idx int64) int64 {
 	return int64(binary.LittleEndian.Uint64(buf[idx*8:]))
 }
 
+// commitAndSync persists o at a fresh onode slot, which commits the
+// pointer-slot changes its block-map updates made, and syncs, which
+// writes the pointer blocks in place.
+func commitAndSync(t *testing.T, s *Store, o *Onode) {
+	t.Helper()
+	idx, err := s.AllocOnode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustWriteOnode(t, s, idx, o)
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestExtentBMapAllocRange maps a range that runs from the direct slots
 // through the indirect block into two first-level blocks under the
-// double-indirect one. Every pointer block is written once for the whole
-// range, after the zeroing write of its birth, and the device then holds
-// the mapping the store reports.
+// double-indirect one. The range writes nothing to the device: its
+// pointer blocks are born and changed in the metadata cache, the onode
+// commit journals their slots, and the Sync after it writes each of them
+// once, after which the device holds the mapping the store reports.
 func TestExtentBMapAllocRange(t *testing.T) {
 	dev := newWriteLog(4096, 8192)
 	s, err := Format(dev, FormatOptions{})
@@ -72,7 +88,7 @@ func TestExtentBMapAllocRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := s.ptrsPerBlock
-	var o Onode
+	o := Onode{ObjectID: 5}
 	first, n := int64(NumDirect-4), int(4+p+p+8)
 	before := bufpool.Outstanding()
 	dev.reset()
@@ -86,6 +102,9 @@ func TestExtentBMapAllocRange(t *testing.T) {
 	if grew := bufpool.Outstanding() - before; grew != 4 { // the metadata cache's copies
 		t.Fatalf("pool outstanding grew by %d over a range with 4 pointer blocks: their images were not returned", grew)
 	}
+	if len(dev.written) != 0 {
+		t.Fatalf("the range wrote %v to the device before its onode was committed", dev.written)
+	}
 	seen := map[int64]bool{}
 	for i, b := range blks {
 		if got, err := s.BMap(&o, first+int64(i)); err != nil || got != b || seen[b] {
@@ -93,11 +112,12 @@ func TestExtentBMapAllocRange(t *testing.T) {
 		}
 		seen[b] = true
 	}
+	commitAndSync(t, s, &o)
 	l1a := slotOnDevice(t, dev, o.Indirect2, 0)
 	l1b := slotOnDevice(t, dev, o.Indirect2, 1)
 	for _, ptr := range []int64{o.Indirect, o.Indirect2, l1a, l1b} {
-		if ptr == 0 || dev.written[ptr] != 2 {
-			t.Fatalf("pointer block %d written %d times over one range, want the zeroing write and one more", ptr, dev.written[ptr])
+		if ptr == 0 || dev.written[ptr] != 1 {
+			t.Fatalf("pointer block %d written %d times over one range and its commit, want once, at the Sync", ptr, dev.written[ptr])
 		}
 	}
 	if got := slotOnDevice(t, dev, o.Indirect, p-1); got != blks[4+p-1] {
@@ -107,13 +127,22 @@ func TestExtentBMapAllocRange(t *testing.T) {
 		t.Fatalf("last mapped slot on the device = %d, want %d", got, blks[n-1])
 	}
 
-	// The one-block case issues the device writes it always did.
+	// The one-block case: no device write, then its pointer block once
+	// at the Sync after the commit.
 	dev.reset()
 	if _, err := s.BMapAlloc(&o, NumDirect+p+p+8, 0); err != nil {
 		t.Fatal(err)
 	}
-	if len(dev.written) != 1 || dev.written[l1b] != 1 {
-		t.Fatalf("one-block BMapAlloc wrote %v, want its pointer block once", dev.written)
+	if len(dev.written) != 0 {
+		t.Fatalf("one-block BMapAlloc wrote %v before its commit", dev.written)
+	}
+	mustWriteOnode(t, s, s.onodeIndex[o.ObjectID], &o)
+	dev.reset()
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if dev.written[l1b] != 1 || dev.written[o.Indirect] != 0 {
+		t.Fatalf("the Sync after a one-block BMapAlloc wrote %v, want its pointer block once", dev.written)
 	}
 
 	// A copy-on-write version mapping the same range unshares every data
@@ -143,8 +172,8 @@ func walked(t *testing.T, s *Store, o *Onode) (n int64) {
 
 // TestExtentBMapAllocRangeOutOfSpace: when the allocator runs dry in the
 // middle of a range, the mapped prefix is returned with the error and
-// its pointer block has still been written, so an onode persisted next
-// points at nothing that was not issued.
+// its pointer-slot changes still ride in the onode persisted next, so
+// that onode points at nothing its commit does not carry.
 func TestExtentBMapAllocRangeOutOfSpace(t *testing.T) {
 	dev := newWriteLog(4096, 512)
 	s, err := Format(dev, FormatOptions{})
@@ -154,7 +183,7 @@ func TestExtentBMapAllocRangeOutOfSpace(t *testing.T) {
 	if _, err := s.Alloc(int(s.FreeBlocks())-30, 0); err != nil { // leave 30 blocks
 		t.Fatal(err)
 	}
-	var o Onode
+	o := Onode{ObjectID: 5}
 	blks, gained, err := s.BMapAllocRange(&o, 0, 40, 0)
 	if !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("range of 40 blocks on 30 free: %v, want ErrNoSpace", err)
@@ -165,6 +194,7 @@ func TestExtentBMapAllocRangeOutOfSpace(t *testing.T) {
 	if len(blks) != 29 || s.FreeBlocks() != 0 { // 29 data blocks and the indirect block
 		t.Fatalf("mapped %d blocks with %d left free, want 29 and 0", len(blks), s.FreeBlocks())
 	}
+	commitAndSync(t, s, &o)
 	for i := NumDirect; i < len(blks); i++ {
 		if got := slotOnDevice(t, dev, o.Indirect, int64(i-NumDirect)); got != blks[i] {
 			t.Fatalf("slot of file block %d on the device = %d, want %d", i, got, blks[i])
@@ -231,11 +261,12 @@ func TestForEachBlockReadsEachPointerBlockOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := s.ptrsPerBlock
-	var o Onode
+	o := Onode{ObjectID: 5}
 	n := int(NumDirect + p + p + 3) // the indirect block, the double-indirect one, two below it
 	if _, _, err := s.BMapAllocRange(&o, 0, n, 0); err != nil {
 		t.Fatal(err)
 	}
+	commitAndSync(t, s, &o)
 	buf := make([]byte, 512)
 	if err := dev.ReadBlock(o.Indirect, buf); err != nil {
 		t.Fatal(err)

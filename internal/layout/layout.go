@@ -136,7 +136,7 @@ const onodeStripes = 16
 // mutex (mu) held only across in-memory bitmap/metadata mutations,
 // and onode-table device blocks by per-block stripe locks. Pointer
 // (indirect) blocks carry no lock here — exclusively-owned pointer
-// blocks are only ever written under their object's exclusive lock in
+// blocks are only ever changed under their object's exclusive lock in
 // the layer above, and copy-on-write-shared pointer blocks are read-
 // only until unshared. In the object store's lock hierarchy this
 // package is the bottom layer (object → partition → cache → layout).
@@ -175,16 +175,11 @@ type Store struct {
 	devReads atomic.Int64
 
 	// meta caches onode and pointer blocks so the block-map walk does
-	// not pay one media read per data block, and holds the onode blocks
-	// awaiting write-back (metacache.go documents the coherence rules).
-	// wbmu makes flushDevice one at a time.
+	// not pay one media read per data block, and holds the metadata
+	// blocks awaiting write-back (metacache.go documents the coherence
+	// rules). wbmu makes flushDevice one at a time.
 	meta *metaCache
 	wbmu sync.Mutex
-
-	// ptrWritten is set by an in-place pointer-block write and cleared
-	// by the next onode commit, whose flush carries the block to the
-	// medium. While it is set an unchanged onode is committed too.
-	ptrWritten atomic.Bool
 }
 
 // FormatOptions controls Format.
@@ -312,8 +307,9 @@ func Format(dev blockdev.Device, opts FormatOptions) (*Store, error) {
 // Open reads an existing layout from dev, whose superblock must
 // describe a journaled volume that fits the device. It first recovers
 // the write-ahead journal: committed onode records are patched onto the
-// device before the onode scan, committed refcount updates are replayed
-// over the loaded allocator state, and object-layer records (partition
+// device before the onode scan and the pointer-slot changes they carry
+// after it (replayPtrs), committed refcount updates are replayed over
+// the loaded allocator state, and object-layer records (partition
 // table, needle segment tables) are retained for RecoveredRecords. The
 // caller finishes recovery by making the replayed state durable (Sync)
 // and calling JournalReset.
@@ -348,13 +344,18 @@ func Open(dev blockdev.Device, opts OpenOptions) (*Store, error) {
 	}
 	s.jnl, s.recStats = j, st
 	var refRecs []journal.Record
+	var ptrRecs [][]byte
 	for _, r := range recs {
 		switch r.Kind {
 		case journal.KindOnode:
 			// Patch the image onto the device now, before the onode
 			// scan below builds the index from it.
-			if err := s.replayOnode(r); err != nil {
+			ptrs, err := s.replayOnode(r)
+			if err != nil {
 				return nil, err
+			}
+			if len(ptrs) > 0 {
+				ptrRecs = append(ptrRecs, ptrs)
 			}
 			j.Applied(r.LSN)
 		case journal.KindRefUpdate:
@@ -394,7 +395,9 @@ func Open(dev blockdev.Device, opts OpenOptions) (*Store, error) {
 			s.freeCount++
 		}
 	}
-	// Scan onode table to build the index and free list.
+	// Scan onode table to build the index and free list, noting the
+	// pointer-block roots when there are pointer slots to replay.
+	var roots, roots2 []int64
 	onodesPerBlock := bs / OnodeSize
 	for blk := int64(0); blk < sb.OnodeBlocks; blk++ {
 		if err := dev.ReadBlock(sb.OnodeStart+blk, buf); err != nil {
@@ -408,6 +411,10 @@ func Open(dev blockdev.Device, opts OpenOptions) (*Store, error) {
 			o := decodeOnode(buf[j*OnodeSize : (j+1)*OnodeSize])
 			if o.Allocated() {
 				s.onodeIndex[o.ObjectID] = idx
+				if len(ptrRecs) > 0 {
+					roots = append(roots, o.Indirect, o.Indirect2)
+					roots2 = append(roots2, o.Indirect2)
+				}
 			} else {
 				s.freeOnodes = append(s.freeOnodes, idx)
 			}
@@ -417,38 +424,106 @@ func Open(dev blockdev.Device, opts OpenOptions) (*Store, error) {
 	for i, j := 0, len(s.freeOnodes)-1; i < j; i, j = i+1, j-1 {
 		s.freeOnodes[i], s.freeOnodes[j] = s.freeOnodes[j], s.freeOnodes[i]
 	}
+	if err := s.replayPtrs(ptrRecs, roots, roots2); err != nil {
+		return nil, err
+	}
 	return s, nil
 }
 
 // replayOnode writes a recovered onode image back to its slot on the
 // device (the committed intent whose in-place write may have been
-// lost or torn by the crash).
-func (s *Store) replayOnode(r journal.Record) error {
-	idx32, image, err := journal.DecodeOnode(r.Payload)
+// lost or torn by the crash) and returns the pointer-slot sections the
+// record carries after the image.
+func (s *Store) replayOnode(r journal.Record) ([]byte, error) {
+	idx32, body, err := journal.DecodeOnode(r.Payload)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	idx := int64(idx32)
-	if idx < 0 || idx >= s.sb.OnodeCount || len(image) != OnodeSize {
-		return fmt.Errorf("layout: journal onode record out of range (idx %d)", idx)
+	if idx < 0 || idx >= s.sb.OnodeCount || len(body) < OnodeSize {
+		return nil, fmt.Errorf("layout: journal onode record out of range (idx %d)", idx)
 	}
 	bs := int64(s.sb.BlockSize)
 	per := bs / OnodeSize
 	blk := s.sb.OnodeStart + idx/per
 	buf := make([]byte, bs)
 	if err := s.dev.ReadBlock(blk, buf); err != nil {
-		return err
+		return nil, err
 	}
 	off := (idx % per) * OnodeSize
-	copy(buf[off:off+OnodeSize], image)
+	copy(buf[off:off+OnodeSize], body[:OnodeSize])
 	s.meta.invalidate(blk)
-	return s.dev.WriteBlock(blk, buf)
+	return body[OnodeSize:], s.dev.WriteBlock(blk, buf)
+}
+
+// replayPtrs patches the pointer-slot sections of the replayed onode
+// records (recs, in LSN order) onto the blocks they name and writes
+// them back. Only a block that is a pointer block of a live object once
+// the onodes are replayed is patched: an indirect or double-indirect
+// block of an allocated onode (roots, with the double-indirect ones in
+// roots2), or a first-level block a double-indirect one names. Any other
+// block a section names was freed after the section committed and may
+// hold anything now, another object's data included.
+func (s *Store) replayPtrs(recs [][]byte, roots, roots2 []int64) error {
+	if len(recs) == 0 {
+		return nil
+	}
+	type change struct {
+		fresh bool
+		runs  []byte
+	}
+	changes := make(map[int64][]change)
+	for _, p := range recs {
+		if err := eachPtrSection(p, func(blk int64, fresh bool, runs []byte) error {
+			changes[blk] = append(changes[blk], change{fresh, runs})
+			return nil
+		}); err != nil {
+			return err
+		}
+	}
+	buf := make([]byte, s.sb.BlockSize)
+	patch := func(blk int64) error {
+		cs, ok := changes[blk]
+		if !ok || s.clampPtr(blk) == 0 {
+			return nil
+		}
+		delete(changes, blk)
+		if err := s.dev.ReadBlock(blk, buf); err != nil {
+			return err
+		}
+		for _, c := range cs {
+			if err := applyPtrRuns(buf, c.fresh, c.runs); err != nil {
+				return err
+			}
+		}
+		return s.dev.WriteBlock(blk, buf)
+	}
+	for _, blk := range roots {
+		if err := patch(blk); err != nil {
+			return err
+		}
+	}
+	l1 := make([]byte, s.sb.BlockSize)
+	for _, blk := range roots2 {
+		if s.clampPtr(blk) == 0 {
+			continue
+		}
+		if err := s.dev.ReadBlock(blk, l1); err != nil {
+			return err
+		}
+		for i := 0; i < len(l1); i += 8 {
+			if err := patch(int64(binary.LittleEndian.Uint64(l1[i:]))); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // --- Journal ----------------------------------------------------------
 
 // journalAppend appends an intent record. A full journal is made room
-// in: the dirty onode blocks are written back and the device flushed
+// in: the dirty metadata blocks are written back and the device flushed
 // (which makes every issued in-place effect durable), then the applied
 // records are compacted away and the record committed in one step.
 func (s *Store) journalAppend(kind journal.Kind, payload []byte) (uint64, error) {
@@ -634,9 +709,21 @@ func (s *Store) Free(blk int64) error {
 	if s.ref[blk] == 0 {
 		// A fully freed block may be reallocated for anything (data or
 		// metadata); a cached metadata copy must not outlive it.
-		s.meta.invalidate(blk)
+		return s.releaseMeta(blk)
 	}
 	return nil
+}
+
+// releaseMeta drops a freed block from the metadata cache. A dirty one
+// is written in place first (metaCache.release), with write-backs held
+// off, so that none writes its image after it is reallocated.
+func (s *Store) releaseMeta(blk int64) error {
+	if s.meta.dropClean(blk) {
+		return nil
+	}
+	s.wbmu.Lock()
+	defer s.wbmu.Unlock()
+	return s.meta.release(blk, func(img []byte) error { return s.dev.WriteBlock(blk, img) })
 }
 
 // RefCount returns a block's reference count.
@@ -697,13 +784,15 @@ func (s *Store) ReadOnode(idx int64) (o Onode, err error) {
 }
 
 // WriteOnode stores o at idx and maintains the object ID index. Writing
-// a zero ObjectID releases the slot, writing the image the slot already
-// holds does nothing. The stripe lock makes the read-modify-write of the
-// shared onode block atomic against writers of neighboring onodes. The
-// new image is committed to the write-ahead journal (one journal write,
-// one device flush) and the block turns dirty in the metadata cache;
-// flushDevice writes it in place, and a crash before then is repaired by
-// replay at the next mount.
+// a zero ObjectID releases the slot. The stripe lock makes the
+// read-modify-write of the shared onode block atomic against writers of
+// neighboring onodes. The new image is committed to the write-ahead
+// journal (one journal write, one device flush) in one record with the
+// pointer-slot changes the object's block-map updates have made since
+// its last commit; the onode block and those pointer blocks turn dirty
+// in the metadata cache, flushDevice writes them in place, and a crash
+// before then is repaired by replay at the next mount. Writing the image
+// the slot already holds, with no pointer slots changed, does nothing.
 func (s *Store) WriteOnode(idx int64, o *Onode) error {
 	if idx < 0 || idx >= s.sb.OnodeCount {
 		return ErrBadOnode
@@ -721,21 +810,27 @@ func (s *Store) WriteOnode(idx int64, o *Onode) error {
 	}
 	slot := buf[(idx%per)*OnodeSize:][:OnodeSize]
 	prev := decodeOnode(slot)
+	owner := o.ObjectID
+	if owner == 0 {
+		owner = prev.ObjectID
+	}
+	encodeOnode(slot, o)
+	pooled := bufpool.Get(2 * OnodeSize)
+	defer bufpool.Put(pooled)
+	rec, ptrs := s.meta.appendSlots(journal.EncodeOnode(pooled[:0], uint32(idx), slot), owner)
 	// The codec is one to one: equal onodes are equal images. One whose
-	// write changed a pointer block is committed all the same (a
+	// object changed a pointer block is committed all the same (a
 	// pipelined fragment filling a hole below the size a later one set).
-	if prev == *o && !s.ptrWritten.Load() {
+	if prev == *o && !ptrs {
 		l.Unlock()
 		return nil
 	}
-	encodeOnode(slot, o)
-	lsn, err := s.journalAppend(journal.KindOnode, journal.EncodeOnode(uint32(idx), slot))
+	lsn, err := s.journalAppend(journal.KindOnode, rec)
 	if err == nil {
 		err = s.jnl.Commit(lsn)
 	}
 	if err == nil {
-		s.meta.fill(blk, buf, lsn)
-		s.ptrWritten.Store(false)
+		s.meta.commit(blk, buf, lsn, owner)
 	}
 	l.Unlock()
 	if err != nil {
@@ -754,10 +849,11 @@ func (s *Store) WriteOnode(idx int64, o *Onode) error {
 	return nil
 }
 
-// flushDevice writes the dirty onode-table blocks in place (ascending,
-// consecutive blocks in one ranged call), flushes the device, and only
-// then marks the records they carried applied, so that a Checkpoint may
-// drop them. On an error they stay dirty and unapplied.
+// flushDevice writes the dirty metadata blocks, onode table and pointer
+// blocks, in place (ascending, consecutive blocks in one ranged call),
+// flushes the device, and only then marks the records they carried
+// applied, so that a Checkpoint may drop them. On an error they stay
+// dirty and unapplied.
 func (s *Store) flushDevice() error {
 	s.wbmu.Lock()
 	defer s.wbmu.Unlock()
@@ -843,9 +939,7 @@ func (s *Store) BMap(o *Onode, fileBlock int64) (int64, error) {
 
 // BMapAlloc is the one-block case of BMapAllocRange.
 func (s *Store) BMapAlloc(o *Onode, fileBlock int64, hint int64) (int64, error) {
-	var pb ptrBatch
-	blk, err := s.mapAlloc(&pb, o, fileBlock, hint)
-	return blk, s.flushPtrs(pb, err)
+	return s.mapAlloc(&mapUpdate{owner: o.ObjectID}, o, fileBlock, hint)
 }
 
 // BMapAllocRange resolves the n object-relative blocks from fileBlock
@@ -854,67 +948,79 @@ func (s *Store) BMapAlloc(o *Onode, fileBlock int64, hint int64) (int64, error) 
 // count above one is replaced by a private copy before it can be
 // written. The first block is allocated near hint, each later one after
 // its predecessor. The onode is updated in memory; callers persist it
-// with WriteOnode, by when each pointer block the range touched has been
-// written, once (ptrBatch). The returned physical blocks are safe to
+// with WriteOnode, whose journal record carries the pointer-slot changes
+// the range made (mapUpdate). The returned physical blocks are safe to
 // overwrite; with an error they are the prefix that was mapped. gained
 // is how many block references the object gained, error or not: a hole
 // filled or a pointer block born counts one, a block unshared replaces
 // one reference with another and counts none. It is what ForEachBlock
 // visits more than before the call, without the walk.
 func (s *Store) BMapAllocRange(o *Onode, fileBlock int64, n int, hint int64) (phys []int64, gained int64, err error) {
-	pb := ptrBatch{gained: -o.held()}
+	u := mapUpdate{owner: o.ObjectID, gained: -o.held()}
 	out := make([]int64, n)
 	for i := range out {
-		blk, err := s.mapAlloc(&pb, o, fileBlock+int64(i), hint)
+		blk, err := s.mapAlloc(&u, o, fileBlock+int64(i), hint)
 		if err != nil {
-			return out[:i], pb.gained + o.held(), s.flushPtrs(pb, err)
+			return out[:i], u.gained + o.held(), err
 		}
 		out[i], hint = blk, blk+1
 	}
-	return out, pb.gained + o.held(), s.flushPtrs(pb, nil)
+	return out, u.gained + o.held(), nil
 }
 
-func (s *Store) mapAlloc(pb *ptrBatch, o *Onode, fileBlock int64, hint int64) (int64, error) {
+// mapUpdate is one block-map update in progress (the range of a write,
+// an unmap). It changes pointer blocks in the metadata cache only, as
+// the changes of owner, the object updated: they stay there, open,
+// until owner's next WriteOnode commits them with its onode, and reach
+// the device at the flush after that (metacache.go). The blocks belong
+// to owner, locked exclusively above: nobody reads them in between.
+type mapUpdate struct {
+	owner  uint64
+	gained int64 // references stored into pointer-block slots that held none
+}
+
+func (s *Store) mapAlloc(u *mapUpdate, o *Onode, fileBlock int64, hint int64) (int64, error) {
 	p := s.ptrsPerBlock
 	switch {
 	case fileBlock < 0:
 		return 0, fmt.Errorf("layout: negative file block %d", fileBlock)
 	case fileBlock < NumDirect:
-		blk, err := s.allocOrUnshare(o.Direct[fileBlock], hint, s.dataIO)
+		blk, err := s.allocOrUnshare(o.Direct[fileBlock], hint)
 		if err != nil {
 			return 0, err
 		}
 		o.Direct[fileBlock] = blk
 		return blk, nil
 	case fileBlock < NumDirect+p:
-		ind, err := s.ensurePtrBlock(&o.Indirect, hint)
+		ind, err := s.ensurePtrBlock(u, &o.Indirect, hint)
 		if err != nil {
 			return 0, err
 		}
-		return s.allocThroughPtr(pb, ind, fileBlock-NumDirect, hint)
+		return s.allocThroughPtr(u, ind, fileBlock-NumDirect, hint)
 	case fileBlock < NumDirect+p+p*p:
 		rel := fileBlock - NumDirect - p
-		ind2, err := s.ensurePtrBlock(&o.Indirect2, hint)
+		ind2, err := s.ensurePtrBlock(u, &o.Indirect2, hint)
 		if err != nil {
 			return 0, err
 		}
-		l1, err := s.getPtr(pb, ind2, rel/p)
+		l1, err := s.readPtr(ind2, rel/p)
 		if err != nil {
 			return 0, err
 		}
-		newL1, err := s.ensurePtrBlockAt(pb, ind2, rel/p, l1, hint)
+		newL1, err := s.ensurePtrBlockAt(u, ind2, rel/p, l1, hint)
 		if err != nil {
 			return 0, err
 		}
-		return s.allocThroughPtr(pb, newL1, rel%p, hint)
+		return s.allocThroughPtr(u, newL1, rel%p, hint)
 	default:
 		return 0, ErrTooBig
 	}
 }
 
-// allocOrUnshare returns cur if it is exclusively owned, otherwise a
-// fresh block (copying cur's contents through io when it was shared).
-func (s *Store) allocOrUnshare(cur int64, hint int64, io BlockIO) (int64, error) {
+// allocOrUnshare returns data block cur if it is exclusively owned,
+// otherwise a fresh block (copying cur's contents through the data IO
+// path when it was shared).
+func (s *Store) allocOrUnshare(cur int64, hint int64) (int64, error) {
 	if cur != 0 && s.RefCount(cur) == 1 {
 		return cur, nil
 	}
@@ -926,11 +1032,11 @@ func (s *Store) allocOrUnshare(cur int64, hint int64, io BlockIO) (int64, error)
 	if cur != 0 {
 		// Shared: copy old contents, drop our reference to the old block.
 		buf := make([]byte, s.sb.BlockSize)
-		if err := io.ReadBlock(cur, buf); err != nil {
+		if err := s.dataIO.ReadBlock(cur, buf); err != nil {
 			_ = s.Free(nb)
 			return 0, err
 		}
-		if err := io.WriteBlock(nb, buf); err != nil {
+		if err := s.dataIO.WriteBlock(nb, buf); err != nil {
 			_ = s.Free(nb)
 			return 0, err
 		}
@@ -942,42 +1048,47 @@ func (s *Store) allocOrUnshare(cur int64, hint int64, io BlockIO) (int64, error)
 }
 
 // ensurePtrBlock makes *slot point to an exclusively-owned pointer
-// block, allocating or copying as needed. Pointer blocks move through
-// the raw device, never the data IO path.
-func (s *Store) ensurePtrBlock(slot *int64, hint int64) (int64, error) {
+// block: cur if it is one, else a fresh block that starts zeroed or, for
+// a copy-on-write shared cur, as a copy of its image. The new block is
+// born in the metadata cache (metaCache.born) and is first written at
+// the flush after the commit that makes it reachable.
+func (s *Store) ensurePtrBlock(u *mapUpdate, slot *int64, hint int64) (int64, error) {
 	cur := *slot
 	if cur != 0 && s.RefCount(cur) == 1 {
 		return cur, nil
 	}
-	nb, err := s.allocOrUnshare(cur, hint, s.dev)
+	blks, err := s.Alloc(1, hint)
 	if err != nil {
 		return 0, err
 	}
-	// nb's device content just changed outside the usual write paths
-	// (zeroed below, or the unshare copy inside allocOrUnshare); drop
-	// any entry a prior life of this block left behind.
-	s.meta.invalidate(nb)
-	if cur == 0 {
-		// Fresh pointer block must start zeroed.
-		if err := s.dev.WriteBlock(nb, make([]byte, s.sb.BlockSize)); err != nil {
+	nb := blks[0]
+	img := bufpool.Get(int(s.sb.BlockSize))
+	defer bufpool.Put(img)
+	clear(img)
+	if cur != 0 {
+		if err := s.viewMeta(cur, func(b []byte) { copy(img, b) }); err != nil {
 			_ = s.Free(nb)
 			return 0, err
 		}
+		if err := s.Free(cur); err != nil {
+			return 0, err
+		}
 	}
+	s.meta.born(nb, u.owner, img)
 	*slot = nb
 	return nb, nil
 }
 
 // ensurePtrBlockAt is ensurePtrBlock for a slot stored inside pointer
 // block parent at index idx.
-func (s *Store) ensurePtrBlockAt(pb *ptrBatch, parent int64, idx int64, cur int64, hint int64) (int64, error) {
+func (s *Store) ensurePtrBlockAt(u *mapUpdate, parent int64, idx int64, cur int64, hint int64) (int64, error) {
 	slot := cur
-	nb, err := s.ensurePtrBlock(&slot, hint)
+	nb, err := s.ensurePtrBlock(u, &slot, hint)
 	if err != nil {
 		return 0, err
 	}
 	if nb != cur {
-		if err := s.setPtr(pb, parent, idx, nb); err != nil {
+		if err := s.setPtr(u, parent, idx, nb); err != nil {
 			return 0, err
 		}
 	}
@@ -986,17 +1097,17 @@ func (s *Store) ensurePtrBlockAt(pb *ptrBatch, parent int64, idx int64, cur int6
 
 // allocThroughPtr ensures the data block at index idx of pointer block
 // ptrBlk exists and is exclusively owned.
-func (s *Store) allocThroughPtr(pb *ptrBatch, ptrBlk int64, idx int64, hint int64) (int64, error) {
-	cur, err := s.getPtr(pb, ptrBlk, idx)
+func (s *Store) allocThroughPtr(u *mapUpdate, ptrBlk int64, idx int64, hint int64) (int64, error) {
+	cur, err := s.readPtr(ptrBlk, idx)
 	if err != nil {
 		return 0, err
 	}
-	nb, err := s.allocOrUnshare(cur, hint, s.dataIO)
+	nb, err := s.allocOrUnshare(cur, hint)
 	if err != nil {
 		return 0, err
 	}
 	if nb != cur {
-		if err := s.setPtr(pb, ptrBlk, idx, nb); err != nil {
+		if err := s.setPtr(u, ptrBlk, idx, nb); err != nil {
 			return 0, err
 		}
 	}
@@ -1007,10 +1118,11 @@ func (s *Store) allocThroughPtr(pb *ptrBatch, ptrBlk int64, idx int64, hint int6
 // block loses one reference and the pointer slot is zeroed. Shared
 // pointer blocks along the path are unshared first so a copy-on-write
 // sibling's mapping is untouched. It reports the physical block that
-// was unmapped (0 if the block was a hole). Truncation uses this.
+// was unmapped (0 if the block was a hole). Truncation uses this; like
+// BMapAllocRange, its pointer-slot changes ride in the object's next
+// WriteOnode.
 func (s *Store) UnmapBlock(o *Onode, fileBlock int64) (phys int64, err error) {
-	var pb ptrBatch
-	defer func() { err = s.flushPtrs(pb, err) }()
+	u := mapUpdate{owner: o.ObjectID}
 	p := s.ptrsPerBlock
 	switch {
 	case fileBlock < 0:
@@ -1034,14 +1146,14 @@ func (s *Store) UnmapBlock(o *Onode, fileBlock int64) (phys int64, err error) {
 		if err != nil || cur == 0 {
 			return 0, err
 		}
-		ind, err := s.ensurePtrBlock(&o.Indirect, 0)
+		ind, err := s.ensurePtrBlock(&u, &o.Indirect, 0)
 		if err != nil {
 			return 0, err
 		}
 		if err := s.Free(cur); err != nil {
 			return 0, err
 		}
-		if err := s.setPtr(&pb, ind, idx, 0); err != nil {
+		if err := s.setPtr(&u, ind, idx, 0); err != nil {
 			return 0, err
 		}
 		return cur, nil
@@ -1058,18 +1170,18 @@ func (s *Store) UnmapBlock(o *Onode, fileBlock int64) (phys int64, err error) {
 		if err != nil || cur == 0 {
 			return 0, err
 		}
-		ind2, err := s.ensurePtrBlock(&o.Indirect2, 0)
+		ind2, err := s.ensurePtrBlock(&u, &o.Indirect2, 0)
 		if err != nil {
 			return 0, err
 		}
-		newL1, err := s.ensurePtrBlockAt(&pb, ind2, rel/p, l1, 0)
+		newL1, err := s.ensurePtrBlockAt(&u, ind2, rel/p, l1, 0)
 		if err != nil {
 			return 0, err
 		}
 		if err := s.Free(cur); err != nil {
 			return 0, err
 		}
-		if err := s.setPtr(&pb, newL1, rel%p, 0); err != nil {
+		if err := s.setPtr(&u, newL1, rel%p, 0); err != nil {
 			return 0, err
 		}
 		return cur, nil
@@ -1084,11 +1196,11 @@ func (s *Store) readPtr(blk int64, idx int64) (v int64, err error) {
 }
 
 // clampPtr turns a wild pointer into a hole: a legitimate one is zero
-// (hole) or a data-region block. Pointer blocks are not write-ahead
-// journaled, so after a crash one can hold stale or torn content;
-// clamping keeps every traversal (BMap, ForEachBlock, recovery) from
-// wandering out of the volume. Affected objects were dirty at the crash
-// and read zeros, which the durability contract allows.
+// (hole) or a data-region block. Pointer blocks are journaled, but a
+// copy-on-write copy or a first-level block can be named before any
+// image of it is durable, and a torn in-place write can leave one half
+// old; clamping keeps every traversal (BMap, ForEachBlock, recovery)
+// from wandering out of the volume.
 func (s *Store) clampPtr(v int64) int64 {
 	if v < s.sb.DataStart || v >= s.sb.TotalBlocks {
 		return 0
@@ -1100,55 +1212,23 @@ func (s *Store) clampPtr(v int64) int64 {
 // metadata (onode and pointer blocks) since the store was opened.
 func (s *Store) DevReads() int64 { return s.devReads.Load() }
 
-// ptrBatch holds the pointer blocks one block-map update (the range of
-// a write, an unmap) has changed. Each is read once, updated in memory
-// and written to the device once, by flushPtrs: after its last update
-// and, as callers persist the onode afterwards, before the onode record
-// that makes the new mapping reachable is committed. The blocks belong
-// to one object, locked exclusively above: nobody reads them in between.
-type ptrBatch struct {
-	blocks []ptrBlock
-	gained int64 // references stored into pointer-block slots that held none
-}
-
-type ptrBlock struct {
-	blk int64
-	buf []byte // pooled
-}
-
-func (pb ptrBatch) find(blk int64) []byte {
-	for _, e := range pb.blocks {
-		if e.blk == blk {
-			return e.buf
-		}
-	}
-	return nil
-}
-
-// getPtr is readPtr during an update: a block changed in pb is read there.
-func (s *Store) getPtr(pb *ptrBatch, blk int64, idx int64) (int64, error) {
-	if buf := pb.find(blk); buf != nil {
-		return s.clampPtr(int64(binary.LittleEndian.Uint64(buf[idx*8:]))), nil
-	}
-	return s.readPtr(blk, idx)
-}
-
-// setPtr sets slot idx of pointer block blk in pb, loading the block on
-// its first change.
-func (s *Store) setPtr(pb *ptrBatch, blk int64, idx int64, v int64) error {
-	buf := pb.find(blk)
-	if buf == nil {
-		buf = bufpool.Get(int(s.sb.BlockSize))
-		if err := s.viewMeta(blk, func(b []byte) { copy(buf, b) }); err != nil {
-			bufpool.Put(buf)
+// setPtr stores v in slot idx of pointer block blk, an exclusively
+// owned block of u's object, in the metadata cache, loading the block
+// from the device if it is not resident (metaCache.setSlot).
+func (s *Store) setPtr(u *mapUpdate, blk int64, idx int64, v int64) error {
+	old, ok := s.meta.setSlot(blk, idx, v, u.owner, nil)
+	if !ok {
+		buf := bufpool.Get(int(s.sb.BlockSize))
+		defer bufpool.Put(buf)
+		s.devReads.Add(1)
+		if err := s.dev.ReadBlock(blk, buf); err != nil {
 			return err
 		}
-		pb.blocks = append(pb.blocks, ptrBlock{blk, buf})
+		old, _ = s.meta.setSlot(blk, idx, v, u.owner, buf)
 	}
-	if v != 0 && s.clampPtr(int64(binary.LittleEndian.Uint64(buf[idx*8:]))) == 0 {
-		pb.gained++
+	if v != 0 && s.clampPtr(old) == 0 {
+		u.gained++
 	}
-	binary.LittleEndian.PutUint64(buf[idx*8:], uint64(v))
 	return nil
 }
 
@@ -1168,25 +1248,6 @@ func (s *Store) viewMeta(blk int64, fn func(b []byte)) error {
 	s.meta.fill(blk, buf, 0)
 	fn(buf)
 	return nil
-}
-
-// flushPtrs writes every block of pb to the device, in the order they
-// were first changed. It returns err, or else its own first error, but
-// issues every block: mappings made before a failure must reach the
-// device with the onode that points at them.
-func (s *Store) flushPtrs(pb ptrBatch, err error) error {
-	for _, e := range pb.blocks {
-		s.ptrWritten.Store(true)
-		s.meta.fill(e.blk, e.buf, 0)
-		if werr := s.dev.WriteBlock(e.blk, e.buf); werr != nil {
-			s.meta.invalidate(e.blk) // the write may have partially applied
-			if err == nil {
-				err = werr
-			}
-		}
-		bufpool.Put(e.buf)
-	}
-	return err
 }
 
 // ForEachBlock calls fn for every physical block reachable from o,

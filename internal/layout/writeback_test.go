@@ -247,9 +247,9 @@ func TestMetaCacheKeepsDirtyEntries(t *testing.T) {
 // fills a hole through the indirect block (a pipelined fragment landing
 // below the size a later fragment already set) leaves the onode as it
 // was, and is committed all the same: what a write sends to the device
-// must not depend on the order its fragments arrive in, and the commit's
-// flush is what carries the pointer block. The next unchanged write,
-// with no pointer block written, commits nothing.
+// must not depend on the order its fragments arrive in, and the onode
+// record is what carries the pointer block's slots. The next unchanged
+// write, with no pointer slot changed, commits nothing.
 func TestWriteBackCommitsUnchangedOnodeAfterPointerWrite(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	s, err := Format(newWriteLog(4096, 8192), FormatOptions{Metrics: reg})

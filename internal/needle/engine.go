@@ -27,7 +27,10 @@ type Space interface {
 // the log to be reachable at all) and the index snapshot (restart
 // acceleration; losing it only costs a full log scan). SaveSegments
 // must be durable when it returns; SaveIndex may be buffered until the
-// store's next flush.
+// store's next flush. SaveIndex is called from Flush, but only once the
+// log has grown past the last snapshot by that snapshot's size: the
+// records appended since are the index's delta, and recovery replays
+// them by scanning the log past the snapshot.
 type Meta interface {
 	LoadSegments(part uint16) ([]byte, error)
 	SaveSegments(part uint16, data []byte) error
@@ -264,26 +267,29 @@ func (e *Engine) OpenLog(part uint16) (Stats, error) {
 	return st, nil
 }
 
-// readSegDeviceLocked reads [0, limit) of s straight from the device,
-// ignoring the pending buffer — recovery (which rebuilds pending) and
-// compaction (whose sources are sealed, fully flushed segments) use it.
-func (l *Log) readSegDeviceLocked(s *segment, limit int64) ([]byte, error) {
-	nb := (limit + l.e.bs - 1) / l.e.bs
+// readSegDeviceLocked reads the blocks of s that hold [from, limit)
+// straight from the device, ignoring the pending buffer — recovery
+// (which rebuilds pending) and compaction (whose sources are sealed,
+// fully flushed segments) use it. The result starts at base, the
+// segment offset of the block holding from.
+func (l *Log) readSegDeviceLocked(s *segment, from, limit int64) (raw []byte, base int64, err error) {
+	first, nb := from/l.e.bs, (limit+l.e.bs-1)/l.e.bs
 	// Not pooled: recovery retains views into the result (uninterpreted
 	// attributes decoded from records) beyond this call.
-	raw := make([]byte, nb*l.e.bs)
-	for i := int64(0); i < nb; {
+	raw = make([]byte, (nb-first)*l.e.bs)
+	for i := first; i < nb; {
 		// One device call per physically contiguous run.
 		run := int64(1)
 		for i+run < nb && s.blocks[i+run] == s.blocks[i]+run {
 			run++
 		}
-		if err := blockdev.ReadBlocks(l.e.cfg.Dev, s.blocks[i], raw[i*l.e.bs:(i+run)*l.e.bs]); err != nil {
-			return nil, err
+		if err := blockdev.ReadBlocks(l.e.cfg.Dev, s.blocks[i], raw[(i-first)*l.e.bs:(i-first+run)*l.e.bs]); err != nil {
+			return nil, 0, err
 		}
 		i += run
 	}
-	return raw[:limit], nil
+	base = first * l.e.bs
+	return raw[:limit-base], base, nil
 }
 
 // recoverLocked rebuilds the in-memory index. Records merge by LSN —
@@ -298,7 +304,9 @@ func (l *Log) recoverLocked() (Stats, error) {
 
 	var snap *idxSnapshot
 	if raw, err := l.e.cfg.Meta.LoadIndex(l.part); err == nil && len(raw) > 0 {
-		snap = decodeIndexSnapshot(raw, l.epoch)
+		if snap = decodeIndexSnapshot(raw, l.epoch); snap != nil {
+			l.snapBytes = int64(len(raw))
+		}
 	}
 
 	segBySeq := make(map[uint64]*segment, len(l.segs))
@@ -392,18 +400,20 @@ func (l *Log) recoverLocked() (Stats, error) {
 		if s == l.act {
 			limit = int64(len(s.blocks)) * l.e.bs
 		}
-		raw, err := l.readSegDeviceLocked(s, limit)
+		raw, base, err := l.readSegDeviceLocked(s, from, limit)
 		if err != nil {
 			return Stats{}, err
 		}
 		seg := s
-		end := scanRecords(raw, l.epoch, s.seq, from, func(off int64, r *record) {
-			merge(seg, off, r)
+		end := base + scanRecords(raw, l.epoch, s.seq, from-base, func(off int64, r *record) {
+			merge(seg, base+off, r)
 		})
+		// The bytes past the snapshot are the delta it lags the log by.
+		l.sinceSnap += end - from
 		if s == l.act {
 			s.written = end
 			l.flushed = end / l.e.bs * l.e.bs
-			l.pending = append([]byte(nil), raw[l.flushed:end]...)
+			l.pending = append([]byte(nil), raw[l.flushed-base:end-base]...)
 		}
 	}
 
@@ -675,10 +685,12 @@ func (e *Engine) List(part uint16) ([]uint64, error) {
 }
 
 // Flush makes every log durable: the active segment's partial tail
-// block goes to the device, a fresh index snapshot is written through
-// the Meta store, and the device's volatile write cache is drained.
-// Segment tables are already durable (saved at every roll and
-// compaction).
+// block goes to the device and the device's volatile write cache is
+// drained. Segment tables are already durable (saved at every roll and
+// compaction). A log that has grown past its index snapshot by the
+// snapshot's size also writes a fresh one through the Meta store, so a
+// flush costs the records appended since the last one, not the object
+// count, and recovery after it scans less log than it loads snapshot.
 func (e *Engine) Flush() error {
 	e.mu.Lock()
 	logs := make([]*Log, 0, len(e.logs))
@@ -807,7 +819,7 @@ func (e *Engine) compactLoop(l *Log) {
 // mid-way leaves duplicate records, which LSN-merge recovery resolves;
 // quota is only settled once src's blocks are actually returned.
 func (l *Log) compactSegmentLocked(src *segment) error {
-	raw, err := l.readSegDeviceLocked(src, src.written)
+	raw, _, err := l.readSegDeviceLocked(src, 0, src.written)
 	if err != nil {
 		return err
 	}

@@ -56,6 +56,15 @@ type Log struct {
 
 	index map[uint64]*entry
 
+	// snapBytes is the encoded size of the newest index snapshot and
+	// sinceSnap the log bytes appended after it (every record, the
+	// compaction copies too; recovery starts it at the bytes it scanned
+	// past the snapshot). Flush writes a fresh snapshot only once
+	// sinceSnap reaches snapBytes, so the log a recovery must scan stays
+	// smaller than the snapshot it loads, and snapshot writes cost at
+	// most one byte per log byte appended.
+	snapBytes, sinceSnap int64
+
 	compacting atomic.Bool
 
 	e *Engine
@@ -125,6 +134,7 @@ func (l *Log) appendLocked(r *record) (*segment, int64, error) {
 	l.pending = append(l.pending, r.encode()...)
 	l.act.written += need
 	l.act.live += need
+	l.sinceSnap += need
 	bs := l.e.bs
 	buf := make([]byte, bs)
 	for l.flushed+bs <= l.act.written {
@@ -338,7 +348,11 @@ func SegTableBlocks(data []byte) ([]int64, error) {
 // active segment's tail position and every segment's live-byte count.
 // Recovery seeds from it and then scans only records appended after it
 // (higher-seq segments, and the snapshot-time active segment past the
-// recorded tail). A missing or stale snapshot only costs scan time.
+// recorded tail). Every record carries its object, LSN, epoch, segment
+// stamp and attributes, so the log past the snapshot is the index's
+// delta: the snapshot may lag the log, and is rewritten only when that
+// lag reaches its own size. A missing or stale snapshot only costs scan
+// time.
 
 func (l *Log) encodeIndexSnapshot() []byte {
 	size := 4 + 4 + 8 + 8 + 8
@@ -485,6 +499,16 @@ func decodeIndexSnapshot(b []byte, epoch uint64) *idxSnapshot {
 	return snap
 }
 
+// saveIndexSnapshotLocked writes a fresh snapshot once the log has grown
+// past the last one by that snapshot's size (see Log.snapBytes).
 func (l *Log) saveIndexSnapshotLocked() error {
-	return l.e.cfg.Meta.SaveIndex(l.part, l.encodeIndexSnapshot())
+	if l.sinceSnap < l.snapBytes {
+		return nil
+	}
+	b := l.encodeIndexSnapshot()
+	if err := l.e.cfg.Meta.SaveIndex(l.part, b); err != nil {
+		return err
+	}
+	l.snapBytes, l.sinceSnap = int64(len(b)), 0
+	return nil
 }

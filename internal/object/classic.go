@@ -489,10 +489,10 @@ func (c *classicBackend) Write(part uint16, obj uint64, off uint64, data []byte)
 }
 
 // writeRange maps the block range of one write in a single pass
-// (layout.BMapAllocRange: each pointer block it touches is written
-// once) and hands the blocks to the cache. It reports the block
-// references the object gained, error or not. Caller holds the object's
-// exclusive lock and persists the onode.
+// (layout.BMapAllocRange, whose pointer-slot changes ride in the onode
+// record the caller commits) and hands the blocks to the cache. It
+// reports the block references the object gained, error or not. Caller
+// holds the object's exclusive lock and persists the onode.
 func (c *classicBackend) writeRange(o *layout.Onode, off uint64, data []byte) (gained int64, err error) {
 	if len(data) == 0 {
 		return 0, nil

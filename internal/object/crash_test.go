@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"nasd/internal/blockdev"
@@ -339,11 +340,13 @@ func TestCrashSweep(t *testing.T) {
 
 // TestCrashSweepIndirectAppend crashes the disk around one classic
 // append that crosses from the direct slots into the indirect block:
-// right after the write returns (no Flush), and at every persist step
-// inside it (the flush of its onode commit, which is what carries its
-// pointer block to the medium). The store must mount, the object must
-// read without error at its old or its new size, and a second
-// verification pass must find nothing left to repair.
+// right after the write returns (no Flush), at every persist step inside
+// it (its onode commit, whose record carries the pointer block's slots;
+// the block itself must not reach the medium before the record), and at
+// every persist step of the Flush after it, which writes the pointer
+// block in place. The store must mount, the object must read without
+// error at its old or its new size, and a second verification pass must
+// find nothing left to repair.
 func TestCrashSweepIndirectAppend(t *testing.T) {
 	old := bytes.Repeat([]byte{0xA1}, 4096)
 	added := bytes.Repeat([]byte{0xB2}, crashIndirectAppend)
@@ -368,11 +371,15 @@ func TestCrashSweepIndirectAppend(t *testing.T) {
 				t.Fatalf("crash@%d: append failed without a crash: %v", n, err)
 			}
 			if err == nil && n > 0 {
-				if steps := disk.Steps() - base; steps < 3 {
-					t.Fatalf("the append persisted only %d blocks: no pointer block reached the medium", steps)
+				if steps := disk.Steps() - base; steps < 2 || !pointerBlockUnwritten(t, s, inner, id) {
+					t.Fatalf("the append persisted %d blocks: want its journal record and not its pointer block", steps)
 				}
-				t.Logf("tear=%v: %d crash points in and after the append", tear, n)
-				break // every step of the write has been a crash point
+				if err = s.Flush(); err == nil {
+					t.Logf("tear=%v: %d crash points in and after the append and its flush", tear, n)
+					break // every step of the write and the flush has been a crash point
+				} else if !disk.Crashed() {
+					t.Fatalf("crash@%d: flush failed without a crash: %v", n, err)
+				}
 			}
 			disk.Crash()
 
@@ -394,6 +401,92 @@ func TestCrashSweepIndirectAppend(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestCrashSweepTruncateIndirect crashes the disk around one truncate
+// of a classic object whose tail sits under its indirect block, made
+// when the last Flush has left the journal empty: right after the
+// truncate returns, at every persist step inside it and at every step of
+// the Flush after it. The truncate zeroes pointer slots; were the
+// pointer block to reach the medium before the onode record that
+// carries them, a crash between the two would leave the volume looking
+// clean with its freed blocks still counted. Each seed destages the
+// Flush in another order, so four of them put the blocks in both orders.
+// The store must mount, the object must read its old bytes at its old
+// or its new size, and a second verification pass must find nothing
+// left to repair.
+func TestCrashSweepTruncateIndirect(t *testing.T) {
+	old := pattern(3, (layout.NumDirect+8)*512)
+	newSize := (layout.NumDirect+2)*512 + 100
+	for seed := int64(1); seed <= 4; seed++ {
+		for _, tear := range []bool{false, true} {
+			crashTruncateIndirect(t, seed, tear, old, newSize)
+		}
+	}
+}
+
+func crashTruncateIndirect(t *testing.T, seed int64, tear bool, old []byte, newSize int) {
+	t.Helper()
+	for n := int64(0); ; n++ { // 0: crash after the truncate returns
+		inner, disk, s := setupCrashStore(t, seed)
+		disk.SetTearWrites(tear)
+		id, err := s.Create(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Write(1, id, 0, old); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		disk.SetCrashAfter(n)
+		err = s.SetAttr(1, id, Attributes{Size: uint64(newSize)}, SetSize)
+		if n == 0 && err != nil || err != nil && !disk.Crashed() {
+			t.Fatalf("crash@%d: truncate failed without a crash: %v", n, err)
+		}
+		if err == nil && n > 0 {
+			if err = s.Flush(); err == nil {
+				t.Logf("seed %d tear=%v: %d crash points in and after the truncate and its flush", seed, tear, n)
+				break // every step of the truncate and the flush has been a crash point
+			} else if !disk.Crashed() {
+				t.Fatalf("crash@%d: flush failed without a crash: %v", n, err)
+			}
+		}
+		disk.Crash()
+
+		tag := fmt.Sprintf("seed %d crash@%d tear=%v", seed, n, tear)
+		s2, err := Open(inner, Config{SyncCompact: true})
+		if err != nil {
+			t.Fatalf("%s: reopen: %v", tag, err)
+		}
+		a, err := s2.GetAttr(1, id)
+		if err != nil || a.Size != uint64(len(old)) && a.Size != uint64(newSize) {
+			t.Fatalf("%s: size %d (%v), want the old %d or the new %d", tag, a.Size, err, len(old), newSize)
+		}
+		got, err := s2.Read(1, id, 0, len(old))
+		if err != nil || !bytes.Equal(got, old[:a.Size]) {
+			t.Fatalf("%s: read %d bytes (%v), want the first %d of the flushed ones", tag, len(got), err, a.Size)
+		}
+		if repairs, err := s2.verifyRefs(); err != nil || repairs != 0 {
+			t.Fatalf("%s: second verification pass repaired %d refcounts (%v)", tag, repairs, err)
+		}
+	}
+}
+
+// pointerBlockUnwritten reports whether the indirect block of classic
+// object id still holds no mapping on the medium, inner.
+func pointerBlockUnwritten(t *testing.T, s *Store, inner *blockdev.MemDisk, id uint64) bool {
+	t.Helper()
+	_, o, err := s.classic.lookup(1, id)
+	if err != nil || o.Indirect == 0 {
+		t.Fatalf("object %d has no indirect block (%v)", id, err)
+	}
+	buf := make([]byte, inner.BlockSize())
+	if err := inner.ReadBlock(o.Indirect, buf); err != nil {
+		t.Fatal(err)
+	}
+	return !slices.ContainsFunc(buf, func(b byte) bool { return b != 0 })
 }
 
 // The deferred-onode sweep. On a journaled volume an append commits its

@@ -357,10 +357,11 @@ func TestExtentWriteDeviceCalls(t *testing.T) {
 }
 
 // TestExtentAppendWritesOnodeAtFlush pins what a classic append sends to
-// a journaled device: one journal write (the onode record, committed
-// before the write returns), one pointer-block write, and nothing to the
-// onode table, which the next Flush writes once for every object that
-// shares the block. An overwrite that changes nothing in the onode (same
+// a journaled device: one journal write (the onode record with the slots
+// of its pointer block, committed before the write returns), and nothing
+// to the pointer block or the onode table: the next Flush writes the
+// onode block once for every object that shares it, and each object's
+// pointer block once. An overwrite that changes nothing in the onode (same
 // size, same second) commits nothing, and Create and Remove commit the
 // object's onode and the partition table, not the control object's
 // unchanged onode as well.
@@ -392,8 +393,8 @@ func TestExtentAppendWritesOnodeAtFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	jw, ow := dev.wrote(sb.JournalStart, sb.JournalBlocks), dev.wrote(sb.OnodeStart, sb.OnodeBlocks)
-	if dev.writeCalls != 2 || jw != 1 || dev.written[o.Indirect] != 1 || ow != 0 || commits.Load()-before != 1 {
-		t.Fatalf("a 64 KiB append cost %d device writes (%d journal blocks, %d of its pointer block, %d onode blocks) and %d commits, want 2 (1, 1, 0) and 1",
+	if dev.writeCalls != 1 || jw != 1 || dev.written[o.Indirect] != 0 || ow != 0 || commits.Load()-before != 1 {
+		t.Fatalf("a 64 KiB append cost %d device writes (%d journal blocks, %d of its pointer block, %d onode blocks) and %d commits, want 1 (1, 0, 0) and 1",
 			dev.writeCalls, jw, dev.written[o.Indirect], ow, commits.Load()-before)
 	}
 	for i := 3; i < 8; i++ {
@@ -412,6 +413,11 @@ func TestExtentAppendWritesOnodeAtFlush(t *testing.T) {
 	}
 	if ow := dev.wrote(sb.OnodeStart, sb.OnodeBlocks); ow != 1 {
 		t.Fatalf("Flush after 16 appends to 3 objects of one onode block wrote %d onode blocks, want 1", ow)
+	}
+	for _, id := range ids {
+		if _, o, err := s.classic.lookup(1, id); err != nil || dev.written[o.Indirect] != 1 {
+			t.Fatalf("Flush after appends to object %d wrote its pointer block %d times (%v), want 1", id, dev.written[o.Indirect], err)
+		}
 	}
 
 	dev.reset()

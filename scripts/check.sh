@@ -30,7 +30,7 @@ fi
 echo "==> no deleted names in *.go, *.md, *.sh and *.yml"
 if grep -rnE --include='*.go' --include='*.md' --include='*.sh' --include='*.yml' \
     --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md --exclude=check.sh --exclude-dir=.git --exclude-dir=.bench_build \
-    'WithJournalBlocks|FormatStore|OpenStore|Stats\(\)\.Retries|nasdbench -(stats|chaos)([^-]|$)|nasdbench -workload (stats|parallel|smallobj)|BENCH_(stats|parallel|smallobj)|-stats-mb|-smallobj-objects|WithWorkers|AllDig|JournalEnabled|SetWriteThrough|SeqWriteJournalOff|JournalBlocks: -1|OpenWith|WithQueue|rpc-queue|sendReject|svcEWMA|ServerMetrics|ServerSpans|WithWindow|WithFragmentSize' .; then
+    'WithJournalBlocks|FormatStore|OpenStore|Stats\(\)\.Retries|nasdbench -(stats|chaos)([^-]|$)|nasdbench -workload (stats|parallel|smallobj)|BENCH_(stats|parallel|smallobj)|-stats-mb|-smallobj-objects|WithWorkers|AllDig|JournalEnabled|SetWriteThrough|SeqWriteJournalOff|JournalBlocks: -1|OpenWith|WithQueue|rpc-queue|sendReject|svcEWMA|ServerMetrics|ServerSpans|WithWindow|WithFragmentSize|ptrWritten' .; then
     echo "the names above no longer exist; describe what replaced them" >&2
     exit 1
 fi
@@ -82,6 +82,11 @@ go test -race -short \
 # its decode and validation briefly on every run.
 echo "==> go test -run '^\$' -fuzz '^FuzzSuperblock\$' -fuzztime 10s ./internal/layout"
 go test -run '^$' -fuzz '^FuzzSuperblock$' -fuzztime 10s ./internal/layout
+
+# A needle log's recovery starts from its index snapshot, which may lag
+# the log: fuzz the snapshot's decode and its encode/decode round trip.
+echo "==> go test -run '^\$' -fuzz '^FuzzIndexSnapshot\$' -fuzztime 10s ./internal/needle"
+go test -run '^$' -fuzz '^FuzzIndexSnapshot$' -fuzztime 10s ./internal/needle
 
 # Chaos drill (DESIGN.md §6-§7): the victim drive is killed mid-run
 # (server down, volatile cache dropped), restarted through journal

@@ -18,8 +18,11 @@
 # hash of its own), and per workload the median and the quartile
 # distance (q3 - q1, Python's exclusive quartiles, the method of
 # bench/aa.go and of the driver) of the ten end-to-end metrics. The raw
-# result lines stay under .bench_build/ledger/ in this repository, and
-# ops_per_s, lat_p50_us and allocs_per_op of each run are printed as it ends.
+# result lines stay under .bench_build/ledger/ in this repository, named
+# by that label, and ops_per_s, lat_p50_us and allocs_per_op of each run
+# are printed as it ends. Two checkouts that resolve to one label (the
+# same HEAD, both clean or both dirty) would overwrite each other's raw
+# lines and summarise a mix of both, so the script refuses them.
 set -euo pipefail
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -43,6 +46,13 @@ for d in "$@"; do
     d="$(cd "$d" && pwd)"
     c="$(git -C "$d" rev-parse --short=12 HEAD)"
     [ -z "$(git -C "$d" status --porcelain --untracked-files=no)" ] || c="$c+$tag"
+    for k in "${!commits[@]}"; do
+        if [ "${commits[$k]}" = "$c" ]; then
+            echo "perf_ledger: ${dirs[$k]} and $d both resolve to $c, so their raw results would overwrite each other;" >&2
+            echo "perf_ledger: measure a clean checkout of the parent against the change, or commit one of them" >&2
+            exit 1
+        fi
+    done
     dirs+=("$d") commits+=("$c")
 done
 raw="$root/.bench_build/ledger"
