@@ -366,6 +366,46 @@ func TestReplayRejected(t *testing.T) {
 	}
 }
 
+// TestForgedRequestKeepsReplayWindow: a request whose digest does not
+// verify is rejected without touching its client's replay window. If
+// the drive recorded the nonce first, a forger could push a victim's
+// high-water mark far ahead and every genuine request after it would
+// fail as a replay.
+func TestForgedRequestKeepsReplayWindow(t *testing.T) {
+	r := newRig(t, true)
+	r.mkpart(t, 1, 0)
+	createCap := r.mint(t, 1, 0, 0, capability.CreateObj)
+	id, err := r.cli.Create(testCtx, &createCap, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd := r.mint(t, 1, id, 1, capability.Read)
+	forged := []*rpc.Request{
+		{ // capability request with no digest
+			Proc: uint16(drive.OpReadObject),
+			Args: (&drive.ReadArgs{Partition: 1, Object: id, Length: 1}).Encode(),
+			Cap:  rd.Public.Encode(),
+		},
+		{ // management request with no digest
+			Proc: uint16(drive.OpCreatePartition),
+			Args: (&drive.PartArgs{Partition: 2, AuthKey: drive.KeyRef{Type: uint8(crypt.MasterKey)}}).Encode(),
+		},
+	}
+	for i, req := range forged {
+		req.Nonce = crypt.Nonce{Client: 1001, Counter: 1<<40 + uint64(i)}
+		if rep := r.drv.Handle(req); rep.Status != rpc.StatusAuthFailure {
+			t.Fatalf("forged request %d: status %v, want auth-failure", i, rep.Status)
+		}
+		// The victim's next genuine requests, one of each kind, pass.
+		if _, err := r.cli.Read(testCtx, &rd, 1, id, 0, 1); err != nil {
+			t.Fatalf("genuine read after forged request %d: %v", i, err)
+		}
+		if err := r.cli.CreatePartition(testCtx, crypt.KeyID{Type: crypt.MasterKey}, r.master, uint16(3+i), 0); err != nil {
+			t.Fatalf("genuine management request after forged request %d: %v", i, err)
+		}
+	}
+}
+
 func TestTCPTransportEndToEnd(t *testing.T) {
 	master := crypt.NewRandomKey()
 	dev := blockdev.NewMemDisk(4096, 4096)

@@ -2,6 +2,7 @@ package crypt
 
 import (
 	"errors"
+	"math/bits"
 	"sync"
 )
 
@@ -20,15 +21,26 @@ type Nonce struct {
 var ErrReplay = errors.New("crypt: replayed or delayed request rejected")
 
 // NonceWindow validates nonces. It remembers, per client, the highest
-// counter seen plus a small window of recently seen counters below it so
-// modest reordering is tolerated while replays are rejected. It is safe
-// for concurrent use: a drive checks nonces from many connections.
+// counter seen plus which of the window counters below it were seen, so
+// modest reordering is tolerated while replays are rejected. Each client
+// costs one ring bitmap and every check is O(1) in the window's size. It
+// is safe for concurrent use: a drive checks nonces from many
+// connections.
 type NonceWindow struct {
 	mu         sync.Mutex
 	window     uint64
-	high       map[uint64]uint64
-	seen       map[uint64]map[uint64]bool
+	mask       uint64 // ring size in bits minus one
+	rings      map[uint64]*nonceRing
 	maxClients int
+}
+
+// nonceRing is one client's high-water mark and a bitmap of 2^k >=
+// window+1 bits (at least one word): counter c lives at bit c&mask.
+// Bits of counters below high-window are stale; Check never looks at
+// them.
+type nonceRing struct {
+	high uint64
+	bits []uint64
 }
 
 // NewNonceWindow returns a window tolerating reordering of up to window
@@ -41,10 +53,11 @@ func NewNonceWindow(window uint64, maxClients int) *NonceWindow {
 	if maxClients <= 0 {
 		maxClients = 4096
 	}
+	size := max(uint64(1)<<bits.Len64(window), 64)
 	return &NonceWindow{
 		window:     window,
-		high:       make(map[uint64]uint64),
-		seen:       make(map[uint64]map[uint64]bool),
+		mask:       size - 1,
+		rings:      make(map[uint64]*nonceRing),
 		maxClients: maxClients,
 	}
 }
@@ -54,42 +67,49 @@ func NewNonceWindow(window uint64, maxClients int) *NonceWindow {
 func (w *NonceWindow) Check(n Nonce) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	h, ok := w.high[n.Client]
+	r, ok := w.rings[n.Client]
 	if !ok {
-		if len(w.high) >= w.maxClients {
+		if len(w.rings) >= w.maxClients {
 			w.evictOne()
 		}
-		w.high[n.Client] = n.Counter
-		w.seen[n.Client] = map[uint64]bool{n.Counter: true}
-		return nil
-	}
-	switch {
-	case n.Counter > h:
-		w.high[n.Client] = n.Counter
-		s := w.seen[n.Client]
-		s[n.Counter] = true
-		for c := range s {
-			if c+w.window < n.Counter {
-				delete(s, c)
-			}
-		}
-		return nil
-	case n.Counter+w.window < h:
+		r = &nonceRing{high: n.Counter, bits: make([]uint64, (w.mask+1)/64)}
+		w.rings[n.Client] = r
+	} else if n.Counter > r.high {
+		r.advance(n.Counter, w.mask)
+	} else if n.Counter+w.window < r.high {
 		return ErrReplay
-	default:
-		s := w.seen[n.Client]
-		if s[n.Counter] {
-			return ErrReplay
-		}
-		s[n.Counter] = true
-		return nil
 	}
+	i := n.Counter & w.mask
+	word, bit := &r.bits[i>>6], uint64(1)<<(i&63)
+	if *word&bit != 0 {
+		return ErrReplay
+	}
+	*word |= bit
+	return nil
+}
+
+// advance moves the high-water mark to c and clears the bits of the
+// counters it passes: none of them was seen, and their slots still hold
+// counters that have left the window.
+func (r *nonceRing) advance(c, mask uint64) {
+	gap := c - r.high
+	if gap > mask {
+		clear(r.bits)
+	} else {
+		for p := r.high + 1; gap > 0; {
+			i := p & mask
+			n := min(64-i&63, gap)
+			r.bits[i>>6] &^= (uint64(1)<<n - 1) << (i & 63)
+			p += n
+			gap -= n
+		}
+	}
+	r.high = c
 }
 
 func (w *NonceWindow) evictOne() {
-	for c := range w.high {
-		delete(w.high, c)
-		delete(w.seen, c)
+	for c := range w.rings {
+		delete(w.rings, c)
 		return
 	}
 }
@@ -98,5 +118,5 @@ func (w *NonceWindow) evictOne() {
 func (w *NonceWindow) Clients() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return len(w.high)
+	return len(w.rings)
 }

@@ -180,8 +180,8 @@ func (d *Drive) RegisterKernel(name string, k Kernel) {
 // --- Authorization -------------------------------------------------------
 
 // authorize performs the complete drive-side admission check for a
-// capability-bearing request: nonce freshness, then stateless
-// capability validation (Section 4.1). It returns a non-nil reply on
+// capability-bearing request: stateless capability validation (Section
+// 4.1), then nonce freshness. It returns a non-nil reply on
 // rejection. curVer is the object's current logical version (0 for
 // partition-scope operations). The time spent here is the "security"
 // component of the request's Table 1-style cost split, accumulated
@@ -192,9 +192,6 @@ func (d *Drive) authorize(req *rpc.Request, ph *phases, part uint16, obj uint64,
 	}
 	start := time.Now()
 	defer func() { ph.digest += time.Since(start) }()
-	if err := d.nonces.Check(req.Nonce); err != nil {
-		return rpc.Errorf(req.MsgID, rpc.StatusReplay, "%v", err)
-	}
 	pub, err := capability.DecodePublic(req.Cap)
 	if err != nil {
 		return rpc.Errorf(req.MsgID, rpc.StatusAuthFailure, "capability: %v", err)
@@ -221,7 +218,7 @@ func (d *Drive) authorize(req *rpc.Request, ph *phases, part uint16, obj uint64,
 		}
 		return rpc.Errorf(req.MsgID, st, "%v", err)
 	}
-	return nil
+	return d.checkNonce(req)
 }
 
 // authorizeAdmin checks a management request signed directly under a
@@ -232,9 +229,6 @@ func (d *Drive) authorizeAdmin(req *rpc.Request, ph *phases, ref KeyRef) *rpc.Re
 	}
 	start := time.Now()
 	defer func() { ph.digest += time.Since(start) }()
-	if err := d.nonces.Check(req.Nonce); err != nil {
-		return rpc.Errorf(req.MsgID, rpc.StatusReplay, "%v", err)
-	}
 	id := crypt.KeyID{Type: crypt.KeyType(ref.Type), Partition: ref.Partition, Version: ref.Version}
 	if id.Type != crypt.MasterKey && id.Type != crypt.DriveKey {
 		return rpc.Errorf(req.MsgID, rpc.StatusAuthFailure, "management requires master or drive key")
@@ -248,6 +242,17 @@ func (d *Drive) authorizeAdmin(req *rpc.Request, ph *phases, ref KeyRef) *rpc.Re
 	bufpool.Put(body)
 	if !ok {
 		return rpc.Errorf(req.MsgID, rpc.StatusAuthFailure, "bad management digest")
+	}
+	return d.checkNonce(req)
+}
+
+// checkNonce records the request's nonce, rejecting a replay. It runs
+// only once the request digest has verified: a forged request must not
+// move a client's high-water mark, or it could lock out that client's
+// genuine requests.
+func (d *Drive) checkNonce(req *rpc.Request) *rpc.Reply {
+	if err := d.nonces.Check(req.Nonce); err != nil {
+		return rpc.Errorf(req.MsgID, rpc.StatusReplay, "%v", err)
 	}
 	return nil
 }

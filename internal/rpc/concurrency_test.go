@@ -3,6 +3,7 @@ package rpc
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -60,6 +61,61 @@ func TestWorkerPoolDispatchesConcurrently(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// settledGoroutines returns the goroutine count once it has held still
+// for a few scheduler rounds (or after two seconds of churn).
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	deadline := time.Now().Add(2 * time.Second)
+	for stable := 0; stable < 5 && time.Now().Before(deadline); {
+		time.Sleep(2 * time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			stable++
+		} else {
+			n, stable = m, 0
+		}
+	}
+	return n
+}
+
+// TestConnectionRunsOnlyItsWorkers: a connection costs exactly its
+// workers in server goroutines, each reading its own frames, with no
+// reader goroutine in front of them; closing the connection ends them
+// all.
+func TestConnectionRunsOnlyItsWorkers(t *testing.T) {
+	const workers = 3
+	srv := NewServer(echoServer(t))
+	srv.workers = workers
+	l := NewInProcListener("s")
+	go srv.Serve(l)
+	defer srv.Close()
+	base := settledGoroutines()
+
+	conn, err := l.Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A raw round trip, so no client receive goroutine joins the count.
+	if err := conn.Send(AppendRequestHeader(nil, &Request{MsgID: 1, Proc: 1})); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := conn.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if msg, err := DecodeMessage(raw); err != nil {
+		t.Fatal(err)
+	} else if rep, ok := msg.(*Reply); !ok || rep.MsgID != 1 || rep.Status != StatusOK {
+		t.Fatalf("reply %+v", msg)
+	}
+	if d := settledGoroutines() - base; d != workers {
+		t.Fatalf("a connection runs %d server goroutines, want exactly %d (its workers)", d, workers)
+	}
+	conn.Close()
+	if d := settledGoroutines() - base; d != 0 {
+		t.Fatalf("%d server goroutines outlive the closed connection", d)
 	}
 }
 

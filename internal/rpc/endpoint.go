@@ -13,9 +13,9 @@ import (
 
 // Handler processes one request and returns a reply. Implementations
 // must set the reply's MsgID from the request. A Handler must be safe
-// for concurrent use: the server dispatches requests from one
-// connection to a pool of workers, so two requests from the same client
-// can execute simultaneously.
+// for concurrent use: each of a connection's workers reads, runs and
+// answers its own requests, so two requests from the same client can
+// execute simultaneously.
 //
 // Buffer contract: req.Cap, req.Args, and req.Data alias a pooled
 // receive frame that the server recycles after the reply is sent.
@@ -176,19 +176,14 @@ func (s *Server) Serve(l Listener) {
 	}
 }
 
-// inbound is one decoded request plus the pooled receive frame its
-// Cap/Args/Data views alias; the worker recycles the frame once the
-// reply is on the wire.
-type inbound struct {
-	req   *Request
-	frame []byte
-}
-
-// serveConn decodes requests and feeds them to a bounded worker pool.
-// The queue is as deep as the pool, so a flooding client is
-// backpressured by the transport rather than buffering unboundedly.
-// The server never turns a request away: admission, shedding and
-// retry-after hints belong to the handler (the drive's qos plane).
+// serveConn serves one connection with a pool of s.workers goroutines,
+// the calling goroutine among them. Each worker reads its own frame,
+// decodes it, runs the handler and sends the reply, so a request never
+// changes goroutine, and a connection holds at most s.workers decoded
+// requests: a flooding client is backpressured by the transport rather
+// than buffered. The server never turns a request away: admission,
+// shedding and retry-after hints belong to the handler (the drive's
+// qos plane).
 //
 // Frame lifecycle: the request's Cap/Args/Data alias the pooled
 // receive frame, which stays valid until the handler returns and its
@@ -197,67 +192,27 @@ type inbound struct {
 // want to keep past Handle's return — see the Handler contract.
 func (s *Server) serveConn(conn Conn) {
 	s.statConns.Add(1)
-	reqs := make(chan inbound, s.workers)
 	var workers sync.WaitGroup
-	for i := 0; i < s.workers; i++ {
+	for i := 1; i < s.workers; i++ {
 		workers.Add(1)
 		go func() {
 			defer workers.Done()
-			for in := range reqs {
-				req := in.req
-				pm := s.proc(req.Proc)
-				pm.calls.Inc()
-				s.statInFlight.Add(1)
-				start := time.Now()
-				reply := s.handler.Handle(req)
-				s.statInFlight.Add(-1)
-				// Traced requests leave an exemplar in their service-time
-				// bucket, so rpc.server.op.*.svc_ns tails link back to a
-				// resolvable trace just like the drive-level histograms.
-				pm.svc.ObserveTrace(int64(time.Since(start)), req.Trace.TraceID)
-				if reply == nil {
-					reply = Errorf(req.MsgID, StatusError, "handler returned no reply")
-				}
-				if reply.Status != StatusOK {
-					pm.errors.Inc()
-				}
-				reply.MsgID = req.MsgID
-				// Encode the header into a pooled buffer and writev
-				// {header, payload}: the bulk Data — cache block, needle
-				// extent, or pooled read buffer — is never copied into
-				// the message.
-				hdr := AppendReplyHeader(bufpool.Get(64+len(reply.Msg)+len(reply.Args)), reply)
-				var err error
-				if len(reply.Data) > 0 {
-					err = SendVectored(conn, net.Buffers{hdr, reply.Data})
-				} else {
-					err = conn.Send(hdr)
-				}
-				wireLen := uint64(len(hdr) + len(reply.Data))
-				bufpool.Put(hdr)
-				if reply.OnSent != nil {
-					reply.OnSent()
-				}
-				bufpool.Put(in.frame)
-				if err != nil {
-					// The reader notices closure and drains the queue.
-					conn.Close()
-					continue
-				}
-				s.statBytesOut.Add(wireLen)
-				pm.bytesOut.Add(wireLen)
-			}
+			s.work(conn)
 		}()
 	}
-	defer func() {
-		close(reqs)
-		workers.Wait()
-		conn.Close()
-		s.statConns.Add(-1)
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
+	s.work(conn)
+	workers.Wait()
+	s.statConns.Add(-1)
+	s.mu.Lock()
+	delete(s.conns, conn)
+	s.mu.Unlock()
+}
+
+// work is one connection worker: it serves requests until the
+// connection fails, then closes it so that every other worker's Recv
+// fails too.
+func (s *Server) work(conn Conn) {
+	defer conn.Close()
 	for {
 		raw, err := conn.Recv()
 		if err != nil {
@@ -265,19 +220,52 @@ func (s *Server) serveConn(conn Conn) {
 		}
 		s.statBytesIn.Add(uint64(len(raw)))
 		msg, err := DecodeMessage(raw)
-		if err != nil {
+		req, ok := msg.(*Request)
+		if err != nil || !ok {
 			// Malformed traffic: drop the connection.
 			bufpool.Put(raw)
 			return
 		}
-		req, ok := msg.(*Request)
-		if !ok {
-			bufpool.Put(raw)
+		s.statRequests.Inc()
+		pm := s.proc(req.Proc)
+		pm.bytesIn.Add(uint64(len(raw)))
+		pm.calls.Inc()
+		s.statInFlight.Add(1)
+		start := time.Now()
+		reply := s.handler.Handle(req)
+		s.statInFlight.Add(-1)
+		// Traced requests leave an exemplar in their service-time
+		// bucket, so rpc.server.op.*.svc_ns tails link back to a
+		// resolvable trace just like the drive-level histograms.
+		pm.svc.ObserveTrace(int64(time.Since(start)), req.Trace.TraceID)
+		if reply == nil {
+			reply = Errorf(req.MsgID, StatusError, "handler returned no reply")
+		}
+		if reply.Status != StatusOK {
+			pm.errors.Inc()
+		}
+		reply.MsgID = req.MsgID
+		// Encode the header into a pooled buffer and writev
+		// {header, payload}: the bulk Data — cache block, needle
+		// extent, or pooled read buffer — is never copied into the
+		// message.
+		hdr := AppendReplyHeader(bufpool.Get(64+len(reply.Msg)+len(reply.Args)), reply)
+		if len(reply.Data) > 0 {
+			err = SendVectored(conn, net.Buffers{hdr, reply.Data})
+		} else {
+			err = conn.Send(hdr)
+		}
+		wireLen := uint64(len(hdr) + len(reply.Data))
+		bufpool.Put(hdr)
+		if reply.OnSent != nil {
+			reply.OnSent()
+		}
+		bufpool.Put(raw)
+		if err != nil {
 			return
 		}
-		s.statRequests.Inc()
-		s.proc(req.Proc).bytesIn.Add(uint64(len(raw)))
-		reqs <- inbound{req: req, frame: raw}
+		s.statBytesOut.Add(wireLen)
+		pm.bytesOut.Add(wireLen)
 	}
 }
 

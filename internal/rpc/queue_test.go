@@ -9,15 +9,15 @@ import (
 )
 
 // TestServerFlowControl pins the server's flow-control contract: a
-// connection flooded with more calls than its workers plus the
-// hand-off channel can hold is backpressured, never refused. At most
+// connection flooded with more calls than its workers can hold is
+// backpressured by the transport, never refused. At most
 // `workers` handlers run at once, no reply is StatusRetryLater (turning
 // work away is the handler's job, not the transport's), and every call
 // completes once the handlers are released.
 func TestServerFlowControl(t *testing.T) {
 	const (
 		workers = 2
-		calls   = 4 * workers // > workers + channel depth (= workers)
+		calls   = 4 * workers // more than the workers can hold
 	)
 	release := make(chan struct{})
 	entered := make(chan struct{}, calls)
@@ -56,8 +56,7 @@ func TestServerFlowControl(t *testing.T) {
 		}(i)
 	}
 	// The pool is wedged once every worker has entered the handler; the
-	// rest of the flood waits in the channel, the read loop and the
-	// transport.
+	// rest of the flood waits in the transport.
 	for i := 0; i < workers; i++ {
 		select {
 		case <-entered:

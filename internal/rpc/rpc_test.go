@@ -334,6 +334,7 @@ func TestServerRejectsMalformedTraffic(t *testing.T) {
 	srv := NewServer(echoServer(t))
 	go srv.Serve(l)
 	defer srv.Close()
+	base := settledGoroutines()
 
 	conn, _ := l.Dial()
 	if err := conn.Send([]byte("garbage")); err != nil {
@@ -342,5 +343,13 @@ func TestServerRejectsMalformedTraffic(t *testing.T) {
 	// The server drops the connection.
 	if _, err := conn.Recv(); err == nil {
 		t.Fatal("server replied to garbage")
+	}
+	// Every worker of the dropped connection exits, not only the one
+	// that read the garbage.
+	if d := settledGoroutines() - base; d != 0 {
+		t.Fatalf("%d server goroutines outlive the dropped connection", d)
+	}
+	if n := srv.Metrics().Gauge("rpc.server.conns").Load(); n != 0 {
+		t.Fatalf("rpc.server.conns = %d after the drop, want 0", n)
 	}
 }

@@ -22,6 +22,10 @@ import (
 // draw frames from bufpool, so callers that fully consume a frame may
 // return it with bufpool.Put (and callers that keep references must
 // not).
+//
+// Send and Recv may each be called from several goroutines at once: a
+// server's workers all send on, and all receive from, their connection.
+// Each message goes to exactly one Recv caller.
 type Conn interface {
 	// Send transmits one message.
 	Send(msg []byte) error

@@ -88,6 +88,11 @@ go test -run '^$' -fuzz '^FuzzSuperblock$' -fuzztime 10s ./internal/layout
 echo "==> go test -run '^\$' -fuzz '^FuzzIndexSnapshot\$' -fuzztime 10s ./internal/needle"
 go test -run '^$' -fuzz '^FuzzIndexSnapshot$' -fuzztime 10s ./internal/needle
 
+# Every secure request passes the drive's replay window: fuzz the ring
+# bitmap against the map model it replaced.
+echo "==> go test -run '^\$' -fuzz '^FuzzNonceWindow\$' -fuzztime 10s ./internal/crypt"
+go test -run '^$' -fuzz '^FuzzNonceWindow$' -fuzztime 10s ./internal/crypt
+
 # Chaos drill (DESIGN.md §6-§7): the victim drive is killed mid-run
 # (server down, volatile cache dropped), restarted through journal
 # recovery, marked stale, and rebuilt; every op still verifies, and the
