@@ -129,7 +129,6 @@ func runChaos(w io.Writer, dur time.Duration, seed int64, jsonOut string) error 
 		Metrics:         reg,
 		FailThreshold:   3,
 		BreakerCooldown: 200 * time.Millisecond,
-		LegTimeout:      2 * time.Second,
 	}, true)
 	if err != nil {
 		return err

@@ -2,8 +2,12 @@ package cheops
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
+	"math/rand"
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -21,12 +25,17 @@ import (
 // controllable number of data requests with StatusRetryLater — the
 // wire-visible shape of the drive's qos plane rejecting under load.
 // Counters hold how many requests of that proc remain to be shed;
-// -1 sheds forever.
+// -1 sheds forever. writes counts every write request that arrives,
+// shed or not. With park set, a write signals park instead, waits for
+// release and is then shed: it never executes.
 type shedder struct {
 	inner      rpc.Handler
 	hint       time.Duration
 	shedReads  atomic.Int64
 	shedWrites atomic.Int64
+	writes     atomic.Int64
+	park       chan struct{}
+	release    chan struct{}
 }
 
 func (s *shedder) take(ctr *atomic.Int64) bool {
@@ -48,6 +57,12 @@ func (s *shedder) Handle(req *rpc.Request) *rpc.Reply {
 		ctr = &s.shedReads
 	case drive.OpWriteObject:
 		ctr = &s.shedWrites
+		s.writes.Add(1)
+		if s.park != nil {
+			s.park <- struct{}{}
+			<-s.release
+			return rpc.RetryLater(req.MsgID, s.hint, "parked, never executed")
+		}
 	}
 	if ctr != nil && s.take(ctr) {
 		return rpc.RetryLater(req.MsgID, s.hint, "drive saturated")
@@ -56,9 +71,10 @@ func (s *shedder) Handle(req *rpc.Request) *rpc.Reply {
 }
 
 // shedRig is a manager over drives whose data path can be made to shed:
-// sheds[i] controls drive i. Client retries are disabled (MaxAttempts
-// 1) so every StatusRetryLater surfaces to the cheops layer — the
-// subject under test — instead of being absorbed by client backoff.
+// sheds[i] controls drive i. The data-path handles are built with opts.
+// Without WithRetry among them a handle sends every request once, so
+// each StatusRetryLater reaches the leg as a Shed outcome; with it, the
+// handle's policy absorbs sheds before the leg sees them.
 type shedRig struct {
 	mgr    *Manager
 	drives []*client.Drive
@@ -75,7 +91,7 @@ func (r *shedRig) open(t *testing.T, id uint64) *Object {
 	return obj
 }
 
-func newShedRig(t *testing.T, n int) *shedRig {
+func newShedRig(t *testing.T, n int, opts ...client.Option) *shedRig {
 	t.Helper()
 	r := &shedRig{reg: telemetry.NewRegistry()}
 	var refs []DriveRef
@@ -92,18 +108,17 @@ func newShedRig(t *testing.T, n int) *shedRig {
 		srv := rpc.NewServer(sh)
 		t.Cleanup(srv.Close)
 		go srv.Serve(l)
-		mk := func() *client.Drive {
+		mk := func(opts ...client.Option) *client.Drive {
 			conn, err := l.Dial()
 			if err != nil {
 				t.Fatal(err)
 			}
-			c := client.New(conn, uint64(1+i), clientSeq.Add(1)+900,
-				client.WithMetrics(r.reg), client.WithRetry(client.RetryPolicy{MaxAttempts: 1}))
+			c := client.New(conn, uint64(1+i), clientSeq.Add(1)+900, append(opts, client.WithMetrics(r.reg))...)
 			t.Cleanup(func() { c.Close() })
 			return c
 		}
 		refs = append(refs, DriveRef{Client: mk(), DriveID: uint64(1 + i), Master: master})
-		r.drives = append(r.drives, mk())
+		r.drives = append(r.drives, mk(opts...))
 	}
 	mgr, err := NewManager(testCtx, ManagerConfig{
 		Drives: refs, Metrics: r.reg,
@@ -116,23 +131,59 @@ func newShedRig(t *testing.T, n int) *shedRig {
 	return r
 }
 
+// TestShedWriteLegSendsBoundedByHandlePolicy: the handle's RetryPolicy
+// is the only code that reissues a shed request. Against a drive that
+// sheds every write, a Cheops write leg is sent once on a handle
+// without WithRetry and MaxAttempts times on one with it — not a leg
+// runner's own rounds on top of the handle's.
+func TestShedWriteLegSendsBoundedByHandlePolicy(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		opts  []client.Option
+		sends int64
+	}{
+		{"no-retry", nil, 1},
+		{"max-attempts-3", []client.Option{client.WithRetry(client.RetryPolicy{MaxAttempts: 3})}, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newShedRig(t, 2, tc.opts...)
+			// Lane 0 on drive 1, away from the manager's directory on drive 0.
+			id, err := r.mgr.Create(testCtx, Stripe0, 4096, 2, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			obj := r.open(t, id)
+			r.sheds[1].shedWrites.Store(-1)
+			err = obj.WriteAt(testCtx, 0, []byte("lane zero only"))
+			if !errors.Is(err, client.ErrOverloaded) {
+				t.Fatalf("err = %v, want ErrOverloaded", err)
+			}
+			if got := r.sheds[1].writes.Load(); got != tc.sends {
+				t.Fatalf("write leg sent %d times, want %d", got, tc.sends)
+			}
+		})
+	}
+}
+
 // TestShedNeverOpensBreaker: a drive answering StatusRetryLater is
-// alive and shedding by design. The paced write must absorb the sheds
-// and succeed, and the breaker must stay closed — FailThreshold is 2
-// and the drive sheds 3 times, so misclassifying shed as failure would
-// trip it.
+// alive and shedding by design. More shed leg outcomes than
+// FailThreshold (2) must leave its breaker closed — misclassifying shed
+// as failure would trip it — and once the drive has room the same
+// handle writes through it.
 func TestShedNeverOpensBreaker(t *testing.T) {
 	r := newShedRig(t, 2)
-	id, err := r.mgr.Create(testCtx, Mirror1, 4096, 2, 0)
+	id, err := r.mgr.Create(testCtx, Stripe0, 4096, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	obj := r.open(t, id)
 
-	r.sheds[1].shedWrites.Store(3)
-	payload := bytes.Repeat([]byte{0xA5}, 1024)
-	if err := obj.WriteAt(testCtx, 0, payload); err != nil {
-		t.Fatalf("write through transient shedding: %v", err)
+	r.sheds[1].shedWrites.Store(-1)
+	const sheds = 3
+	for i := 0; i < sheds; i++ {
+		if err := obj.WriteAt(testCtx, 4096, []byte("lane one")); !errors.Is(err, client.ErrOverloaded) {
+			t.Fatalf("write %d: err = %v, want ErrOverloaded", i, err)
+		}
 	}
 	if st := r.mgr.DriveHealth(1); st != BreakerClosed {
 		t.Fatalf("drive 1 breaker = %v after shed replies, want closed", st)
@@ -141,32 +192,62 @@ func TestShedNeverOpensBreaker(t *testing.T) {
 	if got := snap.Counters["cheops.breaker_opens"]; got != 0 {
 		t.Fatalf("breaker_opens = %d: backpressure counted as drive failure", got)
 	}
-	if got := snap.Counters["cheops.backpressure"]; got != 3 {
-		t.Fatalf("cheops.backpressure = %d, want 3", got)
-	}
-	if got := snap.Counters["cheops.backpressure_waits"]; got != 3 {
-		t.Fatalf("cheops.backpressure_waits = %d, want 3", got)
-	}
-	if got := snap.Counters["cheops.degraded_writes"]; got != 0 {
-		t.Fatalf("degraded_writes = %d: pacing should have kept the write clean", got)
-	}
-	if reps := r.mgr.PendingRepairs(); len(reps) != 0 {
-		t.Fatalf("repair ledger = %v after paced write, want empty", reps)
+	if got := snap.Counters["cheops.backpressure"]; got != sheds {
+		t.Fatalf("cheops.backpressure = %d, want %d", got, sheds)
 	}
 
-	// Read back through the healthy path to prove the data landed on
-	// the lane that was shedding.
-	got, err := obj.ReadAt(testCtx, 0, len(payload))
-	if err != nil {
-		t.Fatal(err)
+	r.sheds[1].shedWrites.Store(0)
+	payload := bytes.Repeat([]byte{0xA5}, 1024)
+	if err := obj.WriteAt(testCtx, 4096, payload); err != nil {
+		t.Fatalf("write after shedding stopped: %v", err)
 	}
-	if !bytes.Equal(got, payload) {
-		t.Fatal("readback mismatch after paced mirror write")
+	got, err := obj.ReadAt(testCtx, 4096, len(payload))
+	if err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("readback after shedding stopped: %v", err)
 	}
 }
 
-// TestOverloadNeverTriggersDegradedRead: overload outlasting the pacing
-// loop must surface as the typed retryable error, not fall into
+// TestHandlePolicyAbsorbsShedWrite: a caller that wants transient
+// shedding absorbed arms its handles with WithRetry. Three sheds on one
+// replica are then hinted waits inside the handle (each counted in
+// client.backpressure_waits), the leg sees one success, and the mirror
+// write lands clean on both lanes: no degraded write, no ledger entry.
+func TestHandlePolicyAbsorbsShedWrite(t *testing.T) {
+	r := newShedRig(t, 2, client.WithRetry(client.RetryPolicy{MaxAttempts: 4}))
+	id, err := r.mgr.Create(testCtx, Mirror1, 4096, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj := r.open(t, id)
+
+	const sheds = 3
+	r.sheds[1].shedWrites.Store(sheds)
+	payload := bytes.Repeat([]byte{0x5A}, 1024)
+	if err := obj.WriteAt(testCtx, 0, payload); err != nil {
+		t.Fatalf("write through transient shedding: %v", err)
+	}
+	snap := r.reg.Snapshot()
+	if got := snap.Counters["client.backpressure_waits"]; got != sheds {
+		t.Fatalf("client.backpressure_waits = %d, want %d", got, sheds)
+	}
+	if got := snap.Counters["cheops.backpressure"]; got != 0 {
+		t.Fatalf("cheops.backpressure = %d: the handle should have absorbed every shed", got)
+	}
+	if got := snap.Counters["cheops.degraded_writes"]; got != 0 {
+		t.Fatalf("degraded_writes = %d, want 0", got)
+	}
+	if reps := r.mgr.PendingRepairs(); len(reps) != 0 {
+		t.Fatalf("repair ledger = %v after an absorbed shed, want empty", reps)
+	}
+	// The replica that was shedding holds the new bytes.
+	dst := make([]byte, len(payload))
+	if err := obj.readDirect(testCtx, 1, 0, dst); err != nil || !bytes.Equal(dst, payload) {
+		t.Fatalf("replica 1 after the absorbed sheds: %v", err)
+	}
+}
+
+// TestOverloadNeverTriggersDegradedRead: overload the handle does not
+// absorb must surface as the typed retryable error, not fall into
 // reconstruction — reconstructing around a saturated drive fans its
 // load out to healthy stripe-mates.
 func TestOverloadNeverTriggersDegradedRead(t *testing.T) {
@@ -211,7 +292,7 @@ func TestOverloadNeverTriggersDegradedRead(t *testing.T) {
 }
 
 // TestAllMirrorsOverloadedSurfacesRetryable: when every replica sheds
-// past the pacing budget the write must come back as the typed
+// the write must come back as the typed
 // retryable error with nothing in the repair ledger — nothing was
 // written, the mirrors are still consistent, and ErrDegraded would
 // send the caller down the wrong recovery path.
@@ -252,5 +333,69 @@ func TestAllMirrorsOverloadedSurfacesRetryable(t *testing.T) {
 	reps := r.mgr.PendingRepairs()
 	if len(reps) != 1 || reps[0].Component != 1 {
 		t.Fatalf("repair ledger = %v, want exactly component 1", reps)
+	}
+}
+
+// TestCanceledRAID5WriteLedgersSkippedParity: a RAID-5 small write that
+// the caller cancels after its data leg landed has changed the data lane
+// but not the parity. The parity lane must enter the repair ledger like
+// any other skipped leg; out of it, a later reconstruction of another
+// lane of the stripe would xor new data with old parity and return
+// wrong bytes without an error.
+func TestCanceledRAID5WriteLedgersSkippedParity(t *testing.T) {
+	const unit = 4096
+	spans := telemetry.NewSpanLog(256)
+	r := newShedRig(t, 3, client.WithSpans(spans))
+	id, err := r.mgr.Create(testCtx, RAID5, unit, 3, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj := r.open(t, id)
+	// Stripe 0: parity on component 0, data on components 1 and 2, each
+	// on the drive of the same index.
+	model := make([]byte, 2*unit)
+	rand.New(rand.NewSource(31)).Read(model)
+	if err := obj.WriteAt(testCtx, 0, model); err != nil {
+		t.Fatal(err)
+	}
+
+	parity := r.sheds[0]
+	parity.park, parity.release = make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	release := func() { once.Do(func() { close(parity.release) }) }
+	t.Cleanup(release)
+	landed := len(spans.Recent(0, "client.write"))
+
+	ctx, cancel := context.WithCancel(testCtx)
+	defer cancel()
+	errc := make(chan error, 1)
+	go func() { errc <- obj.WriteAt(ctx, 0, bytes.Repeat([]byte{0xEE}, unit)) }()
+	<-parity.park
+	// The data leg's client span ends once its reply has been taken.
+	for len(spans.Recent(0, "client.write")) == landed {
+		runtime.Gosched()
+	}
+	if sp := spans.Recent(1, "client.write")[0]; len(sp.Annotations) != 0 {
+		t.Fatalf("data leg failed: %v", sp.Annotations)
+	}
+	cancel()
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled write: err = %v, want context.Canceled", err)
+	}
+	release() // the parity write is answered retry-later, never executed
+
+	reps := r.mgr.PendingRepairs()
+	if len(reps) != 1 || reps[0].Component != 0 {
+		t.Fatalf("repair ledger = %v, want exactly the parity lane (component 0)", reps)
+	}
+	// Component 2's drive goes away: its range can only be rebuilt from
+	// the new data lane and the stale parity, which must be refused.
+	r.drives[2].Close()
+	got, err := obj.ReadAt(testCtx, unit, unit)
+	if err == nil {
+		t.Fatalf("reconstruction over stale parity succeeded; bytes match the old data: %v", bytes.Equal(got, model[unit:]))
+	}
+	if !errors.Is(err, ErrDegraded) {
+		t.Fatalf("err = %v, want ErrDegraded", err)
 	}
 }

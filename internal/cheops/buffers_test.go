@@ -8,6 +8,7 @@ import (
 
 	"nasd/internal/bufpool"
 	"nasd/internal/capability"
+	"nasd/internal/client"
 )
 
 // poolSlack is how far bufpool.Outstanding may drift over a measured
@@ -183,19 +184,26 @@ func TestShortComponentReadsZeros(t *testing.T) {
 	}
 }
 
-// TestTimedOutLegLeavesPooledBuffersAlone: a leg that runs into
-// LegTimeout has stopped touching its buffer by the time it returns, so
-// the read-modify-write that follows may take the same pooled buffers at
-// once. One drive answers slower than the leg timeout. On each object
-// the first write that meets it times out on a pre-read (served by
-// reconstruction into the pooled buffer) and on a write leg (skipped into
-// the ledger, which keeps later operations on that object off the lane),
-// the next object's write starts immediately, and every read-back still
-// matches the model (run under -race).
+// TestTimedOutLegLeavesPooledBuffersAlone: a leg whose attempts run
+// into the handle's AttemptTimeout has stopped touching its buffer by
+// the time it returns, so the read-modify-write that follows may take
+// the same pooled buffers at once. Every send to one drive is held for
+// longer than an attempt may take, so each attempt gives up before its
+// request even reaches the drive, and the reply lands after that. On
+// each object the first write that meets the slow drive times out on a
+// pre-read (served by reconstruction into the pooled buffer) and on a
+// write leg (skipped into the ledger, which keeps later operations on
+// that object off the lane), the next object's write starts
+// immediately, and every read-back still matches the model (run under
+// -race). A call gives up on a deadline that passed during its send
+// (rpc.Client.Call), so exactly one pre-read per object is
+// reconstructed; four attempts per leg keep a healthy drive that is
+// briefly slow under load from failing a leg of its own.
 func TestTimedOutLegLeavesPooledBuffersAlone(t *testing.T) {
 	const unit, stripe, victim, objects = 8 << 10, 3 * (8 << 10), 2, 6
 	// No breaker: every leg to the victim is really sent, and times out.
-	r := newFaultRig(t, 4, ManagerConfig{LegTimeout: 25 * time.Millisecond, FailThreshold: 1 << 20})
+	r := newFaultRig(t, 4, ManagerConfig{FailThreshold: 1 << 20},
+		client.RetryPolicy{MaxAttempts: 4, AttemptTimeout: 25 * time.Millisecond})
 	rng := rand.New(rand.NewSource(29))
 	objs := make([]*Object, objects)
 	models := make([][]byte, objects)
@@ -222,7 +230,7 @@ func TestTimedOutLegLeavesPooledBuffersAlone(t *testing.T) {
 			}
 		}
 	}
-	r.faults[victim].Delay(40 * time.Millisecond)
+	r.faults[victim].Delay(30 * time.Millisecond)
 	before := r.mgr.Metrics().Counter("cheops.degraded_reads").Load()
 	chunk := make([]byte, unit)
 	for i, obj := range objs {
@@ -235,7 +243,7 @@ func TestTimedOutLegLeavesPooledBuffersAlone(t *testing.T) {
 		}
 		copy(models[i][off:], chunk)
 	}
-	if got := r.mgr.Metrics().Counter("cheops.degraded_reads").Load() - before; got < objects {
+	if got := r.mgr.Metrics().Counter("cheops.degraded_reads").Load() - before; got != objects {
 		t.Fatalf("%d pre-reads timed out and were reconstructed, want one per object (%d)", got, objects)
 	}
 	check("slow drive")

@@ -116,7 +116,6 @@ type Manager struct {
 	// transition, the thousands that follow are steady state the
 	// cheops.degraded_reads counter already rates.
 	degradedRead map[repairKey]bool
-	legTimeout   time.Duration
 }
 
 type stripeKey struct {
@@ -150,10 +149,6 @@ type ManagerConfig struct {
 	// BreakerCooldown is how long an open breaker refuses traffic
 	// before admitting a half-open probe (default 1s).
 	BreakerCooldown time.Duration
-	// LegTimeout, when > 0, bounds each fan-out leg so a hung drive is
-	// detected (and failed over) while the caller's overall deadline
-	// still has room for reconstruction. 0 leaves legs unbounded.
-	LegTimeout time.Duration
 }
 
 // NewManager builds a manager. With format true it creates its
@@ -188,7 +183,6 @@ func NewManager(ctx context.Context, cfg ManagerConfig, format bool) (*Manager, 
 		spans:        cfg.Spans,
 		repairs:      make(map[repairKey]PendingRepair),
 		degradedRead: make(map[repairKey]bool),
-		legTimeout:   cfg.LegTimeout,
 	}
 	if m.spans == nil {
 		m.spans = telemetry.ProcessSpans

@@ -7,21 +7,12 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
-	"time"
 
 	"nasd/internal/bufpool"
 	"nasd/internal/capability"
 	"nasd/internal/client"
 	"nasd/internal/telemetry"
 )
-
-// legPacing bounds how one leg rides out backpressure: at most nine
-// sends with eight waits between them, each wait the drive's own
-// retry-after hint (a jittered 5 ms when the reply carried none). A
-// handful of rounds rides out a burst; a drive still shedding after
-// that is saturated, and the caller's deadline — not more pacing —
-// should decide what happens.
-var legPacing = client.RetryPolicy{MaxAttempts: 9, BaseBackoff: 5 * time.Millisecond, MaxBackoff: 5 * time.Millisecond}
 
 // Object is a client-side handle on an open Cheops logical object: the
 // descriptor plus the component capability set. All data movement
@@ -93,9 +84,9 @@ func (o *Object) withCap(i int, fn func(cp *capability.Capability) error) error 
 }
 
 // readDirect fills dst from one component byte range on its own drive,
-// with no health check and no pacing (RAID 5 reconstruction tries
-// survivors even when their breakers are open). Where the component
-// object ends short of the range, the rest of dst reads as zeros.
+// with no health check (RAID 5 reconstruction tries survivors even when
+// their breakers are open). Where the component object ends short of
+// the range, the rest of dst reads as zeros.
 func (o *Object) readDirect(ctx context.Context, comp int, off uint64, dst []byte) error {
 	c := o.desc.Components[comp]
 	return o.withCap(comp, func(cp *capability.Capability) error {
@@ -107,14 +98,12 @@ func (o *Object) readDirect(ctx context.Context, comp int, off uint64, dst []byt
 
 // runLeg is the one way a request reaches a component in normal
 // service. It honors the lane's health state: a lane awaiting repair
-// (or a stale handle's repaired lane) is refused locally, a drive with
-// an open breaker is refused without traffic, and the outcome of every
-// real attempt feeds the breaker. A shed attempt (demonstrably never
-// executed) is paced: the leg waits the drive's hint and reissues,
-// slowing this stripe lane instead of erroring it, within legPacing and
-// the caller's ctx. Each attempt gets a fresh per-leg timeout; the
-// waits between attempts run on the caller's budget, not the leg's.
-func (o *Object) runLeg(ctx context.Context, comp int, send func(ctx context.Context) error) error {
+// (or a stale handle's repaired lane) is refused locally, and a drive
+// with an open breaker is refused without traffic. Otherwise the leg is
+// one call on the component's handle, and its outcome feeds the
+// breaker. Reissuing, waiting on a shed reply's hint and bounding each
+// attempt are the handle's RetryPolicy, not the leg's.
+func (o *Object) runLeg(comp int, send func() error) error {
 	c := o.desc.Components[comp]
 	if o.mgr.laneUnserviceable(o.desc.Logical, comp, c.Object) {
 		return errPendingRepair
@@ -122,35 +111,22 @@ func (o *Object) runLeg(ctx context.Context, comp int, send func(ctx context.Con
 	if !o.mgr.allowDrive(c.Drive) {
 		return errBreakerOpen
 	}
-	for waits := 0; ; waits++ {
-		lctx, cancel := o.mgr.legCtx(ctx)
-		err := send(lctx)
-		cancel()
-		o.mgr.reportDrive(c.Drive, err)
-		out, hint := client.Classify(err)
-		if out != client.Shed || waits+1 >= legPacing.MaxAttempts || ctx.Err() != nil {
-			return err
-		}
-		o.mgr.tel.backpressureWaits.Inc()
-		if legPacing.Pause(ctx, waits, hint) != nil {
-			return err
-		}
-	}
+	err := send()
+	o.mgr.reportDrive(c.Drive, err)
+	return err
 }
 
 // readLeg fills dst from one component byte range through runLeg.
 func (o *Object) readLeg(ctx context.Context, comp int, off uint64, dst []byte) error {
-	return o.runLeg(ctx, comp, func(lctx context.Context) error {
-		return o.readDirect(lctx, comp, off, dst)
-	})
+	return o.runLeg(comp, func() error { return o.readDirect(ctx, comp, off, dst) })
 }
 
 // writeLeg writes one component byte range through runLeg.
 func (o *Object) writeLeg(ctx context.Context, comp int, off uint64, data []byte) error {
 	c := o.desc.Components[comp]
-	return o.runLeg(ctx, comp, func(lctx context.Context) error {
+	return o.runLeg(comp, func() error {
 		return o.withCap(comp, func(cp *capability.Capability) error {
-			return o.drives[c.Drive].WritePipelined(lctx, cp, o.mgr.part, c.Object, off, data)
+			return o.drives[c.Drive].WritePipelined(ctx, cp, o.mgr.part, c.Object, off, data)
 		})
 	})
 }
@@ -294,8 +270,8 @@ func (o *Object) readComponent(ctx context.Context, comp int, off uint64, dst []
 		return nil
 	}
 	if out, _ := client.Classify(err); out == client.Shed {
-		// Backpressure outlasting the pacing loop is saturation, not
-		// component failure: the data on the lane is intact and the
+		// Backpressure the handle's policy did not absorb is saturation,
+		// not component failure: the data on the lane is intact and the
 		// drive is alive. Reconstructing around it would fan a single
 		// overloaded drive's load out to its healthy stripe-mates —
 		// overload begets more traffic — so surface the retryable
@@ -399,15 +375,13 @@ func (o *Object) writeSpans(ctx context.Context, spans []span, data []byte) []er
 // rather than failing it: the data is durable on the surviving lanes
 // and the skipped one enters the repair ledger so ReplaceComponent can
 // rebuild it later. That holds whatever the cause, residual overload
-// included: a lane skipped while its siblings committed is stale, and
-// out of the ledger it would serve old bytes later. When every leg was
-// shed nothing was written and the lanes are still mutually
+// and the caller's own cancellation included: a lane skipped while its
+// siblings committed is stale, and out of the ledger it would serve old
+// bytes later (for RAID 5, xor new data with old parity). When every
+// leg was shed nothing was written and the lanes are still mutually
 // consistent, so the typed retryable error surfaces with no ledger
 // entry; any other total failure loses the update.
 func (o *Object) settle(ctx context.Context, legs []span, errs []error) error {
-	if err := ctx.Err(); err != nil {
-		return err // the caller's cancellation, not drive failures
-	}
 	failed, shed := 0, 0
 	for _, e := range errs {
 		if e == nil {
@@ -425,7 +399,9 @@ func (o *Object) settle(ctx context.Context, legs []span, errs []error) error {
 				o.mgr.noteDegradedWrite(o.desc.Logical, legs[i].comp, e)
 			}
 		}
-		return nil
+		return ctx.Err()
+	case ctx.Err() != nil:
+		return ctx.Err() // the caller's cancellation, not drive failures
 	case shed == failed:
 		return firstError(errs)
 	}

@@ -19,7 +19,9 @@ import (
 // faultRig is the chaos variant of the test rig: every connection to
 // drive i — the manager's and the data path's — runs through
 // faults[i], and every client can re-dial through it, so one
-// Down/Revive call models a whole drive crashing and returning.
+// Down/Revive call models a whole drive crashing and returning. Every
+// handle retries under policy; the zero policy stands for four
+// attempts of at most 250 ms each.
 type faultRig struct {
 	mgr    *Manager
 	drives []*client.Drive
@@ -28,10 +30,12 @@ type faultRig struct {
 	reg    *telemetry.Registry
 }
 
-func newFaultRig(t *testing.T, n int, mc ManagerConfig) *faultRig {
+func newFaultRig(t *testing.T, n int, mc ManagerConfig, policy client.RetryPolicy) *faultRig {
 	t.Helper()
 	r := &faultRig{reg: telemetry.NewRegistry()}
-	policy := client.RetryPolicy{MaxAttempts: 4, BaseBackoff: time.Millisecond, AttemptTimeout: 250 * time.Millisecond}
+	if policy == (client.RetryPolicy{}) {
+		policy = client.RetryPolicy{MaxAttempts: 4, BaseBackoff: time.Millisecond, AttemptTimeout: 250 * time.Millisecond}
+	}
 	var refs []DriveRef
 	for i := 0; i < n; i++ {
 		master := crypt.NewRandomKey()
@@ -68,9 +72,6 @@ func newFaultRig(t *testing.T, n int, mc ManagerConfig) *faultRig {
 	if mc.BreakerCooldown == 0 {
 		mc.BreakerCooldown = 100 * time.Millisecond
 	}
-	if mc.LegTimeout == 0 {
-		mc.LegTimeout = 2 * time.Second
-	}
 	mgr, err := NewManager(testCtx, mc, true)
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +91,7 @@ func TestChaosSeverReviveRepair(t *testing.T) {
 	// repair ledger on its first failed write and all later traffic
 	// skips the lane, so the breaker sees few failures. A fleet of
 	// objects (the nasdbench -workload chaos soak) trips the default threshold.
-	r := newFaultRig(t, 4, ManagerConfig{FailThreshold: 1})
+	r := newFaultRig(t, 4, ManagerConfig{FailThreshold: 1}, client.RetryPolicy{})
 	id, err := r.mgr.Create(testCtx, RAID5, 16<<10, 4, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -184,7 +185,7 @@ func TestChaosSeverReviveRepair(t *testing.T) {
 // fall over to them, and repair restores the lost replica.
 func TestChaosMirrorDegradedWrite(t *testing.T) {
 	const victim = 1
-	r := newFaultRig(t, 3, ManagerConfig{})
+	r := newFaultRig(t, 3, ManagerConfig{}, client.RetryPolicy{})
 	id, err := r.mgr.Create(testCtx, Mirror1, 16<<10, 3, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -237,7 +238,7 @@ func TestChaosMirrorDegradedWrite(t *testing.T) {
 // components live on other drives fails at the save step, and both the
 // descriptor table and the component drives are left clean.
 func TestCreateRollsBackOnNetworkFault(t *testing.T) {
-	r := newFaultRig(t, 3, ManagerConfig{})
+	r := newFaultRig(t, 3, ManagerConfig{}, client.RetryPolicy{})
 	r.faults[0].Down()
 	if _, err := r.mgr.Create(testCtx, Mirror1, 32<<10, 2, 1); err == nil {
 		t.Fatal("create succeeded with the directory drive down")
@@ -268,7 +269,7 @@ func TestCreateRollsBackOnNetworkFault(t *testing.T) {
 // drive mid-repair: the rebuilt replacement object must be cleaned off
 // its drive and the descriptor must keep naming the old component.
 func TestReplaceComponentRollsBackOnNetworkFault(t *testing.T) {
-	r := newFaultRig(t, 4, ManagerConfig{})
+	r := newFaultRig(t, 4, ManagerConfig{}, client.RetryPolicy{})
 	id, err := r.mgr.Create(testCtx, Mirror1, 32<<10, 2, 1) // components on drives 1 and 2
 	if err != nil {
 		t.Fatal(err)
@@ -310,7 +311,7 @@ func TestReplaceComponentRollsBackOnNetworkFault(t *testing.T) {
 // capability with the typed status, the object renews at the manager,
 // and the caller never sees the expiry.
 func TestCapabilityRenewalMidHandle(t *testing.T) {
-	r := newFaultRig(t, 2, ManagerConfig{CapExpiry: 100 * time.Millisecond})
+	r := newFaultRig(t, 2, ManagerConfig{CapExpiry: 100 * time.Millisecond}, client.RetryPolicy{})
 	id, err := r.mgr.Create(testCtx, Stripe0, 16<<10, 2, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -320,17 +320,6 @@ func (m *Manager) noteDegradedWrite(logical uint64, comp int, cause error) {
 	}
 }
 
-// legCtx scopes one fan-out leg to the manager's per-leg timeout, so a
-// hung drive surfaces as a timed-out leg (feeding its breaker) while
-// the caller's overall deadline still has room to reconstruct. With no
-// LegTimeout configured it returns ctx unchanged.
-func (m *Manager) legCtx(ctx context.Context) (context.Context, context.CancelFunc) {
-	if m.legTimeout <= 0 {
-		return ctx, func() {}
-	}
-	return context.WithTimeout(ctx, m.legTimeout)
-}
-
 // RepairAll attempts ReplaceComponent for every ledger entry, placing
 // each rebuild on the drive the component already lives on — the
 // revived-drive case, where the hardware is back but its contents are

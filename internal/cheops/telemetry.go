@@ -7,20 +7,19 @@ import "nasd/internal/telemetry"
 // how often the redundancy machinery — degraded reads, RAID-5
 // read-modify-write, component reconstruction — actually runs.
 type cheopsTel struct {
-	reg               *telemetry.Registry
-	events            *telemetry.EventLog  // structured events (breaker transitions, degraded ops, repairs)
-	degradedReads     *telemetry.Counter   // reads served by reconstruction around a failed component
-	degradedWrites    *telemetry.Counter   // redundant writes that skipped a failed component (repair logged)
-	failovers         *telemetry.Counter   // legs that fell over to a degraded path mid-operation
-	capRenewals       *telemetry.Counter   // expired component capabilities renewed transparently
-	breakerOpens      *telemetry.Counter   // circuit breakers tripped open
-	breakerProbes     *telemetry.Counter   // half-open probes admitted
-	rmwWrites         *telemetry.Counter   // RAID-5 small-write read-modify-write cycles
-	reconstructions   *telemetry.Counter   // whole-component rebuilds (ReplaceComponent)
-	backpressure      *telemetry.Counter   // legs answered StatusRetryLater (drive alive, shedding)
-	backpressureWaits *telemetry.Counter   // hinted pacing sleeps taken before reissuing a leg
-	readFanout        *telemetry.Histogram // spans per ReadAt (drive-parallel fan-out width)
-	writeFanout       *telemetry.Histogram // spans per striped/mirrored WriteAt
+	reg             *telemetry.Registry
+	events          *telemetry.EventLog  // structured events (breaker transitions, degraded ops, repairs)
+	degradedReads   *telemetry.Counter   // reads served by reconstruction around a failed component
+	degradedWrites  *telemetry.Counter   // redundant writes that skipped a failed component (repair logged)
+	failovers       *telemetry.Counter   // legs that fell over to a degraded path mid-operation
+	capRenewals     *telemetry.Counter   // expired component capabilities renewed transparently
+	breakerOpens    *telemetry.Counter   // circuit breakers tripped open
+	breakerProbes   *telemetry.Counter   // half-open probes admitted
+	rmwWrites       *telemetry.Counter   // RAID-5 small-write read-modify-write cycles
+	reconstructions *telemetry.Counter   // whole-component rebuilds (ReplaceComponent)
+	backpressure    *telemetry.Counter   // legs answered StatusRetryLater (drive alive, shedding)
+	readFanout      *telemetry.Histogram // spans per ReadAt (drive-parallel fan-out width)
+	writeFanout     *telemetry.Histogram // spans per striped/mirrored WriteAt
 }
 
 func newCheopsTel(reg *telemetry.Registry, events *telemetry.EventLog) *cheopsTel {
@@ -31,20 +30,19 @@ func newCheopsTel(reg *telemetry.Registry, events *telemetry.EventLog) *cheopsTe
 		events = telemetry.Events
 	}
 	return &cheopsTel{
-		reg:               reg,
-		events:            events,
-		degradedReads:     reg.Counter("cheops.degraded_reads"),
-		degradedWrites:    reg.Counter("cheops.degraded_writes"),
-		failovers:         reg.Counter("cheops.failovers"),
-		capRenewals:       reg.Counter("cheops.cap_renewals"),
-		breakerOpens:      reg.Counter("cheops.breaker_opens"),
-		breakerProbes:     reg.Counter("cheops.breaker_probes"),
-		rmwWrites:         reg.Counter("cheops.rmw_writes"),
-		reconstructions:   reg.Counter("cheops.reconstructions"),
-		backpressure:      reg.Counter("cheops.backpressure"),
-		backpressureWaits: reg.Counter("cheops.backpressure_waits"),
-		readFanout:        reg.Histogram("cheops.read_fanout"),
-		writeFanout:       reg.Histogram("cheops.write_fanout"),
+		reg:             reg,
+		events:          events,
+		degradedReads:   reg.Counter("cheops.degraded_reads"),
+		degradedWrites:  reg.Counter("cheops.degraded_writes"),
+		failovers:       reg.Counter("cheops.failovers"),
+		capRenewals:     reg.Counter("cheops.cap_renewals"),
+		breakerOpens:    reg.Counter("cheops.breaker_opens"),
+		breakerProbes:   reg.Counter("cheops.breaker_probes"),
+		rmwWrites:       reg.Counter("cheops.rmw_writes"),
+		reconstructions: reg.Counter("cheops.reconstructions"),
+		backpressure:    reg.Counter("cheops.backpressure"),
+		readFanout:      reg.Histogram("cheops.read_fanout"),
+		writeFanout:     reg.Histogram("cheops.write_fanout"),
 	}
 }
 

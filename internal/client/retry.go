@@ -130,8 +130,8 @@ func (b *retryBudget) refund() {
 // Outcome is what a request's error proves about the drive and about
 // whether the request ran. Classify is the one place the client plane
 // (this package and cheops) reads an error for that purpose: the retry
-// loop, the Cheops breakers, leg pacing, degraded reads and write
-// settlement all act on the Outcome. DESIGN.md §6 has the full table.
+// loop, the Cheops breakers, degraded reads and write settlement all
+// act on the Outcome. DESIGN.md §6 has the full table.
 type Outcome int
 
 const (
@@ -222,8 +222,8 @@ func (d *Drive) reissuable(ctx context.Context, op drive.Op, out Outcome, err er
 
 // Pause sleeps before retry number attempt (0 = the first), scoped to
 // ctx: it returns ctx's error instead of sleeping past the caller's
-// deadline. It is the one timer of the client plane; do() and the
-// Cheops leg runner both wait here. With hint > 0 (a drive retry-after
+// deadline. It is the one timer of the client plane, and do() the only
+// caller that waits on it. With hint > 0 (a drive retry-after
 // hint) the sleep is the hint plus up to 25% jitter — the drive knows
 // when it will have room, and synchronized client herds re-arriving
 // exactly at the hint would recreate the overload it shed to escape.

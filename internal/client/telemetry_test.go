@@ -118,7 +118,8 @@ func TestRequestTail(t *testing.T) {
 		_, err := r.cli.GetAttr(testCtx, &rw, 1, obj)
 		return err
 	}
-	shared, reqID := telemetry.WithRequestID(testCtx)
+	reqID := telemetry.NextSpanID()
+	shared := telemetry.WithExplicitRequestID(testCtx, reqID)
 	writeOnly := r.mint(t, 1, obj, 1, capability.Write)
 	workers := [8][2]func() error{
 		{func() error { return readAs(shared, &rw) }, func() error { return readAs(shared, &rw) }},

@@ -395,10 +395,9 @@ func (c *Client) failAll(err error) {
 // canceled or its deadline passes, the pending call fails with ctx's
 // error and a late reply is discarded by the receive loop; on
 // transports that support it (TCP) the deadline also bounds the send.
-// If ctx carries an active telemetry span and req.Trace is unset, the
-// span's {trace ID, span ID} ride along in the request header (outside
-// the signed body) so the server-side span becomes a child of the
-// caller's; a bare telemetry request ID stamps the trace ID alone.
+// If ctx carries a telemetry span context and req.Trace is unset, its
+// {trace ID, span ID} ride along in the request header (outside the
+// signed body) so the server-side span becomes a child of the caller's.
 func (c *Client) Call(ctx context.Context, req *Request) (*Reply, error) {
 	if err := ctx.Err(); err != nil {
 		c.statCanceled.Inc()
@@ -407,8 +406,6 @@ func (c *Client) Call(ctx context.Context, req *Request) (*Reply, error) {
 	if req.Trace == (TraceContext{}) {
 		if sc, ok := telemetry.SpanContextFrom(ctx); ok {
 			req.Trace = TraceContext{TraceID: sc.TraceID, Parent: sc.SpanID}
-		} else if id, ok := telemetry.RequestIDFrom(ctx); ok {
-			req.Trace.TraceID = id
 		}
 	}
 	if req.DeadlineNS == 0 {
@@ -476,27 +473,38 @@ func (c *Client) Call(ctx context.Context, req *Request) (*Reply, error) {
 	}
 	c.statBytesSent.Add(wireLen)
 
-	select {
-	case reply, ok := <-ch:
-		if !ok {
-			c.mu.Lock()
-			err := c.readErr
-			c.mu.Unlock()
-			if err == nil {
-				err = ErrClosed
-			}
-			c.statFailures.Inc()
-			return nil, err
-		}
-		c.statLatency.ObserveSince(start)
-		return reply, nil
-	case <-ctx.Done():
-		c.mu.Lock()
-		delete(c.pending, req.MsgID)
-		c.mu.Unlock()
-		c.statCanceled.Inc()
-		return nil, ctx.Err()
+	// A deadline that passed while the request was being sent came
+	// before any reply could. Give up now, whether or not ctx's timer
+	// has fired yet, rather than let the select pick at random between
+	// the deadline and a reply that has since arrived.
+	err = ctx.Err()
+	if dl, ok := ctx.Deadline(); ok && err == nil && !time.Now().Before(dl) {
+		err = context.DeadlineExceeded
 	}
+	if err == nil {
+		select {
+		case reply, ok := <-ch:
+			if !ok {
+				c.mu.Lock()
+				err := c.readErr
+				c.mu.Unlock()
+				if err == nil {
+					err = ErrClosed
+				}
+				c.statFailures.Inc()
+				return nil, err
+			}
+			c.statLatency.ObserveSince(start)
+			return reply, nil
+		case <-ctx.Done():
+			err = ctx.Err()
+		}
+	}
+	c.mu.Lock()
+	delete(c.pending, req.MsgID)
+	c.mu.Unlock()
+	c.statCanceled.Inc()
+	return nil, err
 }
 
 // Close tears down the connection; in-flight calls fail.

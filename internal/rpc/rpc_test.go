@@ -3,11 +3,13 @@ package rpc
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"nasd/internal/crypt"
 )
@@ -317,6 +319,57 @@ func TestCallAfterServerGone(t *testing.T) {
 	conn.Close()
 	if _, err := cli.Call(context.Background(), &Request{Proc: 1}); err == nil {
 		t.Fatal("call after close succeeded")
+	}
+}
+
+// stallConn sends each request at once and then holds the sender until
+// the reply has been received and stall has passed, so by the time Call
+// waits its reply is in and a shorter deadline has already passed.
+type stallConn struct {
+	Conn
+	replied chan struct{}
+	stall   time.Duration
+}
+
+func (c *stallConn) Send(msg []byte) error {
+	if err := c.Conn.Send(msg); err != nil {
+		return err
+	}
+	<-c.replied
+	time.Sleep(c.stall)
+	return nil
+}
+
+func (c *stallConn) Recv() ([]byte, error) {
+	msg, err := c.Conn.Recv()
+	if err == nil {
+		c.replied <- struct{}{}
+	}
+	return msg, err
+}
+
+// TestCallDeadlinePassedDuringSendFails: a call whose deadline passed
+// while its request was being sent fails with the deadline every time,
+// even though the reply is waiting by then. The deadline came first;
+// a select between the two would pick either at random.
+func TestCallDeadlinePassedDuringSendFails(t *testing.T) {
+	l := NewInProcListener("s")
+	srv := NewServer(echoServer(t))
+	go srv.Serve(l)
+	defer srv.Close()
+	conn, err := l.Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli := NewClient(&stallConn{Conn: conn, replied: make(chan struct{}, 1), stall: 10 * time.Millisecond})
+	defer cli.Close()
+	for i := 0; i < 20; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+		_, err := cli.Call(ctx, &Request{Proc: 1})
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("call %d: err = %v, want the deadline", i, err)
+		}
 	}
 }
 

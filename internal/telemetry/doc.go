@@ -1,6 +1,6 @@
 // Package telemetry is the repository's observability core: a
 // dependency-free metrics library (atomic counters, gauges, and
-// fixed-bucket latency histograms with snapshot and merge), request-ID
+// fixed-bucket latency histograms with snapshot and merge), trace
 // propagation through context.Context, a bounded in-memory span log
 // holding one record per request, and HTTP handlers that expose both
 // as JSON.
@@ -26,8 +26,8 @@
 // wire in the rpc request header (SpanLog.StartRemote on the serving
 // side), so one trace ID links a client op, the Cheops fan-out legs it
 // spawned, and the drive-side handler spans with their Table 1 phase
-// children (digest / object-system / media). Span IDs are salted with
-// a per-process random high word so records minted by different
+// children (digest / object-system / media). Trace and span IDs are
+// salted with a per-process random high word so records minted by different
 // processes merge without collision (MergeSpans), and WriteTimeline
 // renders a merged trace as one indented timeline, flagging straggler
 // legs among parallel siblings. See DESIGN.md §5 for the full model

@@ -21,10 +21,12 @@ import (
 // reconstructs the whole causal timeline (the Dapper/X-Trace model),
 // which is what `nasdctl trace <id>` prints.
 //
-// Trace IDs are allocated by the outermost caller (the request-ID
-// counter; see context.go for why a counter and not a UUID). Span IDs
-// must stay distinct when client- and drive-side logs merge, so each
-// process draws them from a counter salted with a random high word.
+// Trace IDs and span IDs come from one counter salted with a random
+// per-process high word. Span IDs must stay distinct when client- and
+// drive-side logs merge, and a drive outlives many short-lived clients
+// (think repeated nasdctl invocations): two clients both counting trace
+// IDs from 1 would interleave unrelated operations into one trace on
+// the drive.
 
 // SpanContext identifies the active span of a trace, as carried in a
 // context.Context and (as {trace ID, parent span ID}) on the wire.
@@ -40,15 +42,24 @@ func WithSpanContext(ctx context.Context, sc SpanContext) context.Context {
 	return context.WithValue(ctx, spanCtxKey{}, sc)
 }
 
+// WithExplicitRequestID returns ctx carrying id as the trace ID of a
+// root span context (span ID 0), replacing any span context ctx had:
+// the client stamps id into rpc.Request.Trace, and the first span
+// opened under ctx is a root of trace id, so a caller finds its
+// operation by the ID it chose.
+func WithExplicitRequestID(ctx context.Context, id uint64) context.Context {
+	return WithSpanContext(ctx, SpanContext{TraceID: id})
+}
+
 // SpanContextFrom extracts the active span context from ctx.
 func SpanContextFrom(ctx context.Context) (SpanContext, bool) {
 	sc, ok := ctx.Value(spanCtxKey{}).(SpanContext)
 	return sc, ok && sc.TraceID != 0
 }
 
-// spanIDSalt puts a random 32-bit word in the high half of every span
-// ID this process allocates, so spans from different processes (client
-// and drives) do not collide when merged into one timeline.
+// spanIDSalt puts a random 32-bit word in the high half of every trace
+// and span ID this process allocates, so IDs from different processes
+// (client and drives) do not collide when merged into one timeline.
 var spanIDSalt = func() uint64 {
 	var b [4]byte
 	_, _ = rand.Read(b[:])
@@ -57,10 +68,10 @@ var spanIDSalt = func() uint64 {
 
 var spanCounter atomic.Uint64
 
-// NextSpanID allocates a process-unique, cross-process-disjoint span ID
-// (never 0). Exported for layers that build SpanRecords directly rather
-// than through StartSpan (blockdev's per-I/O spans, the drive's
-// synthesized phase spans).
+// NextSpanID allocates a process-unique, cross-process-disjoint trace or
+// span ID (never 0; 0 on the wire means "untraced"). Exported for
+// layers that build SpanRecords directly rather than through StartSpan
+// (blockdev's per-I/O spans, the drive's synthesized phase spans).
 func NextSpanID() uint64 {
 	return spanIDSalt | (spanCounter.Add(1) & 0xffffffff)
 }
@@ -265,26 +276,21 @@ func (l *SpanLog) ByTrace(traceID uint64) []SpanRecord {
 	return out
 }
 
-// StartSpan opens a span named name as a child of ctx's active span.
-// Without an active span the new span is a root: it reuses ctx's
-// request ID as the trace ID when one is present (so a caller can find
-// its operation by the ID it chose), and allocates a fresh trace
-// otherwise. The returned context carries the new span, so nested
-// calls become children. A nil log returns ctx unchanged and a nil
-// (no-op) span.
+// StartSpan opens a span named name as a child of ctx's span context:
+// in its trace, under its span ID (a root when that is 0, as after
+// WithExplicitRequestID). Without a span context the new span is the
+// root of a fresh trace. The returned context carries the new span, so
+// nested calls become children. A nil log returns ctx unchanged and a
+// nil (no-op) span.
 func (l *SpanLog) StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	if l == nil {
 		return ctx, nil
 	}
-	var traceID, parent uint64
-	if sc, ok := SpanContextFrom(ctx); ok {
-		traceID, parent = sc.TraceID, sc.SpanID
-	} else if id, ok := RequestIDFrom(ctx); ok {
-		traceID = id
-	} else {
-		traceID = NextRequestID()
+	sc, ok := SpanContextFrom(ctx)
+	if !ok {
+		sc = SpanContext{TraceID: NextSpanID()}
 	}
-	sp := l.open(traceID, parent, name)
+	sp := l.open(sc.TraceID, sc.SpanID, name)
 	return WithSpanContext(ctx, sp.Context()), sp
 }
 

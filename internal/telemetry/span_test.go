@@ -52,10 +52,14 @@ func TestSpanHierarchy(t *testing.T) {
 
 func TestSpanRootReusesRequestID(t *testing.T) {
 	l := NewSpanLog(8)
-	ctx, reqID := WithRequestID(context.Background())
-	_, sp := l.StartSpan(ctx, "op")
+	reqID := NextSpanID()
+	_, sp := l.StartSpan(WithExplicitRequestID(context.Background(), reqID), "op")
+	sp.End()
 	if sc := sp.Context(); sc.TraceID != reqID {
 		t.Fatalf("trace ID %d != request ID %d", sc.TraceID, reqID)
+	}
+	if rec := l.Recent(1, "op")[0]; rec.Parent != 0 {
+		t.Fatalf("span under a request ID has parent %d, want a root", rec.Parent)
 	}
 }
 

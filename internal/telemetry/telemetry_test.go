@@ -207,23 +207,17 @@ func TestSnapshotRaceSafety(t *testing.T) {
 
 func TestRequestIDContext(t *testing.T) {
 	ctx := context.Background()
-	if id, ok := RequestIDFrom(ctx); ok || id != 0 {
-		t.Fatalf("fresh context should carry no ID, got %d", id)
+	if sc, ok := SpanContextFrom(ctx); ok {
+		t.Fatalf("fresh context should carry no trace, got %+v", sc)
 	}
-	ctx1, id1 := WithRequestID(ctx)
-	if id1 == 0 {
-		t.Fatal("request IDs must be nonzero")
+	// A request ID is a root span context: the trace ID, no span.
+	ctx1 := WithExplicitRequestID(ctx, 99)
+	if sc, ok := SpanContextFrom(ctx1); !ok || sc != (SpanContext{TraceID: 99}) {
+		t.Fatalf("span context = %+v, %v; want trace 99, span 0", sc, ok)
 	}
-	// A second WithRequestID keeps the outermost ID.
-	ctx2, id2 := WithRequestID(ctx1)
-	if id2 != id1 {
-		t.Fatalf("nested WithRequestID minted a new ID: %d != %d", id2, id1)
-	}
-	if got, ok := RequestIDFrom(ctx2); !ok || got != id1 {
-		t.Fatalf("RequestIDFrom = %d, %v", got, ok)
-	}
-	ctx3 := WithExplicitRequestID(ctx2, 99)
-	if got, _ := RequestIDFrom(ctx3); got != 99 {
-		t.Fatalf("explicit ID not honored: %d", got)
+	// It replaces whatever span context the caller had.
+	ctx2 := WithExplicitRequestID(WithSpanContext(ctx, SpanContext{TraceID: 7, SpanID: 8}), 99)
+	if sc, _ := SpanContextFrom(ctx2); sc != (SpanContext{TraceID: 99}) {
+		t.Fatalf("explicit ID not honored: %+v", sc)
 	}
 }

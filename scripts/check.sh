@@ -30,7 +30,7 @@ fi
 echo "==> no deleted names in *.go, *.md, *.sh and *.yml"
 if grep -rnE --include='*.go' --include='*.md' --include='*.sh' --include='*.yml' \
     --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md --exclude=check.sh --exclude-dir=.git --exclude-dir=.bench_build \
-    'WithJournalBlocks|FormatStore|OpenStore|Stats\(\)\.Retries|nasdbench -(stats|chaos)([^-]|$)|nasdbench -workload (stats|parallel|smallobj)|BENCH_(stats|parallel|smallobj)|-stats-mb|-smallobj-objects|WithWorkers|AllDig|JournalEnabled|SetWriteThrough|SeqWriteJournalOff|JournalBlocks: -1|OpenWith|WithQueue|rpc-queue|sendReject|svcEWMA|ServerMetrics|ServerSpans|WithWindow|WithFragmentSize|ptrWritten' .; then
+    'WithJournalBlocks|FormatStore|OpenStore|Stats\(\)\.Retries|nasdbench -(stats|chaos)([^-]|$)|nasdbench -workload (stats|parallel|smallobj)|BENCH_(stats|parallel|smallobj)|-stats-mb|-smallobj-objects|WithWorkers|AllDig|JournalEnabled|SetWriteThrough|SeqWriteJournalOff|JournalBlocks: -1|OpenWith|WithQueue|rpc-queue|sendReject|svcEWMA|ServerMetrics|ServerSpans|WithWindow|WithFragmentSize|ptrWritten|LegTimeout|legPacing|legCtx|backpressureWaits|cheops\.backpressure_waits|RequestIDFrom|WithRequestID|NextRequestID' .; then
     echo "the names above no longer exist; describe what replaced them" >&2
     exit 1
 fi
@@ -51,9 +51,9 @@ go test -race ./...
 # Fault-tolerance focus: rerun the fault/retry/failover tests by name so
 # a resilience regression is called out explicitly instead of hiding in
 # the full-suite output above.
-echo "==> go test -race -run 'Faults|Retry|Reconnect|NeverSent|FateUnknown|Breaker|Chaos|Rollback|Hang|CapabilityRenewal|TimedOutLeg|ShortComponent|Recycle' (fault-tolerance focus)"
+echo "==> go test -race -run 'Faults|Retry|Reconnect|NeverSent|FateUnknown|Breaker|Chaos|Rollback|Hang|CapabilityRenewal|TimedOutLeg|ShortComponent|Recycle|ShedWriteLeg|HandlePolicyAbsorbsShed|Overload|CanceledRAID5Write|DeadlinePassedDuringSend' (fault-tolerance focus)"
 go test -race \
-    -run 'Faults|Retry|Reconnect|NeverSent|FateUnknown|Breaker|Chaos|Rollback|Hang|CapabilityRenewal|TimedOutLeg|ShortComponent|Recycle' \
+    -run 'Faults|Retry|Reconnect|NeverSent|FateUnknown|Breaker|Chaos|Rollback|Hang|CapabilityRenewal|TimedOutLeg|ShortComponent|Recycle|ShedWriteLeg|HandlePolicyAbsorbsShed|Overload|CanceledRAID5Write|DeadlinePassedDuringSend' \
     ./internal/rpc ./internal/client ./internal/cheops ./internal/blockdev
 
 # QoS focus: the Controller hands slots between rpc workers under its
