@@ -396,8 +396,8 @@ func (c *ctl) run(args []string) error {
 
 // trace pulls every span recorded for one trace ID from each drive in
 // c.addrs, merges them with the spans this process recorded itself
-// (relevant when the traced operation ran in-process, e.g. through
-// nasdbench), and prints the combined timeline.
+// (relevant when the traced operation ran in-process), and prints the
+// combined timeline.
 func (c *ctl) trace(traceID uint64) error {
 	sets := [][]telemetry.SpanRecord{telemetry.ProcessSpans.ByTrace(traceID)}
 	for i, addr := range c.addrs {

@@ -2,8 +2,11 @@ package cheops
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,13 +24,22 @@ import (
 // faults[i], and every client can re-dial through it, so one
 // Down/Revive call models a whole drive crashing and returning. Every
 // handle retries under policy; the zero policy stands for four
-// attempts of at most 250 ms each.
+// attempts of at most 250 ms each. Each drive's media sits behind a
+// volatile write cache, and every redial goes to the listener in
+// lns[i], so powerCut and restart can replace a drive under its
+// clients.
 type faultRig struct {
 	mgr    *Manager
 	drives []*client.Drive
 	raw    []*drive.Drive
 	faults []*rpc.Faults
 	reg    *telemetry.Registry
+
+	media []*blockdev.MemDisk
+	disks []*blockdev.CrashDisk
+	keys  []crypt.Key
+	srvs  []*rpc.Server
+	lns   []*atomic.Pointer[rpc.InProcListener]
 }
 
 func newFaultRig(t *testing.T, n int, mc ManagerConfig, policy client.RetryPolicy) *faultRig {
@@ -39,18 +51,21 @@ func newFaultRig(t *testing.T, n int, mc ManagerConfig, policy client.RetryPolic
 	var refs []DriveRef
 	for i := 0; i < n; i++ {
 		master := crypt.NewRandomKey()
-		dev := blockdev.NewMemDisk(4096, 16384)
-		drv, err := drive.NewFormat(dev, drive.Config{ID: uint64(1 + i), Master: master, Secure: true})
+		media := blockdev.NewMemDisk(4096, 16384)
+		disk := blockdev.NewCrashDisk(media, int64(1+i))
+		drv, err := drive.NewFormat(disk, drive.Config{ID: uint64(1 + i), Master: master, Secure: true})
 		if err != nil {
 			t.Fatal(err)
 		}
+		ln := new(atomic.Pointer[rpc.InProcListener])
+		ln.Store(rpc.NewInProcListener(fmt.Sprintf("fd%d", i)))
 		r.raw = append(r.raw, drv)
-		l := rpc.NewInProcListener(fmt.Sprintf("fd%d", i))
-		srv := drv.Serve(l)
-		t.Cleanup(srv.Close)
+		r.media, r.disks, r.keys = append(r.media, media), append(r.disks, disk), append(r.keys, master)
+		r.srvs, r.lns = append(r.srvs, drv.Serve(ln.Load())), append(r.lns, ln)
+		t.Cleanup(func() { r.srvs[i].Close() })
 		f := rpc.NewFaults(int64(1 + i))
 		r.faults = append(r.faults, f)
-		dial := func() (rpc.Conn, error) { return f.Dial(l.Dial) }
+		dial := func() (rpc.Conn, error) { return f.Dial(ln.Load().Dial) }
 		mk := func() *client.Drive {
 			conn, err := dial()
 			if err != nil {
@@ -80,60 +95,154 @@ func newFaultRig(t *testing.T, n int, mc ManagerConfig, policy client.RetryPolic
 	return r
 }
 
-// TestChaosSeverReviveRepair is the acceptance scenario: one of four
-// drives is crashed while striped traffic runs, every operation during
-// the outage must complete with correct data via the degraded paths,
-// and after revival the repair ledger drains, the breaker recloses,
-// and full redundancy is restored.
+// powerCut takes drive i down the way a power cut does. The network
+// goes first, so no request is in flight when the server drains; then
+// the write cache is dropped, leaving only what the store made durable.
+func (r *faultRig) powerCut(i int) {
+	r.faults[i].Down()
+	r.srvs[i].Close()
+	r.disks[i].Crash()
+}
+
+// restart mounts drive i again over the media its power cut left — the
+// mount replays the journal into reg — and serves it on a fresh
+// listener, where every later redial of its clients lands.
+func (r *faultRig) restart(t *testing.T, i int, events *telemetry.EventLog) *drive.Drive {
+	t.Helper()
+	drv, err := drive.Open(r.media[i], drive.Config{
+		ID: uint64(1 + i), Master: r.keys[i], Secure: true, Metrics: r.reg, Events: events,
+	})
+	if err != nil {
+		t.Fatalf("restarting drive %d: %v", i, err)
+	}
+	ln := rpc.NewInProcListener(fmt.Sprintf("fd%d-restarted", i))
+	r.raw[i], r.srvs[i] = drv, drv.Serve(ln)
+	r.lns[i].Store(ln)
+	return drv
+}
+
+// drainRepairs sweeps RepairAll until the repair ledger is empty. A
+// sweep refused while the victim's breaker recloses is tried again.
+func drainRepairs(t *testing.T, mgr *Manager) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for len(mgr.PendingRepairs()) > 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("repair ledger stuck: %+v", mgr.PendingRepairs())
+		}
+		mgr.RepairAll(testCtx)
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// soaker writes random extents of one logical object and reads random
+// extents back, checking every read against an in-memory model. All of
+// its randomness comes from its seed, so a failure replays.
+type soaker struct {
+	name  string
+	id    uint64
+	obj   *Object
+	model []byte
+	rng   *rand.Rand
+}
+
+func (r *faultRig) newSoaker(t *testing.T, p Pattern, width, size int, seed int64) *soaker {
+	t.Helper()
+	id, err := r.mgr.Create(testCtx, p, 16<<10, width, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &soaker{name: p.String(), id: id, model: make([]byte, size), rng: rand.New(rand.NewSource(seed))}
+	s.reopen(t, r)
+	s.rng.Read(s.model)
+	if err := s.obj.WriteAt(testCtx, 0, s.model); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+func (s *soaker) reopen(t *testing.T, r *faultRig) {
+	t.Helper()
+	obj, err := OpenObject(r.mgr, r.drives, s.id, capability.Read|capability.Write)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.obj = obj
+}
+
+func (s *soaker) soak(rounds int) error {
+	for i := 0; i < rounds; i++ {
+		n := 1 + s.rng.Intn(48<<10)
+		off := s.rng.Intn(len(s.model) - n + 1)
+		chunk := make([]byte, n)
+		s.rng.Read(chunk)
+		if err := s.obj.WriteAt(testCtx, uint64(off), chunk); err != nil {
+			return fmt.Errorf("%s round %d write [%d,%d): %w", s.name, i, off, off+n, err)
+		}
+		copy(s.model[off:], chunk)
+		roff := s.rng.Intn(len(s.model) - n + 1)
+		got, err := s.obj.ReadAt(testCtx, uint64(roff), n)
+		if err != nil {
+			return fmt.Errorf("%s round %d read [%d,%d): %w", s.name, i, roff, roff+n, err)
+		}
+		if !bytes.Equal(got, s.model[roff:roff+n]) {
+			return fmt.Errorf("%s round %d read [%d,%d) does not match the model", s.name, i, roff, roff+n)
+		}
+	}
+	return nil
+}
+
+func (s *soaker) verify(t *testing.T) {
+	t.Helper()
+	got, err := s.obj.ReadAt(testCtx, 0, len(s.model))
+	if err != nil || !bytes.Equal(got, s.model) {
+		t.Fatalf("%s object does not match the model: %v", s.name, err)
+	}
+}
+
+// TestChaosSeverReviveRepair is the acceptance scenario. A RAID 5 and a
+// mirrored object are soaked concurrently over four drives while one
+// drive loses power: every operation during the outage must complete
+// with correct data via the degraded paths. The drive then restarts
+// through journal recovery, is marked stale, and the repair ledger
+// drains; the breaker recloses, full redundancy returns, and the
+// outage shows in the counters, the test's own event ring and the
+// drives' per-tenant stats.
+//
+// Drive 2, not drive 0, takes the fault: the manager keeps its
+// directory on drive 0, and losing it is a different property.
 func TestChaosSeverReviveRepair(t *testing.T) {
 	const victim = 2
-	// Threshold 1: with a single object, the victim's lane enters the
-	// repair ledger on its first failed write and all later traffic
-	// skips the lane, so the breaker sees few failures. A fleet of
-	// objects (the nasdbench -workload chaos soak) trips the default threshold.
-	r := newFaultRig(t, 4, ManagerConfig{FailThreshold: 1}, client.RetryPolicy{})
-	id, err := r.mgr.Create(testCtx, RAID5, 16<<10, 4, 0)
-	if err != nil {
-		t.Fatal(err)
+	events := telemetry.NewEventLog(256)
+	// Threshold 1: a lane enters the repair ledger on its first failed
+	// write and later traffic skips it, so the breaker sees few
+	// failures.
+	r := newFaultRig(t, 4, ManagerConfig{FailThreshold: 1, Events: events}, client.RetryPolicy{})
+	soakers := []*soaker{
+		r.newSoaker(t, RAID5, 4, 256<<10, 11),
+		r.newSoaker(t, Mirror1, 3, 128<<10, 12),
 	}
-	obj, err := OpenObject(r.mgr, r.drives, id, capability.Read|capability.Write)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	model := make([]byte, 256<<10)
-	rng := rand.New(rand.NewSource(11))
-	rng.Read(model)
-	if err := obj.WriteAt(testCtx, 0, model); err != nil {
-		t.Fatal(err)
-	}
-
-	soak := func(rounds int) {
+	soak := func(phase string, rounds int) {
 		t.Helper()
-		for i := 0; i < rounds; i++ {
-			n := 1 + rng.Intn(48<<10)
-			off := rng.Intn(len(model) - n + 1)
-			chunk := make([]byte, n)
-			rng.Read(chunk)
-			if err := obj.WriteAt(testCtx, uint64(off), chunk); err != nil {
-				t.Fatalf("round %d write [%d,%d): %v", i, off, off+n, err)
-			}
-			copy(model[off:], chunk)
-			roff := rng.Intn(len(model) - n + 1)
-			got, err := obj.ReadAt(testCtx, uint64(roff), n)
-			if err != nil {
-				t.Fatalf("round %d read [%d,%d): %v", i, roff, roff+n, err)
-			}
-			if !bytes.Equal(got, model[roff:roff+n]) {
-				t.Fatalf("round %d read [%d,%d) does not match model", i, roff, roff+n)
-			}
+		errs := make([]error, len(soakers))
+		var wg sync.WaitGroup
+		for i, s := range soakers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[i] = s.soak(rounds)
+			}()
+		}
+		wg.Wait()
+		if err := errors.Join(errs...); err != nil {
+			t.Fatalf("%s phase: %v", phase, err)
 		}
 	}
 
-	soak(10) // healthy
+	soak("healthy", 10)
 
-	r.faults[victim].Down()
-	soak(20) // every op must survive the outage on redundancy
+	r.powerCut(victim)
+	soak("degraded", 20) // every op must survive the outage on redundancy
 	if st := r.mgr.DriveHealth(victim); st == BreakerClosed {
 		t.Fatal("victim's breaker never opened during the outage")
 	}
@@ -141,42 +250,65 @@ func TestChaosSeverReviveRepair(t *testing.T) {
 		t.Fatal("no pending repairs recorded from degraded writes")
 	}
 
-	r.faults[victim].Revive()
-	deadline := time.Now().Add(10 * time.Second)
-	for len(r.mgr.PendingRepairs()) > 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("repair ledger stuck: %+v", r.mgr.PendingRepairs())
-		}
-		r.mgr.RepairAll(testCtx)
-		time.Sleep(10 * time.Millisecond)
+	ri := r.restart(t, victim, events).Store().RecoveryInfo()
+	t.Logf("drive %d restarted: journal replayed %d records, discarded %d torn tails, %d ref repairs, recovery took %v",
+		victim, ri.Replayed, ri.TornTails, ri.RefRepairs, ri.Duration)
+	if ri.Replayed+ri.TornTails == 0 {
+		t.Fatal("recovery replayed nothing: the power cut lost no state, so the crash path went unexercised")
 	}
+	// Journal recovery restored the drive's metadata, but data writes
+	// it acknowledged from its volatile cache are gone.
+	stale := r.mgr.MarkDriveStale(victim, "restarted after a power cut")
+	t.Logf("%d more lanes marked stale; %d pending repairs", stale, len(r.mgr.PendingRepairs()))
+	r.faults[victim].Revive()
+	drainRepairs(t, r.mgr)
 	if st := r.mgr.DriveHealth(victim); st != BreakerClosed {
 		t.Fatalf("breaker %v after successful repair, want closed", st)
 	}
 
-	// The repair moved the victim's component to a fresh object; the
-	// old handle keeps reading correctly (via reconstruction) but a
-	// reopened handle serves all lanes directly.
-	got, err := obj.ReadAt(testCtx, 0, len(model))
-	if err != nil || !bytes.Equal(got, model) {
-		t.Fatalf("stale handle read after repair: %v", err)
+	// The repair moved the victim's components to fresh objects; the
+	// old handles keep reading correctly (via reconstruction) but
+	// reopened handles serve all lanes directly.
+	for _, s := range soakers {
+		s.verify(t)
+		s.reopen(t, r)
 	}
-	obj, err = OpenObject(r.mgr, r.drives, id, capability.Read|capability.Write)
-	if err != nil {
-		t.Fatal(err)
-	}
-	soak(10) // recovered
-
-	got, err = obj.ReadAt(testCtx, 0, len(model))
-	if err != nil || !bytes.Equal(got, model) {
-		t.Fatalf("final verification failed: %v", err)
+	soak("recovered", 10)
+	for _, s := range soakers {
+		s.verify(t)
 	}
 
 	snap := r.reg.Snapshot()
-	for _, c := range []string{"client.retries", "cheops.failovers", "cheops.degraded_writes", "cheops.degraded_reads", "cheops.breaker_opens"} {
+	for _, c := range []string{"client.retries", "client.reconnects", "cheops.failovers", "cheops.degraded_writes",
+		"cheops.degraded_reads", "cheops.breaker_opens", "cheops.breaker_probes", "journal.replays", "journal.torn_tails"} {
+		t.Logf("%-24s %d", c, snap.Counters[c])
+	}
+	t.Logf("%-24s %d", "recovery_ms", snap.Gauges["recovery_ms"])
+	for _, c := range []string{"client.retries", "cheops.failovers", "cheops.degraded_writes", "cheops.degraded_reads", "cheops.breaker_opens", "journal.replays"} {
 		if snap.Counters[c] == 0 {
-			t.Errorf("counter %s did not advance; counters = %v", c, snap.Counters)
+			t.Errorf("counter %s did not advance", c)
 		}
+	}
+	seen := map[string]int{}
+	for _, e := range events.Recent(0, telemetry.SevInfo) {
+		seen[e.Subsystem+"."+e.Name]++
+	}
+	if seen["cheops.breaker_open"] == 0 || seen["cheops.breaker_close"] == 0 {
+		t.Errorf("the outage's breaker transitions are missing from the event ring: %v", seen)
+	}
+
+	// Each drive keys its op counters by the capability's partition;
+	// the merged stats of all four carry the split.
+	var merged telemetry.Snapshot
+	for i, cli := range r.drives {
+		sr, err := cli.ServerStats(testCtx, drive.StatsArgs{})
+		if err != nil {
+			t.Fatalf("stats from drive %d: %v", i, err)
+		}
+		merged.Merge(sr.Metrics)
+	}
+	if len(telemetry.TenantParts(merged)) == 0 {
+		t.Error("no per-tenant counters on any drive")
 	}
 }
 
@@ -214,14 +346,7 @@ func TestChaosMirrorDegradedWrite(t *testing.T) {
 	}
 
 	r.faults[victim].Revive()
-	deadline := time.Now().Add(10 * time.Second)
-	for len(r.mgr.PendingRepairs()) > 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("repair ledger stuck: %+v", r.mgr.PendingRepairs())
-		}
-		r.mgr.RepairAll(testCtx)
-		time.Sleep(10 * time.Millisecond)
-	}
+	drainRepairs(t, r.mgr)
 	obj, err = OpenObject(r.mgr, r.drives, id, capability.Read|capability.Write)
 	if err != nil {
 		t.Fatal(err)

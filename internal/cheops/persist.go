@@ -39,6 +39,13 @@ func (m *Manager) encodeState() []byte {
 	return e.Bytes()
 }
 
+// The smallest encodings of a directory record and of one of its
+// components: a decode bounds every count it reads by the bytes left.
+const (
+	dirRecordMin    = 8 + 1 + 8 + 8 + 4
+	dirComponentMin = 4 + 8 + 8
+)
+
 func (m *Manager) decodeState(b []byte) error {
 	d := rpc.NewDecoder(b)
 	if d.U32() != dirMagic {
@@ -48,6 +55,9 @@ func (m *Manager) decodeState(b []byte) error {
 	n := int(d.U32())
 	if err := d.Err(); err != nil {
 		return err
+	}
+	if n > d.Remaining()/dirRecordMin {
+		return fmt.Errorf("cheops: directory claims %d objects in %d bytes", n, d.Remaining())
 	}
 	objects := make(map[uint64]*Descriptor, n)
 	for i := 0; i < n; i++ {
@@ -61,12 +71,19 @@ func (m *Manager) decodeState(b []byte) error {
 		if err := d.Err(); err != nil {
 			return err
 		}
-		for j := 0; j < nc; j++ {
-			desc.Components = append(desc.Components, Component{
-				Drive:   int(d.U32()),
-				DriveID: d.U64(),
-				Object:  d.U64(),
-			})
+		if desc.Pattern > RAID5 {
+			return fmt.Errorf("cheops: directory object %d has unknown %v", desc.Logical, desc.Pattern)
+		}
+		if nc > d.Remaining()/dirComponentMin {
+			return fmt.Errorf("cheops: directory object %d claims %d components in %d bytes", desc.Logical, nc, d.Remaining())
+		}
+		desc.Components = make([]Component, nc)
+		for j := range desc.Components {
+			c := Component{Drive: int(d.U32()), DriveID: d.U64(), Object: d.U64()}
+			if c.Drive >= len(m.drives) {
+				return fmt.Errorf("cheops: directory object %d names drive %d of %d", desc.Logical, c.Drive, len(m.drives))
+			}
+			desc.Components[j] = c
 		}
 		objects[desc.Logical] = desc
 	}

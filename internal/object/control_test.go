@@ -2,6 +2,7 @@ package object
 
 import (
 	"encoding/binary"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -39,4 +40,25 @@ func TestDecodePartitionsRejects(t *testing.T) {
 			t.Errorf("%s: decoded %d partitions, err %v; want an error containing %q", tc.name, len(parts), err, tc.want)
 		}
 	}
+}
+
+// FuzzPartitionTable: decoding arbitrary control-object bytes never
+// panics, and a table that decodes re-encodes to one that decodes to
+// the same partitions.
+func FuzzPartitionTable(f *testing.F) {
+	f.Add(encodePartitions(map[uint16]*Partition{
+		1: {ID: 1, QuotaBlocks: 100, UsedBlocks: 7, ObjectCount: 2, Backend: BackendNeedle, metaSegs: 11, metaIdx: 12},
+		2: {ID: 2},
+	}))
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 2, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		parts, err := decodePartitions(b)
+		if err != nil {
+			return
+		}
+		again, err := decodePartitions(encodePartitions(parts))
+		if err != nil || !reflect.DeepEqual(again, parts) {
+			t.Fatalf("round trip: got %+v (%v), want %+v", again, err, parts)
+		}
+	})
 }

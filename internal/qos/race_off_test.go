@@ -1,5 +1,5 @@
 //go:build !race
 
-package main
+package qos_test
 
 const raceEnabled = false

@@ -1,6 +1,6 @@
 //go:build race
 
-package main
+package qos_test
 
 // raceEnabled reports that the test binary carries the race detector,
 // under which every request is several times slower and wall-clock

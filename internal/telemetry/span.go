@@ -183,7 +183,7 @@ func NewSpanLog(capacity int) *SpanLog {
 
 // ProcessSpans is the process-wide default span log: client connections
 // and cheops managers record here unless given their own log, so a
-// client process (nasdctl, nasdbench, a test) can always inspect the
+// client process (nasdctl, a test) can always inspect the
 // traces it originated.
 var ProcessSpans = NewSpanLog(DefaultSpanLogSize)
 

@@ -128,7 +128,7 @@ func (r *Registry) Func(name string, fn func() int64) {
 
 // Snapshot is a point-in-time copy of a registry's metrics, shaped for
 // JSON interchange: `nasdd` serves it at /metrics, the drive returns it
-// from the stats RPC, and nasdctl/nasdbench decode and pretty-print it.
+// from the stats RPC, and nasdctl decodes and pretty-prints it.
 type Snapshot struct {
 	Counters   map[string]uint64            `json:"counters,omitempty"`
 	Gauges     map[string]int64             `json:"gauges,omitempty"`
