@@ -277,16 +277,17 @@ func (l *Log) readSegDeviceLocked(s *segment, from, limit int64) (raw []byte, ba
 	// Not pooled: recovery retains views into the result (uninterpreted
 	// attributes decoded from records) beyond this call.
 	raw = make([]byte, (nb-first)*l.e.bs)
-	for i := first; i < nb; {
-		// One device call per physically contiguous run.
-		run := int64(1)
-		for i+run < nb && s.blocks[i+run] == s.blocks[i]+run {
-			run++
-		}
-		if err := blockdev.ReadBlocks(l.e.cfg.Dev, s.blocks[i], raw[(i-first)*l.e.bs:(i-first+run)*l.e.bs]); err != nil {
-			return nil, 0, err
-		}
-		i += run
+	// One device call per physically contiguous run, uncut: the result
+	// is not a pooled buffer that a run must fit.
+	rest := raw
+	err = blockdev.EachRun(s.blocks[first:nb], int(nb-first), func(start int64, n int) error {
+		run := int64(n) * l.e.bs
+		rerr := blockdev.ReadBlocks(l.e.cfg.Dev, start, rest[:run])
+		rest = rest[run:]
+		return rerr
+	})
+	if err != nil {
+		return nil, 0, err
 	}
 	base = first * l.e.bs
 	return raw[:limit-base], base, nil
@@ -684,9 +685,9 @@ func (e *Engine) List(part uint16) ([]uint64, error) {
 	return ids, nil
 }
 
-// Flush makes every log durable: the active segment's partial tail
-// block goes to the device and the device's volatile write cache is
-// drained. Segment tables are already durable (saved at every roll and
+// Flush makes every log durable: the active segment's pending run goes
+// to the device and the device's volatile write cache is drained.
+// Segment tables are already durable (saved at every roll and
 // compaction). A log that has grown past its index snapshot by the
 // snapshot's size also writes a fresh one through the Meta store, so a
 // flush costs the records appended since the last one, not the object
@@ -701,7 +702,7 @@ func (e *Engine) Flush() error {
 	slices.SortFunc(logs, func(a, b *Log) int { return int(a.part) - int(b.part) })
 	for _, l := range logs {
 		l.mu.Lock()
-		err := l.syncTailLocked()
+		err := l.writePendingLocked()
 		if err == nil {
 			err = l.saveIndexSnapshotLocked()
 		}
@@ -710,13 +711,13 @@ func (e *Engine) Flush() error {
 			return err
 		}
 	}
-	// Tail blocks went to the device with WriteBlock only; without a
+	// Pending runs went to the device with plain writes; without a
 	// device flush they could still sit in a volatile write cache.
 	return e.cfg.Dev.Flush()
 }
 
-// Sync makes one log's appended records durable by writing its partial
-// tail block to the device and flushing the device's write cache,
+// Sync makes one log's appended records durable by writing its pending
+// run to the device and flushing the device's write cache,
 // without the index-snapshot work Flush does. Callers use it after
 // appends that must survive a crash on their own — version bumps, whose
 // loss would un-revoke capabilities.
@@ -726,7 +727,7 @@ func (e *Engine) Sync(part uint16) error {
 		return err
 	}
 	l.mu.Lock()
-	err = l.syncTailLocked()
+	err = l.writePendingLocked()
 	l.mu.Unlock()
 	if err != nil {
 		return err
@@ -815,7 +816,7 @@ func (e *Engine) compactLoop(l *Log) {
 
 // compactSegmentLocked copies src's live records and tombstones to the
 // log tail (preserving their LSNs, so recovery ordering is unchanged),
-// syncs the tail and flushes the device, then frees src. A crash
+// writes the pending run and flushes the device, then frees src. A crash
 // mid-way leaves duplicate records, which LSN-merge recovery resolves;
 // quota is only settled once src's blocks are actually returned.
 func (l *Log) compactSegmentLocked(src *segment) error {
@@ -848,7 +849,7 @@ func (l *Log) compactSegmentLocked(src *segment) error {
 	if cerr != nil {
 		return cerr
 	}
-	if err := l.syncTailLocked(); err != nil {
+	if err := l.writePendingLocked(); err != nil {
 		return err
 	}
 	// The copies must be on the medium before the table that drops src

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -47,10 +48,15 @@ type Log struct {
 	segs []*segment // ascending seq
 	act  *segment   // append target (last of segs), nil before first append
 
-	// pending buffers the active segment's bytes past flushed (the
-	// block-aligned durable frontier). Full blocks are written to the
-	// device as appends complete them; the partial tail block only goes
-	// out on sync. Always shorter than one block after an append.
+	// pending holds the active segment's bytes past flushed, the
+	// block-aligned offset below which the device already has them.
+	// Appends encode records straight into it, and it holds up to one
+	// run (blockdev.RunLimit blocks), or one record longer than that,
+	// plus the partial block before it. It leaves in one ranged write per
+	// physically contiguous span (writePendingLocked) before the record
+	// that would overflow the run, at Sync or Flush, and when the
+	// segment rolls. A device write is not durable: a record is once
+	// Flush or Sync has drained the device's write cache.
 	pending []byte
 	flushed int64
 
@@ -79,7 +85,7 @@ func (l *Log) segBytes() int64 {
 // allocator, and the updated segment table is persisted durably before
 // any record lands in the new segment.
 func (l *Log) rollLocked() error {
-	if err := l.syncTailLocked(); err != nil {
+	if err := l.writePendingLocked(); err != nil {
 		return err
 	}
 	n := l.e.cfg.SegmentBlocks
@@ -96,7 +102,7 @@ func (l *Log) rollLocked() error {
 	l.nextSeq++
 	l.segs = append(l.segs, seg)
 	l.act = seg
-	l.pending = nil
+	l.pending = l.pending[:0] // written out above; the new segment reuses the buffer
 	l.flushed = 0
 	if err := l.saveSegmentsLocked(); err != nil {
 		l.nextSeq--
@@ -114,6 +120,9 @@ func (l *Log) rollLocked() error {
 // appendLocked stamps r with the log's epoch, active segment, and (if
 // unset) next LSN, and appends it. Compaction passes records carrying
 // their original LSN. Returns where the record landed.
+//
+// A pending run that r would overflow is written out first, so a failed
+// device write fails this append and r never enters the log.
 func (l *Log) appendLocked(r *record) (*segment, int64, error) {
 	need := r.wireSize()
 	if need > l.segBytes() {
@@ -121,6 +130,10 @@ func (l *Log) appendLocked(r *record) (*segment, int64, error) {
 	}
 	if l.act == nil || l.act.written+need > l.segBytes() {
 		if err := l.rollLocked(); err != nil {
+			return nil, 0, err
+		}
+	} else if int64(len(l.pending))+need > blockdev.RunLimit*l.e.bs {
+		if err := l.writePendingLocked(); err != nil {
 			return nil, 0, err
 		}
 	}
@@ -131,36 +144,44 @@ func (l *Log) appendLocked(r *record) (*segment, int64, error) {
 		l.nextLSN++
 	}
 	off := l.act.written
-	l.pending = append(l.pending, r.encode()...)
+	l.pending = r.appendTo(l.pending)
 	l.act.written += need
 	l.act.live += need
 	l.sinceSnap += need
-	bs := l.e.bs
-	buf := make([]byte, bs)
-	for l.flushed+bs <= l.act.written {
-		copy(buf, l.pending[:bs])
-		if err := l.e.cfg.Dev.WriteBlock(l.act.blocks[l.flushed/bs], buf); err != nil {
-			return nil, 0, err
-		}
-		m := copy(l.pending, l.pending[bs:])
-		l.pending = l.pending[:m]
-		l.flushed += bs
-	}
 	l.e.countAppend()
 	return l.act, off, nil
 }
 
-// syncTailLocked writes the active segment's partial tail block to the
-// device. flushed does not advance (the block is not full), so a later
-// append rewrites the same block with more data — syncing is
-// idempotent.
-func (l *Log) syncTailLocked() error {
-	if l.act == nil || l.flushed >= l.act.written {
+// writePendingLocked writes pending to the active segment's blocks from
+// flushed on: one ranged device write per physically contiguous run,
+// the partial tail block zero-padded into the last one. The full blocks
+// then leave pending; the tail stays and goes out again, with what
+// later appends add to its block. A failed write leaves pending as it
+// was, to be written whole by the next call.
+func (l *Log) writePendingLocked() error {
+	n := int64(len(l.pending))
+	if l.act == nil || n == 0 {
 		return nil
 	}
-	buf := make([]byte, l.e.bs)
-	copy(buf, l.pending)
-	return l.e.cfg.Dev.WriteBlock(l.act.blocks[l.flushed/l.e.bs], buf)
+	bs := l.e.bs
+	padded := (n + bs - 1) / bs * bs
+	buf := slices.Grow(l.pending, int(padded-n))[:padded]
+	clear(buf[n:])
+	l.pending = buf[:n]
+	first := l.flushed / bs
+	err := blockdev.EachRun(l.act.blocks[first:first+padded/bs], blockdev.RunLimit, func(start int64, k int) error {
+		run := int64(k) * bs
+		werr := blockdev.WriteBlocks(l.e.cfg.Dev, start, buf[:run])
+		buf = buf[run:]
+		return werr
+	})
+	if err != nil {
+		return err
+	}
+	full := n / bs * bs
+	l.pending = l.pending[:copy(l.pending, l.pending[full:])]
+	l.flushed += full
+	return nil
 }
 
 // readRangeLocked reads n bytes at byte offset off of seg, serving

@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 )
 
 // UninterpSize is the size of the uninterpreted attribute block, kept
@@ -113,33 +114,35 @@ func (r *record) wireSize() int64 {
 	return n
 }
 
-func (r *record) encode() []byte {
-	b := make([]byte, r.wireSize())
+// appendTo appends r's encoding to b and returns the extended slice,
+// so a record is encoded straight into the buffer that holds it.
+func (r *record) appendTo(b []byte) []byte {
+	start := len(b)
+	b = slices.Grow(b, int(r.wireSize()))
 	le := binary.LittleEndian
-	le.PutUint32(b, recMagic)
-	b[4] = r.flags
-	le.PutUint16(b[5:], r.part)
-	le.PutUint64(b[7:], r.obj)
-	le.PutUint64(b[15:], r.epoch)
-	le.PutUint64(b[23:], r.seg)
-	le.PutUint64(b[31:], r.lsn)
-	le.PutUint64(b[39:], r.info.Version)
-	le.PutUint32(b[47:], uint32(len(r.payload)))
-	le.PutUint64(b[51:], uint64(r.info.CreateSec))
-	le.PutUint64(b[59:], uint64(r.info.ModSec))
-	le.PutUint64(b[67:], uint64(r.info.AttrModSec))
-	le.PutUint64(b[75:], r.info.Prealloc)
-	le.PutUint64(b[83:], r.info.Cluster)
-	off := headerSize + copy(b[headerSize:], r.payload)
+	b = le.AppendUint32(b, recMagic)
+	b = append(b, r.flags)
+	b = le.AppendUint16(b, r.part)
+	b = le.AppendUint64(b, r.obj)
+	b = le.AppendUint64(b, r.epoch)
+	b = le.AppendUint64(b, r.seg)
+	b = le.AppendUint64(b, r.lsn)
+	b = le.AppendUint64(b, r.info.Version)
+	b = le.AppendUint32(b, uint32(len(r.payload)))
+	b = le.AppendUint64(b, uint64(r.info.CreateSec))
+	b = le.AppendUint64(b, uint64(r.info.ModSec))
+	b = le.AppendUint64(b, uint64(r.info.AttrModSec))
+	b = le.AppendUint64(b, r.info.Prealloc)
+	b = le.AppendUint64(b, r.info.Cluster)
+	b = append(b, r.payload...)
 	if r.flags&flagUninterp != 0 {
 		var u [UninterpSize]byte
 		if r.info.Uninterp != nil {
 			u = *r.info.Uninterp
 		}
-		off += copy(b[off:], u[:])
+		b = append(b, u[:]...)
 	}
-	le.PutUint32(b[off:], crc32.Checksum(b[:off], crcTable))
-	return b
+	return le.AppendUint32(b, crc32.Checksum(b[start:], crcTable))
 }
 
 // decodeRecord parses and checksum-verifies one record at the start of

@@ -71,14 +71,15 @@ go test -race -count=5 ./internal/qos
 # the device and in what order (pointer blocks once per write, onode
 # blocks at the flush, write-back in runs), that the quota charged by
 # delta is the charge recovery's census walks, and that a mount refuses
-# a corrupt or journal-less superblock — so a recovery regression is
+# a corrupt or journal-less superblock, and the needle log's recoveries
+# and its power cut with a run pending — so a recovery regression is
 # called out explicitly. The full sweeps (1000+ points
 # each) run in the suite above and, with -v, in CI's dedicated
 # crash-sweep job.
 echo "==> go test -race -short -run 'Crash|Journal|Torn|Recover|Checkpoint|Commit|Padding|WriteBack|Superblock|MetaCache|Extent|Accounting|ChargeCosts|ForEachBlock' (crash-consistency focus)"
 go test -race -short \
     -run 'Crash|Journal|Torn|Recover|Checkpoint|Commit|Padding|WriteBack|Superblock|MetaCache|Extent|Accounting|ChargeCosts|ForEachBlock' \
-    ./internal/journal ./internal/blockdev ./internal/object ./internal/cache ./internal/layout
+    ./internal/journal ./internal/blockdev ./internal/object ./internal/cache ./internal/layout ./internal/needle
 
 # The superblock is the first thing a mount trusts from the disk: fuzz
 # its decode and validation briefly on every run.
