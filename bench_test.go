@@ -334,33 +334,39 @@ func tcpDriveRig(b *testing.B) (*client.Drive, capability.Capability, uint64) {
 }
 
 // BenchmarkPipelinedRead: the tentpole number. A large transfer over
-// TCP as one serial Read versus a windowed pipeline of 64 KB fragments.
-// The serial path is strictly sequential — the drive reads the whole
-// object off the media, then streams the single reply down the wire —
-// while the pipeline keeps several fragments in flight so media time
-// and wire time overlap (paper §5.3, Figure 9's access-pattern argument
-// applied to the RPC plane).
+// TCP as serial fragment reads, one in flight at a time, versus
+// ReadInto's window of the same 64 KB fragments. The serial path pays
+// each fragment's media time and then its wire time before it sends the
+// next, while the window keeps several fragments in flight so media
+// time and wire time overlap (paper §5.3, Figure 9's access-pattern
+// argument applied to the RPC plane).
 func benchPipelinedRead(b *testing.B, size int, pipelined bool) {
 	cli, cap, obj := tcpDriveRig(b)
 	ctx := context.Background()
 	slots := (4 << 20) / size // rotate so iterations don't reread cached data
+	dst := make([]byte, size)
 	b.SetBytes(int64(size))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		off := uint64(i%slots) * uint64(size)
+		var got int
 		var err error
-		var got []byte
 		if pipelined {
-			got, err = cli.ReadPipelined(ctx, &cap, 1, obj, off, size)
+			got, err = cli.ReadInto(ctx, &cap, 1, obj, off, dst)
 		} else {
-			got, err = cli.Read(ctx, &cap, 1, obj, off, size)
+			const frag = client.DefaultFragmentSize
+			for start := 0; start < size && err == nil; start += frag {
+				var n int
+				n, err = cli.ReadInto(ctx, &cap, 1, obj, off+uint64(start), dst[start:start+frag])
+				got += n
+			}
 		}
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(got) != size {
-			b.Fatalf("short read: %d", len(got))
+		if got != size {
+			b.Fatalf("short read: %d", got)
 		}
 	}
 }

@@ -290,7 +290,7 @@ func (c *ctl) run(args []string) error {
 		if err != nil {
 			return err
 		}
-		return c.cli.WritePipelined(c.ctx, cp, part, obj, off, data)
+		return c.cli.Write(c.ctx, cp, part, obj, off, data)
 	case "read":
 		need(4)
 		part := uint16(parseU(rest[0]))
@@ -299,7 +299,7 @@ func (c *ctl) run(args []string) error {
 		if err != nil {
 			return err
 		}
-		data, err := c.cli.ReadPipelined(c.ctx, cp, part, obj, parseU(rest[2]), int(parseU(rest[3])))
+		data, err := c.cli.Read(c.ctx, cp, part, obj, parseU(rest[2]), int(parseU(rest[3])))
 		if err != nil {
 			return err
 		}

@@ -103,7 +103,7 @@ func main() {
 			if off+uint64(n) > uint64(len(shares[i])) {
 				n = int(uint64(len(shares[i])) - off)
 			}
-			chunk, err := clis[i].ReadPipelined(ctx, &tgt.Cap, 1, tgt.Object, off, n)
+			chunk, err := clis[i].Read(ctx, &tgt.Cap, 1, tgt.Object, off, n)
 			if err != nil {
 				log.Fatal(err)
 			}

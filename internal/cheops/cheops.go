@@ -503,7 +503,7 @@ func (m *Manager) ReplaceComponent(ctx context.Context, logical uint64, failedId
 				return fmt.Errorf("%w: no clean mirror to rebuild from", ErrDegraded)
 			}
 			rc := m.mintWildcard(d.Components[src].Drive, capability.Read)
-			n, err := m.drives[d.Components[src].Drive].Client.ReadPipelinedInto(ctx, &rc, m.part, d.Components[src].Object, off, data)
+			n, err := m.drives[d.Components[src].Drive].Client.ReadInto(ctx, &rc, m.part, d.Components[src].Object, off, data)
 			if err != nil {
 				return err
 			}
@@ -516,7 +516,7 @@ func (m *Manager) ReplaceComponent(ctx context.Context, logical uint64, failedId
 				}
 				comp := d.Components[i]
 				rc := m.mintWildcard(comp.Drive, capability.Read)
-				n, err := m.drives[comp.Drive].Client.ReadPipelinedInto(ctx, &rc, m.part, comp.Object, off, part)
+				n, err := m.drives[comp.Drive].Client.ReadInto(ctx, &rc, m.part, comp.Object, off, part)
 				clear(part[n:])
 				return err
 			}); err != nil {
@@ -526,7 +526,7 @@ func (m *Manager) ReplaceComponent(ctx context.Context, logical uint64, failedId
 		if len(data) == 0 {
 			break
 		}
-		if err := m.drives[newDrive].Client.WritePipelined(ctx, &wc, m.part, newObj, off, data); err != nil {
+		if err := m.drives[newDrive].Client.Write(ctx, &wc, m.part, newObj, off, data); err != nil {
 			return err
 		}
 	}

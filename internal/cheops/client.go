@@ -90,7 +90,7 @@ func (o *Object) withCap(i int, fn func(cp *capability.Capability) error) error 
 func (o *Object) readDirect(ctx context.Context, comp int, off uint64, dst []byte) error {
 	c := o.desc.Components[comp]
 	return o.withCap(comp, func(cp *capability.Capability) error {
-		n, err := o.drives[c.Drive].ReadPipelinedInto(ctx, cp, o.mgr.part, c.Object, off, dst)
+		n, err := o.drives[c.Drive].ReadInto(ctx, cp, o.mgr.part, c.Object, off, dst)
 		clear(dst[n:])
 		return err
 	})
@@ -126,7 +126,7 @@ func (o *Object) writeLeg(ctx context.Context, comp int, off uint64, data []byte
 	c := o.desc.Components[comp]
 	return o.runLeg(comp, func() error {
 		return o.withCap(comp, func(cp *capability.Capability) error {
-			return o.drives[c.Drive].WritePipelined(ctx, cp, o.mgr.part, c.Object, off, data)
+			return o.drives[c.Drive].Write(ctx, cp, o.mgr.part, c.Object, off, data)
 		})
 	})
 }
@@ -233,29 +233,39 @@ func firstError(errs []error) error {
 	return nil
 }
 
-// ReadAt reads n bytes at logical offset off, fanning the per-lane
-// spans out to all component drives concurrently (each span is itself
-// pipelined when large); every leg lands in its own slice of the result,
-// the one buffer the read allocates. For redundant layouts it
-// reconstructs around a single failed component (degraded read).
+// ReadAt reads n bytes at logical offset off into a buffer of its own;
+// see ReadInto.
 func (o *Object) ReadAt(ctx context.Context, off uint64, n int) ([]byte, error) {
 	if n <= 0 {
 		return nil, nil
 	}
 	out := make([]byte, n)
-	spans := o.plan(off, n)
-	o.mgr.tel.readFanout.Observe(int64(len(spans)))
-	ctx, rsp := o.mgr.spans.StartSpan(ctx, "cheops.read")
-	rsp.Annotate("fanout", strconv.Itoa(len(spans)))
-	rsp.Annotate("bytes", strconv.Itoa(n))
-	defer rsp.End()
-	errs := o.eachLeg(ctx, "cheops.read.leg", spans, func(lctx context.Context, sp span) error {
-		return o.readComponent(lctx, sp.comp, sp.compOff, out[sp.bufOff:sp.bufOff+sp.n], sp.stripe)
-	})
-	if err := firstError(errs); err != nil {
+	if err := o.ReadInto(ctx, off, out); err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// ReadInto fills dst from logical offset off, fanning the per-lane spans
+// out to all component drives concurrently (each span is itself
+// pipelined when large); every leg lands in its own slice of dst. For
+// redundant layouts it reconstructs around a single failed component
+// (degraded read). Where the object ends short of the range, the rest
+// of dst reads as zeros.
+func (o *Object) ReadInto(ctx context.Context, off uint64, dst []byte) error {
+	if len(dst) == 0 {
+		return nil
+	}
+	spans := o.plan(off, len(dst))
+	o.mgr.tel.readFanout.Observe(int64(len(spans)))
+	ctx, rsp := o.mgr.spans.StartSpan(ctx, "cheops.read")
+	rsp.Annotate("fanout", strconv.Itoa(len(spans)))
+	rsp.Annotate("bytes", strconv.Itoa(len(dst)))
+	defer rsp.End()
+	errs := o.eachLeg(ctx, "cheops.read.leg", spans, func(lctx context.Context, sp span) error {
+		return o.readComponent(lctx, sp.comp, sp.compOff, dst[sp.bufOff:sp.bufOff+sp.n], sp.stripe)
+	})
+	return firstError(errs)
 }
 
 // readComponent fills dst from one component, falling back to

@@ -106,7 +106,7 @@ func (m *Manager) save(ctx context.Context) error {
 	data := m.encodeState()
 	wc := m.mintWildcard(0, capability.Write|capability.SetAttr)
 	cli := m.drives[0].Client
-	if err := cli.WritePipelined(ctx, &wc, m.part, m.dirObj, 0, data); err != nil {
+	if err := cli.Write(ctx, &wc, m.part, m.dirObj, 0, data); err != nil {
 		return fmt.Errorf("cheops: persisting directory: %w", err)
 	}
 	// Shrink if the directory got smaller.
@@ -148,7 +148,7 @@ func (m *Manager) loadDirectory(ctx context.Context) error {
 		if rpc.NewDecoder(head[:]).U32() != dirMagic {
 			continue
 		}
-		data, err := cli.ReadPipelined(ctx, &rc, m.part, id, 0, int(attrs.Size))
+		data, err := cli.Read(ctx, &rc, m.part, id, 0, int(attrs.Size))
 		if err != nil {
 			return err
 		}

@@ -17,8 +17,8 @@ import (
 
 // TestConcurrentReadsAliasSafety is the pooled-frame lifecycle stress
 // test, meant to run under -race (scripts/check.sh runs the whole
-// suite that way). Several goroutines hammer overlapping pipelined and
-// plain reads of distinct per-object patterns over a real TCP
+// suite that way). Several goroutines hammer overlapping windowed and
+// one-request reads of distinct per-object patterns over a real TCP
 // connection — so receive frames, reply headers, cache blocks, and
 // read buffers are constantly recycled through the buffer pool — while
 // every reader asserts its payload is exactly its object's pattern. A
@@ -85,7 +85,7 @@ func TestConcurrentReadsAliasSafety(t *testing.T) {
 			t.Fatal(err)
 		}
 		wc := mint(obj, 1, capability.Write)
-		if err := setup.WritePipelined(ctx, &wc, part, obj, 0, pattern(i)); err != nil {
+		if err := setup.Write(ctx, &wc, part, obj, 0, pattern(i)); err != nil {
 			t.Fatal(err)
 		}
 		objs[i] = obj
@@ -108,26 +108,30 @@ func TestConcurrentReadsAliasSafety(t *testing.T) {
 			want := pattern(id)
 			dst := make([]byte, objSize)
 			for r := 0; r < rounds; r++ {
-				// Alternate the client's bulk paths; both must survive
-				// concurrent frame recycling.
+				// Alternate a windowed Read with one-request ReadIntos,
+				// a fragment at a time; both must survive concurrent
+				// frame recycling.
 				if r%2 == 0 {
-					got, err := cli.ReadPipelined(ctx, &rc, part, objs[id], 0, objSize)
+					got, err := cli.Read(ctx, &rc, part, objs[id], 0, objSize)
 					if err != nil {
 						errs <- fmt.Errorf("reader %d round %d: %v", id, r, err)
 						return
 					}
 					if !bytes.Equal(got, want) {
-						errs <- fmt.Errorf("reader %d round %d: pipelined payload corrupted", id, r)
+						errs <- fmt.Errorf("reader %d round %d: windowed payload corrupted", id, r)
 						return
 					}
-				} else {
-					n, err := cli.ReadInto(ctx, &rc, part, objs[id], 0, dst)
+					continue
+				}
+				for off := 0; off < objSize; off += DefaultFragmentSize {
+					frag := dst[off : off+DefaultFragmentSize]
+					n, err := cli.ReadInto(ctx, &rc, part, objs[id], uint64(off), frag)
 					if err != nil {
 						errs <- fmt.Errorf("reader %d round %d: %v", id, r, err)
 						return
 					}
-					if n != objSize || !bytes.Equal(dst[:n], want) {
-						errs <- fmt.Errorf("reader %d round %d: ReadInto payload corrupted (n=%d)", id, r, n)
+					if n != len(frag) || !bytes.Equal(frag, want[off:off+n]) {
+						errs <- fmt.Errorf("reader %d round %d: ReadInto payload corrupted at %d (n=%d)", id, r, off, n)
 						return
 					}
 				}

@@ -171,11 +171,10 @@ func TestStatusOnlyRepliesRecycleTheirFrame(t *testing.T) {
 	}
 }
 
-// TestReadPipelinedIntoShortAndSingleFragment: below one fragment the
-// pipelined read is one ReadInto (no frame left to the collector), and a
-// range that runs past the end of the object reports how far it got,
-// whichever path served it.
-func TestReadPipelinedIntoShortAndSingleFragment(t *testing.T) {
+// TestReadIntoShortAndSingleFragment: below one fragment ReadInto is
+// one request, above it a window, and a range that runs past the end of
+// the object reports how far it got, whichever path served it.
+func TestReadIntoShortAndSingleFragment(t *testing.T) {
 	r := newRig(t, false)
 	r.mkpart(t, 1, 0)
 	nocap := &capability.Capability{}
@@ -187,28 +186,58 @@ func TestReadPipelinedIntoShortAndSingleFragment(t *testing.T) {
 	for i := range data {
 		data[i] = byte(i*13 + 5)
 	}
-	if err := r.cli.WritePipelined(testCtx, nocap, 1, id, 0, data); err != nil {
+	if err := r.cli.Write(testCtx, nocap, 1, id, 0, data); err != nil {
 		t.Fatal(err)
 	}
 	for _, n := range []int{4096, DefaultFragmentSize, 2 * DefaultFragmentSize, 4 * DefaultFragmentSize} {
 		dst := bytes.Repeat([]byte{0xAA}, n)
-		got, err := r.cli.ReadPipelinedInto(testCtx, nocap, 1, id, 100, dst)
+		got, err := r.cli.ReadInto(testCtx, nocap, 1, id, 100, dst)
 		want := data[100:min(100+n, len(data))]
 		if err != nil || got != len(want) || !bytes.Equal(dst[:got], want) {
-			t.Fatalf("ReadPipelinedInto of %d bytes: %d read (%v), want %d matching bytes", n, got, err, len(want))
+			t.Fatalf("ReadInto of %d bytes: %d read (%v), want %d matching bytes", n, got, err, len(want))
 		}
-		out, err := r.cli.ReadPipelined(testCtx, nocap, 1, id, 100, n)
+		out, err := r.cli.Read(testCtx, nocap, 1, id, 100, n)
 		if err != nil || !bytes.Equal(out, want) {
-			t.Fatalf("ReadPipelined of %d bytes: %d read (%v), want %d matching bytes", n, len(out), err, len(want))
+			t.Fatalf("Read of %d bytes: %d read (%v), want %d matching bytes", n, len(out), err, len(want))
 		}
 	}
+}
+
+// TestReadAndExecuteRecycleTheirFrame: Read copies the reply into a
+// buffer of its own and Execute copies its small result, so both give
+// the reply's pooled frame back and the pool's outstanding count does
+// not climb with the number of calls.
+func TestReadAndExecuteRecycleTheirFrame(t *testing.T) {
+	r := newRig(t, false)
+	r.mkpart(t, 1, 0)
+	r.drv.RegisterKernel("answer", func([]byte, func(uint64, int) ([]byte, error), uint64) ([]byte, error) {
+		return []byte{42}, nil
+	})
+	nocap := &capability.Capability{}
+	id, err := r.cli.Create(testCtx, nocap, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.cli.Write(testCtx, nocap, 1, id, 0, bytes.Repeat([]byte{7}, 8192)); err != nil {
+		t.Fatal(err)
+	}
+	round := func() {
+		t.Helper()
+		if got, err := r.cli.Read(testCtx, nocap, 1, id, 0, 8192); err != nil || len(got) != 8192 {
+			t.Fatalf("read: %d bytes, %v", len(got), err)
+		}
+		if res, err := r.cli.Execute(testCtx, nocap, 1, id, "answer", nil); err != nil || !bytes.Equal(res, []byte{42}) {
+			t.Fatalf("execute: %v, %v", res, err)
+		}
+	}
+	round() // warm the pool's size classes
+	const rounds = 1000
 	before := bufpool.Outstanding()
-	for i := 0; i < 1000; i++ {
-		if _, err := r.cli.ReadPipelined(testCtx, nocap, 1, id, 0, 8192); err != nil {
-			t.Fatal(err)
-		}
+	for i := 0; i < rounds; i++ {
+		round()
 	}
+	// As above: the pool is process-wide, allow a few buffers in flight.
 	if grew := bufpool.Outstanding() - before; grew > 16 {
-		t.Fatalf("bufpool.Outstanding grew by %d over 1000 single-fragment pipelined reads", grew)
+		t.Fatalf("bufpool.Outstanding grew by %d over %d rounds of Read and Execute", grew, rounds)
 	}
 }

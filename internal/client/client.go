@@ -4,15 +4,16 @@
 //
 // Every call takes a context.Context: cancellation fails the pending
 // call immediately, and deadlines are mapped onto transport timeouts by
-// the RPC layer. Large transfers can be split into windows of in-flight
-// fragments with ReadPipelined/WritePipelined, which is how striped
-// clients keep every drive busy (Section 5.2).
+// the RPC layer. Read, ReadInto and Write cut a transfer larger than one
+// fragment into a window of in-flight fragment requests, which is how
+// striped clients keep every drive busy (Section 5.2).
 //
 // A client never holds drive secrets: it proves possession of a
 // capability's private portion by keying each request digest with it.
 package client
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -219,10 +220,11 @@ func (d *Drive) ServerStats(ctx context.Context, args drive.StatsArgs) (drive.St
 		return drive.StatsReply{}, err
 	}
 	var sr drive.StatsReply
-	if err := json.Unmarshal(rep.Data, &sr); err != nil {
+	err = json.Unmarshal(rep.Data, &sr)
+	rep.Release()
+	if err != nil {
 		return drive.StatsReply{}, fmt.Errorf("client: decoding stats reply: %v", err)
 	}
-	rep.Release()
 	return sr, nil
 }
 
@@ -327,6 +329,7 @@ func (d *Drive) attempt(ctx context.Context, op drive.Op, sign func(*rpc.Request
 		if hint, ok := rpc.RetryAfterHint(rep); ok {
 			rerr.RetryAfter = hint
 		}
+		rep.Release()
 		return nil, gen, rerr
 	}
 	return rep, gen, nil
@@ -375,23 +378,23 @@ func status(rep *rpc.Reply, err error) error {
 	return err
 }
 
-// Read fetches object bytes [off, off+n).
-func (d *Drive) Read(ctx context.Context, cap *capability.Capability, part uint16, obj, off uint64, n int) ([]byte, error) {
-	args := (&drive.ReadArgs{Partition: part, Object: obj, Offset: off, Length: uint64(n)}).Encode()
-	rep, err := d.call(ctx, drive.OpReadObject, cap, args, nil)
+// decoded is the result of a call whose reply carries one argument
+// record: decode parses it, and the reply's pooled frame goes back.
+func decoded[T any](rep *rpc.Reply, err error, decode func([]byte) (T, error)) (T, error) {
 	if err != nil {
-		return nil, err
+		var zero T
+		return zero, err
 	}
-	return rep.Data, nil
+	v, derr := decode(rep.Args)
+	rep.Release()
+	return v, derr
 }
 
-// ReadInto fetches object bytes [off, off+len(dst)) into dst, returning
-// the number of bytes read (short at end-of-object, like Read). Unlike
-// Read — whose result aliases the reply frame, leaving it to the
-// garbage collector — ReadInto copies into the caller's buffer and
-// recycles the frame immediately, so a streaming reader holds pool
-// turnover to its window size.
-func (d *Drive) ReadInto(ctx context.Context, cap *capability.Capability, part uint16, obj, off uint64, dst []byte) (int, error) {
+// readOne fetches object bytes [off, off+len(dst)) into dst in one
+// request and returns how many bytes were read (short at end-of-object).
+// The reply frame goes back to the pool as soon as its bytes are copied
+// out, so a streaming reader holds pool turnover to its window size.
+func (d *Drive) readOne(ctx context.Context, cap *capability.Capability, part uint16, obj, off uint64, dst []byte) (int, error) {
 	args := (&drive.ReadArgs{Partition: part, Object: obj, Offset: off, Length: uint64(len(dst))}).Encode()
 	rep, err := d.call(ctx, drive.OpReadObject, cap, args, nil)
 	if err != nil {
@@ -402,8 +405,8 @@ func (d *Drive) ReadInto(ctx context.Context, cap *capability.Capability, part u
 	return n, nil
 }
 
-// Write stores data at off.
-func (d *Drive) Write(ctx context.Context, cap *capability.Capability, part uint16, obj, off uint64, data []byte) error {
+// writeOne stores data at off in one request.
+func (d *Drive) writeOne(ctx context.Context, cap *capability.Capability, part uint16, obj, off uint64, data []byte) error {
 	args := (&drive.WriteArgs{Partition: part, Object: obj, Offset: off}).Encode()
 	return status(d.call(ctx, drive.OpWriteObject, cap, args, data))
 }
@@ -412,12 +415,7 @@ func (d *Drive) Write(ctx context.Context, cap *capability.Capability, part uint
 func (d *Drive) GetAttr(ctx context.Context, cap *capability.Capability, part uint16, obj uint64) (object.Attributes, error) {
 	args := (&drive.ObjArgs{Partition: part, Object: obj}).Encode()
 	rep, err := d.call(ctx, drive.OpGetAttr, cap, args, nil)
-	if err != nil {
-		return object.Attributes{}, err
-	}
-	at, derr := drive.DecodeAttrsReply(rep.Args)
-	rep.Release()
-	return at, derr
+	return decoded(rep, err, drive.DecodeAttrsReply)
 }
 
 // SetAttr updates attributes selected by mask.
@@ -431,12 +429,7 @@ func (d *Drive) SetAttr(ctx context.Context, cap *capability.Capability, part ui
 func (d *Drive) Create(ctx context.Context, cap *capability.Capability, part uint16) (uint64, error) {
 	args := (&drive.ObjArgs{Partition: part}).Encode()
 	rep, err := d.call(ctx, drive.OpCreateObject, cap, args, nil)
-	if err != nil {
-		return 0, err
-	}
-	id, derr := drive.DecodeIDReply(rep.Args)
-	rep.Release()
-	return id, derr
+	return decoded(rep, err, drive.DecodeIDReply)
 }
 
 // Remove deletes an object.
@@ -449,12 +442,7 @@ func (d *Drive) Remove(ctx context.Context, cap *capability.Capability, part uin
 func (d *Drive) VersionObject(ctx context.Context, cap *capability.Capability, part uint16, obj uint64) (uint64, error) {
 	args := (&drive.ObjArgs{Partition: part, Object: obj}).Encode()
 	rep, err := d.call(ctx, drive.OpVersionObject, cap, args, nil)
-	if err != nil {
-		return 0, err
-	}
-	id, derr := drive.DecodeIDReply(rep.Args)
-	rep.Release()
-	return id, derr
+	return decoded(rep, err, drive.DecodeIDReply)
 }
 
 // BumpVersion increments an object's logical version (revoking extant
@@ -462,24 +450,14 @@ func (d *Drive) VersionObject(ctx context.Context, cap *capability.Capability, p
 func (d *Drive) BumpVersion(ctx context.Context, cap *capability.Capability, part uint16, obj uint64) (uint64, error) {
 	args := (&drive.ObjArgs{Partition: part, Object: obj}).Encode()
 	rep, err := d.call(ctx, drive.OpBumpVersion, cap, args, nil)
-	if err != nil {
-		return 0, err
-	}
-	id, derr := drive.DecodeIDReply(rep.Args)
-	rep.Release()
-	return id, derr
+	return decoded(rep, err, drive.DecodeIDReply)
 }
 
 // List returns the IDs of the objects in a partition.
 func (d *Drive) List(ctx context.Context, cap *capability.Capability, part uint16) ([]uint64, error) {
 	args := (&drive.ObjArgs{Partition: part}).Encode()
 	rep, err := d.call(ctx, drive.OpListObjects, cap, args, nil)
-	if err != nil {
-		return nil, err
-	}
-	ids, derr := drive.DecodeIDListReply(rep.Args)
-	rep.Release()
-	return ids, derr
+	return decoded(rep, err, drive.DecodeIDListReply)
 }
 
 // Execute runs a registered Active Disk kernel against an object and
@@ -490,7 +468,9 @@ func (d *Drive) Execute(ctx context.Context, cap *capability.Capability, part ui
 	if err != nil {
 		return nil, err
 	}
-	return rep.Data, nil
+	out := bytes.Clone(rep.Data)
+	rep.Release()
+	return out, nil
 }
 
 // Flush forces drive write-behind data to stable storage.
@@ -540,12 +520,7 @@ func (d *Drive) RemovePartition(ctx context.Context, authID crypt.KeyID, authKey
 func (d *Drive) GetPartition(ctx context.Context, authID crypt.KeyID, authKey crypt.Key, part uint16) (object.Partition, error) {
 	args := (&drive.PartArgs{Partition: part, AuthKey: keyRef(authID)}).Encode()
 	rep, err := d.callAdmin(ctx, drive.OpGetPartition, authKey, args, nil)
-	if err != nil {
-		return object.Partition{}, err
-	}
-	pr, derr := drive.DecodePartReply(rep.Args)
-	rep.Release()
-	return pr, derr
+	return decoded(rep, err, drive.DecodePartReply)
 }
 
 // SetKey installs a key on the drive (the set-security-key request).

@@ -13,9 +13,9 @@ import (
 // to window fragments are kept in flight at once, so the drive's media
 // transfer overlaps the SAN transfer of neighbouring fragments (the
 // Zebra-style pipelined stripe access the paper's Figure 9 workload
-// depends on). A fragment is one Read or Write, so it is reissued by
-// do() under the handle's retry policy and budget and nowhere else;
-// reissues count in the client.retries counter.
+// depends on). A fragment is one request (readOne or writeOne), so it
+// is reissued by do() under the handle's retry policy and budget and
+// nowhere else; reissues count in the client.retries counter.
 
 // fragPlan describes one fragment of a pipelined transfer.
 type fragPlan struct {
@@ -90,39 +90,33 @@ func (d *Drive) runWindowed(ctx context.Context, name string, frags []fragPlan, 
 	return firstCancel
 }
 
-// ReadPipelined is ReadPipelinedInto a buffer of its own: n bytes, cut
+// Read fetches object bytes [off, off+n) into a buffer of its own, cut
 // to what the object held.
-func (d *Drive) ReadPipelined(ctx context.Context, cap *capability.Capability, part uint16, obj, off uint64, n int) ([]byte, error) {
+func (d *Drive) Read(ctx context.Context, cap *capability.Capability, part uint16, obj, off uint64, n int) ([]byte, error) {
 	out := make([]byte, n)
-	got, err := d.ReadPipelinedInto(ctx, cap, part, obj, off, out)
+	got, err := d.ReadInto(ctx, cap, part, obj, off, out)
 	if err != nil {
 		return nil, err
 	}
 	return out[:got], nil
 }
 
-// ReadPipelinedInto fetches object bytes [off, off+len(dst)) into dst as
-// a window of concurrent fragment reads (one ReadInto when dst is a
-// single fragment) and returns how many bytes were read. Short reads at
-// end-of-object cut the count exactly as a single ReadInto would: it
-// runs up to the first fragment that came back short. Once it returns,
-// error or not, nothing writes dst any more.
-func (d *Drive) ReadPipelinedInto(ctx context.Context, cap *capability.Capability, part uint16, obj, off uint64, dst []byte) (int, error) {
+// ReadInto fetches object bytes [off, off+len(dst)) into dst and returns
+// how many bytes were read: one request when dst fits in one fragment,
+// a window of concurrent fragment reads above that. A range that runs
+// past the end of the object reads short, and the count runs up to the
+// first fragment that came back short. Once ReadInto returns, error or
+// not, nothing writes dst any more.
+func (d *Drive) ReadInto(ctx context.Context, cap *capability.Capability, part uint16, obj, off uint64, dst []byte) (int, error) {
 	if len(dst) <= d.fragSize {
-		return d.ReadInto(ctx, cap, part, obj, off, dst)
+		return d.readOne(ctx, cap, part, obj, off, dst)
 	}
 	frags := planFragments(off, len(dst), d.fragSize)
 	got := make([]int, len(frags))
 	err := d.runWindowed(ctx, "client.read_pipelined", frags, len(dst), func(cctx context.Context, f fragPlan) error {
-		// ReadInto recycles each fragment's reply frame as soon as its
-		// bytes are copied out, so a deep window cycles a fixed set of
-		// pooled buffers instead of allocating one frame per fragment.
-		n, err := d.ReadInto(cctx, cap, part, obj, f.off, dst[f.start:f.start+f.n])
-		if err != nil {
-			return err
-		}
+		n, err := d.readOne(cctx, cap, part, obj, f.off, dst[f.start:f.start+f.n])
 		got[f.index] = n
-		return nil
+		return err
 	})
 	if err != nil {
 		return 0, err
@@ -137,16 +131,27 @@ func (d *Drive) ReadPipelinedInto(ctx context.Context, cap *capability.Capabilit
 	return total, nil
 }
 
-// WritePipelined stores data at off as a window of concurrent fragment
-// writes. Fragments cover disjoint ranges, so completion order does not
-// affect the final contents; after an error the write may have landed
-// partially, exactly like a torn serial write.
-func (d *Drive) WritePipelined(ctx context.Context, cap *capability.Capability, part uint16, obj, off uint64, data []byte) error {
+// Write stores data at off: one request when data fits in one fragment,
+// a window of concurrent fragment writes above that. Fragments cover
+// disjoint ranges, so completion order does not affect the final
+// contents; after an error the write may have landed partially, exactly
+// like a torn serial write.
+func (d *Drive) Write(ctx context.Context, cap *capability.Capability, part uint16, obj, off uint64, data []byte) error {
 	if len(data) <= d.fragSize {
-		return d.Write(ctx, cap, part, obj, off, data)
+		return d.writeOne(ctx, cap, part, obj, off, data)
 	}
 	frags := planFragments(off, len(data), d.fragSize)
 	return d.runWindowed(ctx, "client.write_pipelined", frags, len(data), func(cctx context.Context, f fragPlan) error {
-		return d.Write(cctx, cap, part, obj, f.off, data[f.start:f.start+f.n])
+		return d.writeOne(cctx, cap, part, obj, f.off, data[f.start:f.start+f.n])
 	})
+}
+
+// ReadPipelined is Read; bench/ is its only caller.
+func (d *Drive) ReadPipelined(ctx context.Context, cap *capability.Capability, part uint16, obj, off uint64, n int) ([]byte, error) {
+	return d.Read(ctx, cap, part, obj, off, n)
+}
+
+// WritePipelined is Write; bench/ is its only caller.
+func (d *Drive) WritePipelined(ctx context.Context, cap *capability.Capability, part uint16, obj, off uint64, data []byte) error {
+	return d.Write(ctx, cap, part, obj, off, data)
 }

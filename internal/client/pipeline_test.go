@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -29,7 +30,10 @@ func pipeDrive(t *testing.T, r *testRig, clientID uint64) *Drive {
 	return d
 }
 
-func TestReadPipelinedMatchesRead(t *testing.T) {
+// TestReadWindowMatchesData: reads larger than one fragment go out
+// as a window and must return exactly the written bytes, cut at the end
+// of the object like a one-request read.
+func TestReadWindowMatchesData(t *testing.T) {
 	r := newRig(t, true)
 	r.mkpart(t, 1, 0)
 	d := pipeDrive(t, r, 4001)
@@ -42,32 +46,29 @@ func TestReadPipelinedMatchesRead(t *testing.T) {
 	rw := r.mint(t, 1, id, 1, capability.Read|capability.Write)
 	data := make([]byte, 100<<10) // 25 fragments at 4 KB
 	rand.New(rand.NewSource(31)).Read(data)
-	if err := d.WritePipelined(testCtx, &rw, 1, id, 0, data); err != nil {
+	if err := d.Write(testCtx, &rw, 1, id, 0, data); err != nil {
 		t.Fatal(err)
 	}
 
 	for _, tc := range []struct{ off, n int }{
 		{0, len(data)},       // full object
 		{1000, 50<<10 + 17},  // unaligned interior window
-		{0, 4 << 10},         // exactly one fragment (serial fallback)
-		{90 << 10, 64 << 10}, // runs past EOF: truncates like Read
+		{0, 4 << 10},         // exactly one fragment: one request
+		{90 << 10, 64 << 10}, // runs past EOF: truncates
 		{len(data), 8 << 10}, // entirely past EOF
 	} {
-		want, err := d.Read(testCtx, &rw, 1, id, uint64(tc.off), tc.n)
+		want := data[min(tc.off, len(data)):min(tc.off+tc.n, len(data))]
+		got, err := d.Read(testCtx, &rw, 1, id, uint64(tc.off), tc.n)
 		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := d.ReadPipelined(testCtx, &rw, 1, id, uint64(tc.off), tc.n)
-		if err != nil {
-			t.Fatalf("pipelined read off=%d n=%d: %v", tc.off, tc.n, err)
+			t.Fatalf("read off=%d n=%d: %v", tc.off, tc.n, err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("pipelined read off=%d n=%d: %d bytes != serial %d bytes", tc.off, tc.n, len(got), len(want))
+			t.Fatalf("read off=%d n=%d: %d bytes, want %d matching bytes", tc.off, tc.n, len(got), len(want))
 		}
 	}
 }
 
-func TestWritePipelinedDisjointFragments(t *testing.T) {
+func TestWriteDisjointFragments(t *testing.T) {
 	r := newRig(t, true)
 	r.mkpart(t, 1, 0)
 	d := pipeDrive(t, r, 4002)
@@ -76,20 +77,20 @@ func TestWritePipelinedDisjointFragments(t *testing.T) {
 	id, _ := d.Create(testCtx, &createCap, 1)
 	rw := r.mint(t, 1, id, 1, capability.Read|capability.Write)
 
-	// Overlapping pipelined writes at an unaligned offset: the final
+	// Overlapping windowed writes at an unaligned offset: the final
 	// contents equal what serial writes would produce.
 	base := bytes.Repeat([]byte{0x11}, 60<<10)
-	if err := d.WritePipelined(testCtx, &rw, 1, id, 0, base); err != nil {
+	if err := d.Write(testCtx, &rw, 1, id, 0, base); err != nil {
 		t.Fatal(err)
 	}
 	patch := bytes.Repeat([]byte{0x22}, 20<<10)
-	if err := d.WritePipelined(testCtx, &rw, 1, id, 12345, patch); err != nil {
+	if err := d.Write(testCtx, &rw, 1, id, 12345, patch); err != nil {
 		t.Fatal(err)
 	}
 	copy(base[12345:], patch)
-	got, err := d.ReadPipelined(testCtx, &rw, 1, id, 0, len(base))
+	got, err := d.Read(testCtx, &rw, 1, id, 0, len(base))
 	if err != nil || !bytes.Equal(got, base) {
-		t.Fatalf("contents after overlapping pipelined writes: %v", err)
+		t.Fatalf("contents after overlapping windowed writes: %v", err)
 	}
 }
 
@@ -119,10 +120,10 @@ func TestPipelinedMixedStress(t *testing.T) {
 				rw := r.mint(t, 1, id, 1, capability.Read|capability.Write)
 				payload := bytes.Repeat([]byte{byte(w + 1)}, 32<<10)
 				for i := 0; i < rounds; i++ {
-					if err := d.WritePipelined(testCtx, &rw, 1, id, 0, payload); err != nil {
+					if err := d.Write(testCtx, &rw, 1, id, 0, payload); err != nil {
 						return err
 					}
-					got, err := d.ReadPipelined(testCtx, &rw, 1, id, 0, len(payload))
+					got, err := d.Read(testCtx, &rw, 1, id, 0, len(payload))
 					if err != nil {
 						return err
 					}
@@ -146,36 +147,47 @@ func TestPipelinedMixedStress(t *testing.T) {
 }
 
 // TestCancellationMidStream cancels a context in the middle of a
-// pipelined read and verifies (a) the call fails with the context's
+// windowed read and verifies (a) the call fails with the context's
 // error, (b) the client mux drains to zero in-flight, and (c) the same
 // connection keeps working — the drive side cleaned up rather than
-// wedging the connection.
+// wedging the connection. The drive cancels the read's context itself
+// when the fourth fragment request arrives, so the cancellation always
+// lands mid-stream.
 func TestCancellationMidStream(t *testing.T) {
 	r := newRig(t, true)
 	r.mkpart(t, 1, 0)
-	d := pipeDrive(t, r, 4004)
-	d.window = 2
-
 	createCap := r.mint(t, 1, 0, 0, capability.CreateObj)
-	id, _ := d.Create(testCtx, &createCap, 1)
+	id, _ := r.cli.Create(testCtx, &createCap, 1)
 	rw := r.mint(t, 1, id, 1, capability.Read|capability.Write)
 	data := make([]byte, 256<<10) // 64 fragments: plenty of stream left to cancel
 	rand.New(rand.NewSource(32)).Read(data)
-	if err := d.WritePipelined(testCtx, &rw, 1, id, 0, data); err != nil {
+	if err := r.cli.Write(testCtx, &rw, 1, id, 0, data); err != nil {
 		t.Fatal(err)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(2 * time.Millisecond) // land mid-stream
-		cancel()
-	}()
-	_, err := d.ReadPipelined(ctx, &rw, 1, id, 0, len(data))
-	if err != nil && !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled read returned %v", err)
+	defer cancel()
+	const cancelAt = 4
+	var reads atomic.Int64
+	srv := rpc.NewServer(rpc.HandlerFunc(func(req *rpc.Request) *rpc.Reply {
+		if drive.Op(req.Proc) == drive.OpReadObject && reads.Add(1) == cancelAt {
+			cancel()
+		}
+		return r.drv.Handle(req)
+	}))
+	defer srv.Close()
+	l := rpc.NewInProcListener("cancel-at-fragment")
+	go srv.Serve(l)
+	conn, err := l.Dial()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err == nil {
-		t.Log("read finished before cancellation landed; cleanup assertions still apply")
+	d := New(conn, 7, 4004)
+	d.fragSize, d.window = 4<<10, 2
+	defer d.Close()
+
+	if _, err := d.Read(ctx, &rw, 1, id, 0, len(data)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("read canceled at fragment %d returned %v, want context.Canceled", cancelAt, err)
 	}
 
 	// Drive-side cleanup: every abandoned fragment drains and the mux
@@ -188,8 +200,8 @@ func TestCancellationMidStream(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	// The connection (and the drive's replay window) survive: a fresh
-	// pipelined read on the same connection returns full data.
-	got, err := d.ReadPipelined(testCtx, &rw, 1, id, 0, len(data))
+	// windowed read on the same connection returns full data.
+	got, err := d.Read(testCtx, &rw, 1, id, 0, len(data))
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("read after cancellation: %v", err)
 	}
@@ -204,7 +216,7 @@ func TestPipelinedStatsExposed(t *testing.T) {
 	createCap := r.mint(t, 1, 0, 0, capability.CreateObj)
 	id, _ := d.Create(testCtx, &createCap, 1)
 	rw := r.mint(t, 1, id, 1, capability.Read|capability.Write)
-	if err := d.WritePipelined(testCtx, &rw, 1, id, 0, make([]byte, 64<<10)); err != nil {
+	if err := d.Write(testCtx, &rw, 1, id, 0, make([]byte, 64<<10)); err != nil {
 		t.Fatal(err)
 	}
 	st := d.Metrics().Snapshot()
@@ -252,7 +264,7 @@ func TestPipelinedFragmentSendsBoundedByMaxAttempts(t *testing.T) {
 	cli.fragSize, cli.window = 4<<10, 4
 	defer cli.Close()
 
-	_, err = cli.ReadPipelined(testCtx, nil, 1, 1, 0, 32<<10)
+	_, err = cli.Read(testCtx, nil, 1, 1, 0, 32<<10)
 	var re *RemoteError
 	if !errors.As(err, &re) || re.Status != rpc.StatusError {
 		t.Fatalf("err = %v, want the remote StatusError", err)

@@ -114,14 +114,14 @@ func TestReconnectResumesPipelinedRead(t *testing.T) {
 	rw := r.mint(t, 1, id, 1, capability.Read|capability.Write)
 	data := make([]byte, 1<<20)
 	rand.New(rand.NewSource(3)).Read(data)
-	if err := r.cli.WritePipelined(testCtx, &rw, 1, id, 0, data); err != nil {
+	if err := r.cli.Write(testCtx, &rw, 1, id, 0, data); err != nil {
 		t.Fatal(err)
 	}
 
 	// The connection dies five sends into the read window; every
 	// fragment past it must notice, share one reconnect, and reissue.
 	f.SeverAfter(5)
-	got, err := r.cli.ReadPipelined(testCtx, &rw, 1, id, 0, len(data))
+	got, err := r.cli.Read(testCtx, &rw, 1, id, 0, len(data))
 	if err != nil {
 		t.Fatalf("read across a severed connection: %v", err)
 	}

@@ -403,12 +403,17 @@ func EncodeIDListReply(ids []uint64) []byte {
 	return e.Bytes()
 }
 
-// DecodeIDListReply parses an object ID list.
+// DecodeIDListReply parses an object ID list. The count comes from the
+// wire, so it is checked against the bytes that follow before anything
+// is allocated for it.
 func DecodeIDListReply(b []byte) ([]uint64, error) {
 	d := rpc.NewDecoder(b)
 	n := int(d.U32())
 	if d.Err() != nil {
 		return nil, d.Err()
+	}
+	if n > d.Remaining()/8 {
+		return nil, fmt.Errorf("%w: list of %d IDs in %d bytes", rpc.ErrTruncated, n, d.Remaining())
 	}
 	ids := make([]uint64, 0, n)
 	for i := 0; i < n; i++ {

@@ -318,7 +318,7 @@ func (fm *FM) readObject(ctx context.Context, h Handle, ver uint64) ([]byte, err
 		return nil, err
 	}
 	cap := fm.mintSelf(h, a.Version, capability.Read)
-	return fm.cli(h).ReadPipelined(ctx, &cap, h.Partition, h.Object, 0, int(a.Size))
+	return fm.cli(h).Read(ctx, &cap, h.Partition, h.Object, 0, int(a.Size))
 }
 
 func (fm *FM) writeObject(ctx context.Context, h Handle, data []byte) error {
@@ -327,7 +327,7 @@ func (fm *FM) writeObject(ctx context.Context, h Handle, data []byte) error {
 		return err
 	}
 	cap := fm.mintSelf(h, a.Version, capability.Write|capability.SetAttr)
-	if err := fm.cli(h).WritePipelined(ctx, &cap, h.Partition, h.Object, 0, data); err != nil {
+	if err := fm.cli(h).Write(ctx, &cap, h.Partition, h.Object, 0, data); err != nil {
 		return err
 	}
 	// Truncate to the new length when shrinking.

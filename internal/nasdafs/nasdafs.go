@@ -370,7 +370,7 @@ func (c *Client) FetchData(ctx context.Context, path string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	data, err := c.drives[h.Drive].ReadPipelined(ctx, &cap, h.Partition, h.Object, 0, int(attrs.Size))
+	data, err := c.drives[h.Drive].Read(ctx, &cap, h.Partition, h.Object, 0, int(attrs.Size))
 	if err != nil {
 		return nil, err
 	}
@@ -388,7 +388,7 @@ func (c *Client) StoreData(ctx context.Context, path string, data []byte) error 
 	if err != nil {
 		return err
 	}
-	if err := c.drives[h.Drive].WritePipelined(ctx, &cap, h.Partition, h.Object, 0, data); err != nil {
+	if err := c.drives[h.Drive].Write(ctx, &cap, h.Partition, h.Object, 0, data); err != nil {
 		_ = c.mgr.Relinquish(ctx, c, path)
 		return err
 	}

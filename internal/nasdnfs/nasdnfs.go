@@ -126,7 +126,7 @@ func (c *Client) withCap(ctx context.Context, path string, rights capability.Rig
 func (c *Client) Read(ctx context.Context, path string, off uint64, n int) ([]byte, error) {
 	var out []byte
 	err := c.withCap(ctx, path, capability.Read, func(h filemgr.Handle, cap capability.Capability) error {
-		data, err := c.drives[h.Drive].ReadPipelined(ctx, &cap, h.Partition, h.Object, off, n)
+		data, err := c.drives[h.Drive].Read(ctx, &cap, h.Partition, h.Object, off, n)
 		out = data
 		return err
 	})
@@ -136,7 +136,7 @@ func (c *Client) Read(ctx context.Context, path string, off uint64, n int) ([]by
 // Write stores data at off, drive-direct.
 func (c *Client) Write(ctx context.Context, path string, off uint64, data []byte) error {
 	return c.withCap(ctx, path, capability.Write, func(h filemgr.Handle, cap capability.Capability) error {
-		return c.drives[h.Drive].WritePipelined(ctx, &cap, h.Partition, h.Object, off, data)
+		return c.drives[h.Drive].Write(ctx, &cap, h.Partition, h.Object, off, data)
 	})
 }
 

@@ -265,7 +265,7 @@ func TestFloodKeepsVictimP99(t *testing.T) {
 				for time.Now().Before(stop) {
 					ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 					start := time.Now()
-					_, err := cli.ReadPipelined(ctx, nil, 1, objs[0], uint64(rng.Intn(objBlocks))*4096, 4096)
+					_, err := cli.Read(ctx, nil, 1, objs[0], uint64(rng.Intn(objBlocks))*4096, 4096)
 					cancel()
 					if err != nil {
 						t.Errorf("%s: victim %d: %v", name, i, err)
@@ -308,7 +308,7 @@ func TestFloodKeepsVictimP99(t *testing.T) {
 				case <-time.After(time.Duration(rng.ExpFloat64() * float64(meanGap))):
 				}
 				ctx, cancel := context.WithTimeout(context.Background(), 250*time.Millisecond)
-				_, err := cli.ReadPipelined(ctx, nil, 2, objs[1], zipf.Uint64()*4096, 16<<10)
+				_, err := cli.Read(ctx, nil, 2, objs[1], zipf.Uint64()*4096, 16<<10)
 				cancel()
 				if err != nil && !errors.Is(err, client.ErrOverloaded) && !errors.Is(err, context.DeadlineExceeded) {
 					aggFailed.Add(1)

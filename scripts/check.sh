@@ -30,7 +30,7 @@ fi
 echo "==> no deleted names in *.go, *.md, *.sh and *.yml"
 if grep -rnE --include='*.go' --include='*.md' --include='*.sh' --include='*.yml' \
     --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md --exclude=check.sh --exclude-dir=.git --exclude-dir=.bench_build \
-    'WithJournalBlocks|FormatStore|OpenStore|Stats\(\)\.Retries|nasdbench -(stats|chaos)([^-]|$)|nasdbench -workload|BENCH_(stats|parallel|smallobj|chaos|qos)|-chaos-duration|-qos-duration|-qos-clients|runChaos|runQoS|-stats-mb|-smallobj-objects|WithWorkers|AllDig|JournalEnabled|SetWriteThrough|SeqWriteJournalOff|JournalBlocks: -1|OpenWith|WithQueue|rpc-queue|sendReject|svcEWMA|ServerMetrics|ServerSpans|WithWindow|WithFragmentSize|ptrWritten|LegTimeout|legPacing|legCtx|backpressureWaits|cheops\.backpressure_waits|RequestIDFrom|WithRequestID|NextRequestID' .; then
+    'WithJournalBlocks|FormatStore|OpenStore|Stats\(\)\.Retries|nasdbench -(stats|chaos)([^-]|$)|nasdbench -workload|BENCH_(stats|parallel|smallobj|chaos|qos)|-chaos-duration|-qos-duration|-qos-clients|runChaos|runQoS|-stats-mb|-smallobj-objects|WithWorkers|AllDig|JournalEnabled|SetWriteThrough|SeqWriteJournalOff|JournalBlocks: -1|OpenWith|WithQueue|rpc-queue|sendReject|svcEWMA|ServerMetrics|ServerSpans|WithWindow|WithFragmentSize|ptrWritten|LegTimeout|legPacing|legCtx|backpressureWaits|cheops\.backpressure_waits|RequestIDFrom|WithRequestID|NextRequestID|ReadPipelinedInto' .; then
     echo "the names above no longer exist; describe what replaced them" >&2
     exit 1
 fi
@@ -103,6 +103,12 @@ echo "==> go test -run '^\$' -fuzz '^FuzzDirectory\$' -fuzztime 10s ./internal/c
 go test -run '^$' -fuzz '^FuzzDirectory$' -fuzztime 10s ./internal/cheops
 echo "==> go test -run '^\$' -fuzz '^FuzzPartitionTable\$' -fuzztime 10s ./internal/object"
 go test -run '^$' -fuzz '^FuzzPartitionTable$' -fuzztime 10s ./internal/object
+
+# A drive decodes whatever argument records a client sends, and a
+# client whatever replies the drive returns: fuzz every decode of the
+# drive protocol and its encode/decode round trip.
+echo "==> go test -run '^\$' -fuzz '^FuzzProtoDecode\$' -fuzztime 10s ./internal/drive"
+go test -run '^$' -fuzz '^FuzzProtoDecode$' -fuzztime 10s ./internal/drive
 
 # Benchmark smoke: every benchmark must still run (one iteration each);
 # regressions in benchmark-only code paths surface here, not in CI
