@@ -256,24 +256,20 @@ func (c *BlockCache) ReadBlock(block int64, buf []byte) error {
 // blocks costs one device call (see read).
 func (c *BlockCache) ReadRange(block int64, off int, dst []byte) error {
 	bs := c.dev.BlockSize()
-	_, err := c.read(block, (off+len(dst)+bs-1)/bs, off, dst)
+	_, err := c.read(block, (off+len(dst)+bs-1)/bs, off, dst, nil)
 	return err
 }
 
-// Prefetch loads blocks into the cache if absent, each run of
-// consecutive block numbers through the same fill as a demand read. It
-// is the mechanism the object layer uses for sequential readahead.
-// Prefetch is advisory: errors are ignored, a block another fill is
-// already fetching is left to it, and the count of blocks actually
-// installed is returned.
-func (c *BlockCache) Prefetch(blocks []int64) int {
-	installed := 0
-	_ = blockdev.EachRun(blocks, blockdev.RunLimit, func(start int64, n int) error {
-		k, _ := c.read(start, n, 0, nil)
-		installed += k
-		return nil
-	})
-	return installed
+// Prefetch loads the n blocks from start into the cache where absent,
+// through the same fill as a demand read, with stage (at least n blocks
+// long) as the staging buffer, or a pooled one if stage is nil. It is
+// the mechanism the object layer uses for readahead. Prefetch is
+// advisory: errors are ignored, a block another fill is already
+// fetching is left to it, and the count of blocks actually installed is
+// returned.
+func (c *BlockCache) Prefetch(start int64, n int, stage []byte) int {
+	k, _ := c.read(start, n, 0, nil, stage)
+	return k
 }
 
 // What probe (fill) and claimDirty (write-back) found a block to be.
@@ -295,7 +291,7 @@ const (
 // such a block, and when a run fails retries it block by block so a bad
 // block does not cost its good neighbours their place in the cache. It
 // returns the number of blocks installed.
-func (c *BlockCache) read(first int64, n, off int, dst []byte) (int, error) {
+func (c *BlockCache) read(first int64, n, off int, dst, stage []byte) (int, error) {
 	installed, run := 0, 0
 	for i := 0; ; {
 		state := blockBusy // past the end: like a busy block, it ends the run
@@ -308,14 +304,14 @@ func (c *BlockCache) read(first int64, n, off int, dst []byte) (int, error) {
 			continue
 		}
 		if run > 0 {
-			k, err := c.fill(first+int64(i-run), run, i-run, off, dst)
+			k, err := c.fill(first+int64(i-run), run, i-run, off, dst, stage)
 			installed += k
 			if err != nil && dst != nil {
 				return installed, err
 			}
 			if err != nil && run > 1 {
 				for j := i - run; j < i; j++ {
-					k, _ = c.read(first+int64(j), 1, 0, nil)
+					k, _ = c.read(first+int64(j), 1, 0, nil, stage)
 					installed += k
 				}
 			}
@@ -362,16 +358,19 @@ func (c *BlockCache) probe(block int64, i, off int, dst []byte) int {
 }
 
 // fill fetches the run of n blocks at start, every one claimed by the
-// caller, with a single blockdev.ReadBlocks into a pooled staging
-// buffer (a device without BlockRanger gets the helper's per-block
-// loop). No shard lock is held across the device call. Each block is
-// then installed and its claim released under its own shard lock. i is
-// the run's index within the extent dst describes. On error every
-// claim is still released.
-func (c *BlockCache) fill(start int64, n, i, off int, dst []byte) (installed int, err error) {
+// caller, with a single blockdev.ReadBlocks into stage, or into a
+// pooled staging buffer if stage is nil (a device without BlockRanger
+// gets the helper's per-block loop). No shard lock is held across the
+// device call. Each block is then installed and its claim released
+// under its own shard lock. i is the run's index within the extent dst
+// describes. On error every claim is still released.
+func (c *BlockCache) fill(start int64, n, i, off int, dst, stage []byte) (installed int, err error) {
 	bs := c.dev.BlockSize()
-	stage := bufpool.Get(n * bs)
-	defer bufpool.Put(stage)
+	if stage == nil {
+		stage = bufpool.Get(n * bs)
+		defer bufpool.Put(stage)
+	}
+	stage = stage[:n*bs]
 	err = blockdev.ReadBlocks(c.dev, start, stage)
 	for j := 0; j < n; j++ {
 		block := start + int64(j)

@@ -170,7 +170,7 @@ func TestPrefetch(t *testing.T) {
 		}
 	}
 	c := New(dev, 16)
-	n := c.Prefetch([]int64{1, 2, 3})
+	n := c.Prefetch(1, 3, nil)
 	if n != 3 {
 		t.Fatalf("prefetched %d", n)
 	}
@@ -190,7 +190,7 @@ func TestPrefetch(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 	// Prefetching cached blocks is a no-op.
-	if n := c.Prefetch([]int64{1, 2, 3}); n != 0 {
+	if n := c.Prefetch(1, 3, nil); n != 0 {
 		t.Fatalf("re-prefetch fetched %d", n)
 	}
 }
@@ -199,7 +199,7 @@ func TestPrefetchIgnoresBadBlocks(t *testing.T) {
 	dev := blockdev.NewMemDisk(512, 64)
 	dev.CorruptBlock(2)
 	c := New(dev, 16)
-	if n := c.Prefetch([]int64{1, 2, 3}); n != 2 {
+	if n := c.Prefetch(1, 3, nil); n != 2 {
 		t.Fatalf("prefetched %d, want 2", n)
 	}
 }

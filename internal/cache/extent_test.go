@@ -170,12 +170,7 @@ func TestExtentReadModel(t *testing.T) {
 					t.Fatal(err)
 				}
 			case k < 3:
-				start := rng.Intn(nblocks - 16)
-				run := make([]int64, 1+rng.Intn(16))
-				for i := range run {
-					run[i] = int64(start + i)
-				}
-				c.Prefetch(run)
+				c.Prefetch(int64(rng.Intn(nblocks-16)), 1+rng.Intn(16), nil)
 			case k == 3 && op%50 == 0:
 				if err := c.Flush(); err != nil {
 					t.Fatal(err)
@@ -311,7 +306,8 @@ func TestExtentReadConcurrentWriters(t *testing.T) {
 				for i := 0; i < 400; i++ {
 					start := rng.Intn(nblocks - 16)
 					if r == 3 {
-						c.Prefetch([]int64{int64(start), int64(start + 1), int64(start + 2), int64(start + 5)})
+						c.Prefetch(int64(start), 3, nil)
+						c.Prefetch(int64(start+5), 1, nil)
 						continue
 					}
 					off := rng.Intn(bs)
@@ -420,7 +416,7 @@ func TestExtentFillIsOneCallPerAbsentRun(t *testing.T) {
 		t.Fatalf("a fully resident extent went to the device (%d calls)", calls-3)
 	}
 	dev.calls.Store(0)
-	if n := c.Prefetch([]int64{20, 21, 22, 23, 30, 31}); n != 6 || dev.calls.Load() != 2 {
+	if n := c.Prefetch(20, 4, nil) + c.Prefetch(30, 2, nil); n != 6 || dev.calls.Load() != 2 {
 		t.Fatalf("prefetch of two runs installed %d blocks in %d calls, want 6 in 2", n, dev.calls.Load())
 	}
 }
@@ -452,7 +448,7 @@ func TestClaimedBlocksAreNotReadTwice(t *testing.T) {
 	errs := make(chan error, 2)
 	go func() { errs <- read(4, 8) }()
 	<-dev.parked
-	if n := c.Prefetch([]int64{4, 5, 6, 7, 8, 9, 10, 11}); n != 0 || dev.calls.Load() != 1 {
+	if n := c.Prefetch(4, 8, nil); n != 0 || dev.calls.Load() != 1 {
 		t.Fatalf("prefetch of claimed blocks installed %d and made the device calls %d", n, dev.calls.Load())
 	}
 	// Blocks 2-3 and 12-13 are this reader's own; 4-11 it must wait for.
@@ -488,7 +484,7 @@ func TestDemandExtentReadKeepsDeviceError(t *testing.T) {
 		t.Fatalf("blocks beside the corrupt one unreadable after the failed fill: %v", err)
 	}
 	// The same run as a prefetch keeps every good block.
-	if n := c.Prefetch([]int64{2, 3, 4, 5, 6, 7}); n != 2 || !c.Contains(6) || !c.Contains(7) || c.Contains(5) {
+	if n := c.Prefetch(2, 6, nil); n != 2 || !c.Contains(6) || !c.Contains(7) || c.Contains(5) {
 		t.Fatalf("prefetch over a corrupt block installed %d new blocks, want 6 and 7", n)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 )
 
 // BackendKind names a per-partition storage engine. The kind is chosen
@@ -115,33 +114,4 @@ type quotaAccount interface {
 	settleBlocks(part uint16, delta int64)
 	// quotaed reports whether part currently enforces a quota.
 	quotaed(part uint16) bool
-}
-
-// SeqTracker is one object's sequential-read detector. The Store houses
-// it in the object's lock-manager entry (so it is created, found, and
-// discarded with the lock that guards it) and passes it down to the
-// backend on reads. Readers hold only the read side of the object lock,
-// so the tracker carries its own mutex.
-type SeqTracker struct {
-	mu      sync.Mutex
-	nextOff uint64 // offset one past the previous read
-	streak  int    // consecutive sequential reads observed
-}
-
-// Advance records a read of [off, off+n) and reports whether readahead
-// should fire (first touch at offset 0, or a detected sequential run).
-// A nil tracker never fires.
-func (t *SeqTracker) Advance(off, n uint64) bool {
-	if t == nil {
-		return false
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if off == t.nextOff && off != 0 {
-		t.streak++
-	} else if off != 0 {
-		t.streak = 0
-	}
-	t.nextOff = off + n
-	return off == 0 || t.streak > 0
 }

@@ -21,6 +21,8 @@ type classicBackend struct {
 	cache *cache.BlockCache
 	cfg   *Config
 	quota quotaAccount
+	// prefetch maps readahead windows and holds what their fills share.
+	prefetch *prefetcher
 
 	// reads counts object-level reads served, the denominator of the
 	// classic media-I/O-per-read gauge. Nil when metrics are disabled.
@@ -28,7 +30,7 @@ type classicBackend struct {
 }
 
 func newClassicBackend(lay *layout.Store, c *cache.BlockCache, cfg *Config, quota quotaAccount) *classicBackend {
-	cb := &classicBackend{lay: lay, cache: c, cfg: cfg, quota: quota}
+	cb := &classicBackend{lay: lay, cache: c, cfg: cfg, quota: quota, prefetch: newPrefetcher(lay, c)}
 	if reg := cfg.Metrics; reg != nil {
 		cb.reads = reg.Counter("object.classic.reads")
 		// Device blocks per object read, in thousandths: blocks the
@@ -190,7 +192,9 @@ func (c *classicBackend) Remove(part uint16, obj uint64) (int64, error) {
 	}
 	// One walk counts the footprint and drops each block's reference. A
 	// block about to become free leaves the cache first, so that a later
-	// reallocation cannot observe stale contents.
+	// reallocation cannot observe stale contents. The Store has drained
+	// the object's readahead (SeqTracker.drain), so no fill queued
+	// earlier brings them back.
 	var fp int64
 	if err := c.lay.ForEachBlock(&o, func(phys int64, isPtr bool) error {
 		fp++
@@ -274,7 +278,8 @@ func (c *classicBackend) SetAttr(part uint16, obj uint64, a Attributes, mask Set
 }
 
 // truncate resizes o in place, freeing or leaving holes. Caller holds
-// the object's exclusive lock and persists the onode afterwards.
+// the object's exclusive lock, has drained its readahead (as for
+// Remove), and persists the onode afterwards.
 func (c *classicBackend) truncate(o *layout.Onode, newSize uint64) error {
 	bs := uint64(c.lay.BlockSize())
 	if newSize > c.lay.MaxObjectSize() {
@@ -331,8 +336,9 @@ func (c *classicBackend) truncate(o *layout.Onode, newSize uint64) error {
 
 // --- Data access ---------------------------------------------------------
 
-// Read implements StoreBackend. Sequential access (tracked by seq)
-// triggers readahead into the cache.
+// Read implements StoreBackend. The read is recorded in seq as it
+// arrives; the readahead window it opens, if any, is queued on seq once
+// the read's own data is in hand.
 func (c *classicBackend) Read(part uint16, obj uint64, off uint64, n int, seq *SeqTracker) ([]byte, error) {
 	_, o, err := c.lookup(part, obj)
 	if err != nil {
@@ -347,6 +353,7 @@ func (c *classicBackend) Read(part uint16, obj uint64, off uint64, n int, seq *S
 	if max := o.Size - off; uint64(n) > max {
 		n = int(max)
 	}
+	from, window := seq.Advance(off, uint64(n), uint64(c.lay.BlockSize()), c.cfg.ReadaheadBlocks)
 	// Pooled result, filled one physical extent at a time (readExtents):
 	// resident blocks are copied straight from cache memory under the
 	// shard lock, absent runs cost one device call each. Ownership
@@ -357,7 +364,9 @@ func (c *classicBackend) Read(part uint16, obj uint64, off uint64, n int, seq *S
 		bufpool.Put(out)
 		return nil, err
 	}
-	c.readahead(seq, &o, off, uint64(n))
+	if window != 0 {
+		c.prefetch.window(seq, &o, from, window)
+	}
 	return out, nil
 }
 
@@ -399,34 +408,6 @@ func (c *classicBackend) readExtents(o *layout.Onode, off uint64, dst []byte) er
 		done += chunk
 	}
 	return nil
-}
-
-// readahead detects sequential access and prefetches ahead. The
-// sequential tracker lives in the object's lock entry; the caller holds
-// at least the read side of that entry, and the tracker's own mutex
-// orders concurrent readers' updates.
-func (c *classicBackend) readahead(seq *SeqTracker, o *layout.Onode, off, n uint64) {
-	if c.cfg.ReadaheadBlocks == 0 {
-		return
-	}
-	if !seq.Advance(off, n) {
-		return
-	}
-	bs := uint64(c.lay.BlockSize())
-	startFB := int64((off + n + bs - 1) / bs)
-	blocks := make([]int64, 0, c.cfg.ReadaheadBlocks)
-	for i := 0; i < c.cfg.ReadaheadBlocks; i++ {
-		fb := startFB + int64(i)
-		if uint64(fb)*bs >= o.Size {
-			break
-		}
-		phys, err := c.lay.BMap(o, fb)
-		if err != nil || phys == 0 {
-			continue
-		}
-		blocks = append(blocks, phys)
-	}
-	c.cache.Prefetch(blocks)
 }
 
 // Write implements StoreBackend. Data is written behind; the onode is

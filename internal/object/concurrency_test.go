@@ -320,7 +320,7 @@ func TestQuotaUnderConcurrentWriters(t *testing.T) {
 // TestLockEntriesLiveOnlyForReadaheadState: an entry outlives its last
 // holder only while its tracker remembers a read. Objects that are only
 // written, and every object of a needle partition, leave nothing in the
-// table; a classic object being read keeps its entry and its streak.
+// table; a classic object being read keeps its entry and its window.
 func TestLockEntriesLiveOnlyForReadaheadState(t *testing.T) {
 	s, _ := newExtentStore(t, Config{})
 	if err := s.CreatePartitionBackend(2, 0, BackendNeedle); err != nil {
@@ -360,10 +360,10 @@ func TestLockEntriesLiveOnlyForReadaheadState(t *testing.T) {
 		t.Fatalf("lock table holds %d entries with one object mid-scan, want 1", n)
 	}
 	l := s.locks.acquire(objKey{1, id}, false)
-	streak := l.seq.streak
+	raEnd := l.seq.raEnd
 	s.locks.release(objKey{1, id}, l, false, false)
-	if streak != 1 {
-		t.Fatalf("the scan's streak is %d after two sequential reads, want 1: the entry was dropped between them", streak)
+	if raEnd == 0 {
+		t.Fatal("the scan has no readahead window after two sequential reads: the entry was dropped between them")
 	}
 	if err := s.Remove(1, id); err != nil {
 		t.Fatal(err)

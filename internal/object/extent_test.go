@@ -96,9 +96,11 @@ func newExtentStore(t *testing.T, cfg Config) (*Store, *countingRanger) {
 
 // chill flushes the store and drops the object's data blocks from the
 // cache, leaving layout metadata warm: the next read of the object is
-// cold at the device and nothing else is.
+// cold at the device and nothing else is. Readahead still in flight
+// finishes first.
 func chill(t *testing.T, s *Store, dev *countingRanger, id uint64) {
 	t.Helper()
+	settle(s, id)
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -233,6 +235,7 @@ func TestConcurrentExtentReadsReadEachBlockOnce(t *testing.T) {
 			}(i)
 		}
 		wg.Wait()
+		settle(s, id)
 		for b, n := range dev.perBlock {
 			if n > 1 {
 				t.Fatalf("round %d: block %d read from the device %d times", round, b, n)

@@ -108,13 +108,13 @@ func (lm *lockManager) release(k objKey, l *objLock, write, purge bool) {
 	l.refs--
 	// The last holder's writes to seq are ordered before this by its own
 	// pass through the shard mutex.
-	drop := l.refs == 0 && (purge || l.seq.nextOff == 0 && l.seq.streak == 0)
+	drop := l.refs == 0 && (purge || l.seq.idle())
 	if drop {
 		delete(sh.m, k)
 	}
 	sh.mu.Unlock()
 	if drop {
-		l.seq.nextOff, l.seq.streak = 0, 0
+		l.seq.reset()
 		lockPool.Put(l)
 	}
 }

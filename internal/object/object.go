@@ -159,8 +159,10 @@ type Partition struct {
 type Config struct {
 	// CacheBlocks is the buffer cache capacity in blocks (default 1024).
 	CacheBlocks int
-	// ReadaheadBlocks is how many blocks are prefetched past a detected
-	// sequential read (0 = default 16; negative disables readahead).
+	// ReadaheadBlocks is the first readahead window, in blocks, past a
+	// read at offset 0 or a detected sequential read; each window after
+	// it doubles, up to blockdev.RunLimit (see SeqTracker). 0 = default
+	// 16; negative disables readahead.
 	ReadaheadBlocks int
 	// Clock supplies timestamps (default time.Now). Experiments inject
 	// simulated clocks.
@@ -636,6 +638,7 @@ func (s *Store) Remove(part uint16, obj uint64) error {
 	}
 	k := objKey{part, obj}
 	l := s.locks.acquire(k, true)
+	l.seq.drain() // the blocks it frees leave the cache after their last fill
 	freed, err := be.Remove(part, obj)
 	if err == nil {
 		s.lockParts()
@@ -690,6 +693,9 @@ func (s *Store) SetAttr(part uint16, obj uint64, a Attributes, mask SetAttrMask)
 	}
 	k := objKey{part, obj}
 	l := s.locks.acquire(k, true)
+	if mask&SetSize != 0 {
+		l.seq.drain() // as in Remove: a truncate frees blocks
+	}
 	err = be.SetAttr(part, obj, a, mask)
 	s.locks.release(k, l, true, notFound(err))
 	return err

@@ -539,6 +539,7 @@ func TestReadaheadPopulatesCache(t *testing.T) {
 		if _, err := s2.Read(1, id, off, 4096); err != nil {
 			t.Fatal(err)
 		}
+		settle(s2, id)
 	}
 	st := s2.CacheStats()
 	if st.Prefetches == 0 {

@@ -91,6 +91,12 @@ go test -run '^$' -fuzz '^FuzzSuperblock$' -fuzztime 10s ./internal/layout
 echo "==> go test -run '^\$' -fuzz '^FuzzIndexSnapshot\$' -fuzztime 10s ./internal/needle"
 go test -run '^$' -fuzz '^FuzzIndexSnapshot$' -fuzztime 10s ./internal/needle
 
+# Mount-time recovery replays whatever the journal's active half holds:
+# fuzz the scan over arbitrary bytes, and every intent decoder over the
+# records it returns.
+echo "==> go test -run '^\$' -fuzz '^FuzzJournalScan\$' -fuzztime 10s ./internal/journal"
+go test -run '^$' -fuzz '^FuzzJournalScan$' -fuzztime 10s ./internal/journal
+
 # Every secure request passes the drive's replay window: fuzz the ring
 # bitmap against the map model it replaced.
 echo "==> go test -run '^\$' -fuzz '^FuzzNonceWindow\$' -fuzztime 10s ./internal/crypt"
