@@ -399,24 +399,16 @@ func (c *ctl) run(args []string) error {
 // (relevant when the traced operation ran in-process), and prints the
 // combined timeline.
 func (c *ctl) trace(traceID uint64) error {
+	clis, closeExtra, err := c.fleetClients()
+	if err != nil {
+		return err
+	}
+	defer closeExtra()
 	sets := [][]telemetry.SpanRecord{telemetry.ProcessSpans.ByTrace(traceID)}
-	for i, addr := range c.addrs {
-		cli := c.cli
-		if i > 0 {
-			addr := addr
-			conn, err := rpc.DialTCP(addr)
-			if err != nil {
-				return fmt.Errorf("dial %s: %v", addr, err)
-			}
-			cli = client.New(conn, c.driveID, uint64(os.Getpid())<<32|uint64(i),
-				client.WithSecurity(c.secure),
-				client.WithRetry(client.RetryPolicy{}),
-				client.WithDialer(func() (rpc.Conn, error) { return rpc.DialTCP(addr) }))
-			defer cli.Close()
-		}
+	for i, cli := range clis {
 		sr, err := cli.ServerStats(c.ctx, drive.StatsArgs{SpanTrace: traceID})
 		if err != nil {
-			return fmt.Errorf("spans from %s: %v", addr, err)
+			return fmt.Errorf("spans from %s: %v", c.addrs[i], err)
 		}
 		sets = append(sets, sr.Spans)
 	}

@@ -17,6 +17,8 @@ type Device interface {
 	ReadBlock(i int64, buf []byte) error
 	// WriteBlock stores data (exactly BlockSize bytes) to block i.
 	WriteBlock(i int64, data []byte) error
+	// ReadBlocks and WriteBlocks move a contiguous extent in one call.
+	BlockRanger
 	// Flush forces any buffered writes to stable storage.
 	Flush() error
 }
@@ -66,19 +68,6 @@ func (d *MemDisk) BlockSize() int { return d.blockSize }
 // Blocks implements Device.
 func (d *MemDisk) Blocks() int64 { return d.blocks }
 
-func (d *MemDisk) check(i int64, n int) error {
-	if d.failed {
-		return ErrFailed
-	}
-	if i < 0 || i >= d.blocks {
-		return fmt.Errorf("%w: block %d of %d", ErrOutOfRange, i, d.blocks)
-	}
-	if n != d.blockSize {
-		return fmt.Errorf("%w: %d != %d", ErrBadSize, n, d.blockSize)
-	}
-	return nil
-}
-
 // gate blocks while the device is hung. It runs before the data lock
 // is taken so a wedged drive stalls new requests without deadlocking
 // the fault-control methods.
@@ -92,51 +81,73 @@ func (d *MemDisk) gate() {
 }
 
 // ReadBlock implements Device.
-func (d *MemDisk) ReadBlock(i int64, buf []byte) error {
+func (d *MemDisk) ReadBlock(i int64, buf []byte) error { return readOne(d, i, buf) }
+
+// WriteBlock implements Device.
+func (d *MemDisk) WriteBlock(i int64, data []byte) error { return writeOne(d, i, data) }
+
+// ReadBlocks implements Device: one gate and one lock for the whole
+// extent.
+func (d *MemDisk) ReadBlocks(start int64, buf []byte) error {
+	blocks, err := checkRange(d, start, len(buf))
+	if err != nil {
+		return err
+	}
 	d.gate()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if err := d.check(i, len(buf)); err != nil {
-		return err
+	if d.failed {
+		return ErrFailed
 	}
-	if err, ok := d.errOnce[i]; ok {
-		delete(d.errOnce, i)
-		return err
-	}
-	if d.corrupt[i] {
-		return fmt.Errorf("%w: block %d", ErrCorrupt, i)
-	}
-	d.reads++
-	if b, ok := d.data[i]; ok {
-		copy(buf, b)
-	} else {
-		for j := range buf {
-			buf[j] = 0
+	bs := d.blockSize
+	for b := int64(0); b < blocks; b++ {
+		i := start + b
+		if err, ok := d.errOnce[i]; ok {
+			delete(d.errOnce, i)
+			return err
+		}
+		if d.corrupt[i] {
+			return fmt.Errorf("%w: block %d", ErrCorrupt, i)
+		}
+		d.reads++
+		dst := buf[int(b)*bs : int(b+1)*bs]
+		if src, ok := d.data[i]; ok {
+			copy(dst, src)
+		} else {
+			clear(dst)
 		}
 	}
 	return nil
 }
 
-// WriteBlock implements Device.
-func (d *MemDisk) WriteBlock(i int64, data []byte) error {
+// WriteBlocks implements Device.
+func (d *MemDisk) WriteBlocks(start int64, data []byte) error {
+	blocks, err := checkRange(d, start, len(data))
+	if err != nil {
+		return err
+	}
 	d.gate()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if err := d.check(i, len(data)); err != nil {
-		return err
+	if d.failed {
+		return ErrFailed
 	}
-	if err, ok := d.errOnce[i]; ok {
-		delete(d.errOnce, i)
-		return err
+	bs := d.blockSize
+	for b := int64(0); b < blocks; b++ {
+		i := start + b
+		if err, ok := d.errOnce[i]; ok {
+			delete(d.errOnce, i)
+			return err
+		}
+		d.writes++
+		dst, ok := d.data[i]
+		if !ok {
+			dst = make([]byte, bs)
+			d.data[i] = dst
+		}
+		copy(dst, data[int(b)*bs:int(b+1)*bs])
+		delete(d.corrupt, i) // rewriting heals corruption
 	}
-	d.writes++
-	b, ok := d.data[i]
-	if !ok {
-		b = make([]byte, d.blockSize)
-		d.data[i] = b
-	}
-	copy(b, data)
-	delete(d.corrupt, i) // rewriting heals corruption
 	return nil
 }
 
@@ -215,87 +226,4 @@ func (d *MemDisk) AllocatedBlocks() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	return len(d.data)
-}
-
-// Stripe is a striping driver presenting several devices as one, as in
-// the paper's prototype ("two physical drives managed by a software
-// striping driver"). Blocks are distributed round-robin in units of
-// unitBlocks: logical block i lives on device (i/unit)%n.
-type Stripe struct {
-	devs       []Device
-	unitBlocks int64
-	blockSize  int
-	blocks     int64
-}
-
-// NewStripe builds a striping driver over devs with the given stripe
-// unit in blocks. All devices must share a block size; capacity is
-// limited by the smallest device.
-func NewStripe(devs []Device, unitBlocks int64) (*Stripe, error) {
-	if len(devs) == 0 {
-		return nil, errors.New("blockdev: stripe needs at least one device")
-	}
-	if unitBlocks <= 0 {
-		return nil, errors.New("blockdev: stripe unit must be positive")
-	}
-	bs := devs[0].BlockSize()
-	minBlocks := devs[0].Blocks()
-	for _, d := range devs[1:] {
-		if d.BlockSize() != bs {
-			return nil, errors.New("blockdev: stripe devices disagree on block size")
-		}
-		if d.Blocks() < minBlocks {
-			minBlocks = d.Blocks()
-		}
-	}
-	return &Stripe{
-		devs:       devs,
-		unitBlocks: unitBlocks,
-		blockSize:  bs,
-		blocks:     minBlocks * int64(len(devs)),
-	}, nil
-}
-
-// BlockSize implements Device.
-func (s *Stripe) BlockSize() int { return s.blockSize }
-
-// Blocks implements Device.
-func (s *Stripe) Blocks() int64 { return s.blocks }
-
-// Locate maps a logical block to (device index, physical block). It is
-// exported so tests can verify the mapping is a bijection.
-func (s *Stripe) Locate(i int64) (dev int, phys int64) {
-	unit := i / s.unitBlocks
-	within := i % s.unitBlocks
-	dev = int(unit % int64(len(s.devs)))
-	phys = (unit/int64(len(s.devs)))*s.unitBlocks + within
-	return dev, phys
-}
-
-// ReadBlock implements Device.
-func (s *Stripe) ReadBlock(i int64, buf []byte) error {
-	if i < 0 || i >= s.blocks {
-		return fmt.Errorf("%w: block %d of %d", ErrOutOfRange, i, s.blocks)
-	}
-	dev, phys := s.Locate(i)
-	return s.devs[dev].ReadBlock(phys, buf)
-}
-
-// WriteBlock implements Device.
-func (s *Stripe) WriteBlock(i int64, data []byte) error {
-	if i < 0 || i >= s.blocks {
-		return fmt.Errorf("%w: block %d of %d", ErrOutOfRange, i, s.blocks)
-	}
-	dev, phys := s.Locate(i)
-	return s.devs[dev].WriteBlock(phys, data)
-}
-
-// Flush implements Device.
-func (s *Stripe) Flush() error {
-	for _, d := range s.devs {
-		if err := d.Flush(); err != nil {
-			return err
-		}
-	}
-	return nil
 }

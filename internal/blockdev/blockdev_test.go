@@ -135,112 +135,6 @@ func TestMemDiskStats(t *testing.T) {
 	}
 }
 
-func TestStripeGeometry(t *testing.T) {
-	a := NewMemDisk(512, 100)
-	b := NewMemDisk(512, 120)
-	s, err := NewStripe([]Device{a, b}, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Blocks() != 200 { // limited by smaller device
-		t.Fatalf("blocks = %d", s.Blocks())
-	}
-	if s.BlockSize() != 512 {
-		t.Fatalf("block size = %d", s.BlockSize())
-	}
-}
-
-func TestStripeRejectsBadConfig(t *testing.T) {
-	if _, err := NewStripe(nil, 8); err == nil {
-		t.Fatal("empty device list accepted")
-	}
-	a := NewMemDisk(512, 10)
-	b := NewMemDisk(1024, 10)
-	if _, err := NewStripe([]Device{a, b}, 8); err == nil {
-		t.Fatal("mismatched block sizes accepted")
-	}
-	if _, err := NewStripe([]Device{a}, 0); err == nil {
-		t.Fatal("zero stripe unit accepted")
-	}
-}
-
-func TestStripeLocateBijection(t *testing.T) {
-	devs := []Device{NewMemDisk(512, 64), NewMemDisk(512, 64), NewMemDisk(512, 64)}
-	s, err := NewStripe(devs, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := make(map[[2]int64]int64)
-	for i := int64(0); i < s.Blocks(); i++ {
-		dev, phys := s.Locate(i)
-		key := [2]int64{int64(dev), phys}
-		if prev, dup := seen[key]; dup {
-			t.Fatalf("blocks %d and %d both map to dev %d phys %d", prev, i, dev, phys)
-		}
-		seen[key] = i
-		if phys < 0 || phys >= 64 {
-			t.Fatalf("block %d maps to out-of-range phys %d", i, phys)
-		}
-	}
-}
-
-func TestStripeAlternatesDevices(t *testing.T) {
-	devs := []Device{NewMemDisk(512, 64), NewMemDisk(512, 64)}
-	s, _ := NewStripe(devs, 4)
-	// Blocks 0-3 on dev 0, 4-7 on dev 1, 8-11 on dev 0, ...
-	for i := int64(0); i < 16; i++ {
-		dev, _ := s.Locate(i)
-		want := int(i/4) % 2
-		if dev != want {
-			t.Fatalf("block %d on dev %d, want %d", i, dev, want)
-		}
-	}
-}
-
-func TestStripeReadWriteThrough(t *testing.T) {
-	devs := []Device{NewMemDisk(512, 64), NewMemDisk(512, 64)}
-	s, _ := NewStripe(devs, 1)
-	data := bytes.Repeat([]byte{7}, 512)
-	if err := s.WriteBlock(3, data); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 512)
-	if err := s.ReadBlock(3, buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf, data) {
-		t.Fatal("stripe round trip failed")
-	}
-	// Block 3 with unit 1 lands on dev 1 phys 1.
-	if err := devs[1].ReadBlock(1, buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf, data) {
-		t.Fatal("data not on expected underlying device")
-	}
-}
-
-func TestStripeBounds(t *testing.T) {
-	s, _ := NewStripe([]Device{NewMemDisk(512, 4)}, 1)
-	buf := make([]byte, 512)
-	if err := s.ReadBlock(4, buf); !errors.Is(err, ErrOutOfRange) {
-		t.Fatalf("read past end: %v", err)
-	}
-	if err := s.WriteBlock(-1, buf); !errors.Is(err, ErrOutOfRange) {
-		t.Fatalf("negative write: %v", err)
-	}
-}
-
-func TestStripeFlushPropagatesFailure(t *testing.T) {
-	a := NewMemDisk(512, 4)
-	b := NewMemDisk(512, 4)
-	s, _ := NewStripe([]Device{a, b}, 1)
-	b.Fail()
-	if err := s.Flush(); !errors.Is(err, ErrFailed) {
-		t.Fatalf("flush: %v", err)
-	}
-}
-
 // Property: for random geometry, writing random data to random blocks
 // and reading it back always matches (read-after-write).
 func TestMemDiskReadAfterWriteProperty(t *testing.T) {

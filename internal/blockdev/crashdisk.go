@@ -99,46 +99,65 @@ func (d *CrashDisk) BlockSize() int { return d.inner.BlockSize() }
 // Blocks implements Device.
 func (d *CrashDisk) Blocks() int64 { return d.inner.Blocks() }
 
-// ReadBlock implements Device: overlay first, then the inner device.
-func (d *CrashDisk) ReadBlock(i int64, buf []byte) error {
-	d.mu.Lock()
-	if d.crashed {
-		d.mu.Unlock()
-		return ErrCrashed
-	}
-	if b, ok := d.overlay[i]; ok {
-		if len(buf) != len(b) {
-			d.mu.Unlock()
-			return ErrBadSize
-		}
-		copy(buf, b)
-		d.mu.Unlock()
-		return nil
-	}
-	d.mu.Unlock()
-	return d.inner.ReadBlock(i, buf)
-}
+// ReadBlock implements Device.
+func (d *CrashDisk) ReadBlock(i int64, buf []byte) error { return readOne(d, i, buf) }
 
-// WriteBlock implements Device: the write lands in the volatile
-// overlay only.
-func (d *CrashDisk) WriteBlock(i int64, data []byte) error {
+// WriteBlock implements Device.
+func (d *CrashDisk) WriteBlock(i int64, data []byte) error { return writeOne(d, i, data) }
+
+// ReadBlocks implements Device: overlay blocks over the inner device's,
+// whose runs between them go down as ranged reads.
+func (d *CrashDisk) ReadBlocks(start int64, buf []byte) error {
+	blocks, err := checkRange(d, start, len(buf))
+	if err != nil {
+		return err
+	}
+	bs := int64(d.BlockSize())
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.crashed {
 		return ErrCrashed
 	}
-	if i < 0 || i >= d.inner.Blocks() {
-		return ErrOutOfRange
+	for b := int64(0); b < blocks; {
+		if ov, ok := d.overlay[start+b]; ok {
+			copy(buf[b*bs:], ov)
+			b++
+			continue
+		}
+		e := b + 1
+		for e < blocks && d.overlay[start+e] == nil {
+			e++
+		}
+		if err := d.inner.ReadBlocks(start+b, buf[b*bs:e*bs]); err != nil {
+			return err
+		}
+		b = e
 	}
-	if len(data) != d.inner.BlockSize() {
-		return ErrBadSize
+	return nil
+}
+
+// WriteBlocks implements Device: the extent lands in the volatile
+// overlay only, one block per entry, so Flush destages it block by
+// block and a crash can tear it between any two.
+func (d *CrashDisk) WriteBlocks(start int64, data []byte) error {
+	blocks, err := checkRange(d, start, len(data))
+	if err != nil {
+		return err
 	}
-	b, ok := d.overlay[i]
-	if !ok {
-		b = make([]byte, len(data))
-		d.overlay[i] = b
+	bs := int64(d.BlockSize())
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.crashed {
+		return ErrCrashed
 	}
-	copy(b, data)
+	for b := int64(0); b < blocks; b++ {
+		ov, ok := d.overlay[start+b]
+		if !ok {
+			ov = make([]byte, bs)
+			d.overlay[start+b] = ov
+		}
+		copy(ov, data[b*bs:])
+	}
 	return nil
 }
 
@@ -192,5 +211,3 @@ func (d *CrashDisk) Flush() error {
 	}
 	return d.inner.Flush()
 }
-
-var _ Device = (*CrashDisk)(nil)

@@ -162,3 +162,42 @@ func TestTornWriteSectorDeviceAtomic(t *testing.T) {
 		}
 	}
 }
+
+// TestCrashDiskRanged: a ranged read lays overlay blocks over the inner
+// device's, and a crash before Flush loses a ranged write whole.
+func TestCrashDiskRanged(t *testing.T) {
+	const bs = 512
+	inner := NewMemDisk(bs, 16)
+	if err := inner.WriteBlocks(0, fill(0x11, 8*bs)); err != nil {
+		t.Fatal(err)
+	}
+	d := NewCrashDisk(inner, 1)
+	if err := d.WriteBlocks(2, fill(0x22, 3*bs)); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.WriteBlock(6, fill(0x33, bs)); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, 8*bs)
+	if err := d.ReadBlocks(0, got); err != nil {
+		t.Fatal(err)
+	}
+	for b, want := range []byte{0x11, 0x11, 0x22, 0x22, 0x22, 0x11, 0x33, 0x11} {
+		if blk := got[b*bs : (b+1)*bs]; !bytes.Equal(blk, fill(want, bs)) {
+			t.Errorf("block %d reads %#x, want %#x", b, blk[0], want)
+		}
+	}
+	d.Crash()
+	if err := d.ReadBlocks(0, got); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("ranged read after crash: %v", err)
+	}
+	if err := d.WriteBlocks(0, got); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("ranged write after crash: %v", err)
+	}
+	if err := inner.ReadBlocks(0, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, fill(0x11, 8*bs)) {
+		t.Fatal("a ranged write not flushed before the crash reached stable storage")
+	}
+}

@@ -1,16 +1,16 @@
 package blockdev
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"os"
-	"sync"
 )
 
 // FileDisk is a block device backed by a file on the host filesystem,
 // giving nasdd durable storage. Geometry is fixed at creation and
 // validated on reopen via a small header block stored before block 0.
 type FileDisk struct {
-	mu        sync.Mutex
 	f         *os.File
 	blockSize int
 	blocks    int64
@@ -33,13 +33,8 @@ func CreateFileDisk(path string, blockSize int, blocks int64) (*FileDisk, error)
 	}
 	hdr := make([]byte, headerSize)
 	copy(hdr, fileDiskMagic)
-	putU64 := func(off int, v uint64) {
-		for i := 0; i < 8; i++ {
-			hdr[off+i] = byte(v >> (8 * i))
-		}
-	}
-	putU64(8, uint64(blockSize))
-	putU64(16, uint64(blocks))
+	binary.LittleEndian.PutUint64(hdr[8:], uint64(blockSize))
+	binary.LittleEndian.PutUint64(hdr[16:], uint64(blocks))
 	if _, err := f.WriteAt(hdr, 0); err != nil {
 		f.Close()
 		return nil, err
@@ -53,33 +48,41 @@ func CreateFileDisk(path string, blockSize int, blocks int64) (*FileDisk, error)
 }
 
 // OpenFileDisk opens an existing file-backed device, validating its
-// header.
+// header: a positive geometry whose extent fits an int64 and the file.
 func OpenFileDisk(path string) (*FileDisk, error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0o600)
 	if err != nil {
 		return nil, err
 	}
+	d, err := openFileDisk(f, path)
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	return d, nil
+}
+
+func openFileDisk(f *os.File, path string) (*FileDisk, error) {
 	hdr := make([]byte, headerSize)
 	if _, err := f.ReadAt(hdr, 0); err != nil {
-		f.Close()
 		return nil, fmt.Errorf("blockdev: reading header: %w", err)
 	}
 	if string(hdr[:8]) != fileDiskMagic {
-		f.Close()
 		return nil, fmt.Errorf("blockdev: %s is not a NASD block device", path)
 	}
-	getU64 := func(off int) uint64 {
-		var v uint64
-		for i := 0; i < 8; i++ {
-			v |= uint64(hdr[off+i]) << (8 * i)
-		}
-		return v
+	bs := int64(binary.LittleEndian.Uint64(hdr[8:]))
+	blocks := int64(binary.LittleEndian.Uint64(hdr[16:]))
+	if bs <= 0 || blocks <= 0 || blocks > (math.MaxInt64-headerSize)/bs {
+		return nil, fmt.Errorf("blockdev: %s: invalid geometry %dx%d", path, bs, blocks)
 	}
-	return &FileDisk{
-		f:         f,
-		blockSize: int(getU64(8)),
-		blocks:    int64(getU64(16)),
-	}, nil
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	if want := headerSize + bs*blocks; st.Size() < want {
+		return nil, fmt.Errorf("blockdev: %s: %d bytes, geometry %dx%d needs %d", path, st.Size(), bs, blocks, want)
+	}
+	return &FileDisk{f: f, blockSize: int(bs), blocks: blocks}, nil
 }
 
 // BlockSize implements Device.
@@ -92,31 +95,27 @@ func (d *FileDisk) offset(i int64) int64 {
 	return headerSize + i*int64(d.blockSize)
 }
 
-func (d *FileDisk) check(i int64, n int) error {
-	if i < 0 || i >= d.blocks {
-		return fmt.Errorf("%w: block %d of %d", ErrOutOfRange, i, d.blocks)
-	}
-	if n != d.blockSize {
-		return fmt.Errorf("%w: %d != %d", ErrBadSize, n, d.blockSize)
-	}
-	return nil
-}
-
 // ReadBlock implements Device.
-func (d *FileDisk) ReadBlock(i int64, buf []byte) error {
-	if err := d.check(i, len(buf)); err != nil {
+func (d *FileDisk) ReadBlock(i int64, buf []byte) error { return readOne(d, i, buf) }
+
+// WriteBlock implements Device.
+func (d *FileDisk) WriteBlock(i int64, data []byte) error { return writeOne(d, i, data) }
+
+// ReadBlocks implements Device: one syscall for the whole extent.
+func (d *FileDisk) ReadBlocks(start int64, buf []byte) error {
+	if _, err := checkRange(d, start, len(buf)); err != nil {
 		return err
 	}
-	_, err := d.f.ReadAt(buf, d.offset(i))
+	_, err := d.f.ReadAt(buf, d.offset(start))
 	return err
 }
 
-// WriteBlock implements Device.
-func (d *FileDisk) WriteBlock(i int64, data []byte) error {
-	if err := d.check(i, len(data)); err != nil {
+// WriteBlocks implements Device: one syscall for the whole extent.
+func (d *FileDisk) WriteBlocks(start int64, data []byte) error {
+	if _, err := checkRange(d, start, len(data)); err != nil {
 		return err
 	}
-	_, err := d.f.WriteAt(data, d.offset(i))
+	_, err := d.f.WriteAt(data, d.offset(start))
 	return err
 }
 
@@ -125,5 +124,3 @@ func (d *FileDisk) Flush() error { return d.f.Sync() }
 
 // Close releases the backing file.
 func (d *FileDisk) Close() error { return d.f.Close() }
-
-var _ Device = (*FileDisk)(nil)

@@ -2,6 +2,7 @@ package blockdev
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -97,6 +98,37 @@ func TestOpenFileDiskRejectsGarbage(t *testing.T) {
 	}
 	if _, err := OpenFileDisk(filepath.Join(t.TempDir(), "missing")); err == nil {
 		t.Fatal("missing file accepted")
+	}
+	// A header the magic vouches for must still describe a geometry
+	// the file holds.
+	for name, c := range map[string]struct {
+		bs, blocks uint64
+		size       int64
+	}{
+		"zero block size":  {0, 8, headerSize + 8*512},
+		"zero blocks":      {512, 0, headerSize},
+		"negative size":    {1 << 63, 8, headerSize + 8*512},
+		"negative blocks":  {512, 1 << 63, headerSize},
+		"extent overflows": {1 << 32, 1 << 32, headerSize},
+		"file too short":   {512, 8, headerSize + 7*512},
+		"header only":      {512, 8, headerSize},
+		"one byte too few": {512, 8, headerSize + 8*512 - 1},
+	} {
+		hdr := make([]byte, headerSize)
+		copy(hdr, fileDiskMagic)
+		binary.LittleEndian.PutUint64(hdr[8:], c.bs)
+		binary.LittleEndian.PutUint64(hdr[16:], c.blocks)
+		p := filepath.Join(t.TempDir(), "disk")
+		if err := os.WriteFile(p, hdr, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Truncate(p, c.size); err != nil {
+			t.Fatal(err)
+		}
+		if d, err := OpenFileDisk(p); err == nil {
+			d.Close()
+			t.Errorf("%s: header %dx%d on a %d-byte file accepted", name, c.bs, c.blocks, c.size)
+		}
 	}
 }
 

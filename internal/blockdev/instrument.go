@@ -46,7 +46,7 @@ func Instrument(dev Device, reg *telemetry.Registry) *Instrumented {
 	return i
 }
 
-// WithSpanLog makes the device record one span per block I/O into l
+// WithSpanLog makes the device record one span per device call into l
 // whenever a trace context is set (see SetTraceContext). Returns i for
 // chaining.
 func (i *Instrumented) WithSpanLog(l *telemetry.SpanLog) *Instrumented {
@@ -68,7 +68,7 @@ func (i *Instrumented) SetTraceContext(sc telemetry.SpanContext) {
 	i.cur.Store(&sc)
 }
 
-// emitSpan records one completed block-I/O span when tracing is active.
+// emitSpan records one completed device-call span when tracing is active.
 func (i *Instrumented) emitSpan(name string, block int64, start time.Time, d time.Duration) {
 	if i.spans == nil {
 		return
@@ -108,33 +108,41 @@ func (i *Instrumented) BlockSize() int { return i.dev.BlockSize() }
 func (i *Instrumented) Blocks() int64 { return i.dev.Blocks() }
 
 // ReadBlock implements Device.
-func (i *Instrumented) ReadBlock(b int64, buf []byte) error {
+func (i *Instrumented) ReadBlock(b int64, buf []byte) error { return readOne(i, b, buf) }
+
+// WriteBlock implements Device.
+func (i *Instrumented) WriteBlock(b int64, data []byte) error { return writeOne(i, b, data) }
+
+// ReadBlocks implements Device: one queue-depth excursion, one latency
+// observation and one span per call, counted as its block count of
+// reads.
+func (i *Instrumented) ReadBlocks(start64 int64, buf []byte) error {
 	i.depth.Add(1)
 	start := time.Now()
-	err := i.dev.ReadBlock(b, buf)
+	err := i.dev.ReadBlocks(start64, buf)
 	d := time.Since(start)
 	i.busy.Add(int64(d))
 	i.depth.Add(-1)
 	i.readNS.ObserveDuration(d)
-	i.emitSpan("blockdev.read", b, start, d)
+	i.emitSpan("blockdev.read", start64, start, d)
 	if err == nil {
-		i.reads.Inc()
+		i.reads.Add(uint64(len(buf) / i.dev.BlockSize()))
 	}
 	return err
 }
 
-// WriteBlock implements Device.
-func (i *Instrumented) WriteBlock(b int64, data []byte) error {
+// WriteBlocks implements Device.
+func (i *Instrumented) WriteBlocks(start64 int64, data []byte) error {
 	i.depth.Add(1)
 	start := time.Now()
-	err := i.dev.WriteBlock(b, data)
+	err := i.dev.WriteBlocks(start64, data)
 	d := time.Since(start)
 	i.busy.Add(int64(d))
 	i.depth.Add(-1)
 	i.writeNS.ObserveDuration(d)
-	i.emitSpan("blockdev.write", b, start, d)
+	i.emitSpan("blockdev.write", start64, start, d)
 	if err == nil {
-		i.writes.Inc()
+		i.writes.Add(uint64(len(data) / i.dev.BlockSize()))
 	}
 	return err
 }
@@ -148,38 +156,3 @@ func (i *Instrumented) Flush() error {
 	i.depth.Add(-1)
 	return err
 }
-
-// ReadBlocks implements BlockRanger: one queue-depth excursion and one
-// span for the whole extent, counted as its block count of reads.
-func (i *Instrumented) ReadBlocks(start64 int64, buf []byte) error {
-	i.depth.Add(1)
-	start := time.Now()
-	err := ReadBlocks(i.dev, start64, buf)
-	d := time.Since(start)
-	i.busy.Add(int64(d))
-	i.depth.Add(-1)
-	i.readNS.ObserveDuration(d)
-	i.emitSpan("blockdev.readv", start64, start, d)
-	if err == nil {
-		i.reads.Add(uint64(len(buf) / i.dev.BlockSize()))
-	}
-	return err
-}
-
-// WriteBlocks implements BlockRanger.
-func (i *Instrumented) WriteBlocks(start64 int64, data []byte) error {
-	i.depth.Add(1)
-	start := time.Now()
-	err := WriteBlocks(i.dev, start64, data)
-	d := time.Since(start)
-	i.busy.Add(int64(d))
-	i.depth.Add(-1)
-	i.writeNS.ObserveDuration(d)
-	i.emitSpan("blockdev.writev", start64, start, d)
-	if err == nil {
-		i.writes.Add(uint64(len(data) / i.dev.BlockSize()))
-	}
-	return err
-}
-
-var _ BlockRanger = (*Instrumented)(nil)

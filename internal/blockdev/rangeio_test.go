@@ -15,9 +15,7 @@ func fillPattern(b []byte, seed byte) {
 	}
 }
 
-// rangeDevices enumerates every BlockRanger implementation plus a
-// plain-interface fallback wrapper, so each case exercises both the
-// native range path and the per-block loop.
+// rangeDevices enumerates every device in the package.
 func rangeDevices(t *testing.T) map[string]Device {
 	t.Helper()
 	const bs, blocks = 512, 64
@@ -26,44 +24,27 @@ func rangeDevices(t *testing.T) map[string]Device {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { fd.Close() })
-	d1 := NewMemDisk(bs, blocks)
-	d2 := NewMemDisk(bs, blocks)
-	stripe, err := NewStripe([]Device{d1, d2}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
 	return map[string]Device{
-		"memdisk":  NewMemDisk(bs, blocks),
-		"filedisk": fd,
-		"stripe":   stripe,
-		"throttle": NewThrottle(NewMemDisk(bs, blocks), 0, 0),
-		"instr":    Instrument(NewMemDisk(bs, blocks), nil),
-		"fallback": opaqueDevice{NewMemDisk(bs, blocks)},
+		"memdisk":   NewMemDisk(bs, blocks),
+		"filedisk":  fd,
+		"throttle":  NewThrottle(NewMemDisk(bs, blocks), 0, 0),
+		"instr":     Instrument(NewMemDisk(bs, blocks), nil),
+		"crashdisk": NewCrashDisk(NewMemDisk(bs, blocks), 1),
 	}
 }
-
-// opaqueDevice hides any BlockRanger implementation, forcing the
-// package-level fallback loop.
-type opaqueDevice struct{ d Device }
-
-func (o opaqueDevice) BlockSize() int                      { return o.d.BlockSize() }
-func (o opaqueDevice) Blocks() int64                       { return o.d.Blocks() }
-func (o opaqueDevice) ReadBlock(i int64, buf []byte) error { return o.d.ReadBlock(i, buf) }
-func (o opaqueDevice) WriteBlock(i int64, b []byte) error  { return o.d.WriteBlock(i, b) }
-func (o opaqueDevice) Flush() error                        { return o.d.Flush() }
 
 func TestRangeIORoundTrip(t *testing.T) {
 	for name, dev := range rangeDevices(t) {
 		t.Run(name, func(t *testing.T) {
 			bs := dev.BlockSize()
-			// Extent crossing several stripe units and starting mid-device.
+			// A multi-block extent starting mid-device.
 			data := make([]byte, 11*bs)
 			fillPattern(data, 3)
-			if err := WriteBlocks(dev, 5, data); err != nil {
+			if err := dev.WriteBlocks(5, data); err != nil {
 				t.Fatalf("WriteBlocks: %v", err)
 			}
 			got := make([]byte, len(data))
-			if err := ReadBlocks(dev, 5, got); err != nil {
+			if err := dev.ReadBlocks(5, got); err != nil {
 				t.Fatalf("ReadBlocks: %v", err)
 			}
 			if !bytes.Equal(got, data) {
@@ -87,13 +68,13 @@ func TestRangeIOBounds(t *testing.T) {
 	for name, dev := range rangeDevices(t) {
 		t.Run(name, func(t *testing.T) {
 			bs := dev.BlockSize()
-			if err := ReadBlocks(dev, dev.Blocks()-1, make([]byte, 2*bs)); err == nil {
+			if err := dev.ReadBlocks(dev.Blocks()-1, make([]byte, 2*bs)); err == nil {
 				t.Error("read past end of device succeeded")
 			}
-			if err := WriteBlocks(dev, -1, make([]byte, bs)); err == nil {
+			if err := dev.WriteBlocks(-1, make([]byte, bs)); err == nil {
 				t.Error("write before start of device succeeded")
 			}
-			if err := ReadBlocks(dev, 0, make([]byte, bs+1)); err == nil {
+			if err := dev.ReadBlocks(0, make([]byte, bs+1)); err == nil {
 				t.Error("non-block-multiple range succeeded")
 			}
 		})
@@ -124,27 +105,56 @@ func TestRangeIOFaults(t *testing.T) {
 	}
 }
 
-func TestStripeRangeSplitsRuns(t *testing.T) {
-	const bs, unit = 512, 4
-	d1 := NewMemDisk(bs, 64)
-	d2 := NewMemDisk(bs, 64)
-	s, err := NewStripe([]Device{d1, d2}, unit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := make([]byte, 16*bs) // four full units, alternating devices
-	fillPattern(data, 9)
-	if err := s.WriteBlocks(2, data); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, len(data))
-	for b := 0; b < 16; b++ {
-		if err := s.ReadBlock(2+int64(b), got[b*bs:(b+1)*bs]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("stripe range write scattered incorrectly")
+// TestReadBlockIsOneBlockRange: on every device ReadBlock(i) and a
+// one-block ReadBlocks(i) return the same bytes and refuse the same
+// inputs, and WriteBlock refuses what WriteBlocks does.
+func TestReadBlockIsOneBlockRange(t *testing.T) {
+	for name, dev := range rangeDevices(t) {
+		t.Run(name, func(t *testing.T) {
+			bs := dev.BlockSize()
+			data := make([]byte, 3*bs)
+			fillPattern(data, 7)
+			if err := dev.WriteBlocks(10, data); err != nil {
+				t.Fatal(err)
+			}
+			for i := int64(9); i < 14; i++ {
+				one, ranged := make([]byte, bs), make([]byte, bs)
+				if err := dev.ReadBlock(i, one); err != nil {
+					t.Fatalf("ReadBlock %d: %v", i, err)
+				}
+				if err := dev.ReadBlocks(i, ranged); err != nil {
+					t.Fatalf("ReadBlocks %d: %v", i, err)
+				}
+				if !bytes.Equal(one, ranged) {
+					t.Fatalf("block %d: ReadBlock and ReadBlocks disagree", i)
+				}
+			}
+			bad := []struct {
+				i    int64
+				n    int
+				want error
+			}{
+				{-1, bs, ErrOutOfRange},
+				{dev.Blocks(), bs, ErrOutOfRange},
+				{0, bs - 1, ErrBadSize},
+				{0, bs + 1, ErrBadSize},
+			}
+			for _, c := range bad {
+				buf := make([]byte, c.n)
+				for _, err := range []error{
+					dev.ReadBlock(c.i, buf), dev.ReadBlocks(c.i, buf),
+					dev.WriteBlock(c.i, buf), dev.WriteBlocks(c.i, buf),
+				} {
+					if !errors.Is(err, c.want) {
+						t.Errorf("block %d, %d bytes: %v, want %v", c.i, c.n, err, c.want)
+					}
+				}
+			}
+			// Two blocks are a range, not a block.
+			if err := dev.ReadBlock(0, make([]byte, 2*bs)); !errors.Is(err, ErrBadSize) {
+				t.Errorf("two-block ReadBlock: %v, want %v", err, ErrBadSize)
+			}
+		})
 	}
 }
 

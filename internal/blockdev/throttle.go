@@ -31,16 +31,23 @@ func (t *Throttle) BlockSize() int { return t.dev.BlockSize() }
 // Blocks implements Device.
 func (t *Throttle) Blocks() int64 { return t.dev.Blocks() }
 
-// ReadBlock implements Device, charging one operation of service time.
-func (t *Throttle) ReadBlock(i int64, buf []byte) error {
+// ReadBlock implements Device.
+func (t *Throttle) ReadBlock(i int64, buf []byte) error { return readOne(t, i, buf) }
+
+// WriteBlock implements Device.
+func (t *Throttle) WriteBlock(i int64, data []byte) error { return writeOne(t, i, data) }
+
+// ReadBlocks implements Device, charging the extent as one command:
+// perOp once, then its bytes.
+func (t *Throttle) ReadBlocks(start int64, buf []byte) error {
 	t.pacer.Charge(len(buf))
-	return t.dev.ReadBlock(i, buf)
+	return t.dev.ReadBlocks(start, buf)
 }
 
-// WriteBlock implements Device, charging one operation of service time.
-func (t *Throttle) WriteBlock(i int64, data []byte) error {
+// WriteBlocks implements Device, charging the extent as one command.
+func (t *Throttle) WriteBlocks(start int64, data []byte) error {
 	t.pacer.Charge(len(data))
-	return t.dev.WriteBlock(i, data)
+	return t.dev.WriteBlocks(start, data)
 }
 
 // Flush implements Device.

@@ -358,9 +358,8 @@ func (c *BlockCache) probe(block int64, i, off int, dst []byte) int {
 }
 
 // fill fetches the run of n blocks at start, every one claimed by the
-// caller, with a single blockdev.ReadBlocks into stage, or into a
-// pooled staging buffer if stage is nil (a device without BlockRanger
-// gets the helper's per-block loop). No shard lock is held across the
+// caller, with a single ReadBlocks into stage, or into a pooled
+// staging buffer if stage is nil. No shard lock is held across the
 // device call. Each block is then installed and its claim released
 // under its own shard lock. i is the run's index within the extent dst
 // describes. On error every claim is still released.
@@ -371,7 +370,7 @@ func (c *BlockCache) fill(start int64, n, i, off int, dst, stage []byte) (instal
 		defer bufpool.Put(stage)
 	}
 	stage = stage[:n*bs]
-	err = blockdev.ReadBlocks(c.dev, start, stage)
+	err = c.dev.ReadBlocks(start, stage)
 	for j := 0; j < n; j++ {
 		block := start + int64(j)
 		sh := c.shardOf(block)
@@ -474,7 +473,7 @@ func (c *BlockCache) Flush() error {
 // walks the n blocks from first; a dirty block is marked writing and
 // clean and copied to a pooled staging buffer under its shard lock
 // (claimDirty), and each maximal run of blocks claimed here goes to the
-// device in one blockdev.WriteBlocks, no shard lock held. The mark keeps
+// device in one WriteBlocks, no shard lock held. The mark keeps
 // a block in one device write at a time (the device never gets an older
 // image after a newer one) and resident (no refill from the device
 // meanwhile). With wait set (Flush) a block in another write-back is
@@ -496,7 +495,7 @@ func (c *BlockCache) writeBack(first int64, n int, wait bool) error {
 		}
 		if run > 0 {
 			start := first + int64(i-run)
-			err := blockdev.WriteBlocks(c.dev, start, stage[:run*bs])
+			err := c.dev.WriteBlocks(start, stage[:run*bs])
 			for b := start; b < start+int64(run); b++ {
 				sh := c.shardOf(b)
 				c.meter.Lock(&sh.mu)

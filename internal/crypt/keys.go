@@ -145,10 +145,6 @@ func (id KeyID) String() string {
 // ErrNoSuchKey is returned when a key lookup fails.
 var ErrNoSuchKey = errors.New("crypt: no such key")
 
-// ErrUnauthorized is returned when a key-management operation is
-// attempted with insufficient authority.
-var ErrUnauthorized = errors.New("crypt: key operation not authorized")
-
 // Hierarchy holds a drive's key hierarchy. The master and drive keys are
 // singletons; partition and working keys exist per partition and are
 // versioned so rotation invalidates outstanding capabilities minted

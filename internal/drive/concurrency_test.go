@@ -157,8 +157,8 @@ type latencyDev struct {
 
 const benchMarker = 0xA5
 
-func (d *latencyDev) ReadBlock(b int64, buf []byte) error {
-	if err := d.Device.ReadBlock(b, buf); err != nil {
+func (d *latencyDev) ReadBlocks(start int64, buf []byte) error {
+	if err := d.Device.ReadBlocks(start, buf); err != nil {
 		return err
 	}
 	if len(buf) >= 2 && buf[0] == benchMarker && buf[len(buf)-1] == benchMarker {

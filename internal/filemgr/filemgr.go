@@ -209,9 +209,6 @@ func newFM(cfg Config) (*FM, error) {
 // Root returns the root directory handle.
 func (fm *FM) Root() Handle { return fm.root }
 
-// DriveCount returns the number of managed drives.
-func (fm *FM) DriveCount() int { return len(fm.drives) }
-
 // --- capability minting ----------------------------------------------------
 
 // Mint issues a capability for an object at its current version.

@@ -43,7 +43,7 @@ func FuzzJournalScan(f *testing.F) {
 		}
 	}
 	stream := make([]byte, half)
-	if err := blockdev.ReadBlocks(dev, start+1, stream); err != nil {
+	if err := dev.ReadBlocks(start+1, stream); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(stream)
@@ -59,7 +59,7 @@ func FuzzJournalScan(f *testing.F) {
 		}
 		img := make([]byte, half)
 		copy(img, data)
-		if err := blockdev.WriteBlocks(dev, start+1, img); err != nil {
+		if err := dev.WriteBlocks(start+1, img); err != nil {
 			t.Fatal(err)
 		}
 		_, recs, _, err := Open(dev, start, blocks, nil)

@@ -207,7 +207,7 @@ func (j *Journal) activeBase(gen uint64) int64 {
 func (j *Journal) scan() ([]*Record, int, error) {
 	base := j.activeBase(j.gen)
 	raw := make([]byte, j.half*int64(j.bs))
-	if err := blockdev.ReadBlocks(j.dev, j.start+base, raw); err != nil {
+	if err := j.dev.ReadBlocks(j.start+base, raw); err != nil {
 		return nil, 0, err
 	}
 
@@ -345,7 +345,7 @@ func (j *Journal) writeBatchLocked(gen uint64, recs []*Record) error {
 		off = end
 	}
 	clear(raw[off:]) // scan must find padding after the batch, not a stale record of the pooled buffer
-	if err := blockdev.WriteBlocks(j.dev, j.start+j.activeBase(gen)+j.writeOff, raw); err != nil {
+	if err := j.dev.WriteBlocks(j.start+j.activeBase(gen)+j.writeOff, raw); err != nil {
 		return err
 	}
 	j.writeOff += nb

@@ -40,8 +40,6 @@ const (
 	// attribute block each object carries (Section 4.1: "an uninterpreted
 	// block of attribute space is available to the file manager").
 	UninterpSize = 256
-	// MaxPartitions bounds the partition table in the superblock.
-	MaxPartitions = 64
 )
 
 // Layout errors.
@@ -863,7 +861,7 @@ func (s *Store) flushDevice() error {
 	done := 0
 	err := blockdev.EachRun(blks, blockdev.RunLimit, func(start int64, n int) error {
 		done += n
-		return blockdev.WriteBlocks(s.dev, start, img[(done-n)*bs:done*bs])
+		return s.dev.WriteBlocks(start, img[(done-n)*bs:done*bs])
 	})
 	if err == nil {
 		err = s.dev.Flush()
@@ -1388,7 +1386,7 @@ func (s *Store) Sync() error {
 		for j := int64(0); j < int64(n)*refPerBlock && rb*refPerBlock+j < s.sb.TotalBlocks; j++ {
 			binary.LittleEndian.PutUint16(buf[j*2:], s.ref[rb*refPerBlock+j])
 		}
-		return blockdev.WriteBlocks(s.dev, s.sb.RefStart+rb, buf)
+		return s.dev.WriteBlocks(s.sb.RefStart+rb, buf)
 	}); err != nil {
 		return err
 	}

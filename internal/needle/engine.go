@@ -282,7 +282,7 @@ func (l *Log) readSegDeviceLocked(s *segment, from, limit int64) (raw []byte, ba
 	rest := raw
 	err = blockdev.EachRun(s.blocks[first:nb], int(nb-first), func(start int64, n int) error {
 		run := int64(n) * l.e.bs
-		rerr := blockdev.ReadBlocks(l.e.cfg.Dev, start, rest[:run])
+		rerr := l.e.cfg.Dev.ReadBlocks(start, rest[:run])
 		rest = rest[run:]
 		return rerr
 	})

@@ -171,7 +171,7 @@ func (l *Log) writePendingLocked() error {
 	first := l.flushed / bs
 	err := blockdev.EachRun(l.act.blocks[first:first+padded/bs], blockdev.RunLimit, func(start int64, k int) error {
 		run := int64(k) * bs
-		werr := blockdev.WriteBlocks(l.e.cfg.Dev, start, buf[:run])
+		werr := l.e.cfg.Dev.WriteBlocks(start, buf[:run])
 		buf = buf[run:]
 		return werr
 	})
@@ -224,7 +224,7 @@ func (l *Log) readRangeLocked(seg *segment, off, n int64) ([]byte, int64, error)
 				(seg != l.act || cur+(run+1)*blockSize <= l.flushed) {
 				run++
 			}
-			if err := blockdev.ReadBlocks(l.e.cfg.Dev, seg.blocks[idx], out[done:done+run*blockSize]); err != nil {
+			if err := l.e.cfg.Dev.ReadBlocks(seg.blocks[idx], out[done:done+run*blockSize]); err != nil {
 				bufpool.Put(out)
 				return nil, ios, err
 			}

@@ -25,8 +25,8 @@ type rendezvousDev struct {
 
 const markerByte = 0xA5
 
-func (d *rendezvousDev) ReadBlock(b int64, buf []byte) error {
-	if err := d.Device.ReadBlock(b, buf); err != nil {
+func (d *rendezvousDev) ReadBlocks(start int64, buf []byte) error {
+	if err := d.Device.ReadBlocks(start, buf); err != nil {
 		return err
 	}
 	if len(buf) < 3 || buf[0] != markerByte || buf[1] != markerByte || buf[len(buf)-1] != markerByte {
@@ -40,6 +40,11 @@ func (d *rendezvousDev) ReadBlock(b int64, buf []byte) error {
 		select {
 		case <-ch:
 		case <-time.After(2 * time.Second):
+			// Unmet: a reader arriving after this one returns did
+			// not overlap it, so it must wait for a partner of its own.
+			d.mu.Lock()
+			d.waiting = nil
+			d.mu.Unlock()
 		}
 		return nil
 	}

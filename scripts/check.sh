@@ -30,8 +30,25 @@ fi
 echo "==> no deleted names in *.go, *.md, *.sh and *.yml"
 if grep -rnE --include='*.go' --include='*.md' --include='*.sh' --include='*.yml' \
     --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md --exclude=check.sh --exclude-dir=.git --exclude-dir=.bench_build \
-    'WithJournalBlocks|FormatStore|OpenStore|Stats\(\)\.Retries|nasdbench -(stats|chaos)([^-]|$)|nasdbench -workload|BENCH_(stats|parallel|smallobj|chaos|qos)|-chaos-duration|-qos-duration|-qos-clients|runChaos|runQoS|-stats-mb|-smallobj-objects|WithWorkers|AllDig|JournalEnabled|SetWriteThrough|SeqWriteJournalOff|JournalBlocks: -1|OpenWith|WithQueue|rpc-queue|sendReject|svcEWMA|ServerMetrics|ServerSpans|WithWindow|WithFragmentSize|ptrWritten|LegTimeout|legPacing|legCtx|backpressureWaits|cheops\.backpressure_waits|RequestIDFrom|WithRequestID|NextRequestID|ReadPipelinedInto' .; then
+    'WithJournalBlocks|FormatStore|OpenStore|Stats\(\)\.Retries|nasdbench -(stats|chaos)([^-]|$)|nasdbench -workload|BENCH_(stats|parallel|smallobj|chaos|qos)|-chaos-duration|-qos-duration|-qos-clients|runChaos|runQoS|-stats-mb|-smallobj-objects|WithWorkers|AllDig|JournalEnabled|SetWriteThrough|SeqWriteJournalOff|JournalBlocks: -1|OpenWith|WithQueue|rpc-queue|sendReject|svcEWMA|ServerMetrics|ServerSpans|WithWindow|WithFragmentSize|ptrWritten|LegTimeout|legPacing|legCtx|backpressureWaits|cheops\.backpressure_waits|RequestIDFrom|WithRequestID|NextRequestID|ReadPipelinedInto|NewStripe([^D]|$)|ErrLockHeld|ErrUnauthorized|MaxPartitions|(^|[^[:alnum:]_])DriveCount' .; then
     echo "the names above no longer exist; describe what replaced them" >&2
+    exit 1
+fi
+
+# Every Device reads and writes in ranges: nothing probes for the
+# ranged methods, so no caller keeps a per-block fallback.
+echo "==> no BlockRanger type assertion in non-test Go"
+if grep -rnE --include='*.go' --exclude='*_test.go' '\.\((blockdev\.)?BlockRanger\)' internal cmd examples; then
+    echo "call the device's ReadBlocks/WriteBlocks; every Device has them" >&2
+    exit 1
+fi
+
+# A test that sleeps on wall-clock time is slow and flaky under load;
+# the count may fall, never rise.
+echo "==> at most 17 time.Sleep sites in *_test.go"
+sleeps=$(grep -rn --include='*_test.go' --exclude-dir=.git --exclude-dir=.bench_build 'time\.Sleep(' . | wc -l)
+if [ "$sleeps" -gt 17 ]; then
+    echo "$sleeps time.Sleep sites in tests (limit 17): wait on an event instead" >&2
     exit 1
 fi
 
