@@ -6,7 +6,8 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"os"
+	"io"
+	"sort"
 	"time"
 
 	"nasd/internal/client"
@@ -17,13 +18,46 @@ import (
 
 // Fleet commands: fleet (one-shot snapshot), top (live refresh), and
 // events (merged event timeline). All of them poll every drive named
-// by -addr over the stats RPC and hand the per-drive replies to
-// internal/telemetry's fleet aggregation, which owns the merging and
-// rendering.
+// by -addr over the stats RPC and aggregate the replies here. The
+// paper's scaling argument (Figures 10-12) is about aggregate
+// bandwidth across drives; this is the view that shows that aggregate
+// as one system.
+
+// fleetDrive is one drive's contribution to a fleet snapshot.
+type fleetDrive struct {
+	Addr    string             `json:"addr"`
+	DriveID uint64             `json:"drive_id"`
+	Err     string             `json:"err,omitempty"` // poll failure; Metrics/Events empty
+	Metrics telemetry.Snapshot `json:"metrics"`
+	Events  []telemetry.Event  `json:"events,omitempty"`
+}
+
+// fleetSnapshot is one poll of an entire fleet: the per-drive
+// snapshots plus their merge (counters/gauges summed, histograms —
+// and their exemplars — merged bucket-by-bucket).
+type fleetSnapshot struct {
+	UnixNano int64              `json:"unix_ns"`
+	Drives   []fleetDrive       `json:"drives"`
+	Merged   telemetry.Snapshot `json:"merged"`
+}
+
+// buildFleet assembles a fleetSnapshot from per-drive polls, computing
+// the merged aggregate. Failed polls (Err set) contribute nothing to
+// the merge but stay listed, so a down drive is visible rather than
+// silently absent.
+func buildFleet(drives []fleetDrive) fleetSnapshot {
+	fs := fleetSnapshot{UnixNano: time.Now().UnixNano(), Drives: drives}
+	for _, d := range drives {
+		if d.Err == "" {
+			fs.Merged.Merge(d.Metrics)
+		}
+	}
+	return fs
+}
 
 // fleetClients returns one client per -addr entry. Index 0 reuses the
 // command's existing connection; the rest are dialed here. The returned
-// cleanup closes only the extra connections (main closes cli).
+// cleanup closes only the extra connections (the caller closes cli).
 func (c *ctl) fleetClients() ([]*client.Drive, func(), error) {
 	clis := []*client.Drive{c.cli}
 	var extra []*client.Drive
@@ -32,14 +66,13 @@ func (c *ctl) fleetClients() ([]*client.Drive, func(), error) {
 			cli.Close()
 		}
 	}
-	for i, addr := range c.addrs[1:] {
-		addr := addr
+	for _, addr := range c.addrs[1:] {
 		conn, err := rpc.DialTCP(addr)
 		if err != nil {
 			closeAll()
 			return nil, nil, fmt.Errorf("dial %s: %v", addr, err)
 		}
-		cli := client.New(conn, c.driveID, uint64(os.Getpid())<<32|uint64(i+1),
+		cli := client.New(conn, c.driveID, newClientID(),
 			client.WithSecurity(c.secure),
 			client.WithRetry(client.RetryPolicy{}),
 			client.WithDialer(func() (rpc.Conn, error) { return rpc.DialTCP(addr) }))
@@ -53,11 +86,11 @@ func (c *ctl) fleetClients() ([]*client.Drive, func(), error) {
 // fails to answer is reported in its row's Err rather than failing the
 // whole poll — a fleet view that dies when one drive does would be
 // useless exactly when it matters.
-func (c *ctl) pollFleet(ctx context.Context, clis []*client.Drive, eventN int, eventMin telemetry.Severity) telemetry.FleetSnapshot {
-	drives := make([]telemetry.FleetDrive, len(clis))
+func (c *ctl) pollFleet(ctx context.Context, clis []*client.Drive, eventN uint32, eventMin telemetry.Severity) fleetSnapshot {
+	drives := make([]fleetDrive, len(clis))
 	for i, cli := range clis {
-		fd := telemetry.FleetDrive{Addr: c.addrs[i]}
-		sr, err := cli.ServerStats(ctx, drive.StatsArgs{EventN: uint32(eventN), EventMin: uint8(eventMin)})
+		fd := fleetDrive{Addr: c.addrs[i]}
+		sr, err := cli.ServerStats(ctx, drive.StatsArgs{EventN: eventN, EventMin: uint8(eventMin)})
 		if err != nil {
 			fd.Err = err.Error()
 		} else {
@@ -67,11 +100,11 @@ func (c *ctl) pollFleet(ctx context.Context, clis []*client.Drive, eventN int, e
 		}
 		drives[i] = fd
 	}
-	return telemetry.BuildFleet(drives)
+	return buildFleet(drives)
 }
 
 // fleet prints one aggregated snapshot of every -addr drive, as a
-// table or (with -json) as the raw FleetSnapshot for scripts and CI.
+// table or (with -json) as the raw fleetSnapshot for scripts and CI.
 func (c *ctl) fleet(rest []string) error {
 	fs := flag.NewFlagSet("fleet", flag.ContinueOnError)
 	jsonOut := fs.Bool("json", false, "emit the raw fleet snapshot as JSON")
@@ -85,11 +118,11 @@ func (c *ctl) fleet(rest []string) error {
 	defer closeAll()
 	snap := c.pollFleet(c.ctx, clis, 64, telemetry.SevInfo)
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(c.out)
 		enc.SetIndent("", "  ")
 		return enc.Encode(snap)
 	}
-	telemetry.WriteFleetTable(os.Stdout, snap, nil)
+	writeFleetTable(c.out, snap, nil)
 	return nil
 }
 
@@ -110,11 +143,8 @@ func (c *ctl) top(rest []string) error {
 	}
 	defer closeAll()
 
-	pollTimeout := 5 * time.Second
-	if *interval > pollTimeout {
-		pollTimeout = *interval
-	}
-	var prev *telemetry.FleetSnapshot
+	pollTimeout := max(5*time.Second, *interval)
+	var prev *fleetSnapshot
 	for n := 0; *samples <= 0 || n < *samples; n++ {
 		ctx, cancel := context.WithTimeout(context.Background(), pollTimeout)
 		snap := c.pollFleet(ctx, clis, 16, telemetry.SevWarn)
@@ -123,9 +153,9 @@ func (c *ctl) top(rest []string) error {
 		// Render into a buffer and emit with one write after the ANSI
 		// home+clear, so each refresh appears atomically.
 		var buf bytes.Buffer
-		fmt.Fprintf(&buf, "nasd top — %d drive(s), every %s — %s\n\n",
+		fmt.Fprintf(&buf, "\x1b[H\x1b[2Jnasd top — %d drive(s), every %s — %s\n\n",
 			len(clis), interval, time.Now().Format("15:04:05"))
-		telemetry.WriteFleetTable(&buf, snap, prev)
+		writeFleetTable(&buf, snap, prev)
 		var sets [][]telemetry.Event
 		var sources []string
 		for _, d := range snap.Drives {
@@ -134,11 +164,13 @@ func (c *ctl) top(rest []string) error {
 				sources = append(sources, d.Addr)
 			}
 		}
-		if merged := telemetry.MergeEvents(sets, sources); len(merged) > 0 {
+		if merged := mergeEvents(sets, sources); len(merged) > 0 {
 			fmt.Fprintf(&buf, "\nrecent events (warn and above):\n")
-			telemetry.WriteEvents(&buf, merged)
+			writeEvents(&buf, merged)
 		}
-		fmt.Print("\x1b[H\x1b[2J" + buf.String())
+		if _, err := c.out.Write(buf.Bytes()); err != nil {
+			return err
+		}
 
 		prev = &snap
 		if *samples <= 0 || n+1 < *samples {
@@ -148,23 +180,10 @@ func (c *ctl) top(rest []string) error {
 	return nil
 }
 
-// events prints the merged event timeline of every -addr drive:
-// `nasdctl events [N] [SEVERITY]` fetches up to N events per drive
-// (default 128) of at least SEVERITY (default info), stamps each with
-// the drive it came from, and interleaves them by timestamp.
-func (c *ctl) events(rest []string) error {
-	n := 128
-	minSev := telemetry.SevInfo
-	if len(rest) > 0 {
-		n = int(parseU(rest[0]))
-	}
-	if len(rest) > 1 {
-		sev, err := telemetry.ParseSeverity(rest[1])
-		if err != nil {
-			return err
-		}
-		minSev = sev
-	}
+// events prints the merged event timeline of every -addr drive: up to
+// n events per drive of at least severity minSev, each stamped with
+// the drive it came from, interleaved by timestamp.
+func (c *ctl) events(n uint32, minSev telemetry.Severity) error {
 	clis, closeAll, err := c.fleetClients()
 	if err != nil {
 		return err
@@ -172,12 +191,55 @@ func (c *ctl) events(rest []string) error {
 	defer closeAll()
 	sets := make([][]telemetry.Event, len(clis))
 	for i, cli := range clis {
-		sr, err := cli.ServerStats(c.ctx, drive.StatsArgs{EventN: uint32(n), EventMin: uint8(minSev)})
+		sr, err := cli.ServerStats(c.ctx, drive.StatsArgs{EventN: n, EventMin: uint8(minSev)})
 		if err != nil {
 			return fmt.Errorf("events from %s: %v", c.addrs[i], err)
 		}
 		sets[i] = sr.Events
 	}
-	telemetry.WriteEvents(os.Stdout, telemetry.MergeEvents(sets, c.addrs))
+	writeEvents(c.out, mergeEvents(sets, c.addrs))
 	return nil
+}
+
+// mergeEvents interleaves several drives' event tails into one
+// timeline ordered by timestamp (sequence numbers break ties only
+// within one source). Each input's events get Source stamped from the
+// parallel sources slice when provided.
+func mergeEvents(sets [][]telemetry.Event, sources []string) []telemetry.Event {
+	var out []telemetry.Event
+	for i, set := range sets {
+		for _, e := range set {
+			if i < len(sources) && e.Source == "" {
+				e.Source = sources[i]
+			}
+			out = append(out, e)
+		}
+	}
+	sort.SliceStable(out, func(i, j int) bool {
+		if out[i].UnixNano != out[j].UnixNano {
+			return out[i].UnixNano < out[j].UnixNano
+		}
+		if out[i].Source != out[j].Source {
+			return out[i].Source < out[j].Source
+		}
+		return out[i].Seq < out[j].Seq
+	})
+	return out
+}
+
+// writeEvents renders an event tail, one line per event, oldest first.
+func writeEvents(w io.Writer, events []telemetry.Event) {
+	if len(events) == 0 {
+		fmt.Fprintln(w, "(no events)")
+		return
+	}
+	for _, e := range events {
+		src := e.Source
+		if src == "" {
+			src = "-"
+		}
+		fmt.Fprintf(w, "%s %-5s %-20s %-10s %-14s %s\n",
+			e.Time().Format("15:04:05.000"), e.Severity, src,
+			e.Subsystem, e.Name, e.Detail)
+	}
 }

@@ -31,9 +31,8 @@
 //	                                the last TRACE_N served requests
 //	trace TRACEID                   pull the spans of one trace from
 //	                                every drive named by -addr (comma-
-//	                                separated), merge them with this
-//	                                process's own client spans, and
-//	                                print an indented timeline with
+//	                                separated), merge them, and print
+//	                                an indented timeline with
 //	                                stragglers flagged
 //	fleet [-json]                   one aggregated snapshot of every
 //	                                -addr drive: per-drive and total
@@ -50,15 +49,22 @@
 //	                                into one timeline; N per drive
 //	                                (default 128), minimum SEVERITY
 //	                                info|warn|error (default info)
+//
+// Every number is checked against the field it fills (a partition is
+// 16 bits, a read length a non-negative int) before the first request
+// is sent, so a bad argument fails the command and reaches no drive.
 package main
 
 import (
 	"context"
 	"encoding/hex"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log"
+	"math"
+	"math/rand/v2"
 	"os"
 	"strconv"
 	"strings"
@@ -74,39 +80,60 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", "127.0.0.1:7070", "drive address (trace accepts a comma-separated list)")
-	driveID := flag.Uint64("id", 1, "drive identity")
-	masterHex := flag.String("master", "", "master key (64 hex chars)")
-	insecure := flag.Bool("insecure", false, "talk to an insecure drive")
-	timeout := flag.Duration("timeout", 30*time.Second, "per-command deadline (0 = none)")
-	retries := flag.Int("retries", 3, "retries per request after the first attempt (0 = fail fast); idempotent requests reconnect and reissue on transport errors")
-	flag.Parse()
-	args := flag.Args()
+	if err := command(os.Args[1:], os.Stdin, os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		if errors.Is(err, errUsage) {
+			os.Exit(2)
+		}
+		log.Fatalf("nasdctl: %v", err)
+	}
+}
+
+// errUsage reports a command line the flag set has already explained
+// on stderr.
+var errUsage = errors.New("usage")
+
+// command runs one nasdctl invocation: args is the command line after
+// the program name, in feeds write's payload and out takes what the
+// command prints.
+func command(args []string, in io.Reader, out io.Writer) error {
+	fs := flag.NewFlagSet("nasdctl", flag.ContinueOnError)
+	addr := fs.String("addr", "127.0.0.1:7070", "drive address (trace, fleet, top and events accept a comma-separated list)")
+	driveID := fs.Uint64("id", 1, "drive identity")
+	masterHex := fs.String("master", "", "master key (64 hex chars)")
+	insecure := fs.Bool("insecure", false, "talk to an insecure drive")
+	timeout := fs.Duration("timeout", 30*time.Second, "per-command deadline (0 = none)")
+	retries := fs.Int("retries", 3, "retries per request after the first attempt (0 = fail fast); idempotent requests reconnect and reissue on transport errors")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return errUsage
+	}
+	args = fs.Args()
 	if len(args) == 0 {
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return errUsage
 	}
 	if args[0] == "genkey" {
 		k := crypt.NewRandomKey()
-		fmt.Println(hex.EncodeToString(k[:]))
-		return
+		_, err := fmt.Fprintln(out, hex.EncodeToString(k[:]))
+		return err
 	}
 
 	var master crypt.Key
 	if !*insecure {
 		raw, err := hex.DecodeString(*masterHex)
-		if err != nil {
-			log.Fatalf("nasdctl: bad -master: %v", err)
+		if err == nil {
+			master, err = crypt.KeyFromBytes(raw)
 		}
-		master, err = crypt.KeyFromBytes(raw)
 		if err != nil {
-			log.Fatalf("nasdctl: bad -master: %v", err)
+			return fmt.Errorf("bad -master: %v", err)
 		}
 	}
 	addrs := strings.Split(*addr, ",")
 	conn, err := rpc.DialTCP(addrs[0])
 	if err != nil {
-		log.Fatalf("nasdctl: dial: %v", err)
+		return fmt.Errorf("dial: %v", err)
 	}
 	opts := []client.Option{client.WithSecurity(!*insecure)}
 	if *retries > 0 {
@@ -124,7 +151,7 @@ func main() {
 			client.WithRetry(p),
 			client.WithDialer(func() (rpc.Conn, error) { return rpc.DialTCP(addrs[0]) }))
 	}
-	cli := client.New(conn, *driveID, uint64(os.Getpid())<<32|uint64(time.Now().UnixNano()&0xffffffff), opts...)
+	cli := client.New(conn, *driveID, newClientID(), opts...)
 	defer cli.Close()
 
 	ctx := context.Background()
@@ -133,10 +160,17 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	c := ctl{ctx: ctx, cli: cli, addrs: addrs, driveID: *driveID, master: master, keys: crypt.NewHierarchy(master), secure: !*insecure}
-	if err := c.run(args); err != nil {
-		log.Fatalf("nasdctl: %v", err)
-	}
+	c := ctl{ctx: ctx, cli: cli, addrs: addrs, driveID: *driveID, master: master,
+		keys: crypt.NewHierarchy(master), secure: !*insecure, in: in, out: out}
+	return c.run(args)
+}
+
+// newClientID names one client connection. A drive keeps a nonce
+// window per client ID, so two connections must never share one: the
+// process ID in the high word keeps processes apart, a random low word
+// the connections of one process.
+func newClientID() uint64 {
+	return uint64(os.Getpid())<<32 | uint64(rand.Uint32())
 }
 
 type ctl struct {
@@ -147,6 +181,8 @@ type ctl struct {
 	master  crypt.Key
 	keys    *crypt.Hierarchy
 	secure  bool
+	in      io.Reader // write's payload
+	out     io.Writer
 }
 
 func (c *ctl) masterID() crypt.KeyID { return crypt.KeyID{Type: crypt.MasterKey} }
@@ -155,10 +191,7 @@ func (c *ctl) masterID() crypt.KeyID { return crypt.KeyID{Type: crypt.MasterKey}
 // are derived deterministically from the master key, matching the
 // drive's own hierarchy.
 func (c *ctl) mint(part uint16, obj, ver uint64, rights capability.Rights) (capability.Capability, error) {
-	if err := c.keys.AddPartition(part); err != nil {
-		// Already added in this process: fine.
-		_ = err
-	}
+	_ = c.keys.AddPartition(part) // an error means it was added already
 	kid, key, err := c.keys.CurrentWorkingKey(part)
 	if err != nil {
 		return capability.Capability{}, err
@@ -167,6 +200,19 @@ func (c *ctl) mint(part uint16, obj, ver uint64, rights capability.Rights) (capa
 		DriveID: c.driveID, Partition: part, Object: obj, ObjVer: ver,
 		Rights: rights, Expiry: time.Now().Add(10 * time.Minute).UnixNano(), Key: kid,
 	}, key), nil
+}
+
+// partCap mints a partition-scope capability, or none on an insecure
+// drive.
+func (c *ctl) partCap(part uint16, rights capability.Rights) (*capability.Capability, error) {
+	if !c.secure {
+		return nil, nil
+	}
+	cp, err := c.mint(part, 0, 0, rights)
+	if err != nil {
+		return nil, err
+	}
+	return &cp, nil
 }
 
 func (c *ctl) objCap(part uint16, obj uint64, rights capability.Rights) (*capability.Capability, error) {
@@ -189,100 +235,124 @@ func (c *ctl) objCap(part uint16, obj uint64, rights capability.Rights) (*capabi
 	return &cp, nil
 }
 
-func parseU(s string) uint64 {
-	v, err := strconv.ParseUint(s, 10, 64)
-	if err != nil {
-		log.Fatalf("nasdctl: bad number %q", s)
+// argSpec is what a command takes on its command line: at least need
+// arguments, the first len(bits) of them numbers that must each fit in
+// as many bits as the field they fill.
+type argSpec struct {
+	need int
+	bits []int
+}
+
+// Field widths: a partition ID, an object ID / offset / trace ID, a
+// record count on the stats RPC, a quota (int64) and a read length
+// (int), both non-negative.
+const (
+	partBits  = 16
+	u64Bits   = 64
+	countBits = 32
+	quotaBits = 63
+	lenBits   = strconv.IntSize - 1
+)
+
+var argSpecs = map[string]argSpec{
+	"mkpart":   {1, []int{partBits, quotaBits}},
+	"rmpart":   {1, []int{partBits}},
+	"partinfo": {1, []int{partBits}},
+	"create":   {1, []int{partBits}},
+	"remove":   {2, []int{partBits, u64Bits}},
+	"list":     {1, []int{partBits}},
+	"write":    {3, []int{partBits, u64Bits, u64Bits}},
+	"read":     {4, []int{partBits, u64Bits, u64Bits, lenBits}},
+	"attr":     {2, []int{partBits, u64Bits}},
+	"version":  {2, []int{partBits, u64Bits}},
+	"revoke":   {2, []int{partBits, u64Bits}},
+	"stats":    {0, []int{countBits}},
+	"trace":    {1, []int{u64Bits}},
+	"events":   {0, []int{countBits}},
+}
+
+// parseArgs checks rest against cmd's argSpec and returns its numbers,
+// zero where an optional one is absent.
+func parseArgs(cmd string, rest []string) ([]uint64, error) {
+	spec := argSpecs[cmd]
+	if len(rest) < spec.need {
+		return nil, fmt.Errorf("%s needs %d arguments", cmd, spec.need)
 	}
-	return v
+	nums := make([]uint64, len(spec.bits))
+	for i, bits := range spec.bits[:min(len(spec.bits), len(rest))] {
+		v, err := strconv.ParseUint(rest[i], 10, bits)
+		if err != nil {
+			return nil, fmt.Errorf("%s: argument %d is %q, want a number from 0 to %d",
+				cmd, i+1, rest[i], uint64(math.MaxUint64)>>(64-bits))
+		}
+		nums[i] = v
+	}
+	return nums, nil
 }
 
 func (c *ctl) run(args []string) error {
-	cmd := args[0]
-	rest := args[1:]
-	need := func(n int) {
-		if len(rest) < n {
-			log.Fatalf("nasdctl: %s needs %d arguments", cmd, n)
-		}
+	cmd, rest := args[0], args[1:]
+	nums, err := parseArgs(cmd, rest)
+	if err != nil {
+		return err
 	}
 	switch cmd {
 	case "mkpart":
-		need(1)
-		var quota int64
-		if len(rest) > 1 {
-			quota = int64(parseU(rest[1]))
-		}
+		part, quota := uint16(nums[0]), int64(nums[1])
 		if len(rest) > 2 {
 			kind, err := object.ParseBackendKind(rest[2])
 			if err != nil {
 				return err
 			}
-			return c.cli.CreatePartitionBackend(c.ctx, c.masterID(), c.master, uint16(parseU(rest[0])), quota, kind)
+			return c.cli.CreatePartitionBackend(c.ctx, c.masterID(), c.master, part, quota, kind)
 		}
-		return c.cli.CreatePartition(c.ctx, c.masterID(), c.master, uint16(parseU(rest[0])), quota)
+		return c.cli.CreatePartition(c.ctx, c.masterID(), c.master, part, quota)
 	case "rmpart":
-		need(1)
-		return c.cli.RemovePartition(c.ctx, c.masterID(), c.master, uint16(parseU(rest[0])))
+		return c.cli.RemovePartition(c.ctx, c.masterID(), c.master, uint16(nums[0]))
 	case "partinfo":
-		need(1)
-		p, err := c.cli.GetPartition(c.ctx, c.masterID(), c.master, uint16(parseU(rest[0])))
+		p, err := c.cli.GetPartition(c.ctx, c.masterID(), c.master, uint16(nums[0]))
 		if err != nil {
 			return err
 		}
-		fmt.Printf("partition %d (%s): quota %d blocks, used %d blocks, %d objects\n",
+		fmt.Fprintf(c.out, "partition %d (%s): quota %d blocks, used %d blocks, %d objects\n",
 			p.ID, p.Backend, p.QuotaBlocks, p.UsedBlocks, p.ObjectCount)
 		return nil
 	case "create":
-		need(1)
-		part := uint16(parseU(rest[0]))
-		var cp *capability.Capability
-		if c.secure {
-			mc, err := c.mint(part, 0, 0, capability.CreateObj)
-			if err != nil {
-				return err
-			}
-			cp = &mc
+		part := uint16(nums[0])
+		cp, err := c.partCap(part, capability.CreateObj)
+		if err != nil {
+			return err
 		}
 		id, err := c.cli.Create(c.ctx, cp, part)
 		if err != nil {
 			return err
 		}
-		fmt.Println(id)
+		fmt.Fprintln(c.out, id)
 		return nil
 	case "remove":
-		need(2)
-		part := uint16(parseU(rest[0]))
-		obj := parseU(rest[1])
+		part, obj := uint16(nums[0]), nums[1]
 		cp, err := c.objCap(part, obj, capability.Remove)
 		if err != nil {
 			return err
 		}
 		return c.cli.Remove(c.ctx, cp, part, obj)
 	case "list":
-		need(1)
-		part := uint16(parseU(rest[0]))
-		var cp *capability.Capability
-		if c.secure {
-			mc, err := c.mint(part, 0, 0, capability.Read)
-			if err != nil {
-				return err
-			}
-			cp = &mc
+		part := uint16(nums[0])
+		cp, err := c.partCap(part, capability.Read)
+		if err != nil {
+			return err
 		}
 		ids, err := c.cli.List(c.ctx, cp, part)
 		if err != nil {
 			return err
 		}
 		for _, id := range ids {
-			fmt.Println(id)
+			fmt.Fprintln(c.out, id)
 		}
 		return nil
 	case "write":
-		need(3)
-		part := uint16(parseU(rest[0]))
-		obj := parseU(rest[1])
-		off := parseU(rest[2])
-		data, err := io.ReadAll(os.Stdin)
+		part, obj, off := uint16(nums[0]), nums[1], nums[2]
+		data, err := io.ReadAll(c.in)
 		if err != nil {
 			return err
 		}
@@ -292,23 +362,19 @@ func (c *ctl) run(args []string) error {
 		}
 		return c.cli.Write(c.ctx, cp, part, obj, off, data)
 	case "read":
-		need(4)
-		part := uint16(parseU(rest[0]))
-		obj := parseU(rest[1])
+		part, obj := uint16(nums[0]), nums[1]
 		cp, err := c.objCap(part, obj, capability.Read)
 		if err != nil {
 			return err
 		}
-		data, err := c.cli.Read(c.ctx, cp, part, obj, parseU(rest[2]), int(parseU(rest[3])))
+		data, err := c.cli.Read(c.ctx, cp, part, obj, nums[2], int(nums[3]))
 		if err != nil {
 			return err
 		}
-		_, err = os.Stdout.Write(data)
+		_, err = c.out.Write(data)
 		return err
 	case "attr":
-		need(2)
-		part := uint16(parseU(rest[0]))
-		obj := parseU(rest[1])
+		part, obj := uint16(nums[0]), nums[1]
 		cp, err := c.objCap(part, obj, capability.GetAttr)
 		if err != nil {
 			return err
@@ -317,13 +383,11 @@ func (c *ctl) run(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("size %d  version %d  created %s  modified %s\n",
+		fmt.Fprintf(c.out, "size %d  version %d  created %s  modified %s\n",
 			a.Size, a.Version, a.CreateTime.Format(time.RFC3339), a.ModTime.Format(time.RFC3339))
 		return nil
 	case "version":
-		need(2)
-		part := uint16(parseU(rest[0]))
-		obj := parseU(rest[1])
+		part, obj := uint16(nums[0]), nums[1]
 		cp, err := c.objCap(part, obj, capability.Version)
 		if err != nil {
 			return err
@@ -332,12 +396,10 @@ func (c *ctl) run(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(id)
+		fmt.Fprintln(c.out, id)
 		return nil
 	case "revoke":
-		need(2)
-		part := uint16(parseU(rest[0]))
-		obj := parseU(rest[1])
+		part, obj := uint16(nums[0]), nums[1]
 		cp, err := c.objCap(part, obj, capability.SetAttr)
 		if err != nil {
 			return err
@@ -346,72 +408,84 @@ func (c *ctl) run(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("new version %d\n", v)
+		fmt.Fprintf(c.out, "new version %d\n", v)
 		return nil
 	case "flush":
 		return c.cli.Flush(c.ctx)
 	case "stats":
-		var args drive.StatsArgs
-		if len(rest) > 0 {
-			args.TraceN = uint32(parseU(rest[0]))
-		}
-		sr, err := c.cli.ServerStats(c.ctx, args)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("drive %d per-op cost breakdown (measured; cf. paper Table 1):\n\n", sr.DriveID)
-		telemetry.WriteOpTable(os.Stdout, sr.Metrics, "drive.op")
-		telemetry.WriteTenantTable(os.Stdout, sr.Metrics, "this drive, cumulative")
-		telemetry.WriteExemplars(os.Stdout, sr.Metrics, "drive.op")
-		fmt.Println()
-		telemetry.WriteText(os.Stdout, sr.Metrics)
-		if len(sr.Spans) > 0 {
-			fmt.Printf("\nlast %d requests:\n", len(sr.Spans))
-			for _, r := range sr.Spans {
-				note := make(map[string]string, len(r.Annotations))
-				for _, a := range r.Annotations {
-					note[a.Key] = a.Value
-				}
-				in, _ := strconv.Atoi(note["bytes_in"])
-				out, _ := strconv.Atoi(note["bytes_out"])
-				fmt.Printf("  req=%d %-10s %-12s %10s %8dB\n",
-					r.TraceID, strings.TrimPrefix(r.Name, telemetry.RequestSpanPrefix), note["status"],
-					r.Dur().Round(time.Microsecond), in+out)
-			}
-		}
-		return nil
+		return c.stats(uint32(nums[0]))
 	case "trace":
-		need(1)
-		return c.trace(parseU(rest[0]))
+		return c.trace(nums[0])
 	case "fleet":
 		return c.fleet(rest)
 	case "top":
 		return c.top(rest)
 	case "events":
-		return c.events(rest)
+		n := uint32(128)
+		if len(rest) > 0 {
+			n = uint32(nums[0])
+		}
+		minSev := telemetry.SevInfo
+		if len(rest) > 1 {
+			if minSev, err = telemetry.ParseSeverity(rest[1]); err != nil {
+				return err
+			}
+		}
+		return c.events(n, minSev)
 	default:
 		return fmt.Errorf("unknown command %q", cmd)
 	}
 }
 
+// stats prints the drive's Table 1-style cost table, its per-tenant
+// split and p99 exemplars, every raw metric, and the last traceN
+// requests it served.
+func (c *ctl) stats(traceN uint32) error {
+	sr, err := c.cli.ServerStats(c.ctx, drive.StatsArgs{TraceN: traceN})
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(c.out, "drive %d per-op cost breakdown (measured; cf. paper Table 1):\n\n", sr.DriveID)
+	rows := opRows(sr.Metrics)
+	writeOpTable(c.out, rows)
+	writeTenantTable(c.out, sr.Metrics, "this drive, cumulative")
+	writeExemplars(c.out, rows)
+	fmt.Fprintln(c.out)
+	writeText(c.out, sr.Metrics)
+	if len(sr.Spans) > 0 {
+		fmt.Fprintf(c.out, "\nlast %d requests:\n", len(sr.Spans))
+		for _, r := range sr.Spans {
+			note := make(map[string]string, len(r.Annotations))
+			for _, a := range r.Annotations {
+				note[a.Key] = a.Value
+			}
+			in, _ := strconv.Atoi(note["bytes_in"])
+			out, _ := strconv.Atoi(note["bytes_out"])
+			fmt.Fprintf(c.out, "  req=%d %-10s %-12s %10s %8dB\n",
+				r.TraceID, strings.TrimPrefix(r.Name, telemetry.RequestSpanPrefix), note["status"],
+				r.Dur().Round(time.Microsecond), in+out)
+		}
+	}
+	return nil
+}
+
 // trace pulls every span recorded for one trace ID from each drive in
-// c.addrs, merges them with the spans this process recorded itself
-// (relevant when the traced operation ran in-process), and prints the
-// combined timeline.
+// c.addrs and prints the merged timeline. The client half of the trace
+// stays in the process that issued the request.
 func (c *ctl) trace(traceID uint64) error {
 	clis, closeExtra, err := c.fleetClients()
 	if err != nil {
 		return err
 	}
 	defer closeExtra()
-	sets := [][]telemetry.SpanRecord{telemetry.ProcessSpans.ByTrace(traceID)}
+	sets := make([][]telemetry.SpanRecord, len(clis))
 	for i, cli := range clis {
 		sr, err := cli.ServerStats(c.ctx, drive.StatsArgs{SpanTrace: traceID})
 		if err != nil {
 			return fmt.Errorf("spans from %s: %v", c.addrs[i], err)
 		}
-		sets = append(sets, sr.Spans)
+		sets[i] = sr.Spans
 	}
-	telemetry.WriteTimeline(os.Stdout, traceID, telemetry.MergeSpans(sets...))
+	writeTimeline(c.out, traceID, mergeSpans(sets...))
 	return nil
 }

@@ -1,4 +1,4 @@
-package telemetry
+package main
 
 import (
 	"fmt"
@@ -6,22 +6,24 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"nasd/internal/telemetry"
 )
 
-// This file renders a merged set of span records — typically pulled
-// from several drives plus the client's own log — as an indented ASCII
+// This file renders a merged set of span records — pulled from the
+// span logs of several drives — as an indented ASCII
 // timeline: one line per span, children under parents, siblings in
 // start order, with each span's offset from the trace start and its
 // duration. Fan-out legs that run much longer than their siblings are
 // flagged as stragglers, which is the diagnosis aggregates cannot make
 // (a striped read is as slow as its slowest leg).
 
-// MergeSpans combines span record sets from several sources, dropping
+// mergeSpans combines span record sets from several sources, dropping
 // duplicates (the same span fetched twice) by (trace ID, span ID).
-func MergeSpans(sets ...[]SpanRecord) []SpanRecord {
+func mergeSpans(sets ...[]telemetry.SpanRecord) []telemetry.SpanRecord {
 	type key struct{ t, s uint64 }
 	seen := make(map[key]bool)
-	var out []SpanRecord
+	var out []telemetry.SpanRecord
 	for _, set := range sets {
 		for _, r := range set {
 			k := key{r.TraceID, r.SpanID}
@@ -47,13 +49,13 @@ const (
 	stragglerAnnotationSuffix = "<-- straggler"
 )
 
-// WriteTimeline renders the spans of one trace as an indented tree.
+// writeTimeline renders the spans of one trace as an indented tree.
 // Spans whose parent is missing from the set (a layer whose log wrapped
 // or was not fetched) are promoted to roots, so partial merges still
 // render. Spans from other traces in the input are ignored when
 // traceID is non-zero.
-func WriteTimeline(w io.Writer, traceID uint64, spans []SpanRecord) {
-	var set []SpanRecord
+func writeTimeline(w io.Writer, traceID uint64, spans []telemetry.SpanRecord) {
+	var set []telemetry.SpanRecord
 	for _, r := range spans {
 		if traceID == 0 || r.TraceID == traceID {
 			set = append(set, r)
@@ -130,11 +132,11 @@ func WriteTimeline(w io.Writer, traceID uint64, spans []SpanRecord) {
 
 // stragglers reports which of a sibling group's spans run much longer
 // than their peers. Only like-named siblings are compared (the parallel
-// legs of one fan-out; a digest span is not a straggler for being
-// slower than a block read), groups of fewer than stragglerMinGroup
+// legs of one fan-out; a read is not a straggler for being slower than
+// the getattr beside it), groups of fewer than stragglerMinGroup
 // have no basis for comparison, and the gap over the median must clear
 // both a relative factor and an absolute floor.
-func stragglers(set []SpanRecord, idx []int) []bool {
+func stragglers(set []telemetry.SpanRecord, idx []int) []bool {
 	out := make([]bool, len(idx))
 	byName := make(map[string][]int)
 	for n, i := range idx {

@@ -2,7 +2,6 @@ package cheops
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 
 	"nasd/internal/capability"
@@ -13,8 +12,8 @@ import (
 // TestStripedReadTrace is the acceptance scenario for the tracing
 // plane: one traced read of a striped object must produce a single
 // trace that spans the cheops fan-out (one leg per drive) and, on every
-// drive it touched, a drive-side span tree with the Table 1 phase
-// children. The merged set must render as one timeline.
+// drive it touched, a drive-side span tree with no synthesized children.
+// The merged set must form one tree.
 func TestStripedReadTrace(t *testing.T) {
 	r := newRig(t, 4)
 	id, err := r.mgr.Create(testCtx, Stripe0, 32<<10, 4, 0)
@@ -57,40 +56,26 @@ func TestStripedReadTrace(t *testing.T) {
 		t.Fatalf("trace has %d cheops.read.leg spans, want >= 4 (one per drive)", legs)
 	}
 
-	// Drive side: every drive holds a span tree for this trace — the
-	// handler span plus its phase children — fetched both directly and
-	// over the stats RPC.
+	// Drive side: every drive holds a span tree for this trace, fetched
+	// both directly and over the stats RPC. No span stands for a Table 1
+	// component: the cost split is registry counters, not intervals.
 	all := [][]telemetry.SpanRecord{mine, telemetry.ProcessSpans.ByTrace(tid)}
 	for i, drv := range r.raw {
 		ds := drv.Spans().ByTrace(tid)
 		if len(ds) == 0 {
 			t.Fatalf("drive %d recorded no spans for trace %d", i, tid)
 		}
-		// A 256 KB read over two stripes hits each drive more than once,
-		// so group the phase children under their own handler span.
-		handlers := map[uint64]telemetry.SpanRecord{}
-		for _, s := range ds {
-			if s.Name == "drive.read" {
-				handlers[s.SpanID] = s
-			}
-		}
-		if len(handlers) == 0 {
-			t.Fatalf("drive %d has no drive.read span: %+v", i, ds)
-		}
-		phaseSum := map[uint64]int64{}
+		reads := 0
 		for _, s := range ds {
 			switch s.Name {
+			case "drive.read":
+				reads++
 			case "digest", "object-system", "media":
-				if _, ok := handlers[s.Parent]; !ok {
-					t.Fatalf("drive %d phase %q parent %d is not a drive.read span", i, s.Name, s.Parent)
-				}
-				phaseSum[s.Parent] += int64(s.Dur())
+				t.Fatalf("drive %d emitted a %q span under %d; the cost split is not an interval", i, s.Name, s.Parent)
 			}
 		}
-		for id, h := range handlers {
-			if sum := phaseSum[id]; sum <= 0 || sum > int64(h.Dur()) {
-				t.Fatalf("drive %d span %d phase durations sum %d outside (0, %d]", i, id, sum, int64(h.Dur()))
-			}
+		if reads == 0 {
+			t.Fatalf("drive %d has no drive.read span: %+v", i, ds)
 		}
 		remote, err := r.drives[i].ServerStats(testCtx, drive.StatsArgs{SpanTrace: tid})
 		if err != nil {
@@ -102,13 +87,23 @@ func TestStripedReadTrace(t *testing.T) {
 		all = append(all, ds)
 	}
 
-	// The merged set renders as one hierarchical timeline.
-	var sb strings.Builder
-	telemetry.WriteTimeline(&sb, tid, telemetry.MergeSpans(all...))
-	out := sb.String()
-	for _, want := range []string{"test.striped_read", "cheops.read", "cheops.read.leg", "drive.read", "object-system"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("merged timeline missing %q:\n%s", want, out)
+	// The merged set is one tree under the test's root span.
+	merged := map[uint64]telemetry.SpanRecord{}
+	for _, set := range all {
+		for _, s := range set {
+			merged[s.SpanID] = s
+		}
+	}
+	names := map[string]bool{}
+	for _, s := range merged {
+		names[s.Name] = true
+		if _, ok := merged[s.Parent]; !ok && s.SpanID != root.Context().SpanID {
+			t.Fatalf("span %s (%d) hangs off %d, which is not in the trace", s.Name, s.SpanID, s.Parent)
+		}
+	}
+	for _, want := range []string{"test.striped_read", "cheops.read", "cheops.read.leg", "drive.read"} {
+		if !names[want] {
+			t.Fatalf("merged trace has no %q span: %v", want, names)
 		}
 	}
 }

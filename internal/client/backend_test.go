@@ -3,6 +3,7 @@ package client
 import (
 	"bytes"
 	"errors"
+	"math"
 	"testing"
 
 	"nasd/internal/bufpool"
@@ -200,6 +201,30 @@ func TestReadIntoShortAndSingleFragment(t *testing.T) {
 		if err != nil || !bytes.Equal(out, want) {
 			t.Fatalf("Read of %d bytes: %d read (%v), want %d matching bytes", n, len(out), err, len(want))
 		}
+	}
+	if out, err := r.cli.Read(testCtx, nocap, 1, id, 0, -1); err == nil {
+		t.Fatalf("Read of -1 bytes returned %d bytes and no error", len(out))
+	}
+
+	// A length far past the object's end costs memory by what the
+	// object holds: allocated up front, math.MaxInt panics in make.
+	if out, err := r.cli.Read(testCtx, nocap, 1, id, 100, math.MaxInt); err != nil || !bytes.Equal(out, data[100:]) {
+		t.Fatalf("Read of math.MaxInt bytes: %d read (%v), want %d matching bytes", len(out), err, len(data)-100)
+	}
+	big, err := r.cli.Create(testCtx, nocap, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data = bytes.Repeat(data[:DefaultFragmentSize], readChunk/DefaultFragmentSize+1)
+	if err := r.cli.Write(testCtx, nocap, 1, big, 0, data); err != nil {
+		t.Fatal(err)
+	}
+	out, err := r.cli.Read(testCtx, nocap, 1, big, 0, math.MaxInt)
+	if err != nil || !bytes.Equal(out, data) {
+		t.Fatalf("Read of math.MaxInt bytes across chunks: %d read (%v), want %d matching bytes", len(out), err, len(data))
+	}
+	if cap(out) > 2*len(out)+readChunk {
+		t.Fatalf("Read of %d bytes held a %d-byte buffer", len(out), cap(out))
 	}
 }
 

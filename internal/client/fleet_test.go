@@ -3,7 +3,6 @@ package client
 import (
 	"bytes"
 	"fmt"
-	"strings"
 	"testing"
 	"time"
 
@@ -22,7 +21,8 @@ import (
 // sum, the per-tenant split attributes exactly the ops each partition
 // issued, the merged p99 exemplar names a trace resolvable back to
 // drive-side spans, and each drive's event ring came along with its
-// snapshot.
+// snapshot. The fleet table nasdctl renders from such a poll is tested
+// in cmd/nasdctl.
 func TestFleetAggregationRoundTrip(t *testing.T) {
 	const nDrives = 4
 	type node struct {
@@ -114,7 +114,7 @@ func TestFleetAggregationRoundTrip(t *testing.T) {
 
 	// Poll every drive the way nasdctl fleet does: metrics plus the
 	// event tail in one stats round trip per drive.
-	var drives []telemetry.FleetDrive
+	var merged telemetry.Snapshot
 	var sumWrites uint64
 	for i, n := range nodes {
 		sr, err := n.cli.ServerStats(testCtx, drive.StatsArgs{EventN: 32})
@@ -127,27 +127,21 @@ func TestFleetAggregationRoundTrip(t *testing.T) {
 		if len(sr.Events) == 0 {
 			t.Fatalf("drive %d returned no events (its ring should hold at least its start event)", i)
 		}
-		drives = append(drives, telemetry.FleetDrive{
-			Addr: fmt.Sprintf("fleet%d", i), DriveID: sr.DriveID,
-			Metrics: sr.Metrics, Events: sr.Events,
-		})
+		merged.Merge(sr.Metrics)
 		sumWrites += sr.Metrics.Counters["drive.op.write.calls"]
 	}
-	// A down drive stays listed but contributes nothing to the merge.
-	drives = append(drives, telemetry.FleetDrive{Addr: "gone:7070", Err: "connection refused"})
-	fs := telemetry.BuildFleet(drives)
 
-	if got := fs.Merged.Counters["drive.op.write.calls"]; got != sumWrites || got != nDrives*4 {
+	if got := merged.Counters["drive.op.write.calls"]; got != sumWrites || got != nDrives*4 {
 		t.Fatalf("merged write calls = %d, want per-drive sum %d = %d", got, sumWrites, nDrives*4)
 	}
 
 	// Per-tenant attribution: both partitions present, each billed
 	// exactly the ops it issued, fleet-wide.
-	if parts := telemetry.TenantParts(fs.Merged); len(parts) != 2 || parts[0] != 1 || parts[1] != 2 {
+	if parts := telemetry.TenantParts(merged); len(parts) != 2 || parts[0] != 1 || parts[1] != 2 {
 		t.Fatalf("tenant partitions = %v, want [1 2]", parts)
 	}
 	for part, count := range opsPerTenant {
-		ts := telemetry.TenantSnapshot(fs.Merged, part)
+		ts := telemetry.TenantSnapshot(merged, part)
 		want := uint64(nDrives * count)
 		if got := ts.Counters["drive.op.write.calls"]; got != want {
 			t.Fatalf("tenant %d write calls = %d, want %d", part, got, want)
@@ -166,7 +160,7 @@ func TestFleetAggregationRoundTrip(t *testing.T) {
 	// The merged read histogram's p99 exemplar names the trace the
 	// traffic ran under, and that trace resolves to drive-side spans —
 	// the fleet-table-to-`nasdctl trace` drilldown.
-	h := fs.Merged.Histograms["drive.op.read.svc_ns"]
+	h := merged.Histograms["drive.op.read.svc_ns"]
 	ex := h.ExemplarNear(0.99)
 	if ex == nil {
 		t.Fatal("merged read histogram retained no exemplar")
@@ -184,34 +178,5 @@ func TestFleetAggregationRoundTrip(t *testing.T) {
 	}
 	if len(spans) == 0 {
 		t.Fatalf("exemplar trace %d resolved to no drive-side spans", ex.TraceID)
-	}
-
-	// Event tails merge with sources stamped; every ring contributed.
-	var sets [][]telemetry.Event
-	var sources []string
-	for _, d := range fs.Drives {
-		if d.Err == "" {
-			sets = append(sets, d.Events)
-			sources = append(sources, d.Addr)
-		}
-	}
-	merged := telemetry.MergeEvents(sets, sources)
-	bySource := make(map[string]bool)
-	for _, e := range merged {
-		bySource[e.Source] = true
-	}
-	if len(bySource) != nDrives {
-		t.Fatalf("merged events cover %d sources, want %d", len(bySource), nDrives)
-	}
-
-	// The rendered fleet table carries the drives, the total, the
-	// tenant split, the down row, and the exemplar drilldown hint.
-	var sb strings.Builder
-	telemetry.WriteFleetTable(&sb, fs, nil)
-	out := sb.String()
-	for _, want := range []string{"TOTAL", "part.1", "part.2", "DOWN: connection refused", "nasdctl trace"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("fleet table missing %q:\n%s", want, out)
-		}
 	}
 }

@@ -2,6 +2,7 @@ package client
 
 import (
 	"context"
+	"fmt"
 	"strconv"
 	"sync"
 
@@ -90,15 +91,32 @@ func (d *Drive) runWindowed(ctx context.Context, name string, frags []fragPlan, 
 	return firstCancel
 }
 
+// readChunk bounds what Read allocates before the drive has answered.
+// A longer read goes chunk by chunk into a buffer that grows only while
+// the object keeps filling whole chunks, so a length far past the
+// object's end costs memory in proportion to the bytes the object
+// holds, not to the length asked for.
+const readChunk = 16 << 20
+
 // Read fetches object bytes [off, off+n) into a buffer of its own, cut
-// to what the object held.
+// to what the object held. A negative n is an error and sends nothing.
 func (d *Drive) Read(ctx context.Context, cap *capability.Capability, part uint16, obj, off uint64, n int) ([]byte, error) {
-	out := make([]byte, n)
-	got, err := d.ReadInto(ctx, cap, part, obj, off, out)
-	if err != nil {
-		return nil, err
+	if n < 0 {
+		return nil, fmt.Errorf("client: read length %d is negative", n)
 	}
-	return out[:got], nil
+	out := make([]byte, min(n, readChunk))
+	done := 0
+	for {
+		got, err := d.ReadInto(ctx, cap, part, obj, off+uint64(done), out[done:])
+		if err != nil {
+			return nil, err
+		}
+		done += got
+		if done < len(out) || len(out) == n {
+			return out[:done], nil
+		}
+		out = append(out, make([]byte, min(n-len(out), readChunk))...)
+	}
 }
 
 // ReadInto fetches object bytes [off, off+len(dst)) into dst and returns

@@ -97,7 +97,7 @@ func TestSpanContextRoundTrip(t *testing.T) {
 	}
 
 	// Drive side: the handler span's parent is the client span ID that
-	// crossed the wire, and the phase children hang off the handler.
+	// crossed the wire, and no synthesized child hangs off the handler.
 	sr, err := cli.ServerStats(testCtx, drive.StatsArgs{SpanTrace: tid})
 	if err != nil {
 		t.Fatal(err)
@@ -115,22 +115,10 @@ func TestSpanContextRoundTrip(t *testing.T) {
 	if driveSpan.Parent != readSpan.SpanID {
 		t.Fatalf("drive.read parent %d, want client.read span %d", driveSpan.Parent, readSpan.SpanID)
 	}
-	var phaseSum int64
-	phases := map[string]bool{}
 	for _, r := range serverSpans {
 		switch r.Name {
 		case "digest", "object-system", "media":
-			if r.Parent != driveSpan.SpanID {
-				t.Fatalf("phase %q parent %d, want drive span %d", r.Name, r.Parent, driveSpan.SpanID)
-			}
-			phases[r.Name] = true
-			phaseSum += int64(r.Dur())
+			t.Fatalf("drive emitted a %q span; the cost split is registry counters, not intervals", r.Name)
 		}
-	}
-	if !phases["digest"] || !phases["object-system"] {
-		t.Fatalf("missing phase spans (got %v) in %+v", phases, serverSpans)
-	}
-	if dur := int64(driveSpan.Dur()); phaseSum <= 0 || phaseSum > dur {
-		t.Fatalf("phase durations sum %d outside (0, %d]", phaseSum, dur)
 	}
 }

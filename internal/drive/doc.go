@@ -10,7 +10,7 @@
 // remainder). Each request is recorded in two places and no others: the
 // telemetry.Registry (the drive.op.<op>.* aggregates, next to cache
 // hit/miss counters) and the span log (one drive.<op> handler span per
-// request under the client's trace ID, with the split as its children).
+// request under the client's trace ID).
 // The stats op returns both over the NASD interface itself; see
 // DESIGN.md §5.
 package drive

@@ -16,8 +16,9 @@ import (
 // paper's Table 1 reports — security (digest verification), object
 // system, and media — which is what `nasdctl stats` prints. Every
 // request is recorded in exactly two places: the registry (aggregates)
-// and the span log (one handler span per request, plus its phase
-// children).
+// and the span log (one handler span per request). The split lives in
+// the registry only: its components are deltas, not intervals, so no
+// span stands for them.
 //
 // The split is measured as follows for each request: digest time is
 // timed directly inside authorize/authorizeAdmin; media time is the
@@ -263,34 +264,7 @@ func (t *driveTel) record(op Op, req *rpc.Request, rep *rpc.Reply, total time.Du
 			sp.Annotate("lock_wait_ns", strconv.FormatInt(lockWait, 10))
 		}
 		sp.End()
-		t.emitPhases(sp, ph.digest, mediaDelta, obj)
 	}
-}
-
-// emitPhases records the Table 1 cost split as three child spans of the
-// completed handler span. The durations are the measured per-component
-// times (they sum to the handler's total); their placement is
-// synthesized as digest → object-system → media from the handler start,
-// since the components are deltas, not instrumented intervals.
-func (t *driveTel) emitPhases(sp *telemetry.Span, digest time.Duration, media, obj int64) {
-	sc := sp.Context()
-	start := sp.StartNanos()
-	emit := func(name string, from, dur int64) {
-		if dur <= 0 {
-			return
-		}
-		t.spans.Emit(telemetry.SpanRecord{
-			TraceID: sc.TraceID,
-			SpanID:  telemetry.NextSpanID(),
-			Parent:  sc.SpanID,
-			Name:    name,
-			StartNS: start + from,
-			EndNS:   start + from + dur,
-		})
-	}
-	emit("digest", 0, int64(digest))
-	emit("object-system", int64(digest), obj)
-	emit("media", int64(digest)+obj, media)
 }
 
 // Metrics returns the drive's telemetry registry (per-op counters and

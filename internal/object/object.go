@@ -583,14 +583,6 @@ func (s *Store) Partitions() []Partition {
 	return out
 }
 
-// partExists reports whether partition part is present.
-func (s *Store) partExists(part uint16) bool {
-	s.lockParts()
-	defer s.pmu.Unlock()
-	_, ok := s.parts[part]
-	return ok
-}
-
 // --- Object lifecycle ---------------------------------------------------
 
 // Create allocates a new object in partition part and returns its ID.

@@ -13,25 +13,22 @@ import (
 // "drive.op.<op>.svc_ns" histograms the drive already maintains in the
 // shared registry — the p90, cached briefly because snapshotting a
 // histogram walks 48 buckets and the admission path is hot. Before an
-// op has histogram samples (cold start), a per-op EWMA fed by the
-// Controller's own executions stands in; before even that, a 1ms prior.
+// op has histogram samples (cold start), a 1ms prior stands in.
 type estimator struct {
 	reg *telemetry.Registry
 
 	mu  sync.Mutex
 	ops map[string]*opEstimate
 
-	// ewmaAll tracks mean per-item service time across all ops, used
-	// to turn a queue depth into an expected queue wait.
-	ewmaAll atomic.Int64
+	// meanAll tracks mean per-item service time across all ops (an
+	// EWMA), used to turn a queue depth into an expected queue wait.
+	meanAll atomic.Int64
 }
 
+// opEstimate is one op's cached histogram read.
 type opEstimate struct {
-	ewma atomic.Int64 // ns, updated on every execution
-
-	// cached histogram read
-	cachedNS atomic.Int64 // 0 = no histogram data at last refresh
-	fetched  atomic.Int64 // unix ns of last refresh
+	cachedNS atomic.Int64 // p90 at the last non-empty read
+	fetched  atomic.Int64 // unix ns of that read; 0 = none yet
 }
 
 // estimateTTL is how long a cached histogram quantile is trusted.
@@ -55,47 +52,34 @@ func (e *estimator) op(name string) *opEstimate {
 	return oe
 }
 
-// observe feeds one completed execution back into the estimates.
-func (e *estimator) observe(op string, d time.Duration) {
+// observe feeds one completed execution into the all-ops mean.
+func (e *estimator) observe(d time.Duration) {
 	ns := int64(d)
-	oe := e.op(op)
-	old := oe.ewma.Load()
-	if old == 0 {
-		oe.ewma.Store(ns)
-	} else {
-		oe.ewma.Store(old + (ns-old)/8)
+	if old := e.meanAll.Load(); old != 0 {
+		ns = old + (ns-old)/8
 	}
-	old = e.ewmaAll.Load()
-	if old == 0 {
-		e.ewmaAll.Store(ns)
-	} else {
-		e.ewmaAll.Store(old + (ns-old)/8)
-	}
+	e.meanAll.Store(ns)
 }
 
-// svc returns the estimated service time for one request of op.
+// svc returns the estimated service time for one request of op: the
+// p90 of its histogram, or the prior while the histogram is empty. Only
+// a read that found samples is cached, so the first samples count at
+// once rather than after a cached empty read expires.
 func (e *estimator) svc(op string) time.Duration {
 	oe := e.op(op)
 	now := time.Now().UnixNano()
 	if now-oe.fetched.Load() > int64(estimateTTL) {
-		oe.fetched.Store(now)
 		// The drive records per-op service time (digest + object +
 		// media) under this name; its tail is the honest forecast for
 		// "what will this request cost if admitted".
 		snap := e.reg.Histogram("drive.op." + op + ".svc_ns").Snapshot()
-		if snap.Count > 0 {
-			oe.cachedNS.Store(snap.Quantile(0.90))
-		} else {
-			oe.cachedNS.Store(0)
+		if snap.Count == 0 {
+			return defaultSvc
 		}
+		oe.cachedNS.Store(snap.Quantile(0.90))
+		oe.fetched.Store(now)
 	}
-	if ns := oe.cachedNS.Load(); ns > 0 {
-		return time.Duration(ns)
-	}
-	if ns := oe.ewma.Load(); ns > 0 {
-		return time.Duration(ns)
-	}
-	return defaultSvc
+	return time.Duration(oe.cachedNS.Load())
 }
 
 // queueWait forecasts how long a request admitted now would sit in
@@ -105,7 +89,7 @@ func (e *estimator) queueWait(depth, workers int) time.Duration {
 	if depth <= 0 || workers <= 0 {
 		return 0
 	}
-	per := e.ewmaAll.Load()
+	per := e.meanAll.Load()
 	if per == 0 {
 		per = int64(defaultSvc)
 	}

@@ -452,7 +452,7 @@ func (c *Controller) execute(req *rpc.Request, cls Class, enq time.Time) *rpc.Re
 	c.statInflight.Add(1)
 	start := time.Now()
 	rep := c.inner.Handle(req)
-	c.est.observe(cls.Op, time.Since(start))
+	c.est.observe(time.Since(start))
 	c.statInflight.Add(-1)
 	return rep
 }

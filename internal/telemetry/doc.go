@@ -25,13 +25,12 @@
 // context.Context (WithSpanContext / SpanLog.StartSpan) and across the
 // wire in the rpc request header (SpanLog.StartRemote on the serving
 // side), so one trace ID links a client op, the Cheops fan-out legs it
-// spawned, and the drive-side handler spans with their Table 1 phase
-// children (digest / object-system / media). Trace and span IDs are
-// salted with a per-process random high word so records minted by different
-// processes merge without collision (MergeSpans), and WriteTimeline
-// renders a merged trace as one indented timeline, flagging straggler
-// legs among parallel siblings. See DESIGN.md §5 for the full model
-// and an example timeline.
+// spawned, the drive-side handler spans and their media I/O. Trace and
+// span IDs are salted with a per-process random high word so records
+// minted by different processes merge without collision. The package
+// records and serves; rendering (tables, timelines, the fleet view)
+// lives in its one caller, cmd/nasdctl. See DESIGN.md §5 for the full
+// model and an example timeline.
 //
 // Everything here is built on sync/atomic and the standard library
 // only, so any package in the tree can depend on it without cycles.

@@ -3,7 +3,6 @@ package telemetry
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -207,30 +206,4 @@ func (l *EventLog) Len() int {
 		return len(l.events)
 	}
 	return l.next
-}
-
-// MergeEvents interleaves several drives' event tails into one
-// timeline ordered by timestamp (sequence numbers break ties only
-// within one source). Each input's events get Source stamped from the
-// parallel sources slice when provided.
-func MergeEvents(sets [][]Event, sources []string) []Event {
-	var out []Event
-	for i, set := range sets {
-		for _, e := range set {
-			if i < len(sources) && e.Source == "" {
-				e.Source = sources[i]
-			}
-			out = append(out, e)
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].UnixNano != out[j].UnixNano {
-			return out[i].UnixNano < out[j].UnixNano
-		}
-		if out[i].Source != out[j].Source {
-			return out[i].Source < out[j].Source
-		}
-		return out[i].Seq < out[j].Seq
-	})
-	return out
 }

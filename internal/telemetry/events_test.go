@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
-	"strings"
 	"testing"
 )
 
@@ -79,36 +78,6 @@ func TestEventLogNilSafe(t *testing.T) {
 	}
 }
 
-// TestMergeEventsOrdering interleaves two drives' tails and checks the
-// merge sorts by timestamp and stamps sources.
-func TestMergeEventsOrdering(t *testing.T) {
-	a := []Event{
-		{Seq: 1, UnixNano: 100, Subsystem: "drive", Name: "start"},
-		{Seq: 2, UnixNano: 300, Subsystem: "needle", Name: "compaction"},
-	}
-	b := []Event{
-		{Seq: 1, UnixNano: 200, Subsystem: "journal", Name: "recovery"},
-		{Seq: 2, UnixNano: 300, Subsystem: "drive", Name: "start"},
-	}
-	out := MergeEvents([][]Event{a, b}, []string{"d1:7070", "d2:7070"})
-	if len(out) != 4 {
-		t.Fatalf("merged %d events, want 4", len(out))
-	}
-	wantOrder := []int64{100, 200, 300, 300}
-	for i, e := range out {
-		if e.UnixNano != wantOrder[i] {
-			t.Fatalf("position %d has ts %d, want %d", i, e.UnixNano, wantOrder[i])
-		}
-		if e.Source == "" {
-			t.Fatalf("position %d missing source: %+v", i, e)
-		}
-	}
-	// Timestamp tie broken by source name: d1 before d2.
-	if out[2].Source != "d1:7070" || out[3].Source != "d2:7070" {
-		t.Fatalf("tie-break order wrong: %q then %q", out[2].Source, out[3].Source)
-	}
-}
-
 // TestSeverityJSONRoundTrip checks severities serialize as names and
 // deserialize from either form.
 func TestSeverityJSONRoundTrip(t *testing.T) {
@@ -171,24 +140,5 @@ func TestEventsHandler(t *testing.T) {
 	one, _ := get("/events?n=1")
 	if len(one) != 1 || one[0].Name != "breaker_open" {
 		t.Fatalf("n=1 tail = %+v", one)
-	}
-}
-
-// TestWriteEvents smoke-checks the text renderer.
-func TestWriteEvents(t *testing.T) {
-	var sb strings.Builder
-	WriteEvents(&sb, []Event{
-		{UnixNano: 1e9, Severity: SevWarn, Subsystem: "journal", Name: "recovery", Detail: "replayed=3", Source: "d1:7070"},
-	})
-	out := sb.String()
-	for _, want := range []string{"warn", "journal", "recovery", "replayed=3", "d1:7070"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("rendered events missing %q:\n%s", want, out)
-		}
-	}
-	sb.Reset()
-	WriteEvents(&sb, nil)
-	if !strings.Contains(sb.String(), "no events") {
-		t.Fatalf("empty render = %q", sb.String())
 	}
 }

@@ -15,8 +15,8 @@ import (
 // Spans are the per-request record: one logical operation (a striped
 // read, say) is a *trace*, identified by a trace ID, and every timed
 // step inside it — the client call, each cheops fan-out leg, the
-// drive-side handler with its Table 1 phase split, each media I/O — is
-// a *span* carrying its parent's span ID.
+// drive-side handler, each media I/O — is a *span* carrying its
+// parent's span ID.
 // Merging the span logs of every process that served a trace
 // reconstructs the whole causal timeline (the Dapper/X-Trace model),
 // which is what `nasdctl trace <id>` prints.
@@ -71,7 +71,7 @@ var spanCounter atomic.Uint64
 // NextSpanID allocates a process-unique, cross-process-disjoint trace or
 // span ID (never 0; 0 on the wire means "untraced"). Exported for
 // layers that build SpanRecords directly rather than through StartSpan
-// (blockdev's per-I/O spans, the drive's synthesized phase spans).
+// (blockdev's per-I/O spans).
 func NextSpanID() uint64 {
 	return spanIDSalt | (spanCounter.Add(1) & 0xffffffff)
 }
@@ -116,16 +116,6 @@ func (s *Span) Context() SpanContext {
 		return SpanContext{}
 	}
 	return SpanContext{TraceID: s.rec.TraceID, SpanID: s.rec.SpanID}
-}
-
-// StartNanos returns the span's wall-clock start (unix ns); 0 for a
-// nil span. Layers that synthesize child spans (the drive's Table 1
-// phase split) use it to place children inside the parent's interval.
-func (s *Span) StartNanos() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.rec.StartNS
 }
 
 // Annotate attaches a key=value note to the span.
@@ -196,9 +186,8 @@ func (l *SpanLog) SetSlowThreshold(d time.Duration) {
 	l.mu.Unlock()
 }
 
-// Emit appends one completed span record. Layers that compute phase
-// timings rather than instrumenting them (the drive's Table 1 split)
-// use Emit to record synthesized child spans.
+// Emit appends one completed span record, for layers that time an
+// interval themselves rather than through a Span.
 func (l *SpanLog) Emit(rec SpanRecord) {
 	l.mu.Lock()
 	l.spans[l.next] = rec
@@ -254,7 +243,7 @@ func (l *SpanLog) Recent(n int, prefix string) []SpanRecord {
 	l.mu.Unlock()
 	slices.Reverse(out)
 	// The ring is in Emit order, which trails end time when concurrent
-	// spans race from End to the lock and for synthesized children.
+	// spans race from End to the lock.
 	slices.SortStableFunc(out, func(a, b SpanRecord) int { return cmp.Compare(a.EndNS, b.EndNS) })
 	return out
 }

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -187,25 +186,4 @@ func (s *Snapshot) Merge(other Snapshot) {
 		cur.Merge(h)
 		s.Histograms[name] = cur
 	}
-}
-
-// Names returns the sorted names of every metric in the snapshot (used
-// by the text formatters for stable output).
-func (s *Snapshot) Names() []string {
-	seen := make(map[string]bool, len(s.Counters)+len(s.Gauges)+len(s.Histograms))
-	for name := range s.Counters {
-		seen[name] = true
-	}
-	for name := range s.Gauges {
-		seen[name] = true
-	}
-	for name := range s.Histograms {
-		seen[name] = true
-	}
-	names := make([]string, 0, len(seen))
-	for name := range seen {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }

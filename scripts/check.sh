@@ -30,7 +30,7 @@ fi
 echo "==> no deleted names in *.go, *.md, *.sh and *.yml"
 if grep -rnE --include='*.go' --include='*.md' --include='*.sh' --include='*.yml' \
     --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md --exclude=check.sh --exclude-dir=.git --exclude-dir=.bench_build \
-    'WithJournalBlocks|FormatStore|OpenStore|Stats\(\)\.Retries|nasdbench -(stats|chaos)([^-]|$)|nasdbench -workload|BENCH_(stats|parallel|smallobj|chaos|qos)|-chaos-duration|-qos-duration|-qos-clients|runChaos|runQoS|-stats-mb|-smallobj-objects|WithWorkers|AllDig|JournalEnabled|SetWriteThrough|SeqWriteJournalOff|JournalBlocks: -1|OpenWith|WithQueue|rpc-queue|sendReject|svcEWMA|ServerMetrics|ServerSpans|WithWindow|WithFragmentSize|ptrWritten|LegTimeout|legPacing|legCtx|backpressureWaits|cheops\.backpressure_waits|RequestIDFrom|WithRequestID|NextRequestID|ReadPipelinedInto|NewStripe([^D]|$)|ErrLockHeld|ErrUnauthorized|MaxPartitions|(^|[^[:alnum:]_])DriveCount' .; then
+    'WithJournalBlocks|FormatStore|OpenStore|Stats\(\)\.Retries|nasdbench -(stats|chaos)([^-]|$)|nasdbench -workload|BENCH_(stats|parallel|smallobj|chaos|qos)|-chaos-duration|-qos-duration|-qos-clients|runChaos|runQoS|-stats-mb|-smallobj-objects|WithWorkers|AllDig|JournalEnabled|SetWriteThrough|SeqWriteJournalOff|JournalBlocks: -1|OpenWith|WithQueue|rpc-queue|sendReject|svcEWMA|ServerMetrics|ServerSpans|WithWindow|WithFragmentSize|ptrWritten|LegTimeout|legPacing|legCtx|backpressureWaits|cheops\.backpressure_waits|RequestIDFrom|WithRequestID|NextRequestID|ReadPipelinedInto|NewStripe([^D]|$)|ErrLockHeld|ErrUnauthorized|MaxPartitions|(^|[^[:alnum:]_])DriveCount|emitPhases|StartNanos|OpTotals|MergedSvc|partExists' .; then
     echo "the names above no longer exist; describe what replaced them" >&2
     exit 1
 fi
@@ -149,9 +149,19 @@ go test -run '^$' -bench . -benchtime 1x -benchmem ./...
 echo "==> go test -short -count=1 -run '^TestFloodKeepsVictimP99\$' ./internal/qos"
 go test -short -count=1 -run '^TestFloodKeepsVictimP99$' ./internal/qos
 
+# nasdctl's commands are tested in-process against drives on loopback
+# listeners; the share of its statements they run may not fall below
+# 70 %.
+echo "==> go test -cover ./cmd/nasdctl (at least 70 % of statements)"
+cover=$(go test -count=1 -cover ./cmd/nasdctl | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p')
+if [ -z "$cover" ] || ! awk -v c="$cover" 'BEGIN { exit !(c >= 70) }'; then
+    echo "cmd/nasdctl coverage ${cover:-unknown} % is below 70 %: test the command you added" >&2
+    exit 1
+fi
+
 # Fleet observability smoke: two live daemons, one aggregated snapshot.
 # `nasdctl fleet -json` must poll both drives' stats ops and emit the
-# merged FleetSnapshot (per-drive rows + merged counters/histograms/
+# merged fleet snapshot (per-drive rows + merged counters/histograms/
 # events); CI uploads FLEET_smoke.json.
 echo "==> nasdctl fleet -json against a 2-drive harness"
 go build -o /tmp/nasd-check-nasdd ./cmd/nasdd
