@@ -23,7 +23,9 @@ import (
 	"nasd/internal/experiments"
 	"nasd/internal/mining"
 	"nasd/internal/object"
+	"nasd/internal/qos"
 	"nasd/internal/rpc"
+	"nasd/internal/telemetry"
 )
 
 // --- Table/figure regeneration benchmarks ---------------------------------
@@ -209,16 +211,38 @@ func BenchmarkObjectSnapshot(b *testing.B) {
 // driveRig serves a drive over the in-process transport for end-to-end
 // RPC benchmarks.
 func driveRig(b testing.TB, secure bool) (*client.Drive, capability.Capability, uint64) {
+	return driveRigWith(b, secure, false)
+}
+
+// driveRigWith is driveRig, and with qosFront it is the stack bench/'s
+// small_read_8k reads through: a qos.Controller classifying by
+// drive.QoSClassify in front of the drive, and an instrumented device
+// recording media spans.
+func driveRigWith(b testing.TB, secure, qosFront bool) (*client.Drive, capability.Capability, uint64) {
 	b.Helper()
 	master := crypt.NewRandomKey()
-	dev := blockdev.NewMemDisk(4096, 1<<16)
-	drv, err := drive.NewFormat(dev, drive.Config{ID: 1, Master: master, Secure: secure})
+	var dev blockdev.Device = blockdev.NewMemDisk(4096, 1<<16)
+	cfg := drive.Config{ID: 1, Master: master, Secure: secure}
+	if qosFront {
+		cfg.Metrics = telemetry.NewRegistry()
+		cfg.Spans = telemetry.NewSpanLog(telemetry.DefaultSpanLogSize)
+		idev := blockdev.Instrument(dev, cfg.Metrics).WithSpanLog(cfg.Spans)
+		dev, cfg.Media = idev, idev
+	}
+	drv, err := drive.NewFormat(dev, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	l := rpc.NewInProcListener("bench")
-	srv := drv.Serve(l)
-	b.Cleanup(srv.Close)
+	if qosFront {
+		ctl := qos.New(drv, qos.Config{Classify: drive.QoSClassify, Shed: true, Metrics: cfg.Metrics})
+		srv := rpc.NewServer(ctl, rpc.WithMetrics(cfg.Metrics))
+		go srv.Serve(l)
+		b.Cleanup(func() { srv.Close(); ctl.Close() })
+	} else {
+		srv := drv.Serve(l)
+		b.Cleanup(srv.Close)
+	}
 	if err := drv.Store().CreatePartition(1, 0); err != nil {
 		b.Fatal(err)
 	}

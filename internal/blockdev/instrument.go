@@ -1,7 +1,7 @@
 package blockdev
 
 import (
-	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -26,8 +26,11 @@ type Instrumented struct {
 	writeNS *telemetry.Histogram
 
 	spans *telemetry.SpanLog
-	cur   atomic.Pointer[telemetry.SpanContext]
+	curMu sync.Mutex
+	cur   telemetry.SpanContext // zero: untraced
 }
+
+var keyBlock = telemetry.NewKey("block")
 
 // Instrument wraps dev, publishing metrics into reg under the
 // "blockdev." prefix. reg may be nil when only BusyNanos/QueueDepth are
@@ -61,33 +64,26 @@ func (i *Instrumented) WithSpanLog(l *telemetry.SpanLog) *Instrumented {
 // the media split, attribution is exact when requests are serialized at
 // the media and approximate when they interleave.
 func (i *Instrumented) SetTraceContext(sc telemetry.SpanContext) {
-	if sc.TraceID == 0 {
-		i.cur.Store(nil)
-		return
-	}
-	i.cur.Store(&sc)
+	i.curMu.Lock()
+	i.cur = sc
+	i.curMu.Unlock()
 }
 
-// emitSpan records one completed device-call span when tracing is active.
-func (i *Instrumented) emitSpan(name string, block int64, start time.Time, d time.Duration) {
+// startSpan opens a device-call span under the trace context, or the
+// zero span when none is set.
+func (i *Instrumented) startSpan(name string, block int64) telemetry.Span {
 	if i.spans == nil {
-		return
+		return telemetry.Span{}
 	}
-	sc := i.cur.Load()
-	if sc == nil {
-		return
+	i.curMu.Lock()
+	sc := i.cur
+	i.curMu.Unlock()
+	if sc.TraceID == 0 {
+		return telemetry.Span{}
 	}
-	i.spans.Emit(telemetry.SpanRecord{
-		TraceID: sc.TraceID,
-		SpanID:  telemetry.NextSpanID(),
-		Parent:  sc.SpanID,
-		Name:    name,
-		StartNS: start.UnixNano(),
-		EndNS:   start.UnixNano() + int64(d),
-		Annotations: []telemetry.Annotation{
-			{Key: "block", Value: strconv.FormatInt(block, 10)},
-		},
-	})
+	sp := i.spans.Start(sc, name)
+	sp.Int(keyBlock, block)
+	return sp
 }
 
 // BusyNanos returns cumulative nanoseconds spent inside the wrapped
@@ -117,6 +113,7 @@ func (i *Instrumented) WriteBlock(b int64, data []byte) error { return writeOne(
 // observation and one span per call, counted as its block count of
 // reads.
 func (i *Instrumented) ReadBlocks(start64 int64, buf []byte) error {
+	sp := i.startSpan("blockdev.read", start64)
 	i.depth.Add(1)
 	start := time.Now()
 	err := i.dev.ReadBlocks(start64, buf)
@@ -124,7 +121,7 @@ func (i *Instrumented) ReadBlocks(start64 int64, buf []byte) error {
 	i.busy.Add(int64(d))
 	i.depth.Add(-1)
 	i.readNS.ObserveDuration(d)
-	i.emitSpan("blockdev.read", start64, start, d)
+	sp.End()
 	if err == nil {
 		i.reads.Add(uint64(len(buf) / i.dev.BlockSize()))
 	}
@@ -133,6 +130,7 @@ func (i *Instrumented) ReadBlocks(start64 int64, buf []byte) error {
 
 // WriteBlocks implements Device.
 func (i *Instrumented) WriteBlocks(start64 int64, data []byte) error {
+	sp := i.startSpan("blockdev.write", start64)
 	i.depth.Add(1)
 	start := time.Now()
 	err := i.dev.WriteBlocks(start64, data)
@@ -140,7 +138,7 @@ func (i *Instrumented) WriteBlocks(start64 int64, data []byte) error {
 	i.busy.Add(int64(d))
 	i.depth.Add(-1)
 	i.writeNS.ObserveDuration(d)
-	i.emitSpan("blockdev.write", start64, start, d)
+	sp.End()
 	if err == nil {
 		i.writes.Add(uint64(len(data) / i.dev.BlockSize()))
 	}

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"sync"
 	"time"
 
 	"nasd/internal/crypt"
@@ -90,40 +91,61 @@ type Public struct {
 // per tenant (op counters, latency histograms, QoS budgets to come)
 // keys off it. Owning the label here keeps drive telemetry, the fleet
 // view, and the bench reports agreeing on one spelling.
+// Each partition's label is built once: the drive asks for it on every
+// request it classifies.
 func TenantKey(part uint16) string {
-	return "part." + strconv.FormatUint(uint64(part), 10)
+	tenantKeys.RLock()
+	k, ok := tenantKeys.m[part]
+	tenantKeys.RUnlock()
+	if ok {
+		return k
+	}
+	k = "part." + strconv.FormatUint(uint64(part), 10)
+	tenantKeys.Lock()
+	tenantKeys.m[part] = k
+	tenantKeys.Unlock()
+	return k
 }
+
+// tenantKeys memoizes TenantKey; a uint16 bounds it at 65536 labels.
+var tenantKeys = struct {
+	sync.RWMutex
+	m map[uint16]string
+}{m: make(map[uint16]string)}
 
 // TenantKey returns the capability's tenant label (see the package
 // function): the identity the drive splits per-tenant telemetry by.
 func (p *Public) TenantKey() string { return TenantKey(p.Partition) }
 
-// encodedSize is the fixed encoding size of Public.
-const encodedSize = 8 + 2 + 8 + 8 + 4 + 8 + 8 + 8 + 1 + 2 + 4
+// EncodedSize is the length of Public's canonical encoding.
+const EncodedSize = 8 + 2 + 8 + 8 + 4 + 8 + 8 + 8 + 1 + 2 + 4
 
 // Encode serializes the public portion canonically (the byte string that
 // is digested to form the private portion).
-func (p *Public) Encode() []byte {
-	b := make([]byte, encodedSize)
+func (p *Public) Encode() []byte { return p.Append(make([]byte, 0, EncodedSize)) }
+
+// Append appends the canonical encoding to b and returns the extended
+// slice: Encode into a buffer the caller owns, which is how a client
+// puts the public portion into every request without allocating.
+func (p *Public) Append(b []byte) []byte {
 	le := binary.LittleEndian
-	le.PutUint64(b[0:], p.DriveID)
-	le.PutUint16(b[8:], p.Partition)
-	le.PutUint64(b[10:], p.Object)
-	le.PutUint64(b[18:], p.ObjVer)
-	le.PutUint32(b[26:], uint32(p.Rights))
-	le.PutUint64(b[30:], p.Offset)
-	le.PutUint64(b[38:], p.Length)
-	le.PutUint64(b[46:], uint64(p.Expiry))
-	b[54] = byte(p.Key.Type)
-	le.PutUint16(b[55:], p.Key.Partition)
-	le.PutUint32(b[57:], p.Key.Version)
-	return b
+	b = le.AppendUint64(b, p.DriveID)
+	b = le.AppendUint16(b, p.Partition)
+	b = le.AppendUint64(b, p.Object)
+	b = le.AppendUint64(b, p.ObjVer)
+	b = le.AppendUint32(b, uint32(p.Rights))
+	b = le.AppendUint64(b, p.Offset)
+	b = le.AppendUint64(b, p.Length)
+	b = le.AppendUint64(b, uint64(p.Expiry))
+	b = append(b, byte(p.Key.Type))
+	b = le.AppendUint16(b, p.Key.Partition)
+	return le.AppendUint32(b, p.Key.Version)
 }
 
 // DecodePublic parses a canonical encoding produced by Encode.
 func DecodePublic(b []byte) (Public, error) {
 	var p Public
-	if len(b) != encodedSize {
+	if len(b) != EncodedSize {
 		return p, fmt.Errorf("capability: bad public encoding length %d", len(b))
 	}
 	le := binary.LittleEndian

@@ -5,7 +5,6 @@ import (
 	"crypto/subtle"
 	"errors"
 	"fmt"
-	"strconv"
 	"sync"
 
 	"nasd/internal/bufpool"
@@ -198,6 +197,19 @@ func (o *Object) plan(off uint64, n int) []span {
 	return spans
 }
 
+// The annotation keys of the Cheops spans.
+var (
+	keyDrive      = telemetry.NewKey("drive")
+	keyOff        = telemetry.NewKey("off")
+	keyLen        = telemetry.NewKey("len")
+	keyError      = telemetry.NewKey("error")
+	keyFanout     = telemetry.NewKey("fanout")
+	keyBytes      = telemetry.NewKey("bytes")
+	keyFailedComp = telemetry.NewKey("failed_comp")
+	keyCause      = telemetry.NewKey("cause")
+	keyStripe     = telemetry.NewKey("stripe")
+)
+
 // eachLeg runs leg for every span concurrently and returns the legs'
 // errors, indexed like spans. Each leg gets its own child span: parallel
 // legs render as overlapping bars, making the stripe's straggler
@@ -210,12 +222,12 @@ func (o *Object) eachLeg(ctx context.Context, name string, spans []span, leg fun
 		go func(i int, sp span) {
 			defer wg.Done()
 			lctx, lsp := o.mgr.spans.StartSpan(ctx, name)
-			lsp.Annotate("drive", strconv.Itoa(o.desc.Components[sp.comp].Drive))
-			lsp.Annotate("off", strconv.FormatUint(sp.compOff, 10))
-			lsp.Annotate("len", strconv.Itoa(sp.n))
+			lsp.Int(keyDrive, int64(o.desc.Components[sp.comp].Drive))
+			lsp.Int(keyOff, int64(sp.compOff))
+			lsp.Int(keyLen, int64(sp.n))
 			defer lsp.End()
 			if errs[i] = leg(lctx, sp); errs[i] != nil {
-				lsp.Annotate("error", errs[i].Error())
+				lsp.Note(keyError, errs[i].Error())
 			}
 		}(i, sp)
 	}
@@ -259,8 +271,8 @@ func (o *Object) ReadInto(ctx context.Context, off uint64, dst []byte) error {
 	spans := o.plan(off, len(dst))
 	o.mgr.tel.readFanout.Observe(int64(len(spans)))
 	ctx, rsp := o.mgr.spans.StartSpan(ctx, "cheops.read")
-	rsp.Annotate("fanout", strconv.Itoa(len(spans)))
-	rsp.Annotate("bytes", strconv.Itoa(len(dst)))
+	rsp.Int(keyFanout, int64(len(spans)))
+	rsp.Int(keyBytes, int64(len(dst)))
 	defer rsp.End()
 	errs := o.eachLeg(ctx, "cheops.read.leg", spans, func(lctx context.Context, sp span) error {
 		return o.readComponent(lctx, sp.comp, sp.compOff, dst[sp.bufOff:sp.bufOff+sp.n], sp.stripe)
@@ -298,10 +310,10 @@ func (o *Object) readComponent(ctx context.Context, comp int, off uint64, dst []
 			o.mgr.tel.events.Emitf(telemetry.SevWarn, "cheops", "degraded_read",
 				"logical=%d comp=%d now served by reconstruction: %v", o.desc.Logical, comp, err)
 		}
-		var dsp *telemetry.Span
+		var dsp telemetry.Span
 		ctx, dsp = o.mgr.spans.StartSpan(ctx, "cheops.degraded_read")
-		dsp.Annotate("failed_comp", strconv.Itoa(comp))
-		dsp.Annotate("cause", err.Error())
+		dsp.Int(keyFailedComp, int64(comp))
+		dsp.Note(keyCause, err.Error())
 		defer dsp.End()
 	}
 	switch o.desc.Pattern {
@@ -346,7 +358,7 @@ func (o *Object) WriteAt(ctx context.Context, off uint64, data []byte) error {
 		return nil
 	}
 	ctx, wsp := o.mgr.spans.StartSpan(ctx, "cheops.write")
-	wsp.Annotate("bytes", strconv.Itoa(len(data)))
+	wsp.Int(keyBytes, int64(len(data)))
 	defer wsp.End()
 	var err error
 	switch o.desc.Pattern {
@@ -448,7 +460,7 @@ func (o *Object) writeRAID5(ctx context.Context, off uint64, data []byte) error 
 func (o *Object) rmwRAID5(ctx context.Context, sp span, chunk []byte) error {
 	o.mgr.tel.rmwWrites.Inc()
 	ctx, rsp := o.mgr.spans.StartSpan(ctx, "cheops.rmw")
-	rsp.Annotate("stripe", strconv.FormatInt(sp.stripe, 10))
+	rsp.Int(keyStripe, sp.stripe)
 	defer rsp.End()
 	o.mgr.LockStripe(o.desc.Logical, sp.stripe)
 	defer o.mgr.UnlockStripe(o.desc.Logical, sp.stripe)

@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"nasd/internal/bufpool"
@@ -148,7 +147,7 @@ type Drive struct {
 	dial     func() (rpc.Conn, error)
 	driveID  uint64
 	clientID uint64
-	counter  atomic.Uint64
+	nonces   *nonceSeq
 	secure   bool
 	fragSize int
 	window   int
@@ -172,6 +171,7 @@ func New(conn rpc.Conn, driveID, clientID uint64, opts ...Option) *Drive {
 	d := &Drive{
 		driveID:  driveID,
 		clientID: clientID,
+		nonces:   newNonceSeq(),
 		secure:   true,
 		fragSize: DefaultFragmentSize,
 		window:   DefaultWindow,
@@ -228,23 +228,48 @@ func (d *Drive) ServerStats(ctx context.Context, args drive.StatsArgs) (drive.St
 	return sr, nil
 }
 
+// The annotation keys of the client span.
+var (
+	keyRetries = telemetry.NewKey("retries")
+	keyRetry   = telemetry.NewKey("retry")
+	keyStatus  = telemetry.NewKey("status")
+	keyError   = telemetry.NewKey("error")
+)
+
+// spanNames holds each op's span name, "client." and the op's name,
+// made once so that a request builds no string.
+var spanNames = func() (names [drive.OpGetStats + 1]string) {
+	for op := range names {
+		names[op] = "client." + drive.Op(op).String()
+	}
+	return names
+}()
+
+// signFunc signs req: it may encode into buf, a pooled buffer of at
+// least 256 bytes plus the argument record's length that the attempt
+// owns until its call returns.
+type signFunc func(req *rpc.Request, buf []byte)
+
 // do issues one logical request under the retry policy. Every call
 // opens a client-side span (a child of ctx's active span, or a new
-// root); the RPC layer stamps its context into the request header so
-// the drive-side span links under it. Each attempt is assembled and
-// signed from scratch — drives reject replayed nonce counters, so a
-// retried request must carry a fresh nonce and digest.
-func (d *Drive) do(ctx context.Context, op drive.Op, sign func(*rpc.Request), args, data []byte) (*rpc.Reply, error) {
-	ctx, sp := d.spans.StartSpan(ctx, "client."+op.String())
+// root) whose context rides in each attempt's request header, so the
+// drive-side span links under it. Each attempt is assembled and signed
+// from scratch — drives reject replayed nonce counters, so a retried
+// request must carry a fresh nonce and digest.
+func (d *Drive) do(ctx context.Context, op drive.Op, sign signFunc, args, data []byte) (*rpc.Reply, error) {
+	parent, _ := telemetry.SpanContextFrom(ctx)
+	sp := d.spans.Start(parent, spanNames[op])
 	defer sp.End()
+	sc := sp.Context()
+	trace := rpc.TraceContext{TraceID: sc.TraceID, Parent: sc.SpanID}
 	var lastErr error
 	var lastGen uint64
 	for attempt := 0; ; attempt++ {
-		rep, gen, err := d.attempt(ctx, op, sign, args, data)
+		rep, gen, err := d.attempt(ctx, op, sign, args, data, trace)
 		if err == nil {
 			d.budget.refund()
 			if attempt > 0 {
-				sp.Annotate("retries", fmt.Sprint(attempt))
+				sp.Int(keyRetries, int64(attempt))
 			}
 			return rep, nil
 		}
@@ -273,7 +298,7 @@ func (d *Drive) do(ctx context.Context, op drive.Op, sign func(*rpc.Request), ar
 			}
 		}
 		d.retries.Inc()
-		sp.Annotate("retry", fmt.Sprintf("%d: %v", attempt+1, err))
+		sp.Note(keyRetry, fmt.Sprintf("%d: %v", attempt+1, err))
 		if serr := d.retry.Pause(ctx, attempt, hint); serr != nil {
 			lastErr = fmt.Errorf("%w; last error: %v", serr, lastErr)
 			break
@@ -281,10 +306,10 @@ func (d *Drive) do(ctx context.Context, op drive.Op, sign func(*rpc.Request), ar
 	}
 	var re *RemoteError
 	if errors.As(lastErr, &re) {
-		sp.Annotate("status", re.Status.String())
+		sp.Note(keyStatus, re.Status.String())
 		return nil, lastErr
 	}
-	sp.Annotate("error", lastErr.Error())
+	sp.Note(keyError, lastErr.Error())
 	// A transport failure leaves the handle holding a dead connection.
 	// Even when this request cannot be reissued (the op is
 	// non-idempotent, or attempts ran out), repair the connection now
@@ -299,21 +324,26 @@ func (d *Drive) do(ctx context.Context, op drive.Op, sign func(*rpc.Request), ar
 
 // attempt issues one wire request on the current connection, returning
 // the connection generation it used so a retry can name it to
-// reconnect().
-func (d *Drive) attempt(ctx context.Context, op drive.Op, sign func(*rpc.Request), args, data []byte) (*rpc.Reply, uint64, error) {
+// reconnect(). Its nonce counter stays taken until the call returns.
+func (d *Drive) attempt(ctx context.Context, op drive.Op, sign signFunc, args, data []byte, trace rpc.TraceContext) (*rpc.Reply, uint64, error) {
+	counter, err := d.nonces.take(ctx)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer d.nonces.done(counter)
 	cli, gen := d.client()
 	req := &rpc.Request{
-		Proc: uint16(op),
-		Args: args,
-		Data: data,
-		Nonce: crypt.Nonce{
-			Client:  d.clientID,
-			Counter: d.counter.Add(1),
-		},
+		Trace: trace,
+		Proc:  uint16(op),
+		Args:  args,
+		Data:  data,
+		Nonce: crypt.Nonce{Client: d.clientID, Counter: counter},
 	}
 	if d.secure {
 		req.SecOpts = rpc.SecIntegrity
-		sign(req)
+		buf := bufpool.Get(256 + len(args))
+		defer bufpool.Put(buf)
+		sign(req, buf[:0])
 	}
 	if d.retry.AttemptTimeout > 0 {
 		actx, cancel := context.WithTimeout(ctx, d.retry.AttemptTimeout)
@@ -347,14 +377,14 @@ func (d *Drive) signer(key crypt.Key) *crypt.Signer {
 	return s
 }
 
-// call issues a capability-authorized request.
+// call issues a capability-authorized request: the capability's public
+// half and then the signing body are encoded into the attempt's buffer.
 func (d *Drive) call(ctx context.Context, op drive.Op, cap *capability.Capability, args, data []byte) (*rpc.Reply, error) {
-	return d.do(ctx, op, func(req *rpc.Request) {
+	return d.do(ctx, op, func(req *rpc.Request, buf []byte) {
 		if cap != nil {
-			req.Cap = cap.Public.Encode()
-			body := req.AppendSigningBody(bufpool.Get(96 + len(req.Cap) + len(req.Args)))
+			req.Cap = cap.Public.Append(buf)
+			body := req.AppendSigningBody(req.Cap[len(req.Cap):])
 			req.ReqDig = d.signer(cap.Private).MAC(body)
-			bufpool.Put(body)
 		}
 	}, args, data)
 }
@@ -362,10 +392,8 @@ func (d *Drive) call(ctx context.Context, op drive.Op, cap *capability.Capabilit
 // callAdmin signs a management request directly under key (master or
 // drive key held by an administrator or file manager).
 func (d *Drive) callAdmin(ctx context.Context, op drive.Op, key crypt.Key, args, data []byte) (*rpc.Reply, error) {
-	return d.do(ctx, op, func(req *rpc.Request) {
-		body := req.AppendSigningBody(bufpool.Get(96 + len(req.Args)))
-		req.ReqDig = d.signer(key).MAC(body)
-		bufpool.Put(body)
+	return d.do(ctx, op, func(req *rpc.Request, buf []byte) {
+		req.ReqDig = d.signer(key).MAC(req.AppendSigningBody(buf))
 	}, args, data)
 }
 
@@ -395,8 +423,9 @@ func decoded[T any](rep *rpc.Reply, err error, decode func([]byte) (T, error)) (
 // The reply frame goes back to the pool as soon as its bytes are copied
 // out, so a streaming reader holds pool turnover to its window size.
 func (d *Drive) readOne(ctx context.Context, cap *capability.Capability, part uint16, obj, off uint64, dst []byte) (int, error) {
-	args := (&drive.ReadArgs{Partition: part, Object: obj, Offset: off, Length: uint64(len(dst))}).Encode()
+	args := (&drive.ReadArgs{Partition: part, Object: obj, Offset: off, Length: uint64(len(dst))}).Append(bufpool.Get(drive.ReadArgsSize)[:0])
 	rep, err := d.call(ctx, drive.OpReadObject, cap, args, nil)
+	bufpool.Put(args)
 	if err != nil {
 		return 0, err
 	}
@@ -407,7 +436,8 @@ func (d *Drive) readOne(ctx context.Context, cap *capability.Capability, part ui
 
 // writeOne stores data at off in one request.
 func (d *Drive) writeOne(ctx context.Context, cap *capability.Capability, part uint16, obj, off uint64, data []byte) error {
-	args := (&drive.WriteArgs{Partition: part, Object: obj, Offset: off}).Encode()
+	args := (&drive.WriteArgs{Partition: part, Object: obj, Offset: off}).Append(bufpool.Get(drive.WriteArgsSize)[:0])
+	defer bufpool.Put(args)
 	return status(d.call(ctx, drive.OpWriteObject, cap, args, data))
 }
 

@@ -3,10 +3,10 @@ package client
 import (
 	"context"
 	"fmt"
-	"strconv"
 	"sync"
 
 	"nasd/internal/capability"
+	"nasd/internal/telemetry"
 )
 
 // This file implements striped-transfer pipelining over the multiplexed
@@ -17,6 +17,13 @@ import (
 // depends on). A fragment is one request (readOne or writeOne), so it
 // is reissued by do() under the handle's retry policy and budget and
 // nowhere else; reissues count in the client.retries counter.
+
+// The annotation keys of a window's span.
+var (
+	keyFrags  = telemetry.NewKey("frags")
+	keyWindow = telemetry.NewKey("window")
+	keyBytes  = telemetry.NewKey("bytes")
+)
 
 // fragPlan describes one fragment of a pipelined transfer.
 type fragPlan struct {
@@ -47,9 +54,9 @@ func planFragments(off uint64, n, fragSize int) []fragPlan {
 // overlapping in flight.
 func (d *Drive) runWindowed(ctx context.Context, name string, frags []fragPlan, bytes int, op func(ctx context.Context, f fragPlan) error) error {
 	ctx, sp := d.spans.StartSpan(ctx, name)
-	sp.Annotate("frags", strconv.Itoa(len(frags)))
-	sp.Annotate("window", strconv.Itoa(d.window))
-	sp.Annotate("bytes", strconv.Itoa(bytes))
+	sp.Int(keyFrags, int64(len(frags)))
+	sp.Int(keyWindow, int64(d.window))
+	sp.Int(keyBytes, int64(bytes))
 	defer sp.End()
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()

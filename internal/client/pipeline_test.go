@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -143,6 +144,68 @@ func TestPipelinedMixedStress(t *testing.T) {
 	}
 	if n := d.Metrics().Snapshot().Gauges["rpc.client.inflight"]; n != 0 {
 		t.Fatalf("in-flight after stress = %d", n)
+	}
+}
+
+// TestStalledNonceNotOvertaken holds one request between taking its
+// nonce counter and being sent while the same handle issues 300 more,
+// one after another. The handle takes no counter drive.NonceWindow or
+// more past the held one, so once the others are done, or held back
+// behind it, the held request goes out inside the drive's replay
+// window and is served; then the rest finish.
+func TestStalledNonceNotOvertaken(t *testing.T) {
+	r := newRig(t, true)
+	r.mkpart(t, 1, 0)
+	createCap := r.mint(t, 1, 0, 0, capability.CreateObj)
+	id, err := r.cli.Create(testCtx, &createCap, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rw := r.mint(t, 1, id, 1, capability.Read)
+	d := pipeDrive(t, r, 4004)
+	held, release, blocked := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	var blockedOnce sync.Once
+	d.nonces.taken = func(c uint64) {
+		if c == 1 {
+			close(held)
+			<-release
+		}
+	}
+	d.nonces.waiting = func() { blockedOnce.Do(func() { close(blocked) }) }
+
+	first := make(chan error, 1)
+	go func() {
+		_, err := d.ReadInto(testCtx, &rw, 1, id, 0, make([]byte, 512))
+		first <- err
+	}()
+	<-held
+	rest := make(chan error, 1)
+	go func() {
+		buf := make([]byte, 512)
+		for i := 0; i < 300; i++ {
+			if _, err := d.ReadInto(testCtx, &rw, 1, id, 0, buf); err != nil {
+				rest <- fmt.Errorf("request %d of 300: %w", i+1, err)
+				return
+			}
+		}
+		rest <- nil
+	}()
+	var restErr error
+	restDone := false
+	select {
+	case restErr = <-rest:
+		restDone = true
+	case <-blocked:
+	}
+	close(release)
+	if err := <-first; err != nil {
+		t.Fatalf("held request: %v", err)
+	}
+	if !restDone {
+		restErr = <-rest
+	}
+	if restErr != nil {
+		t.Fatal(restErr)
 	}
 }
 

@@ -20,8 +20,9 @@ import (
 // digests under one Signer serialize on its mutex, so share one Signer
 // per session/capability, not one per drive.
 type Signer struct {
-	mu sync.Mutex
-	h  hash.Hash
+	mu  sync.Mutex
+	h   hash.Hash
+	sum Digest // Sum's destination: a local would escape through h
 }
 
 // NewSigner returns a reusable HMAC-SHA256 signer for k.
@@ -37,9 +38,8 @@ func (s *Signer) MAC(parts ...[]byte) Digest {
 	for _, p := range parts {
 		s.h.Write(p)
 	}
-	var d Digest
-	s.h.Sum(d[:0])
-	return d
+	s.h.Sum(s.sum[:0])
+	return s.sum
 }
 
 // Verify reports whether d is the keyed digest of msg under the

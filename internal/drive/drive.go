@@ -58,6 +58,13 @@ type Config struct {
 	Events *telemetry.EventLog
 }
 
+// NonceWindow is how far behind a client's highest nonce counter the
+// drive still accepts one it has not seen. A client keeps every counter
+// it has in flight inside this window (client.Drive takes a counter
+// only when the oldest one it still waits on is less than NonceWindow
+// behind), so the drive never refuses an honest request as a replay.
+const NonceWindow = 256
+
 // Drive is a NASD drive: object store + keys + request handler.
 // It implements rpc.Handler, so it can be served over any transport.
 type Drive struct {
@@ -139,7 +146,7 @@ func fromStore(st *object.Store, cfg Config) *Drive {
 		store:    st,
 		keys:     keys,
 		verifier: capability.NewVerifier(keys, 0),
-		nonces:   crypt.NewNonceWindow(256, 4096),
+		nonces:   crypt.NewNonceWindow(NonceWindow, 4096),
 		secure:   cfg.Secure,
 		tel:      newDriveTel(reg, cfg.Media, spans, events),
 		kernels:  make(map[string]Kernel),
@@ -276,7 +283,7 @@ func (d *Drive) Handle(req *rpc.Request) *rpc.Reply {
 	// Resume the caller's trace: the drive-side handler span becomes a
 	// child of the client span whose context rode in the request header.
 	sp := d.tel.spans.StartRemote(req.Trace.TraceID, req.Trace.Parent, d.tel.spanName(op))
-	if mt, ok := d.tel.media.(mediaTracer); ok && sp != nil {
+	if mt, ok := d.tel.media.(mediaTracer); ok && sp.Context().TraceID != 0 {
 		// Ambient trace context for per-I/O media spans; approximate
 		// under concurrent requests, exact when serialized (the same
 		// caveat as the media busy-time delta).
@@ -296,7 +303,7 @@ func (d *Drive) Handle(req *rpc.Request) *rpc.Reply {
 			ph.setTenant(part)
 		}
 	}
-	d.tel.record(op, req, rep, total, ph, d.tel.mediaNanos()-mediaBefore, sp, d.tel.lockWaitNanos()-lockBefore)
+	d.tel.record(op, req, rep, total, ph, d.tel.mediaNanos()-mediaBefore, &sp, d.tel.lockWaitNanos()-lockBefore)
 	return rep
 }
 
@@ -360,15 +367,11 @@ func (d *Drive) handleRead(req *rpc.Request, ph *phases) *rpc.Reply {
 	if err != nil {
 		return errReply(req.MsgID, err)
 	}
-	rep := &rpc.Reply{Status: rpc.StatusOK, Data: data}
-	if len(data) > 0 {
-		// The store lends read results out of the buffer pool; hand the
-		// buffer back once the transport has serialized the reply. When
-		// the drive is called in-process (no transport), OnSent never
-		// fires and the buffer simply falls to the GC — Put is optional.
-		rep.OnSent = func() { bufpool.Put(data) }
-	}
-	return rep
+	// The store lends read results out of the buffer pool; the server
+	// hands the buffer back once the transport has serialized the reply.
+	// When the drive is called in-process (no server), the buffer simply
+	// falls to the GC — Put is optional.
+	return &rpc.Reply{Status: rpc.StatusOK, Data: data, PooledData: true}
 }
 
 func (d *Drive) handleWrite(req *rpc.Request, ph *phases) *rpc.Reply {

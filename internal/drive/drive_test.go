@@ -165,7 +165,8 @@ func TestStatsReplyBounded(t *testing.T) {
 	}
 	const trace = 77
 	for i := 0; i < 3000; i++ {
-		d.Spans().Emit(telemetry.SpanRecord{TraceID: trace, SpanID: telemetry.NextSpanID(), Name: d.tel.spanName(OpReadObject)})
+		sp := d.Spans().StartRemote(trace, 0, d.tel.spanName(OpReadObject))
+		sp.End()
 		d.Events().Emit(telemetry.SevInfo, "test", "fill", "")
 	}
 	for _, tc := range []struct {

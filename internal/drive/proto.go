@@ -106,9 +106,17 @@ type ReadArgs struct {
 	Length    uint64
 }
 
+// ReadArgsSize is the length of an encoded ReadArgs.
+const ReadArgsSize = 2 + 8 + 8 + 8
+
 // Encode serializes the arguments.
-func (a *ReadArgs) Encode() []byte {
+func (a *ReadArgs) Encode() []byte { return a.Append(make([]byte, 0, ReadArgsSize)) }
+
+// Append appends the encoded arguments to b and returns the extended
+// slice, so a caller can encode into a buffer it owns.
+func (a *ReadArgs) Append(b []byte) []byte {
 	var e rpc.Encoder
+	e.Reset(b)
 	e.U16(a.Partition)
 	e.U64(a.Object)
 	e.U64(a.Offset)
@@ -130,9 +138,17 @@ type WriteArgs struct {
 	Offset    uint64
 }
 
+// WriteArgsSize is the length of an encoded WriteArgs.
+const WriteArgsSize = 2 + 8 + 8
+
 // Encode serializes the arguments.
-func (a *WriteArgs) Encode() []byte {
+func (a *WriteArgs) Encode() []byte { return a.Append(make([]byte, 0, WriteArgsSize)) }
+
+// Append appends the encoded arguments to b and returns the extended
+// slice, so a caller can encode into a buffer it owns.
+func (a *WriteArgs) Append(b []byte) []byte {
 	var e rpc.Encoder
+	e.Reset(b)
 	e.U16(a.Partition)
 	e.U64(a.Object)
 	e.U64(a.Offset)

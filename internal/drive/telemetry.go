@@ -2,7 +2,6 @@ package drive
 
 import (
 	"encoding/json"
-	"strconv"
 	"sync"
 	"time"
 
@@ -41,6 +40,14 @@ type MediaClock interface {
 type mediaTracer interface {
 	SetTraceContext(telemetry.SpanContext)
 }
+
+// The annotation keys of the handler span.
+var (
+	keyStatus   = telemetry.NewKey("status")
+	keyBytesIn  = telemetry.NewKey("bytes_in")
+	keyBytesOut = telemetry.NewKey("bytes_out")
+	keyLockWait = telemetry.NewKey("lock_wait_ns")
+)
 
 // opMax bounds the per-op metrics table (ops are small consecutive
 // constants).
@@ -213,8 +220,8 @@ func (ph *phases) setTenant(part uint16) {
 
 // record publishes one completed request into the per-op metrics and —
 // when the request carried a trace context — the span log. sp is the
-// drive-side handler span (nil when untraced); lockWait is the
-// request's lock-wait delta in nanoseconds.
+// drive-side handler span (the zero span when untraced); lockWait is
+// the request's lock-wait delta in nanoseconds.
 func (t *driveTel) record(op Op, req *rpc.Request, rep *rpc.Reply, total time.Duration, ph *phases, mediaDelta int64, sp *telemetry.Span, lockWait int64) {
 	if int(op) >= opMax || t.ops[op] == nil {
 		sp.End()
@@ -256,15 +263,13 @@ func (t *driveTel) record(op Op, req *rpc.Request, rep *rpc.Reply, total time.Du
 		obj = 0
 	}
 	m.object.Add(uint64(obj))
-	if sp != nil {
-		sp.Annotate("status", status.String())
-		sp.Annotate("bytes_in", strconv.Itoa(nIn))
-		sp.Annotate("bytes_out", strconv.Itoa(nOut))
-		if lockWait > 0 {
-			sp.Annotate("lock_wait_ns", strconv.FormatInt(lockWait, 10))
-		}
-		sp.End()
+	sp.Note(keyStatus, status.String())
+	sp.Int(keyBytesIn, int64(nIn))
+	sp.Int(keyBytesOut, int64(nOut))
+	if lockWait > 0 {
+		sp.Int(keyLockWait, lockWait)
 	}
+	sp.End()
 }
 
 // Metrics returns the drive's telemetry registry (per-op counters and

@@ -22,8 +22,8 @@ import (
 // They are valid for the duration of Handle plus reply serialization;
 // a handler that wants any of those bytes longer must copy them. The
 // reply may reference request memory (it is serialized before the
-// frame is recycled), and a handler lending pooled or otherwise
-// releasable memory as reply Data can set Reply.OnSent to get it back.
+// frame is recycled), and a handler lending a bufpool buffer as reply
+// Data sets Reply.PooledData to give it back.
 type Handler interface {
 	Handle(req *Request) *Reply
 }
@@ -213,6 +213,9 @@ func (s *Server) serveConn(conn Conn) {
 // fails too.
 func (s *Server) work(conn Conn) {
 	defer conn.Close()
+	// The gather list of a reply with a payload, reused for every reply
+	// this worker sends.
+	vec := make(net.Buffers, 2)
 	for {
 		raw, err := conn.Recv()
 		if err != nil {
@@ -251,14 +254,16 @@ func (s *Server) work(conn Conn) {
 		// message.
 		hdr := AppendReplyHeader(bufpool.Get(64+len(reply.Msg)+len(reply.Args)), reply)
 		if len(reply.Data) > 0 {
-			err = SendVectored(conn, net.Buffers{hdr, reply.Data})
+			vec[0], vec[1] = hdr, reply.Data
+			err = SendVectored(conn, vec)
+			vec[0], vec[1] = nil, nil
 		} else {
 			err = conn.Send(hdr)
 		}
 		wireLen := uint64(len(hdr) + len(reply.Data))
 		bufpool.Put(hdr)
-		if reply.OnSent != nil {
-			reply.OnSent()
+		if reply.PooledData {
+			bufpool.Put(reply.Data)
 		}
 		bufpool.Put(raw)
 		if err != nil {
@@ -395,18 +400,12 @@ func (c *Client) failAll(err error) {
 // canceled or its deadline passes, the pending call fails with ctx's
 // error and a late reply is discarded by the receive loop; on
 // transports that support it (TCP) the deadline also bounds the send.
-// If ctx carries a telemetry span context and req.Trace is unset, its
-// {trace ID, span ID} ride along in the request header (outside the
-// signed body) so the server-side span becomes a child of the caller's.
+// req.Trace rides in the request header (outside the signed body), so
+// the server-side span becomes a child of the caller's.
 func (c *Client) Call(ctx context.Context, req *Request) (*Reply, error) {
 	if err := ctx.Err(); err != nil {
 		c.statCanceled.Inc()
 		return nil, err
-	}
-	if req.Trace == (TraceContext{}) {
-		if sc, ok := telemetry.SpanContextFrom(ctx); ok {
-			req.Trace = TraceContext{TraceID: sc.TraceID, Parent: sc.SpanID}
-		}
 	}
 	if req.DeadlineNS == 0 {
 		// Stamp the caller's remaining budget so the drive's load

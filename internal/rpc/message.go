@@ -146,12 +146,11 @@ type Reply struct {
 	Args   []byte
 	Data   []byte // bulk payload (read data)
 
-	// OnSent, when set by a server-side handler, runs once after the
-	// reply has been handed to the transport (which never retains the
-	// buffers past Send). It is the release point for pooled memory the
-	// handler lent to Data — the handler must not touch Data after
-	// returning if it sets OnSent.
-	OnSent func()
+	// PooledData, when set by a server-side handler, says Data is a
+	// bufpool buffer the server puts back once the reply has been
+	// handed to the transport (which never retains the buffers past
+	// Send). The handler must not touch Data after returning.
+	PooledData bool
 
 	// frame is the pooled receive buffer backing Args/Data on the
 	// client side; Release returns it.

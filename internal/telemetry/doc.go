@@ -19,15 +19,16 @@
 //
 // Beyond aggregates, the package carries a span plane for per-request
 // timelines: a Span is a timed interval with a trace ID, span ID,
-// parent span ID, and annotations, recorded into a bounded SpanLog
-// ring (plus a small retained table pinning traces whose root exceeded
-// a slow threshold). Span context propagates in-process on the
-// context.Context (WithSpanContext / SpanLog.StartSpan) and across the
-// wire in the rpc request header (SpanLog.StartRemote on the serving
+// parent span ID, and annotations, held by value and copied on End into
+// a bounded SpanLog ring (plus a small retained table pinning traces
+// whose root exceeded a slow threshold), so a span costs no
+// allocation. Span context propagates in-process on the
+// context.Context (SpanLog.StartSpan) and across the wire in the rpc
+// request header (SpanLog.StartRemote on the serving
 // side), so one trace ID links a client op, the Cheops fan-out legs it
 // spawned, the drive-side handler spans and their media I/O. Trace and
-// span IDs are salted with a per-process random high word so records
-// minted by different processes merge without collision. The package
+// span IDs are random 64-bit numbers, so records minted by different
+// processes merge without collision. The package
 // records and serves; rendering (tables, timelines, the fleet view)
 // lives in its one caller, cmd/nasdctl. See DESIGN.md §5 for the full
 // model and an example timeline.

@@ -1,6 +1,9 @@
 package telemetry
 
-import "testing"
+import (
+	"sync"
+	"testing"
+)
 
 // TestObserveTraceExemplar checks that traced observations retain a
 // bucket-consistent exemplar and untraced ones never displace it.
@@ -106,4 +109,60 @@ func TestExemplarNear(t *testing.T) {
 	if e := ls.ExemplarNear(0.99); e == nil || e.TraceID != 5 {
 		t.Fatalf("fallback exemplar = %+v, want trace 5", e)
 	}
+}
+
+// TestObserveTraceAllocs: keeping an exemplar allocates nothing; every
+// traced request leaves three.
+func TestObserveTraceAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations of its own; run without -race")
+	}
+	var h Histogram
+	trace := uint64(0)
+	if avg := testing.AllocsPerRun(1000, func() {
+		trace++
+		h.ObserveTrace(int64(trace%5000), trace)
+	}); avg != 0 {
+		t.Errorf("ObserveTrace allocates %.1f per call, want 0", avg)
+	}
+}
+
+// TestExemplarNeverTorn: while writers keep replacing the exemplars of
+// a few buckets, every exemplar a reader gets pairs a value with the
+// trace ID of the same observation, and sits in that value's bucket.
+// Each writer observes value v under trace ID v<<8|writer.
+func TestExemplarNeverTorn(t *testing.T) {
+	var h Histogram
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for w := 1; w <= 2; w++ {
+		wg.Add(1)
+		go func(w uint64) {
+			defer wg.Done()
+			for v := int64(1); ; v = v%3000 + 1 {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				h.ObserveTrace(v, uint64(v)<<8|w)
+			}
+		}(uint64(w))
+	}
+	check := func(e Exemplar) {
+		if e.TraceID>>8 != uint64(e.Value) || e.Bucket != bucketIndex(e.Value) {
+			t.Fatalf("torn exemplar %+v: trace ID %d belongs to value %d", e, e.TraceID, e.TraceID>>8)
+		}
+	}
+	for i := 0; i < 300; i++ {
+		s := h.Snapshot()
+		for _, e := range s.Exemplars {
+			check(e)
+		}
+		if e := s.ExemplarNear(0.99); e != nil {
+			check(*e)
+		}
+	}
+	close(stop)
+	wg.Wait()
 }

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"math/bits"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -29,7 +30,15 @@ type Histogram struct {
 	max     atomic.Int64
 	minInit atomic.Bool
 	buckets [NumBuckets]atomic.Uint64
-	ex      [NumBuckets]atomic.Pointer[Exemplar]
+	ex      [NumBuckets]exemplarSlot
+}
+
+// exemplarSlot holds a bucket's exemplar in fixed fields, so keeping
+// one allocates nothing. A writer that finds the slot busy drops its
+// observation (the one being stored is no older); a reader waits.
+type exemplarSlot struct {
+	mu sync.Mutex
+	e  Exemplar // TraceID 0: none
 }
 
 // Exemplar is one concrete traced observation retained for a bucket.
@@ -98,7 +107,10 @@ func (h *Histogram) ObserveTrace(v int64, traceID uint64) {
 		return
 	}
 	i := bucketIndex(v)
-	h.ex[i].Store(&Exemplar{Bucket: i, Value: v, TraceID: traceID, UnixNano: time.Now().UnixNano()})
+	if s := &h.ex[i]; s.mu.TryLock() {
+		s.e = Exemplar{Bucket: i, Value: v, TraceID: traceID, UnixNano: unixNano()}
+		s.mu.Unlock()
+	}
 }
 
 // Sum returns the cumulative sum of observed values (one atomic read).
@@ -129,8 +141,11 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		s.Buckets[i] = h.buckets[i].Load()
 	}
 	for i := range h.ex {
-		if e := h.ex[i].Load(); e != nil {
-			s.Exemplars = append(s.Exemplars, *e)
+		h.ex[i].mu.Lock()
+		e := h.ex[i].e
+		h.ex[i].mu.Unlock()
+		if e.TraceID != 0 {
+			s.Exemplars = append(s.Exemplars, e)
 		}
 	}
 	return s

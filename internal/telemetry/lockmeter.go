@@ -38,51 +38,29 @@ func NewLockMeter(r *Registry, prefix string) *LockMeter {
 }
 
 // Lock acquires mu, recording the acquisition and any wait.
-func (m *LockMeter) Lock(mu *sync.Mutex) {
-	if m == nil {
-		mu.Lock()
-		return
-	}
-	m.acquire.Inc()
-	if mu.TryLock() {
-		return
-	}
-	start := time.Now()
-	mu.Lock()
-	m.contended.Inc()
-	m.waitNS.ObserveSince(start)
-}
+func (m *LockMeter) Lock(mu *sync.Mutex) { m.lock(mu.TryLock, mu.Lock) }
 
 // LockRW acquires mu for writing, recording the acquisition and any
 // wait.
-func (m *LockMeter) LockRW(mu *sync.RWMutex) {
-	if m == nil {
-		mu.Lock()
-		return
-	}
-	m.acquire.Inc()
-	if mu.TryLock() {
-		return
-	}
-	start := time.Now()
-	mu.Lock()
-	m.contended.Inc()
-	m.waitNS.ObserveSince(start)
-}
+func (m *LockMeter) LockRW(mu *sync.RWMutex) { m.lock(mu.TryLock, mu.Lock) }
 
 // RLockRW acquires mu for reading, recording the acquisition and any
 // wait.
-func (m *LockMeter) RLockRW(mu *sync.RWMutex) {
+func (m *LockMeter) RLockRW(mu *sync.RWMutex) { m.lock(mu.TryRLock, mu.RLock) }
+
+// lock acquires a lock by try or, when that fails, by lock, timing the
+// wait.
+func (m *LockMeter) lock(try func() bool, lock func()) {
 	if m == nil {
-		mu.RLock()
+		lock()
 		return
 	}
 	m.acquire.Inc()
-	if mu.TryRLock() {
+	if try() {
 		return
 	}
 	start := time.Now()
-	mu.RLock()
+	lock()
 	m.contended.Inc()
 	m.waitNS.ObserveSince(start)
 }

@@ -3,12 +3,11 @@ package telemetry
 import (
 	"cmp"
 	"context"
-	"crypto/rand"
-	"encoding/binary"
+	"math/rand/v2"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -16,17 +15,9 @@ import (
 // read, say) is a *trace*, identified by a trace ID, and every timed
 // step inside it — the client call, each cheops fan-out leg, the
 // drive-side handler, each media I/O — is a *span* carrying its
-// parent's span ID.
-// Merging the span logs of every process that served a trace
-// reconstructs the whole causal timeline (the Dapper/X-Trace model),
-// which is what `nasdctl trace <id>` prints.
-//
-// Trace IDs and span IDs come from one counter salted with a random
-// per-process high word. Span IDs must stay distinct when client- and
-// drive-side logs merge, and a drive outlives many short-lived clients
-// (think repeated nasdctl invocations): two clients both counting trace
-// IDs from 1 would interleave unrelated operations into one trace on
-// the drive.
+// parent's span ID. Merging the span logs of every process that served
+// a trace reconstructs the whole causal timeline (the Dapper/X-Trace
+// model), which is what `nasdctl trace <id>` prints.
 
 // SpanContext identifies the active span of a trace, as carried in a
 // context.Context and (as {trace ID, parent span ID}) on the wire.
@@ -37,18 +28,12 @@ type SpanContext struct {
 
 type spanCtxKey struct{}
 
-// WithSpanContext returns ctx carrying sc.
-func WithSpanContext(ctx context.Context, sc SpanContext) context.Context {
-	return context.WithValue(ctx, spanCtxKey{}, sc)
-}
-
 // WithExplicitRequestID returns ctx carrying id as the trace ID of a
 // root span context (span ID 0), replacing any span context ctx had:
-// the client stamps id into rpc.Request.Trace, and the first span
-// opened under ctx is a root of trace id, so a caller finds its
-// operation by the ID it chose.
+// the first span opened under ctx is a root of trace id, so a caller
+// finds its operation by the ID it chose.
 func WithExplicitRequestID(ctx context.Context, id uint64) context.Context {
-	return WithSpanContext(ctx, SpanContext{TraceID: id})
+	return context.WithValue(ctx, spanCtxKey{}, SpanContext{TraceID: id})
 }
 
 // SpanContextFrom extracts the active span context from ctx.
@@ -57,24 +42,36 @@ func SpanContextFrom(ctx context.Context) (SpanContext, bool) {
 	return sc, ok && sc.TraceID != 0
 }
 
-// spanIDSalt puts a random 32-bit word in the high half of every trace
-// and span ID this process allocates, so IDs from different processes
-// (client and drives) do not collide when merged into one timeline.
-var spanIDSalt = func() uint64 {
-	var b [4]byte
-	_, _ = rand.Read(b[:])
-	return uint64(binary.LittleEndian.Uint32(b[:])) << 32
-}()
-
-var spanCounter atomic.Uint64
-
-// NextSpanID allocates a process-unique, cross-process-disjoint trace or
-// span ID (never 0; 0 on the wire means "untraced"). Exported for
-// layers that build SpanRecords directly rather than through StartSpan
-// (blockdev's per-I/O spans).
+// NextSpanID returns a random trace or span ID (never 0; 0 on the wire
+// means "untraced"). Random 64-bit IDs, Dapper's scheme, stay apart
+// across the processes whose logs merge into one timeline, and drawing
+// one writes no memory that another goroutine shares. Exported for
+// callers that pick a trace ID of their own (WithExplicitRequestID).
 func NextSpanID() uint64 {
-	return spanIDSalt | (spanCounter.Add(1) & 0xffffffff)
+	for {
+		if id := rand.Uint64(); id != 0 {
+			return id
+		}
+	}
 }
+
+// epoch anchors unixNano, the clock of spans and exemplars.
+var epoch = time.Now()
+
+// unixNano returns the wall time at process start plus the monotonic
+// time since: one monotonic clock read where time.Now takes two, and
+// span ends that never precede their starts.
+func unixNano() int64 { return epoch.UnixNano() + int64(time.Since(epoch)) }
+
+// Key names a span annotation. Make each once, with NewKey: a span
+// holds the key, not a copy of its name.
+type Key struct{ name *string }
+
+// NewKey returns a key named name.
+func NewKey(name string) Key { return Key{&name} }
+
+// String returns the key's name.
+func (k Key) String() string { return *k.name }
 
 // Annotation is one key=value note attached to a span (a status, a
 // byte count, a lock-wait total).
@@ -99,42 +96,73 @@ type SpanRecord struct {
 // Dur returns the span duration.
 func (r *SpanRecord) Dur() time.Duration { return time.Duration(r.EndNS - r.StartNS) }
 
-// Span is an open span being timed. A nil *Span is valid and records
-// nothing, so call sites can instrument unconditionally. Annotate and
-// End must be called from the goroutine that started the span.
+// maxInts bounds the integer annotations one span holds.
+const maxInts = 3
+
+// spanRec is a span as the ring holds it: a fixed-size value, so ending
+// a span copies it into the ring and allocates nothing. Its
+// annotations are up to maxInts integers under constant keys and one
+// text note, the error paths' detail.
+type spanRec struct {
+	traceID, spanID, parent uint64
+	startNS, endNS          int64
+	name, note              string
+	vals                    [maxInts]int64
+	keys                    [maxInts]Key
+	noteKey                 Key // zero: no note
+	nints                   uint8
+}
+
+// record builds the JSON form: the note first, then the integers in
+// the order they were set.
+func (r *spanRec) record() SpanRecord {
+	out := SpanRecord{TraceID: r.traceID, SpanID: r.spanID, Parent: r.parent, Name: r.name, StartNS: r.startNS, EndNS: r.endNS}
+	if r.noteKey != (Key{}) {
+		out.Annotations = append(out.Annotations, Annotation{Key: r.noteKey.String(), Value: r.note})
+	}
+	for i := range r.nints {
+		out.Annotations = append(out.Annotations, Annotation{Key: r.keys[i].String(), Value: strconv.FormatInt(r.vals[i], 10)})
+	}
+	return out
+}
+
+// Span is an open span being timed, held by value. The zero Span
+// records nothing, so call sites can instrument unconditionally. Int,
+// Note and End must be called from the goroutine that holds the span.
 type Span struct {
-	log   *SpanLog
-	start time.Time // monotonic, for the duration
-	rec   SpanRecord
-	done  bool
+	log *SpanLog
+	rec spanRec
 }
 
 // Context returns the span's identity for propagation (to a child
 // context, or onto the wire).
 func (s *Span) Context() SpanContext {
-	if s == nil {
-		return SpanContext{}
-	}
-	return SpanContext{TraceID: s.rec.TraceID, SpanID: s.rec.SpanID}
+	return SpanContext{TraceID: s.rec.traceID, SpanID: s.rec.spanID}
 }
 
-// Annotate attaches a key=value note to the span.
-func (s *Span) Annotate(key, value string) {
-	if s == nil {
-		return
+// Int attaches key=v; a span keeps its first maxInts integers.
+func (s *Span) Int(key Key, v int64) {
+	if s.rec.nints < maxInts {
+		s.rec.keys[s.rec.nints], s.rec.vals[s.rec.nints] = key, v
+		s.rec.nints++
 	}
-	s.rec.Annotations = append(s.rec.Annotations, Annotation{Key: key, Value: value})
+}
+
+// Note attaches key=text, replacing any earlier note: a span holds
+// one, for a status or the detail of an error path.
+func (s *Span) Note(key Key, text string) {
+	s.rec.noteKey, s.rec.note = key, text
 }
 
 // End completes the span and records it into the log. End is
 // idempotent; only the first call records.
 func (s *Span) End() {
-	if s == nil || s.done {
+	if s.log == nil {
 		return
 	}
-	s.done = true
-	s.rec.EndNS = s.rec.StartNS + int64(time.Since(s.start))
-	s.log.Emit(s.rec)
+	s.rec.endNS = unixNano()
+	s.log.record(&s.rec)
+	s.log = nil
 }
 
 // SpanLog is a bounded per-process ring of completed spans, plus a
@@ -143,12 +171,12 @@ func (s *Span) End() {
 // of the ring so it survives even after heavy traffic wraps the ring.
 type SpanLog struct {
 	mu     sync.Mutex
-	spans  []SpanRecord
+	spans  []spanRec
 	next   int
 	filled bool
 
 	slow     time.Duration // 0 = retention disabled
-	retained map[uint64][]SpanRecord
+	retained map[uint64][]spanRec
 	retOrder []uint64 // FIFO eviction order of retained trace IDs
 	retCap   int
 }
@@ -165,8 +193,8 @@ func NewSpanLog(capacity int) *SpanLog {
 		capacity = 1
 	}
 	return &SpanLog{
-		spans:    make([]SpanRecord, capacity),
-		retained: make(map[uint64][]SpanRecord),
+		spans:    make([]spanRec, capacity),
+		retained: make(map[uint64][]spanRec),
 		retCap:   retainedTraces,
 	}
 }
@@ -186,18 +214,17 @@ func (l *SpanLog) SetSlowThreshold(d time.Duration) {
 	l.mu.Unlock()
 }
 
-// Emit appends one completed span record, for layers that time an
-// interval themselves rather than through a Span.
-func (l *SpanLog) Emit(rec SpanRecord) {
+// record copies one completed span into the ring.
+func (l *SpanLog) record(rec *spanRec) {
 	l.mu.Lock()
-	l.spans[l.next] = rec
+	l.spans[l.next] = *rec
 	l.next++
 	if l.next == len(l.spans) {
 		l.next = 0
 		l.filled = true
 	}
-	if rec.Parent == 0 && l.slow > 0 && rec.EndNS-rec.StartNS >= int64(l.slow) {
-		l.retainLocked(rec.TraceID)
+	if rec.parent == 0 && l.slow > 0 && rec.endNS-rec.startNS >= int64(l.slow) {
+		l.retainLocked(rec.traceID)
 	}
 	l.mu.Unlock()
 }
@@ -205,12 +232,6 @@ func (l *SpanLog) Emit(rec SpanRecord) {
 // retainLocked copies every ring span of traceID into the retained
 // table, evicting the oldest retained trace when full. Caller holds mu.
 func (l *SpanLog) retainLocked(traceID uint64) {
-	var tree []SpanRecord
-	for i := range l.spans {
-		if (l.filled || i < l.next) && l.spans[i].TraceID == traceID {
-			tree = append(tree, l.spans[i])
-		}
-	}
 	if _, ok := l.retained[traceID]; !ok {
 		l.retOrder = append(l.retOrder, traceID)
 		for len(l.retOrder) > l.retCap {
@@ -218,7 +239,17 @@ func (l *SpanLog) retainLocked(traceID uint64) {
 			l.retOrder = l.retOrder[1:]
 		}
 	}
-	l.retained[traceID] = tree
+	l.retained[traceID] = l.inRingLocked(traceID)
+}
+
+// inRingLocked returns the ring's spans of traceID. Caller holds mu.
+func (l *SpanLog) inRingLocked(traceID uint64) (tree []spanRec) {
+	for i := range l.spans {
+		if (l.filled || i < l.next) && l.spans[i].traceID == traceID {
+			tree = append(tree, l.spans[i])
+		}
+	}
+	return tree
 }
 
 // Recent returns up to n most recent spans whose name starts with
@@ -236,8 +267,8 @@ func (l *SpanLog) Recent(n int, prefix string) []SpanRecord {
 	out := make([]SpanRecord, 0, n)
 	for i := 1; i <= size && len(out) < n; i++ {
 		r := &l.spans[(l.next-i+len(l.spans))%len(l.spans)]
-		if strings.HasPrefix(r.Name, prefix) {
-			out = append(out, *r)
+		if strings.HasPrefix(r.name, prefix) {
+			out = append(out, r.record())
 		}
 	}
 	l.mu.Unlock()
@@ -253,58 +284,51 @@ func (l *SpanLog) Recent(n int, prefix string) []SpanRecord {
 func (l *SpanLog) ByTrace(traceID uint64) []SpanRecord {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if tree, ok := l.retained[traceID]; ok {
-		return append([]SpanRecord(nil), tree...)
+	tree, ok := l.retained[traceID]
+	if !ok {
+		tree = l.inRingLocked(traceID)
 	}
 	var out []SpanRecord
-	for i := range l.spans {
-		if (l.filled || i < l.next) && l.spans[i].TraceID == traceID {
-			out = append(out, l.spans[i])
-		}
+	for i := range tree {
+		out = append(out, tree[i].record())
 	}
 	return out
 }
 
-// StartSpan opens a span named name as a child of ctx's span context:
-// in its trace, under its span ID (a root when that is 0, as after
-// WithExplicitRequestID). Without a span context the new span is the
-// root of a fresh trace. The returned context carries the new span, so
-// nested calls become children. A nil log returns ctx unchanged and a
-// nil (no-op) span.
-func (l *SpanLog) StartSpan(ctx context.Context, name string) (context.Context, *Span) {
+// Start opens a span named name as a child of parent (a root when its
+// span ID is 0, as after WithExplicitRequestID; of a fresh trace when
+// parent is zero). A nil log returns the zero (no-op) span.
+func (l *SpanLog) Start(parent SpanContext, name string) Span {
+	if parent.TraceID != 0 {
+		return l.StartRemote(parent.TraceID, parent.SpanID, name)
+	}
+	sp := l.StartRemote(^uint64(0), 0, name)
+	sp.rec.traceID = sp.rec.spanID // a fresh trace is named after its root
+	return sp
+}
+
+// StartSpan is Start under ctx's span context, and returns ctx carrying
+// the new span, so nested calls become its children. A nil log returns
+// ctx unchanged and the zero span.
+func (l *SpanLog) StartSpan(ctx context.Context, name string) (context.Context, Span) {
 	if l == nil {
-		return ctx, nil
+		return ctx, Span{}
 	}
-	sc, ok := SpanContextFrom(ctx)
-	if !ok {
-		sc = SpanContext{TraceID: NextSpanID()}
-	}
-	sp := l.open(sc.TraceID, sc.SpanID, name)
-	return WithSpanContext(ctx, sp.Context()), sp
+	parent, _ := SpanContextFrom(ctx)
+	sp := l.Start(parent, name)
+	return context.WithValue(ctx, spanCtxKey{}, sp.Context()), sp
 }
 
 // StartRemote opens a span resuming a trace received from the wire:
 // traceID and parentSpan are the request's trace context as stamped by
 // the remote caller. A zero traceID (an untraced request) or nil log
-// returns a nil no-op span.
-func (l *SpanLog) StartRemote(traceID, parentSpan uint64, name string) *Span {
+// returns the zero (no-op) span.
+func (l *SpanLog) StartRemote(traceID, parentSpan uint64, name string) Span {
 	if l == nil || traceID == 0 {
-		return nil
+		return Span{}
 	}
-	return l.open(traceID, parentSpan, name)
-}
-
-func (l *SpanLog) open(traceID, parent uint64, name string) *Span {
-	now := time.Now()
-	return &Span{
-		log:   l,
-		start: now,
-		rec: SpanRecord{
-			TraceID: traceID,
-			SpanID:  NextSpanID(),
-			Parent:  parent,
-			Name:    name,
-			StartNS: now.UnixNano(),
-		},
-	}
+	return Span{log: l, rec: spanRec{
+		traceID: traceID, spanID: NextSpanID(), parent: parentSpan,
+		name: name, startNS: unixNano(),
+	}}
 }

@@ -11,10 +11,16 @@ import (
 	"time"
 )
 
+// emit records r as a completed span, as End would; r's annotations
+// are not kept.
+func emit(l *SpanLog, r SpanRecord) {
+	l.record(&spanRec{traceID: r.TraceID, spanID: r.SpanID, parent: r.Parent, name: r.Name, startNS: r.StartNS, endNS: r.EndNS})
+}
+
 func TestSpanHierarchy(t *testing.T) {
 	l := NewSpanLog(64)
 	ctx, root := l.StartSpan(context.Background(), "root")
-	if root == nil {
+	if root == (Span{}) {
 		t.Fatal("root span is nil")
 	}
 	rc := root.Context()
@@ -26,7 +32,7 @@ func TestSpanHierarchy(t *testing.T) {
 	if cc.TraceID != rc.TraceID {
 		t.Fatalf("child trace %d != root trace %d", cc.TraceID, rc.TraceID)
 	}
-	child.Annotate("k", "v")
+	child.Note(NewKey("k"), "v")
 	child.End()
 	root.End()
 
@@ -65,22 +71,22 @@ func TestSpanRootReusesRequestID(t *testing.T) {
 func TestSpanNilSafety(t *testing.T) {
 	var l *SpanLog
 	ctx, sp := l.StartSpan(context.Background(), "x")
-	if sp != nil {
+	if sp != (Span{}) {
 		t.Fatal("nil log returned non-nil span")
 	}
 	if _, ok := SpanContextFrom(ctx); ok {
 		t.Fatal("nil log attached a span context")
 	}
-	sp.Annotate("a", "b") // must not panic
+	sp.Note(NewKey("a"), "b") // must not panic
 	sp.End()
-	if s := l.StartRemote(1, 2, "y"); s != nil {
+	if s := l.StartRemote(1, 2, "y"); s != (Span{}) {
 		t.Fatal("nil log StartRemote returned non-nil span")
 	}
 }
 
 func TestStartRemoteUntraced(t *testing.T) {
 	l := NewSpanLog(8)
-	if sp := l.StartRemote(0, 7, "drive.read"); sp != nil {
+	if sp := l.StartRemote(0, 7, "drive.read"); sp != (Span{}) {
 		t.Fatal("zero trace ID must yield a nil span")
 	}
 	sp := l.StartRemote(42, 7, "drive.read")
@@ -94,7 +100,7 @@ func TestStartRemoteUntraced(t *testing.T) {
 func TestSpanLogRingBounds(t *testing.T) {
 	l := NewSpanLog(4)
 	for i := 0; i < 10; i++ {
-		l.Emit(SpanRecord{TraceID: uint64(i + 1), SpanID: NextSpanID(), Name: "s"})
+		emit(l, SpanRecord{TraceID: uint64(i + 1), SpanID: NextSpanID(), Name: "s"})
 	}
 	recent := l.Recent(100, "")
 	if len(recent) != 4 {
@@ -125,7 +131,7 @@ func TestSpanLogRecentPrefix(t *testing.T) {
 		{TraceID: 4, Name: "client.read", EndNS: 40},
 	} {
 		r.SpanID = uint64(i + 1)
-		l.Emit(r)
+		emit(l, r)
 	}
 	got := l.Recent(2, "drive.")
 	if len(got) != 2 || got[0].Name != "drive.getattr" || got[1].Name != "drive.write" {
@@ -143,11 +149,11 @@ func TestSlowOpRetention(t *testing.T) {
 	l := NewSpanLog(4)
 	l.SetSlowThreshold(time.Millisecond)
 	// A slow trace: root span over the threshold plus one child.
-	l.Emit(SpanRecord{TraceID: 9, SpanID: 100, Parent: 1, Name: "child", StartNS: 0, EndNS: 10})
-	l.Emit(SpanRecord{TraceID: 9, SpanID: 1, Name: "root", StartNS: 0, EndNS: int64(2 * time.Millisecond)})
+	emit(l, SpanRecord{TraceID: 9, SpanID: 100, Parent: 1, Name: "child", StartNS: 0, EndNS: 10})
+	emit(l, SpanRecord{TraceID: 9, SpanID: 1, Name: "root", StartNS: 0, EndNS: int64(2 * time.Millisecond)})
 	// Wrap the ring with unrelated traffic.
 	for i := 0; i < 16; i++ {
-		l.Emit(SpanRecord{TraceID: 1000 + uint64(i), SpanID: NextSpanID(), Name: "noise"})
+		emit(l, SpanRecord{TraceID: 1000 + uint64(i), SpanID: NextSpanID(), Name: "noise"})
 	}
 	spans := l.ByTrace(9)
 	if len(spans) != 2 {
@@ -156,9 +162,9 @@ func TestSlowOpRetention(t *testing.T) {
 	// A fast root span must not be retained once the ring wraps.
 	l2 := NewSpanLog(4)
 	l2.SetSlowThreshold(time.Millisecond)
-	l2.Emit(SpanRecord{TraceID: 5, SpanID: 2, Name: "root", StartNS: 0, EndNS: 10})
+	emit(l2, SpanRecord{TraceID: 5, SpanID: 2, Name: "root", StartNS: 0, EndNS: 10})
 	for i := 0; i < 16; i++ {
-		l2.Emit(SpanRecord{TraceID: 2000 + uint64(i), SpanID: NextSpanID(), Name: "noise"})
+		emit(l2, SpanRecord{TraceID: 2000 + uint64(i), SpanID: NextSpanID(), Name: "noise"})
 	}
 	if got := l2.ByTrace(5); len(got) != 0 {
 		t.Fatalf("fast trace survived ring wrap: %+v", got)
@@ -169,7 +175,7 @@ func TestSlowRetentionEviction(t *testing.T) {
 	l := NewSpanLog(8)
 	l.SetSlowThreshold(time.Nanosecond)
 	for i := 0; i < retainedTraces+5; i++ {
-		l.Emit(SpanRecord{TraceID: uint64(i + 1), SpanID: NextSpanID(), Name: "root", StartNS: 0, EndNS: 100})
+		emit(l, SpanRecord{TraceID: uint64(i + 1), SpanID: NextSpanID(), Name: "root", StartNS: 0, EndNS: 100})
 	}
 	l.mu.Lock()
 	n := len(l.retained)
@@ -224,7 +230,7 @@ func TestTraceHandlerBoundsResponse(t *testing.T) {
 		if i%4 == 3 {
 			name = "digest"
 		}
-		spans.Emit(SpanRecord{TraceID: uint64(i + 1), SpanID: NextSpanID(), Name: name})
+		emit(spans, SpanRecord{TraceID: uint64(i + 1), SpanID: NextSpanID(), Name: name})
 	}
 	srv := httptest.NewServer(TraceHandler(spans))
 	defer srv.Close()
@@ -275,5 +281,30 @@ func TestTraceHandlerSpanMode(t *testing.T) {
 	}
 	if len(recs) != 1 || recs[0].Name != "op" {
 		t.Fatalf("span mode returned %+v", recs)
+	}
+}
+
+// TestSpanAllocs: a span opened, annotated and ended costs no
+// allocation, on the client's path (Start) and the drive's
+// (StartRemote), because every request opens one.
+func TestSpanAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations of its own; run without -race")
+	}
+	l := NewSpanLog(64)
+	k, note := NewKey("bytes"), NewKey("status")
+	for name, open := range map[string]func() Span{
+		"Start":       func() Span { return l.Start(SpanContext{}, "client.read") },
+		"StartRemote": func() Span { return l.StartRemote(42, 7, "drive.read") },
+	} {
+		avg := testing.AllocsPerRun(1000, func() {
+			sp := open()
+			sp.Int(k, 8192)
+			sp.Note(note, "ok")
+			sp.End()
+		})
+		if avg != 0 {
+			t.Errorf("%s/Int/Note/End allocates %.1f per span, want 0", name, avg)
+		}
 	}
 }

@@ -60,58 +60,31 @@ func NewRegistry() *Registry {
 
 // Counter returns the counter registered under name, creating it if
 // needed.
-func (r *Registry) Counter(name string) *Counter {
-	r.mu.RLock()
-	c, ok := r.counters[name]
-	r.mu.RUnlock()
-	if ok {
-		return c
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c, ok = r.counters[name]; ok {
-		return c
-	}
-	c = &Counter{}
-	r.counters[name] = c
-	return c
-}
+func (r *Registry) Counter(name string) *Counter { return metric(r, r.counters, name) }
 
 // Gauge returns the gauge registered under name, creating it if needed.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.RLock()
-	g, ok := r.gauges[name]
-	r.mu.RUnlock()
-	if ok {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g, ok = r.gauges[name]; ok {
-		return g
-	}
-	g = &Gauge{}
-	r.gauges[name] = g
-	return g
-}
+func (r *Registry) Gauge(name string) *Gauge { return metric(r, r.gauges, name) }
 
 // Histogram returns the histogram registered under name, creating it if
 // needed.
-func (r *Registry) Histogram(name string) *Histogram {
+func (r *Registry) Histogram(name string) *Histogram { return metric(r, r.hists, name) }
+
+// metric returns the metric registered under name in m, one of r's
+// maps, creating it if needed.
+func metric[T any](r *Registry, m map[string]*T, name string) *T {
 	r.mu.RLock()
-	h, ok := r.hists[name]
+	v, ok := m[name]
 	r.mu.RUnlock()
 	if ok {
-		return h
+		return v
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if h, ok = r.hists[name]; ok {
-		return h
+	if v, ok = m[name]; !ok {
+		v = new(T)
+		m[name] = v
 	}
-	h = &Histogram{}
-	r.hists[name] = h
-	return h
+	return v
 }
 
 // Func registers a pull-style gauge: fn is evaluated at snapshot time

@@ -216,7 +216,7 @@ func TestRequestIDContext(t *testing.T) {
 		t.Fatalf("span context = %+v, %v; want trace 99, span 0", sc, ok)
 	}
 	// It replaces whatever span context the caller had.
-	ctx2 := WithExplicitRequestID(WithSpanContext(ctx, SpanContext{TraceID: 7, SpanID: 8}), 99)
+	ctx2 := WithExplicitRequestID(context.WithValue(ctx, spanCtxKey{}, SpanContext{TraceID: 7, SpanID: 8}), 99)
 	if sc, _ := SpanContextFrom(ctx2); sc != (SpanContext{TraceID: 99}) {
 		t.Fatalf("explicit ID not honored: %+v", sc)
 	}

@@ -1,7 +1,7 @@
 package telemetry
 
 import (
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -52,7 +52,7 @@ func TenantParts(s Snapshot) []uint16 {
 	for p := range seen {
 		parts = append(parts, p)
 	}
-	sort.Slice(parts, func(i, j int) bool { return parts[i] < parts[j] })
+	slices.Sort(parts)
 	return parts
 }
 
@@ -61,24 +61,19 @@ func TenantParts(s Snapshot) []uint16 {
 // single tenant the same way it renders a whole drive.
 // /metrics?partition=P serves exactly this.
 func TenantSnapshot(s Snapshot, part uint16) Snapshot {
-	out := Snapshot{
-		Counters:   make(map[string]uint64),
-		Gauges:     make(map[string]int64),
-		Histograms: make(map[string]HistogramSnapshot),
+	return Snapshot{
+		Counters:   tenantMetrics(s.Counters, part),
+		Gauges:     tenantMetrics(s.Gauges, part),
+		Histograms: tenantMetrics(s.Histograms, part),
 	}
-	for name, v := range s.Counters {
+}
+
+// tenantMetrics returns part's metrics in m, re-rooted.
+func tenantMetrics[V any](m map[string]V, part uint16) map[string]V {
+	out := make(map[string]V)
+	for name, v := range m {
 		if p, rooted, ok := tenantOf(name); ok && p == part {
-			out.Counters[rooted] = v
-		}
-	}
-	for name, g := range s.Gauges {
-		if p, rooted, ok := tenantOf(name); ok && p == part {
-			out.Gauges[rooted] = g
-		}
-	}
-	for name, h := range s.Histograms {
-		if p, rooted, ok := tenantOf(name); ok && p == part {
-			out.Histograms[rooted] = h
+			out[rooted] = v
 		}
 	}
 	return out

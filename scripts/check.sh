@@ -30,7 +30,7 @@ fi
 echo "==> no deleted names in *.go, *.md, *.sh and *.yml"
 if grep -rnE --include='*.go' --include='*.md' --include='*.sh' --include='*.yml' \
     --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md --exclude=check.sh --exclude-dir=.git --exclude-dir=.bench_build \
-    'WithJournalBlocks|FormatStore|OpenStore|Stats\(\)\.Retries|nasdbench -(stats|chaos)([^-]|$)|nasdbench -workload|BENCH_(stats|parallel|smallobj|chaos|qos)|-chaos-duration|-qos-duration|-qos-clients|runChaos|runQoS|-stats-mb|-smallobj-objects|WithWorkers|AllDig|JournalEnabled|SetWriteThrough|SeqWriteJournalOff|JournalBlocks: -1|OpenWith|WithQueue|rpc-queue|sendReject|svcEWMA|ServerMetrics|ServerSpans|WithWindow|WithFragmentSize|ptrWritten|LegTimeout|legPacing|legCtx|backpressureWaits|cheops\.backpressure_waits|RequestIDFrom|WithRequestID|NextRequestID|ReadPipelinedInto|NewStripe([^D]|$)|ErrLockHeld|ErrUnauthorized|MaxPartitions|(^|[^[:alnum:]_])DriveCount|emitPhases|StartNanos|OpTotals|MergedSvc|partExists' .; then
+    'WithJournalBlocks|FormatStore|OpenStore|Stats\(\)\.Retries|nasdbench -(stats|chaos)([^-]|$)|nasdbench -workload|BENCH_(stats|parallel|smallobj|chaos|qos)|-chaos-duration|-qos-duration|-qos-clients|runChaos|runQoS|-stats-mb|-smallobj-objects|WithWorkers|AllDig|JournalEnabled|SetWriteThrough|SeqWriteJournalOff|JournalBlocks: -1|OpenWith|WithQueue|rpc-queue|sendReject|svcEWMA|ServerMetrics|ServerSpans|WithWindow|WithFragmentSize|ptrWritten|LegTimeout|legPacing|legCtx|backpressureWaits|cheops\.backpressure_waits|RequestIDFrom|WithRequestID|NextRequestID|ReadPipelinedInto|NewStripe([^D]|$)|ErrLockHeld|ErrUnauthorized|MaxPartitions|(^|[^[:alnum:]_])DriveCount|emitPhases|StartNanos|OpTotals|MergedSvc|partExists|WithSpanContext|\.Annotate\(|OnSent|\.Emit\((telemetry\.)?SpanRecord' .; then
     echo "the names above no longer exist; describe what replaced them" >&2
     exit 1
 fi
@@ -64,6 +64,13 @@ go build ./...
 
 echo "==> go test -race ./..."
 go test -race ./...
+
+# Allocation counts: the race detector allocates on its own, so the
+# tests that pin per-request allocations skip themselves above and run
+# here on a plain binary — the cached read end to end, with and without
+# qos in front, and a span and an exemplar, which every request makes.
+echo "==> go test -count=1 -run 'Allocs\$' . ./internal/telemetry (allocation counts, no -race)"
+go test -count=1 -run 'Allocs$' . ./internal/telemetry
 
 # Fault-tolerance focus: rerun the fault/retry/failover tests by name so
 # a resilience regression is called out explicitly instead of hiding in
@@ -132,6 +139,12 @@ go test -run '^$' -fuzz '^FuzzPartitionTable$' -fuzztime 10s ./internal/object
 # drive protocol and its encode/decode round trip.
 echo "==> go test -run '^\$' -fuzz '^FuzzProtoDecode\$' -fuzztime 10s ./internal/drive"
 go test -run '^$' -fuzz '^FuzzProtoDecode$' -fuzztime 10s ./internal/drive
+
+# The capability's public half is the trust boundary: the drive decodes
+# it from every request, qos before authorization. Fuzz the decode and
+# its round trip through both encoders.
+echo "==> go test -run '^\$' -fuzz '^FuzzCapabilityPublic\$' -fuzztime 10s ./internal/capability"
+go test -run '^$' -fuzz '^FuzzCapabilityPublic$' -fuzztime 10s ./internal/capability
 
 # Benchmark smoke: every benchmark must still run (one iteration each);
 # regressions in benchmark-only code paths surface here, not in CI
