@@ -1,8 +1,9 @@
 package nasd_test
 
 // Allocation regression tests for the zero-copy data path. These pin
-// the steady-state allocs/op of the two hottest paths — the codec
-// round-trip and the end-to-end cached drive read — so a change that
+// the steady-state allocs/op of the hottest paths — the codec
+// round-trip, request signing, the end-to-end cached drive read and the
+// end-to-end secure write — so a change that
 // quietly reintroduces per-request copies or drops a buffer back to
 // the GC fails here, not in benchmark archaeology.
 
@@ -93,5 +94,57 @@ func TestDriveCachedReadAllocs(t *testing.T) {
 func TestQoSCachedReadAllocs(t *testing.T) {
 	if avg := cachedReadAllocs(t, true); avg > 7 {
 		t.Errorf("cached 8K read through qos allocates %.1f/op, want <= 7", avg)
+	}
+}
+
+// TestDriveSecureWriteAllocs pins a secure 64 KiB Write, client to drive
+// and back, overwriting a cached region, at the 11 allocations it made
+// when a SHA-256 pass covered the payload. Signing on the client and
+// verifying on the drive add none: the signing body and the payload
+// tag are built in a pooled buffer.
+func TestDriveSecureWriteAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations of its own; run without -race")
+	}
+	cli, cap, obj := driveRigWith(t, true, false)
+	data := make([]byte, 64<<10)
+	ctx := context.Background()
+	for i := 0; i < 4; i++ {
+		if err := cli.Write(ctx, &cap, 1, obj, 0, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	avg := testing.AllocsPerRun(200, func() {
+		if err := cli.Write(ctx, &cap, 1, obj, 0, data); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg > 11 {
+		t.Errorf("secure 64K drive write allocates %.1f/op, want <= 11", avg)
+	}
+}
+
+// TestRequestSignAllocs pins signing and verifying a request with a
+// 64 KiB payload at zero allocations: the payload tag's GCM nonce is
+// staged in the pooled signing-body buffer, not on the heap.
+func TestRequestSignAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations of its own; run without -race")
+	}
+	s := crypt.NewSigner(crypt.NewRandomKey())
+	req := &rpc.Request{
+		Proc: 2, Cap: make([]byte, 59), Args: make([]byte, 18),
+		Data: make([]byte, 64<<10), Nonce: crypt.Nonce{Client: 1, Counter: 7},
+	}
+	bufpool.Put(bufpool.Get(512))
+	avg := testing.AllocsPerRun(200, func() {
+		req.Nonce.Counter++
+		req.Sign(s)
+		if !req.Verify(s) {
+			t.Fatal("request does not verify")
+		}
+	})
+	if avg != 0 {
+		t.Errorf("sign and verify allocate %.1f/op, want 0", avg)
 	}
 }

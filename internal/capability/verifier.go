@@ -16,8 +16,9 @@ type verified struct {
 // path. The stateless check recomputes the private portion
 // (HMAC(working key, Encode(Public))) and builds fresh HMAC state for
 // the request digest on every request; Verifier memoizes both per
-// distinct Public, so the steady state of a streaming client is one
-// digest over the request body and zero key-schedule setups.
+// distinct Public, as a crypt.Signer, so the steady state of a
+// streaming client is one digest over the request body and zero
+// key-schedule setups.
 //
 // Revocation semantics are identical to the stateless Validate:
 //
@@ -60,20 +61,21 @@ func NewVerifier(keys *crypt.Hierarchy, capacity int) *Verifier {
 // and stats.
 func (v *Verifier) Cache() *crypt.DigestCache[Public, verified] { return v.cache }
 
-// Validate is the cached equivalent of the package-level Validate: it
-// verifies that the capability whose public portion is pub authorizes
-// the operation in chk and that digest is body keyed by the
-// capability's private portion. It returns exactly the errors Validate
-// returns for the same inputs.
-func (v *Verifier) Validate(pub Public, body []byte, digest crypt.Digest, chk Check) error {
+// Signer is the cached form of the package-level Validate: once the
+// capability whose public portion is pub passes the policy checks for
+// chk, it returns the signer keyed by the capability's private portion,
+// for the caller to verify the request digest with. It returns the
+// errors Validate returns for the same inputs, but for ErrBadDigest,
+// which is the caller's to report.
+func (v *Verifier) Signer(pub Public, chk Check) (*crypt.Signer, error) {
 	if err := checkPolicy(pub, chk); err != nil {
-		return err
+		return nil, err
 	}
 	// The key lookup is NOT cached: it is a cheap map read, and doing
 	// it per request is what makes key rotation revoke immediately.
 	key, err := v.keys.Lookup(pub.Key)
 	if err != nil {
-		return ErrNoKey
+		return nil, ErrNoKey
 	}
 	ent, ok := v.cache.Get(pub)
 	if !ok || ent.mint != key {
@@ -81,14 +83,11 @@ func (v *Verifier) Validate(pub Public, body []byte, digest crypt.Digest, chk Ch
 		ent = verified{mint: key, signer: crypt.NewSigner(priv)}
 		v.cache.Put(pub, ent)
 	}
-	if !ent.signer.Verify(body, digest) {
-		return ErrBadDigest
-	}
-	return nil
+	return ent.signer, nil
 }
 
 // checkPolicy runs the non-cryptographic admission checks shared by
-// Validate and Verifier.Validate.
+// Validate and Verifier.Signer.
 func checkPolicy(pub Public, chk Check) error {
 	if pub.DriveID != chk.DriveID {
 		return ErrWrongDrive

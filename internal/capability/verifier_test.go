@@ -8,7 +8,20 @@ import (
 	"nasd/internal/crypt"
 )
 
-// TestVerifierEquivalence drives Verifier.Validate and the stateless
+// validate is Verifier.Signer followed by the digest check a drive makes
+// with the signer it returns: the cached counterpart of Validate.
+func validate(v *Verifier, pub Public, body []byte, digest crypt.Digest, chk Check) error {
+	s, err := v.Signer(pub, chk)
+	if err != nil {
+		return err
+	}
+	if !s.Verify(body, digest) {
+		return ErrBadDigest
+	}
+	return nil
+}
+
+// TestVerifierEquivalence drives Verifier.Signer and the stateless
 // Validate through the same matrix of good and bad inputs and requires
 // identical verdicts — including on cache hits.
 func TestVerifierEquivalence(t *testing.T) {
@@ -45,7 +58,7 @@ func TestVerifierEquivalence(t *testing.T) {
 	for pass := 0; pass < 2; pass++ {
 		for _, tc := range cases {
 			want := Validate(tc.pub, tc.body, tc.digest, tc.chk, h)
-			got := v.Validate(tc.pub, tc.body, tc.digest, tc.chk)
+			got := validate(v, tc.pub, tc.body, tc.digest, tc.chk)
 			if !errors.Is(got, want) && (got == nil) != (want == nil) {
 				t.Fatalf("pass %d, %s: Verifier=%v, Validate=%v", pass, tc.name, got, want)
 			}
@@ -70,7 +83,7 @@ func TestVerifierRotationRevokes(t *testing.T) {
 	body := []byte("READ obj=42")
 	dig := cap.SignRequest(body)
 
-	if err := v.Validate(cap.Public, body, dig, baseCheck()); err != nil {
+	if err := validate(v, cap.Public, body, dig, baseCheck()); err != nil {
 		t.Fatalf("pre-rotation validate: %v", err)
 	}
 	if v.Cache().Len() == 0 {
@@ -79,7 +92,7 @@ func TestVerifierRotationRevokes(t *testing.T) {
 	if _, err := h.RotateWorkingKey(1); err != nil {
 		t.Fatal(err)
 	}
-	if err := v.Validate(cap.Public, body, dig, baseCheck()); !errors.Is(err, ErrNoKey) {
+	if err := validate(v, cap.Public, body, dig, baseCheck()); !errors.Is(err, ErrNoKey) {
 		t.Fatalf("post-rotation validate = %v, want ErrNoKey (cached entry must not bypass rotation)", err)
 	}
 
@@ -91,7 +104,7 @@ func TestVerifierRotationRevokes(t *testing.T) {
 	}
 	pub := basePublic(nid)
 	ncap := Mint(pub, nk)
-	if err := v.Validate(ncap.Public, body, ncap.SignRequest(body), baseCheck()); err != nil {
+	if err := validate(v, ncap.Public, body, ncap.SignRequest(body), baseCheck()); err != nil {
 		t.Fatalf("post-rotation fresh capability rejected: %v", err)
 	}
 }
@@ -111,20 +124,20 @@ func TestVerifierKeyReplacementRecomputes(t *testing.T) {
 	pub := basePublic(driveID)
 	cap := Mint(pub, dk)
 	body := []byte("READ obj=42")
-	if err := v.Validate(cap.Public, body, cap.SignRequest(body), baseCheck()); err != nil {
+	if err := validate(v, cap.Public, body, cap.SignRequest(body), baseCheck()); err != nil {
 		t.Fatalf("validate under original drive key: %v", err)
 	}
 	// Replace the drive key in place (same KeyID).
 	if err := h.SetKey(driveID, crypt.NewRandomKey()); err != nil {
 		t.Fatal(err)
 	}
-	if err := v.Validate(cap.Public, body, cap.SignRequest(body), baseCheck()); !errors.Is(err, ErrBadDigest) {
+	if err := validate(v, cap.Public, body, cap.SignRequest(body), baseCheck()); !errors.Is(err, ErrBadDigest) {
 		t.Fatalf("capability under replaced key = %v, want ErrBadDigest", err)
 	}
 	// And a capability minted under the replacement is accepted.
 	nk, _ := h.Lookup(driveID)
 	ncap := Mint(pub, nk)
-	if err := v.Validate(ncap.Public, body, ncap.SignRequest(body), baseCheck()); err != nil {
+	if err := validate(v, ncap.Public, body, ncap.SignRequest(body), baseCheck()); err != nil {
 		t.Fatalf("capability under replacement key rejected: %v", err)
 	}
 }

@@ -246,8 +246,7 @@ var spanNames = func() (names [drive.OpGetStats + 1]string) {
 }()
 
 // signFunc signs req: it may encode into buf, a pooled buffer of at
-// least 256 bytes plus the argument record's length that the attempt
-// owns until its call returns.
+// least 256 bytes that the attempt owns until its call returns.
 type signFunc func(req *rpc.Request, buf []byte)
 
 // do issues one logical request under the retry policy. Every call
@@ -341,7 +340,7 @@ func (d *Drive) attempt(ctx context.Context, op drive.Op, sign signFunc, args, d
 	}
 	if d.secure {
 		req.SecOpts = rpc.SecIntegrity
-		buf := bufpool.Get(256 + len(args))
+		buf := bufpool.Get(256)
 		defer bufpool.Put(buf)
 		sign(req, buf[:0])
 	}
@@ -378,13 +377,13 @@ func (d *Drive) signer(key crypt.Key) *crypt.Signer {
 }
 
 // call issues a capability-authorized request: the capability's public
-// half and then the signing body are encoded into the attempt's buffer.
+// half is encoded into the attempt's buffer, and the request is signed
+// under its private half.
 func (d *Drive) call(ctx context.Context, op drive.Op, cap *capability.Capability, args, data []byte) (*rpc.Reply, error) {
 	return d.do(ctx, op, func(req *rpc.Request, buf []byte) {
 		if cap != nil {
 			req.Cap = cap.Public.Append(buf)
-			body := req.AppendSigningBody(req.Cap[len(req.Cap):])
-			req.ReqDig = d.signer(cap.Private).MAC(body)
+			req.Sign(d.signer(cap.Private))
 		}
 	}, args, data)
 }
@@ -392,8 +391,8 @@ func (d *Drive) call(ctx context.Context, op drive.Op, cap *capability.Capabilit
 // callAdmin signs a management request directly under key (master or
 // drive key held by an administrator or file manager).
 func (d *Drive) callAdmin(ctx context.Context, op drive.Op, key crypt.Key, args, data []byte) (*rpc.Reply, error) {
-	return d.do(ctx, op, func(req *rpc.Request, buf []byte) {
-		req.ReqDig = d.signer(key).MAC(req.AppendSigningBody(buf))
+	return d.do(ctx, op, func(req *rpc.Request, _ []byte) {
+		req.Sign(d.signer(key))
 	}, args, data)
 }
 

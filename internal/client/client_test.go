@@ -323,23 +323,37 @@ func TestTamperedRequestRejected(t *testing.T) {
 	r.mkpart(t, 1, 0)
 	createCap := r.mint(t, 1, 0, 0, capability.CreateObj)
 	id, _ := r.cli.Create(testCtx, &createCap, 1)
-	w := r.mint(t, 1, id, 1, capability.Write)
+	w := r.mint(t, 1, id, 1, capability.Write|capability.Read)
+	signer := crypt.NewSigner(w.Private)
 
-	// Hand-build a request whose digest covers different data than it
-	// carries (a man-in-the-middle swapped the payload).
+	// write builds a write of "genuine" and signs it the way the client
+	// does, under the capability's private portion.
 	args := (&drive.WriteArgs{Partition: 1, Object: id, Offset: 0}).Encode()
-	req := &rpc.Request{
-		Proc:  uint16(drive.OpWriteObject),
-		Args:  args,
-		Data:  []byte("genuine"),
-		Nonce: crypt.Nonce{Client: 555, Counter: 1},
+	write := func(counter uint64) *rpc.Request {
+		req := &rpc.Request{
+			Proc:  uint16(drive.OpWriteObject),
+			Cap:   w.Public.Encode(),
+			Args:  args,
+			Data:  []byte("genuine"),
+			Nonce: crypt.Nonce{Client: 555, Counter: counter},
+		}
+		req.Sign(signer)
+		return req
 	}
-	req.Cap = w.Public.Encode()
-	req.ReqDig = w.SignRequest(req.SigningBody())
-	req.Data = []byte("swapped") // tamper after signing
-	rep := r.drv.Handle(req)
-	if rep.Status != rpc.StatusAuthFailure {
+	// Control: the request as signed is accepted.
+	if rep := r.drv.Handle(write(1)); rep.Status != rpc.StatusOK {
+		t.Fatalf("untampered write: %v %s", rep.Status, rep.Msg)
+	}
+	// A man-in-the-middle swaps the payload of the same request after
+	// signing.
+	req := write(2)
+	req.Data = []byte("swapped")
+	if rep := r.drv.Handle(req); rep.Status != rpc.StatusAuthFailure {
 		t.Fatalf("tampered payload status = %v", rep.Status)
+	}
+	got, err := r.cli.Read(testCtx, &w, 1, id, 0, 7)
+	if err != nil || string(got) != "genuine" {
+		t.Fatalf("object holds %q, %v; want the untampered payload", got, err)
 	}
 }
 
@@ -357,7 +371,7 @@ func TestReplayRejected(t *testing.T) {
 		Nonce: crypt.Nonce{Client: 777, Counter: 42},
 	}
 	req.Cap = rd.Public.Encode()
-	req.ReqDig = rd.SignRequest(req.SigningBody())
+	req.Sign(crypt.NewSigner(rd.Private))
 	if rep := r.drv.Handle(req); rep.Status != rpc.StatusOK {
 		t.Fatalf("first use: %v %s", rep.Status, rep.Msg)
 	}

@@ -100,3 +100,63 @@ func TestConcurrentClientsOneDrive(t *testing.T) {
 		t.Fatalf("negative usage: %d", p.UsedBlocks)
 	}
 }
+
+// TestConcurrentWritersShareCapability runs writers that share one
+// capability, and so one cached signer on each side: the client's, which
+// signs, and the drive's, which verifies. Payload tags are computed
+// outside the signer's digest lock, so under -race this checks that
+// tagging touches no shared mutable state, and the read-back checks that
+// no writer's tag or digest was computed over another's payload.
+func TestConcurrentWritersShareCapability(t *testing.T) {
+	r := newRig(t, true)
+	r.mkpart(t, 1, 0)
+	createCap := r.mint(t, 1, 0, 0, capability.CreateObj)
+	obj, err := r.cli.Create(testCtx, &createCap, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rw := r.mint(t, 1, obj, 1, capability.Read|capability.Write)
+	conn, err := r.listener.Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := New(conn, 7, 1002)
+	defer other.Close()
+
+	const writers, rounds, region = 4, 8, 16 << 10
+	var wg sync.WaitGroup
+	errs := make([]error, writers)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			cli := r.cli
+			if w%2 == 1 {
+				cli = other
+			}
+			for i := 0; i < rounds; i++ {
+				payload := bytes.Repeat([]byte{byte(w*rounds + i)}, region)
+				if err := cli.Write(testCtx, &rw, 1, obj, uint64(w*region), payload); err != nil {
+					errs[w] = fmt.Errorf("writer %d round %d: %w", w, i, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := r.cli.Read(testCtx, &rw, 1, obj, 0, writers*region)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for w := 0; w < writers; w++ {
+		want := bytes.Repeat([]byte{byte(w*rounds + rounds - 1)}, region)
+		if !bytes.Equal(got[w*region:(w+1)*region], want) {
+			t.Fatalf("writer %d's region does not hold its last payload", w)
+		}
+	}
+}

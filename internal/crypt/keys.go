@@ -7,6 +7,9 @@
 // We substitute HMAC-SHA256 from the standard library — the modern
 // realization of the keyed digests [Bellare96] the design calls for —
 // and allow per-drive disabling exactly as the paper's measurements did.
+// Bulk payloads enter a digest as an AES-GMAC tag (Signer.AppendTag):
+// the AES and carry-less-multiply units of today's CPUs are the MAC
+// hardware the paper assumed.
 package crypt
 
 import (

@@ -1,6 +1,7 @@
 package crypt
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -41,15 +42,54 @@ func TestSignerConcurrent(t *testing.T) {
 			defer wg.Done()
 			msg := []byte(fmt.Sprintf("goroutine-%d", g))
 			want := MAC(k, msg)
+			n := Nonce{Client: uint64(g), Counter: 1}
+			wantTag := NewSigner(k).AppendTag(nil, n, msg)
+			buf := make([]byte, 0, TagSize+64)
 			for i := 0; i < 200; i++ {
 				if s.MAC(msg) != want {
 					t.Errorf("goroutine %d: digest changed under concurrency", g)
+					return
+				}
+				if !bytes.Equal(s.AppendTag(buf, n, msg), wantTag) {
+					t.Errorf("goroutine %d: tag changed under concurrency", g)
 					return
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestSignerTag: a payload tag depends on the key, the nonce and every
+// payload byte, is appended after what dst holds, and is not keyed by
+// the HMAC key itself.
+func TestSignerTag(t *testing.T) {
+	k := NewRandomKey()
+	s := NewSigner(k)
+	n := Nonce{Client: 1, Counter: 2}
+	payload := make([]byte, 1000)
+	tag := s.AppendTag([]byte("prefix"), n, payload)
+	if len(tag) != len("prefix")+TagSize || string(tag[:6]) != "prefix" {
+		t.Fatalf("AppendTag(prefix) = %x: want the prefix and %d tag bytes", tag, TagSize)
+	}
+	tag = tag[6:]
+	if !bytes.Equal(NewSigner(k).AppendTag(nil, n, payload), tag) {
+		t.Fatal("two signers under one key tag one payload differently")
+	}
+	payload[len(payload)-1] ^= 1
+	if bytes.Equal(s.AppendTag(nil, n, payload), tag) {
+		t.Fatal("tag ignores the payload's last byte")
+	}
+	payload[len(payload)-1] ^= 1
+	if bytes.Equal(s.AppendTag(nil, Nonce{Client: 1, Counter: 3}, payload), tag) {
+		t.Fatal("tag ignores the nonce")
+	}
+	if bytes.Equal(NewSigner(NewRandomKey()).AppendTag(nil, n, payload), tag) {
+		t.Fatal("tag ignores the key")
+	}
+	if payloadKey(k) == k {
+		t.Fatal("payload key equals the HMAC key")
+	}
 }
 
 func TestDigestCacheLRU(t *testing.T) {

@@ -210,11 +210,12 @@ func (d *Drive) authorize(req *rpc.Request, ph *phases, part uint16, obj uint64,
 	ph.setTenant(pub.Partition)
 	chk := capability.Check{
 		DriveID: d.id, Part: part, Object: obj, ObjVer: curVer,
-		Op: op, Offset: off, Length: length, Now: time.Now(),
+		Op: op, Offset: off, Length: length, Now: start,
 	}
-	body := req.AppendSigningBody(bufpool.Get(96 + len(req.Cap) + len(req.Args)))
-	err = d.verifier.Validate(pub, body, req.ReqDig, chk)
-	bufpool.Put(body)
+	signer, err := d.verifier.Signer(pub, chk)
+	if err == nil && !req.Verify(signer) {
+		err = capability.ErrBadDigest
+	}
 	if err != nil {
 		st := rpc.StatusAuthFailure
 		if errors.Is(err, capability.ErrExpired) {
@@ -244,10 +245,8 @@ func (d *Drive) authorizeAdmin(req *rpc.Request, ph *phases, ref KeyRef) *rpc.Re
 	if err != nil {
 		return rpc.Errorf(req.MsgID, rpc.StatusAuthFailure, "unknown key %v", id)
 	}
-	body := req.AppendSigningBody(bufpool.Get(96 + len(req.Cap) + len(req.Args)))
-	ok := crypt.Verify(key, body, req.ReqDig)
-	bufpool.Put(body)
-	if !ok {
+	// Management requests are rare: each builds its signer afresh.
+	if !req.Verify(crypt.NewSigner(key)) {
 		return rpc.Errorf(req.MsgID, rpc.StatusAuthFailure, "bad management digest")
 	}
 	return d.checkNonce(req)

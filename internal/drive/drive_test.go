@@ -1,11 +1,14 @@
 package drive
 
 import (
+	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 	"time"
 
 	"nasd/internal/blockdev"
+	"nasd/internal/capability"
 	"nasd/internal/crypt"
 	"nasd/internal/rpc"
 	"nasd/internal/telemetry"
@@ -196,5 +199,72 @@ func TestStatsReplyBounded(t *testing.T) {
 			t.Errorf("%s: reply carries %d spans + %d events, want exactly the cap %d",
 				tc.name, len(sr.Spans), len(sr.Events), telemetry.MaxTraceResponse)
 		}
+	}
+}
+
+// TestTamperedWriteRefused takes one correctly signed write and, for
+// every field the request digest covers, changes one byte and hands the
+// result to the drive: each must fail the digest, the payload included,
+// and the untampered request must pass. Each mutation keeps the request
+// well-formed and within the capability's policy, so the digest is the
+// only check that can catch it.
+func TestTamperedWriteRefused(t *testing.T) {
+	d, err := NewFormat(blockdev.NewMemDisk(4096, 2048), Config{ID: 1, Master: crypt.NewRandomKey(), Secure: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Store().CreatePartition(1, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Keys().AddPartition(1); err != nil {
+		t.Fatal(err)
+	}
+	obj, err := d.Store().Create(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kid, key, _ := d.Keys().CurrentWorkingKey(1)
+	// GetAttr rights let the Proc mutation (write to getattr) pass the
+	// rights check and reach the digest.
+	cap := capability.Mint(capability.Public{
+		DriveID: 1, Partition: 1, Object: obj, ObjVer: 1,
+		Rights: capability.Write | capability.GetAttr,
+		Expiry: time.Now().Add(time.Hour).UnixNano(), Key: kid,
+	}, key)
+	signer := crypt.NewSigner(cap.Private)
+	counter := uint64(0)
+	signed := func() *rpc.Request {
+		counter++
+		req := &rpc.Request{
+			Proc:  uint16(OpWriteObject),
+			Cap:   cap.Public.Encode(),
+			Args:  (&WriteArgs{Partition: 1, Object: obj, Offset: 4096}).Encode(),
+			Data:  bytes.Repeat([]byte{0xA5}, 64<<10),
+			Nonce: crypt.Nonce{Client: 9, Counter: counter},
+		}
+		req.Sign(signer)
+		return req
+	}
+	cases := []struct {
+		name   string
+		tamper func(*rpc.Request)
+	}{
+		{"data", func(r *rpc.Request) { r.Data[len(r.Data)/2] ^= 1 }},
+		{"args", func(r *rpc.Request) { r.Args[10] ^= 1 }}, // the offset's low byte
+		{"cap", func(r *rpc.Request) { r.Cap[46] ^= 1 }},   // the expiry's low byte
+		{"proc", func(r *rpc.Request) { r.Proc ^= 1 }},     // write to getattr
+		{"nonce client", func(r *rpc.Request) { r.Nonce.Client ^= 1 }},
+		{"nonce counter", func(r *rpc.Request) { r.Nonce.Counter += 1 << 8 }},
+	}
+	for _, tc := range cases {
+		req := signed()
+		tc.tamper(req)
+		rep := d.Handle(req)
+		if rep.Status != rpc.StatusAuthFailure || !strings.Contains(rep.Msg, "digest") {
+			t.Errorf("%s changed: %v %q, want a digest auth-failure", tc.name, rep.Status, rep.Msg)
+		}
+	}
+	if rep := d.Handle(signed()); rep.Status != rpc.StatusOK {
+		t.Fatalf("untampered write: %v %s", rep.Status, rep.Msg)
 	}
 }

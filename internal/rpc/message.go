@@ -1,7 +1,6 @@
 package rpc
 
 import (
-	"crypto/sha256"
 	"errors"
 	"fmt"
 	"time"
@@ -84,7 +83,7 @@ func (s Status) String() string {
 // TraceContext is the span context a request carries for cross-layer
 // tracing: the trace ID naming the end-to-end operation and the
 // caller's span ID, which becomes the parent of the server-side span.
-// It travels outside the signed body (see Request.SigningBody) — it is
+// It travels outside the signed body (see Request.Sign) — it is
 // observability metadata, not an authorization input, and keeping it
 // unsigned lets middleboxes or future proxies restamp it without
 // holding capability keys.
@@ -114,28 +113,36 @@ type Request struct {
 	ReqDig     crypt.Digest // keyed by the capability's private portion
 }
 
-// SigningBody returns the byte string the request digest covers: the
-// procedure, capability, args, nonce, and a hash of the bulk data (so
-// data tampering is caught without digesting the data twice).
-func (r *Request) SigningBody() []byte {
-	return r.AppendSigningBody(nil)
+// Sign sets r.ReqDig to s's digest of r's signing body.
+func (r *Request) Sign(s *crypt.Signer) {
+	body := r.signingBody(s)
+	r.ReqDig = s.MAC(body)
+	bufpool.Put(body)
 }
 
-// AppendSigningBody appends the signing body to buf (which may be a
-// pooled buffer; nil allocates) and returns the extended slice. Hot
-// paths sign and verify per request, so reusing buf keeps the digest
-// phase allocation-free.
-func (r *Request) AppendSigningBody(buf []byte) []byte {
+// Verify reports, in constant time, whether r.ReqDig is s's digest of
+// r's signing body.
+func (r *Request) Verify(s *crypt.Signer) bool {
+	body := r.signingBody(s)
+	defer bufpool.Put(body)
+	return s.Verify(body, r.ReqDig)
+}
+
+// signingBody returns, in a pooled buffer for the caller to put back,
+// the byte string the request digest covers: the procedure, capability,
+// args, nonce, and the payload's length and GMAC tag under s. The tag
+// is only ever an input to the digest, so a substituted payload
+// verifies only on a GHASH collision under a key no attacker sees.
+func (r *Request) signingBody(s *crypt.Signer) []byte {
 	var e Encoder
-	e.Reset(buf)
+	e.Reset(bufpool.Get(96 + len(r.Cap) + len(r.Args))) // room for the tag and its staged nonce
 	e.U16(r.Proc)
 	e.Bytes32(r.Cap)
 	e.Bytes32(r.Args)
 	e.U64(r.Nonce.Client)
 	e.U64(r.Nonce.Counter)
-	sum := sha256.Sum256(r.Data)
-	e.Raw(sum[:])
-	return e.Bytes()
+	e.U32(uint32(len(r.Data)))
+	return s.AppendTag(e.Bytes(), r.Nonce, r.Data)
 }
 
 // Reply is one NASD RPC reply.

@@ -133,15 +133,32 @@ func TestRequestRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestSigningBodyCoversData(t *testing.T) {
-	r1 := &Request{Proc: 1, Args: []byte("a"), Data: []byte("data1")}
-	r2 := &Request{Proc: 1, Args: []byte("a"), Data: []byte("data2")}
-	if bytes.Equal(r1.SigningBody(), r2.SigningBody()) {
-		t.Fatal("signing body ignores data")
+// TestRequestDigestKnownAnswer pins the request digest of one fixed
+// request under one fixed key. The drive-level tamper tests show each
+// field is covered; this vector shows the construction itself did not
+// change: HMAC-SHA256 over the procedure, capability, args, nonce,
+// payload length and the payload's GMAC tag under the derived payload
+// key. A change that drops the payload from the digest, or alters how
+// it is bound, changes this value and so breaks every deployed peer.
+func TestRequestDigestKnownAnswer(t *testing.T) {
+	var key crypt.Key
+	for i := range key {
+		key[i] = byte(i)
 	}
-	r3 := &Request{Proc: 2, Args: []byte("a"), Data: []byte("data1")}
-	if bytes.Equal(r1.SigningBody(), r3.SigningBody()) {
-		t.Fatal("signing body ignores proc")
+	req := &Request{
+		Proc:  2,
+		Cap:   []byte("capability public portion"),
+		Args:  []byte{1, 0, 42, 0, 0, 0, 0, 0, 0, 0, 0, 16, 0, 0, 0, 0, 0, 0},
+		Data:  bytes.Repeat([]byte("payload "), 1000),
+		Nonce: crypt.Nonce{Client: 0x0102030405060708, Counter: 42},
+	}
+	req.Sign(crypt.NewSigner(key))
+	const want = "e0ee628efa25c198802322eda41f2f9ac3a3f356f9f67047ef3c5b419df5de7c"
+	if got := fmt.Sprintf("%x", req.ReqDig); got != want {
+		t.Fatalf("request digest = %s, want %s", got, want)
+	}
+	if !req.Verify(crypt.NewSigner(key)) {
+		t.Fatal("a fresh signer under the same key rejects the digest")
 	}
 }
 

@@ -140,6 +140,12 @@ go test -run '^$' -fuzz '^FuzzPartitionTable$' -fuzztime 10s ./internal/object
 echo "==> go test -run '^\$' -fuzz '^FuzzProtoDecode\$' -fuzztime 10s ./internal/drive"
 go test -run '^$' -fuzz '^FuzzProtoDecode$' -fuzztime 10s ./internal/drive
 
+# A drive's first look at a request's untrusted bytes is the frame
+# decode: fuzz it, checking that every view it returns stays inside the
+# frame.
+echo "==> go test -run '^\$' -fuzz '^FuzzDecodedViewsWithinFrame\$' -fuzztime 10s ./internal/rpc"
+go test -run '^$' -fuzz '^FuzzDecodedViewsWithinFrame$' -fuzztime 10s ./internal/rpc
+
 # The capability's public half is the trust boundary: the drive decodes
 # it from every request, qos before authorization. Fuzz the decode and
 # its round trip through both encoders.
