@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"container/list"
 	"slices"
 	"sync"
 
@@ -27,14 +26,20 @@ func (s *Stats) add(o Stats) {
 	s.WriteBacks += o.WriteBacks
 }
 
+// entry is a block's slot in its shard. In the map it is either
+// resident, with a buffer and a place on the LRU, or filling: claimed by
+// a fill or a write, with neither, and absent to every reader until the
+// claimer installs it. Out of the map it waits, without a buffer, on the
+// shard's free list for the next claim.
 type entry struct {
-	block int64
-	data  []byte
-	dirty bool
+	block      int64
+	data       []byte
+	prev, next *entry // the LRU's links; next alone links the free list
+	filling    bool
+	dirty      bool
 	// writing: a write-back is handing a copy of data to the device.
 	// The entry stays resident meanwhile; a write sets dirty again.
 	writing bool
-	elem    *list.Element
 }
 
 // DefaultShards is how many independently locked shards New creates
@@ -66,16 +71,18 @@ type BlockCache struct {
 type cacheShard struct {
 	mu       sync.Mutex
 	capacity int
+	// entries holds the resident blocks and the claimed ones: those a
+	// fill is reading from the device, and the absent block a write is
+	// making room for. A claimed (filling) entry stays absent until it
+	// is installed: readers wait for or skip it, writers wait (await).
+	// filled is broadcast as each claim, and each writing mark, is
+	// released.
 	entries  map[int64]*entry
-	lru      *list.List // front = most recent
-	// filling holds the blocks a fill has claimed and is reading from
-	// the device, and the absent block a write is making room for. A
-	// claimed block stays absent until it is installed: readers wait for
-	// or skip it, writers wait (await). filled is broadcast as each
-	// claim, and each entry's writing mark, is released.
-	filling map[int64]struct{}
-	filled  sync.Cond
-	stats   Stats
+	resident int   // entries not filling: what Len and capacity count
+	lru      entry // sentinel: lru.next is the most recent entry
+	free     *entry
+	filled   sync.Cond
+	stats    Stats
 }
 
 // New returns a cache holding up to capacity blocks of dev, sharded
@@ -106,12 +113,8 @@ func NewSharded(dev blockdev.Device, capacity, shards int) *BlockCache {
 		if i < capacity%shards {
 			per++
 		}
-		sh := &cacheShard{
-			capacity: per,
-			entries:  make(map[int64]*entry),
-			lru:      list.New(),
-			filling:  make(map[int64]struct{}),
-		}
+		sh := &cacheShard{capacity: per, entries: make(map[int64]*entry)}
+		sh.lru.prev, sh.lru.next = &sh.lru, &sh.lru
 		sh.filled.L = &sh.mu
 		c.shards[i] = sh
 	}
@@ -148,7 +151,7 @@ func (c *BlockCache) Len() int {
 	n := 0
 	for _, sh := range c.shards {
 		c.meter.Lock(&sh.mu)
-		n += len(sh.entries)
+		n += sh.resident
 		sh.mu.Unlock()
 	}
 	return n
@@ -171,12 +174,47 @@ func (c *BlockCache) Contains(block int64) bool {
 	sh := c.shardOf(block)
 	c.meter.Lock(&sh.mu)
 	defer sh.mu.Unlock()
-	_, ok := sh.entries[block]
-	return ok
+	e := sh.entries[block]
+	return e != nil && !e.filling
 }
 
-// touch must be called with the shard mutex held.
-func (sh *cacheShard) touch(e *entry) { sh.lru.MoveToFront(e.elem) }
+// touch makes e the most recently used entry, linking it into the LRU
+// if it is not there yet. It, claim and drop are called with the shard
+// mutex held.
+func (sh *cacheShard) touch(e *entry) {
+	if e.prev != nil {
+		e.prev.next, e.next.prev = e.next, e.prev
+	}
+	e.prev, e.next = &sh.lru, sh.lru.next
+	e.prev.next, e.next.prev = e, e
+}
+
+// claim puts block in the map as a filling entry, taken from the free
+// list where it has one.
+func (sh *cacheShard) claim(block int64) *entry {
+	if sh.free == nil {
+		sh.free = new(entry)
+	}
+	e := sh.free
+	sh.free = e.next
+	*e = entry{block: block, filling: true}
+	sh.entries[block] = e
+	return e
+}
+
+// drop takes e out of the map, and off the LRU if resident, onto the
+// free list, and returns its buffer, which the caller now owns.
+func (sh *cacheShard) drop(e *entry) []byte {
+	delete(sh.entries, e.block)
+	if !e.filling {
+		e.prev.next, e.next.prev = e.next, e.prev
+		sh.resident--
+	}
+	data := e.data
+	*e = entry{next: sh.free}
+	sh.free = e
+	return data
+}
 
 // await returns once no fill holds a claim on block and, with writeBack
 // set, no write-back of it is in flight. Caller holds the shard mutex
@@ -184,43 +222,49 @@ func (sh *cacheShard) touch(e *entry) { sh.lru.MoveToFront(e.elem) }
 // waits cannot cycle.
 func (sh *cacheShard) await(block int64, writeBack bool) {
 	for {
-		_, filling := sh.filling[block]
-		if e := sh.entries[block]; !filling && !(writeBack && e != nil && e.writing) {
+		e := sh.entries[block]
+		if e == nil || !e.filling && !(writeBack && e.writing) {
 			return
 		}
 		sh.filled.Wait()
 	}
 }
 
-// insert adds a pooled copy of src as block, which the caller holds the
-// fill claim of, evicting as needed. Caller holds the shard mutex; it is
-// released while a dirty victim is written back, hence the claim.
-func (c *BlockCache) insert(sh *cacheShard, block int64, src []byte, dirty bool) error {
-	for len(sh.entries) >= sh.capacity {
-		if err := c.evictOldest(sh); err != nil {
+// install makes e, the caller's claim, resident with a copy of src,
+// evicting as needed; a clean victim's buffer takes the copy. Caller
+// holds the shard mutex; it is released while a dirty victim is written
+// back, hence the claim.
+func (c *BlockCache) install(sh *cacheShard, e *entry, src []byte, dirty bool) error {
+	var data []byte
+	for sh.resident >= sh.capacity {
+		var err error
+		if data, err = c.evictOldest(sh); err != nil {
 			return err
 		}
 	}
-	e := &entry{block: block, data: bufpool.Get(len(src)), dirty: dirty}
-	copy(e.data, src)
-	e.elem = sh.lru.PushFront(e)
-	sh.entries[block] = e
+	if data == nil {
+		data = bufpool.Get(len(src))
+	}
+	copy(data, src)
+	e.data, e.filling, e.dirty = data, false, dirty
+	sh.touch(e)
+	sh.resident++
 	return nil
 }
 
 // evictOldest removes the shard's least recently used entry that is in
-// no write-back. A dirty victim is not removed: the run of dirty blocks
-// around it is written back, shard unlocked, and the caller looks again.
-func (c *BlockCache) evictOldest(sh *cacheShard) error {
-	back := sh.lru.Back()
-	for back != nil && back.Value.(*entry).writing {
-		back = back.Prev()
+// no write-back and returns its buffer. A dirty victim is not removed:
+// the run of dirty blocks around it is written back, shard unlocked,
+// and the caller looks again.
+func (c *BlockCache) evictOldest(sh *cacheShard) ([]byte, error) {
+	e := sh.lru.prev
+	for e != &sh.lru && e.writing {
+		e = e.prev
 	}
-	if back == nil {
+	if e == &sh.lru {
 		sh.filled.Wait() // every entry is in flight: one will land
-		return nil
+		return nil, nil
 	}
-	e := back.Value.(*entry)
 	if e.dirty {
 		lo, hi := e.block, e.block+1
 		sh.mu.Unlock()
@@ -232,15 +276,11 @@ func (c *BlockCache) evictOldest(sh *cacheShard) error {
 		}
 		err := c.writeBack(lo, int(hi-lo), false)
 		c.meter.Lock(&sh.mu)
-		return err
+		return nil, err
 	}
-	sh.lru.Remove(back)
-	delete(sh.entries, e.block)
 	sh.stats.Evictions++
 	// Clean, and nothing references its memory outside the shard lock.
-	bufpool.Put(e.data)
-	e.data = nil
-	return nil
+	return sh.drop(e), nil
 }
 
 // ReadBlock reads block through the cache into buf: the one-block case
@@ -280,8 +320,8 @@ const (
 )
 
 // read is the cache's one read path. It walks the n blocks from first:
-// a resident block is copied out, an absent one is claimed in its
-// shard's filling set, and each maximal run of blocks claimed here is
+// a resident block is copied out, an absent one is claimed as a filling
+// entry in its shard, and each maximal run of blocks claimed here is
 // fetched by one fill. The claim is what keeps a block from being read
 // from the device twice at once, and from being written while the
 // bytes read for it are older than the write. A demand read (dst !=
@@ -339,7 +379,12 @@ func (c *BlockCache) probe(block int64, i, off int, dst []byte) int {
 	sh := c.shardOf(block)
 	c.meter.Lock(&sh.mu)
 	defer sh.mu.Unlock()
-	if e, ok := sh.entries[block]; ok {
+	switch e := sh.entries[block]; {
+	case e == nil:
+		sh.claim(block)
+	case e.filling:
+		return blockBusy
+	default:
 		if dst != nil {
 			sh.touch(e)
 			sh.stats.Hits++
@@ -347,10 +392,6 @@ func (c *BlockCache) probe(block int64, i, off int, dst []byte) int {
 		}
 		return blockIdle
 	}
-	if _, ok := sh.filling[block]; ok {
-		return blockBusy
-	}
-	sh.filling[block] = struct{}{}
 	if dst != nil {
 		sh.stats.Misses++
 	}
@@ -375,17 +416,20 @@ func (c *BlockCache) fill(start int64, n, i, off int, dst, stage []byte) (instal
 		block := start + int64(j)
 		sh := c.shardOf(block)
 		c.meter.Lock(&sh.mu)
-		if data := stage[j*bs : (j+1)*bs]; err == nil {
-			if err = c.insert(sh, block, data, false); err == nil {
-				installed++
-				if dst != nil {
-					copyOut(dst, off, i+j, data)
-				} else {
-					sh.stats.Prefetches++
-				}
-			}
+		e := sh.entries[block]
+		if err == nil {
+			err = c.install(sh, e, stage[j*bs:(j+1)*bs], false)
 		}
-		delete(sh.filling, block)
+		switch {
+		case err != nil:
+			sh.drop(e)
+		case dst != nil:
+			installed++
+			copyOut(dst, off, i+j, e.data)
+		default:
+			installed++
+			sh.stats.Prefetches++
+		}
 		sh.mu.Unlock()
 		sh.filled.Broadcast()
 	}
@@ -417,15 +461,17 @@ func (c *BlockCache) WriteBlock(block int64, buf []byte) error {
 	c.meter.Lock(&sh.mu)
 	defer sh.mu.Unlock()
 	sh.await(block, false)
-	if e, ok := sh.entries[block]; ok {
+	if e := sh.entries[block]; e != nil {
 		copy(e.data, buf)
 		e.dirty = true
 		sh.touch(e)
 		return nil
 	}
-	sh.filling[block] = struct{}{}
-	err := c.insert(sh, block, buf, true)
-	delete(sh.filling, block)
+	e := sh.claim(block)
+	err := c.install(sh, e, buf, true)
+	if err != nil {
+		sh.drop(e)
+	}
 	sh.filled.Broadcast()
 	return err
 }
@@ -438,11 +484,8 @@ func (c *BlockCache) Invalidate(block int64) {
 	c.meter.Lock(&sh.mu)
 	defer sh.mu.Unlock()
 	sh.await(block, true)
-	if e, ok := sh.entries[block]; ok {
-		sh.lru.Remove(e.elem)
-		delete(sh.entries, block)
-		bufpool.Put(e.data)
-		e.data = nil
+	if e := sh.entries[block]; e != nil {
+		bufpool.Put(sh.drop(e))
 	}
 }
 

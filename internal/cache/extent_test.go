@@ -140,6 +140,43 @@ func heldShard(c *BlockCache, skip int) int {
 	return -1
 }
 
+// checkShards walks every shard of c once its operations are done: no
+// claim is left behind, every entry on an LRU is the map's entry for its
+// block, the map holds nothing else, no entry on a free list keeps a
+// buffer, and Len counts the entries on the LRUs.
+func checkShards(t *testing.T, c *BlockCache) {
+	t.Helper()
+	onLRU := 0
+	for k, sh := range c.shards {
+		sh.mu.Lock()
+		for _, e := range sh.entries {
+			if e.filling {
+				t.Errorf("shard %d: block %d is still claimed", k, e.block)
+			}
+		}
+		n := 0
+		for e := sh.lru.next; e != &sh.lru; e = e.next {
+			if sh.entries[e.block] != e {
+				t.Errorf("shard %d: block %d is on the LRU but not in the map", k, e.block)
+			}
+			n++
+		}
+		if n != len(sh.entries) {
+			t.Errorf("shard %d: %d entries on the LRU, %d in the map", k, n, len(sh.entries))
+		}
+		for e := sh.free; e != nil; e = e.next {
+			if e.data != nil {
+				t.Errorf("shard %d: a free entry holds a buffer", k)
+			}
+		}
+		sh.mu.Unlock()
+		onLRU += n
+	}
+	if n := c.Len(); n != onLRU {
+		t.Errorf("Len() = %d, with %d entries on the LRUs", n, onLRU)
+	}
+}
+
 // TestExtentReadModel drives random writes, extent reads, prefetches
 // and flushes through caches of several shapes (one smaller than the
 // longest run) and compares every byte an extent read returns with a
@@ -213,6 +250,7 @@ func TestExtentReadModel(t *testing.T) {
 		if grew := bufpool.Outstanding() - before; grew != int64(c.Len()) {
 			t.Fatalf("cache %d/%d: pool outstanding grew by %d with %d blocks cached", shape.capacity, shape.shards, grew, c.Len())
 		}
+		checkShards(t, c)
 	}
 }
 
@@ -365,6 +403,7 @@ func TestExtentReadConcurrentWriters(t *testing.T) {
 				t.Fatalf("block %d on the device after Flush is version %d, want %d", b, buf[0], want[0])
 			}
 		}
+		checkShards(t, c)
 	}
 }
 
@@ -462,6 +501,88 @@ func TestClaimedBlocksAreNotReadTwice(t *testing.T) {
 	if blocks, _ := dev.Stats(); blocks != 12 {
 		t.Fatalf("device read %d blocks for 12 distinct ones", blocks)
 	}
+}
+
+// TestClaimedBlocksAreAbsent parks a fill inside the device. While it
+// is parked, the blocks it claimed are absent to Contains, Len and
+// DirtyCount, Flush neither writes nor waits for them, and a write or an
+// Invalidate of one waits for the install. A fill that fails leaves no
+// claim behind: a demand read of its blocks succeeds once the device
+// answers again.
+func TestClaimedBlocksAreAbsent(t *testing.T) {
+	const bs = 512
+	dev := &countingDev{MemDisk: blockdev.NewMemDisk(bs, 64), parked: make(chan struct{}), release: make(chan struct{})}
+	for b := int64(0); b < 16; b++ {
+		if err := dev.WriteBlock(b, fill(byte(b+1), bs)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := New(dev, 64)
+	dirtyBlocks(t, c, 20, 22, 0)
+	within := func(what string, done <-chan error) {
+		t.Helper()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s did not return", what)
+		}
+	}
+	read := make(chan error, 1)
+	go func() { read <- c.ReadRange(4, 0, make([]byte, 4*bs)) }()
+	<-dev.parked
+	for b := int64(4); b < 8; b++ {
+		if c.Contains(b) {
+			t.Fatalf("claimed block %d is resident before its fill lands", b)
+		}
+	}
+	if c.Len() != 2 || c.DirtyCount() != 2 {
+		t.Fatalf("with 4 blocks claimed: Len %d, DirtyCount %d, want 2 and 2", c.Len(), c.DirtyCount())
+	}
+	dev.resetWrites()
+	flushed := make(chan error, 1)
+	go func() { flushed <- c.Flush() }()
+	within("a Flush beside a parked fill", flushed)
+	if want := [][2]int64{{20, 2}}; !slices.Equal(dev.writeRuns, want) {
+		t.Fatalf("Flush beside a parked fill issued write calls {start, blocks} %v, want %v", dev.writeRuns, want)
+	}
+
+	wrote, invalidated := make(chan error, 1), make(chan error, 1)
+	go func() { wrote <- c.WriteBlock(5, fill(0x55, bs)) }()
+	go func() { c.Invalidate(6); invalidated <- nil }()
+	select {
+	case <-wrote:
+		t.Fatal("a write of a claimed block did not wait for its fill")
+	case <-invalidated:
+		t.Fatal("an Invalidate of a claimed block did not wait for its fill")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(dev.release)
+	within("the parked read", read)
+	within("the write of a claimed block", wrote)
+	within("the Invalidate of a claimed block", invalidated)
+	if !c.Contains(4) || !c.Contains(5) || c.Contains(6) || !c.Contains(7) || c.DirtyCount() != 1 {
+		t.Fatalf("after the fill: blocks 4-7 resident %v %v %v %v, %d dirty; want 6 alone invalidated and 5 dirty",
+			c.Contains(4), c.Contains(5), c.Contains(6), c.Contains(7), c.DirtyCount())
+	}
+	got := make([]byte, bs)
+	if err := c.ReadBlock(5, got); err != nil || got[0] != 0x55 {
+		t.Fatalf("block 5 reads %#x (%v), want the write that waited for the fill", got[0], err)
+	}
+
+	boom := errors.New("medium error")
+	dev.FailNext(10, boom)
+	if err := c.ReadRange(8, 0, make([]byte, 4*bs)); !errors.Is(err, boom) {
+		t.Fatalf("read over a failing block: %v, want the device's error", err)
+	}
+	if c.Len() != 5 {
+		t.Fatalf("Len %d after a failed fill, want the 5 blocks resident before it", c.Len())
+	}
+	go func() { read <- c.ReadRange(8, 0, make([]byte, 4*bs)) }()
+	within("a demand read of the blocks a failed fill claimed", read)
+	checkShards(t, c)
 }
 
 // TestDemandExtentReadKeepsDeviceError: a failed ranged fill returns

@@ -68,9 +68,10 @@ go test -race ./...
 # Allocation counts: the race detector allocates on its own, so the
 # tests that pin per-request allocations skip themselves above and run
 # here on a plain binary — the cached read end to end, with and without
-# qos in front, and a span and an exemplar, which every request makes.
-echo "==> go test -count=1 -run 'Allocs\$' . ./internal/telemetry (allocation counts, no -race)"
-go test -count=1 -run 'Allocs$' . ./internal/telemetry
+# qos in front, a span and an exemplar, which every request makes, and
+# the cache's bookkeeping for a miss, a prefetch and an absent write.
+echo "==> go test -count=1 -run 'Allocs\$' . ./internal/telemetry ./internal/cache (allocation counts, no -race)"
+go test -count=1 -run 'Allocs$' . ./internal/telemetry ./internal/cache
 
 # Fault-tolerance focus: rerun the fault/retry/failover tests by name so
 # a resilience regression is called out explicitly instead of hiding in
