@@ -148,3 +148,40 @@ func TestRequestSignAllocs(t *testing.T) {
 		t.Errorf("sign and verify allocate %.1f/op, want 0", avg)
 	}
 }
+
+// TestDriveWindowedReadAllocs pins what a windowed 512 KiB ReadInto
+// allocates beyond the eight one-fragment reads it is made of: the
+// fan-out itself (the window's span and cancelable context, its
+// workers, each started on its own fragment, and their shared state),
+// with no plan, semaphore or result slot per fragment.
+func TestDriveWindowedReadAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations of its own; run without -race")
+	}
+	cli, cap, obj := driveRigWith(t, true, false)
+	const frag, frags = 64 << 10, 8
+	dst := make([]byte, frags*frag)
+	ctx := context.Background()
+	windowed := func() {
+		if n, err := cli.ReadInto(ctx, &cap, 1, obj, 0, dst); err != nil || n != len(dst) {
+			t.Fatalf("windowed read: %d bytes, %v", n, err)
+		}
+	}
+	serial := func() {
+		for k := 0; k < frags; k++ {
+			if n, err := cli.ReadInto(ctx, &cap, 1, obj, uint64(k*frag), dst[k*frag:(k+1)*frag]); err != nil || n != frag {
+				t.Fatalf("fragment read %d: %d bytes, %v", k, n, err)
+			}
+		}
+	}
+	for i := 0; i < 4; i++ {
+		windowed()
+		serial()
+	}
+	extra := testing.AllocsPerRun(200, windowed) - testing.AllocsPerRun(200, serial)
+	// 27 when each fragment had a goroutine of its own, a plan entry
+	// and a result slot.
+	if extra > 16 {
+		t.Errorf("a windowed 512 KiB read allocates %.1f objects beyond its eight one-fragment reads, want <= 16", extra)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"nasd/internal/capability"
 	"nasd/internal/telemetry"
@@ -25,77 +26,82 @@ var (
 	keyBytes  = telemetry.NewKey("bytes")
 )
 
-// fragPlan describes one fragment of a pipelined transfer.
-type fragPlan struct {
-	index int
-	off   uint64 // object offset
-	start int    // offset into the caller's buffer
-	n     int
-}
-
-// planFragments splits [0, n) into fragSize pieces.
-func planFragments(off uint64, n, fragSize int) []fragPlan {
-	frags := make([]fragPlan, 0, (n+fragSize-1)/fragSize)
-	for start := 0; start < n; start += fragSize {
-		fn := n - start
-		if fn > fragSize {
-			fn = fragSize
-		}
-		frags = append(frags, fragPlan{index: len(frags), off: off + uint64(start), start: start, n: fn})
-	}
-	return frags
-}
-
-// runWindowed executes op over frags with at most d.window in flight,
-// canceling the remainder after the first failure. It returns the first
-// real (non-cancellation) error, or ctx's error if the caller canceled.
-// The window gets a parent span called name; each fragment's request
-// opens a child via ctx, so the timeline shows the fragments
-// overlapping in flight.
-func (d *Drive) runWindowed(ctx context.Context, name string, frags []fragPlan, bytes int, op func(ctx context.Context, f fragPlan) error) error {
+// runWindowed splits [0, n) into d.fragSize fragments, fragment i
+// covering [i*fragSize, min((i+1)*fragSize, n)), and calls op on each
+// with at most d.window in flight: min(window, fragments) workers, the
+// k-th started on fragment k, each taking the next index from one
+// counter when it is done. The first failure cancels the fragments not
+// yet issued and those in flight. It returns
+// how many bytes from 0 the fragments returned in full (op's count),
+// up to and including the first that came back short, and the first
+// real (non-cancellation) error by fragment index, or ctx's error if
+// the caller canceled, or the first cancellation. The window gets a
+// parent span called name; each fragment's request opens a child via
+// ctx, so the timeline shows the fragments overlapping in flight.
+func (d *Drive) runWindowed(ctx context.Context, name string, n int, op func(ctx context.Context, start, end int) (int, error)) (int, error) {
+	frags := (n + d.fragSize - 1) / d.fragSize
 	ctx, sp := d.spans.StartSpan(ctx, name)
-	sp.Int(keyFrags, int64(len(frags)))
+	sp.Int(keyFrags, int64(frags))
 	sp.Int(keyWindow, int64(d.window))
-	sp.Int(keyBytes, int64(bytes))
+	sp.Int(keyBytes, int64(n))
 	defer sp.End()
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	errs := make([]error, len(frags))
-	sem := make(chan struct{}, d.window)
-	var wg sync.WaitGroup
-	for _, f := range frags {
-		if cctx.Err() != nil {
-			break
-		}
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(f fragPlan) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if err := op(cctx, f); err != nil {
-				errs[f.index] = err
+	// w is what the workers share. fail and canceled are the lowest
+	// fragment indexes that failed for real or were canceled, short the
+	// lowest that returned short and got its count.
+	w := struct {
+		next                  atomic.Int64
+		wg                    sync.WaitGroup
+		mu                    sync.Mutex
+		fail, canceled, short int
+		failErr, cancelErr    error
+		got                   int
+	}{fail: frags, canceled: frags, short: frags}
+	worker := func(i int) {
+		defer w.wg.Done()
+		for ; i < frags && cctx.Err() == nil; i = int(w.next.Add(1) - 1) {
+			start, end := i*d.fragSize, min((i+1)*d.fragSize, n)
+			got, err := op(cctx, start, end)
+			w.mu.Lock()
+			if err != nil {
 				cancel()
+				if out, _ := Classify(err); out != Canceled && out != TimedOut {
+					if i < w.fail {
+						w.fail, w.failErr = i, err
+					}
+				} else if i < w.canceled {
+					w.canceled, w.cancelErr = i, err
+				}
+			} else if got < end-start && i < w.short {
+				w.short, w.got = i, got
 			}
-		}(f)
-	}
-	wg.Wait()
-	var firstCancel error
-	for _, err := range errs {
-		if err == nil {
-			continue
+			w.mu.Unlock()
 		}
-		if out, _ := Classify(err); out == Canceled || out == TimedOut {
-			if firstCancel == nil {
-				firstCancel = err
-			}
-			continue
-		}
-		return err
 	}
-	if err := ctx.Err(); err != nil {
-		return err
+	// A worker per fragment of the first window, started in index
+	// order, issues the window as a goroutine per fragment did. Taking
+	// first fragments from the counter in the order the workers happen
+	// to run raised the p99 latency of bench/'s stream_read_512k by 40 %
+	// on a 2-CPU host.
+	workers := min(d.window, frags)
+	w.next.Store(int64(workers))
+	w.wg.Add(workers)
+	for k := 0; k < workers; k++ {
+		go worker(k)
 	}
-	return firstCancel
+	w.wg.Wait()
+	switch {
+	case w.failErr != nil:
+		return 0, w.failErr
+	case ctx.Err() != nil:
+		return 0, ctx.Err()
+	case w.cancelErr != nil:
+		return 0, w.cancelErr
+	case w.short < frags:
+		return w.short*d.fragSize + w.got, nil
+	}
+	return n, nil
 }
 
 // readChunk bounds what Read allocates before the drive has answered.
@@ -136,24 +142,9 @@ func (d *Drive) ReadInto(ctx context.Context, cap *capability.Capability, part u
 	if len(dst) <= d.fragSize {
 		return d.readOne(ctx, cap, part, obj, off, dst)
 	}
-	frags := planFragments(off, len(dst), d.fragSize)
-	got := make([]int, len(frags))
-	err := d.runWindowed(ctx, "client.read_pipelined", frags, len(dst), func(cctx context.Context, f fragPlan) error {
-		n, err := d.readOne(cctx, cap, part, obj, f.off, dst[f.start:f.start+f.n])
-		got[f.index] = n
-		return err
+	return d.runWindowed(ctx, "client.read_pipelined", len(dst), func(cctx context.Context, start, end int) (int, error) {
+		return d.readOne(cctx, cap, part, obj, off+uint64(start), dst[start:end])
 	})
-	if err != nil {
-		return 0, err
-	}
-	total := 0
-	for i, f := range frags {
-		total += got[i]
-		if got[i] < f.n {
-			break
-		}
-	}
-	return total, nil
 }
 
 // Write stores data at off: one request when data fits in one fragment,
@@ -165,10 +156,10 @@ func (d *Drive) Write(ctx context.Context, cap *capability.Capability, part uint
 	if len(data) <= d.fragSize {
 		return d.writeOne(ctx, cap, part, obj, off, data)
 	}
-	frags := planFragments(off, len(data), d.fragSize)
-	return d.runWindowed(ctx, "client.write_pipelined", frags, len(data), func(cctx context.Context, f fragPlan) error {
-		return d.writeOne(cctx, cap, part, obj, f.off, data[f.start:f.start+f.n])
+	_, err := d.runWindowed(ctx, "client.write_pipelined", len(data), func(cctx context.Context, start, end int) (int, error) {
+		return end - start, d.writeOne(cctx, cap, part, obj, off+uint64(start), data[start:end])
 	})
+	return err
 }
 
 // ReadPipelined is Read; bench/ is its only caller.

@@ -151,7 +151,7 @@ func (fs *FS) readRange(o *layout.Onode, off uint64, n int) ([]byte, error) {
 		if chunk > n-done {
 			chunk = n - done
 		}
-		phys, err := fs.lay.BMap(o, fb)
+		phys, _, err := fs.lay.Map(o, fb, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -181,16 +181,17 @@ func (fs *FS) writeRange(idx int64, o *layout.Onode, off uint64, data []byte) er
 		if chunk > len(data)-done {
 			chunk = len(data) - done
 		}
-		prev, err := fs.lay.BMap(o, fb)
+		prev, _, err := fs.lay.Map(o, fb, 1)
 		if err != nil {
 			return err
 		}
-		// First-fit allocation, no contiguity hint: classic FFS-era
-		// fragmentation behaviour.
-		phys, err := fs.lay.BMapAlloc(o, fb, 0)
+		// First-fit allocation, one block at a time with no contiguity
+		// hint: classic FFS-era fragmentation behaviour.
+		blk, _, err := fs.lay.MapAlloc(o, fb, 1, 0)
 		if err != nil {
 			return err
 		}
+		phys := blk[0]
 		if within == 0 && chunk == int(bs) {
 			copy(buf, data[done:done+chunk])
 		} else {
@@ -237,19 +238,20 @@ func (fs *FS) writeAll(id uint64, data []byte) error {
 
 func (fs *FS) truncate(idx int64, o *layout.Onode, size uint64) error {
 	bs := uint64(fs.lay.BlockSize())
-	first := (size + bs - 1) / bs
-	last := (o.Size + bs - 1) / bs
-	for fb := first; fb < last; fb++ {
-		phys, err := fs.lay.BMap(o, int64(fb))
+	first := int64((size + bs - 1) / bs)
+	last := int64((o.Size + bs - 1) / bs)
+	for fb := first; fb < last; {
+		phys, n, err := fs.lay.Map(o, fb, int(last-fb))
 		if err != nil {
 			return err
 		}
-		if phys != 0 {
-			fs.cache.Invalidate(phys)
+		for b := phys; phys != 0 && b < phys+int64(n); b++ {
+			fs.cache.Invalidate(b)
 		}
-		if _, err := fs.lay.UnmapBlock(o, int64(fb)); err != nil {
-			return err
-		}
+		fb += int64(n)
+	}
+	if _, err := fs.lay.Unmap(o, first, int(last-first)); err != nil {
+		return err
 	}
 	o.Size = size
 	return fs.lay.WriteOnode(idx, o)

@@ -75,13 +75,13 @@ func commitAndSync(t *testing.T, s *Store, o *Onode) {
 	}
 }
 
-// TestExtentBMapAllocRange maps a range that runs from the direct slots
+// TestExtentMapAllocRange maps a range that runs from the direct slots
 // through the indirect block into two first-level blocks under the
 // double-indirect one. The range writes nothing to the device: its
 // pointer blocks are born and changed in the metadata cache, the onode
 // commit journals their slots, and the Sync after it writes each of them
 // once, after which the device holds the mapping the store reports.
-func TestExtentBMapAllocRange(t *testing.T) {
+func TestExtentMapAllocRange(t *testing.T) {
 	dev := newWriteLog(4096, 8192)
 	s, err := Format(dev, FormatOptions{})
 	if err != nil {
@@ -92,9 +92,9 @@ func TestExtentBMapAllocRange(t *testing.T) {
 	first, n := int64(NumDirect-4), int(4+p+p+8)
 	before := bufpool.Outstanding()
 	dev.reset()
-	blks, gained, err := s.BMapAllocRange(&o, first, n, 0)
+	blks, gained, err := s.MapAlloc(&o, first, n, 0)
 	if err != nil || len(blks) != n {
-		t.Fatalf("BMapAllocRange mapped %d of %d blocks: %v", len(blks), n, err)
+		t.Fatalf("MapAlloc mapped %d of %d blocks: %v", len(blks), n, err)
 	}
 	if want := walked(t, s, &o); gained != want || want != int64(n)+4 {
 		t.Fatalf("gained %d references, a walk of the object counts %d, want %d holes filled and 4 pointer blocks born", gained, want, n)
@@ -107,8 +107,8 @@ func TestExtentBMapAllocRange(t *testing.T) {
 	}
 	seen := map[int64]bool{}
 	for i, b := range blks {
-		if got, err := s.BMap(&o, first+int64(i)); err != nil || got != b || seen[b] {
-			t.Fatalf("file block %d: BMap = %d (%v), range returned %d (seen before: %v)", first+int64(i), got, err, b, seen[b])
+		if got, err := mapOne(s, &o, first+int64(i)); err != nil || got != b || seen[b] {
+			t.Fatalf("file block %d: Map = %d (%v), range returned %d (seen before: %v)", first+int64(i), got, err, b, seen[b])
 		}
 		seen[b] = true
 	}
@@ -130,11 +130,11 @@ func TestExtentBMapAllocRange(t *testing.T) {
 	// The one-block case: no device write, then its pointer block once
 	// at the Sync after the commit.
 	dev.reset()
-	if _, err := s.BMapAlloc(&o, NumDirect+p+p+8, 0); err != nil {
+	if _, err := allocOne(s, &o, NumDirect+p+p+8, 0); err != nil {
 		t.Fatal(err)
 	}
 	if len(dev.written) != 0 {
-		t.Fatalf("one-block BMapAlloc wrote %v before its commit", dev.written)
+		t.Fatalf("one-block MapAlloc wrote %v before its commit", dev.written)
 	}
 	mustWriteOnode(t, s, s.onodeIndex[o.ObjectID], &o)
 	dev.reset()
@@ -142,7 +142,7 @@ func TestExtentBMapAllocRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	if dev.written[l1b] != 1 || dev.written[o.Indirect] != 0 {
-		t.Fatalf("the Sync after a one-block BMapAlloc wrote %v, want its pointer block once", dev.written)
+		t.Fatalf("the Sync after a one-block MapAlloc wrote %v, want its pointer block once", dev.written)
 	}
 
 	// A copy-on-write version mapping the same range unshares every data
@@ -152,7 +152,7 @@ func TestExtentBMapAllocRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	size := walked(t, s, &clone)
-	cblks, gained, err := s.BMapAllocRange(&clone, first, n+2, 0)
+	cblks, gained, err := s.MapAlloc(&clone, first, n+2, 0)
 	if err != nil || cblks[0] == blks[0] || clone.Indirect2 == o.Indirect2 {
 		t.Fatalf("range over a shared map: %v, first block %d (was %d), double-indirect %d (was %d)", err, cblks[0], blks[0], clone.Indirect2, o.Indirect2)
 	}
@@ -170,11 +170,11 @@ func walked(t *testing.T, s *Store, o *Onode) (n int64) {
 	return n
 }
 
-// TestExtentBMapAllocRangeOutOfSpace: when the allocator runs dry in the
+// TestExtentMapAllocRangeOutOfSpace: when the allocator runs dry in the
 // middle of a range, the mapped prefix is returned with the error and
 // its pointer-slot changes still ride in the onode persisted next, so
 // that onode points at nothing its commit does not carry.
-func TestExtentBMapAllocRangeOutOfSpace(t *testing.T) {
+func TestExtentMapAllocRangeOutOfSpace(t *testing.T) {
 	dev := newWriteLog(4096, 512)
 	s, err := Format(dev, FormatOptions{})
 	if err != nil {
@@ -184,7 +184,7 @@ func TestExtentBMapAllocRangeOutOfSpace(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := Onode{ObjectID: 5}
-	blks, gained, err := s.BMapAllocRange(&o, 0, 40, 0)
+	blks, gained, err := s.MapAlloc(&o, 0, 40, 0)
 	if !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("range of 40 blocks on 30 free: %v, want ErrNoSpace", err)
 	}
@@ -263,7 +263,7 @@ func TestForEachBlockReadsEachPointerBlockOnce(t *testing.T) {
 	p := s.ptrsPerBlock
 	o := Onode{ObjectID: 5}
 	n := int(NumDirect + p + p + 3) // the indirect block, the double-indirect one, two below it
-	if _, _, err := s.BMapAllocRange(&o, 0, n, 0); err != nil {
+	if _, _, err := s.MapAlloc(&o, 0, n, 0); err != nil {
 		t.Fatal(err)
 	}
 	commitAndSync(t, s, &o)

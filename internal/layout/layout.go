@@ -11,6 +11,7 @@
 package layout
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -642,41 +643,52 @@ func (s *Store) MaxObjectSize() uint64 {
 // drive schedule efficient sequential transfers (the paper's NASD is
 // "better tuned for disk access" than FFS).
 func (s *Store) Alloc(n int, hint int64) ([]int64, error) {
-	s.lockAlloc()
-	defer s.mu.Unlock()
 	if n <= 0 {
 		return nil, nil
 	}
+	blocks := make([]int64, n)
+	if s.alloc(blocks, hint, false) < n {
+		return nil, ErrNoSpace
+	}
+	return blocks, nil
+}
+
+// alloc is Alloc into dst and returns how many it allocated: all of
+// dst, or, short of free blocks, none or with partial the prefix.
+func (s *Store) alloc(dst []int64, hint int64, partial bool) int {
+	s.lockAlloc()
+	defer s.mu.Unlock()
 	start := hint
 	if start < s.sb.DataStart || start >= s.sb.TotalBlocks {
 		start = s.allocHint
 	}
-	blocks := make([]int64, 0, n)
+	n := 0
 	// First pass: scan from start; second pass: from the data region start.
-	for pass := 0; pass < 2 && len(blocks) < n; pass++ {
+	for pass := 0; pass < 2 && n < len(dst); pass++ {
 		var lo, hi int64
 		if pass == 0 {
 			lo, hi = start, s.sb.TotalBlocks
 		} else {
 			lo, hi = s.sb.DataStart, start
 		}
-		for i := lo; i < hi && len(blocks) < n; i++ {
+		for i := lo; i < hi && n < len(dst); i++ {
 			if s.ref[i] == 0 {
-				blocks = append(blocks, i)
+				dst[n] = i
+				n++
 			}
 		}
 	}
-	if len(blocks) < n {
-		return nil, ErrNoSpace
+	if n == 0 || n < len(dst) && !partial {
+		return 0
 	}
-	for _, b := range blocks {
+	for _, b := range dst[:n] {
 		s.setRef(b, 1)
 	}
-	s.allocHint = blocks[len(blocks)-1] + 1
+	s.allocHint = dst[n-1] + 1
 	if s.allocHint >= s.sb.TotalBlocks {
 		s.allocHint = s.sb.DataStart
 	}
-	return blocks, nil
+	return n
 }
 
 // IncRef increments a block's reference count (copy-on-write sharing).
@@ -777,7 +789,7 @@ func (s *Store) ReadOnode(idx int64) (o Onode, err error) {
 	l := s.onodeLock(idx)
 	l.Lock()
 	defer l.Unlock()
-	err = s.viewMeta(s.sb.OnodeStart+idx/per, func(b []byte) { o = decodeOnode(b[(idx%per)*OnodeSize:][:OnodeSize]) })
+	err = s.viewMeta(s.sb.OnodeStart+idx/per, nil, func(b []byte) { o = decodeOnode(b[(idx%per)*OnodeSize:][:OnodeSize]) })
 	return o, err
 }
 
@@ -802,7 +814,7 @@ func (s *Store) WriteOnode(idx int64, o *Onode) error {
 	defer bufpool.Put(buf)
 	l := s.onodeLock(idx)
 	l.Lock()
-	if err := s.viewMeta(blk, func(b []byte) { copy(buf, b) }); err != nil {
+	if err := s.viewMeta(blk, nil, func(b []byte) { copy(buf, b) }); err != nil {
 		l.Unlock()
 		return err
 	}
@@ -906,62 +918,117 @@ func (s *Store) ObjectIDs(partition uint16) []uint64 {
 
 // --- Block map --------------------------------------------------------
 
-// BMap resolves an object-relative block number to a physical block.
-// It returns 0 for holes (unallocated regions read as zeros).
-func (s *Store) BMap(o *Onode, fileBlock int64) (int64, error) {
+// A leaf is a row of side-by-side block-map slots: the onode's direct
+// slots, or one pointer block of data-block slots (the single-indirect
+// block, a first-level block under the double-indirect one). Map,
+// MapAlloc and Unmap walk a range leaf by leaf. leaf locates a file
+// block's slot, idx, and the n slots from there to the end of the leaf;
+// a missing pointer block leaves blk 0, a leaf of holes.
+type leaf struct {
+	direct bool
+	blk    int64
+	idx, n int64
+}
+
+// leafAt finds the leaf of file block fb. With ensure set, each pointer
+// block on the path is first made exclusive to u's object (allocated
+// near hint, or unshared: ensurePtrBlock); otherwise the walk only reads.
+func (s *Store) leafAt(u *mapUpdate, o *Onode, fb int64, ensure bool, hint int64) (leaf, error) {
 	p := s.ptrsPerBlock
+	root, rel := &o.Indirect, fb-NumDirect
 	switch {
-	case fileBlock < 0:
-		return 0, fmt.Errorf("layout: negative file block %d", fileBlock)
-	case fileBlock < NumDirect:
-		return o.Direct[fileBlock], nil
-	case fileBlock < NumDirect+p:
-		if o.Indirect == 0 {
-			return 0, nil
-		}
-		return s.readPtr(o.Indirect, fileBlock-NumDirect)
-	case fileBlock < NumDirect+p+p*p:
-		if o.Indirect2 == 0 {
-			return 0, nil
-		}
-		rel := fileBlock - NumDirect - p
-		l1, err := s.readPtr(o.Indirect2, rel/p)
-		if err != nil || l1 == 0 {
-			return 0, err
-		}
-		return s.readPtr(l1, rel%p)
+	case fb < 0:
+		return leaf{}, fmt.Errorf("layout: negative file block %d", fb)
+	case fb < NumDirect:
+		return leaf{direct: true, idx: fb, n: NumDirect - fb}, nil
+	case fb < NumDirect+p:
+	case fb < NumDirect+p+p*p:
+		root, rel = &o.Indirect2, fb-NumDirect-p
 	default:
-		return 0, ErrTooBig
+		return leaf{}, ErrTooBig
 	}
+	lf := leaf{blk: *root, idx: rel % p, n: p - rel%p}
+	var err error
+	if ensure {
+		lf.blk, err = s.ensurePtrBlock(u, root, hint)
+	}
+	if root == &o.Indirect2 && lf.blk != 0 && err == nil {
+		parent, i := lf.blk, rel/p
+		if lf.blk, err = s.readPtr(parent, i); err != nil || !ensure {
+			return lf, err
+		}
+		cur := lf.blk
+		if _, err = s.ensurePtrBlock(u, &lf.blk, hint); err == nil && lf.blk != cur {
+			if cur == 0 {
+				u.gained++
+			}
+			err = s.setSlots(u, o, leaf{blk: parent, idx: i}, 0, []int64{lf.blk})
+		}
+	}
+	return lf, err
 }
 
-// BMapAlloc is the one-block case of BMapAllocRange.
-func (s *Store) BMapAlloc(o *Onode, fileBlock int64, hint int64) (int64, error) {
-	return s.mapAlloc(&mapUpdate{owner: o.ObjectID}, o, fileBlock, hint)
+// Map returns the run of file blocks at fileBlock, at least one and at
+// most limit of them: n holes (phys 0), or n blocks mapped to phys,
+// phys+1, ..., phys+n-1. The run continues across pointer-block
+// boundaries. Only a failure at fileBlock itself is an error; one
+// further on ends the run before it.
+func (s *Store) Map(o *Onode, fileBlock int64, limit int) (phys int64, n int, err error) {
+	var buf [64]int64
+	for limit = max(limit, 1); n < limit; {
+		lf, err := s.leafAt(nil, o, fileBlock+int64(n), false, 0)
+		cur := buf[:min(lf.n, int64(limit-n), 64)]
+		if err == nil {
+			err = s.slots(o, lf, cur)
+		}
+		if err != nil && n == 0 {
+			return 0, 0, err
+		} else if err != nil {
+			break
+		}
+		if n == 0 {
+			phys = cur[0]
+		}
+		for _, v := range cur {
+			if phys == 0 && v != 0 || phys != 0 && v != phys+int64(n) {
+				return phys, n, nil
+			}
+			n++
+		}
+	}
+	return phys, n, nil
 }
 
-// BMapAllocRange resolves the n object-relative blocks from fileBlock
-// like BMap but allocates missing blocks and breaks copy-on-write
-// sharing along the path: any block (data or indirect) with a reference
-// count above one is replaced by a private copy before it can be
-// written. The first block is allocated near hint, each later one after
-// its predecessor. The onode is updated in memory; callers persist it
-// with WriteOnode, whose journal record carries the pointer-slot changes
-// the range made (mapUpdate). The returned physical blocks are safe to
-// overwrite; with an error they are the prefix that was mapped. gained
-// is how many block references the object gained, error or not: a hole
-// filled or a pointer block born counts one, a block unshared replaces
-// one reference with another and counts none. It is what ForEachBlock
-// visits more than before the call, without the walk.
-func (s *Store) BMapAllocRange(o *Onode, fileBlock int64, n int, hint int64) (phys []int64, gained int64, err error) {
+// MapAlloc maps the n file blocks from fileBlock for writing, like Map
+// but allocating holes and breaking copy-on-write sharing along the
+// path: any block (data or pointer) with a reference count above one is
+// replaced by a private copy before it can be written. The first block
+// is allocated near hint, each later one after its predecessor. The
+// onode is updated in memory; callers persist it with WriteOnode, whose
+// journal record carries the pointer-slot changes the range made
+// (mapUpdate). The returned physical blocks are safe to overwrite; with
+// an error they are the prefix that was mapped. gained is how many block references the
+// object gained, error or not: a hole filled or a pointer block born
+// counts one, a block unshared replaces one reference with another and
+// counts none. It is what ForEachBlock visits more than before the call,
+// without the walk.
+func (s *Store) MapAlloc(o *Onode, fileBlock int64, n int, hint int64) (phys []int64, gained int64, err error) {
 	u := mapUpdate{owner: o.ObjectID, gained: -o.held()}
 	out := make([]int64, n)
-	for i := range out {
-		blk, err := s.mapAlloc(&u, o, fileBlock+int64(i), hint)
-		if err != nil {
-			return out[:i], u.gained + o.held(), err
+	for done := 0; done < n; {
+		lf, err := s.leafAt(&u, o, fileBlock+int64(done), true, hint)
+		dst := out[done : done+int(min(lf.n, int64(n-done)))]
+		if err == nil {
+			err = s.slots(o, lf, dst)
 		}
-		out[i], hint = blk, blk+1
+		m := 0
+		if err == nil {
+			m, err = s.mapLeaf(&u, o, lf, dst, hint)
+		}
+		if done += m; err != nil {
+			return out[:done], u.gained + o.held(), err
+		}
+		hint = out[done-1] + 1
 	}
 	return out, u.gained + o.held(), nil
 }
@@ -977,72 +1044,106 @@ type mapUpdate struct {
 	gained int64 // references stored into pointer-block slots that held none
 }
 
-func (s *Store) mapAlloc(u *mapUpdate, o *Onode, fileBlock int64, hint int64) (int64, error) {
-	p := s.ptrsPerBlock
-	switch {
-	case fileBlock < 0:
-		return 0, fmt.Errorf("layout: negative file block %d", fileBlock)
-	case fileBlock < NumDirect:
-		blk, err := s.allocOrUnshare(o.Direct[fileBlock], hint)
-		if err != nil {
-			return 0, err
+// mapLeaf points the slots of leaf lf whose values dst holds at blocks
+// the object owns alone, in order, and returns how many it mapped: one
+// allocation per run of holes, one slot update per run of changes.
+func (s *Store) mapLeaf(u *mapUpdate, o *Onode, lf leaf, dst []int64, hint int64) (int, error) {
+	var err error
+	from, i := 0, 0 // dst[from:i] changed and is not stored yet
+	for i < len(dst) && err == nil {
+		if i > 0 {
+			hint = dst[i-1] + 1
 		}
-		o.Direct[fileBlock] = blk
-		return blk, nil
-	case fileBlock < NumDirect+p:
-		ind, err := s.ensurePtrBlock(u, &o.Indirect, hint)
-		if err != nil {
-			return 0, err
+		switch k := s.owned(dst[i:]); {
+		case k > 0:
+			err = s.setSlots(u, o, lf, from, dst[from:i])
+			i += k
+			from = i
+		case dst[i] != 0:
+			if dst[i], err = s.unshare(dst[i], hint); err == nil {
+				i++
+			}
+		default:
+			j := i + 1
+			for j < len(dst) && dst[j] == 0 {
+				j++
+			}
+			got := s.alloc(dst[i:j], hint, true)
+			if !lf.direct {
+				u.gained += int64(got)
+			}
+			if i += got; i < j {
+				err = ErrNoSpace
+			}
 		}
-		return s.allocThroughPtr(u, ind, fileBlock-NumDirect, hint)
-	case fileBlock < NumDirect+p+p*p:
-		rel := fileBlock - NumDirect - p
-		ind2, err := s.ensurePtrBlock(u, &o.Indirect2, hint)
-		if err != nil {
-			return 0, err
-		}
-		l1, err := s.readPtr(ind2, rel/p)
-		if err != nil {
-			return 0, err
-		}
-		newL1, err := s.ensurePtrBlockAt(u, ind2, rel/p, l1, hint)
-		if err != nil {
-			return 0, err
-		}
-		return s.allocThroughPtr(u, newL1, rel%p, hint)
-	default:
-		return 0, ErrTooBig
 	}
+	return i, cmp.Or(s.setSlots(u, o, lf, from, dst[from:i]), err)
 }
 
-// allocOrUnshare returns data block cur if it is exclusively owned,
-// otherwise a fresh block (copying cur's contents through the data IO
-// path when it was shared).
-func (s *Store) allocOrUnshare(cur int64, hint int64) (int64, error) {
-	if cur != 0 && s.RefCount(cur) == 1 {
-		return cur, nil
+// slots reads the values of the len(dst) slots from lf.idx into dst.
+func (s *Store) slots(o *Onode, lf leaf, dst []int64) error {
+	if lf.direct || lf.blk == 0 {
+		clear(dst)
+		if lf.direct {
+			copy(dst, o.Direct[lf.idx:])
+		}
+		return nil
 	}
-	blks, err := s.Alloc(1, hint)
+	return s.viewMeta(lf.blk, nil, func(b []byte) {
+		for i := range dst {
+			dst[i] = s.slot(b, lf.idx+int64(i))
+		}
+	})
+}
+
+// setSlots stores vals in the slots from lf.idx+from of leaf lf.
+func (s *Store) setSlots(u *mapUpdate, o *Onode, lf leaf, from int, vals []int64) error {
+	switch at := lf.idx + int64(from); {
+	case len(vals) == 0:
+	case lf.direct:
+		copy(o.Direct[at:], vals)
+	default:
+		return s.viewMeta(lf.blk, u, func(b []byte) {
+			for i, v := range vals {
+				binary.LittleEndian.PutUint64(b[(at+int64(i))*8:], uint64(v))
+			}
+		})
+	}
+	return nil
+}
+
+// owned counts the leading blocks of blks that are exclusively owned
+// data blocks (reference count one), under one hold of the allocator lock.
+func (s *Store) owned(blks []int64) int {
+	s.lockAlloc()
+	defer s.mu.Unlock()
+	for i, b := range blks {
+		if b <= 0 || b >= s.sb.TotalBlocks || s.ref[b] != 1 {
+			return i
+		}
+	}
+	return len(blks)
+}
+
+// unshare replaces data block cur, shared copy-on-write, by a fresh
+// block near hint holding a copy of its contents (through the data IO
+// path), and drops the object's reference to cur.
+func (s *Store) unshare(cur, hint int64) (int64, error) {
+	var nb [1]int64
+	if s.alloc(nb[:], hint, false) == 0 {
+		return cur, ErrNoSpace
+	}
+	buf := bufpool.Get(int(s.sb.BlockSize))
+	defer bufpool.Put(buf)
+	err := s.dataIO.ReadBlock(cur, buf)
+	if err == nil {
+		err = s.dataIO.WriteBlock(nb[0], buf)
+	}
 	if err != nil {
-		return 0, err
+		_ = s.Free(nb[0])
+		return cur, err
 	}
-	nb := blks[0]
-	if cur != 0 {
-		// Shared: copy old contents, drop our reference to the old block.
-		buf := make([]byte, s.sb.BlockSize)
-		if err := s.dataIO.ReadBlock(cur, buf); err != nil {
-			_ = s.Free(nb)
-			return 0, err
-		}
-		if err := s.dataIO.WriteBlock(nb, buf); err != nil {
-			_ = s.Free(nb)
-			return 0, err
-		}
-		if err := s.Free(cur); err != nil {
-			return 0, err
-		}
-	}
-	return nb, nil
+	return nb[0], s.Free(cur)
 }
 
 // ensurePtrBlock makes *slot point to an exclusively-owned pointer
@@ -1055,16 +1156,16 @@ func (s *Store) ensurePtrBlock(u *mapUpdate, slot *int64, hint int64) (int64, er
 	if cur != 0 && s.RefCount(cur) == 1 {
 		return cur, nil
 	}
-	blks, err := s.Alloc(1, hint)
-	if err != nil {
-		return 0, err
+	var blks [1]int64
+	if s.alloc(blks[:], hint, false) == 0 {
+		return 0, ErrNoSpace
 	}
 	nb := blks[0]
 	img := bufpool.Get(int(s.sb.BlockSize))
 	defer bufpool.Put(img)
 	clear(img)
 	if cur != 0 {
-		if err := s.viewMeta(cur, func(b []byte) { copy(img, b) }); err != nil {
+		if err := s.viewMeta(cur, nil, func(b []byte) { copy(img, b) }); err != nil {
 			_ = s.Free(nb)
 			return 0, err
 		}
@@ -1077,119 +1178,57 @@ func (s *Store) ensurePtrBlock(u *mapUpdate, slot *int64, hint int64) (int64, er
 	return nb, nil
 }
 
-// ensurePtrBlockAt is ensurePtrBlock for a slot stored inside pointer
-// block parent at index idx.
-func (s *Store) ensurePtrBlockAt(u *mapUpdate, parent int64, idx int64, cur int64, hint int64) (int64, error) {
-	slot := cur
-	nb, err := s.ensurePtrBlock(u, &slot, hint)
-	if err != nil {
-		return 0, err
-	}
-	if nb != cur {
-		if err := s.setPtr(u, parent, idx, nb); err != nil {
-			return 0, err
-		}
-	}
-	return nb, nil
-}
-
-// allocThroughPtr ensures the data block at index idx of pointer block
-// ptrBlk exists and is exclusively owned.
-func (s *Store) allocThroughPtr(u *mapUpdate, ptrBlk int64, idx int64, hint int64) (int64, error) {
-	cur, err := s.readPtr(ptrBlk, idx)
-	if err != nil {
-		return 0, err
-	}
-	nb, err := s.allocOrUnshare(cur, hint)
-	if err != nil {
-		return 0, err
-	}
-	if nb != cur {
-		if err := s.setPtr(u, ptrBlk, idx, nb); err != nil {
-			return 0, err
-		}
-	}
-	return nb, nil
-}
-
-// UnmapBlock drops the mapping for an object-relative block: the data
-// block loses one reference and the pointer slot is zeroed. Shared
-// pointer blocks along the path are unshared first so a copy-on-write
-// sibling's mapping is untouched. It reports the physical block that
-// was unmapped (0 if the block was a hole). Truncation uses this; like
-// BMapAllocRange, its pointer-slot changes ride in the object's next
-// WriteOnode.
-func (s *Store) UnmapBlock(o *Onode, fileBlock int64) (phys int64, err error) {
+// Unmap drops the mapping of the n file blocks from fileBlock: each
+// mapped data block loses one reference and its slot is zeroed. Shared
+// pointer blocks on the path to a mapped block are unshared first, so a
+// copy-on-write sibling's mapping is untouched. It reports how many
+// blocks were unmapped. Truncation uses this; like MapAlloc, its
+// pointer-slot changes ride in the object's next WriteOnode.
+func (s *Store) Unmap(o *Onode, fileBlock int64, n int) (dropped int64, err error) {
 	u := mapUpdate{owner: o.ObjectID}
-	p := s.ptrsPerBlock
-	switch {
-	case fileBlock < 0:
-		return 0, fmt.Errorf("layout: negative file block %d", fileBlock)
-	case fileBlock < NumDirect:
-		cur := o.Direct[fileBlock]
-		if cur == 0 {
-			return 0, nil
+	var buf [64]int64
+	for done := 0; done < n; {
+		fb := fileBlock + int64(done)
+		lf, err := s.leafAt(nil, o, fb, false, 0)
+		cur := buf[:min(lf.n, int64(n-done), 64)]
+		if err == nil {
+			err = s.slots(o, lf, cur)
 		}
-		if err := s.Free(cur); err != nil {
-			return 0, err
-		}
-		o.Direct[fileBlock] = 0
-		return cur, nil
-	case fileBlock < NumDirect+p:
-		if o.Indirect == 0 {
-			return 0, nil
-		}
-		idx := fileBlock - NumDirect
-		cur, err := s.readPtr(o.Indirect, idx)
-		if err != nil || cur == 0 {
-			return 0, err
-		}
-		ind, err := s.ensurePtrBlock(&u, &o.Indirect, 0)
 		if err != nil {
-			return 0, err
+			return dropped, err
 		}
-		if err := s.Free(cur); err != nil {
-			return 0, err
+		done += len(cur)
+		if !slices.ContainsFunc(cur, func(b int64) bool { return b != 0 }) {
+			continue
 		}
-		if err := s.setPtr(&u, ind, idx, 0); err != nil {
-			return 0, err
+		if lf, err = s.leafAt(&u, o, fb, true, 0); err != nil {
+			return dropped, err
 		}
-		return cur, nil
-	case fileBlock < NumDirect+p+p*p:
-		if o.Indirect2 == 0 {
-			return 0, nil
+		end := len(cur)
+		for i, b := range cur {
+			if b != 0 {
+				if err = s.Free(b); err != nil {
+					end = i
+					break
+				}
+				cur[i] = 0
+				dropped++
+			}
 		}
-		rel := fileBlock - NumDirect - p
-		l1, err := s.readPtr(o.Indirect2, rel/p)
-		if err != nil || l1 == 0 {
-			return 0, err
+		if err = cmp.Or(err, s.setSlots(&u, o, lf, 0, cur[:end])); err != nil {
+			return dropped, err
 		}
-		cur, err := s.readPtr(l1, rel%p)
-		if err != nil || cur == 0 {
-			return 0, err
-		}
-		ind2, err := s.ensurePtrBlock(&u, &o.Indirect2, 0)
-		if err != nil {
-			return 0, err
-		}
-		newL1, err := s.ensurePtrBlockAt(&u, ind2, rel/p, l1, 0)
-		if err != nil {
-			return 0, err
-		}
-		if err := s.Free(cur); err != nil {
-			return 0, err
-		}
-		if err := s.setPtr(&u, newL1, rel%p, 0); err != nil {
-			return 0, err
-		}
-		return cur, nil
-	default:
-		return 0, ErrTooBig
 	}
+	return dropped, nil
+}
+
+// slot reads slot i of pointer-block image b, clamped (clampPtr).
+func (s *Store) slot(b []byte, i int64) int64 {
+	return s.clampPtr(int64(binary.LittleEndian.Uint64(b[i*8:])))
 }
 
 func (s *Store) readPtr(blk int64, idx int64) (v int64, err error) {
-	err = s.viewMeta(blk, func(b []byte) { v = s.clampPtr(int64(binary.LittleEndian.Uint64(b[idx*8:]))) })
+	err = s.viewMeta(blk, nil, func(b []byte) { v = s.slot(b, idx) })
 	return v, err
 }
 
@@ -1197,7 +1236,7 @@ func (s *Store) readPtr(blk int64, idx int64) (v int64, err error) {
 // (hole) or a data-region block. Pointer blocks are journaled, but a
 // copy-on-write copy or a first-level block can be named before any
 // image of it is durable, and a torn in-place write can leave one half
-// old; clamping keeps every traversal (BMap, ForEachBlock, recovery)
+// old; clamping keeps every traversal (Map, ForEachBlock, recovery)
 // from wandering out of the volume.
 func (s *Store) clampPtr(v int64) int64 {
 	if v < s.sb.DataStart || v >= s.sb.TotalBlocks {
@@ -1210,31 +1249,13 @@ func (s *Store) clampPtr(v int64) int64 {
 // metadata (onode and pointer blocks) since the store was opened.
 func (s *Store) DevReads() int64 { return s.devReads.Load() }
 
-// setPtr stores v in slot idx of pointer block blk, an exclusively
-// owned block of u's object, in the metadata cache, loading the block
-// from the device if it is not resident (metaCache.setSlot).
-func (s *Store) setPtr(u *mapUpdate, blk int64, idx int64, v int64) error {
-	old, ok := s.meta.setSlot(blk, idx, v, u.owner, nil)
-	if !ok {
-		buf := bufpool.Get(int(s.sb.BlockSize))
-		defer bufpool.Put(buf)
-		s.devReads.Add(1)
-		if err := s.dev.ReadBlock(blk, buf); err != nil {
-			return err
-		}
-		old, _ = s.meta.setSlot(blk, idx, v, u.owner, buf)
-	}
-	if v != 0 && s.clampPtr(old) == 0 {
-		u.gained++
-	}
-	return nil
-}
-
 // viewMeta runs fn on the image of metadata block blk (a pointer block,
-// an onode block under its stripe lock), in the metadata cache or else
-// read from the device and cached. fn must not retain the slice.
-func (s *Store) viewMeta(blk int64, fn func(b []byte)) error {
-	if s.meta.view(blk, fn) {
+// an onode block under its stripe lock), in the metadata cache, where a
+// block that is not resident is read from the device. With u set, blk is
+// an exclusively owned pointer block of u's object and fn's changes are
+// u's (metaCache.use). fn must not retain the slice.
+func (s *Store) viewMeta(blk int64, u *mapUpdate, fn func(b []byte)) error {
+	if s.meta.use(blk, u, nil, fn) {
 		return nil
 	}
 	buf := bufpool.Get(int(s.sb.BlockSize))
@@ -1243,8 +1264,7 @@ func (s *Store) viewMeta(blk int64, fn func(b []byte)) error {
 	if err := s.dev.ReadBlock(blk, buf); err != nil {
 		return err
 	}
-	s.meta.fill(blk, buf, 0)
-	fn(buf)
+	s.meta.use(blk, u, buf, fn)
 	return nil
 }
 
@@ -1275,14 +1295,14 @@ func (s *Store) eachThrough(blk int64, depth int, fn func(phys int64, isPtr bool
 	}
 	img := bufpool.Get(int(s.sb.BlockSize))
 	defer bufpool.Put(img)
-	if err := s.viewMeta(blk, func(b []byte) { copy(img, b) }); err != nil {
+	if err := s.viewMeta(blk, nil, func(b []byte) { copy(img, b) }); err != nil {
 		return err
 	}
 	if err := fn(blk, true); err != nil {
 		return err
 	}
 	for i := 0; i < len(img); i += 8 {
-		b := s.clampPtr(int64(binary.LittleEndian.Uint64(img[i:])))
+		b := s.slot(img, int64(i/8))
 		var err error
 		if depth > 1 {
 			err = s.eachThrough(b, depth-1, fn)

@@ -218,34 +218,34 @@ func TestBMapDirectIndirectDouble(t *testing.T) {
 	p := s.ptrsPerBlock
 
 	// Direct.
-	b0, err := s.BMapAlloc(&o, 0, 0)
+	b0, err := allocOne(s, &o, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := s.BMap(&o, 0); got != b0 {
+	if got, _ := mapOne(s, &o, 0); got != b0 {
 		t.Fatalf("direct bmap = %d want %d", got, b0)
 	}
 	// Single indirect.
-	bi, err := s.BMapAlloc(&o, NumDirect+5, 0)
+	bi, err := allocOne(s, &o, NumDirect+5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if o.Indirect == 0 {
 		t.Fatal("indirect block not allocated")
 	}
-	if got, _ := s.BMap(&o, NumDirect+5); got != bi {
+	if got, _ := mapOne(s, &o, NumDirect+5); got != bi {
 		t.Fatalf("indirect bmap = %d want %d", got, bi)
 	}
 	// Double indirect.
 	fb := NumDirect + p + 3*p + 7
-	bd, err := s.BMapAlloc(&o, fb, 0)
+	bd, err := allocOne(s, &o, fb, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if o.Indirect2 == 0 {
 		t.Fatal("double indirect block not allocated")
 	}
-	if got, _ := s.BMap(&o, fb); got != bd {
+	if got, _ := mapOne(s, &o, fb); got != bd {
 		t.Fatalf("double indirect bmap = %d want %d", got, bd)
 	}
 }
@@ -253,7 +253,7 @@ func TestBMapDirectIndirectDouble(t *testing.T) {
 func TestBMapHolesReadZero(t *testing.T) {
 	s, _ := newStore(t, 1024)
 	var o Onode
-	if got, err := s.BMap(&o, 5); err != nil || got != 0 {
+	if got, err := mapOne(s, &o, 5); err != nil || got != 0 {
 		t.Fatalf("hole bmap = %d, %v", got, err)
 	}
 	buf := make([]byte, 4096)
@@ -270,10 +270,10 @@ func TestBMapTooBig(t *testing.T) {
 	s, _ := newStore(t, 1024)
 	var o Onode
 	huge := int64(NumDirect) + s.ptrsPerBlock + s.ptrsPerBlock*s.ptrsPerBlock
-	if _, err := s.BMap(&o, huge); !errors.Is(err, ErrTooBig) {
+	if _, err := mapOne(s, &o, huge); !errors.Is(err, ErrTooBig) {
 		t.Fatalf("oversized bmap: %v", err)
 	}
-	if _, err := s.BMapAlloc(&o, huge, 0); !errors.Is(err, ErrTooBig) {
+	if _, err := allocOne(s, &o, huge, 0); !errors.Is(err, ErrTooBig) {
 		t.Fatalf("oversized bmap alloc: %v", err)
 	}
 }
@@ -284,7 +284,7 @@ func TestCloneAndCOW(t *testing.T) {
 	orig.ObjectID = 1
 
 	// Write identifiable data to a direct and an indirect block.
-	blkA, err := s.BMapAlloc(&orig, 0, 0)
+	blkA, err := allocOne(s, &orig, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestCloneAndCOW(t *testing.T) {
 	if err := s.WriteDataBlock(blkA, dataA); err != nil {
 		t.Fatal(err)
 	}
-	blkB, err := s.BMapAlloc(&orig, NumDirect+2, 0)
+	blkB, err := allocOne(s, &orig, NumDirect+2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +313,7 @@ func TestCloneAndCOW(t *testing.T) {
 	}
 
 	// Writing through the clone must not disturb the original.
-	nb, err := s.BMapAlloc(&clone, 0, 0)
+	nb, err := allocOne(s, &clone, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +324,7 @@ func TestCloneAndCOW(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 4096)
-	origBlk, _ := s.BMap(&orig, 0)
+	origBlk, _ := mapOne(s, &orig, 0)
 	if err := s.ReadDataBlock(origBlk, buf); err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +338,7 @@ func TestCloneAndCOW(t *testing.T) {
 	// COW through the indirect path: the indirect block itself must be
 	// copied before the clone's pointer is updated.
 	origInd := orig.Indirect
-	nbi, err := s.BMapAlloc(&clone, NumDirect+2, 0)
+	nbi, err := allocOne(s, &clone, NumDirect+2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +348,7 @@ func TestCloneAndCOW(t *testing.T) {
 	if clone.Indirect == origInd {
 		t.Fatal("indirect pointer block still shared after write")
 	}
-	got, _ := s.BMap(&orig, NumDirect+2)
+	got, _ := mapOne(s, &orig, NumDirect+2)
 	if got != blkB {
 		t.Fatalf("original indirect mapping changed: %d want %d", got, blkB)
 	}
@@ -358,7 +358,7 @@ func TestFreeObjectBlocks(t *testing.T) {
 	s, _ := newStore(t, 4096)
 	var o Onode
 	for _, fb := range []int64{0, 5, NumDirect + 1, NumDirect + s.ptrsPerBlock + 10} {
-		if _, err := s.BMapAlloc(&o, fb, 0); err != nil {
+		if _, err := allocOne(s, &o, fb, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -381,7 +381,7 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	}
 	idx, _ := s.AllocOnode()
 	o := Onode{ObjectID: 99, Partition: 2, Size: 8192}
-	blk, err := s.BMapAlloc(&o, 0, 0)
+	blk, err := allocOne(s, &o, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +412,7 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	if o2.Size != 8192 || o2.Partition != 2 {
 		t.Fatalf("onode = %+v", o2)
 	}
-	blk2, _ := s2.BMap(&o2, 0)
+	blk2, _ := mapOne(s2, &o2, 0)
 	if blk2 != blk {
 		t.Fatalf("block map lost: %d want %d", blk2, blk)
 	}
@@ -510,4 +510,30 @@ func TestAllocatorInvariantProperty(t *testing.T) {
 			}
 		}
 	}
+}
+
+// mapOne is the one-block Map: the physical block of fb, 0 for a hole.
+func mapOne(s *Store, o *Onode, fb int64) (int64, error) {
+	phys, _, err := s.Map(o, fb, 1)
+	return phys, err
+}
+
+// allocOne maps the one block fb for writing (MapAlloc).
+func allocOne(s *Store, o *Onode, fb, hint int64) (int64, error) {
+	blks, _, err := s.MapAlloc(o, fb, 1, hint)
+	if err != nil {
+		return 0, err
+	}
+	return blks[0], nil
+}
+
+// unmapOne unmaps the one block fb and returns the physical block it
+// dropped, 0 for a hole.
+func unmapOne(s *Store, o *Onode, fb int64) (int64, error) {
+	phys, err := mapOne(s, o, fb)
+	if err != nil {
+		return 0, err
+	}
+	_, err = s.Unmap(o, fb, 1)
+	return phys, err
 }

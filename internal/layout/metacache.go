@@ -1,7 +1,6 @@
 package layout
 
 import (
-	"encoding/binary"
 	"slices"
 	"sync"
 
@@ -57,19 +56,6 @@ func newMetaCache(sb *Superblock) *metaCache {
 	return &metaCache{max: int(n), blocks: make(map[int64][]byte), dirty: make(map[int64][]uint64), open: make(map[int64]openPtr)}
 }
 
-// view runs fn on the cached copy of blk under the cache lock and
-// reports whether blk was resident. fn must copy out what it needs and
-// must not retain the slice.
-func (c *metaCache) view(blk int64, fn func(b []byte)) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	b, ok := c.blocks[blk]
-	if ok {
-		fn(b)
-	}
-	return ok
-}
-
 // fill installs a copy of data as blk's image, evicting the oldest
 // clean entries when full. lsn is 0 for an image read from the device,
 // which never replaces a resident one (a reader that missed may race
@@ -110,29 +96,29 @@ func (c *metaCache) fillLocked(blk int64, data []byte, lsn uint64) {
 	c.order = append(c.order, blk)
 }
 
-// setSlot stores v in slot idx of pointer block blk, opening the entry
-// for owner, and returns what the slot held. It reports false, changing
-// nothing, when blk is not resident and img is nil; img is the block's
-// device image, installed when blk is not resident.
-func (c *metaCache) setSlot(blk, idx, v int64, owner uint64, img []byte) (old int64, ok bool) {
+// use runs fn on the cached image of blk under the cache lock and
+// reports whether blk was resident. img, when not nil, is the block's
+// device image, installed first if blk is not resident. With u set, the
+// entry is opened for u's object before fn changes it, so the changes
+// are the object's until its next commit. fn must copy out what it
+// needs and must not retain the slice.
+func (c *metaCache) use(blk int64, u *mapUpdate, img []byte, fn func(b []byte)) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	b, ok := c.blocks[blk]
-	if !ok {
-		if img == nil {
-			return 0, false
-		}
+	if !ok && img == nil {
+		return false
+	} else if !ok {
 		c.fillLocked(blk, img, 0)
 		b = c.blocks[blk]
 	}
-	if _, open := c.open[blk]; !open {
+	if _, open := c.open[blk]; u != nil && !open {
 		base := bufpool.Get(len(b))
 		copy(base, b)
-		c.open[blk] = openPtr{owner, base}
+		c.open[blk] = openPtr{u.owner, base}
 	}
-	old = int64(binary.LittleEndian.Uint64(b[idx*8:]))
-	binary.LittleEndian.PutUint64(b[idx*8:], uint64(v))
-	return old, true
+	fn(b)
+	return true
 }
 
 // born installs img as the image of blk, a pointer block owner has just

@@ -25,12 +25,12 @@ func TestPointerBlockWriteBackWritesCommittedImage(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := Onode{ObjectID: 5}
-	first, err := s.BMapAlloc(&o, NumDirect, 0)
+	first, err := allocOne(s, &o, NumDirect, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mustWriteOnode(t, s, 0, &o)
-	second, err := s.BMapAlloc(&o, NumDirect+1, 0)
+	second, err := allocOne(s, &o, NumDirect+1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,8 +40,8 @@ func TestPointerBlockWriteBackWritesCommittedImage(t *testing.T) {
 	if got0, got1 := slotOnDevice(t, dev, o.Indirect, 0), slotOnDevice(t, dev, o.Indirect, 1); got0 != first || got1 != 0 {
 		t.Fatalf("write-back before the second commit put slots %d, %d on the device, want %d, 0", got0, got1, first)
 	}
-	if m, err := s.BMap(&o, NumDirect+1); err != nil || m != second {
-		t.Fatalf("BMap of the uncommitted slot = %d (%v), want %d", m, err, second)
+	if m, err := mapOne(s, &o, NumDirect+1); err != nil || m != second {
+		t.Fatalf("Map of the uncommitted slot = %d (%v), want %d", m, err, second)
 	}
 	mustWriteOnode(t, s, 0, &o)
 	if err := s.Sync(); err != nil {
@@ -66,7 +66,7 @@ func TestFreedDirtyPointerBlockWrittenBeforeReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := Onode{ObjectID: 5}
-	blk, err := s.BMapAlloc(&o, NumDirect+3, 0)
+	blk, err := allocOne(s, &o, NumDirect+3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,13 +109,13 @@ func TestMountReplaysPointerSlots(t *testing.T) {
 	}
 	p := s.ptrsPerBlock
 	live := Onode{ObjectID: 5}
-	blks, _, err := s.BMapAllocRange(&live, NumDirect+p-2, 4, 0) // two under the indirect block, two under the double-indirect one
+	blks, _, err := s.MapAlloc(&live, NumDirect+p-2, 4, 0) // two under the indirect block, two under the double-indirect one
 	if err != nil {
 		t.Fatal(err)
 	}
 	mustWriteOnode(t, s, 0, &live)
 	gone := Onode{ObjectID: 6}
-	if _, err := s.BMapAlloc(&gone, NumDirect, 0); err != nil {
+	if _, err := allocOne(s, &gone, NumDirect, 0); err != nil {
 		t.Fatal(err)
 	}
 	mustWriteOnode(t, s, 1, &gone)
@@ -126,11 +126,11 @@ func TestMountReplaysPointerSlots(t *testing.T) {
 	// In the window: a change to the live object's blocks is committed,
 	// the other object is removed and its pointer block reallocated and
 	// written as data. Then the power goes.
-	if _, err := s.UnmapBlock(&live, NumDirect+p-2); err != nil {
+	if _, err := unmapOne(s, &live, NumDirect+p-2); err != nil {
 		t.Fatal(err)
 	}
 	mustWriteOnode(t, s, 0, &live)
-	if _, err := s.BMapAlloc(&gone, NumDirect+1, 0); err != nil {
+	if _, err := allocOne(s, &gone, NumDirect+1, 0); err != nil {
 		t.Fatal(err)
 	}
 	mustWriteOnode(t, s, 1, &gone)
@@ -159,7 +159,7 @@ func TestMountReplaysPointerSlots(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, want := range []int64{0, blks[1], blks[2], blks[3]} {
-		if got, err := s2.BMap(&o, NumDirect+p-2+int64(i)); err != nil || got != want {
+		if got, err := mapOne(s2, &o, NumDirect+p-2+int64(i)); err != nil || got != want {
 			t.Fatalf("file block %d after the mount maps %d (%v), want %d", NumDirect+p-2+int64(i), got, err, want)
 		}
 	}
@@ -191,11 +191,11 @@ func TestPointerBlockImagesRecycled(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := s.BMapAllocRange(&o, NumDirect-1, 3, 0); err != nil {
+		if _, _, err := s.MapAlloc(&o, NumDirect-1, 3, 0); err != nil {
 			t.Fatal(err)
 		}
 		mustWriteOnode(t, s, idx, &o)
-		if _, err := s.BMapAlloc(&o, NumDirect+5, 0); err != nil { // opens the block against its committed image
+		if _, err := allocOne(s, &o, NumDirect+5, 0); err != nil { // opens the block against its committed image
 			t.Fatal(err)
 		}
 		if i%2 == 0 {
@@ -261,12 +261,12 @@ func TestPointerBlocksUnderConcurrentWritersAndSync(t *testing.T) {
 			o := Onode{ObjectID: uint64(100 + w)}
 			for i := 0; i < 60 && err == nil; i++ {
 				fb := int64(NumDirect + i%40)
-				_, _, err = s.BMapAllocRange(&o, fb, 3, 0)
+				_, _, err = s.MapAlloc(&o, fb, 3, 0)
 				if err == nil {
 					err = s.WriteOnode(idx, &o)
 				}
 				if err == nil && i%5 == 4 {
-					if _, err = s.UnmapBlock(&o, fb+1); err == nil {
+					if _, err = unmapOne(s, &o, fb+1); err == nil {
 						err = s.WriteOnode(idx, &o)
 					}
 				}
@@ -302,8 +302,8 @@ func TestPointerBlocksUnderConcurrentWritersAndSync(t *testing.T) {
 			t.Fatal(err)
 		}
 		for fb := int64(0); fb < NumDirect+45; fb++ {
-			want, err1 := s.BMap(&final[w], fb)
-			got, err2 := s2.BMap(&o2, fb)
+			want, err1 := mapOne(s, &final[w], fb)
+			got, err2 := mapOne(s2, &o2, fb)
 			if err1 != nil || err2 != nil || got != want {
 				t.Fatalf("object %d file block %d maps %d after the remount (%v), %d before (%v)", w, fb, got, err2, want, err1)
 			}

@@ -7,11 +7,11 @@ import (
 func TestUnmapDirectBlock(t *testing.T) {
 	s, _ := newStore(t, 1024)
 	var o Onode
-	blk, err := s.BMapAlloc(&o, 3, 0)
+	blk, err := allocOne(s, &o, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.UnmapBlock(&o, 3)
+	got, err := unmapOne(s, &o, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +24,7 @@ func TestUnmapDirectBlock(t *testing.T) {
 	if s.RefCount(blk) != 0 {
 		t.Fatal("block not freed")
 	}
-	if m, _ := s.BMap(&o, 3); m != 0 {
+	if m, _ := mapOne(s, &o, 3); m != 0 {
 		t.Fatal("bmap still resolves")
 	}
 }
@@ -32,10 +32,10 @@ func TestUnmapDirectBlock(t *testing.T) {
 func TestUnmapHole(t *testing.T) {
 	s, _ := newStore(t, 1024)
 	var o Onode
-	if got, err := s.UnmapBlock(&o, 5); err != nil || got != 0 {
+	if got, err := unmapOne(s, &o, 5); err != nil || got != 0 {
 		t.Fatalf("unmap hole = %d, %v", got, err)
 	}
-	if got, err := s.UnmapBlock(&o, NumDirect+5); err != nil || got != 0 {
+	if got, err := unmapOne(s, &o, NumDirect+5); err != nil || got != 0 {
 		t.Fatalf("unmap indirect hole = %d, %v", got, err)
 	}
 }
@@ -44,18 +44,18 @@ func TestUnmapIndirectBlock(t *testing.T) {
 	s, _ := newStore(t, 2048)
 	var o Onode
 	fb := int64(NumDirect + 7)
-	blk, err := s.BMapAlloc(&o, fb, 0)
+	blk, err := allocOne(s, &o, fb, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.UnmapBlock(&o, fb)
+	got, err := unmapOne(s, &o, fb)
 	if err != nil || got != blk {
 		t.Fatalf("unmap = %d, %v", got, err)
 	}
 	if s.RefCount(blk) != 0 {
 		t.Fatal("block not freed")
 	}
-	if m, _ := s.BMap(&o, fb); m != 0 {
+	if m, _ := mapOne(s, &o, fb); m != 0 {
 		t.Fatal("indirect mapping survives")
 	}
 }
@@ -64,15 +64,15 @@ func TestUnmapDoubleIndirect(t *testing.T) {
 	s, _ := newStore(t, 4096)
 	var o Onode
 	fb := NumDirect + s.ptrsPerBlock + 2*s.ptrsPerBlock + 3
-	blk, err := s.BMapAlloc(&o, fb, 0)
+	blk, err := allocOne(s, &o, fb, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.UnmapBlock(&o, fb)
+	got, err := unmapOne(s, &o, fb)
 	if err != nil || got != blk {
 		t.Fatalf("unmap = %d, %v", got, err)
 	}
-	if m, _ := s.BMap(&o, fb); m != 0 {
+	if m, _ := mapOne(s, &o, fb); m != 0 {
 		t.Fatal("double-indirect mapping survives")
 	}
 }
@@ -81,7 +81,7 @@ func TestUnmapSharedDoesNotDisturbClone(t *testing.T) {
 	s, _ := newStore(t, 2048)
 	var orig Onode
 	fb := int64(NumDirect + 4)
-	blk, err := s.BMapAlloc(&orig, fb, 0)
+	blk, err := allocOne(s, &orig, fb, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,13 +92,13 @@ func TestUnmapSharedDoesNotDisturbClone(t *testing.T) {
 
 	// Unmap through the clone: orig's mapping must be untouched and the
 	// data block must retain orig's reference.
-	if _, err := s.UnmapBlock(&clone, fb); err != nil {
+	if _, err := unmapOne(s, &clone, fb); err != nil {
 		t.Fatal(err)
 	}
-	if m, _ := s.BMap(&clone, fb); m != 0 {
+	if m, _ := mapOne(s, &clone, fb); m != 0 {
 		t.Fatal("clone mapping survives unmap")
 	}
-	if m, _ := s.BMap(&orig, fb); m != blk {
+	if m, _ := mapOne(s, &orig, fb); m != blk {
 		t.Fatalf("orig mapping disturbed: %d want %d", m, blk)
 	}
 	if s.RefCount(blk) != 1 {

@@ -226,7 +226,7 @@ func TestMetaCacheKeepsDirtyEntries(t *testing.T) {
 		c.fill(b, blk, 0)
 	}
 	for _, b := range []int64{100, 101, 3, 4, 5, 6} {
-		if !c.view(b, func([]byte) {}) {
+		if !c.use(b, nil, nil, func([]byte) {}) {
 			t.Fatalf("block %d not resident; cache holds %d blocks", b, len(c.blocks))
 		}
 	}
@@ -258,12 +258,12 @@ func TestWriteBackCommitsUnchangedOnodeAfterPointerWrite(t *testing.T) {
 	}
 	commits := reg.Counter("journal.commits")
 	o := Onode{ObjectID: 7, Size: 64 << 12}
-	if _, _, err := s.BMapAllocRange(&o, NumDirect+8, 4, 0); err != nil {
+	if _, _, err := s.MapAlloc(&o, NumDirect+8, 4, 0); err != nil {
 		t.Fatal(err)
 	}
 	mustWriteOnode(t, s, 3, &o)
 	before, was := commits.Load(), o
-	if _, _, err := s.BMapAllocRange(&o, NumDirect, 4, 0); err != nil || o != was {
+	if _, _, err := s.MapAlloc(&o, NumDirect, 4, 0); err != nil || o != was {
 		t.Fatalf("filling a hole through the indirect block: %v, onode changed: %v", err, o != was)
 	}
 	mustWriteOnode(t, s, 3, &o)

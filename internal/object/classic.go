@@ -288,25 +288,28 @@ func (c *classicBackend) truncate(o *layout.Onode, newSize uint64) error {
 	var res, fp, dropped int64
 	if newSize < o.Size {
 		res, fp = c.charging(o)
-		first := (newSize + bs - 1) / bs // first block to drop
-		last := (o.Size + bs - 1) / bs
-		for fb := first; fb < last; fb++ {
-			phys, err := c.lay.BMap(o, int64(fb))
+		first := int64((newSize + bs - 1) / bs) // first block to drop
+		last := int64((o.Size + bs - 1) / bs)
+		// A block about to become free leaves the cache first.
+		for fb := first; fb < last; {
+			phys, n, err := c.lay.Map(o, fb, int(last-fb))
 			if err != nil {
 				return err
 			}
-			if phys != 0 && c.lay.RefCount(phys) == 1 {
-				c.cache.Invalidate(phys)
+			for b := phys; phys != 0 && b < phys+int64(n); b++ {
+				if c.lay.RefCount(b) == 1 {
+					c.cache.Invalidate(b)
+				}
 			}
-			if phys, err = c.lay.UnmapBlock(o, int64(fb)); err != nil {
-				return err
-			} else if phys != 0 {
-				dropped++
-			}
+			fb += int64(n)
+		}
+		var err error
+		if dropped, err = c.lay.Unmap(o, first, int(last-first)); err != nil {
+			return err
 		}
 		// Zero the tail of the new last block so growth re-reads zeros.
 		if newSize%bs != 0 {
-			phys, err := c.lay.BMap(o, int64(newSize/bs))
+			phys, _, err := c.lay.Map(o, int64(newSize/bs), 1)
 			if err != nil {
 				return err
 			}
@@ -319,11 +322,11 @@ func (c *classicBackend) truncate(o *layout.Onode, newSize uint64) error {
 				}
 				clear(buf[keep:])
 				// Shared blocks must be unshared before zeroing.
-				np, err := c.lay.BMapAlloc(o, int64(newSize/bs), phys)
+				np, _, err := c.lay.MapAlloc(o, int64(newSize/bs), 1, phys)
 				if err != nil {
 					return err
 				}
-				if err := c.cache.WriteBlock(np, buf); err != nil {
+				if err := c.cache.WriteBlock(np[0], buf); err != nil {
 					return err
 				}
 			}
@@ -371,35 +374,19 @@ func (c *classicBackend) Read(part uint16, obj uint64, off uint64, n int, seq *S
 }
 
 // readExtents fills dst with the object's bytes from off (the caller
-// has clipped the range to the object's size). The file blocks are
-// grouped into extents, runs that are consecutive on the device, and
-// each extent is one cache read (cache.ReadRange); holes read as zeros.
+// has clipped the range to the object's size). Each run of the block
+// map (layout.Map), blocks consecutive on the device, is one cache read
+// (cache.ReadRange); holes read as zeros.
 func (c *classicBackend) readExtents(o *layout.Onode, off uint64, dst []byte) error {
 	bs := int(c.lay.BlockSize())
 	for done := 0; done < len(dst); {
 		cur := off + uint64(done)
-		fb := int64(cur / uint64(bs))
 		within := int(cur % uint64(bs))
-		phys, err := c.lay.BMap(o, fb)
+		phys, n, err := c.lay.Map(o, int64(cur/uint64(bs)), (within+len(dst)-done+bs-1)/bs)
 		if err != nil {
 			return err
 		}
-		// Grow the extent while the next file block is the next device
-		// block (or, after a hole, another hole).
-		chunk := bs - within
-		for k := int64(1); chunk < len(dst)-done; k++ {
-			next, err := c.lay.BMap(o, fb+k)
-			if err != nil {
-				return err
-			}
-			if phys == 0 && next != 0 || phys != 0 && next != phys+k {
-				break
-			}
-			chunk += bs
-		}
-		if chunk > len(dst)-done {
-			chunk = len(dst) - done
-		}
+		chunk := min(n*bs-within, len(dst)-done)
 		if phys == 0 {
 			clear(dst[done : done+chunk])
 		} else if err := c.cache.ReadRange(phys, within, dst[done:done+chunk]); err != nil {
@@ -434,14 +421,15 @@ func (c *classicBackend) Write(part uint16, obj uint64, off uint64, data []byte)
 	var reserved int64
 	if c.quota.quotaed(part) {
 		var holes int64 = 3 // worst-case new indirect blocks
-		for fb := off / bs; fb*bs < end; fb++ {
-			phys, err := c.lay.BMap(&o, int64(fb))
+		for fb, last := int64(off/bs), int64((end+bs-1)/bs); fb < last; {
+			phys, n, err := c.lay.Map(&o, fb, int(last-fb))
 			if err != nil {
 				return err
 			}
 			if phys == 0 {
-				holes++
+				holes += int64(n)
 			}
+			fb += int64(n)
 		}
 		if need := chargeDelta(res, fp, holes); need > 0 {
 			if err := c.quota.chargeBlocks(part, need); err != nil {
@@ -470,7 +458,7 @@ func (c *classicBackend) Write(part uint16, obj uint64, off uint64, data []byte)
 }
 
 // writeRange maps the block range of one write in a single pass
-// (layout.BMapAllocRange, whose pointer-slot changes ride in the onode
+// (layout.MapAlloc, whose pointer-slot changes ride in the onode
 // record the caller commits) and hands the blocks to the cache. It
 // reports the block references the object gained, error or not. Caller
 // holds the object's exclusive lock and persists the onode.
@@ -482,10 +470,10 @@ func (c *classicBackend) writeRange(o *layout.Onode, off uint64, data []byte) (g
 	end := off + uint64(len(data))
 	first, last := int64(off/bs), int64((end-1)/bs)
 	// Allocate after the preceding file block (there is none before
-	// block 0, which BMap refuses), else near the object this one is
+	// block 0, which Map refuses), else near the object this one is
 	// linked to (clustering).
 	hint := int64(0)
-	if prev, err := c.lay.BMap(o, first-1); err == nil && prev != 0 {
+	if prev, _, err := c.lay.Map(o, first-1, 1); err == nil && prev != 0 {
 		hint = prev + 1
 	} else if o.Cluster != 0 {
 		hint = c.clusterHint(o)
@@ -493,9 +481,14 @@ func (c *classicBackend) writeRange(o *layout.Onode, off uint64, data []byte) (g
 	// Only the two ends can be partial blocks: read-modify-write, unless
 	// the block was a hole before this write. Then it holds whatever a
 	// previous owner left there and is zero-filled instead of read.
-	wasHole := func(fb int64) bool { prev, err := c.lay.BMap(o, fb); return err == nil && prev == 0 }
-	headHole, tailHole := wasHole(first), wasHole(last)
-	phys, gained, err := c.lay.BMapAllocRange(o, first, int(last-first+1), hint)
+	head, n, err := c.lay.Map(o, first, int(last-first+1))
+	headHole := err == nil && head == 0
+	tailHole := headHole
+	if first+int64(n) <= last {
+		tail, _, err := c.lay.Map(o, last, 1)
+		tailHole = err == nil && tail == 0
+	}
+	phys, gained, err := c.lay.MapAlloc(o, first, int(last-first+1), hint)
 	buf := bufpool.Get(int(bs)) // bounce buffer for the partial blocks
 	defer bufpool.Put(buf)
 	for i, p := range phys {
@@ -575,10 +568,8 @@ func (c *classicBackend) writeRaw(o *layout.Onode, data []byte) error {
 	if o.Size > uint64(len(data)) {
 		first := (int64(len(data)) + int64(bs) - 1) / int64(bs)
 		last := (int64(o.Size) + int64(bs) - 1) / int64(bs)
-		for fb := first; fb < last; fb++ {
-			if _, err := c.lay.UnmapBlock(o, fb); err != nil {
-				return err
-			}
+		if _, err := c.lay.Unmap(o, first, int(last-first)); err != nil {
+			return err
 		}
 	}
 	o.Size = uint64(len(data))

@@ -474,6 +474,82 @@ func crashTruncateIndirect(t *testing.T, seed int64, tear bool, old []byte, newS
 	}
 }
 
+// TestCrashSweepVersionedOverwrite crashes the disk around one write
+// whose range crosses from the direct slots into the indirect block of
+// an object that shares every block with a version, so that one
+// MapAlloc unshares the pointer block and the data blocks on both sides:
+// right after the write returns, at every persist step inside it and at
+// every step of the Flush after it. The store must mount and the
+// version read its old contents. The object must read at its size, and
+// outside the blocks the write unshared its old bytes: those blocks hold
+// write-behind data, which an unflushed write may lose (DESIGN.md §7),
+// the copied-over old bytes around the write included. A second
+// verification pass must find nothing to repair, and the quota
+// accounting must be the census's.
+func TestCrashSweepVersionedOverwrite(t *testing.T) {
+	old := pattern(5, (layout.NumDirect+8)*512)
+	off := (layout.NumDirect-3)*512 + 100
+	added := pattern(9, 6*512)
+	lo, hi := (layout.NumDirect-3)*512, (off+len(added)+511)/512*512 // the unshared blocks
+	seeds := int64(4)
+	if testing.Short() {
+		seeds = 1
+	}
+	for seed := int64(1); seed <= seeds; seed++ {
+		for _, tear := range []bool{false, true} {
+			for n := int64(0); ; n++ { // 0: crash after the write returns
+				inner, disk, s := setupCrashStore(t, seed)
+				disk.SetTearWrites(tear)
+				id, err := s.Create(1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Write(1, id, 0, old); err != nil {
+					t.Fatal(err)
+				}
+				ver, err := s.VersionObject(1, id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				disk.SetCrashAfter(n)
+				err = s.Write(1, id, uint64(off), added)
+				if n == 0 && err != nil || err != nil && !disk.Crashed() {
+					t.Fatalf("crash@%d: overwrite failed without a crash: %v", n, err)
+				}
+				if err == nil && n > 0 {
+					if err = s.Flush(); err == nil {
+						t.Logf("seed %d tear=%v: %d crash points in and after the overwrite and its flush", seed, tear, n)
+						break // every step of the write and the flush has been a crash point
+					} else if !disk.Crashed() {
+						t.Fatalf("crash@%d: flush failed without a crash: %v", n, err)
+					}
+				}
+				disk.Crash()
+
+				tag := fmt.Sprintf("seed %d crash@%d tear=%v", seed, n, tear)
+				s2, err := Open(inner, Config{SyncCompact: true})
+				if err != nil {
+					t.Fatalf("%s: reopen: %v", tag, err)
+				}
+				got, err := s2.Read(1, id, 0, len(old)+1)
+				if err != nil || len(got) != len(old) || !bytes.Equal(got[:lo], old[:lo]) || !bytes.Equal(got[hi:], old[hi:]) {
+					t.Fatalf("%s: object read %d bytes (%v), want %d, old outside the unshared blocks", tag, len(got), err, len(old))
+				}
+				if got, err := s2.Read(1, ver, 0, len(old)); err != nil || !bytes.Equal(got, old) {
+					t.Fatalf("%s: version read %d bytes (%v), want the old contents", tag, len(got), err)
+				}
+				if repairs, err := s2.verifyRefs(); err != nil || repairs != 0 {
+					t.Fatalf("%s: second verification pass repaired %d refcounts (%v)", tag, repairs, err)
+				}
+				checkAccounting(t, s2, tag)
+			}
+		}
+	}
+}
+
 // pointerBlockUnwritten reports whether the indirect block of classic
 // object id still holds no mapping on the medium, inner.
 func pointerBlockUnwritten(t *testing.T, s *Store, inner *blockdev.MemDisk, id uint64) bool {

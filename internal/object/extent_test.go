@@ -282,7 +282,7 @@ func TestExtentReadsRecyclePooledBuffers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad, err := s.classic.lay.BMap(&o, 5)
+	bad, err := mapOne(s.classic.lay, &o, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +334,7 @@ func TestExtentWriteDeviceCalls(t *testing.T) {
 	if dev.writeCalls > 16*3+1 {
 		t.Fatalf("%d device write calls for 16 appends, want at most 3 each and the zeroing write", dev.writeCalls)
 	}
-	first, err := s.classic.lay.BMap(&o, 0)
+	first, err := mapOne(s.classic.lay, &o, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +343,7 @@ func TestExtentWriteDeviceCalls(t *testing.T) {
 		if fb >= layout.NumDirect {
 			want++ // the indirect block was allocated in between
 		}
-		if phys, _ := s.classic.lay.BMap(&o, fb); phys != want {
+		if phys, _ := mapOne(s.classic.lay, &o, fb); phys != want {
 			t.Fatalf("file block %d is at %d, want %d: the object is not contiguous around its indirect block", fb, phys, want)
 		}
 	}
@@ -489,7 +489,7 @@ func TestExtentWritesRecyclePooledBuffers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad, err := s.classic.lay.BMap(&o, 5)
+	bad, err := mapOne(s.classic.lay, &o, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -570,4 +570,11 @@ func TestExtentWritePartialFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustRead(t, s2, id, 0, data[:(free-1)*4096])
+}
+
+// mapOne is the one-block layout.Map: the physical block of fb, 0 for
+// a hole.
+func mapOne(lay *layout.Store, o *layout.Onode, fb int64) (int64, error) {
+	phys, _, err := lay.Map(o, fb, 1)
+	return phys, err
 }

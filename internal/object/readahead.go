@@ -180,15 +180,19 @@ func newPrefetcher(lay *layout.Store, c *cache.BlockCache) *prefetcher {
 func (p *prefetcher) window(t *SeqTracker, o *layout.Onode, from int64, count int) {
 	var r prefetchRun
 	last := min(from+int64(count), int64((o.Size+uint64(p.bs)-1)/uint64(p.bs)))
-	for fb := from; fb < last; fb++ {
-		phys, err := p.lay.BMap(o, fb)
-		switch {
-		case err != nil || phys == 0:
-		case r.n > 0 && r.start+int64(r.n) == phys && r.n < blockdev.RunLimit:
-			r.n++
-		default:
-			t.push(p, r)
-			r = prefetchRun{phys, 1}
+	for fb := from; fb < last; {
+		phys, n, err := p.lay.Map(o, fb, int(last-fb))
+		if err != nil {
+			fb++
+			continue
+		}
+		for fb += int64(n); phys != 0 && n > 0; {
+			if r.n == 0 || r.start+int64(r.n) != phys || r.n == blockdev.RunLimit {
+				t.push(p, r)
+				r = prefetchRun{phys, 0}
+			}
+			k := min(n, blockdev.RunLimit-r.n)
+			r.n, phys, n = r.n+k, phys+int64(k), n-k
 		}
 	}
 	t.push(p, r)

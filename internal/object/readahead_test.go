@@ -89,7 +89,7 @@ func physOf(t *testing.T, s *Store, id uint64, first, n int64) []int64 {
 	}
 	var out []int64
 	for fb := first; fb < first+n; fb++ {
-		phys, err := s.classic.lay.BMap(&o, fb)
+		phys, err := mapOne(s.classic.lay, &o, fb)
 		if err != nil {
 			t.Fatal(err)
 		}

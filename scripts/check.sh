@@ -30,7 +30,7 @@ fi
 echo "==> no deleted names in *.go, *.md, *.sh and *.yml"
 if grep -rnE --include='*.go' --include='*.md' --include='*.sh' --include='*.yml' \
     --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md --exclude=check.sh --exclude-dir=.git --exclude-dir=.bench_build \
-    'WithJournalBlocks|FormatStore|OpenStore|Stats\(\)\.Retries|nasdbench -(stats|chaos)([^-]|$)|nasdbench -workload|BENCH_(stats|parallel|smallobj|chaos|qos)|-chaos-duration|-qos-duration|-qos-clients|runChaos|runQoS|-stats-mb|-smallobj-objects|WithWorkers|AllDig|JournalEnabled|SetWriteThrough|SeqWriteJournalOff|JournalBlocks: -1|OpenWith|WithQueue|rpc-queue|sendReject|svcEWMA|ServerMetrics|ServerSpans|WithWindow|WithFragmentSize|ptrWritten|LegTimeout|legPacing|legCtx|backpressureWaits|cheops\.backpressure_waits|RequestIDFrom|WithRequestID|NextRequestID|ReadPipelinedInto|NewStripe([^D]|$)|ErrLockHeld|ErrUnauthorized|MaxPartitions|(^|[^[:alnum:]_])DriveCount|emitPhases|StartNanos|OpTotals|MergedSvc|partExists|WithSpanContext|\.Annotate\(|OnSent|\.Emit\((telemetry\.)?SpanRecord' .; then
+    'WithJournalBlocks|FormatStore|OpenStore|Stats\(\)\.Retries|nasdbench -(stats|chaos)([^-]|$)|nasdbench -workload|BENCH_(stats|parallel|smallobj|chaos|qos)|-chaos-duration|-qos-duration|-qos-clients|runChaos|runQoS|-stats-mb|-smallobj-objects|WithWorkers|AllDig|JournalEnabled|SetWriteThrough|SeqWriteJournalOff|JournalBlocks: -1|OpenWith|WithQueue|rpc-queue|sendReject|svcEWMA|ServerMetrics|ServerSpans|WithWindow|WithFragmentSize|ptrWritten|LegTimeout|legPacing|legCtx|backpressureWaits|cheops\.backpressure_waits|RequestIDFrom|WithRequestID|NextRequestID|ReadPipelinedInto|NewStripe([^D]|$)|ErrLockHeld|ErrUnauthorized|MaxPartitions|(^|[^[:alnum:]_])DriveCount|emitPhases|StartNanos|OpTotals|MergedSvc|partExists|WithSpanContext|\.Annotate\(|OnSent|\.Emit\((telemetry\.)?SpanRecord|BMapAllocRange|BMapAlloc|UnmapBlock|\.BMap\(|planFragments' .; then
     echo "the names above no longer exist; describe what replaced them" >&2
     exit 1
 fi
@@ -69,9 +69,10 @@ go test -race ./...
 # tests that pin per-request allocations skip themselves above and run
 # here on a plain binary — the cached read end to end, with and without
 # qos in front, a span and an exemplar, which every request makes, and
-# the cache's bookkeeping for a miss, a prefetch and an absent write.
-echo "==> go test -count=1 -run 'Allocs\$' . ./internal/telemetry ./internal/cache (allocation counts, no -race)"
-go test -count=1 -run 'Allocs$' . ./internal/telemetry ./internal/cache
+# the cache's bookkeeping for a miss, a prefetch and an absent write,
+# a windowed read's fan-out, and the block map's range walks.
+echo "==> go test -count=1 -run 'Allocs\$' . ./internal/telemetry ./internal/cache ./internal/layout (allocation counts, no -race)"
+go test -count=1 -run 'Allocs$' . ./internal/telemetry ./internal/cache ./internal/layout
 
 # Fault-tolerance focus: rerun the fault/retry/failover tests by name so
 # a resilience regression is called out explicitly instead of hiding in
