@@ -61,7 +61,7 @@ func TestWriteTenantTableQoSColumns(t *testing.T) {
 func TestWriteExemplars(t *testing.T) {
 	r := telemetry.NewRegistry()
 	r.Counter("drive.op.read.calls").Add(10)
-	r.Histogram("drive.op.read.svc_ns").ObserveTrace(12345, 987)
+	r.Histogram("drive.op.read.svc_ns").ObserveTrace(12345, 987, telemetry.Now())
 	var sb strings.Builder
 	writeExemplars(&sb, opRows(r.Snapshot()))
 	out := sb.String()

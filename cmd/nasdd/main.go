@@ -240,9 +240,7 @@ func main() {
 		log.Printf("nasdd: qos armed: queue=%d tenant-queue=%d rate=%g burst=%g shed=%v weights=%q",
 			*qosQueue, *qosTenantQueue, *qosRate, *qosBurst, *qosShed, *qosWeights)
 	}
-	srv := rpc.NewServer(handler,
-		rpc.WithMetrics(reg),
-		rpc.WithProcNames(func(p uint16) string { return drive.Op(p).String() }))
+	srv := rpc.NewServer(handler, rpc.WithMetrics(reg))
 
 	if *metricsAddr != "" {
 		mux := telemetry.NewMux(reg.Snapshot, drv.Spans(), drv.Events())

@@ -120,7 +120,7 @@ func (i *Instrumented) ReadBlocks(start64 int64, buf []byte) error {
 	d := time.Since(start)
 	i.busy.Add(int64(d))
 	i.depth.Add(-1)
-	i.readNS.ObserveDuration(d)
+	i.readNS.Observe(int64(d))
 	sp.End()
 	if err == nil {
 		i.reads.Add(uint64(len(buf) / i.dev.BlockSize()))
@@ -137,7 +137,7 @@ func (i *Instrumented) WriteBlocks(start64 int64, data []byte) error {
 	d := time.Since(start)
 	i.busy.Add(int64(d))
 	i.depth.Add(-1)
-	i.writeNS.ObserveDuration(d)
+	i.writeNS.Observe(int64(d))
 	sp.End()
 	if err == nil {
 		i.writes.Add(uint64(len(data) / i.dev.BlockSize()))

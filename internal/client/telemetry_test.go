@@ -70,9 +70,15 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	if h := m.Histograms["drive.op.read.svc_ns"]; h.Count < 2 || h.Sum <= 0 {
 		t.Fatalf("drive.op.read.svc_ns: %+v", h)
 	}
-	// The RPC server shares the registry and names ops via drive.Op.
-	if m.Counters["rpc.server.op.read.calls"] < 2 {
-		t.Fatalf("rpc.server.op.read.calls = %d, want >= 2", m.Counters["rpc.server.op.read.calls"])
+	// The RPC server shares the registry but books connection totals
+	// only: drive.op.* is the one per-op book.
+	if reqs, reads := m.Counters["rpc.server.requests"], m.Counters["drive.op.read.calls"]; reqs < reads+1 {
+		t.Fatalf("rpc.server.requests = %d, fewer than the drive's %d reads and 1 write", reqs, reads)
+	}
+	for name := range m.Histograms {
+		if strings.HasPrefix(name, "rpc.server.") {
+			t.Fatalf("the rpc server keeps a histogram of its own: %s", name)
+		}
 	}
 	// Cache hits incremented across the two reads of the same blocks.
 	if m.Gauges["drive.cache.hits"] <= before.Metrics.Gauges["drive.cache.hits"] {

@@ -276,12 +276,15 @@ func (d *Drive) objVersion(part uint16, obj uint64) (uint64, error) {
 // request, then records it once in each observation sink: the registry
 // (the drive.op.* aggregates, service time split into digest /
 // object-system / media) and the span log (the per-request record).
+// It reads the clock twice, traced or not; the two readings time the
+// span, both svc_ns observations and their exemplars.
 func (d *Drive) Handle(req *rpc.Request) *rpc.Reply {
 	op := Op(req.Proc)
 	ph := &phases{}
+	start := telemetry.Now()
 	// Resume the caller's trace: the drive-side handler span becomes a
 	// child of the client span whose context rode in the request header.
-	sp := d.tel.spans.StartRemote(req.Trace.TraceID, req.Trace.Parent, d.tel.spanName(op))
+	sp := d.tel.spans.StartRemote(req.Trace.TraceID, req.Trace.Parent, d.tel.spanName(op), start)
 	if mt, ok := d.tel.media.(mediaTracer); ok && sp.Context().TraceID != 0 {
 		// Ambient trace context for per-I/O media spans; approximate
 		// under concurrent requests, exact when serialized (the same
@@ -289,11 +292,10 @@ func (d *Drive) Handle(req *rpc.Request) *rpc.Reply {
 		mt.SetTraceContext(sp.Context())
 		defer mt.SetTraceContext(telemetry.SpanContext{})
 	}
-	start := time.Now()
 	mediaBefore := d.tel.mediaNanos()
 	lockBefore := d.tel.lockWaitNanos()
 	rep := d.dispatch(op, req, ph)
-	total := time.Since(start)
+	end := telemetry.Now()
 	if !ph.hasTenant {
 		// No capability decoded (insecure mode, admin ops, early decode
 		// failures): fall back to the partition leading the argument
@@ -302,7 +304,7 @@ func (d *Drive) Handle(req *rpc.Request) *rpc.Reply {
 			ph.setTenant(part)
 		}
 	}
-	d.tel.record(op, req, rep, total, ph, d.tel.mediaNanos()-mediaBefore, &sp, d.tel.lockWaitNanos()-lockBefore)
+	d.tel.record(op, req, rep, start, end, ph, d.tel.mediaNanos()-mediaBefore, &sp, d.tel.lockWaitNanos()-lockBefore)
 	return rep
 }
 
@@ -642,12 +644,10 @@ func (d *Drive) handleExecute(req *rpc.Request, ph *phases) *rpc.Reply {
 // Serve is a convenience that wraps the drive in an RPC server on l.
 // It blocks; run on its own goroutine and close the returned server to
 // stop. The server shares the drive's telemetry registry, so one
-// snapshot covers both RPC-plane and drive-plane metrics with NASD op
-// names.
+// snapshot covers the RPC plane's connection totals and the drive's
+// per-op books.
 func (d *Drive) Serve(l rpc.Listener) *rpc.Server {
-	srv := rpc.NewServer(d,
-		rpc.WithMetrics(d.tel.reg),
-		rpc.WithProcNames(func(p uint16) string { return Op(p).String() }))
+	srv := rpc.NewServer(d, rpc.WithMetrics(d.tel.reg))
 	go srv.Serve(l)
 	return srv
 }

@@ -168,7 +168,7 @@ func TestStatsReplyBounded(t *testing.T) {
 	}
 	const trace = 77
 	for i := 0; i < 3000; i++ {
-		sp := d.Spans().StartRemote(trace, 0, d.tel.spanName(OpReadObject))
+		sp := d.Spans().StartRemote(trace, 0, d.tel.spanName(OpReadObject), telemetry.Now())
 		sp.End()
 		d.Events().Emit(telemetry.SevInfo, "test", "fill", "")
 	}

@@ -220,13 +220,15 @@ func (ph *phases) setTenant(part uint16) {
 
 // record publishes one completed request into the per-op metrics and —
 // when the request carried a trace context — the span log. sp is the
-// drive-side handler span (the zero span when untraced); lockWait is
-// the request's lock-wait delta in nanoseconds.
-func (t *driveTel) record(op Op, req *rpc.Request, rep *rpc.Reply, total time.Duration, ph *phases, mediaDelta int64, sp *telemetry.Span, lockWait int64) {
+// drive-side handler span (the zero span when untraced), start and end
+// the request's two readings of telemetry.Now; lockWait is the
+// request's lock-wait delta in nanoseconds.
+func (t *driveTel) record(op Op, req *rpc.Request, rep *rpc.Reply, start, end int64, ph *phases, mediaDelta int64, sp *telemetry.Span, lockWait int64) {
 	if int(op) >= opMax || t.ops[op] == nil {
-		sp.End()
+		sp.EndAt(end)
 		return
 	}
+	total := end - start
 	m := t.ops[op]
 	m.calls.Inc()
 	status := rpc.StatusOK
@@ -242,7 +244,7 @@ func (t *driveTel) record(op Op, req *rpc.Request, rep *rpc.Reply, total time.Du
 	m.bytesOut.Add(uint64(nOut))
 	// Traced requests leave their (trace ID, duration) as the bucket's
 	// exemplar, the link from a tail percentile to its span timeline.
-	m.svc.ObserveTrace(int64(total), req.Trace.TraceID)
+	m.svc.ObserveTrace(total, req.Trace.TraceID, end)
 	if ph.hasTenant {
 		tt := t.tenant(ph.tenant, op)
 		tt.calls.Inc()
@@ -251,14 +253,14 @@ func (t *driveTel) record(op Op, req *rpc.Request, rep *rpc.Reply, total time.Du
 		}
 		tt.bytesIn.Add(uint64(nIn))
 		tt.bytesOut.Add(uint64(nOut))
-		tt.svc.ObserveTrace(int64(total), req.Trace.TraceID)
+		tt.svc.ObserveTrace(total, req.Trace.TraceID, end)
 	}
 	m.digest.Add(uint64(ph.digest))
 	if mediaDelta < 0 {
 		mediaDelta = 0
 	}
 	m.media.Add(uint64(mediaDelta))
-	obj := int64(total) - int64(ph.digest) - mediaDelta
+	obj := total - int64(ph.digest) - mediaDelta
 	if obj < 0 {
 		obj = 0
 	}
@@ -269,7 +271,7 @@ func (t *driveTel) record(op Op, req *rpc.Request, rep *rpc.Reply, total time.Du
 	if lockWait > 0 {
 		sp.Int(keyLockWait, lockWait)
 	}
-	sp.End()
+	sp.EndAt(end)
 }
 
 // Metrics returns the drive's telemetry registry (per-op counters and

@@ -1007,16 +1007,20 @@ func (s *Store) Map(o *Onode, fileBlock int64, limit int) (phys int64, n int, er
 // onode is updated in memory; callers persist it with WriteOnode, whose
 // journal record carries the pointer-slot changes the range made
 // (mapUpdate). The returned physical blocks are safe to overwrite; with
-// an error they are the prefix that was mapped. gained is how many block references the
-// object gained, error or not: a hole filled or a pointer block born
-// counts one, a block unshared replaces one reference with another and
-// counts none. It is what ForEachBlock visits more than before the call,
-// without the walk.
+// an error they are the prefix that was mapped. A data block unshared
+// holds its copy on the medium when MapAlloc returns, so the onode
+// record naming it never commits ahead of the bytes it inherits. gained
+// is how many block references the object gained, error or not: a hole
+// filled or a pointer block born counts one, a block unshared replaces
+// one reference with another and counts none. It is what ForEachBlock
+// visits more than before the call, without the walk.
 func (s *Store) MapAlloc(o *Onode, fileBlock int64, n int, hint int64) (phys []int64, gained int64, err error) {
 	u := mapUpdate{owner: o.ObjectID, gained: -o.held()}
 	out := make([]int64, n)
-	for done := 0; done < n; {
-		lf, err := s.leafAt(&u, o, fileBlock+int64(done), true, hint)
+	done := 0
+	for done < n && err == nil {
+		var lf leaf
+		lf, err = s.leafAt(&u, o, fileBlock+int64(done), true, hint)
 		dst := out[done : done+int(min(lf.n, int64(n-done)))]
 		if err == nil {
 			err = s.slots(o, lf, dst)
@@ -1025,12 +1029,14 @@ func (s *Store) MapAlloc(o *Onode, fileBlock int64, n int, hint int64) (phys []i
 		if err == nil {
 			m, err = s.mapLeaf(&u, o, lf, dst, hint)
 		}
-		if done += m; err != nil {
-			return out[:done], u.gained + o.held(), err
+		if done += m; done > 0 {
+			hint = out[done-1] + 1
 		}
-		hint = out[done-1] + 1
 	}
-	return out, u.gained + o.held(), nil
+	if u.copied {
+		err = cmp.Or(err, s.dev.Flush())
+	}
+	return out[:done], u.gained + o.held(), err
 }
 
 // mapUpdate is one block-map update in progress (the range of a write,
@@ -1042,6 +1048,7 @@ func (s *Store) MapAlloc(o *Onode, fileBlock int64, n int, hint int64) (phys []i
 type mapUpdate struct {
 	owner  uint64
 	gained int64 // references stored into pointer-block slots that held none
+	copied bool  // unshare wrote a copy to the device
 }
 
 // mapLeaf points the slots of leaf lf whose values dst holds at blocks
@@ -1061,6 +1068,7 @@ func (s *Store) mapLeaf(u *mapUpdate, o *Onode, lf leaf, dst []int64, hint int64
 			from = i
 		case dst[i] != 0:
 			if dst[i], err = s.unshare(dst[i], hint); err == nil {
+				u.copied = true
 				i++
 			}
 		default:
@@ -1126,8 +1134,10 @@ func (s *Store) owned(blks []int64) int {
 }
 
 // unshare replaces data block cur, shared copy-on-write, by a fresh
-// block near hint holding a copy of its contents (through the data IO
-// path), and drops the object's reference to cur.
+// block near hint holding a copy of its contents, and drops the
+// object's reference to cur. The copy goes through the data IO path and
+// to the device, which MapAlloc flushes: the onode naming the block
+// commits before a partial write's bytes are written back.
 func (s *Store) unshare(cur, hint int64) (int64, error) {
 	var nb [1]int64
 	if s.alloc(nb[:], hint, false) == 0 {
@@ -1136,6 +1146,9 @@ func (s *Store) unshare(cur, hint int64) (int64, error) {
 	buf := bufpool.Get(int(s.sb.BlockSize))
 	defer bufpool.Put(buf)
 	err := s.dataIO.ReadBlock(cur, buf)
+	if err == nil {
+		err = s.dev.WriteBlock(nb[0], buf)
+	}
 	if err == nil {
 		err = s.dataIO.WriteBlock(nb[0], buf)
 	}

@@ -63,17 +63,9 @@ type Config struct {
 	SegmentBlocks int
 
 	// CompactThreshold is the dead-byte fraction of a sealed segment
-	// that triggers background compaction. Zero means the 0.5 default;
+	// that triggers its compaction. Zero means the 0.5 default;
 	// negative disables compaction entirely (tests).
 	CompactThreshold float64
-
-	// SyncCompact runs compaction inline in the mutating call that
-	// crossed the threshold instead of spawning a goroutine. The crash
-	// harness depends on it: an async compactor writes to the device at
-	// timing-dependent points, so a scheduled persist-step sweep only
-	// becomes deterministic when compaction happens at deterministic
-	// call sites.
-	SyncCompact bool
 
 	// Events, when non-nil, receives a structured event per segment
 	// compaction (how many blocks a partition's log returned).
@@ -754,8 +746,12 @@ func (e *Engine) LogBlocks(part uint16) ([]int64, error) {
 
 // --- Compaction ----------------------------------------------------------
 
-// maybeCompact kicks the background compactor if any sealed segment
-// crossed the dead-byte threshold. At most one compactor runs per log.
+// maybeCompact compacts, in the mutating call that crossed the
+// dead-byte threshold, every sealed segment over it. Compaction holds
+// the log's exclusive lock, so a concurrent request waits for it as for
+// any writer, and the device sees its writes at the same point of every
+// run of one request sequence (the crash harness's persist-step sweeps
+// depend on that).
 func (e *Engine) maybeCompact(l *Log) {
 	if e.cfg.CompactThreshold <= 0 {
 		return
@@ -766,31 +762,6 @@ func (e *Engine) maybeCompact(l *Log) {
 	if !hot {
 		return
 	}
-	if !l.compacting.CompareAndSwap(false, true) {
-		return
-	}
-	if e.cfg.SyncCompact {
-		e.compactLoop(l)
-		return
-	}
-	go e.compactLoop(l)
-}
-
-func (l *Log) compactCandidateLocked() *segment {
-	for _, s := range l.segs {
-		if s == l.act || s.written == 0 {
-			continue
-		}
-		dead := s.written - s.live
-		if float64(dead) >= l.e.cfg.CompactThreshold*float64(s.written) {
-			return s
-		}
-	}
-	return nil
-}
-
-func (e *Engine) compactLoop(l *Log) {
-	defer l.compacting.Store(false)
 	for {
 		l.mu.Lock()
 		s := l.compactCandidateLocked()
@@ -812,6 +783,19 @@ func (e *Engine) compactLoop(l *Log) {
 		e.cfg.Events.Emitf(telemetry.SevInfo, "needle", "compaction",
 			"part=%d seg=%d freed_blocks=%d", l.part, seq, freed)
 	}
+}
+
+func (l *Log) compactCandidateLocked() *segment {
+	for _, s := range l.segs {
+		if s == l.act || s.written == 0 {
+			continue
+		}
+		dead := s.written - s.live
+		if float64(dead) >= l.e.cfg.CompactThreshold*float64(s.written) {
+			return s
+		}
+	}
+	return nil
 }
 
 // compactSegmentLocked copies src's live records and tombstones to the

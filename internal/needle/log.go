@@ -6,7 +6,6 @@ import (
 	"hash/crc32"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"nasd/internal/blockdev"
 	"nasd/internal/bufpool"
@@ -70,8 +69,6 @@ type Log struct {
 	// smaller than the snapshot it loads, and snapshot writes cost at
 	// most one byte per log byte appended.
 	snapBytes, sinceSnap int64
-
-	compacting atomic.Bool
 
 	e *Engine
 }

@@ -3,9 +3,10 @@
 // record (header + payload + checksum) to a per-partition log of
 // fixed-size segments, and a fully in-memory index maps each object to
 // its current record. The design trades log space (reclaimed by
-// background compaction) for the property that matters to small-object
-// workloads: reads cost one or two media I/Os and writes cost zero
-// per-object metadata I/Os — no onode, no bitmap, no indirect block.
+// compaction, which the mutation that crosses its threshold runs) for
+// the property that matters to small-object workloads: reads cost one
+// or two media I/Os and writes cost zero per-object metadata I/Os — no
+// onode, no bitmap, no indirect block.
 //
 // Restart recovery restores the index from an on-disk snapshot plus a
 // scan of records appended after it, falling back to a full log scan

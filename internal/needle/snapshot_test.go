@@ -100,7 +100,7 @@ func stateOf(t *testing.T, e *Engine) logState {
 func TestRecoveryFromStaleSnapshot(t *testing.T) {
 	r := newRig(t)
 	e := New(Config{Dev: r.dev, Space: &testSpace{max: 4096}, Meta: r.meta, Quota: r.quota,
-		Metrics: r.reg, SegmentBlocks: 8, CompactThreshold: 0.5, SyncCompact: true})
+		Metrics: r.reg, SegmentBlocks: 8, CompactThreshold: 0.5})
 	if err := e.CreateLog(tpart); err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestFlushCostIndependentOfObjectCount(t *testing.T) {
 func TestRecoveryScanSmallerThanSnapshot(t *testing.T) {
 	r := newRig(t)
 	e := New(Config{Dev: r.dev, Space: &testSpace{max: 4096}, Meta: r.meta, Quota: r.quota,
-		SegmentBlocks: 8, CompactThreshold: 0.5, SyncCompact: true})
+		SegmentBlocks: 8, CompactThreshold: 0.5})
 	if err := e.CreateLog(tpart); err != nil {
 		t.Fatal(err)
 	}

@@ -79,7 +79,7 @@ func setupCrashStore(t *testing.T, seed int64) (*blockdev.MemDisk, *blockdev.Cra
 	// Sync compaction keeps the sweep deterministic: a background
 	// compactor would hit the crash disk's persist-step schedule at
 	// goroutine-timing-dependent points.
-	s, err := Format(disk, Config{SyncCompact: true})
+	s, err := Format(disk, Config{})
 	if err != nil {
 		t.Fatalf("seed %d: format: %v", seed, err)
 	}
@@ -209,7 +209,7 @@ func runCrashWorkload(s *Store, disk *blockdev.CrashDisk, rng *rand.Rand, m *cra
 // durability contract against the model.
 func verifyCrashContract(t *testing.T, tag string, inner *blockdev.MemDisk, m *crashModel) {
 	t.Helper()
-	s, err := Open(inner, Config{SyncCompact: true})
+	s, err := Open(inner, Config{})
 	if err != nil {
 		t.Fatalf("%s: reopen after crash: %v", tag, err)
 	}
@@ -384,7 +384,7 @@ func TestCrashSweepIndirectAppend(t *testing.T) {
 			disk.Crash()
 
 			tag := fmt.Sprintf("crash@%d tear=%v", n, tear)
-			s2, err := Open(inner, Config{SyncCompact: true})
+			s2, err := Open(inner, Config{})
 			if err != nil {
 				t.Fatalf("%s: reopen: %v", tag, err)
 			}
@@ -456,7 +456,7 @@ func crashTruncateIndirect(t *testing.T, seed int64, tear bool, old []byte, newS
 		disk.Crash()
 
 		tag := fmt.Sprintf("seed %d crash@%d tear=%v", seed, n, tear)
-		s2, err := Open(inner, Config{SyncCompact: true})
+		s2, err := Open(inner, Config{})
 		if err != nil {
 			t.Fatalf("%s: reopen: %v", tag, err)
 		}
@@ -480,17 +480,16 @@ func crashTruncateIndirect(t *testing.T, seed int64, tear bool, old []byte, newS
 // MapAlloc unshares the pointer block and the data blocks on both sides:
 // right after the write returns, at every persist step inside it and at
 // every step of the Flush after it. The store must mount and the
-// version read its old contents. The object must read at its size, and
-// outside the blocks the write unshared its old bytes: those blocks hold
-// write-behind data, which an unflushed write may lose (DESIGN.md §7),
-// the copied-over old bytes around the write included. A second
-// verification pass must find nothing to repair, and the quota
-// accounting must be the census's.
+// version read its old contents. The object must read at its size, its
+// old bytes outside the write's range, and old or new bytes inside it:
+// an unflushed write may lose its own bytes (DESIGN.md §7), never the
+// old bytes the unshared blocks copied around it. A second verification
+// pass must find nothing to repair, and the quota accounting must be
+// the census's.
 func TestCrashSweepVersionedOverwrite(t *testing.T) {
 	old := pattern(5, (layout.NumDirect+8)*512)
 	off := (layout.NumDirect-3)*512 + 100
 	added := pattern(9, 6*512)
-	lo, hi := (layout.NumDirect-3)*512, (off+len(added)+511)/512*512 // the unshared blocks
 	seeds := int64(4)
 	if testing.Short() {
 		seeds = 1
@@ -530,13 +529,18 @@ func TestCrashSweepVersionedOverwrite(t *testing.T) {
 				disk.Crash()
 
 				tag := fmt.Sprintf("seed %d crash@%d tear=%v", seed, n, tear)
-				s2, err := Open(inner, Config{SyncCompact: true})
+				s2, err := Open(inner, Config{})
 				if err != nil {
 					t.Fatalf("%s: reopen: %v", tag, err)
 				}
 				got, err := s2.Read(1, id, 0, len(old)+1)
-				if err != nil || len(got) != len(old) || !bytes.Equal(got[:lo], old[:lo]) || !bytes.Equal(got[hi:], old[hi:]) {
-					t.Fatalf("%s: object read %d bytes (%v), want %d, old outside the unshared blocks", tag, len(got), err, len(old))
+				if err != nil || len(got) != len(old) {
+					t.Fatalf("%s: object read %d bytes (%v), want %d", tag, len(got), err, len(old))
+				}
+				for i := range got {
+					if j := i - off; got[i] != old[i] && (j < 0 || j >= len(added) || got[i] != added[j]) {
+						t.Fatalf("%s: object byte %d reads %#x, want the old %#x or the write's", tag, i, got[i], old[i])
+					}
 				}
 				if got, err := s2.Read(1, ver, 0, len(old)); err != nil || !bytes.Equal(got, old) {
 					t.Fatalf("%s: version read %d bytes (%v), want the old contents", tag, len(got), err)
@@ -602,7 +606,7 @@ func setupDeferredStore(t *testing.T, seed int64, bs int, blocks int64) (*blockd
 	t.Helper()
 	inner := blockdev.NewMemDisk(bs, blocks)
 	disk := blockdev.NewCrashDisk(inner, seed)
-	s, err := Format(disk, Config{SyncCompact: true, Metrics: telemetry.NewRegistry()})
+	s, err := Format(disk, Config{Metrics: telemetry.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -664,7 +668,7 @@ func runDeferredAppends(s *Store, disk *blockdev.CrashDisk, rng *rand.Rand, bs i
 // finds the same onodes.
 func verifyDeferredContract(t *testing.T, tag string, inner *blockdev.MemDisk, bs int, m *deferredModel, flushed bool) {
 	t.Helper()
-	s, err := Open(inner, Config{SyncCompact: true})
+	s, err := Open(inner, Config{})
 	if err != nil {
 		t.Fatalf("%s: reopen after crash: %v", tag, err)
 	}
@@ -692,7 +696,7 @@ func verifyDeferredContract(t *testing.T, tag string, inner *blockdev.MemDisk, b
 	}
 	checkAccounting(t, s, tag)
 
-	s2, err := Open(inner, Config{SyncCompact: true})
+	s2, err := Open(inner, Config{})
 	if err != nil {
 		t.Fatalf("%s: second mount: %v", tag, err)
 	}
@@ -778,7 +782,7 @@ func TestFlushDurableAcrossCrash(t *testing.T) {
 	// Power cut: everything still in the volatile cache is gone.
 	disk.Crash()
 
-	s2, err := Open(inner, Config{SyncCompact: true})
+	s2, err := Open(inner, Config{})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}

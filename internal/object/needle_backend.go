@@ -24,13 +24,12 @@ type needleBackend struct {
 func newNeedleBackend(s *Store, dev blockdev.Device) *needleBackend {
 	b := &needleBackend{s: s}
 	b.eng = needle.New(needle.Config{
-		Dev:         dev,
-		Space:       needleSpace{s},
-		Meta:        needleMeta{s},
-		Quota:       needleQuota{s},
-		Metrics:     s.cfg.Metrics,
-		Events:      s.cfg.Events,
-		SyncCompact: s.cfg.SyncCompact,
+		Dev:     dev,
+		Space:   needleSpace{s},
+		Meta:    needleMeta{s},
+		Quota:   needleQuota{s},
+		Metrics: s.cfg.Metrics,
+		Events:  s.cfg.Events,
 	})
 	return b
 }

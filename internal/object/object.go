@@ -184,12 +184,6 @@ type Config struct {
 	// transitions into (journal recovery, needle compactions). Nil uses
 	// the process-wide telemetry.Events ring.
 	Events *telemetry.EventLog
-	// SyncCompact runs needle-log compaction inline in the mutating
-	// call that crossed the dead-byte threshold instead of on a
-	// background goroutine. The crash harness needs it: with compaction
-	// asynchronous, device writes land at timing-dependent points in
-	// the persist-step schedule, making the sweep nondeterministic.
-	SyncCompact bool
 }
 
 func (c *Config) fill() {

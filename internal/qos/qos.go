@@ -430,7 +430,7 @@ func (c *Controller) release() {
 func (c *Controller) execute(req *rpc.Request, cls Class, enq time.Time) *rpc.Reply {
 	defer c.release()
 	wait := time.Since(enq)
-	c.statWait.ObserveDuration(wait)
+	c.statWait.Observe(int64(wait))
 
 	// Late shed: the request aged in queue past the point where its
 	// remaining budget covers the estimated service time. Dropping

@@ -15,11 +15,13 @@
 // concurrent calls over one connection and the server dispatches them
 // concurrently, which is what makes the Figure 9-style read/write
 // pipelining in package client possible. When constructed with
-// WithMetrics / WithClientMetrics, the endpoints publish per-opcode
-// call, byte, and latency metrics plus connection/in-flight gauges
+// WithMetrics / WithClientMetrics, the endpoints publish their totals
 // into a telemetry.Registry (the rpc.server.* and rpc.client.*
-// families described in DESIGN.md §5); the Request.Trace field carries
-// the caller's span context — {trace ID, parent span ID} — across the
-// wire, outside the signed message body, so drive-side spans link into
-// the client's trace (DESIGN.md §5 "Tracing").
+// families of DESIGN.md §5): the server counts connections, requests
+// in flight and wire bytes and leaves per-op books and timing to its
+// handler (the drive books each request once), and the client also
+// times its calls. The Request.Trace field carries the caller's span
+// context — {trace ID, parent span ID} — across the wire, outside the
+// signed message body, so drive-side spans link into the client's
+// trace (DESIGN.md §5 "Tracing").
 package rpc

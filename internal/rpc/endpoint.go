@@ -51,45 +51,31 @@ func WithMetrics(reg *telemetry.Registry) ServerOption {
 	return func(s *Server) { s.reg = reg }
 }
 
-// WithProcNames installs a naming function for procedure numbers, used
-// in per-opcode metric names ("rpc.server.op.<name>.*"). The default
-// names procedures "proc<N>"; a drive passes its Op names so metrics
-// read "rpc.server.op.read.calls".
-func WithProcNames(name func(proc uint16) string) ServerOption {
-	return func(s *Server) { s.procName = name }
-}
-
-// procMetrics are the per-opcode server metrics.
-type procMetrics struct {
-	calls    *telemetry.Counter
-	errors   *telemetry.Counter
-	bytesIn  *telemetry.Counter
-	bytesOut *telemetry.Counter
-	svc      *telemetry.Histogram // handler service time, ns
+// WithProcNames does nothing. It stays only because bench/ passes it:
+// the server keeps no per-opcode books, the handler (the drive) books
+// each request once under its own op names.
+func WithProcNames(func(proc uint16) string) ServerOption {
+	return func(*Server) {}
 }
 
 // Server serves NASD RPC requests from any number of connections. Each
 // connection gets a bounded worker pool so a slow bulk transfer does
 // not stall small requests multiplexed on the same connection.
 type Server struct {
-	handler  Handler
-	workers  int
-	reg      *telemetry.Registry
-	procName func(uint16) string
-	wg       sync.WaitGroup
-	mu       sync.Mutex
-	lns      []Listener
-	conns    map[Conn]bool
-	closed   bool
+	handler Handler
+	workers int
+	reg     *telemetry.Registry
+	wg      sync.WaitGroup
+	mu      sync.Mutex
+	lns     []Listener
+	conns   map[Conn]bool
+	closed  bool
 
 	statConns    *telemetry.Gauge
 	statInFlight *telemetry.Gauge
 	statRequests *telemetry.Counter
 	statBytesIn  *telemetry.Counter
 	statBytesOut *telemetry.Counter
-
-	procMu sync.RWMutex
-	procs  map[uint16]*procMetrics
 }
 
 // NewServer returns a server dispatching to handler.
@@ -101,46 +87,16 @@ func NewServer(handler Handler, opts ...ServerOption) *Server {
 	if s.reg == nil {
 		s.reg = telemetry.NewRegistry()
 	}
-	if s.procName == nil {
-		s.procName = func(p uint16) string { return fmt.Sprintf("proc%d", p) }
-	}
 	s.statConns = s.reg.Gauge("rpc.server.conns")
 	s.statInFlight = s.reg.Gauge("rpc.server.inflight")
 	s.statRequests = s.reg.Counter("rpc.server.requests")
 	s.statBytesIn = s.reg.Counter("rpc.server.bytes_in")
 	s.statBytesOut = s.reg.Counter("rpc.server.bytes_out")
-	s.procs = make(map[uint16]*procMetrics)
 	return s
 }
 
 // Metrics returns the server's telemetry registry.
 func (s *Server) Metrics() *telemetry.Registry { return s.reg }
-
-// proc returns the per-opcode metrics for p, creating them on first
-// sight of the opcode.
-func (s *Server) proc(p uint16) *procMetrics {
-	s.procMu.RLock()
-	pm, ok := s.procs[p]
-	s.procMu.RUnlock()
-	if ok {
-		return pm
-	}
-	s.procMu.Lock()
-	defer s.procMu.Unlock()
-	if pm, ok = s.procs[p]; ok {
-		return pm
-	}
-	prefix := "rpc.server.op." + s.procName(p)
-	pm = &procMetrics{
-		calls:    s.reg.Counter(prefix + ".calls"),
-		errors:   s.reg.Counter(prefix + ".errors"),
-		bytesIn:  s.reg.Counter(prefix + ".bytes_in"),
-		bytesOut: s.reg.Counter(prefix + ".bytes_out"),
-		svc:      s.reg.Histogram(prefix + ".svc_ns"),
-	}
-	s.procs[p] = pm
-	return pm
-}
 
 // Serve accepts connections from l until the listener is closed. It
 // blocks; run it on its own goroutine.
@@ -230,22 +186,11 @@ func (s *Server) work(conn Conn) {
 			return
 		}
 		s.statRequests.Inc()
-		pm := s.proc(req.Proc)
-		pm.bytesIn.Add(uint64(len(raw)))
-		pm.calls.Inc()
 		s.statInFlight.Add(1)
-		start := time.Now()
 		reply := s.handler.Handle(req)
 		s.statInFlight.Add(-1)
-		// Traced requests leave an exemplar in their service-time
-		// bucket, so rpc.server.op.*.svc_ns tails link back to a
-		// resolvable trace just like the drive-level histograms.
-		pm.svc.ObserveTrace(int64(time.Since(start)), req.Trace.TraceID)
 		if reply == nil {
 			reply = Errorf(req.MsgID, StatusError, "handler returned no reply")
-		}
-		if reply.Status != StatusOK {
-			pm.errors.Inc()
 		}
 		reply.MsgID = req.MsgID
 		// Encode the header into a pooled buffer and writev
@@ -270,7 +215,6 @@ func (s *Server) work(conn Conn) {
 			return
 		}
 		s.statBytesOut.Add(wireLen)
-		pm.bytesOut.Add(wireLen)
 	}
 }
 

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -113,9 +114,7 @@ const DefaultEventLogSize = 1024
 // sites never need nil checks.
 type EventLog struct {
 	mu     sync.Mutex
-	events []Event
-	next   int
-	filled bool
+	events ring[Event]
 	seq    uint64
 }
 
@@ -126,10 +125,7 @@ var Events = NewEventLog(DefaultEventLogSize)
 
 // NewEventLog returns a ring holding the most recent capacity events.
 func NewEventLog(capacity int) *EventLog {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &EventLog{events: make([]Event, capacity)}
+	return &EventLog{events: newRing[Event](capacity)}
 }
 
 // Emit records one event, stamping its sequence number and timestamp
@@ -141,15 +137,10 @@ func (l *EventLog) Emit(sev Severity, subsystem, name, detail string) {
 	now := time.Now().UnixNano()
 	l.mu.Lock()
 	l.seq++
-	l.events[l.next] = Event{
+	l.events.push(&Event{
 		Seq: l.seq, UnixNano: now, Severity: sev,
 		Subsystem: subsystem, Name: name, Detail: detail,
-	}
-	l.next++
-	if l.next == len(l.events) {
-		l.next = 0
-		l.filled = true
-	}
+	})
 	l.mu.Unlock()
 }
 
@@ -169,41 +160,18 @@ func (l *EventLog) Recent(n int, min Severity) []Event {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	size := l.next
-	if l.filled {
-		size = len(l.events)
-	}
-	if n <= 0 || n > size {
+	if size := l.events.n; n <= 0 || n > size {
 		n = size
-	}
-	start := l.next - size
-	if start < 0 {
-		start += len(l.events)
-	}
-	out := make([]Event, 0, n)
-	for i := 0; i < size; i++ {
-		e := l.events[(start+i)%len(l.events)]
-		if e.Severity >= min {
-			out = append(out, e)
-		}
 	}
 	// The severity filter applies before the count cap: "the last 10
 	// errors", not "the errors among the last 10 events".
-	if len(out) > n {
-		out = out[len(out)-n:]
-	}
+	out := make([]Event, 0, n)
+	l.events.newest(func(e *Event) bool {
+		if e.Severity >= min {
+			out = append(out, *e)
+		}
+		return len(out) < n
+	})
+	slices.Reverse(out)
 	return out
-}
-
-// Len reports how many events the ring currently retains.
-func (l *EventLog) Len() int {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.filled {
-		return len(l.events)
-	}
-	return l.next
 }

@@ -15,9 +15,6 @@ func TestEventLogRingBounds(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		l.Emitf(SevInfo, "test", "tick", "event %d", i)
 	}
-	if l.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", l.Len())
-	}
 	got := l.Recent(0, SevInfo)
 	if len(got) != 4 {
 		t.Fatalf("Recent returned %d events, want 4", len(got))
@@ -72,9 +69,6 @@ func TestEventLogNilSafe(t *testing.T) {
 	l.Emitf(SevError, "test", "x", "also %s", "fine")
 	if got := l.Recent(10, SevInfo); got != nil {
 		t.Fatalf("nil log Recent = %v", got)
-	}
-	if l.Len() != 0 {
-		t.Fatalf("nil log Len = %d", l.Len())
 	}
 }
 

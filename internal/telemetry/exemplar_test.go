@@ -9,9 +9,9 @@ import (
 // bucket-consistent exemplar and untraced ones never displace it.
 func TestObserveTraceExemplar(t *testing.T) {
 	var h Histogram
-	h.ObserveTrace(1000, 42)
+	h.ObserveTrace(1000, 42, Now())
 	h.Observe(900) // untraced, same bucket: must not displace
-	h.ObserveTrace(3, 0)
+	h.ObserveTrace(3, 0, Now())
 
 	s := h.Snapshot()
 	if len(s.Exemplars) != 1 {
@@ -29,7 +29,7 @@ func TestObserveTraceExemplar(t *testing.T) {
 	}
 
 	// A newer traced observation in the same bucket displaces the old.
-	h.ObserveTrace(1001, 43)
+	h.ObserveTrace(1001, 43, Now())
 	s = h.Snapshot()
 	if len(s.Exemplars) != 1 || s.Exemplars[0].TraceID != 43 {
 		t.Fatalf("after displacement: %+v", s.Exemplars)
@@ -41,10 +41,10 @@ func TestObserveTraceExemplar(t *testing.T) {
 // in ascending order, and per-bucket conflicts resolve to the newest.
 func TestExemplarMergeBucketConsistent(t *testing.T) {
 	var a, b Histogram
-	a.ObserveTrace(100, 1)   // bucket 7
-	a.ObserveTrace(5000, 2)  // bucket 13
-	b.ObserveTrace(120, 3)   // bucket 7, observed after a's -> must win
-	b.ObserveTrace(70000, 4) // bucket 17
+	a.ObserveTrace(100, 1, Now())   // bucket 7
+	a.ObserveTrace(5000, 2, Now())  // bucket 13
+	b.ObserveTrace(120, 3, Now())   // bucket 7, observed after a's -> must win
+	b.ObserveTrace(70000, 4, Now()) // bucket 17
 
 	sa, sb := a.Snapshot(), b.Snapshot()
 	sa.Merge(sb)
@@ -91,7 +91,7 @@ func TestExemplarNear(t *testing.T) {
 	for i := 0; i < 99; i++ {
 		h.Observe(100)
 	}
-	h.ObserveTrace(1<<20, 77) // the single tail observation, traced
+	h.ObserveTrace(1<<20, 77, Now()) // the single tail observation, traced
 	s := h.Snapshot()
 	e := s.ExemplarNear(0.99)
 	if e == nil || e.TraceID != 77 {
@@ -101,7 +101,7 @@ func TestExemplarNear(t *testing.T) {
 	// When only lower buckets hold exemplars, the nearest-from-below one
 	// is still returned rather than nothing.
 	var lo Histogram
-	lo.ObserveTrace(100, 5)
+	lo.ObserveTrace(100, 5, Now())
 	for i := 0; i < 99; i++ {
 		lo.Observe(1 << 20) // tail mass is untraced
 	}
@@ -112,7 +112,7 @@ func TestExemplarNear(t *testing.T) {
 }
 
 // TestObserveTraceAllocs: keeping an exemplar allocates nothing; every
-// traced request leaves three.
+// traced request leaves two.
 func TestObserveTraceAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds allocations of its own; run without -race")
@@ -121,7 +121,7 @@ func TestObserveTraceAllocs(t *testing.T) {
 	trace := uint64(0)
 	if avg := testing.AllocsPerRun(1000, func() {
 		trace++
-		h.ObserveTrace(int64(trace%5000), trace)
+		h.ObserveTrace(int64(trace%5000), trace, Now())
 	}); avg != 0 {
 		t.Errorf("ObserveTrace allocates %.1f per call, want 0", avg)
 	}
@@ -145,7 +145,7 @@ func TestExemplarNeverTorn(t *testing.T) {
 					return
 				default:
 				}
-				h.ObserveTrace(v, uint64(v)<<8|w)
+				h.ObserveTrace(v, uint64(v)<<8|w, Now())
 			}
 		}(uint64(w))
 	}

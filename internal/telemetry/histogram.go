@@ -98,17 +98,17 @@ func (h *Histogram) Observe(v int64) {
 }
 
 // ObserveTrace records one value and, when the observation belongs to
-// a traced request (traceID != 0), retains it as its bucket's
-// exemplar. Untraced observations count normally but never displace an
-// exemplar.
-func (h *Histogram) ObserveTrace(v int64, traceID uint64) {
+// a traced request (traceID != 0), retains it as its bucket's exemplar,
+// stamped at (a reading of Now, typically the request's end). Untraced
+// observations count normally but never displace an exemplar.
+func (h *Histogram) ObserveTrace(v int64, traceID uint64, at int64) {
 	h.Observe(v)
 	if traceID == 0 {
 		return
 	}
 	i := bucketIndex(v)
 	if s := &h.ex[i]; s.mu.TryLock() {
-		s.e = Exemplar{Bucket: i, Value: v, TraceID: traceID, UnixNano: unixNano()}
+		s.e = Exemplar{Bucket: i, Value: v, TraceID: traceID, UnixNano: at}
 		s.mu.Unlock()
 	}
 }
@@ -117,9 +117,6 @@ func (h *Histogram) ObserveTrace(v int64, traceID uint64) {
 // The drive reads lock-meter wait histograms this way to annotate a
 // request's span with the lock-wait delta it observed.
 func (h *Histogram) Sum() int64 { return h.sum.Load() }
-
-// ObserveDuration records a duration in nanoseconds.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(int64(d)) }
 
 // ObserveSince records the time elapsed since start.
 func (h *Histogram) ObserveSince(start time.Time) { h.Observe(int64(time.Since(start))) }

@@ -55,13 +55,15 @@ func NextSpanID() uint64 {
 	}
 }
 
-// epoch anchors unixNano, the clock of spans and exemplars.
+// epoch anchors Now, the clock of spans and exemplars.
 var epoch = time.Now()
 
-// unixNano returns the wall time at process start plus the monotonic
-// time since: one monotonic clock read where time.Now takes two, and
-// span ends that never precede their starts.
-func unixNano() int64 { return epoch.UnixNano() + int64(time.Since(epoch)) }
+// Now returns the clock of spans and exemplars in unix nanoseconds: the
+// wall time at process start plus the monotonic time since, one clock
+// read where time.Now takes two, and span ends that never precede their
+// starts. A caller that times a request passes its readings to
+// StartRemote, EndAt and ObserveTrace: one pair serves all three.
+func Now() int64 { return epoch.UnixNano() + int64(time.Since(epoch)) }
 
 // Key names a span annotation. Make each once, with NewKey: a span
 // holds the key, not a copy of its name.
@@ -154,13 +156,20 @@ func (s *Span) Note(key Key, text string) {
 	s.rec.noteKey, s.rec.note = key, text
 }
 
-// End completes the span and records it into the log. End is
+// End completes the span now and records it into the log. End is
 // idempotent; only the first call records.
 func (s *Span) End() {
+	if s.log != nil {
+		s.EndAt(Now())
+	}
+}
+
+// EndAt is End at endNS, a reading of Now the caller already took.
+func (s *Span) EndAt(endNS int64) {
 	if s.log == nil {
 		return
 	}
-	s.rec.endNS = unixNano()
+	s.rec.endNS = endNS
 	s.log.record(&s.rec)
 	s.log = nil
 }
@@ -170,10 +179,8 @@ func (s *Span) End() {
 // root span ends over the slow threshold, its whole tree is copied out
 // of the ring so it survives even after heavy traffic wraps the ring.
 type SpanLog struct {
-	mu     sync.Mutex
-	spans  []spanRec
-	next   int
-	filled bool
+	mu    sync.Mutex
+	spans ring[spanRec]
 
 	slow     time.Duration // 0 = retention disabled
 	retained map[uint64][]spanRec
@@ -189,11 +196,8 @@ const retainedTraces = 32
 
 // NewSpanLog returns a ring holding the most recent capacity spans.
 func NewSpanLog(capacity int) *SpanLog {
-	if capacity < 1 {
-		capacity = 1
-	}
 	return &SpanLog{
-		spans:    make([]spanRec, capacity),
+		spans:    newRing[spanRec](capacity),
 		retained: make(map[uint64][]spanRec),
 		retCap:   retainedTraces,
 	}
@@ -217,12 +221,7 @@ func (l *SpanLog) SetSlowThreshold(d time.Duration) {
 // record copies one completed span into the ring.
 func (l *SpanLog) record(rec *spanRec) {
 	l.mu.Lock()
-	l.spans[l.next] = *rec
-	l.next++
-	if l.next == len(l.spans) {
-		l.next = 0
-		l.filled = true
-	}
+	l.spans.push(rec)
 	if rec.parent == 0 && l.slow > 0 && rec.endNS-rec.startNS >= int64(l.slow) {
 		l.retainLocked(rec.traceID)
 	}
@@ -242,13 +241,16 @@ func (l *SpanLog) retainLocked(traceID uint64) {
 	l.retained[traceID] = l.inRingLocked(traceID)
 }
 
-// inRingLocked returns the ring's spans of traceID. Caller holds mu.
+// inRingLocked returns the ring's spans of traceID, oldest first.
+// Caller holds mu.
 func (l *SpanLog) inRingLocked(traceID uint64) (tree []spanRec) {
-	for i := range l.spans {
-		if (l.filled || i < l.next) && l.spans[i].traceID == traceID {
-			tree = append(tree, l.spans[i])
+	l.spans.newest(func(r *spanRec) bool {
+		if r.traceID == traceID {
+			tree = append(tree, *r)
 		}
-	}
+		return true
+	})
+	slices.Reverse(tree)
 	return tree
 }
 
@@ -257,20 +259,16 @@ func (l *SpanLog) inRingLocked(traceID uint64) (tree []spanRec) {
 // by end time.
 func (l *SpanLog) Recent(n int, prefix string) []SpanRecord {
 	l.mu.Lock()
-	size := l.next
-	if l.filled {
-		size = len(l.spans)
-	}
-	if n <= 0 || n > size {
+	if size := l.spans.n; n <= 0 || n > size {
 		n = size
 	}
 	out := make([]SpanRecord, 0, n)
-	for i := 1; i <= size && len(out) < n; i++ {
-		r := &l.spans[(l.next-i+len(l.spans))%len(l.spans)]
+	l.spans.newest(func(r *spanRec) bool {
 		if strings.HasPrefix(r.name, prefix) {
 			out = append(out, r.record())
 		}
-	}
+		return len(out) < n
+	})
 	l.mu.Unlock()
 	slices.Reverse(out)
 	// The ring is in Emit order, which trails end time when concurrent
@@ -299,10 +297,13 @@ func (l *SpanLog) ByTrace(traceID uint64) []SpanRecord {
 // span ID is 0, as after WithExplicitRequestID; of a fresh trace when
 // parent is zero). A nil log returns the zero (no-op) span.
 func (l *SpanLog) Start(parent SpanContext, name string) Span {
-	if parent.TraceID != 0 {
-		return l.StartRemote(parent.TraceID, parent.SpanID, name)
+	switch {
+	case l == nil:
+		return Span{}
+	case parent.TraceID != 0:
+		return l.StartRemote(parent.TraceID, parent.SpanID, name, Now())
 	}
-	sp := l.StartRemote(^uint64(0), 0, name)
+	sp := l.StartRemote(^uint64(0), 0, name, Now())
 	sp.rec.traceID = sp.rec.spanID // a fresh trace is named after its root
 	return sp
 }
@@ -319,16 +320,17 @@ func (l *SpanLog) StartSpan(ctx context.Context, name string) (context.Context, 
 	return context.WithValue(ctx, spanCtxKey{}, sp.Context()), sp
 }
 
-// StartRemote opens a span resuming a trace received from the wire:
-// traceID and parentSpan are the request's trace context as stamped by
-// the remote caller. A zero traceID (an untraced request) or nil log
-// returns the zero (no-op) span.
-func (l *SpanLog) StartRemote(traceID, parentSpan uint64, name string) Span {
+// StartRemote opens a span, started at startNS (a reading of Now),
+// resuming a trace received from the wire: traceID and parentSpan are
+// the request's trace context as stamped by the remote caller. A zero
+// traceID (an untraced request) or nil log returns the zero (no-op)
+// span.
+func (l *SpanLog) StartRemote(traceID, parentSpan uint64, name string, startNS int64) Span {
 	if l == nil || traceID == 0 {
 		return Span{}
 	}
 	return Span{log: l, rec: spanRec{
 		traceID: traceID, spanID: NextSpanID(), parent: parentSpan,
-		name: name, startNS: unixNano(),
+		name: name, startNS: startNS,
 	}}
 }

@@ -79,17 +79,17 @@ func TestSpanNilSafety(t *testing.T) {
 	}
 	sp.Note(NewKey("a"), "b") // must not panic
 	sp.End()
-	if s := l.StartRemote(1, 2, "y"); s != (Span{}) {
+	if s := l.StartRemote(1, 2, "y", Now()); s != (Span{}) {
 		t.Fatal("nil log StartRemote returned non-nil span")
 	}
 }
 
 func TestStartRemoteUntraced(t *testing.T) {
 	l := NewSpanLog(8)
-	if sp := l.StartRemote(0, 7, "drive.read"); sp != (Span{}) {
+	if sp := l.StartRemote(0, 7, "drive.read", Now()); sp != (Span{}) {
 		t.Fatal("zero trace ID must yield a nil span")
 	}
-	sp := l.StartRemote(42, 7, "drive.read")
+	sp := l.StartRemote(42, 7, "drive.read", Now())
 	sp.End()
 	spans := l.ByTrace(42)
 	if len(spans) != 1 || spans[0].Parent != 7 {
@@ -295,7 +295,7 @@ func TestSpanAllocs(t *testing.T) {
 	k, note := NewKey("bytes"), NewKey("status")
 	for name, open := range map[string]func() Span{
 		"Start":       func() Span { return l.Start(SpanContext{}, "client.read") },
-		"StartRemote": func() Span { return l.StartRemote(42, 7, "drive.read") },
+		"StartRemote": func() Span { return l.StartRemote(42, 7, "drive.read", Now()) },
 	} {
 		avg := testing.AllocsPerRun(1000, func() {
 			sp := open()
